@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-baseline test race bench bench-compare fleet fuzz chaos store multiview ci
+.PHONY: all build fmt vet lint lint-baseline test race bench bench-compare benchmark-module fleet fuzz chaos store multiview ci
 
 all: build
 
@@ -76,6 +76,12 @@ bench-compare:
 	$(GO) run ./cmd/overhaul-benchjson -in bench.out -diff BENCH_overhaul.json
 	@rm -f bench.out
 
+# The repo benchmark (cmd/overhaul-benchmark) is its own Go module, so
+# `go test ./...` never compiles it. Its test runs every workload tiny
+# (~6 s) against the current tree through the exported APIs it uses.
+benchmark-module:
+	cd cmd/overhaul-benchmark && $(GO) test .
+
 # Fleet smoke: a short open-loop load run over 256 sessions whose
 # JSON report must satisfy the same checker that gates
 # BENCH_overhaul.json, plus one render of the fleet dashboard.
@@ -143,5 +149,5 @@ multiview:
 	$(GO) run ./cmd/overhaul-benchjson -check multiview.json
 	@rm -f multiview.json multiview.html
 
-ci: fmt build vet lint race bench fleet fuzz chaos store multiview
+ci: fmt build vet lint race benchmark-module bench fleet fuzz chaos store multiview
 	$(GO) run ./cmd/overhaul-benchjson -check BENCH_overhaul.json

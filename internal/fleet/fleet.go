@@ -4,24 +4,19 @@
 // multi-tenant deployment would run it: one orchestrator process, one
 // ingress, N independent Overhaul sessions.
 //
-// The design splits every piece of state along one axis:
-//
-//   - Immutable, identical across tenants → shared. The decision rule
-//     (monitor.Policy), the sensitive-device/alert table, and the
-//     application catalog live in a Tables snapshot behind an atomic
-//     pointer. Updates copy the whole snapshot and swap the pointer
-//     (copy-on-write), so readers never lock and never observe a
-//     half-updated table. Sharing is safe precisely because the data
-//     never mutates in place: a read-only page cannot become a
-//     cross-tenant side channel through its *contents*.
-//
-//   - Mutable, per-tenant → partitioned. Interaction stamps, the audit
-//     ring, activity counters, and the optional telemetry recorder are
-//     owned by their Session and touched by no other. This is the
-//     "time protection" rule (Ge et al., PAPERS.md): shared *writable*
-//     state is a timing probe between tenants, so one tenant hammering
-//     its decision path must not dirty a cache line another tenant's
-//     decision latency depends on.
+// A session is one tenant's desktop reduced to its decision core: a
+// session-local process table and its own monitor.Monitor, embedded by
+// value. The Monitor is the same decision engine the kernel runs, so a
+// fleet decision and a desktop decision apply one rule, audit one way
+// and count alerts one way. The fleet shares nothing writable between
+// sessions: New validates the configuration once (decision rule, alert
+// set, audit bound), and every session's Monitor is built from a copy
+// of it. Interaction stamps, the audit ring, the degraded flag and the
+// activity counters are owned by their session and touched by no
+// other. This is the "time protection" rule (Ge et al., PAPERS.md):
+// shared writable state is a timing probe between tenants, so one
+// tenant hammering its decision path must not dirty a cache line
+// another tenant's decision latency depends on.
 //
 // Sessions are plain structs — no goroutine, no channel, no clock —
 // so booting 100k of them costs only memory (a few hundred bytes each
@@ -33,12 +28,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"overhaul/internal/monitor"
 	"overhaul/internal/probe"
-	"overhaul/internal/workload"
 )
 
 // Sentinel errors.
@@ -48,70 +43,14 @@ var (
 	ErrNoSuchProcess = monitor.ErrNoSuchProcess
 )
 
-// Tables is one immutable copy-on-write snapshot of everything all
-// sessions share: the decision policy, the alert-op table, and the
-// application catalog. A Tables value is never mutated after
-// construction — Fleet.UpdateTables builds a fresh copy and swaps the
-// pointer — so any number of sessions may read it concurrently without
-// coordination.
-type Tables struct {
-	policy   monitor.Policy
-	alertOps map[monitor.Op]bool
-	apps     map[string]workload.AppSpec
-	gen      uint64 // snapshot generation, bumped on every swap
-}
-
-// Policy returns the shared decision rule.
-func (t *Tables) Policy() monitor.Policy { return t.policy }
-
-// Generation returns the snapshot's generation number.
-func (t *Tables) Generation() uint64 { return t.gen }
-
-// AlertOp reports whether a granted op raises a visual alert.
-func (t *Tables) AlertOp(op monitor.Op) bool { return t.alertOps[op] }
-
-// App looks up an application spec in the shared catalog.
-func (t *Tables) App(name string) (workload.AppSpec, bool) {
-	s, ok := t.apps[name]
-	return s, ok
-}
-
-// clone deep-copies the snapshot so a draft can be edited without
-// touching the published version.
-func (t *Tables) clone() *Tables {
-	nt := &Tables{policy: t.policy, gen: t.gen}
-	nt.alertOps = make(map[monitor.Op]bool, len(t.alertOps))
-	for k, v := range t.alertOps {
-		nt.alertOps[k] = v
-	}
-	nt.apps = make(map[string]workload.AppSpec, len(t.apps))
-	for k, v := range t.apps {
-		nt.apps[k] = v
-	}
-	return nt
-}
-
-// TablesDraft is a mutable copy handed to UpdateTables mutators.
-type TablesDraft struct {
-	// Policy is the decision rule to publish.
-	Policy monitor.Policy
-	// AlertOps is the op → raises-alert table.
-	AlertOps map[monitor.Op]bool
-	// Apps is the application catalog.
-	Apps map[string]workload.AppSpec
-}
-
 // Config parameterises a Fleet.
 type Config struct {
 	// Policy is the shared decision rule. A zero Threshold selects
 	// monitor.DefaultThreshold.
 	Policy monitor.Policy
-	// AlertOps lists ops whose grants raise alerts; nil selects the
+	// AlertOps lists ops whose decisions raise alerts; nil selects the
 	// monitor's kernel-side default (mic, cam, other devices).
 	AlertOps []monitor.Op
-	// Apps seeds the shared application catalog; nil selects
-	// workload.DevicePool().
-	Apps []workload.AppSpec
 	// AuditCapacity bounds each session's audit ring. Sessions are
 	// numerous, so the default is deliberately small: 64 records.
 	AuditCapacity int
@@ -135,11 +74,10 @@ type sessionShard struct {
 	m  map[uint64]*Session
 }
 
-// Fleet is the orchestrator: the shared Tables snapshot, the session
+// Fleet is the orchestrator: the session configuration, the session
 // table, and the ingress. Safe for concurrent use.
 type Fleet struct {
-	tables   atomic.Pointer[Tables]
-	auditCap int // immutable after New
+	monCfg monitor.Config // every session's Monitor config; immutable after New
 	// probeDispatch is the fleet.dispatch attach point, resolved once
 	// at New; one atomic load per ingress request while unattached.
 	probeDispatch *probe.Hook
@@ -147,76 +85,29 @@ type Fleet struct {
 	shards [sessionShards]sessionShard
 	nextID atomic.Uint64
 	live   atomic.Int64
-
-	// updateMu serializes UpdateTables writers only; every read of the
-	// snapshot goes through the atomic pointer, never this lock.
-	updateMu sync.Mutex
 }
 
 // New boots an empty fleet.
 func New(cfg Config) (*Fleet, error) {
-	pol := cfg.Policy
-	if pol.Threshold == 0 {
-		pol.Threshold = monitor.DefaultThreshold
+	f := &Fleet{monCfg: monitor.Config{
+		Threshold:     cfg.Policy.Threshold,
+		ForceGrant:    cfg.Policy.Force,
+		Enforce:       cfg.Policy.Enforce,
+		AlertOps:      slices.Clone(cfg.AlertOps), // read again by every CreateSession
+		AuditCapacity: cfg.AuditCapacity,
+	}}
+	if f.monCfg.AuditCapacity == 0 {
+		f.monCfg.AuditCapacity = DefaultAuditCapacity
 	}
-	if pol.Threshold < 0 {
-		return nil, fmt.Errorf("fleet: negative threshold %v", pol.Threshold)
+	// Validated once here, so CreateSession cannot fail.
+	if _, err := monitor.New(&procTable{}, f.monCfg); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	alertOps := map[monitor.Op]bool{monitor.OpMic: true, monitor.OpCam: true, monitor.OpOther: true}
-	if cfg.AlertOps != nil {
-		alertOps = make(map[monitor.Op]bool, len(cfg.AlertOps))
-		for _, op := range cfg.AlertOps {
-			alertOps[op] = true
-		}
-	}
-	appList := cfg.Apps
-	if appList == nil {
-		appList = workload.DevicePool()
-	}
-	apps := make(map[string]workload.AppSpec, len(appList))
-	for _, s := range appList {
-		apps[s.Name] = s
-	}
-	auditCap := cfg.AuditCapacity
-	if auditCap == 0 {
-		auditCap = DefaultAuditCapacity
-	}
-	if auditCap < 0 {
-		return nil, fmt.Errorf("fleet: negative audit capacity %d", auditCap)
-	}
-	f := &Fleet{auditCap: auditCap}
 	f.probeDispatch = cfg.Probes.Hook(probe.HookFleetDispatch)
-	f.tables.Store(&Tables{policy: pol, alertOps: alertOps, apps: apps, gen: 1})
 	for i := range f.shards {
 		f.shards[i].m = make(map[uint64]*Session)
 	}
 	return f, nil
-}
-
-// Tables returns the current shared snapshot. The pointer is safe to
-// hold: the snapshot it addresses never changes, it only stops being
-// current.
-func (f *Fleet) Tables() *Tables { return f.tables.Load() }
-
-// UpdateTables publishes a new shared snapshot: mutate receives a deep
-// copy of the current tables as a draft, and the edited draft replaces
-// the snapshot atomically. Sessions pick it up on their next decision;
-// in-flight decisions finish against the snapshot they started with —
-// the copy-on-write rule that makes a policy rollout safe under load.
-func (f *Fleet) UpdateTables(mutate func(*TablesDraft)) {
-	f.updateMu.Lock()
-	defer f.updateMu.Unlock()
-	cur := f.tables.Load()
-	c := cur.clone()
-	draft := TablesDraft{Policy: c.policy, AlertOps: c.alertOps, Apps: c.apps}
-	mutate(&draft)
-	next := &Tables{
-		policy:   draft.Policy,
-		alertOps: draft.AlertOps,
-		apps:     draft.Apps,
-		gen:      cur.gen + 1,
-	}
-	f.tables.Store(next)
 }
 
 func (f *Fleet) shard(id uint64) *sessionShard {
@@ -224,14 +115,12 @@ func (f *Fleet) shard(id uint64) *sessionShard {
 }
 
 // CreateSession boots one new session and returns it. Cost: one struct
-// allocation and one striped-map insert — no goroutine, no clock, no
-// pre-sized buffers.
+// allocation (the Monitor is embedded) and one striped-map insert — no
+// goroutine, no clock, no pre-sized buffers.
 func (f *Fleet) CreateSession() *Session {
-	s := &Session{
-		id:       f.nextID.Add(1),
-		fleet:    f,
-		auditCap: f.auditCap,
-	}
+	s := &Session{id: f.nextID.Add(1)}
+	_ = s.mon.Init(&s.procs, f.monCfg) // cannot fail: New validated f.monCfg
+	s.mon.SetAlertFunc(dropAlert)
 	sh := f.shard(s.id)
 	sh.mu.Lock()
 	sh.m[s.id] = s
@@ -327,21 +216,6 @@ func (f *Fleet) StatsSnapshot() FleetStats {
 		out.DroppedAudit += st.DroppedAudit
 	})
 	return out
-}
-
-// NewStandalone boots a fresh single-session fleet whose Tables are a
-// private deep copy of f's current snapshot, and returns its one
-// session. This is the "duplicated-tables" twin of a shared-snapshot
-// session: the equivalence property test drives both with the same
-// script and requires byte-identical audit and decision streams, which
-// is what proves the copy-on-write sharing is semantically invisible.
-func (f *Fleet) NewStandalone() *Session {
-	nf := &Fleet{auditCap: f.auditCap}
-	nf.tables.Store(f.tables.Load().clone())
-	for i := range nf.shards {
-		nf.shards[i].m = make(map[uint64]*Session)
-	}
-	return nf.CreateSession()
 }
 
 // RequestKind selects the ingress operation.

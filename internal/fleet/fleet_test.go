@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"overhaul/internal/monitor"
-	"overhaul/internal/workload"
 )
 
 // base is the test time origin: simulated clocks in this tree start at
@@ -178,53 +177,6 @@ func TestCloseSession(t *testing.T) {
 	}
 }
 
-func TestUpdateTablesCopyOnWrite(t *testing.T) {
-	f := newTestFleet(t, Config{})
-	s, pid := spawnStamped(t, f)
-	before := f.Tables()
-	if before.Generation() != 1 {
-		t.Fatalf("initial generation %d, want 1", before.Generation())
-	}
-
-	// Publish an observe-only policy; the old snapshot must be intact.
-	f.UpdateTables(func(d *TablesDraft) { d.Policy.Enforce = false })
-	after := f.Tables()
-	if after.Generation() != 2 {
-		t.Errorf("generation %d after update, want 2", after.Generation())
-	}
-	if !before.Policy().Enforce || after.Policy().Enforce {
-		t.Errorf("snapshots corrupted: before %+v after %+v", before.Policy(), after.Policy())
-	}
-	// A stale decision (no fresh stamp) now grants with the
-	// observe-only reason — the session picked up the new snapshot.
-	v, err := s.Decide(pid, monitor.OpMic, base.Add(time.Hour))
-	if err != nil || v != monitor.VerdictGrant {
-		t.Fatalf("observe-only decide: verdict %v err %v", v, err)
-	}
-	a := s.Audit()
-	if got := a[len(a)-1].Reason; got != monitor.ReasonObserveOnly {
-		t.Errorf("reason %q, want %q", got, monitor.ReasonObserveOnly)
-	}
-}
-
-func TestStandaloneTablesAreIsolated(t *testing.T) {
-	f := newTestFleet(t, Config{})
-	iso := f.NewStandalone()
-	pid, err := iso.Spawn()
-	if err != nil {
-		t.Fatalf("Spawn: %v", err)
-	}
-	if err := iso.Notify(pid, base); err != nil {
-		t.Fatalf("Notify: %v", err)
-	}
-	// Mutating the shared fleet's tables must not leak into the clone.
-	f.UpdateTables(func(d *TablesDraft) { d.Policy.Enforce = false })
-	v, err := iso.Decide(pid, monitor.OpMic, base.Add(time.Hour))
-	if err != nil || v != monitor.VerdictDeny {
-		t.Errorf("standalone decide: verdict %v err %v, want deny (still enforcing)", v, err)
-	}
-}
-
 func TestAuditRingDrops(t *testing.T) {
 	f := newTestFleet(t, Config{AuditCapacity: 4})
 	s, pid := spawnStamped(t, f)
@@ -259,18 +211,6 @@ func TestFleetStatsAggregation(t *testing.T) {
 	st := f.StatsSnapshot()
 	if st.Sessions != 3 || st.Grants != 3 || st.Denials != 3 || st.Notifications != 3 || st.Spawns != 3 {
 		t.Errorf("fleet stats %+v", st)
-	}
-}
-
-func TestSharedAppCatalog(t *testing.T) {
-	f := newTestFleet(t, Config{})
-	spec, ok := f.Tables().App("skype")
-	if !ok || !spec.AutostartProbe {
-		t.Errorf("shared catalog missing skype autostart probe: %+v ok=%v", spec, ok)
-	}
-	f2 := newTestFleet(t, Config{Apps: []workload.AppSpec{{Name: "only", Category: workload.CatBrowser}}})
-	if _, ok := f2.Tables().App("skype"); ok {
-		t.Errorf("custom catalog leaked the default pool")
 	}
 }
 

@@ -12,82 +12,80 @@ import (
 )
 
 // Session is one tenant's Overhaul desktop reduced to its decision
-// core: a private process/stamp table, a private audit ring, private
-// counters, and an optional private telemetry recorder, all evaluated
-// against the fleet's shared immutable Tables. It is a plain struct —
-// no goroutine, no channel, no clock — so a fleet can hold 100k of
-// them. All methods are safe for concurrent use.
-//
-// Everything mutable is owned by the session (the time-protection
-// partitioning rule); the only cross-session state a decision touches
-// is the read-only Tables snapshot and the session-table stripe lock
-// on the ingress lookup.
+// core: a private process table and a private monitor.Monitor deciding
+// against it. The Monitor owns the degraded flag, the audit ring and the
+// decision counters; the session adds only its lifecycle and process
+// bookkeeping. It is a plain struct — no goroutine, no channel, no
+// clock — so a fleet can hold 100k of them. All methods are safe for
+// concurrent use.
 type Session struct {
-	id       uint64
-	fleet    *Fleet
-	auditCap int
-	closed   atomic.Bool
-
-	// degraded is the per-session fail-closed flag: one tenant's
-	// broken channel degrades that tenant only.
-	degraded atomic.Pointer[string]
-
+	id      uint64
+	closed  atomic.Bool
 	nextPID atomic.Int64
-	audit   sessionAudit // carries its own lock
-	stats   sessionStats // atomics throughout
-
-	// tel is the optional per-session recorder with its pre-resolved
-	// handles; nil for the (default) uninstrumented tenant. Set before
-	// traffic starts (SetTelemetry is not concurrency-safe against
-	// in-flight decisions).
-	tel *sessionTel
-
-	// auditSink is the optional durable audit callback (SetAuditSink),
-	// invoked under the audit lock so sink order matches ring order.
-	// Nil for the (default) ring-only tenant. Set before traffic
-	// starts, like tel.
-	auditSink func(monitor.Decision)
-
-	mu    sync.RWMutex // guards procs
-	procs map[int]*sessionProc
+	spawns  atomic.Uint64
+	exits   atomic.Uint64
+	procs   procTable
+	mon     monitor.Monitor // over &procs; no probes, no telemetry
 }
 
-// sessionProc is a fleet task struct: just the interaction stamp cell.
+// procTable is a session's process table: one interaction-stamp cell
+// per pid. It is the task store the session's Monitor decides against.
 // The kernel and the fleet share the StampSlot implementation, so the
 // newest-wins CAS-max semantics cannot drift between the two paths.
-type sessionProc struct {
-	slot kernel.StampSlot
+type procTable struct {
+	mu    sync.RWMutex
+	slots map[int]*kernel.StampSlot
 }
 
-// sessionAudit is the per-session audit ring: same fill-in-place ring
-// discipline as a monitor audit shard, scoped to one tenant.
-type sessionAudit struct {
-	mu      sync.Mutex
-	ring    []monitor.Decision // cap auditCap, allocated lazily
-	head    int
-	n       int
-	dropped uint64
+var _ monitor.TaskStore = (*procTable)(nil)
+
+// slot returns pid's stamp cell, or nil if pid does not exist.
+func (t *procTable) slot(pid int) *kernel.StampSlot {
+	t.mu.RLock()
+	p := t.slots[pid]
+	t.mu.RUnlock()
+	return p
 }
 
-// sessionStats are one tenant's activity counters.
-type sessionStats struct {
-	notifications atomic.Uint64
-	grants        atomic.Uint64
-	denials       atomic.Uint64
-	alerts        atomic.Uint64
-	spawns        atomic.Uint64
-	exits         atomic.Uint64
+// InteractionView implements monitor.TaskStore. Sessions carry no
+// ptrace state: the guard is a single-desktop debugging defence, and a
+// fleet tenant's debugger lives inside the tenant.
+func (t *procTable) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+	p := t.slot(pid)
+	if p == nil {
+		return time.Time{}, telemetry.SpanContext{}, false, false
+	}
+	return p.Time(), p.Span(), false, true
 }
 
-// sessionTel bundles a per-session recorder with pre-resolved handles
-// so an instrumented session's Decide stays allocation-free.
-type sessionTel struct {
-	rec     *telemetry.Recorder
-	grants  *telemetry.Counter
-	denials *telemetry.Counter
+// SetInteractionStampSpan implements monitor.TaskStore with the
+// kernel's lock-free newest-wins CAS-max.
+func (t *procTable) SetInteractionStampSpan(pid int, ts time.Time, ctx telemetry.SpanContext) error {
+	p := t.slot(pid)
+	if p == nil {
+		return ErrNoSuchProcess
+	}
+	p.Adopt(ts, ctx)
+	return nil
 }
+
+// add installs a new pid with the given stamp cell.
+func (t *procTable) add(pid int, slot *kernel.StampSlot) {
+	t.mu.Lock()
+	if t.slots == nil {
+		t.slots = make(map[int]*kernel.StampSlot)
+	}
+	t.slots[pid] = slot
+	t.mu.Unlock()
+}
+
+// dropAlert is every session's alert sink. A real deployment routes
+// the V_{A,op} alert to the tenant's own display server; the fleet core
+// drops it, and the Monitor still counts every alert that was due.
+func dropAlert(monitor.AlertRequest) {}
 
 // SessionStats is the exported snapshot of one session's counters.
+// Alerts counts decisions on alert-set ops, granted or blocked.
 type SessionStats struct {
 	Notifications uint64
 	Grants        uint64
@@ -104,61 +102,22 @@ func (s *Session) ID() uint64 { return s.id }
 // Closed reports whether the session has been torn down.
 func (s *Session) Closed() bool { return s.closed.Load() }
 
-// SetTelemetry attaches a per-session recorder (nil detaches). Handles
-// are resolved here, once, so the decision path never builds a label.
-// The recorder is the tenant's own: the fleet never aggregates through
-// it, keeping telemetry write traffic partitioned too.
-func (s *Session) SetTelemetry(rec *telemetry.Recorder) {
-	if !rec.Enabled() {
-		s.tel = nil
-		return
-	}
-	s.tel = &sessionTel{
-		rec:     rec,
-		grants:  rec.Counter("fleet", "decisions", "verdict=grant"),
-		denials: rec.Counter("fleet", "decisions", "verdict=deny"),
-	}
-}
-
-// Telemetry returns the session's recorder (nil when uninstrumented).
-func (s *Session) Telemetry() *telemetry.Recorder {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.rec
-}
-
 // SetAuditSink attaches a callback that receives every decision the
 // session audits, in audit order — the bridge from the bounded
 // per-session ring to a durable store (auditstore.BatchSink). Nil
-// detaches. Like SetTelemetry it must be set before traffic starts;
-// the callback runs inside the audit critical section and must not
-// block or call back into the session.
-func (s *Session) SetAuditSink(fn func(monitor.Decision)) {
-	s.auditSink = fn
-}
+// detaches. See monitor.Monitor.SetAuditSink.
+func (s *Session) SetAuditSink(fn func(monitor.Decision)) { s.mon.SetAuditSink(fn) }
 
-// SetDegraded flips this session into fail-closed degraded mode.
-func (s *Session) SetDegraded(reason string) {
-	if reason == "" {
-		reason = "trusted component failure"
-	}
-	s.degraded.Store(&reason)
-}
+// SetDegraded flips this session into fail-closed degraded mode: one
+// tenant's broken channel degrades that tenant only.
+func (s *Session) SetDegraded(reason string) { s.mon.SetDegraded(reason) }
 
 // ClearDegraded returns the session to normal operation.
-func (s *Session) ClearDegraded() {
-	s.degraded.Store(nil)
-}
+func (s *Session) ClearDegraded() { s.mon.ClearDegraded() }
 
 // DegradedReason returns the degradation reason and whether the
 // session is currently degraded.
-func (s *Session) DegradedReason() (string, bool) {
-	if p := s.degraded.Load(); p != nil {
-		return *p, true
-	}
-	return "", false
-}
+func (s *Session) DegradedReason() (string, bool) { return s.mon.DegradedReason() }
 
 // Spawn creates a fresh process in this session with no interaction
 // history and returns its pid (pids are session-local).
@@ -167,13 +126,8 @@ func (s *Session) Spawn() (int, error) {
 		return 0, ErrSessionClosed
 	}
 	pid := int(s.nextPID.Add(1))
-	s.mu.Lock()
-	if s.procs == nil {
-		s.procs = make(map[int]*sessionProc)
-	}
-	s.procs[pid] = &sessionProc{}
-	s.mu.Unlock()
-	s.stats.spawns.Add(1)
+	s.procs.add(pid, &kernel.StampSlot{})
+	s.spawns.Add(1)
 	return pid, nil
 }
 
@@ -184,44 +138,36 @@ func (s *Session) Fork(parent int) (int, error) {
 	if s.closed.Load() {
 		return 0, ErrSessionClosed
 	}
-	s.mu.RLock()
-	pp := s.procs[parent]
-	s.mu.RUnlock()
+	pp := s.procs.slot(parent)
 	if pp == nil {
 		return 0, fmt.Errorf("session %d fork from pid %d: %w", s.id, parent, ErrNoSuchProcess)
 	}
-	stamp, span := pp.slot.Time(), pp.slot.Span()
 	pid := int(s.nextPID.Add(1))
-	child := &sessionProc{}
-	child.slot.Adopt(stamp, span)
-	s.mu.Lock()
-	s.procs[pid] = child
-	s.mu.Unlock()
-	s.stats.spawns.Add(1)
+	child := &kernel.StampSlot{}
+	child.Adopt(pp.Time(), pp.Span())
+	s.procs.add(pid, child)
+	s.spawns.Add(1)
 	return pid, nil
 }
 
 // Exit removes a process from the session.
 func (s *Session) Exit(pid int) error {
-	s.mu.Lock()
-	_, ok := s.procs[pid]
-	if ok {
-		delete(s.procs, pid)
-	}
-	s.mu.Unlock()
+	s.procs.mu.Lock()
+	_, ok := s.procs.slots[pid]
+	delete(s.procs.slots, pid)
+	s.procs.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("session %d exit pid %d: %w", s.id, pid, ErrNoSuchProcess)
 	}
-	s.stats.exits.Add(1)
+	s.exits.Add(1)
 	return nil
 }
 
 // PIDCount returns the number of live processes in the session.
 func (s *Session) PIDCount() int {
-	s.mu.RLock()
-	n := len(s.procs)
-	s.mu.RUnlock()
-	return n
+	s.procs.mu.RLock()
+	defer s.procs.mu.RUnlock()
+	return len(s.procs.slots)
 }
 
 // Notify records an interaction notification N_{A,t} for pid.
@@ -230,158 +176,45 @@ func (s *Session) Notify(pid int, t time.Time) error {
 }
 
 // NotifyNanos is Notify with the stamp as unix nanoseconds (the wire
-// form the ingress carries). The stamp write is the kernel's lock-free
-// newest-wins CAS-max.
+// form the ingress carries).
 func (s *Session) NotifyNanos(pid int, nanos int64) error {
 	if s.closed.Load() {
 		return ErrSessionClosed
 	}
-	s.mu.RLock()
-	p := s.procs[pid]
-	s.mu.RUnlock()
-	if p == nil {
-		return fmt.Errorf("session %d notify pid %d: %w", s.id, pid, ErrNoSuchProcess)
-	}
-	p.slot.Adopt(time.Unix(0, nanos).UTC(), telemetry.SpanContext{})
-	s.stats.notifications.Add(1)
-	return nil
+	return s.mon.Notify(pid, time.Unix(0, nanos).UTC())
 }
 
-// Decide answers a permission query Q_{A,t} against the shared Tables
-// snapshot and this session's private stamp store, appending to the
-// session's audit ring. The reason strings are exactly the monitor's —
-// both paths run monitor.Policy.Evaluate — which is what the
-// fleet ≡ standalone equivalence property pins.
+// Decide answers a permission query Q_{A,t} through the session's
+// Monitor, appending to the session's audit ring.
 func (s *Session) Decide(pid int, op monitor.Op, opTime time.Time) (monitor.Verdict, error) {
 	return s.DecideNanos(pid, op, opTime.UnixNano())
 }
 
 // DecideNanos is Decide with the op time as unix nanoseconds. It is
-// the fleet's hot path: one atomic Tables load, one striped map read,
-// two atomic stamp loads, Policy.Evaluate, and a fill-in-place audit
-// append — zero allocations in steady state.
+// the fleet's hot path: zero allocations in steady state.
 func (s *Session) DecideNanos(pid int, op monitor.Op, nanos int64) (monitor.Verdict, error) {
 	if s.closed.Load() {
 		return 0, ErrSessionClosed
 	}
-	tables := s.fleet.tables.Load()
-	opTime := time.Unix(0, nanos).UTC()
-
-	s.mu.RLock()
-	p := s.procs[pid]
-	s.mu.RUnlock()
-
-	var stamp time.Time
-	if p != nil {
-		stamp = p.slot.Time()
-	}
-	degraded := ""
-	if dp := s.degraded.Load(); dp != nil {
-		degraded = *dp
-	}
-
-	pol := tables.policy
-	verdict, reason := pol.Evaluate(monitor.Query{
-		OpTime:   opTime,
-		Stamp:    stamp,
-		Degraded: degraded,
-		Exists:   p != nil,
-		// Sessions carry no ptrace state: the guard is a single-desktop
-		// debugging defence, and a fleet tenant's debugger lives inside
-		// the tenant.
-		Disabled: false,
-	})
-
-	d := monitor.Decision{
-		PID: pid, Op: op, OpTime: opTime, Stamp: stamp,
-		Verdict: verdict, Reason: reason,
-		Degraded: pol.DegradedDenial(degraded),
-	}
-	if verdict == monitor.VerdictGrant {
-		s.stats.grants.Add(1)
-		if tables.alertOps[op] {
-			// A real deployment routes the V_{A,op} alert to the
-			// tenant's own display server; the fleet core records that
-			// one was due.
-			s.stats.alerts.Add(1)
-		}
-	} else {
-		s.stats.denials.Add(1)
-	}
-	s.appendAudit(&d)
-	if t := s.tel; t != nil {
-		if verdict == monitor.VerdictGrant {
-			t.grants.Add(1)
-		} else {
-			t.denials.Add(1)
-		}
-	}
-	return verdict, nil
-}
-
-// appendAudit appends one decision to the session ring, oldest-out,
-// and forwards it to the audit sink when one is attached.
-func (s *Session) appendAudit(d *monitor.Decision) {
-	if s.auditCap == 0 {
-		if sink := s.auditSink; sink != nil {
-			sink(*d)
-		}
-		return
-	}
-	a := &s.audit
-	a.mu.Lock()
-	if a.ring == nil {
-		a.ring = make([]monitor.Decision, s.auditCap)
-	}
-	var e *monitor.Decision
-	if a.n == s.auditCap {
-		e = &a.ring[a.head]
-		a.head = (a.head + 1) % s.auditCap
-		a.dropped++
-	} else {
-		e = &a.ring[(a.head+a.n)%s.auditCap]
-		a.n++
-	}
-	*e = *d
-	if sink := s.auditSink; sink != nil {
-		// Under a.mu: the sink sees decisions in exactly ring order.
-		sink(*d)
-	}
-	a.mu.Unlock()
+	return s.mon.Decide(pid, op, time.Unix(0, nanos).UTC()), nil
 }
 
 // Audit returns a copy of the session's audit ring, oldest first.
-func (s *Session) Audit() []monitor.Decision {
-	a := &s.audit
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.n == 0 {
-		return nil
-	}
-	out := make([]monitor.Decision, a.n)
-	for i := 0; i < a.n; i++ {
-		out[i] = a.ring[(a.head+i)%s.auditCap]
-	}
-	return out
-}
+func (s *Session) Audit() []monitor.Decision { return s.mon.Audit() }
 
 // DroppedAudit reports how many audit records this session evicted.
-func (s *Session) DroppedAudit() uint64 {
-	a := &s.audit
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
-}
+func (s *Session) DroppedAudit() uint64 { return s.mon.DroppedAudit() }
 
 // StatsSnapshot returns a copy of the session counters.
 func (s *Session) StatsSnapshot() SessionStats {
+	st := s.mon.StatsSnapshot()
 	return SessionStats{
-		Notifications: s.stats.notifications.Load(),
-		Grants:        s.stats.grants.Load(),
-		Denials:       s.stats.denials.Load(),
-		Alerts:        s.stats.alerts.Load(),
-		Spawns:        s.stats.spawns.Load(),
-		Exits:         s.stats.exits.Load(),
-		DroppedAudit:  s.DroppedAudit(),
+		Notifications: st.Notifications,
+		Grants:        st.Grants,
+		Denials:       st.Denials,
+		Alerts:        st.AlertsSent,
+		Spawns:        s.spawns.Load(),
+		Exits:         s.exits.Load(),
+		DroppedAudit:  s.mon.DroppedAudit(),
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"overhaul/internal/monitor"
 )
 
-// TestFleetChurnUnderLoad is the -race stress test from the issue:
-// sessions are created and destroyed concurrently while dispatch
-// workers hammer the ingress and a config worker rolls the shared
-// Tables snapshot. Every request must either succeed or fail with a
+// TestFleetChurnUnderLoad is the fleet's -race stress test: sessions
+// are created and destroyed concurrently while dispatch workers hammer
+// the ingress and a degrader flips the stable sessions in and out of
+// degraded mode. Every request must either succeed or fail with a
 // clean lifecycle sentinel — never a race, never a verdict from a
 // half-built or torn-down session.
 func TestFleetChurnUnderLoad(t *testing.T) {
@@ -99,25 +99,30 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 		}(int64(200 + w))
 	}
 
-	// One writer rolls the shared snapshot for the whole run; it stops
-	// once every churner and dispatcher has drained.
+	// One writer flips degraded mode across the stable sessions for the
+	// whole run; it stops once every churner and dispatcher has drained.
 	stop := make(chan struct{})
-	rollerDone := make(chan struct{})
+	degraderDone := make(chan struct{})
 	go func() {
-		defer close(rollerDone)
+		defer close(degraderDone)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			f.UpdateTables(func(d *TablesDraft) { d.Policy.Enforce = i%2 == 0 })
+			s, _ := f.Session(stable[i%len(stable)])
+			if i/len(stable)%2 == 0 {
+				s.SetDegraded("churn")
+			} else {
+				s.ClearDegraded()
+			}
 		}
 	}()
 
 	wg.Wait()
 	close(stop)
-	<-rollerDone
+	<-degraderDone
 
 	if n := unexpected.Load(); n != 0 {
 		t.Fatalf("%d requests failed with non-lifecycle errors", n)

@@ -35,14 +35,17 @@ var _ ipc.Stamps = (*stampStore)(nil)
 
 // Stamp implements ipc.Stamps.
 func (s *stampStore) Stamp(pid int) (time.Time, bool) {
-	return (*taskStore)(s).InteractionStamp(pid)
+	stamp, _, _, ok := (*taskStore)(s).InteractionView(pid)
+	return stamp, ok
 }
 
 // Adopt implements ipc.Stamps.
 func (s *stampStore) Adopt(pid int, t time.Time) {
 	// Unknown processes are ignored: the sender may have exited
-	// between embedding and delivery.
-	_ = (*taskStore)(s).SetInteractionStamp(pid, t)
+	// between embedding and delivery. The stamp changes hands without
+	// trace context, so whatever span minted the previous stamp is
+	// cleared alongside it.
+	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, telemetry.SpanContext{})
 }
 
 var _ ipc.SpanStamps = (*stampStore)(nil)
@@ -50,7 +53,8 @@ var _ ipc.SpanStamps = (*stampStore)(nil)
 // StampSpan implements ipc.SpanStamps over the task struct's stamp
 // span field.
 func (s *stampStore) StampSpan(pid int) (telemetry.SpanContext, bool) {
-	return (*taskStore)(s).InteractionSpan(pid)
+	_, ctx, _, ok := (*taskStore)(s).InteractionView(pid)
+	return ctx, ok
 }
 
 // AdoptSpan implements ipc.SpanStamps: the stamp and the span that

@@ -169,7 +169,7 @@ func New(clk clock.Clock, fsys *fs.FS, cfg Config) (*Kernel, error) {
 	}
 	k.ptraceGuard.Store(!cfg.DisablePtraceGuard)
 	k.probeOpen = cfg.Monitor.Probes.Hook(probe.HookKernelOpen)
-	mon, err := monitor.New(clk, (*taskStore)(k), cfg.Monitor)
+	mon, err := monitor.New((*taskStore)(k), cfg.Monitor)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: %w", err)
 	}
@@ -235,36 +235,8 @@ func (k *Kernel) SensitiveClassOf(path string) (devfs.Class, bool) {
 type taskStore Kernel
 
 var _ monitor.TaskStore = (*taskStore)(nil)
-var _ monitor.SpanTaskStore = (*taskStore)(nil)
-var _ monitor.FastTaskStore = (*taskStore)(nil)
 
-// InteractionStamp implements monitor.TaskStore.
-func (ts *taskStore) InteractionStamp(pid int) (time.Time, bool) {
-	k := (*Kernel)(ts)
-	p, ok := k.table.get(pid)
-	if !ok {
-		return time.Time{}, false
-	}
-	stamp := p.slot.Time()
-	if p.pid.Load() != int64(pid) {
-		// The struct was recycled between the table lookup and the
-		// stamp read (Process structs are type-stable); the process we
-		// resolved is gone.
-		return time.Time{}, false
-	}
-	return stamp, true
-}
-
-// SetInteractionStamp implements monitor.TaskStore with newest-wins
-// semantics.
-func (ts *taskStore) SetInteractionStamp(pid int, t time.Time) error {
-	// The stamp changes hands without trace context: whatever span
-	// minted the previous stamp no longer describes it, so adoptStamp
-	// clears the span alongside the stamp.
-	return ts.SetInteractionStampSpan(pid, t, telemetry.SpanContext{})
-}
-
-// SetInteractionStampSpan implements monitor.SpanTaskStore: the stamp
+// SetInteractionStampSpan implements monitor.TaskStore: the stamp
 // and the span that minted it travel as one newest-wins unit, exactly
 // like the stamp alone does. The write is a lock-free CAS-max, run
 // under the pid's shard read lock: Exit's table.remove needs the write
@@ -286,32 +258,7 @@ func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry
 	return nil
 }
 
-// InteractionSpan implements monitor.SpanTaskStore.
-func (ts *taskStore) InteractionSpan(pid int) (telemetry.SpanContext, bool) {
-	k := (*Kernel)(ts)
-	p, ok := k.table.get(pid)
-	if !ok {
-		return telemetry.SpanContext{}, false
-	}
-	sc := p.StampSpan()
-	if p.pid.Load() != int64(pid) {
-		return telemetry.SpanContext{}, false
-	}
-	return sc, true
-}
-
-// PermissionsDisabled implements monitor.TaskStore: a process being
-// ptraced has all sensitive permissions disabled while the guard is on.
-func (ts *taskStore) PermissionsDisabled(pid int) bool {
-	k := (*Kernel)(ts)
-	if !k.ptraceGuard.Load() {
-		return false
-	}
-	p, ok := k.table.get(pid)
-	return ok && p.tracedBy.Load() != 0 && p.pid.Load() == int64(pid)
-}
-
-// InteractionView implements monitor.FastTaskStore: everything a
+// InteractionView implements monitor.TaskStore: everything a
 // permission decision needs in one shard read-lock plus a handful of
 // atomic loads. The final pid re-check is the type-stable-memory
 // discipline: if the struct was reincarnated as a different process

@@ -7,6 +7,7 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/fs"
 	"overhaul/internal/monitor"
+	"overhaul/internal/telemetry"
 )
 
 func newRecycleKernel(t *testing.T) *Kernel {
@@ -36,8 +37,8 @@ func TestProcessRecycleIdentity(t *testing.T) {
 	}
 	oldPID := p1.PID()
 	stamp := k.Clock().Now()
-	if err := ts.SetInteractionStamp(oldPID, stamp); err != nil {
-		t.Fatalf("SetInteractionStamp: %v", err)
+	if err := ts.SetInteractionStampSpan(oldPID, stamp, telemetry.SpanContext{}); err != nil {
+		t.Fatalf("SetInteractionStampSpan: %v", err)
 	}
 	if err := p1.Exit(); err != nil {
 		t.Fatalf("Exit: %v", err)
@@ -56,8 +57,8 @@ func TestProcessRecycleIdentity(t *testing.T) {
 	if _, _, _, ok := ts.InteractionView(oldPID); ok {
 		t.Errorf("InteractionView(%d) resolved a dead pid", oldPID)
 	}
-	if err := ts.SetInteractionStamp(oldPID, stamp.Add(time.Second)); err == nil {
-		t.Errorf("SetInteractionStamp(%d) succeeded for a dead pid", oldPID)
+	if err := ts.SetInteractionStampSpan(oldPID, stamp.Add(time.Second), telemetry.SpanContext{}); err == nil {
+		t.Errorf("SetInteractionStampSpan(%d) succeeded for a dead pid", oldPID)
 	}
 	if got := p2.InteractionStamp(); !got.IsZero() {
 		t.Errorf("write to dead pid %d leaked onto the reincarnated struct (stamp %v)", oldPID, got)

@@ -22,8 +22,8 @@ import (
 // It is exported because the kernel's Process and a fleet Session
 // (internal/fleet) must be the *same* stamp store semantics: fleet
 // sessions keep a StampSlot per tracked pid instead of a full task
-// struct, and the equivalence property in internal/fleet leans on the
-// two paths sharing this one implementation.
+// struct, and internal/fleet's session-vs-kernel equivalence test leans
+// on the two process tables sharing this one implementation.
 type StampSlot struct {
 	nanos atomic.Int64
 	span  atomic.Pointer[telemetry.SpanContext]

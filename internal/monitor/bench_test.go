@@ -14,25 +14,16 @@ import (
 	"overhaul/internal/telemetry"
 )
 
-// fastBenchTasks is the benchmark task store: a FastTaskStore whose
-// InteractionView is served from an atomic, exactly as the kernel's
-// sharded process table serves it. Using it (rather than the mutexed
-// fakeTasks) makes the benchmark measure the decision path the system
-// actually runs — the slow interface fallback is covered by the
-// monitor unit tests.
+// fastBenchTasks is the benchmark task store: its InteractionView is
+// served from an atomic, exactly as the kernel's sharded process table
+// serves it, so the benchmark measures the monitor rather than the
+// mutexed fakeTasks.
 type fastBenchTasks struct {
 	pid        int
 	stampNanos atomic.Int64
 }
 
-func (f *fastBenchTasks) InteractionStamp(pid int) (time.Time, bool) {
-	if pid != f.pid {
-		return time.Time{}, false
-	}
-	return time.Unix(0, f.stampNanos.Load()).UTC(), true
-}
-
-func (f *fastBenchTasks) SetInteractionStamp(pid int, t time.Time) error {
+func (f *fastBenchTasks) SetInteractionStampSpan(pid int, t time.Time, _ telemetry.SpanContext) error {
 	if pid != f.pid {
 		return ErrNoSuchProcess
 	}
@@ -44,8 +35,6 @@ func (f *fastBenchTasks) SetInteractionStamp(pid int, t time.Time) error {
 		}
 	}
 }
-
-func (f *fastBenchTasks) PermissionsDisabled(pid int) bool { return false }
 
 func (f *fastBenchTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
 	if pid != f.pid {
@@ -61,7 +50,7 @@ func benchMonitor(b *testing.B, tel *telemetry.Recorder) (*Monitor, time.Time) {
 	clk := clock.NewSimulated()
 	tasks := &fastBenchTasks{pid: 7}
 	tasks.stampNanos.Store(clk.Now().UnixNano())
-	m, err := New(clk, tasks, Config{Enforce: true, Telemetry: tel})
+	m, err := New(tasks, Config{Enforce: true, Telemetry: tel})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -125,7 +114,7 @@ func benchMonitorT(t *testing.T, tel *telemetry.Recorder) (*Monitor, time.Time) 
 	clk := clock.NewSimulated()
 	tasks := &fastBenchTasks{pid: 7}
 	tasks.stampNanos.Store(clk.Now().UnixNano())
-	m, err := New(clk, tasks, Config{Enforce: true, Telemetry: tel})
+	m, err := New(tasks, Config{Enforce: true, Telemetry: tel})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -140,7 +129,7 @@ func TestDecideTelemetryDisabledZeroAlloc(t *testing.T) {
 	tasks := newFakeTasks()
 	tasks.add(7)
 	tasks.stamps[7] = clk.Now()
-	m, err := New(clk, tasks, Config{Enforce: true})
+	m, err := New(tasks, Config{Enforce: true})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -14,25 +14,24 @@
 // the process table itself (the task_struct analogue), so the monitor
 // operates on a TaskStore interface implemented by the kernel; the
 // monitor owns the decision logic, the audit log, and alert dispatch.
+// It is the one decision engine in the tree: a fleet session embeds
+// its own Monitor over a session-local TaskStore.
 //
-// The monitor is built to scale across cores: it holds no global lock.
 // Mode flags (degraded, alert sink) and activity counters are atomics,
-// the audit log is lock-striped by pid (see auditShards), and all
-// telemetry on the decision path flows through pre-resolved handles, so
-// concurrent Decide calls on different processes share no contended
-// cache line beyond the telemetry rings.
+// and all telemetry on the decision path flows through pre-resolved
+// handles. The one lock a decision takes is the audit ring's: a single
+// bounded ring of AuditCapacity records, filled in place. The monitor
+// reads no clock: every instant arrives with the notification or query.
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"overhaul/internal/clock"
 	"overhaul/internal/probe"
 	"overhaul/internal/telemetry"
 )
@@ -83,49 +82,19 @@ func (v Verdict) String() string {
 }
 
 // TaskStore is the kernel-side process table view the monitor needs:
-// where interaction stamps live and whether a process's permissions are
-// administratively disabled (the ptrace guard).
+// where interaction stamps live, which trace span minted each stamp,
+// and whether a process's permissions are administratively disabled
+// (the ptrace guard).
 type TaskStore interface {
-	// InteractionStamp returns the most recent authentic-interaction
-	// time for pid. ok is false if the process does not exist.
-	InteractionStamp(pid int) (stamp time.Time, ok bool)
-	// SetInteractionStamp records an interaction time for pid,
-	// only if newer than the currently stored stamp.
-	SetInteractionStamp(pid int, t time.Time) error
-	// PermissionsDisabled reports whether pid's sensitive-resource
-	// permissions are force-disabled (e.g. it is being ptraced).
-	PermissionsDisabled(pid int) bool
-}
-
-// SpanTaskStore is an optional extension of TaskStore for stores that
-// can remember which trace span minted each interaction stamp, so that
-// a later permission query can be linked to the interaction that
-// enables it. Stores that do not implement it still work; traces then
-// break at the stamp boundary instead of connecting through it.
-type SpanTaskStore interface {
-	TaskStore
+	// InteractionView returns pid's most recent authentic-interaction
+	// time, the span that minted it, and whether its permissions are
+	// force-disabled. ok is false if the process does not exist.
+	InteractionView(pid int) (stamp time.Time, ctx telemetry.SpanContext, disabled bool, ok bool)
 	// SetInteractionStampSpan records an interaction time for pid
 	// together with the span that delivered it, only if newer than the
 	// currently stored stamp (the span travels with the stamp,
 	// newest-wins as one unit).
 	SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error
-	// InteractionSpan returns the span context stored alongside pid's
-	// current interaction stamp. ok is false if the process does not
-	// exist.
-	InteractionSpan(pid int) (telemetry.SpanContext, bool)
-}
-
-// FastTaskStore is an optional extension of TaskStore for stores that
-// can answer everything a decision needs in one call — stamp, stamp
-// span, and the ptrace-guard flag. The sharded kernel table backs this
-// with three atomic loads, so Decide against it takes no lock at all;
-// plain TaskStores fall back to the interface calls.
-type FastTaskStore interface {
-	TaskStore
-	// InteractionView returns pid's interaction stamp, the span that
-	// minted it, and whether permissions are force-disabled. ok is
-	// false if the process does not exist.
-	InteractionView(pid int) (stamp time.Time, ctx telemetry.SpanContext, disabled bool, ok bool)
 }
 
 // AlertRequest asks the display manager to show a trusted-output visual
@@ -182,18 +151,16 @@ type Config struct {
 	// audit records are produced but everything is granted. Used by
 	// the unprotected baseline machine in the §V-D experiment.
 	Enforce bool
-	// AlertOps lists operations whose grants raise a visual alert
+	// AlertOps lists operations whose decisions raise a visual alert
 	// *from the kernel side* (V_{A,op} over the netlink channel).
 	// That covers kernel-mediated hardware devices; for
 	// display-manager-mediated resources the display manager raises
 	// the alert itself (screen capture) or stays silent by design
-	// (clipboard — usability, §V-C). Nil selects that default.
+	// (clipboard — usability, §V-C). Nil selects that default. Every
+	// entry must be one of the Op constants above.
 	AlertOps []Op
-	// AuditCapacity bounds each audit shard's ring (oldest entries are
-	// dropped). Decisions are striped across auditShards rings by pid,
-	// so records for one process always compete with each other — and
-	// with any pid sharing its shard — for the same AuditCapacity
-	// slots. Zero means 1024 per shard.
+	// AuditCapacity bounds the audit ring (oldest records are dropped).
+	// Zero means DefaultAuditCapacity.
 	AuditCapacity int
 	// Telemetry, when non-nil, receives metrics, decision spans, and
 	// flight-recorder events. Nil disables instrumentation entirely
@@ -206,34 +173,24 @@ type Config struct {
 	Probes *probe.Registry
 }
 
+// DefaultAuditCapacity is the audit ring size when Config leaves it 0.
+const DefaultAuditCapacity = 1024
+
 // defaultAlertOps covers the kernel-mediated device operations. Screen
 // capture alerts are raised by the display manager directly (it can
 // identify the requesting process without kernel assistance, §III-C),
 // and clipboard operations are silent but logged.
-func defaultAlertOps() map[Op]bool {
-	return map[Op]bool{OpMic: true, OpCam: true, OpOther: true}
-}
+var defaultAlertOps = []Op{OpMic, OpCam, OpOther}
 
-// auditShards stripes the audit log. Power of two so the shard index is
-// a mask; 8 shards keep contention negligible at the core counts the
-// ROADMAP targets while costing 8 small rings.
-const auditShards = 8
-
-// auditEntry tags a decision with its global sequence number so a
-// merged view can restore total order across shards.
-type auditEntry struct {
-	seq uint64
-	d   Decision
-}
-
-// auditShard is one stripe of the audit log: an independent ring with
-// its own lock and drop counter.
-type auditShard struct {
+// auditRing is the audit log: one bounded ring under one lock, filled
+// in place so the hot path never allocates once the ring exists.
+type auditRing struct {
 	mu      sync.Mutex
-	ring    []auditEntry // capacity auditCap, allocated lazily
-	head    int          // index of the oldest record
+	ring    []Decision // capacity Monitor.auditCap, allocated lazily
+	head    int        // index of the oldest record
 	n       int
 	dropped uint64
+	sink    func(Decision) // SetAuditSink; called under mu
 }
 
 // monitorStats are the activity counters, all atomics so the decision
@@ -273,21 +230,17 @@ func opIndex(op Op) int {
 }
 
 // Monitor is the kernel permission monitor. It is safe for concurrent
-// use and holds no global lock: see the package comment.
+// use; see the package comment for what a decision locks.
 type Monitor struct {
-	clk       clock.Clock
 	tasks     TaskStore
-	spanTasks SpanTaskStore // tasks, if it implements SpanTaskStore
-	fastTasks FastTaskStore // tasks, if it implements FastTaskStore
 	threshold time.Duration
 	force     bool
 	enforce   bool
-	alertOps  map[Op]bool // read-only after New (AlertOperations view)
-	// alertFast mirrors alertOps indexed by opIndex: the decision path
+	// alertOps is the alert set indexed by opIndex: the decision path
 	// tests membership without hashing the op string.
-	alertFast [6]bool
-	auditCap  int
-	tel       *telemetry.Recorder // nil-safe; nil means disabled
+	alertOps [6]bool
+	auditCap int
+	tel      *telemetry.Recorder // nil-safe; nil means disabled
 
 	// Probe attach points, resolved once at construction. Each costs
 	// one atomic load per decision while unattached (nil when the
@@ -298,21 +251,25 @@ type Monitor struct {
 
 	alertFn  atomic.Value           // AlertFunc (typed nil disables)
 	degraded atomic.Pointer[string] // nil: healthy; else fail-closed reason
-	seq      atomic.Uint64          // global audit sequence
 	stats    monitorStats
-	audit    [auditShards]auditShard
+	audit    auditRing
+	metrics  *monitorMetrics // nil iff telemetry is disabled
+}
 
-	// Pre-resolved telemetry handles (nil handles no-op when telemetry
-	// is disabled; decisionCounters/stampAge are read-only after New).
-	mNotifications   *telemetry.Counter
-	mNotifyErrors    *telemetry.Counter
-	mAuditAppends    *telemetry.Counter
-	mDegradations    *telemetry.Counter
-	mDenialsRecorded *telemetry.Counter
+// monitorMetrics are the telemetry handles the decision path can hit,
+// resolved once at Init and read-only afterwards. They sit behind one
+// pointer so an uninstrumented monitor, such as each fleet session's,
+// stays small.
+type monitorMetrics struct {
+	notifications   *telemetry.Counter
+	notifyErrors    *telemetry.Counter
+	auditAppends    *telemetry.Counter
+	degradations    *telemetry.Counter
+	denialsRecorded *telemetry.Counter
 	// Indexed [opIndex(op)][verdict]; verdicts start at 1, so row
 	// length is 3 with slot 0 unused.
-	decisionCounters [][3]*telemetry.Counter
-	stampAge         []*telemetry.Histogram // indexed by opIndex(op)
+	decisions [6][3]*telemetry.Counter
+	stampAge  [6]*telemetry.Histogram // indexed by opIndex(op)
 }
 
 // Stats aggregates monitor activity.
@@ -326,48 +283,50 @@ type Stats struct {
 }
 
 // New constructs a Monitor over the given task store.
-func New(clk clock.Clock, tasks TaskStore, cfg Config) (*Monitor, error) {
-	if clk == nil {
-		return nil, errors.New("monitor: nil clock")
+func New(tasks TaskStore, cfg Config) (*Monitor, error) {
+	m := new(Monitor)
+	if err := m.Init(tasks, cfg); err != nil {
+		return nil, err
 	}
+	return m, nil
+}
+
+// Init sets up a zero Monitor in place. It is New for owners that embed
+// the monitor by value, such as a fleet session, so booting one costs
+// no allocation of its own. Call it once, before any other method.
+func (m *Monitor) Init(tasks TaskStore, cfg Config) error {
 	if tasks == nil {
-		return nil, errors.New("monitor: nil task store")
+		return errors.New("monitor: nil task store")
 	}
-	threshold := cfg.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
+	m.threshold = cfg.Threshold
+	if m.threshold == 0 {
+		m.threshold = DefaultThreshold
 	}
-	if threshold < 0 {
-		return nil, fmt.Errorf("monitor: negative threshold %v", threshold)
+	if m.threshold < 0 {
+		return fmt.Errorf("monitor: negative threshold %v", m.threshold)
 	}
-	alertOps := defaultAlertOps()
-	if cfg.AlertOps != nil {
-		alertOps = make(map[Op]bool, len(cfg.AlertOps))
-		for _, op := range cfg.AlertOps {
-			alertOps[op] = true
+	m.auditCap = cfg.AuditCapacity
+	if m.auditCap == 0 {
+		m.auditCap = DefaultAuditCapacity
+	}
+	if m.auditCap < 0 {
+		return fmt.Errorf("monitor: negative audit capacity %d", m.auditCap)
+	}
+	alertOps := cfg.AlertOps
+	if alertOps == nil {
+		alertOps = defaultAlertOps
+	}
+	for _, op := range alertOps {
+		i := opIndex(op)
+		if i < 0 {
+			return fmt.Errorf("monitor: unknown alert op %q", op)
 		}
+		m.alertOps[i] = true
 	}
-	auditCap := cfg.AuditCapacity
-	if auditCap == 0 {
-		auditCap = 1024
-	}
-	m := &Monitor{
-		clk:       clk,
-		tasks:     tasks,
-		threshold: threshold,
-		force:     cfg.ForceGrant,
-		enforce:   cfg.Enforce,
-		alertOps:  alertOps,
-		auditCap:  auditCap,
-		tel:       cfg.Telemetry,
-	}
-	for op := range alertOps {
-		if i := opIndex(op); i >= 0 {
-			m.alertFast[i] = true
-		}
-	}
-	m.spanTasks, _ = tasks.(SpanTaskStore)
-	m.fastTasks, _ = tasks.(FastTaskStore)
+	m.tasks = tasks
+	m.force = cfg.ForceGrant
+	m.enforce = cfg.Enforce
+	m.tel = cfg.Telemetry
 	m.probeEval = cfg.Probes.Hook(probe.HookMonitorEvaluate)
 	m.probeAudit = cfg.Probes.Hook(probe.HookMonitorAudit)
 	m.probeDecide = cfg.Probes.Hook(probe.HookKernelDecide)
@@ -375,23 +334,24 @@ func New(clk clock.Clock, tasks TaskStore, cfg Config) (*Monitor, error) {
 		// Resolve every handle the decision path can hit once, here.
 		// Never-updated handles stay invisible in snapshots, so this
 		// does not surface zero-valued series.
-		m.mNotifications = tel.Counter("monitor", "notifications", "")
-		m.mNotifyErrors = tel.Counter("monitor", "notify_errors", "")
-		m.mAuditAppends = tel.Counter("monitor", "audit_appends", "")
-		m.mDegradations = tel.Counter("monitor", "degradations", "")
-		m.mDenialsRecorded = tel.Counter("monitor", "denials_recorded", "")
-		m.decisionCounters = make([][3]*telemetry.Counter, len(knownOps))
-		m.stampAge = make([]*telemetry.Histogram, len(knownOps))
+		mm := &monitorMetrics{
+			notifications:   tel.Counter("monitor", "notifications", ""),
+			notifyErrors:    tel.Counter("monitor", "notify_errors", ""),
+			auditAppends:    tel.Counter("monitor", "audit_appends", ""),
+			degradations:    tel.Counter("monitor", "degradations", ""),
+			denialsRecorded: tel.Counter("monitor", "denials_recorded", ""),
+		}
 		for _, op := range knownOps {
 			i := opIndex(op)
 			for _, v := range []Verdict{VerdictGrant, VerdictDeny} {
-				m.decisionCounters[i][v] =
+				mm.decisions[i][v] =
 					tel.Counter("monitor", "decisions", "op="+string(op)+" verdict="+v.String())
 			}
-			m.stampAge[i] = tel.Histogram("monitor", "stamp_age", "op="+string(op))
+			mm.stampAge[i] = tel.Histogram("monitor", "stamp_age", "op="+string(op))
 		}
+		m.metrics = mm
 	}
-	return m, nil
+	return nil
 }
 
 // Telemetry returns the monitor's recorder (nil when disabled).
@@ -413,13 +373,12 @@ func (m *Monitor) alertSink() AlertFunc {
 }
 
 // countDecision bumps the per-(op, verdict) decision counter; unknown
-// op classes fall back to the string-keyed registry.
+// op classes fall back to the string-keyed registry. Telemetry must be
+// enabled.
 func (m *Monitor) countDecision(op Op, v Verdict) {
-	if i := opIndex(op); i >= 0 && v > 0 && int(v) < 3 && m.decisionCounters != nil {
-		if c := m.decisionCounters[i][v]; c != nil {
-			c.Add(1)
-			return
-		}
+	if i := opIndex(op); i >= 0 && (v == VerdictGrant || v == VerdictDeny) {
+		m.metrics.decisions[i][v].Add(1)
+		return
 	}
 	m.tel.Add("monitor", "decisions", "op="+string(op)+" verdict="+v.String(), 1)
 }
@@ -427,11 +386,9 @@ func (m *Monitor) countDecision(op Op, v Verdict) {
 // observeStampAge records the stamp-age observation for op, like
 // countDecision.
 func (m *Monitor) observeStampAge(op Op, age time.Duration) {
-	if i := opIndex(op); i >= 0 && m.stampAge != nil {
-		if h := m.stampAge[i]; h != nil {
-			h.Observe(age)
-			return
-		}
+	if i := opIndex(op); i >= 0 {
+		m.metrics.stampAge[i].Observe(age)
+		return
 	}
 	m.tel.Observe("monitor", "stamp_age", "op="+string(op), age)
 }
@@ -445,31 +402,25 @@ func (m *Monitor) Notify(pid int, t time.Time) error {
 
 // NotifyCtx is Notify carrying the trace context of the input event
 // that caused the notification. The notify span is stored in the task
-// struct alongside the stamp it mints (when the store supports it), so
-// a later permission query within δ links back to this interaction.
+// struct alongside the stamp it mints, so a later permission query
+// within δ links back to this interaction.
 //
 // Against a sharded store the stamp write is a lock-free CAS-max; this
 // method itself takes no lock either.
 func (m *Monitor) NotifyCtx(ctx telemetry.SpanContext, pid int, t time.Time) error {
 	span := m.tel.StartSpan(ctx, "monitor", "notify")
 	defer span.End()
-	var err error
-	if m.spanTasks != nil {
-		err = m.spanTasks.SetInteractionStampSpan(pid, t, span.Context())
-	} else {
-		err = m.tasks.SetInteractionStamp(pid, t)
-	}
-	if err != nil {
+	if err := m.tasks.SetInteractionStampSpan(pid, t, span.Context()); err != nil {
 		if m.tel.Enabled() {
 			span.Annotate("error", err.Error())
-			m.mNotifyErrors.Add(1)
+			m.metrics.notifyErrors.Add(1)
 		}
 		return fmt.Errorf("monitor notify pid %d: %w", pid, err)
 	}
 	m.stats.notifications.Add(1)
 	if m.tel.Enabled() {
 		span.AnnotateInt("pid", int64(pid))
-		m.mNotifications.Add(1)
+		m.metrics.notifications.Add(1)
 	}
 	return nil
 }
@@ -486,7 +437,7 @@ func (m *Monitor) SetDegraded(reason string) {
 	}
 	m.degraded.Store(&reason)
 	if m.tel.Enabled() {
-		m.mDegradations.Add(1)
+		m.metrics.degradations.Add(1)
 		// A degradation is a flight-recorder trip: snapshot the ring so
 		// the events leading up to the trusted-component failure are
 		// preserved even if the ring keeps rolling afterwards.
@@ -542,42 +493,57 @@ func probeEvent(kind probe.Kind, d *Decision) probe.Event {
 	return ev
 }
 
-// appendAudit appends one decision to its pid's audit shard.
+// SetAuditSink attaches a callback that receives every decision the
+// monitor audits, in ring order — the bridge from the bounded ring to a
+// durable store (auditstore.BatchSink). Nil detaches. The callback runs
+// under the ring lock and must not block or call back into the monitor.
+func (m *Monitor) SetAuditSink(fn func(Decision)) {
+	m.audit.mu.Lock()
+	m.audit.sink = fn
+	m.audit.mu.Unlock()
+}
+
+// appendAudit appends one decision to the audit ring, oldest-out, and
+// forwards it to the audit sink when one is attached.
 func (m *Monitor) appendAudit(d *Decision) {
 	if m.probeAudit.Wants(int64(d.PID)) {
 		m.probeAudit.Emit(probeEvent(probe.KindAudit, d))
 	}
 	// Every audit append is mirrored to a telemetry counter so the
 	// audit log and overhaul-top can never silently disagree.
-	m.mAuditAppends.Add(1)
-	seq := m.seq.Add(1)
-	sh := &m.audit[uint(d.PID)&(auditShards-1)]
-	sh.mu.Lock()
-	if sh.ring == nil {
-		// Grown lazily but allocated once per shard: the ring must not
-		// churn the allocator on the hot decision path.
-		sh.ring = make([]auditEntry, m.auditCap)
+	if m.metrics != nil {
+		m.metrics.auditAppends.Add(1)
 	}
-	var e *auditEntry
-	if sh.n == m.auditCap {
-		e = &sh.ring[sh.head]
-		sh.head = (sh.head + 1) % m.auditCap
-		sh.dropped++
+	a := &m.audit
+	a.mu.Lock()
+	if a.ring == nil {
+		// Grown lazily but allocated once: the ring must not churn the
+		// allocator on the hot decision path.
+		a.ring = make([]Decision, m.auditCap)
+	}
+	var e *Decision
+	if a.n == m.auditCap {
+		e = &a.ring[a.head]
+		a.head = (a.head + 1) % m.auditCap
+		a.dropped++
 	} else {
-		e = &sh.ring[(sh.head+sh.n)%m.auditCap]
-		sh.n++
+		e = &a.ring[(a.head+a.n)%m.auditCap]
+		a.n++
 	}
-	// Filled in place under the shard lock: the Decision is wide
-	// enough that an extra construct-then-copy shows up in profiles.
-	e.seq = seq
-	e.d = *d
-	sh.mu.Unlock()
+	// Filled in place under the lock: the Decision is wide enough that
+	// an extra construct-then-copy shows up in profiles.
+	*e = *d
+	if a.sink != nil {
+		a.sink(*d)
+	}
+	a.mu.Unlock()
 }
 
 // Decide answers a permission query Q_{A,t}: may pid perform op at
 // opTime? It consults the process's interaction stamp, applies the
-// temporal-proximity rule, appends an audit record, and — for granted
-// operations in the alert set — dispatches a visual alert request.
+// temporal-proximity rule, appends an audit record, and — for
+// operations in the alert set, granted or blocked — dispatches a visual
+// alert request.
 // While the monitor is degraded, every query denies (fail closed) with
 // the distinct protection-degraded reason.
 func (m *Monitor) Decide(pid int, op Op, opTime time.Time) Verdict {
@@ -591,33 +557,14 @@ func (m *Monitor) Decide(pid int, op Op, opTime time.Time) Verdict {
 // verified by BenchmarkDecideTelemetryDisabled; with telemetry enabled
 // the only allocation is the retained decision span.
 func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time) Verdict {
-	// One read of the task store up front. Fast stores answer with a
-	// handful of atomic loads; plain stores cost the same interface
-	// calls the single-lock implementation made.
-	var (
-		stamp    time.Time
-		exists   bool
-		disabled bool
-	)
-	if m.fastTasks != nil {
-		var sc telemetry.SpanContext
-		stamp, sc, disabled, exists = m.fastTasks.InteractionView(pid)
-		if m.tel.Enabled() && !ctx.Valid() {
-			// No explicit parent: join the trace of the interaction
-			// that minted the process's current stamp. This is what
-			// connects a bare Decide to its enabling input.
-			ctx = sc
-		}
-	} else {
-		if m.tel.Enabled() && !ctx.Valid() && m.spanTasks != nil {
-			if sc, found := m.spanTasks.InteractionSpan(pid); found {
-				ctx = sc
-			}
-		}
-		stamp, exists = m.tasks.InteractionStamp(pid)
-		if exists {
-			disabled = m.tasks.PermissionsDisabled(pid)
-		}
+	// One read of the task store up front: against the kernel's sharded
+	// table that is a handful of atomic loads.
+	stamp, sc, disabled, exists := m.tasks.InteractionView(pid)
+	if m.tel.Enabled() && !ctx.Valid() {
+		// No explicit parent: join the trace of the interaction that
+		// minted the process's current stamp. This is what connects a
+		// bare Decide to its enabling input.
+		ctx = sc
 	}
 	span := m.tel.StartSpan(ctx, "monitor", "decide")
 	defer span.End()
@@ -627,9 +574,6 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 		degraded = *p
 	}
 
-	// The verdict itself comes from the extracted Policy rule — the same
-	// value a fleet session applies — so the single-desktop Monitor and
-	// internal/fleet can never drift apart on decision semantics.
 	pol := Policy{Threshold: m.threshold, Force: m.force, Enforce: m.enforce}
 	verdict, reason := pol.Evaluate(Query{
 		OpTime:   opTime,
@@ -659,7 +603,7 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 	}
 	alertFn := m.alertSink()
 	oi := opIndex(op)
-	sendAlert := alertFn != nil && (oi >= 0 && m.alertFast[oi] || oi < 0 && m.alertOps[op])
+	sendAlert := alertFn != nil && oi >= 0 && m.alertOps[oi]
 	if sendAlert {
 		m.stats.alertsSent.Add(1)
 	}
@@ -700,7 +644,7 @@ func (m *Monitor) RecordDenial(pid int, op Op, opTime time.Time, reason string) 
 // RecordDenialCtx is RecordDenial carrying the trace context of the
 // failed operation.
 func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time, reason string) {
-	stamp, _ := m.tasks.InteractionStamp(pid)
+	stamp, _, _, _ := m.tasks.InteractionView(pid)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: VerdictDeny, Reason: reason}
 	m.stats.denials.Add(1)
 	m.appendAudit(&d)
@@ -709,72 +653,29 @@ func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opT
 	}
 	if m.tel.Enabled() {
 		m.countDecision(op, VerdictDeny)
-		m.mDenialsRecorded.Add(1)
+		m.metrics.denialsRecorded.Add(1)
 		m.tel.TripFlight(ctx, "monitor",
 			"deny pid="+strconv.Itoa(pid)+" op="+string(op)+": "+reason)
 	}
 }
 
-// collectAudit gathers entries from the selected shards (all when
-// pid < 0, else just pid's shard) and restores total order by sequence
-// number.
-func (m *Monitor) collectAudit(pid int) []auditEntry {
-	var out []auditEntry
-	for i := range m.audit {
-		if pid >= 0 && i != int(uint(pid)&(auditShards-1)) {
-			continue
-		}
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		for j := 0; j < sh.n; j++ {
-			e := sh.ring[(sh.head+j)%m.auditCap]
-			if pid < 0 || e.d.PID == pid {
-				out = append(out, e)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
-// Audit returns a merged copy of the audit log, oldest first.
+// Audit returns a copy of the audit log, oldest first.
 func (m *Monitor) Audit() []Decision {
-	entries := m.collectAudit(-1)
-	out := make([]Decision, len(entries))
-	for i, e := range entries {
-		out[i] = e.d
+	a := &m.audit
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make([]Decision, a.n)
+	for i := range out {
+		out[i] = a.ring[(a.head+i)%m.auditCap]
 	}
 	return out
 }
 
-// AuditFor returns the audit records for one PID, oldest first.
-func (m *Monitor) AuditFor(pid int) []Decision {
-	if pid < 0 {
-		return nil
-	}
-	entries := m.collectAudit(pid)
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]Decision, len(entries))
-	for i, e := range entries {
-		out[i] = e.d
-	}
-	return out
-}
-
-// DroppedAudit reports how many audit records were evicted, summed
-// across shards.
+// DroppedAudit reports how many audit records were evicted.
 func (m *Monitor) DroppedAudit() uint64 {
-	var total uint64
-	for i := range m.audit {
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		total += sh.dropped
-		sh.mu.Unlock()
-	}
-	return total
+	m.audit.mu.Lock()
+	defer m.audit.mu.Unlock()
+	return m.audit.dropped
 }
 
 // StatsSnapshot returns a copy of the activity counters.
@@ -793,12 +694,8 @@ func (m *Monitor) StatsSnapshot() Stats {
 
 // ResetAudit clears the audit log (used between experiment phases).
 func (m *Monitor) ResetAudit() {
-	for i := range m.audit {
-		sh := &m.audit[i]
-		sh.mu.Lock()
-		sh.head = 0
-		sh.n = 0
-		sh.dropped = 0
-		sh.mu.Unlock()
-	}
+	a := &m.audit
+	a.mu.Lock()
+	a.head, a.n, a.dropped = 0, 0, 0
+	a.mu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/telemetry"
 )
 
 // fakeTasks is a minimal TaskStore.
@@ -41,10 +42,15 @@ func (f *fakeTasks) SetInteractionStamp(pid int, t time.Time) error {
 	return nil
 }
 
-func (f *fakeTasks) PermissionsDisabled(pid int) bool {
+func (f *fakeTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.disabled[pid]
+	t, ok := f.stamps[pid]
+	return t, telemetry.SpanContext{}, ok && f.disabled[pid], ok
+}
+
+func (f *fakeTasks) SetInteractionStampSpan(pid int, t time.Time, _ telemetry.SpanContext) error {
+	return f.SetInteractionStamp(pid, t)
 }
 
 func (f *fakeTasks) add(pid int) {
@@ -60,7 +66,7 @@ func newTestMonitor(t *testing.T, cfg Config) (*Monitor, *fakeTasks, *clock.Simu
 	if cfg.Threshold == 0 {
 		cfg.Threshold = DefaultThreshold
 	}
-	m, err := New(clk, tasks, cfg)
+	m, err := New(tasks, cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -282,16 +288,18 @@ func TestCustomThreshold(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	clk := clock.NewSimulated()
 	tasks := newFakeTasks()
-	if _, err := New(nil, tasks, Config{}); err == nil {
-		t.Fatal("New(nil clock) succeeded")
-	}
-	if _, err := New(clk, nil, Config{}); err == nil {
+	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("New(nil tasks) succeeded")
 	}
-	if _, err := New(clk, tasks, Config{Threshold: -time.Second}); err == nil {
+	if _, err := New(tasks, Config{Threshold: -time.Second}); err == nil {
 		t.Fatal("New(negative threshold) succeeded")
+	}
+	if _, err := New(tasks, Config{AuditCapacity: -1}); err == nil {
+		t.Fatal("New(negative audit capacity) succeeded")
+	}
+	if _, err := New(tasks, Config{AlertOps: []Op{"usb"}}); err == nil {
+		t.Fatal("New(unknown alert op) succeeded")
 	}
 }
 
@@ -336,62 +344,66 @@ func TestResetAudit(t *testing.T) {
 	}
 }
 
-func TestAuditForAndDropped(t *testing.T) {
+// TestAuditRingBoundAndDropped pins the one-ring bound: AuditCapacity
+// caps the whole log, so every pid's records compete for the same
+// slots and the oldest record goes first, whoever it belongs to.
+func TestAuditRingBoundAndDropped(t *testing.T) {
 	m, tasks, clk := newTestMonitor(t, Config{Enforce: true, AuditCapacity: 5})
-	// Capacity is per shard; pids p1 and p2 collide on the same shard,
-	// so their records compete for the same 5 ring slots.
-	p1, p2 := 1, 1+auditShards
-	tasks.add(p1)
-	tasks.add(p2)
+	tasks.add(1)
+	tasks.add(2)
 	for i := 0; i < 4; i++ {
-		m.Decide(p1, OpCopy, clk.Now())
+		m.Decide(1, OpCopy, clk.Now())
 	}
-	m.Decide(p2, OpPaste, clk.Now())
-	if got := len(m.AuditFor(p1)); got != 4 {
-		t.Fatalf("AuditFor(p1) = %d, want 4", got)
-	}
-	if got := len(m.AuditFor(p2)); got != 1 {
-		t.Fatalf("AuditFor(p2) = %d, want 1", got)
+	m.Decide(2, OpPaste, clk.Now())
+	if got := len(m.Audit()); got != 5 {
+		t.Fatalf("Audit() = %d records, want 5", got)
 	}
 	if m.DroppedAudit() != 0 {
 		t.Fatalf("dropped = %d, want 0", m.DroppedAudit())
 	}
-	// Overflow the shared shard ring: two oldest records evicted.
-	m.Decide(p2, OpPaste, clk.Now())
-	m.Decide(p2, OpPaste, clk.Now())
+	// Overflow the ring: the two oldest records (both pid 1) go.
+	m.Decide(2, OpPaste, clk.Now())
+	m.Decide(2, OpPaste, clk.Now())
 	if m.DroppedAudit() != 2 {
 		t.Fatalf("dropped = %d, want 2", m.DroppedAudit())
 	}
-	if got := len(m.AuditFor(p1)); got != 2 {
-		t.Fatalf("AuditFor(p1) after eviction = %d, want 2", got)
+	if got := countPID(m.Audit(), 1); got != 2 {
+		t.Fatalf("pid 1 records after eviction = %d, want 2", got)
 	}
 }
 
-func TestAuditShardIsolation(t *testing.T) {
+// TestAuditRingEvictsAcrossPIDs overflows the ring from one pid: the
+// other pid's older record is evicted too, and the log keeps decision
+// order.
+func TestAuditRingEvictsAcrossPIDs(t *testing.T) {
 	m, tasks, clk := newTestMonitor(t, Config{Enforce: true, AuditCapacity: 3})
-	// pids 1 and 2 land on different shards: overflowing one must not
-	// evict the other's records.
 	tasks.add(1)
 	tasks.add(2)
 	m.Decide(1, OpCopy, clk.Now())
 	for i := 0; i < 10; i++ {
+		clk.Advance(time.Millisecond)
 		m.Decide(2, OpPaste, clk.Now())
 	}
-	if got := len(m.AuditFor(1)); got != 1 {
-		t.Fatalf("AuditFor(1) = %d, want 1 (cross-shard eviction)", got)
-	}
-	if got := len(m.AuditFor(2)); got != 3 {
-		t.Fatalf("AuditFor(2) = %d, want 3", got)
-	}
-	if m.DroppedAudit() != 7 {
-		t.Fatalf("dropped = %d, want 7", m.DroppedAudit())
-	}
-	// The merged log preserves global decision order.
 	all := m.Audit()
-	if len(all) != 4 {
-		t.Fatalf("Audit() = %d records, want 4", len(all))
+	if len(all) != 3 || countPID(all, 1) != 0 {
+		t.Fatalf("Audit() = %+v, want the last 3 pid-2 records", all)
 	}
-	if all[0].PID != 1 {
-		t.Fatalf("oldest merged record PID = %d, want 1", all[0].PID)
+	if m.DroppedAudit() != 8 {
+		t.Fatalf("dropped = %d, want 8", m.DroppedAudit())
 	}
+	for i := 1; i < len(all); i++ {
+		if !all[i].OpTime.After(all[i-1].OpTime) {
+			t.Fatalf("audit out of decision order at %d", i)
+		}
+	}
+}
+
+func countPID(ds []Decision, pid int) int {
+	n := 0
+	for _, d := range ds {
+		if d.PID == pid {
+			n++
+		}
+	}
+	return n
 }

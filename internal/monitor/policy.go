@@ -7,14 +7,11 @@ import (
 )
 
 // Policy is the pure temporal-proximity decision rule D(Q_{A,t}) (paper
-// §III-B), extracted from the Monitor so that it can be shared: the
-// Monitor applies it on the single-desktop decision path, and
-// internal/fleet applies the same value across thousands of sessions
-// from one immutable copy-on-write snapshot. Policy is a small value
-// type with no pointers — comparing, copying, and embedding it are all
-// free — and Evaluate is a pure function of its inputs, which is what
-// makes the fleet ≡ standalone equivalence property testable
-// byte-for-byte.
+// §III-B). The Monitor applies it on every decision; it is exported so
+// configuration (a fleet's Config) and replays (the benchmark's
+// reference model) can carry the rule as a value. Policy is a small
+// value type with no pointers — comparing, copying, and embedding it
+// are all free — and Evaluate is a pure function of its inputs.
 type Policy struct {
 	// Threshold is δ, the temporal proximity window. Must be positive;
 	// the Monitor constructor defaults it to DefaultThreshold.
@@ -45,8 +42,8 @@ type Query struct {
 	Disabled bool
 }
 
-// Fixed decision reasons. Exported so tests and the fleet equivalence
-// property can assert on the exact strings; the dynamic reasons
+// Fixed decision reasons. Exported so tests can assert on the exact
+// strings; the dynamic reasons
 // (degraded, stale) are produced by Evaluate itself.
 const (
 	ReasonForceGrant     = "force-grant (benchmark mode)"
@@ -65,8 +62,7 @@ const (
 // significant figures and hands out an interned string, so a fleet
 // denying at rate does not allocate one reason per denial — and equal
 // (staleness, δ) pairs produce the identical string value across all
-// sessions, which the fleet ≡ standalone equivalence property relies
-// on.
+// sessions.
 func (p Policy) Evaluate(q Query) (Verdict, string) {
 	switch {
 	case p.Force:

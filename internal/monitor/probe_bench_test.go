@@ -20,7 +20,7 @@ func benchProbeMonitor(tb testing.TB, reg *probe.Registry) (*Monitor, time.Time)
 	clk := clock.NewSimulated()
 	tasks := &fastBenchTasks{pid: 7}
 	tasks.stampNanos.Store(clk.Now().UnixNano())
-	m, err := New(clk, tasks, Config{Enforce: true, Probes: reg})
+	m, err := New(tasks, Config{Enforce: true, Probes: reg})
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}

@@ -47,7 +47,7 @@ func TestProbeDecideStreamMatchesAuditOracle(t *testing.T) {
 	if _, err := reg.AttachSpec("hook=kernel.decide", ring); err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(clk, tasks, Config{Enforce: true, Probes: reg})
+	m, err := New(tasks, Config{Enforce: true, Probes: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

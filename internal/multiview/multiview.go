@@ -162,28 +162,26 @@ type stampTasks struct {
 	stamp time.Time
 }
 
-func (t *stampTasks) InteractionStamp(pid int) (time.Time, bool) {
+func (t *stampTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
 	if pid != t.pid {
-		return time.Time{}, false
+		return time.Time{}, telemetry.SpanContext{}, false, false
 	}
-	return t.stamp, true
+	return t.stamp, telemetry.SpanContext{}, false, true
 }
 
-func (t *stampTasks) SetInteractionStamp(pid int, ts time.Time) error {
+func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ telemetry.SpanContext) error {
 	if pid == t.pid && ts.After(t.stamp) {
 		t.stamp = ts
 	}
 	return nil
 }
 
-func (t *stampTasks) PermissionsDisabled(int) bool { return false }
-
 // setupDecide measures the monitor decision path: a within-δ grant,
 // crossing the evaluate, audit and decide attach points.
 func setupDecide(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(clk, tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +197,7 @@ func setupDecide(e env) (func(int) error, error) {
 func setupNotify(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(clk, tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
 	if err != nil {
 		return nil, err
 	}
@@ -272,9 +270,6 @@ func setupFleetDispatch(e env) (func(int) error, error) {
 		return nil, err
 	}
 	s := f.CreateSession()
-	if e.tel != nil {
-		s.SetTelemetry(e.tel)
-	}
 	pid, err := s.Spawn()
 	if err != nil {
 		return nil, err
