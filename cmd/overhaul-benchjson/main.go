@@ -12,13 +12,16 @@
 // instead of writing one; the -diff mode compares parsed input against
 // a committed baseline and fails on micro-benchmark regressions.
 //
-// Runs under `-cpu 1,2,4` print a trailing -N on the benchmark name.
-// When the same parse also saw the bare name (as -cpu 1 prints it),
-// the whole family is recognisably a CPU-scaling sweep and every
+// go test appends -N to a benchmark name whenever it ran at GOMAXPROCS
+// N > 1. When the same parse also saw the bare name (as -cpu 1 prints
+// it), the whole family is recognisably a CPU-scaling sweep and every
 // member is rekeyed to Name/cpus=N (the bare row becomes /cpus=1), so
-// the JSON records the scaling curve under stable, unambiguous keys. A
-// lone -N name without its bare sibling is left verbatim: it may be a
-// sub-benchmark like cap-256, which is syntactically identical.
+// the JSON records the scaling curve under stable, unambiguous keys.
+// Any other name ending in -P, where P is the -procs flag (default:
+// this process's GOMAXPROCS, which go test shares under make), has
+// the suffix stripped, so rows recorded on hosts with different CPU
+// counts share keys. A lone -N with N ≠ P is left verbatim: it may be
+// a sub-benchmark like cap-256, which is syntactically identical.
 package main
 
 import (
@@ -43,9 +46,10 @@ type Entry struct {
 
 // benchLine matches one `go test -bench -benchmem` result line, e.g.
 // BenchmarkDecideTelemetryDisabled-8  9416926  120.7 ns/op  0 B/op  0 allocs/op
-// The name is kept verbatim (including any -GOMAXPROCS suffix):
+// The name is captured verbatim, -GOMAXPROCS suffix included:
 // sub-benchmark names like cap-256 are indistinguishable from the
-// suffix syntactically, and stripping would collide them.
+// suffix syntactically, so normalizeCPUFamilies decides which -N to
+// rewrite once it has seen every name.
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ B/op\s+(\d+) allocs/op)?`)
 
@@ -58,6 +62,7 @@ func run() int {
 	out := flag.String("out", "BENCH_overhaul.json", "JSON file to write")
 	check := flag.String("check", "", "validate this existing JSON file and exit")
 	diff := flag.String("diff", "", "baseline JSON to compare the parsed input against (regression gate)")
+	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "GOMAXPROCS the benchmarks ran at; its -N name suffix is stripped")
 	flag.Parse()
 
 	if *check != "" {
@@ -78,7 +83,7 @@ func run() int {
 		defer f.Close()
 		r = f
 	}
-	entries, err := parse(r)
+	entries, err := parse(r, *procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overhaul-benchjson:", err)
 		return 1
@@ -109,14 +114,15 @@ func run() int {
 	return 0
 }
 
-// parse extracts every benchmark line, keyed by the full benchmark
-// name exactly as go test printed it. A name appearing more than once
+// parse extracts every benchmark line, keyed by the benchmark name as
+// go test printed it less the -procs suffix (see normalizeCPUFamilies),
+// for a run at GOMAXPROCS procs. A name appearing more than once
 // (go test -count=N) keeps the minimum ns/op and the maximum
 // allocs/op: the minimum is the standard low-noise wall-clock
 // statistic on a shared machine (noise only ever adds time), while
 // allocs must be pessimistic — a single run that allocated more is a
 // real behavior, not noise.
-func parse(r io.Reader) (map[string]Entry, error) {
+func parse(r io.Reader, procs int) (map[string]Entry, error) {
 	entries := make(map[string]Entry)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -162,7 +168,7 @@ func parse(r io.Reader) (map[string]Entry, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found: was the input produced by go test -bench -benchmem?")
 	}
-	return normalizeCPUFamilies(entries), nil
+	return normalizeCPUFamilies(entries, procs), nil
 }
 
 // cpuSuffix matches a trailing -N as printed by go test under -cpu.
@@ -171,8 +177,13 @@ var cpuSuffix = regexp.MustCompile(`^(Benchmark\S*?)-(\d+)$`)
 // normalizeCPUFamilies rekeys CPU-scaling sweeps to Name/cpus=N. A
 // suffixed name counts as part of a sweep only when its bare base name
 // was parsed too — that is exactly what a `-cpu 1,...` run produces and
-// what a same-named sub-benchmark cannot.
-func normalizeCPUFamilies(entries map[string]Entry) map[string]Entry {
+// what a same-named sub-benchmark cannot. Outside a sweep, a -procs
+// suffix is the GOMAXPROCS go test appended to every name of the run
+// and is stripped; procs ≤ 1 strips nothing, since go test appends no
+// suffix at GOMAXPROCS 1. Sweep detection runs on the names as printed,
+// so a stripped name never anchors a sweep of its own: X/cap-2 and
+// X/cap-256-2 become X/cap and X/cap-256, not X/cap/cpus=256.
+func normalizeCPUFamilies(entries map[string]Entry, procs int) map[string]Entry {
 	out := make(map[string]Entry, len(entries))
 	rebased := make(map[string]bool) // bare names that anchor a sweep
 	for name := range entries {
@@ -182,16 +193,19 @@ func normalizeCPUFamilies(entries map[string]Entry) map[string]Entry {
 			}
 		}
 	}
+	suffix := "-" + strconv.Itoa(procs)
 	for name, e := range entries {
-		if m := cpuSuffix.FindStringSubmatch(name); m != nil && rebased[m[1]] {
+		m := cpuSuffix.FindStringSubmatch(name)
+		switch {
+		case m != nil && rebased[m[1]]:
 			out[m[1]+"/cpus="+m[2]] = e
-			continue
-		}
-		if rebased[name] {
+		case rebased[name]:
 			out[name+"/cpus=1"] = e
-			continue
+		case procs > 1 && m != nil && strings.HasSuffix(name, suffix):
+			out[m[1]] = e
+		default:
+			out[name] = e
 		}
-		out[name] = e
 	}
 	return out
 }

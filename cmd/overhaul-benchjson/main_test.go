@@ -17,7 +17,7 @@ PASS
 `
 
 func TestParseRekeysCPUSweeps(t *testing.T) {
-	entries, err := parse(strings.NewReader(cpuSweepOutput))
+	entries, err := parse(strings.NewReader(cpuSweepOutput), 1)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -55,7 +55,7 @@ BenchmarkMicroMonitorDecide  500000  700.0 ns/op  8 B/op  1 allocs/op
 BenchmarkMicroMonitorDecide  500000  430.0 ns/op  8 B/op  2 allocs/op
 BenchmarkMicroMonitorDecide  500000  950.0 ns/op  8 B/op  1 allocs/op
 PASS
-`))
+`), 1)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -72,15 +72,54 @@ PASS
 }
 
 func TestParseKeepsLoneSuffixVerbatim(t *testing.T) {
-	// Without the bare sibling, -8 is indistinguishable from a
-	// sub-benchmark name and must not be rewritten.
+	// Without the bare sibling, and on a host whose GOMAXPROCS is not
+	// 8, -8 is indistinguishable from a sub-benchmark name and must not
+	// be rewritten.
 	entries, err := parse(strings.NewReader(
-		"BenchmarkDecideTelemetryDisabled-8  9416926  120.7 ns/op  0 B/op  0 allocs/op\n"))
+		"BenchmarkDecideTelemetryDisabled-8  9416926  120.7 ns/op  0 B/op  0 allocs/op\n"), 2)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if _, ok := entries["BenchmarkDecideTelemetryDisabled-8"]; !ok {
 		t.Fatalf("lone suffixed name rewritten: %v", entries)
+	}
+}
+
+func TestParseStripsGOMAXPROCSSuffix(t *testing.T) {
+	// A plain run at GOMAXPROCS 2 suffixes every name with -2, and the
+	// -cpu 1,2,4 sweep appended to it repeats the Parallel rows bare,
+	// -2 and -4. The suffix comes off everything outside the sweep —
+	// once: cap-256-2 is cap-256, and cap-2 does not make it a sweep.
+	entries, err := parse(strings.NewReader(`
+BenchmarkAblationAuditCapacity/cap-2-2     1000  50.0 ns/op  0 B/op  0 allocs/op
+BenchmarkAblationAuditCapacity/cap-256-2   1000  88.0 ns/op  0 B/op  0 allocs/op
+BenchmarkFleetDecide/sessions=10-2         1000  90.0 ns/op  0 B/op  0 allocs/op
+BenchmarkParallelDecide-2                  1000  75.0 ns/op  0 B/op  0 allocs/op
+BenchmarkParallelDecide                    1000 120.0 ns/op  0 B/op  0 allocs/op
+BenchmarkParallelDecide-2                  1000  70.0 ns/op  0 B/op  0 allocs/op
+BenchmarkParallelDecide-4                  1000  40.0 ns/op  0 B/op  0 allocs/op
+BenchmarkStoreGet/file/1000-4              1000  30.0 ns/op  0 B/op  0 allocs/op
+PASS
+`), 2)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	want := map[string]float64{
+		"BenchmarkAblationAuditCapacity/cap-2":   50,
+		"BenchmarkAblationAuditCapacity/cap-256": 88,
+		"BenchmarkFleetDecide/sessions=10":       90,
+		"BenchmarkParallelDecide/cpus=1":         120,
+		"BenchmarkParallelDecide/cpus=2":         70,
+		"BenchmarkParallelDecide/cpus=4":         40,
+		"BenchmarkStoreGet/file/1000-4":          30, // not this run's GOMAXPROCS
+	}
+	if len(entries) != len(want) {
+		t.Fatalf("got %d entries %v, want %d", len(entries), entries, len(want))
+	}
+	for name, ns := range want {
+		if e, ok := entries[name]; !ok || e.NsPerOp != ns {
+			t.Errorf("%s = %+v (present %v), want %v ns/op", name, e, ok, ns)
+		}
 	}
 }
 

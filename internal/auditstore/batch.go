@@ -37,6 +37,9 @@ type BatchStats struct {
 	MaxBatch int
 	// SizeHist buckets batch sizes as 1, 2, ≤4, ≤8, …, ≤128, >128.
 	SizeHist [9]uint64
+	// CompactedRecords counts the records compaction rewrote, automatic
+	// and manual: the write amplification beyond the first append.
+	CompactedRecords uint64
 }
 
 // BatchBucketLabel names SizeHist bucket i.

@@ -164,3 +164,42 @@ func BenchmarkStoreScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreAppendSustained appends one record at a time to a file
+// store that already holds history records, with default Options, so
+// the rotations and compactions a long-lived store pays run inside the
+// timed loop. Size-tiered compaction keeps ns/op roughly flat across
+// history sizes: merges touch the newest segments, not the whole
+// history.
+func BenchmarkStoreAppendSustained(b *testing.B) {
+	for _, history := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			st, err := auditstore.Open(b.TempDir(), auditstore.Options{})
+			if err != nil {
+				b.Fatalf("open: %v", err)
+			}
+			defer st.Close() //overhaul:allow errdrop bench cleanup
+			batch := make([]auditstore.Record, 0, auditstore.DefaultBatchRecords)
+			for i := 0; i < history; i++ {
+				if batch = append(batch, mkRecord(i)); len(batch) == cap(batch) || i == history-1 {
+					if _, err := st.AppendBatch(batch); err != nil {
+						b.Fatalf("prefill %d: %v", i, err)
+					}
+					batch = batch[:0]
+				}
+			}
+			recs := make([]auditstore.Record, b.N)
+			for i := range recs {
+				recs[i] = mkRecord(history + i)
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Append(recs[i]); err != nil {
+					b.Fatalf("append: %v", err)
+				}
+			}
+		})
+	}
+}

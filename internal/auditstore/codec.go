@@ -233,6 +233,11 @@ func decodeString(p []byte) (string, []byte, error) {
 	return string(p[n : n+int(l)]), p[n+int(l):], nil
 }
 
+// footerSize bounds the encoded size of a footer of n block entries.
+func footerSize(n int) int {
+	return 1 + binary.MaxVarintLen64*(1+3*n) + idxTrailerLen
+}
+
 // appendFooter appends the sealed-segment footer (marker, index body,
 // trailer) to dst.
 func appendFooter(dst []byte, entries []blockEntry) []byte {

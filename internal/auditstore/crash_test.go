@@ -11,7 +11,9 @@ import (
 // TestCrashRecoveryProperty is the crash-recovery property test: for
 // every faultinject crash window — torn append, crash mid-rotation at
 // either protocol window, crash mid-compaction at any of its four
-// windows — reopening the directory yields a byte-identical prefix of
+// windows, both in the first merge and in the second, which at fan-in
+// 3 is a tail merge beside an older sealed segment — reopening the
+// directory yields a byte-identical prefix of
 // the pre-crash stream. Acked records are never lost, unacked records
 // never appear, and any discarded bytes are reported, never silent.
 // The table is seeded and spans segment sizes so every window lands in
@@ -37,6 +39,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{"compact-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 1, Count: 1}},
 		{"compact-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 2, Count: 1}},
 		{"compact-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
+		{"tail-merge-crash-begin", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 4, Count: 1}},
+		{"tail-merge-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 5, Count: 1}},
+		{"tail-merge-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 6, Count: 1}},
+		{"tail-merge-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 7, Count: 1}},
 	}
 	segSizes := []int{1, 3, 8, 32}
 	const total = 200

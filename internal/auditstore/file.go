@@ -17,9 +17,14 @@ type Options struct {
 	// SegmentRecords rotates the active segment after this many
 	// records. Zero selects DefaultSegmentRecords.
 	SegmentRecords int
-	// CompactSealed compacts the sealed segments into one once their
-	// count reaches this threshold. Zero selects DefaultCompactSealed;
-	// negative disables automatic compaction.
+	// CompactSealed is the fan-in k of size-tiered compaction. A
+	// segment of SegmentRecords records is tier 0, and a segment of r
+	// records is tier ⌊log_k(r/SegmentRecords)⌋. After each rotation,
+	// while the newest k sealed segments share a tier, they are merged
+	// into one segment of the next tier, so each record is rewritten
+	// about log_k(N/SegmentRecords) times and at most k−1 sealed
+	// segments remain per tier. Zero selects DefaultCompactSealed;
+	// negative disables automatic compaction; 1 is rejected by Open.
 	CompactSealed int
 	// BatchRecords caps how many queued appends one group commit may
 	// drain into a single segment write. Zero selects
@@ -167,6 +172,9 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if opts.CompactSealed == 0 {
 		opts.CompactSealed = DefaultCompactSealed
 	}
+	if opts.CompactSealed == 1 {
+		return nil, fmt.Errorf("auditstore: compaction fan-in 1; want at least 2, or negative to disable")
+	}
 	if opts.BatchRecords <= 0 {
 		opts.BatchRecords = DefaultBatchRecords
 	}
@@ -273,11 +281,12 @@ func (fs *FileStore) recover() error {
 		return fs.normalize(segs)
 	}
 	// Clean open: adopt the layout as it stands. The newest segment
-	// stays active if it is unsealed (no footer) and has room;
-	// everything else is sealed.
+	// stays active if it is unsealed (no footer); everything else is
+	// sealed. A full active segment is left for the next commit to
+	// rotate, so it is sealed and tiered like any other.
 	for i, s := range segs {
 		path := filepath.Join(fs.dir, s.name)
-		if i == len(segs)-1 && s.footer == nil && s.count < fs.opts.SegmentRecords {
+		if i == len(segs)-1 && s.footer == nil {
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
@@ -324,22 +333,29 @@ func (fs *FileStore) normalize(old []*segment) error {
 // encodeRange renders index records [from, to) as one complete sealed
 // v2 segment (header, frames, footer with block index) in memory.
 // Only the recovery and compaction paths use it; the append hot path
-// streams through the reusable group-commit buffers instead.
+// streams through the reusable group-commit buffers instead. The
+// buffer is sized once up front, so a merge allocates it once instead
+// of growing and copying as it fills.
 func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	buf := append([]byte(nil), segMagicV2...)
+	recs, err := fs.mem.positions(from, to)
+	if err != nil {
+		return nil, fmt.Errorf("segment stage: %w", err)
+	}
+	size := len(segMagicV2) + footerSize(len(recs)/indexEvery+2)
+	for i := range recs {
+		size += estimateSize(&recs[i])
+	}
+	buf := append(make([]byte, 0, size), segMagicV2...)
 	var enc FrameEncoder
-	var entries []blockEntry
+	entries := make([]blockEntry, 0, len(recs)/indexEvery+2)
 	maxSoFar := int64(math.MinInt64)
 	lastSeq := uint64(0)
-	for i := from; i < to; i++ {
-		r, ok, err := fs.mem.Get(fs.mem.base + uint64(i))
-		if err != nil || !ok {
-			return nil, fmt.Errorf("segment stage: index record %d missing (%v)", i, err)
-		}
-		if (i-from)%indexEvery == 0 {
+	for i := range recs {
+		r := &recs[i]
+		if i%indexEvery == 0 {
 			entries = append(entries, blockEntry{seq: r.Seq, off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
-		if buf, err = enc.AppendRecord(buf, &r); err != nil {
+		if buf, err = enc.AppendRecord(buf, r); err != nil {
 			return nil, err
 		}
 		if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > maxSoFar {
@@ -468,8 +484,8 @@ func (fs *FileStore) sealActive() error {
 
 // rotateSeg seals the active segment and opens a fresh one, evaluating
 // the crash fault point at each protocol window (before and after the
-// seal), then triggers compaction when enough sealed segments
-// accumulated. Leader-owned.
+// seal), then runs the size-tiered merges the new sealed segment
+// completes (see Options.CompactSealed). Leader-owned.
 func (fs *FileStore) rotateSeg() error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreRotate); f.Injected() {
 		return fmt.Errorf("rotate (pre-seal): %w", f.Err)
@@ -483,10 +499,32 @@ func (fs *FileStore) rotateSeg() error {
 	if err := fs.openActive(); err != nil {
 		return err
 	}
-	if fs.opts.CompactSealed > 0 && len(fs.sealed) >= fs.opts.CompactSealed {
-		return fs.compactSeg()
+	// A base-k counter: merging k same-tier segments carries one
+	// segment into the next tier, which may complete k there too.
+	for k := fs.opts.CompactSealed; k > 0 && len(fs.sealed) >= k; {
+		from := len(fs.sealed) - k
+		t := fs.tier(fs.sealed[from].recs)
+		for _, s := range fs.sealed[from+1:] {
+			if fs.tier(s.recs) != t {
+				return nil
+			}
+		}
+		if err := fs.compactSeg(from); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// tier is the compaction tier of a sealed segment holding recs
+// records: ⌊log_k(recs/SegmentRecords)⌋ for fan-in k, and 0 for a
+// segment smaller than SegmentRecords.
+func (fs *FileStore) tier(recs int) int {
+	t := 0
+	for n := recs / fs.opts.SegmentRecords; n >= fs.opts.CompactSealed; n /= fs.opts.CompactSealed {
+		t++
+	}
+	return t
 }
 
 // Compact merges every sealed segment into one. The active segment is
@@ -508,7 +546,7 @@ func (fs *FileStore) Compact() error {
 	fs.committing = true
 	fs.mu.Unlock()
 
-	err := fs.compactSeg()
+	err := fs.compactSeg(0)
 
 	fs.mu.Lock()
 	if err != nil && fs.failed == nil {
@@ -522,23 +560,27 @@ func (fs *FileStore) Compact() error {
 	return err
 }
 
-// compactSeg merges the sealed segments into a fresh, higher file id
-// via stage → fsync → rename → cleanup, evaluating the crash fault
-// point at each window: begin, the two staging windows of
-// writeSegment, and pre-cleanup. Every window leaves a recoverable
-// directory: a torn or unrenamed tmp is discarded on open, and a
-// rename without cleanup leaves duplicates that the merge reads past.
-// Leader-owned.
-func (fs *FileStore) compactSeg() error {
+// compactSeg merges the sealed segments from index from on into one
+// fresh, higher file id via stage → fsync → rename → cleanup, leaving
+// sealed[:from] untouched. It evaluates the crash fault point at each
+// window: begin, the two staging windows of writeSegment, and
+// pre-cleanup. Every window leaves a recoverable directory: a torn or
+// unrenamed tmp is discarded on open, and a rename without cleanup
+// leaves duplicates that the merge reads past. Leader-owned; mu is
+// taken only to count the rewritten records.
+func (fs *FileStore) compactSeg(from int) error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); f.Injected() {
 		return fmt.Errorf("compact (begin): %w", f.Err)
 	}
-	total := 0
-	for _, s := range fs.sealed {
+	skip, total := 0, 0
+	for _, s := range fs.sealed[:from] {
+		skip += s.recs
+	}
+	for _, s := range fs.sealed[from:] {
 		total += s.recs
 	}
 	path := fs.segPath(fs.nextID)
-	buf, err := fs.encodeRange(0, total)
+	buf, err := fs.encodeRange(skip, skip+total)
 	if err != nil {
 		return fmt.Errorf("compact stage: %w", err)
 	}
@@ -549,12 +591,15 @@ func (fs *FileStore) compactSeg() error {
 	if fl := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); fl.Injected() {
 		return fmt.Errorf("compact (pre-cleanup): %w", fl.Err)
 	}
-	for _, s := range fs.sealed {
+	for _, s := range fs.sealed[from:] {
 		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("compact cleanup: %w", err)
 		}
 	}
-	fs.sealed = []segmentInfo{{path: path, recs: total}}
+	fs.sealed = append(fs.sealed[:from], segmentInfo{path: path, recs: total})
+	fs.mu.Lock()
+	fs.stats.CompactedRecords += uint64(total)
+	fs.mu.Unlock()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package auditstore
 
 import (
+	"fmt"
 	"sync"
 )
 
@@ -85,6 +86,19 @@ func (m *MemStore) Get(seq uint64) (Record, bool, error) {
 		return Record{}, false, nil
 	}
 	return m.recs[seq-m.base], true, nil
+}
+
+// positions returns the records at index positions [from, to) — the
+// append-only backing slice itself, so the prefix it names is
+// immutable and may be read after the lock is released, but never
+// written.
+func (m *MemStore) positions(from, to int) ([]Record, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if from < 0 || to > len(m.recs) || from > to {
+		return nil, fmt.Errorf("index positions [%d, %d) outside [0, %d)", from, to, len(m.recs))
+	}
+	return m.recs[from:to:to], nil
 }
 
 // Count implements Store.
