@@ -17,9 +17,9 @@
 // it), the whole family is recognisably a CPU-scaling sweep and every
 // member is rekeyed to Name/cpus=N (the bare row becomes /cpus=1), so
 // the JSON records the scaling curve under stable, unambiguous keys.
-// Any other name ending in -P, where P is the -procs flag (default:
-// this process's GOMAXPROCS, which go test shares under make), has
-// the suffix stripped, so rows recorded on hosts with different CPU
+// Any other name ending in -P, where P is this process's GOMAXPROCS
+// (the one go test shares when both run on the same host), has the
+// suffix stripped, so rows recorded on hosts with different CPU
 // counts share keys. A lone -N with N ≠ P is left verbatim: it may be
 // a sub-benchmark like cap-256, which is syntactically identical.
 package main
@@ -62,7 +62,6 @@ func run() int {
 	out := flag.String("out", "BENCH_overhaul.json", "JSON file to write")
 	check := flag.String("check", "", "validate this existing JSON file and exit")
 	diff := flag.String("diff", "", "baseline JSON to compare the parsed input against (regression gate)")
-	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "GOMAXPROCS the benchmarks ran at; its -N name suffix is stripped")
 	flag.Parse()
 
 	if *check != "" {
@@ -83,7 +82,7 @@ func run() int {
 		defer f.Close()
 		r = f
 	}
-	entries, err := parse(r, *procs)
+	entries, err := parse(r, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overhaul-benchjson:", err)
 		return 1
@@ -115,7 +114,7 @@ func run() int {
 }
 
 // parse extracts every benchmark line, keyed by the benchmark name as
-// go test printed it less the -procs suffix (see normalizeCPUFamilies),
+// go test printed it less the GOMAXPROCS suffix (see normalizeCPUFamilies),
 // for a run at GOMAXPROCS procs. A name appearing more than once
 // (go test -count=N) keeps the minimum ns/op and the maximum
 // allocs/op: the minimum is the standard low-noise wall-clock
@@ -177,7 +176,7 @@ var cpuSuffix = regexp.MustCompile(`^(Benchmark\S*?)-(\d+)$`)
 // normalizeCPUFamilies rekeys CPU-scaling sweeps to Name/cpus=N. A
 // suffixed name counts as part of a sweep only when its bare base name
 // was parsed too — that is exactly what a `-cpu 1,...` run produces and
-// what a same-named sub-benchmark cannot. Outside a sweep, a -procs
+// what a same-named sub-benchmark cannot. Outside a sweep, a -<procs>
 // suffix is the GOMAXPROCS go test appended to every name of the run
 // and is stripped; procs ≤ 1 strips nothing, since go test appends no
 // suffix at GOMAXPROCS 1. Sweep detection runs on the names as printed,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"slices"
 	"testing"
@@ -126,6 +128,92 @@ func TestCompactionTiers(t *testing.T) {
 			checkTiers(t, st2, c.s, c.k, 2*c.n)
 			checkPrefix(t, st2, 2*c.n)
 		})
+	}
+
+	// Group commit writes a whole batch into the active segment, so a
+	// batch of more than (k−1)·s records seals a segment above tier 0
+	// right after smaller ones. Those must still merge: no sealed
+	// segment may be followed by k−1 or more segments of no lower
+	// tier, which caps the sealed count at (k−1)·(tiers present).
+	for _, c := range []struct{ s, k, batch, n int }{
+		{4, 3, 13, 3000}, {32, 8, 256, 20000}, {2, 2, 7, 2000},
+	} {
+		t.Run(fmt.Sprintf("batch-s%d-k%d-b%d-n%d", c.s, c.k, c.batch, c.n), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := auditstore.Options{SegmentRecords: c.s, CompactSealed: c.k, BatchRecords: c.batch}
+			st, err := auditstore.Open(dir, opts)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			rng := rand.New(rand.NewPCG(uint64(c.s), uint64(c.batch)))
+			// active mirrors commitBatch: a batch goes whole into the
+			// active segment, which rotates before a batch once full.
+			active, oversized := 0, false
+			for i := 0; i < c.n; {
+				size := min(1+rng.IntN(c.batch), c.n-i)
+				if active >= c.s {
+					oversized = oversized || tierOf(active, c.s, c.k) > 0
+					active = 0
+				}
+				active += size
+				batch := make([]auditstore.Record, size)
+				for j := range batch {
+					batch[j] = mkRecord(i + j)
+				}
+				if _, err := st.AppendBatch(batch); err != nil {
+					t.Fatalf("append batch at %d: %v", i, err)
+				}
+				i += size
+				_, recs := st.SealedLayout()
+				checkAbsorbed(t, recs, c.s, c.k)
+			}
+			if !oversized {
+				t.Fatalf("no batch sealed a segment above tier 0; the case does not exercise the rule")
+			}
+			rewritten := st.BatchStats().CompactedRecords
+			if bound := c.n * ceilLog(c.n, c.s, c.k); rewritten > uint64(bound) {
+				t.Fatalf("compaction rewrote %d records, want at most N·⌈log_k(N/s)⌉ = %d", rewritten, bound)
+			}
+			_, layout := st.SealedLayout()
+			if err := st.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			st2, err := auditstore.Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer st2.Close() //overhaul:allow errdrop test cleanup
+			if rec := st2.Recovery(); !rec.Clean || rec.Records != c.n {
+				t.Fatalf("reopen recovery = %+v, want clean %d records", rec, c.n)
+			}
+			if _, recs := st2.SealedLayout(); !slices.Equal(recs, layout) {
+				t.Fatalf("reopen adopted sealed sizes %v, want %v", recs, layout)
+			}
+			checkPrefix(t, st2, c.n)
+		})
+	}
+}
+
+// checkAbsorbed asserts that no sealed segment is followed by k−1 or
+// more segments of no lower tier (the merge rule, applied to every
+// window rather than only the newest), and the file-count bound it
+// implies: at most (k−1) sealed segments per tier present.
+func checkAbsorbed(t *testing.T, recs []int, s, k int) {
+	t.Helper()
+	tiers := map[int]bool{}
+	lowest := math.MaxInt // lowest tier after index i
+	for i := len(recs) - 1; i >= 0; i-- {
+		tier := tierOf(recs[i], s, k)
+		if len(recs)-1-i >= k-1 && lowest >= tier {
+			t.Fatalf("sealed sizes %v: segment %d (tier %d) is followed by %d segments of no lower tier; want them merged",
+				recs, i, tier, len(recs)-1-i)
+		}
+		lowest = min(lowest, tier)
+		tiers[tier] = true
+	}
+	if len(recs) > (k-1)*len(tiers) {
+		t.Fatalf("sealed sizes %v: %d segments over %d tiers, want at most %d", recs, len(recs), len(tiers), (k-1)*len(tiers))
 	}
 }
 

@@ -20,11 +20,16 @@ type Options struct {
 	// CompactSealed is the fan-in k of size-tiered compaction. A
 	// segment of SegmentRecords records is tier 0, and a segment of r
 	// records is tier ⌊log_k(r/SegmentRecords)⌋. After each rotation,
-	// while the newest k sealed segments share a tier, they are merged
-	// into one segment of the next tier, so each record is rewritten
-	// about log_k(N/SegmentRecords) times and at most k−1 sealed
-	// segments remain per tier. Zero selects DefaultCompactSealed;
-	// negative disables automatic compaction; 1 is rejected by Open.
+	// while none of the newest k sealed segments is in a lower tier
+	// than the oldest of them, they are merged into one segment of
+	// the next tier, so each record is rewritten about
+	// log_k(N/SegmentRecords) times and at most k−1 sealed segments
+	// remain per tier. A group-commit batch of more than
+	// (k−1)·SegmentRecords records can seal a segment above tier 0;
+	// the rule then absorbs the smaller segments sealed before it, and
+	// at most (k−1)·(tiers present) sealed segments remain. Zero selects
+	// DefaultCompactSealed; negative disables automatic compaction; 1
+	// is rejected by Open.
 	CompactSealed int
 	// BatchRecords caps how many queued appends one group commit may
 	// drain into a single segment write. Zero selects
@@ -500,12 +505,15 @@ func (fs *FileStore) rotateSeg() error {
 		return err
 	}
 	// A base-k counter: merging k same-tier segments carries one
-	// segment into the next tier, which may complete k there too.
+	// segment into the next tier, which may complete k there too. A
+	// segment sealed above tier 0 (one oversized batch) must not
+	// strand the lower-tier run before it, so only a lower tier among
+	// the newer k−1 holds the merge back.
 	for k := fs.opts.CompactSealed; k > 0 && len(fs.sealed) >= k; {
 		from := len(fs.sealed) - k
 		t := fs.tier(fs.sealed[from].recs)
 		for _, s := range fs.sealed[from+1:] {
-			if fs.tier(s.recs) != t {
+			if fs.tier(s.recs) < t {
 				return nil
 			}
 		}
