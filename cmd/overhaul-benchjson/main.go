@@ -269,12 +269,15 @@ func allocsOnly(name string) bool {
 // absolute contract, not merely no-worse-than-baseline: the v2 frame
 // encoder runs once per record inside every group commit, so a single
 // allocation there multiplies across everything the fleet ever
-// appends. Gated in both validate (the committed JSON) and compare
-// (fresh runs), so a regression cannot slip in by first regressing the
-// baseline.
+// appends; and an instrumented denial runs once per blocked spyware
+// read, so an allocation there (the flight dump once copied the whole
+// ring) is paid on every deny. Gated in both validate (the committed
+// JSON) and compare (fresh runs), so a regression cannot slip in by
+// first regressing the baseline.
 func zeroAllocRequired(name string) bool {
 	return name == "BenchmarkStoreEncodeV2" ||
-		strings.HasPrefix(name, "BenchmarkStoreEncodeV2/")
+		strings.HasPrefix(name, "BenchmarkStoreEncodeV2/") ||
+		name == "BenchmarkDecideTelemetryEnabledDeny"
 }
 
 // compare prints a gated-benchmark comparison table and errors when any

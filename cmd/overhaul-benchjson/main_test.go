@@ -222,18 +222,21 @@ func TestCompareRequiresOverlap(t *testing.T) {
 }
 
 func TestCompareZeroAllocContract(t *testing.T) {
-	// The v2 frame encoder's 0-alloc contract is absolute: it fails
-	// even when the baseline itself had regressed to a nonzero count.
-	baseline := map[string]Entry{"BenchmarkStoreEncodeV2": {NsPerOp: 90, AllocsPerOp: 1}}
-	current := map[string]Entry{"BenchmarkStoreEncodeV2": {NsPerOp: 90, AllocsPerOp: 1}}
-	var out strings.Builder
-	if err := compare(baseline, current, 8, &out); err == nil {
-		t.Error("nonzero allocs on the encode bench passed, want failure")
-	}
-	current["BenchmarkStoreEncodeV2"] = Entry{NsPerOp: 95, AllocsPerOp: 0}
-	out.Reset()
-	if err := compare(baseline, current, 8, &out); err != nil {
-		t.Errorf("0-alloc encode bench failed: %v\n%s", err, out.String())
+	// The v2 frame encoder's and the instrumented deny path's 0-alloc
+	// contracts are absolute: they fail even when the baseline itself
+	// had regressed to a nonzero count.
+	for _, name := range []string{"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabledDeny"} {
+		baseline := map[string]Entry{name: {NsPerOp: 90, AllocsPerOp: 1}}
+		current := map[string]Entry{name: {NsPerOp: 90, AllocsPerOp: 1}}
+		var out strings.Builder
+		if err := compare(baseline, current, 8, &out); err == nil {
+			t.Errorf("%s: nonzero allocs passed, want failure", name)
+		}
+		current[name] = Entry{NsPerOp: 95, AllocsPerOp: 0}
+		out.Reset()
+		if err := compare(baseline, current, 8, &out); err != nil {
+			t.Errorf("%s: 0 allocs failed: %v\n%s", name, err, out.String())
+		}
 	}
 }
 
@@ -274,12 +277,14 @@ func TestValidateWrappedStoreReport(t *testing.T) {
 }
 
 func TestValidateEncodeBenchZeroAlloc(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "bench.json")
-	body := `{"BenchmarkStoreEncodeV2": {"ns_per_op": 90, "allocs_per_op": 2}}`
-	if err := os.WriteFile(p, []byte(body), 0o600); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := validate(p); err == nil {
-		t.Error("committed JSON with allocating encode bench passed validation")
+	for _, name := range []string{"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabledDeny"} {
+		p := filepath.Join(t.TempDir(), "bench.json")
+		body := `{"` + name + `": {"ns_per_op": 90, "allocs_per_op": 2}}`
+		if err := os.WriteFile(p, []byte(body), 0o600); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if err := validate(p); err == nil {
+			t.Errorf("committed JSON with allocating %s passed validation", name)
+		}
 	}
 }

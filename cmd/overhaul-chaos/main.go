@@ -124,7 +124,7 @@ func report(res *chaos.Result, verbose bool) {
 			res.StoreRecords, res.StoreFaults, res.StoreReopens)
 	}
 	if len(res.Flight) > 0 && (verbose || !res.Ok()) {
-		fmt.Printf("flight:  %d dump(s); last dump:\n", res.FlightDumps)
+		fmt.Printf("flight:  %d dump(s) taken; last dump:\n", res.FlightDumps)
 		for _, l := range res.Flight {
 			fmt.Println("  " + l)
 		}

@@ -107,7 +107,8 @@ type Result struct {
 	// recorder dump — the black-box snapshot taken at the final denial,
 	// degradation, or invariant violation. Empty when nothing tripped.
 	Flight []string `json:"flight,omitempty"`
-	// FlightDumps counts every dump taken across the campaign.
+	// FlightDumps counts every dump taken across the campaign,
+	// including those evicted to keep the recorder's DumpCapacity.
 	FlightDumps int `json:"flight_dumps"`
 	// StoreRecords is the durable store's final record count (0 when
 	// no StoreDir was set); StoreFaults counts injected store failures
@@ -366,7 +367,7 @@ func Run(c Campaign) (*Result, error) {
 	r.res.Kernel = sys.Kernel.StatsSnapshot()
 	r.res.X = sys.X.StatsSnapshot()
 	_, r.res.Degraded = sys.Kernel.Monitor().DegradedReason()
-	r.res.FlightDumps = len(r.tel.FlightDumps())
+	r.res.FlightDumps = int(r.tel.FlightTrips())
 	if dump, ok := r.tel.LastFlightDump(); ok {
 		if raw, err := dump.JSONL(); err == nil {
 			r.res.Flight = strings.Split(strings.TrimRight(string(raw), "\n"), "\n")

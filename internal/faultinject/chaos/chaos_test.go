@@ -6,6 +6,7 @@ import (
 
 	"overhaul/internal/faultinject"
 	"overhaul/internal/monitor"
+	"overhaul/internal/telemetry"
 )
 
 // TestCampaignFaultFree checks the harness itself: with no faults and
@@ -220,5 +221,22 @@ func TestCampaignFlightDump(t *testing.T) {
 	}
 	if res.Transcript() != res2.Transcript() {
 		t.Errorf("flight-bearing transcript not reproducible across runs")
+	}
+}
+
+// TestCampaignEveryDenialTrips pins "no denial is silent" on the flight
+// side: every monitor denial trips the recorder, so the campaign's trip
+// count covers the denial count even though only DumpCapacity dumps
+// are retained.
+func TestCampaignEveryDenialTrips(t *testing.T) {
+	res, err := Run(Campaign{Seed: 7, Steps: 250, Rules: faultinject.DefaultRules()})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Monitor.Denials <= telemetry.DefaultDumpCapacity {
+		t.Fatalf("only %d denials; the campaign no longer outruns the dump ring", res.Monitor.Denials)
+	}
+	if uint64(res.FlightDumps) < res.Monitor.Denials {
+		t.Errorf("flight_dumps = %d, want >= %d denials", res.FlightDumps, res.Monitor.Denials)
 	}
 }

@@ -88,6 +88,27 @@ func BenchmarkDecideTelemetryEnabled(b *testing.B) {
 	}
 }
 
+// BenchmarkDecideTelemetryEnabledDeny is the instrumented deny path:
+// the same monitor asked about a stale stamp, so every Decide denies
+// and trips the flight recorder.
+func BenchmarkDecideTelemetryEnabledDeny(b *testing.B) {
+	m, opTime := benchMonitor(b, telemetry.New(clock.NewSimulated()))
+	opTime = opTime.Add(staleBy)
+	for i := 0; i < benchWarmup; i++ {
+		if m.Decide(7, OpMic, opTime) != VerdictDeny {
+			b.Fatal("stale op time granted")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Decide(7, OpMic, opTime)
+	}
+}
+
+// staleBy moves a benchMonitor op time far past any δ.
+const staleBy = time.Hour
+
 // TestDecideTelemetryEnabledZeroAlloc hard-asserts that the fully
 // instrumented Decide path allocates NOTHING per op in steady state:
 // counters, histograms, span attributes, the structured
@@ -105,6 +126,24 @@ func TestDecideTelemetryEnabledZeroAlloc(t *testing.T) {
 		m.Decide(7, OpMic, opTime)
 	}); avg != 0 {
 		t.Errorf("Decide with telemetry allocates %.1f times per op, want 0", avg)
+	}
+}
+
+// TestDecideTelemetryEnabledDenyZeroAlloc is the deny-path twin: a
+// denial under telemetry records its decision and trips the flight
+// recorder with structured fields, so it allocates nothing either.
+func TestDecideTelemetryEnabledDenyZeroAlloc(t *testing.T) {
+	m, opTime := benchMonitorT(t, telemetry.New(clock.NewSimulated()))
+	opTime = opTime.Add(staleBy)
+	for i := 0; i < benchWarmup; i++ {
+		if m.Decide(7, OpMic, opTime) != VerdictDeny {
+			t.Fatal("stale op time granted")
+		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		m.Decide(7, OpMic, opTime)
+	}); avg != 0 {
+		t.Errorf("denying Decide with telemetry allocates %.1f times per op, want 0", avg)
 	}
 }
 

@@ -27,7 +27,6 @@ package monitor
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -621,8 +620,7 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 			// Every denial trips the flight recorder: the dump's final
 			// events carry the deny reason plus whatever preceded it
 			// (injected faults, channel loss, stale stamps).
-			m.tel.TripFlight(span.Context(), "monitor",
-				"deny pid="+strconv.Itoa(pid)+" op="+string(op)+": "+reason)
+			m.tel.TripDenial(span.Context(), "monitor", pid, string(op), reason)
 		}
 	}
 
@@ -654,8 +652,7 @@ func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opT
 	if m.tel.Enabled() {
 		m.countDecision(op, VerdictDeny)
 		m.metrics.denialsRecorded.Add(1)
-		m.tel.TripFlight(ctx, "monitor",
-			"deny pid="+strconv.Itoa(pid)+" op="+string(op)+": "+reason)
+		m.tel.TripDenial(ctx, "monitor", pid, string(op), reason)
 	}
 }
 

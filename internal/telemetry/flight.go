@@ -21,19 +21,23 @@ type FlightEvent struct {
 	Trace     TraceID   `json:"trace,omitempty"`
 	Span      SpanID    `json:"span,omitempty"`
 
-	// Structured decision payload (RecordDecision). Detail is rendered
-	// from it lazily when the ring is snapshot, so recording a decision
-	// allocates nothing.
+	// Structured payload of RecordDecision and TripDenial. Detail is
+	// rendered from it only when the event is copied out, so recording
+	// a decision or tripping on a denial allocates nothing.
 	decPID     int
 	decOp      string
 	decVerdict string
 	decReason  string
 }
 
-// render materialises Detail from the structured decision fields. Only
-// snapshot paths call it; the ring keeps the raw fields.
+// render materialises Detail from the structured fields. Only the
+// copy-out paths call it; the ring keeps the raw fields.
 func (ev *FlightEvent) render() {
-	if ev.Detail == "" && ev.decOp != "" {
+	switch {
+	case ev.Detail != "":
+	case ev.Kind == "trip" && ev.decVerdict != "":
+		ev.Detail = ev.decVerdict + " pid=" + strconv.Itoa(ev.decPID) + " op=" + ev.decOp + ": " + ev.decReason
+	case ev.decOp != "":
 		ev.Detail = "pid=" + strconv.Itoa(ev.decPID) + " op=" + ev.decOp +
 			" " + ev.decVerdict + ": " + ev.decReason
 	}
@@ -52,14 +56,29 @@ type FlightDump struct {
 // flightStore is the flight-recorder ring plus its retained dumps,
 // behind their own lock so recording an event never contends with the
 // tracer or the metrics registry.
+//
+// A dump is a seq window, not a copy: the flightCap events ending at
+// its trip event, whose time and detail are the dump's time and
+// reason. The ring holds 2×flightCap events so a window stays in place
+// for flightCap events after its trip; FlightEvents shows the newest
+// flightCap. Reads copy a window out, and a retained dump is copied
+// aside (once) just before its window starts to be overwritten.
 type flightStore struct {
-	mu           sync.Mutex
-	seq          uint64
-	ring         []FlightEvent // bounded by flightCap
-	head         int
-	n            int
-	dumps        []FlightDump // bounded by dumpCap
-	dumpsDropped uint64
+	mu   sync.Mutex
+	seq  uint64        // newest event; event q lives at ring[(q-1)%len(ring)]
+	ring []FlightEvent // 2×flightCap, allocated on first use
+	// dumps is a ring of retained dumps, the oldest at dumpHead. The
+	// newest lazy of them are still windows into ring.
+	dumps                  []retainedDump
+	dumpHead, nDumps, lazy int
+	dumpsDropped           uint64
+}
+
+// retainedDump is a dump as stored: its trip event's seq and, once
+// copied aside, its unrendered window.
+type retainedDump struct {
+	seq    uint64
+	events []FlightEvent
 }
 
 // RecordEvent appends an event to the flight ring. ctx may be zero.
@@ -67,14 +86,17 @@ func (r *Recorder) RecordEvent(ctx SpanContext, subsystem, kind, detail string) 
 	if r == nil {
 		return
 	}
-	r.recordEvent(FlightEvent{
-		Time:      r.now(),
-		Subsystem: subsystem,
-		Kind:      kind,
-		Detail:    detail,
-		Trace:     ctx.Trace,
-		Span:      ctx.Span,
-	})
+	now := r.now()
+	f := &r.flight
+	f.mu.Lock()
+	s := r.slotLocked()
+	s.Time = now
+	s.Subsystem = subsystem
+	s.Kind = kind
+	s.Detail = detail
+	s.Trace = ctx.Trace
+	s.Span = ctx.Span
+	f.mu.Unlock()
 }
 
 // RecordDecision appends a Kind "decision" event carrying the verdict
@@ -90,8 +112,8 @@ func (r *Recorder) RecordDecision(ctx SpanContext, subsystem string, pid int, op
 	f := &r.flight
 	f.mu.Lock()
 	// Filled in place: decisions are the hot path, and FlightEvent is
-	// large enough that the construct-then-copy shape recordEvent uses
-	// shows up in profiles.
+	// large enough that a construct-then-copy shape shows up in
+	// profiles.
 	s := r.slotLocked()
 	s.Time = now
 	s.Subsystem = subsystem
@@ -105,83 +127,110 @@ func (r *Recorder) RecordDecision(ctx SpanContext, subsystem string, pid int, op
 	f.mu.Unlock()
 }
 
-// recordEvent stamps the sequence number and pushes ev into the ring,
-// evicting the oldest entry when full.
-func (r *Recorder) recordEvent(ev FlightEvent) {
-	f := &r.flight
-	f.mu.Lock()
-	r.recordEventLocked(ev)
-	f.mu.Unlock()
-}
-
-// recordEventLocked is recordEvent with f.mu already held (TripFlight
-// records and snapshots under one critical section).
-func (r *Recorder) recordEventLocked(ev FlightEvent) {
-	s := r.slotLocked()
-	seq := s.Seq
-	*s = ev
-	s.Seq = seq
-}
-
 // slotLocked claims the next ring slot — sequence-stamped and
-// otherwise zeroed — evicting the oldest entry when full. Requires
-// f.mu held; the caller fills the slot before unlocking.
+// otherwise zeroed — first copying aside every lazy dump whose window
+// holds the event it overwrites. Requires f.mu held; the caller
+// fills the slot before unlocking.
 func (r *Recorder) slotLocked() *FlightEvent {
 	f := &r.flight
-	f.seq++
 	if f.ring == nil {
-		f.ring = make([]FlightEvent, r.flightCap)
+		f.ring = make([]FlightEvent, 2*r.flightCap)
 	}
-	var s *FlightEvent
-	if f.n < r.flightCap {
-		s = &f.ring[(f.head+f.n)%r.flightCap]
-		f.n++
-	} else {
-		s = &f.ring[f.head]
-		f.head = (f.head + 1) % r.flightCap
+	f.seq++
+	// Copy aside, oldest first, every lazy dump whose window holds the
+	// event this slot overwrites (seq − 2×flightCap). Reads hand out
+	// their own copies, so the buffer is reused.
+	for ; f.lazy > 0 && f.seq > uint64(len(f.ring)); f.lazy-- {
+		d := &f.dumps[(f.dumpHead+f.nDumps-f.lazy)%r.dumpCap]
+		if d.seq+uint64(r.flightCap) >= f.seq {
+			break // window starts after the overwritten event
+		}
+		d.events = r.windowLocked(d.seq, d.events[:0])
 	}
+	s := f.at(f.seq)
 	*s = FlightEvent{Seq: f.seq}
 	return s
 }
 
-// TripFlight records a trip event and snapshots the ring into a dump.
-// Call it when a denial, a degradation, or an invariant violation
-// fires; the dump's final events then explain what led up to it.
+// at returns the ring slot of event q.
+func (f *flightStore) at(q uint64) *FlightEvent {
+	return &f.ring[(q-1)%uint64(len(f.ring))]
+}
+
+// windowLocked appends the raw events of the window ending at event q
+// to dst, allocated to fit when nil.
+func (r *Recorder) windowLocked(q uint64, dst []FlightEvent) []FlightEvent {
+	lo := uint64(1)
+	if q > uint64(r.flightCap) {
+		lo = q - uint64(r.flightCap) + 1
+	}
+	if dst == nil {
+		dst = make([]FlightEvent, 0, q-lo+1)
+	}
+	for ; lo <= q; lo++ {
+		dst = append(dst, *r.flight.at(lo))
+	}
+	return dst
+}
+
+// renderDump renders a caller-owned window ending at event q in place
+// and returns it as the dump tripped there.
+func renderDump(q uint64, events []FlightEvent) FlightDump {
+	for i := range events {
+		events[i].render()
+	}
+	trip := &events[len(events)-1]
+	return FlightDump{Seq: q, Time: trip.Time, Reason: trip.Detail, Events: events}
+}
+
+// TripFlight records a trip event and retains a flight dump ending at
+// it. Call it when a denial, a degradation, or an invariant violation
+// fires; the dump's final events then explain what led up to it. The
+// trip is O(1) and copies nothing.
 func (r *Recorder) TripFlight(ctx SpanContext, subsystem, reason string) {
+	r.trip(ctx, subsystem, reason, 0, "", "", "")
+}
+
+// TripDenial is TripFlight for a denial, with the reason in structured
+// form the way RecordDecision takes a verdict: "deny pid=N op=X:
+// reason" is rendered only when the dump is read, so tripping
+// allocates nothing.
+func (r *Recorder) TripDenial(ctx SpanContext, subsystem string, pid int, op, reason string) {
+	r.trip(ctx, subsystem, "", pid, op, "deny", reason)
+}
+
+// trip records a Kind "trip" event with the given detail or structured
+// fields and retains a lazy dump ending at it.
+func (r *Recorder) trip(ctx SpanContext, subsystem, detail string, pid int, op, verdict, reason string) {
 	if r == nil {
 		return
 	}
 	now := r.now()
 	f := &r.flight
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	r.recordEventLocked(FlightEvent{
-		Time:      now,
-		Subsystem: subsystem,
-		Kind:      "trip",
-		Detail:    reason,
-		Trace:     ctx.Trace,
-		Span:      ctx.Span,
-	})
-	events := make([]FlightEvent, 0, f.n)
-	for i := 0; i < f.n; i++ {
-		ev := f.ring[(f.head+i)%r.flightCap]
-		ev.render()
-		events = append(events, ev)
+	s := r.slotLocked()
+	s.Time = now
+	s.Subsystem = subsystem
+	s.Kind = "trip"
+	s.Detail = detail
+	s.Trace = ctx.Trace
+	s.Span = ctx.Span
+	s.decPID = pid
+	s.decOp = op
+	s.decVerdict = verdict
+	s.decReason = reason
+	if f.dumps == nil {
+		f.dumps = make([]retainedDump, r.dumpCap)
 	}
-	d := FlightDump{
-		Seq:    f.seq,
-		Time:   now,
-		Reason: reason,
-		Events: events,
-	}
-	if len(f.dumps) >= r.dumpCap {
-		copy(f.dumps, f.dumps[1:])
-		f.dumps[len(f.dumps)-1] = d
+	if f.nDumps == r.dumpCap {
+		f.dumpHead = (f.dumpHead + 1) % r.dumpCap
 		f.dumpsDropped++
 	} else {
-		f.dumps = append(f.dumps, d)
+		f.nDumps++
 	}
+	f.dumps[(f.dumpHead+f.nDumps-1)%r.dumpCap].seq = s.Seq
+	f.lazy = min(f.lazy+1, f.nDumps)
+	f.mu.Unlock()
 }
 
 // FlightEvents returns the current ring contents, oldest first.
@@ -192,16 +241,13 @@ func (r *Recorder) FlightEvents() []FlightEvent {
 	f := &r.flight
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, f.n)
-	for i := 0; i < f.n; i++ {
-		ev := f.ring[(f.head+i)%r.flightCap]
-		ev.render()
-		out = append(out, ev)
+	if f.seq == 0 {
+		return []FlightEvent{}
 	}
-	return out
+	return renderDump(f.seq, r.windowLocked(f.seq, nil)).Events
 }
 
-// FlightDumps returns retained dumps, oldest first.
+// FlightDumps returns copies of the retained dumps, oldest first.
 func (r *Recorder) FlightDumps() []FlightDump {
 	if r == nil {
 		return nil
@@ -209,12 +255,14 @@ func (r *Recorder) FlightDumps() []FlightDump {
 	f := &r.flight
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightDump, len(f.dumps))
-	copy(out, f.dumps)
+	out := make([]FlightDump, f.nDumps)
+	for i := range out {
+		out[i] = r.dumpLocked(i)
+	}
 	return out
 }
 
-// LastFlightDump returns the most recent dump, if any.
+// LastFlightDump returns a copy of the most recent dump, if any.
 func (r *Recorder) LastFlightDump() (FlightDump, bool) {
 	if r == nil {
 		return FlightDump{}, false
@@ -222,10 +270,33 @@ func (r *Recorder) LastFlightDump() (FlightDump, bool) {
 	f := &r.flight
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.dumps) == 0 {
+	if f.nDumps == 0 {
 		return FlightDump{}, false
 	}
-	return f.dumps[len(f.dumps)-1], true
+	return r.dumpLocked(f.nDumps - 1), true
+}
+
+// FlightTrips counts every dump taken: the retained ones plus those
+// evicted to keep DumpCapacity.
+func (r *Recorder) FlightTrips() uint64 {
+	if r == nil {
+		return 0
+	}
+	f := &r.flight
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return uint64(f.nDumps) + f.dumpsDropped
+}
+
+// dumpLocked returns a caller-owned, rendered copy of retained dump i,
+// oldest first.
+func (r *Recorder) dumpLocked(i int) FlightDump {
+	f := &r.flight
+	d := &f.dumps[(f.dumpHead+i)%r.dumpCap]
+	if i >= f.nDumps-f.lazy {
+		return renderDump(d.seq, r.windowLocked(d.seq, nil))
+	}
+	return renderDump(d.seq, append([]FlightEvent(nil), d.events...))
 }
 
 // JSONL renders the dump as one JSON object per line: a header line

@@ -17,10 +17,12 @@
 //     are sequential (never random), propagated across the kernel↔X
 //     netlink channel and the IPC stamp-carrying paths the same way
 //     interaction timestamps already propagate;
-//   - a flight recorder: a bounded ring of recent events that is
-//     snapshot-dumped whenever a denial, a degradation, or a
-//     chaos-invariant violation fires, so every fail-closed event is
-//     explainable after the fact.
+//   - a flight recorder: a bounded ring of recent events that a
+//     denial, a degradation, or a chaos-invariant violation trips, so
+//     every fail-closed event is explainable after the fact. A trip
+//     costs O(1) and allocates nothing: its dump is a window of the
+//     ring, copied out only when read or before the ring overwrites
+//     it, and a denial's reason is rendered only then.
 //
 // A nil *Recorder is the disabled state: every method is a no-op and
 // the instrumented hot paths (monitor.Decide in particular) add zero

@@ -262,8 +262,8 @@ func TestFormatTraceOrphanSpans(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse hammers one recorder from several goroutines; run
-// with -race in CI per the issue's satellite task.
+// TestConcurrentUse hammers one recorder from several goroutines while
+// another reads the flight dumps back; run with -race in CI.
 func TestConcurrentUse(t *testing.T) {
 	r := NewWithOptions(clock.NewSimulated(), Options{SpanCapacity: 64, FlightCapacity: 32, DumpCapacity: 2})
 	var wg sync.WaitGroup
@@ -276,19 +276,55 @@ func TestConcurrentUse(t *testing.T) {
 				r.Observe("m", "lat", "", time.Microsecond)
 				s := r.StartSpan(SpanContext{}, "m", "op")
 				s.Annotate("i", "x")
+				// An ended span goes back to the free list for another
+				// goroutine to reuse, so take its context first.
+				ctx := s.Context()
 				s.End()
-				r.RecordEvent(s.Context(), "m", "k", "d")
-				if i%50 == 0 {
-					r.TripFlight(s.Context(), "m", "trip")
+				r.RecordEvent(ctx, "m", "k", "d")
+				r.RecordDecision(ctx, "m", g, "mic", "deny", "stale")
+				switch i % 50 {
+				case 0:
+					r.TripFlight(ctx, "m", "trip")
+				case 25:
+					r.TripDenial(ctx, "m", g, "mic", "stale")
 				}
 			}
 		}()
 	}
+	done := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-done:
+				read <- reads
+				return
+			default:
+			}
+			for _, d := range r.FlightDumps() {
+				if len(d.Events) == 0 || d.Events[len(d.Events)-1].Detail != d.Reason {
+					t.Errorf("dump %d: last event does not carry the reason %q", d.Seq, d.Reason)
+				}
+			}
+			if d, ok := r.LastFlightDump(); ok && d.Events[len(d.Events)-1].Kind != "trip" {
+				t.Errorf("dump %d does not end at its trip", d.Seq)
+			}
+			reads++
+		}
+	}()
 	wg.Wait()
+	close(done)
+	if <-read == 0 {
+		t.Error("reader never ran")
+	}
 	if got := r.CounterValue("m", "ops", ""); got != 800 {
 		t.Fatalf("counter = %d, want 800", got)
 	}
 	if len(r.FlightDumps()) != 2 {
 		t.Fatalf("dumps = %d, want 2", len(r.FlightDumps()))
+	}
+	if got := r.FlightTrips(); got != 32 {
+		t.Fatalf("trips = %d, want 32", got)
 	}
 }
