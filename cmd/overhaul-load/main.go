@@ -6,7 +6,7 @@
 //
 //	overhaul-load [-sessions n] [-duration d] [-mix name] [-workers n]
 //	              [-seed n] [-json] [-store dir] [-batch-records n]
-//	              [-batch-bytes n] [-flush-interval d] [-sink-batch n]
+//	              [-batch-bytes n] [-sink-batch n]
 //
 // The generator is open-loop: every event has a scheduled arrival time
 // drawn from the mix's arrival process before the run starts ticking,
@@ -15,7 +15,10 @@
 // generator silently self-throttles when the system under test slows
 // down (coordinated omission); this one instead accumulates lateness
 // into the reported quantiles, which is the honest number for "can one
-// machine hold N desks".
+// machine hold N desks". A worker sleeps only until sleepSlack before
+// an arrival and yields the rest of the way, so a timer's wake-up
+// lateness is not charged to the system; what lateness remains (send
+// time minus due time) is reported as its own p50 and p99.
 //
 // Traffic mixes come from internal/workload: "poisson-desks"
 // (independent interactive users), "bot-storm" (bursty automated
@@ -31,13 +34,12 @@
 // With -store DIR every session's decisions additionally sink into a
 // shared durable audit store through per-session batching sinks
 // (auditstore.BatchSink → FileStore group commit). The store's
-// group-commit bounds are exposed as -batch-records/-batch-bytes and
-// the leader linger as -flush-interval; -sink-batch sets how many
-// decisions a session buffers before handing the store one batch. The
-// report gains a throughput section (records/sec, batch-size
-// histogram, dropped-ack count) and the -json output becomes the
-// wrapped {"benchmarks": …, "store": …} shape, which
-// overhaul-benchjson -check also validates — including that
+// group-commit bounds are exposed as -batch-records/-batch-bytes;
+// -sink-batch sets how many decisions a session buffers before handing
+// the store one batch. The report gains a throughput section
+// (records/sec, batch-size histogram, dropped-ack count) and the -json
+// output becomes the wrapped {"benchmarks": …, "store": …} shape,
+// which overhaul-benchjson -check also validates — including that
 // dropped_acks is zero.
 package main
 
@@ -76,7 +78,6 @@ func run() error {
 	storeDir := flag.String("store", "", "sink every decision into a durable audit store at this directory and report its throughput")
 	batchRecords := flag.Int("batch-records", auditstore.DefaultBatchRecords, "store group-commit bound: records per durable batch")
 	batchBytes := flag.Int("batch-bytes", auditstore.DefaultBatchBytes, "store group-commit bound: encoded bytes per durable batch")
-	flushInterval := flag.Duration("flush-interval", 0, "store group-commit linger: how long a leader waits for followers (0 = commit immediately)")
 	sinkBatch := flag.Int("sink-batch", 32, "decisions a session buffers before handing the store one batch")
 	flag.Parse()
 
@@ -98,9 +99,8 @@ func run() error {
 		scfg = &storeConfig{
 			dir: *storeDir,
 			opts: auditstore.Options{
-				BatchRecords:  *batchRecords,
-				BatchBytes:    *batchBytes,
-				FlushInterval: *flushInterval,
+				BatchRecords: *batchRecords,
+				BatchBytes:   *batchBytes,
 			},
 			sinkBatch: *sinkBatch,
 		}
@@ -183,6 +183,7 @@ type report struct {
 	decisions uint64
 	notifies  uint64
 	lat       *telemetry.LatencyHist
+	late      *telemetry.LatencyHist // generator lateness: send time minus due time
 	stats     fleet.FleetStats
 	store     *storeReport // nil without -store
 }
@@ -261,28 +262,28 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 	}
 
 	hists := make([]*telemetry.LatencyHist, workers)
+	lates := make([]*telemetry.LatencyHist, workers)
 	counts := make([]struct{ events, decisions, notifies uint64 }, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		hists[w] = &telemetry.LatencyHist{}
+		lates[w] = &telemetry.LatencyHist{}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			h := parts[w]
 			heap.Init(&h)
-			hist := hists[w]
+			hist, late := hists[w], lates[w]
 			end := deadline.UnixNano()
 			for len(h) > 0 {
 				ls := h[0]
 				if ls.nextAt >= end {
 					break // every remaining arrival is past the deadline
 				}
-				// Open loop: sleep until the scheduled arrival if we are
+				// Open loop: wait for the scheduled arrival if we are
 				// early; if we are late, fire immediately and let the
 				// lateness land in the measured latency.
-				if wait := ls.nextAt - clk.Now().UnixNano(); wait > 0 {
-					time.Sleep(time.Duration(wait)) //overhaul:allow clockcheck open-loop pacing waits real wall time until the scheduled arrival
-				}
+				late.Observe(waitUntil(clk, ls.nextAt))
 				ev := ls.next
 				var err error
 				if ev.Notify {
@@ -313,9 +314,11 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 		elapsed = duration // idle tail after the last pre-deadline arrival
 	}
 
-	rep := &report{bootTime: bootTime, elapsed: elapsed, lat: &telemetry.LatencyHist{}, stats: f.StatsSnapshot()}
+	rep := &report{bootTime: bootTime, elapsed: elapsed, lat: &telemetry.LatencyHist{},
+		late: &telemetry.LatencyHist{}, stats: f.StatsSnapshot()}
 	for w := 0; w < workers; w++ {
 		rep.lat.Merge(hists[w])
+		rep.late.Merge(lates[w])
 		rep.events += counts[w].events
 		rep.decisions += counts[w].decisions
 		rep.notifies += counts[w].notifies
@@ -341,6 +344,27 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 	return rep, nil
 }
 
+// sleepSlack is how early a worker must be before it sleeps: a sleep
+// wakes up late by tens of microseconds or more, so the last stretch
+// before an arrival is spent yielding instead.
+const sleepSlack = 2 * time.Millisecond
+
+// waitUntil blocks until the unix-nanos instant due and returns how
+// late the release was.
+func waitUntil(clk clock.System, due int64) time.Duration {
+	for {
+		early := time.Duration(due - clk.Now().UnixNano())
+		if early <= 0 {
+			return -early
+		}
+		if early > sleepSlack {
+			time.Sleep(early - sleepSlack) //overhaul:allow clockcheck open-loop pacing waits real wall time until the scheduled arrival
+		} else {
+			runtime.Gosched()
+		}
+	}
+}
+
 // benchEntry mirrors overhaul-benchjson's Entry.
 type benchEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -348,16 +372,18 @@ type benchEntry struct {
 }
 
 // benchEntries renders the report as a benchjson-compatible map:
-// latency quantiles and mean inter-completion time (1e9 / throughput),
-// all in nanoseconds.
+// latency quantiles, generator lateness quantiles and mean
+// inter-completion time (1e9 / throughput), all in nanoseconds.
 func (r *report) benchEntries(mix string, sessions int) map[string]benchEntry {
 	prefix := fmt.Sprintf("BenchmarkFleetLoad/mix=%s/sessions=%d", mix, sessions)
-	s := r.lat.Summary()
+	s, late := r.lat.Summary(), r.late.Summary()
 	out := map[string]benchEntry{
-		prefix + "/metric=p50":  {NsPerOp: nonZero(float64(s.P50))},
-		prefix + "/metric=p99":  {NsPerOp: nonZero(float64(s.P99))},
-		prefix + "/metric=p999": {NsPerOp: nonZero(float64(s.P999))},
-		prefix + "/metric=max":  {NsPerOp: nonZero(float64(s.Max))},
+		prefix + "/metric=p50":          {NsPerOp: nonZero(float64(s.P50))},
+		prefix + "/metric=p99":          {NsPerOp: nonZero(float64(s.P99))},
+		prefix + "/metric=p999":         {NsPerOp: nonZero(float64(s.P999))},
+		prefix + "/metric=max":          {NsPerOp: nonZero(float64(s.Max))},
+		prefix + "/metric=gen_late_p50": {NsPerOp: nonZero(float64(late.P50))},
+		prefix + "/metric=gen_late_p99": {NsPerOp: nonZero(float64(late.P99))},
 	}
 	if r.events > 0 && r.elapsed > 0 {
 		out[prefix+"/metric=interarrival"] = benchEntry{NsPerOp: float64(r.elapsed) / float64(r.events)}
@@ -387,6 +413,8 @@ func (r *report) print(w *os.File, mix string, sessions, workers int) {
 		r.stats.Grants, r.stats.Denials, r.stats.DroppedAudit)
 	fmt.Fprintf(w, "  latency (scheduled→done): p50=%v p90=%v p99=%v p999=%v max=%v\n",
 		s.P50, s.P90, s.P99, s.P999, s.Max)
+	late := r.late.Summary()
+	fmt.Fprintf(w, "  generator lateness (scheduled→sent): p50=%v p99=%v\n", late.P50, late.P99)
 	if r.store != nil {
 		sec := r.store.section()
 		fmt.Fprintf(w, "  durable store: %d records in %v (%.0f records/sec), %d batches (max %d), final flush %v\n",

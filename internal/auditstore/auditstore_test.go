@@ -304,6 +304,65 @@ func TestFileStoreManualCompact(t *testing.T) {
 	checkPrefix(t, st, 40)
 }
 
+// TestFileStoreSyncOption runs a store with Options.Sync through every
+// path that fsyncs — rotation, an automatic tier merge, Compact and
+// Close — with both Append and AppendBatch, then reopens it and checks
+// that the trail is intact and the recovery clean.
+func TestFileStoreSyncOption(t *testing.T) {
+	dir := t.TempDir()
+	opts := auditstore.Options{SegmentRecords: 4, CompactSealed: 3, Sync: true}
+	st, err := auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	n := 0
+	for ; n < 10; n++ {
+		if _, err := st.Append(mkRecord(n)); err != nil {
+			t.Fatalf("append %d: %v", n, err)
+		}
+	}
+	batch := make([]auditstore.Record, 0, 6)
+	for i := 0; i < 6; i++ {
+		batch = append(batch, mkRecord(n+i))
+	}
+	if _, err := st.AppendBatch(batch); err != nil {
+		t.Fatalf("append batch: %v", err)
+	}
+	n += len(batch)
+	for ; n < 30; n++ {
+		if _, err := st.Append(mkRecord(n)); err != nil {
+			t.Fatalf("append %d: %v", n, err)
+		}
+	}
+	merged := st.BatchStats().CompactedRecords
+	if merged == 0 {
+		t.Fatal("no tier merge ran")
+	}
+	if sealed, _ := st.SegmentCount(); sealed < 2 {
+		t.Fatalf("sealed = %d, want >= 2 so Compact has work", sealed)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if st.BatchStats().CompactedRecords == merged {
+		t.Fatal("Compact rewrote nothing")
+	}
+	checkPrefix(t, st, n)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	st2, err := auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st2.Close() //overhaul:allow errdrop test cleanup
+	if rec := st2.Recovery(); !rec.Clean || rec.Records != n {
+		t.Fatalf("reopen recovery = %+v, want clean %d records", rec, n)
+	}
+	checkPrefix(t, st2, n)
+}
+
 func TestFileStoreFailClosed(t *testing.T) {
 	dir := t.TempDir()
 	inj, err := faultinject.New(1, faultinject.Rule{

@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"time"
 
-	"overhaul/internal/clock"
 	"overhaul/internal/faultinject"
 )
 
 // Group commit. Concurrent Append callers enqueue their records under
 // the store mutex; the first-comer becomes the commit leader, drains
-// the queue into batches bounded by Options.BatchRecords/BatchBytes
-// (optionally lingering FlushInterval on the store clock to fill a
-// batch), and issues one framed segment write per batch. Followers
-// wait on the condition variable until their sequence number is
-// durable. The crash contract is exactly the serial store's: a record
+// the queue into batches bounded by Options.BatchRecords/BatchBytes,
+// and issues one framed segment write per batch. The leader never
+// waits for more records: a batch is whatever queued while the
+// previous write ran. Followers wait on the condition variable until
+// their sequence number is durable. The crash contract is exactly the serial store's: a record
 // is acknowledged only after the write carrying it returned, so the
 // recovered prefix always contains every acknowledged record and
 // never an unsubmitted one. Two new fault windows extend the crash
@@ -129,8 +126,6 @@ func (fs *FileStore) Append(r Record) (uint64, error) {
 	r.Seq = seq
 	fs.lastSeq = seq
 	fs.queue = append(fs.queue, r)
-	fs.queueBytes += estimateSize(&r)
-	fs.wakeLingerLocked()
 	//overhaul:allow lockordercheck group-commit leader handoff: awaitDurableLocked either waits on the condvar (which releases mu) or leads via runCommitsLocked, which explicitly unlocks before the segment write and relocks to acknowledge — mu is never acquired while held
 	if err := fs.awaitDurableLocked(seq); err != nil {
 		fs.mu.Unlock()
@@ -173,9 +168,7 @@ func (fs *FileStore) AppendBatch(recs []Record) (uint64, error) {
 		r.Seq = fs.lastSeq
 		last = r.Seq
 		fs.queue = append(fs.queue, r)
-		fs.queueBytes += estimateSize(&r)
 	}
-	fs.wakeLingerLocked()
 	if err := fs.awaitDurableLocked(last); err != nil {
 		fs.mu.Unlock()
 		return 0, err
@@ -227,12 +220,10 @@ func (fs *FileStore) awaitDurableLocked(seq uint64) error {
 // leadership released.
 func (fs *FileStore) runCommitsLocked() {
 	for len(fs.queue) > 0 && fs.failed == nil && !fs.closed {
-		fs.lingerLocked()
-		n, bytes := fs.cutLocked()
+		n := fs.cutLocked()
 		fs.batch = append(fs.batch[:0], fs.queue[:n]...)
 		rest := copy(fs.queue, fs.queue[n:])
 		fs.queue = fs.queue[:rest]
-		fs.queueBytes -= bytes
 		fs.mu.Unlock()
 
 		err := fs.commitBatch(fs.batch)
@@ -250,70 +241,11 @@ func (fs *FileStore) runCommitsLocked() {
 	fs.commitDone.Broadcast()
 }
 
-// lingerLocked waits up to FlushInterval on the store clock for the
-// queue to fill a whole batch. On the system clock the leader sleeps
-// on a real timer and is woken early by an enqueue or Close (via
-// wakeLingerLocked), so a sparse appender costs no CPU during the
-// linger window. A virtual clock has no timer to sleep on, so that
-// path keeps the yield-poll: simulated-clock tests advance the clock
-// from another goroutine, and the yield lets it run. mu is held on
-// entry and exit, released while sleeping or yielding.
-func (fs *FileStore) lingerLocked() {
-	if fs.opts.FlushInterval <= 0 {
-		return
-	}
-	full := func() bool {
-		return len(fs.queue) >= fs.opts.BatchRecords || fs.queueBytes >= fs.opts.BatchBytes
-	}
-	if full() {
-		return
-	}
-	_, timed := fs.opts.Clock.(clock.System)
-	deadline := fs.opts.Clock.Now().Add(fs.opts.FlushInterval)
-	for !full() && fs.failed == nil && !fs.closed {
-		remain := deadline.Sub(fs.opts.Clock.Now())
-		if remain <= 0 {
-			return
-		}
-		if timed {
-			select {
-			case <-fs.lingerWake: // drain a stale token from a prior round
-			default:
-			}
-			fs.lingering = true
-			fs.mu.Unlock()
-			t := time.NewTimer(remain) //overhaul:allow clockcheck the linger deadline is measured on the injected store clock; the timer only bounds the real-time sleep when that clock IS the system clock
-			select {
-			case <-fs.lingerWake:
-			case <-t.C:
-			}
-			t.Stop()
-			fs.mu.Lock()
-			fs.lingering = false
-		} else {
-			fs.mu.Unlock()
-			runtime.Gosched()
-			fs.mu.Lock()
-		}
-	}
-}
-
-// wakeLingerLocked pokes a leader sleeping in lingerLocked so it
-// re-examines the queue (or the closed flag) immediately. Called with
-// mu held; the buffered send never blocks.
-func (fs *FileStore) wakeLingerLocked() {
-	if fs.lingering {
-		select {
-		case fs.lingerWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // cutLocked sizes the next batch: at least one record, at most
 // BatchRecords, stopping before a record that would push the encoded
 // estimate past BatchBytes.
-func (fs *FileStore) cutLocked() (n, bytes int) {
+func (fs *FileStore) cutLocked() int {
+	n, bytes := 0, 0
 	for n < len(fs.queue) && n < fs.opts.BatchRecords {
 		sz := estimateSize(&fs.queue[n])
 		if n > 0 && bytes+sz > fs.opts.BatchBytes {
@@ -322,7 +254,7 @@ func (fs *FileStore) cutLocked() (n, bytes int) {
 		bytes += sz
 		n++
 	}
-	return n, bytes
+	return n
 }
 
 // commitBatch writes one batch to the active segment and indexes it.

@@ -2,13 +2,11 @@ package auditstore_test
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"overhaul/internal/auditstore"
-	"overhaul/internal/clock"
 	"overhaul/internal/faultinject"
 )
 
@@ -316,48 +314,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFlushInterval exercises the linger path on the
-// virtual clock: a lone append lingers until the flush deadline and
-// then commits as a singleton batch.
-func TestGroupCommitFlushInterval(t *testing.T) {
-	clk := clock.NewSimulated()
-	st, err := auditstore.Open(t.TempDir(), auditstore.Options{
-		BatchRecords: 8, FlushInterval: 10 * time.Millisecond, Clock: clk,
-	})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Append(mkRecord(0))
-		done <- err
-	}()
-	// The leader is lingering on the simulated clock; advance it until
-	// the deadline passes and the batch commits.
-	deadline := time.After(5 * time.Second) //overhaul:allow clockcheck watchdog for a test that otherwise hangs; the store itself runs on the simulated clock
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("append: %v", err)
-			}
-			stats := st.BatchStats()
-			if stats.Batches != 1 || stats.Records != 1 {
-				t.Fatalf("stats = %+v, want one singleton batch", stats)
-			}
-			checkPrefix(t, st, 1)
-			return
-		case <-deadline:
-			t.Fatal("append never completed under the simulated clock")
-		default:
-			clk.Advance(time.Millisecond)
-			runtime.Gosched()
-		}
-	}
-}
-
 // TestAppendDuringCompactCompletes pins the leadership hand-off: an
 // Append that enqueues while Compact owns the committing flag must be
 // promoted to commit leader when Compact releases it. A follower that
@@ -427,66 +383,6 @@ func TestAppendDuringCompactCompletes(t *testing.T) {
 		t.Fatal("compact never returned")
 	}
 	checkPrefix(t, st, seeded+1)
-}
-
-// TestGroupCommitFlushIntervalSystemClock exercises the timer-based
-// linger: on the system clock a lone append sleeps out FlushInterval
-// (no yield-polling) and then commits as a singleton batch, and Close
-// wakes a lingering leader early instead of waiting out its timer.
-func TestGroupCommitFlushIntervalSystemClock(t *testing.T) {
-	st, err := auditstore.Open(t.TempDir(), auditstore.Options{
-		BatchRecords: 8, FlushInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Append(mkRecord(0))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	case <-time.After(10 * time.Second): //overhaul:allow clockcheck watchdog for a test that otherwise hangs; FlushInterval here intentionally runs on the real system clock
-		t.Fatal("append never completed its linger on the system clock")
-	}
-	if stats := st.BatchStats(); stats.Batches != 1 || stats.Records != 1 {
-		t.Fatalf("stats = %+v, want one singleton batch", stats)
-	}
-	checkPrefix(t, st, 1)
-
-	// A leader lingering with a long interval must be woken by Close.
-	st2, err := auditstore.Open(t.TempDir(), auditstore.Options{
-		BatchRecords: 8, FlushInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	done2 := make(chan error, 1)
-	go func() {
-		_, err := st2.Append(mkRecord(0))
-		done2 <- err
-	}()
-	time.Sleep(20 * time.Millisecond) //overhaul:allow clockcheck give the appender real time to start its hour-long real-clock linger before Close interrupts it
-	if err := st2.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	select {
-	case err := <-done2:
-		if err == nil {
-			// The linger may have raced Close and committed first;
-			// either outcome is legal, a hang is not.
-			return
-		}
-		if !errors.Is(err, auditstore.ErrClosed) {
-			t.Fatalf("append interrupted by close: %v, want ErrClosed", err)
-		}
-	case <-time.After(10 * time.Second): //overhaul:allow clockcheck watchdog: without the linger wake-up this append sleeps a full hour
-		t.Fatal("Close did not wake the lingering commit leader")
-	}
 }
 
 // TestBatchBucketLabels pins the histogram bucket naming the load

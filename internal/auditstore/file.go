@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"overhaul/internal/clock"
 	"overhaul/internal/faultinject"
 )
 
@@ -38,16 +36,6 @@ type Options struct {
 	// BatchBytes caps the encoded size of one group-commit batch.
 	// Zero selects DefaultBatchBytes.
 	BatchBytes int
-	// FlushInterval makes the commit leader linger up to this long on
-	// the store clock before cutting a short batch, trading ack
-	// latency for batch size under concurrent load. Zero commits as
-	// soon as the queue is drained into a batch. The linger busy-yields
-	// on the virtual clock, so simulated-clock tests must advance the
-	// clock from another goroutine.
-	FlushInterval time.Duration
-	// Clock is the time source for FlushInterval. Nil selects the
-	// system clock.
-	Clock clock.Clock
 	// Hook is the fault-injection hook consulted at every write seam
 	// (append, batch commit, rotation, compaction). Nil never injects.
 	// Recovery (Open) runs fault-free by construction: reopening is the
@@ -123,12 +111,6 @@ type FileStore struct {
 	mu         sync.Mutex
 	commitDone sync.Cond
 	queue      []Record
-	queueBytes int
-	// lingering marks a leader asleep in lingerLocked on a real timer;
-	// lingerWake (buffered, capacity 1) wakes it early on enqueue or
-	// Close so the linger never outlives the reason for it.
-	lingering  bool
-	lingerWake chan struct{}
 	lastSeq    uint64 // last assigned sequence number
 	durableSeq uint64 // last durably committed sequence number
 	committing bool   // a commit leader (or exclusive op) owns the file state
@@ -186,14 +168,10 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if opts.BatchBytes <= 0 {
 		opts.BatchBytes = DefaultBatchBytes
 	}
-	if opts.Clock == nil {
-		opts.Clock = clock.System{}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("auditstore: open %s: %w", dir, err)
 	}
-	fs := &FileStore{dir: dir, opts: opts, mem: NewMemStore(), nextID: 1, curMax: math.MinInt64,
-		lingerWake: make(chan struct{}, 1)}
+	fs := &FileStore{dir: dir, opts: opts, mem: NewMemStore(), nextID: 1, curMax: math.MinInt64}
 	fs.commitDone.L = &fs.mu
 	if err := fs.recover(); err != nil {
 		return nil, err
@@ -672,7 +650,6 @@ func (fs *FileStore) Close() error {
 		return ErrClosed
 	}
 	fs.closed = true
-	fs.wakeLingerLocked()
 	fs.commitDone.Broadcast()
 	for fs.committing {
 		fs.commitDone.Wait()

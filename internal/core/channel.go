@@ -30,12 +30,10 @@ const (
 // fail-closed degraded mode. Backoff is realised on the simulated
 // clock — the channel never sleeps on a wall clock.
 type channel struct {
-	hub     *netlink.Hub
-	clk     clock.Clock
-	pid     int // the X server's PID (the peer of every message)
-	retries int
-	backoff time.Duration
-	onDown  func(reason string)
+	hub    *netlink.Hub
+	clk    clock.Clock
+	pid    int // the X server's PID (the peer of every message)
+	onDown func(reason string)
 
 	mu   sync.Mutex
 	conn *netlink.Conn
@@ -56,7 +54,7 @@ func permanent(err error) bool {
 // than the fault.
 func (ch *channel) pause(attempt int) {
 	if sim, ok := ch.clk.(*clock.Simulated); ok {
-		sim.Advance(ch.backoff << (attempt - 1))
+		sim.Advance(DefaultChannelBackoff << (attempt - 1))
 	}
 }
 
@@ -97,7 +95,7 @@ func (ch *channel) call(msg any) (any, error) {
 		return nil, ErrChannelDown
 	}
 	var lastErr error
-	for attempt := 0; attempt <= ch.retries; attempt++ {
+	for attempt := 0; attempt <= DefaultChannelRetries; attempt++ {
 		if attempt > 0 {
 			ch.pause(attempt)
 		}
@@ -121,7 +119,7 @@ func (ch *channel) callUser(msg any) (any, error) {
 		return nil, ErrChannelDown
 	}
 	var lastErr error
-	for attempt := 0; attempt <= ch.retries; attempt++ {
+	for attempt := 0; attempt <= DefaultChannelRetries; attempt++ {
 		if attempt > 0 {
 			ch.pause(attempt)
 		}

@@ -9,7 +9,10 @@
 // device mapping current. The result is a System through which
 // simulated applications, users, and malware interact; every Overhaul
 // enforcement decision flows through the same seams as in the paper's
-// prototype.
+// prototype. As in the paper, the display server sends one interaction
+// notification N_{A,t} per authentic input and the monitor keeps the
+// newest stamp; every netlink call retries DefaultChannelRetries times
+// before the channel is declared down.
 package core
 
 import (
@@ -47,19 +50,6 @@ type (
 		PID  int
 		Time time.Time
 		Ctx  telemetry.SpanContext
-	}
-	// interactionItem is one coalesced notification inside an
-	// interactionBatchMsg; fields as in interactionMsg.
-	interactionItem struct {
-		PID  int
-		Time time.Time
-		Ctx  telemetry.SpanContext
-	}
-	// interactionBatchMsg carries several coalesced N_{A,t} in one
-	// netlink message (batched-notify mode, Options.NotifyBatch). Items
-	// hold at most one entry per pid, newest-wins.
-	interactionBatchMsg struct {
-		Items []interactionItem
 	}
 	// queryMsg is Q_{A,t}; Ctx as in interactionMsg.
 	queryMsg struct {
@@ -133,24 +123,6 @@ type Options struct {
 	// server all consult it at their named fault points. Chaos
 	// campaigns pass a seeded faultinject.Injector hook here.
 	FaultHook faultinject.Hook
-	// ChannelRetries bounds retransmissions of a failed netlink call
-	// before the channel is declared down. Zero selects
-	// DefaultChannelRetries; negative disables retries.
-	ChannelRetries int
-	// ChannelBackoff is the first retry's backoff (doubling per
-	// attempt), realised on the simulated clock. Zero selects
-	// DefaultChannelBackoff.
-	ChannelBackoff time.Duration
-	// NotifyBatch, when > 1, coalesces interaction notifications into
-	// batched netlink messages of up to NotifyBatch items (one per pid,
-	// newest-wins — the same rule the monitor applies on receipt, so
-	// coalescing never changes the converged stamp). A batch flushes
-	// when full, before every permission query that crosses the
-	// channel, and on System.FlushNotifications. Buffered items are not
-	// yet visible to kernel-side device mediation, so callers relying
-	// on an immediate stamp (outside the query path) must flush. Values
-	// <= 1 disable batching: every notification is its own call.
-	NotifyBatch int
 	// AuditCapacity forwards the monitor's audit-ring size. Zero
 	// selects the monitor default (1024). Chaos campaigns raise it so
 	// the invariant checker never loses records to ring eviction.
@@ -179,7 +151,6 @@ type System struct {
 	xConn       *netlink.Conn
 	xProc       *kernel.Process
 	userHandler netlink.Handler
-	batcher     *notifyBatcher // nil unless Options.NotifyBatch > 1
 	enforce     bool
 	tel         *telemetry.Recorder
 }
@@ -189,9 +160,8 @@ type System struct {
 // through the retrying channel wrapper, so transient faults are
 // absorbed and persistent ones degrade the whole system closed.
 type xPolicy struct {
-	ch    *channel
-	tel   *telemetry.Recorder // nil-safe; shared with the whole system
-	batch *notifyBatcher      // nil unless batched-notify mode is on
+	ch  *channel
+	tel *telemetry.Recorder // nil-safe; shared with the whole system
 }
 
 var _ xserver.Policy = (*xPolicy)(nil)
@@ -201,12 +171,6 @@ var _ xserver.Policy = (*xPolicy)(nil)
 // span context rides the wire inside the message so the kernel-side
 // monitor span links back here.
 func (p *xPolicy) NotifyInteraction(ctx telemetry.SpanContext, pid int, t time.Time) error {
-	if p.batch != nil {
-		// Batched-notify mode: buffer (coalescing per pid); the wire
-		// span is minted by the batch flush instead. The input span
-		// still rides inside the item so the kernel-side trace links.
-		return p.batch.buffer(ctx, pid, t)
-	}
 	span := p.tel.StartSpan(ctx, "netlink", "notify_call")
 	defer span.End()
 	_, err := p.ch.call(interactionMsg{PID: pid, Time: t, Ctx: span.Context()})
@@ -218,14 +182,6 @@ func (p *xPolicy) NotifyInteraction(ctx telemetry.SpanContext, pid int, t time.T
 
 // Query implements xserver.Policy.
 func (p *xPolicy) Query(ctx telemetry.SpanContext, pid int, op monitor.Op, t time.Time) (monitor.Verdict, error) {
-	if p.batch != nil {
-		// A query must never outrun a buffered notification: flush
-		// first so the monitor decides against the freshest stamps. A
-		// flush failure is left to the channel's own retry/degradation
-		// policy — the query below then meets a degraded (deny-all)
-		// monitor, which is the fail-closed outcome we want.
-		_ = p.batch.flush()
-	}
 	span := p.tel.StartSpan(ctx, "netlink", "query_call")
 	defer span.End()
 	reply, err := p.ch.call(queryMsg{PID: pid, Op: op, Time: t, Ctx: span.Context()})
@@ -308,17 +264,6 @@ func Boot(opts Options) (*System, error) {
 		switch m := msg.(type) {
 		case interactionMsg:
 			return nil, k.Monitor().NotifyCtx(m.Ctx, m.PID, m.Time)
-		case interactionBatchMsg:
-			// Deliver every item even when one fails (unknown pids may
-			// have exited between buffering and delivery); the first
-			// error reports, matching single-notify semantics.
-			var firstErr error
-			for _, it := range m.Items {
-				if err := k.Monitor().NotifyCtx(it.Ctx, it.PID, it.Time); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			return nil, firstErr
 		case queryMsg:
 			return queryReply{Verdict: k.Monitor().DecideCtx(m.Ctx, m.PID, m.Op, m.Time)}, nil
 		default:
@@ -341,23 +286,10 @@ func Boot(opts Options) (*System, error) {
 	// directions. When it declares the channel dead the monitor flips
 	// into fail-closed degraded mode: with no working path to the
 	// trusted input source, every sensitive access must deny.
-	retries := opts.ChannelRetries
-	switch {
-	case retries == 0:
-		retries = DefaultChannelRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := opts.ChannelBackoff
-	if backoff <= 0 {
-		backoff = DefaultChannelBackoff
-	}
 	sys.ch = &channel{
-		hub:     hub,
-		clk:     clk,
-		pid:     xProc.PID(),
-		retries: retries,
-		backoff: backoff,
+		hub: hub,
+		clk: clk,
+		pid: xProc.PID(),
 		onDown: func(reason string) {
 			k.Monitor().SetDegraded(reason)
 		},
@@ -389,12 +321,7 @@ func Boot(opts Options) (*System, error) {
 
 	var policy xserver.Policy
 	if opts.Enforce || opts.ForceGrant {
-		xp := &xPolicy{ch: sys.ch, tel: opts.Telemetry}
-		if opts.NotifyBatch > 1 {
-			sys.batcher = newNotifyBatcher(sys.ch, opts.NotifyBatch, opts.Telemetry)
-			xp.batch = sys.batcher
-		}
-		policy = xp
+		policy = &xPolicy{ch: sys.ch, tel: opts.Telemetry}
 	}
 	x, err = xserver.NewServer(clk, policy, xserver.Config{
 		VisibilityThreshold: opts.VisibilityThreshold,
@@ -491,16 +418,6 @@ func (s *System) ReconnectX() error {
 	s.Kernel.Monitor().ClearDegraded()
 	s.X.ClearDegraded()
 	return nil
-}
-
-// FlushNotifications delivers any interaction notifications buffered by
-// batched-notify mode (Options.NotifyBatch). A no-op when batching is
-// off or nothing is pending.
-func (s *System) FlushNotifications() error {
-	if s.batcher == nil {
-		return nil
-	}
-	return s.batcher.flush()
 }
 
 // ChannelDown reports whether the kernel↔X channel is currently

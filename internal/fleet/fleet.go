@@ -28,7 +28,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,9 +47,6 @@ type Config struct {
 	// Policy is the shared decision rule. A zero Threshold selects
 	// monitor.DefaultThreshold.
 	Policy monitor.Policy
-	// AlertOps lists ops whose decisions raise alerts; nil selects the
-	// monitor's kernel-side default (mic, cam, other devices).
-	AlertOps []monitor.Op
 	// AuditCapacity bounds each session's audit ring. Sessions are
 	// numerous, so the default is deliberately small: 64 records.
 	AuditCapacity int
@@ -93,7 +89,6 @@ func New(cfg Config) (*Fleet, error) {
 		Threshold:     cfg.Policy.Threshold,
 		ForceGrant:    cfg.Policy.Force,
 		Enforce:       cfg.Policy.Enforce,
-		AlertOps:      slices.Clone(cfg.AlertOps), // read again by every CreateSession
 		AuditCapacity: cfg.AuditCapacity,
 	}}
 	if f.monCfg.AuditCapacity == 0 {

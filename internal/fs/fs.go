@@ -158,23 +158,24 @@ func New(clk clock.Clock) *FS {
 	return f
 }
 
-// splitPath normalises an absolute path into components. It rejects
-// relative paths and empty components.
-func splitPath(path string) ([]string, error) {
+// trimPath validates an absolute path and returns its components
+// joined by single slashes, with the leading and trailing slashes cut
+// ("" for the root itself). It rejects relative paths and empty, "."
+// and ".." components. Callers walk the result in place with
+// strings.Cut, so resolving a path allocates nothing.
+func trimPath(path string) (string, error) {
 	if path == "" || path[0] != '/' {
-		return nil, fmt.Errorf("%w: %q", ErrInvalidPath, path)
+		return "", fmt.Errorf("%w: %q", ErrInvalidPath, path)
 	}
 	trimmed := strings.Trim(path, "/")
-	if trimmed == "" {
-		return nil, nil // the root itself
-	}
-	parts := strings.Split(trimmed, "/")
-	for _, p := range parts {
+	for rest := trimmed; rest != ""; {
+		var p string
+		p, rest, _ = strings.Cut(rest, "/")
 		if p == "" || p == "." || p == ".." {
-			return nil, fmt.Errorf("%w: %q", ErrInvalidPath, path)
+			return "", fmt.Errorf("%w: %q", ErrInvalidPath, path)
 		}
 	}
-	return parts, nil
+	return trimmed, nil
 }
 
 // checkPerm reports whether cred may perform the given access on n.
@@ -205,12 +206,14 @@ func checkPerm(n *node, cred Cred, access Access) bool {
 
 // lookup walks the tree to the node at path. Requires f.mu held.
 func (f *FS) lookup(path string) (*node, error) {
-	parts, err := splitPath(path)
+	rest, err := trimPath(path)
 	if err != nil {
 		return nil, err
 	}
 	cur := f.root
-	for _, p := range parts {
+	for rest != "" {
+		var p string
+		p, rest, _ = strings.Cut(rest, "/")
 		if cur.kind != KindDirectory {
 			return nil, fmt.Errorf("%s: %w", path, ErrNotDirectory)
 		}
@@ -226,15 +229,21 @@ func (f *FS) lookup(path string) (*node, error) {
 // lookupParent resolves the parent directory of path and returns it with
 // the final component name. Requires f.mu held.
 func (f *FS) lookupParent(path string) (*node, string, error) {
-	parts, err := splitPath(path)
+	trimmed, err := trimPath(path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if trimmed == "" {
 		return nil, "", fmt.Errorf("%w: %q refers to the root", ErrInvalidPath, path)
 	}
+	rest, name := "", trimmed
+	if i := strings.LastIndexByte(trimmed, '/'); i >= 0 {
+		rest, name = trimmed[:i], trimmed[i+1:]
+	}
 	cur := f.root
-	for _, p := range parts[:len(parts)-1] {
+	for rest != "" {
+		var p string
+		p, rest, _ = strings.Cut(rest, "/")
 		next, ok := cur.children[p]
 		if !ok {
 			return nil, "", fmt.Errorf("%s: %w", path, ErrNotExist)
@@ -244,7 +253,7 @@ func (f *FS) lookupParent(path string) (*node, string, error) {
 		}
 		cur = next
 	}
-	return cur, parts[len(parts)-1], nil
+	return cur, name, nil
 }
 
 // newNode allocates an inode. Requires f.mu held.
@@ -291,14 +300,14 @@ func (f *FS) Mkdir(path string, mode Mode, cred Cred) error {
 // MkdirAll creates a directory at path along with any missing parents.
 // Existing directories along the way are accepted.
 func (f *FS) MkdirAll(path string, mode Mode, cred Cred) error {
-	parts, err := splitPath(path)
+	trimmed, err := trimPath(path)
 	if err != nil {
 		return err
 	}
-	prefix := ""
-	for _, p := range parts {
-		prefix += "/" + p
-		err := f.Mkdir(prefix, mode, cred)
+	for rest := trimmed; rest != ""; {
+		_, rest, _ = strings.Cut(rest, "/")
+		prefix := strings.TrimSuffix(trimmed[:len(trimmed)-len(rest)], "/")
+		err := f.Mkdir("/"+prefix, mode, cred)
 		if err != nil && !errors.Is(err, ErrExist) {
 			return err
 		}

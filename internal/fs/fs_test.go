@@ -459,3 +459,58 @@ func TestLookupThroughFileFails(t *testing.T) {
 		t.Fatalf("Stat through file = %v, want ErrNotDirectory", err)
 	}
 }
+
+// TestPathErrorIdentity pins which error a bad path reports, for the
+// full-path walk (Stat) and the parent walk (Mkdir). The whole path is
+// validated before the walk, so ErrInvalidPath wins even when an
+// earlier component is missing or is a file.
+func TestPathErrorIdentity(t *testing.T) {
+	f, _ := newTestFS(t)
+	if err := f.MkdirAll("/d/e", 0o755, Root); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	if err := f.WriteFile("/d/file", nil, 0o644, Root); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	tests := []struct {
+		path string
+		want error
+	}{
+		{"", ErrInvalidPath},
+		{"relative/x", ErrInvalidPath},
+		{"/d//e/x", ErrInvalidPath},
+		{"/d/./e/x", ErrInvalidPath},
+		{"/missing/../x", ErrInvalidPath},
+		{"/missing/x/.", ErrInvalidPath},
+		{"/d/file/x/..", ErrInvalidPath},
+		{"/missing/x", ErrNotExist},
+		{"/d/missing/x", ErrNotExist},
+		{"/d/file/x/y", ErrNotDirectory},
+	}
+	for _, tt := range tests {
+		if _, err := f.Stat(tt.path); !errors.Is(err, tt.want) {
+			t.Errorf("Stat(%q) = %v, want %v", tt.path, err, tt.want)
+		}
+		if err := f.Mkdir(tt.path, 0o755, Root); !errors.Is(err, tt.want) {
+			t.Errorf("Mkdir(%q) = %v, want %v", tt.path, err, tt.want)
+		}
+	}
+}
+
+// TestStatDeepPathZeroAlloc pins that resolving a path allocates
+// nothing: the walk cuts components out of the path in place.
+func TestStatDeepPathZeroAlloc(t *testing.T) {
+	f, _ := newTestFS(t)
+	const deep = "/a/b/c/d/e/f/g/h"
+	if err := f.MkdirAll(deep, 0o755, Root); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.Stat(deep + "/"); err != nil {
+			t.Fatalf("Stat: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Stat(%q) allocates %.1f times per call, want 0", deep, allocs)
+	}
+}

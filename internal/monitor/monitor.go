@@ -150,14 +150,6 @@ type Config struct {
 	// audit records are produced but everything is granted. Used by
 	// the unprotected baseline machine in the §V-D experiment.
 	Enforce bool
-	// AlertOps lists operations whose decisions raise a visual alert
-	// *from the kernel side* (V_{A,op} over the netlink channel).
-	// That covers kernel-mediated hardware devices; for
-	// display-manager-mediated resources the display manager raises
-	// the alert itself (screen capture) or stays silent by design
-	// (clipboard — usability, §V-C). Nil selects that default. Every
-	// entry must be one of the Op constants above.
-	AlertOps []Op
 	// AuditCapacity bounds the audit ring (oldest records are dropped).
 	// Zero means DefaultAuditCapacity.
 	AuditCapacity int
@@ -175,11 +167,15 @@ type Config struct {
 // DefaultAuditCapacity is the audit ring size when Config leaves it 0.
 const DefaultAuditCapacity = 1024
 
-// defaultAlertOps covers the kernel-mediated device operations. Screen
-// capture alerts are raised by the display manager directly (it can
-// identify the requesting process without kernel assistance, §III-C),
-// and clipboard operations are silent but logged.
-var defaultAlertOps = []Op{OpMic, OpCam, OpOther}
+// alertOps is the set of operations whose decisions raise a visual
+// alert from the kernel side (V_{A,op} over the netlink channel),
+// indexed by opIndex so the decision path tests membership without
+// hashing the op string. It covers the kernel-mediated devices: mic,
+// cam and other. Screen capture alerts are raised by the display
+// manager directly (it can identify the requesting process without
+// kernel assistance, §III-C), and clipboard operations are silent but
+// logged (usability, §V-C).
+var alertOps = [6]bool{3: true, 4: true, 5: true} // OpMic, OpCam, OpOther
 
 // auditRing is the audit log: one bounded ring under one lock, filled
 // in place so the hot path never allocates once the ring exists.
@@ -235,11 +231,8 @@ type Monitor struct {
 	threshold time.Duration
 	force     bool
 	enforce   bool
-	// alertOps is the alert set indexed by opIndex: the decision path
-	// tests membership without hashing the op string.
-	alertOps [6]bool
-	auditCap int
-	tel      *telemetry.Recorder // nil-safe; nil means disabled
+	auditCap  int
+	tel       *telemetry.Recorder // nil-safe; nil means disabled
 
 	// Probe attach points, resolved once at construction. Each costs
 	// one atomic load per decision while unattached (nil when the
@@ -310,17 +303,6 @@ func (m *Monitor) Init(tasks TaskStore, cfg Config) error {
 	}
 	if m.auditCap < 0 {
 		return fmt.Errorf("monitor: negative audit capacity %d", m.auditCap)
-	}
-	alertOps := cfg.AlertOps
-	if alertOps == nil {
-		alertOps = defaultAlertOps
-	}
-	for _, op := range alertOps {
-		i := opIndex(op)
-		if i < 0 {
-			return fmt.Errorf("monitor: unknown alert op %q", op)
-		}
-		m.alertOps[i] = true
 	}
 	m.tasks = tasks
 	m.force = cfg.ForceGrant
@@ -602,7 +584,7 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 	}
 	alertFn := m.alertSink()
 	oi := opIndex(op)
-	sendAlert := alertFn != nil && oi >= 0 && m.alertOps[oi]
+	sendAlert := alertFn != nil && oi >= 0 && alertOps[oi]
 	if sendAlert {
 		m.stats.alertsSent.Add(1)
 	}

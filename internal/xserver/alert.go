@@ -110,7 +110,7 @@ func (s *Server) showAlertLocked(pid int, op Op, blocked, degraded bool) Alert {
 		last := &s.alerts[n-1]
 		if last.PID == pid && last.Op == op && last.Blocked == blocked &&
 			last.Degraded == degraded && !last.RenderFailed && now.Before(last.Expires) {
-			last.Expires = now.Add(s.cfg.AlertDuration)
+			last.Expires = now.Add(DefaultAlertDuration)
 			return *last
 		}
 	}
@@ -122,7 +122,7 @@ func (s *Server) showAlertLocked(pid int, op Op, blocked, degraded bool) Alert {
 		Blocked:  blocked,
 		Degraded: degraded,
 		ShownAt:  now,
-		Expires:  now.Add(s.cfg.AlertDuration),
+		Expires:  now.Add(DefaultAlertDuration),
 	})
 }
 

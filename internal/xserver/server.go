@@ -33,16 +33,10 @@ const DefaultAlertDuration = 3 * time.Second
 
 // Config parameterises the server.
 type Config struct {
-	// Width and Height give the screen size in pixels. Zero selects
-	// 1920×1080.
-	Width, Height int
 	// VisibilityThreshold gates interaction notifications; zero
 	// selects DefaultVisibilityThreshold; negative disables the
 	// defence entirely (ablation only).
 	VisibilityThreshold time.Duration
-	// AlertDuration controls overlay lifetime; zero selects
-	// DefaultAlertDuration.
-	AlertDuration time.Duration
 	// AlertSecret is the user-chosen visual shared secret rendered
 	// into every authentic alert (the cat image in the paper's
 	// Figure 5).
@@ -149,23 +143,11 @@ func NewServer(clk clock.Clock, policy Policy, cfg Config) (*Server, error) {
 	if clk == nil {
 		return nil, errors.New("xserver: nil clock")
 	}
-	if cfg.Width == 0 {
-		cfg.Width = 1920
-	}
-	if cfg.Height == 0 {
-		cfg.Height = 1080
-	}
-	if cfg.Width < 0 || cfg.Height < 0 {
-		return nil, fmt.Errorf("xserver: invalid screen %dx%d", cfg.Width, cfg.Height)
-	}
 	switch {
 	case cfg.VisibilityThreshold == 0:
 		cfg.VisibilityThreshold = DefaultVisibilityThreshold
 	case cfg.VisibilityThreshold < 0:
 		cfg.VisibilityThreshold = 0 // defence off
-	}
-	if cfg.AlertDuration == 0 {
-		cfg.AlertDuration = DefaultAlertDuration
 	}
 	return &Server{
 		clk:        clk,
@@ -222,7 +204,7 @@ func (s *Server) degradeLocked(reason string) {
 		Blocked:  true,
 		Degraded: true,
 		ShownAt:  now,
-		Expires:  now.Add(s.cfg.AlertDuration),
+		Expires:  now.Add(DefaultAlertDuration),
 	})
 }
 

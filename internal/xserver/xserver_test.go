@@ -431,9 +431,6 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(nil, nil, Config{}); err == nil {
 		t.Fatal("NewServer(nil clock) succeeded")
 	}
-	if _, err := NewServer(clock.NewSimulated(), nil, Config{Width: -1}); err == nil {
-		t.Fatal("negative screen accepted")
-	}
 	if _, err := NewServer(clock.NewSimulated(), nil, Config{}); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
