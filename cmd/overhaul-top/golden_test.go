@@ -59,3 +59,29 @@ func TestFleetGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestDashboardGolden pins the single-system console byte for byte:
+// the dashboard (metrics, the three 12-span traces, the flight dumps)
+// and the full telemetry snapshot it renders from. Both run on the
+// simulated clock with sequential span IDs, so every byte is
+// reproducible.
+func TestDashboardGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"dashboard.golden", nil},
+		{"dashboard-json.golden", []string{"-json"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runTop(t, c.args...); !bytes.Equal(got, want) {
+				t.Errorf("overhaul-top %v differs from testdata/%s:\n%s", c.args, c.golden, got)
+			}
+		})
+	}
+}
