@@ -269,15 +269,19 @@ func allocsOnly(name string) bool {
 // absolute contract, not merely no-worse-than-baseline: the v2 frame
 // encoder runs once per record inside every group commit, so a single
 // allocation there multiplies across everything the fleet ever
-// appends; and an instrumented denial runs once per blocked spyware
-// read, so an allocation there (the flight dump once copied the whole
-// ring) is paid on every deny. Gated in both validate (the committed
-// JSON) and compare (fresh runs), so a regression cannot slip in by
-// first regressing the baseline.
+// appends; and an instrumented decision — grant or deny, consumed by
+// the telemetry recorder or published to a probe ring — runs once per
+// mediated access, so an allocation there (the flight dump once copied
+// the whole ring) is paid on every one. Gated in both validate (the
+// committed JSON) and compare (fresh runs), so a regression cannot
+// slip in by first regressing the baseline.
 func zeroAllocRequired(name string) bool {
-	return name == "BenchmarkStoreEncodeV2" ||
-		strings.HasPrefix(name, "BenchmarkStoreEncodeV2/") ||
-		name == "BenchmarkDecideTelemetryEnabledDeny"
+	switch name {
+	case "BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
+		"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached":
+		return true
+	}
+	return strings.HasPrefix(name, "BenchmarkStoreEncodeV2/")
 }
 
 // compare prints a gated-benchmark comparison table and errors when any

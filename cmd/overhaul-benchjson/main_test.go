@@ -222,10 +222,10 @@ func TestCompareRequiresOverlap(t *testing.T) {
 }
 
 func TestCompareZeroAllocContract(t *testing.T) {
-	// The v2 frame encoder's and the instrumented deny path's 0-alloc
+	// The v2 frame encoder's and the instrumented decision paths' 0-alloc
 	// contracts are absolute: they fail even when the baseline itself
 	// had regressed to a nonzero count.
-	for _, name := range []string{"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabledDeny"} {
+	for _, name := range zeroAllocContracts {
 		baseline := map[string]Entry{name: {NsPerOp: 90, AllocsPerOp: 1}}
 		current := map[string]Entry{name: {NsPerOp: 90, AllocsPerOp: 1}}
 		var out strings.Builder
@@ -276,8 +276,15 @@ func TestValidateWrappedStoreReport(t *testing.T) {
 	}
 }
 
+// zeroAllocContracts are the benchmarks zeroAllocRequired holds to 0
+// allocs/op.
+var zeroAllocContracts = []string{
+	"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
+	"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached",
+}
+
 func TestValidateEncodeBenchZeroAlloc(t *testing.T) {
-	for _, name := range []string{"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabledDeny"} {
+	for _, name := range zeroAllocContracts {
 		p := filepath.Join(t.TempDir(), "bench.json")
 		body := `{"` + name + `": {"ns_per_op": 90, "allocs_per_op": 2}}`
 		if err := os.WriteFile(p, []byte(body), 0o600); err != nil {

@@ -51,7 +51,6 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/core"
 	"overhaul/internal/devfs"
-	"overhaul/internal/monitor"
 	"overhaul/internal/probe"
 	"overhaul/internal/telemetry"
 )
@@ -152,7 +151,7 @@ func run() int {
 			return 2
 		}
 	case *traceSpan != 0:
-		id, ok := tel.TraceOf(telemetry.SpanID(*traceSpan))
+		id, ok := tel.TraceOf(probe.SpanID(*traceSpan))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "overhaul-top: no span %d recorded\n", *traceSpan)
 			return 1
@@ -187,7 +186,7 @@ func printProbes(reg *probe.Registry, ring *probe.Ring) {
 			break
 		}
 		for i := 0; i < n; i++ {
-			fmt.Println(buf[i].Format(monitor.DefaultThreshold))
+			fmt.Println(buf[i].Format())
 		}
 	}
 }
@@ -230,7 +229,7 @@ func dashboard(tel *telemetry.Recorder) {
 
 // printTraces lists every recorded trace as an indented span tree.
 func printTraces(tel *telemetry.Recorder, snap telemetry.Snapshot) {
-	seen := map[telemetry.TraceID]bool{}
+	seen := map[probe.TraceID]bool{}
 	for _, s := range snap.Spans {
 		if seen[s.Trace] {
 			continue

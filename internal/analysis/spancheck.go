@@ -2,26 +2,32 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"strings"
 )
 
-// Spancheck enforces the telemetry tracing discipline: every span
-// minted with StartSpan must be ended on every return path. A span
-// that is started and never ended stays open in the recorder forever —
-// the decision-path trace renders as truncated, duration accounting is
+// Spancheck enforces the tracing discipline: every span begun with a
+// probe hook's Begin must be ended on every return path. A span that
+// is begun and never ended stays open in the recorder forever — the
+// decision-path trace renders as truncated, duration accounting is
 // wrong, and the span ring fills with zombies. The repository
-// convention is to follow the assignment immediately with
-// defer span.End(); the analyzer also accepts an explicit span.End()
-// reached before every subsequent return.
+// convention is to follow h.Begin(parent, &sp) immediately with
+// defer h.End(&sp); the analyzer also accepts an explicit h.End(&sp)
+// reached before every subsequent return. A span begun inside a
+// branch (the guarded `if h.Wants(pid) { ...; h.Begin(parent, &sp) }`
+// form) may be ended after the branch: its lifetime runs on through
+// the statements that enclose it.
 //
-// Like errdrop, the check is syntactic: any call whose selector is
-// named StartSpan is treated as minting a span, in both the := and =
-// assignment forms. Test files are exempt (they routinely leave spans
-// open to assert on intermediate state).
+// Like errdrop, the check is syntactic: a call statement whose
+// selector is named Begin begins the span of the event variable its
+// last argument addresses, and a call named End on &name ends it. A
+// Begin on anything but &name can never be ended and is flagged. Test
+// files are exempt (they routinely leave spans open to assert on
+// intermediate state).
 var Spancheck = &Analyzer{
 	Name: "spancheck",
-	Doc: "every telemetry.StartSpan result must be ended on all return " +
-		"paths; follow the assignment with defer span.End()",
+	Doc: "every probe Hook.Begin(parent, &sp) must be ended on all return " +
+		"paths; follow it with defer h.End(&sp)",
 	Run: runSpancheck,
 }
 
@@ -41,71 +47,65 @@ func runSpancheck(pass *Pass) {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					spanScanList(pass, fn.Body.List, false)
+					spanScanList(pass, fn.Body.List, nil)
 				}
 			case *ast.FuncLit:
-				spanScanList(pass, fn.Body.List, false)
+				spanScanList(pass, fn.Body.List, nil)
 			}
 			return true
 		})
 	}
 }
 
-// spanScanList walks one statement list looking for StartSpan mints and
-// checks each one's lifetime over the remainder of the list. It also
+// spanScanList walks one statement list looking for Begin mints and
+// checks each one's lifetime over the remainder of the list followed
+// by after, the statements that run once the list completes. It also
 // recurses into composite statements so mints inside branches are
-// found. The protected flag is unused at this level (it belongs to
-// spanLifetime's scan) but keeps the two walkers symmetric.
-func spanScanList(pass *Pass, stmts []ast.Stmt, _ bool) {
+// found.
+func spanScanList(pass *Pass, stmts, after []ast.Stmt) {
 	for i, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.AssignStmt:
-			if name, call, ok := spanMint(s); ok {
-				if name == "_" {
-					pass.Reportf(call.Pos(),
-						"StartSpan result assigned to blank: the span can never be ended")
-					continue
-				}
-				spanLifetime(pass, name, call, stmts[i+1:])
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && isStartSpanCall(call) {
+		rest := append(append([]ast.Stmt(nil), stmts[i+1:]...), after...)
+		if call, ok := callStmt(stmt, "Begin"); ok {
+			if name := addrOf(call); name != "" {
+				spanLifetime(pass, name, call, rest)
+			} else {
 				pass.Reportf(call.Pos(),
-					"result of StartSpan is dropped: assign it and defer its End")
+					"Begin on an unnamed event: the span can never be ended; pass &sp and defer h.End(&sp)")
 			}
 		}
-		spanRecurse(pass, stmt)
+		spanRecurse(pass, stmt, rest)
 	}
 }
 
-// spanRecurse descends into the blocks of a composite statement.
-// Function literals are deliberately skipped: they are separate
-// functions with separate return paths, scanned on their own.
-func spanRecurse(pass *Pass, stmt ast.Stmt) {
+// spanRecurse descends into the blocks of a composite statement, whose
+// successors are after. Function literals are deliberately skipped:
+// they are separate functions with separate return paths, scanned on
+// their own.
+func spanRecurse(pass *Pass, stmt ast.Stmt, after []ast.Stmt) {
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		spanScanList(pass, s.List, false)
+		spanScanList(pass, s.List, after)
 	case *ast.IfStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 		if s.Else != nil {
-			spanRecurse(pass, s.Else)
+			spanRecurse(pass, s.Else, after)
 		}
 	case *ast.ForStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 	case *ast.RangeStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 	case *ast.SwitchStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 	case *ast.TypeSwitchStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 	case *ast.SelectStmt:
-		spanScanList(pass, s.Body.List, false)
+		spanScanList(pass, s.Body.List, after)
 	case *ast.CaseClause:
-		spanScanList(pass, s.Body, false)
+		spanScanList(pass, s.Body, after)
 	case *ast.CommClause:
-		spanScanList(pass, s.Body, false)
+		spanScanList(pass, s.Body, after)
 	case *ast.LabeledStmt:
-		spanRecurse(pass, s.Stmt)
+		spanRecurse(pass, s.Stmt, after)
 	}
 }
 
@@ -114,7 +114,7 @@ func spanRecurse(pass *Pass, stmt ast.Stmt) {
 func spanLifetime(pass *Pass, name string, call *ast.CallExpr, tail []ast.Stmt) {
 	if !spanTailEnds(pass, name, tail, false) {
 		pass.Reportf(call.Pos(),
-			"span %s is never ended: follow the assignment with defer %s.End()", name, name)
+			"span %s is never ended: follow Begin with defer h.End(&%s)", name, name)
 	}
 }
 
@@ -134,7 +134,7 @@ func spanTailEnds(pass *Pass, name string, stmts []ast.Stmt, protected bool) boo
 		switch s := stmt.(type) {
 		case *ast.ReturnStmt:
 			pass.Reportf(s.Pos(),
-				"span %s may not be ended on this return path: add defer %s.End() after StartSpan", name, name)
+				"span %s may not be ended on this return path: add defer h.End(&%s) after Begin", name, name)
 			return true // one report per span-path is enough
 		case *ast.BlockStmt:
 			protected = spanTailEnds(pass, name, s.List, protected)
@@ -166,51 +166,50 @@ func spanTailEnds(pass *Pass, name string, stmts []ast.Stmt, protected bool) boo
 	return protected
 }
 
-// spanMint matches span := x.StartSpan(...) and span = x.StartSpan(...)
-// and returns the bound identifier plus the call.
-func spanMint(s *ast.AssignStmt) (string, *ast.CallExpr, bool) {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-		return "", nil, false
-	}
-	id, ok := s.Lhs[0].(*ast.Ident)
+// callStmt matches a statement that is a call x.method(...).
+func callStmt(stmt ast.Stmt, method string) (*ast.CallExpr, bool) {
+	e, ok := stmt.(*ast.ExprStmt)
 	if !ok {
-		return "", nil, false
+		return nil, false
 	}
-	call, ok := s.Rhs[0].(*ast.CallExpr)
-	if !ok || !isStartSpanCall(call) {
-		return "", nil, false
+	call, ok := e.X.(*ast.CallExpr)
+	if !ok {
+		return nil, false
 	}
-	return id.Name, call, true
-}
-
-// isStartSpanCall matches any call whose selector is named StartSpan.
-func isStartSpanCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "StartSpan"
+	return call, ok && sel.Sel.Name == method
 }
 
-// isDeferEnd matches defer name.End().
+// addrOf returns name when the call's last argument is &name.
+func addrOf(call *ast.CallExpr) string {
+	if len(call.Args) == 0 {
+		return ""
+	}
+	u, ok := call.Args[len(call.Args)-1].(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return ""
+	}
+	id, ok := u.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	return id.Name
+}
+
+// isDeferEnd matches defer h.End(&name).
 func isDeferEnd(stmt ast.Stmt, name string) bool {
 	d, ok := stmt.(*ast.DeferStmt)
 	return ok && isEndOn(d.Call, name)
 }
 
-// isEndCall matches a bare name.End() statement.
+// isEndCall matches a bare h.End(&name) statement.
 func isEndCall(stmt ast.Stmt, name string) bool {
-	e, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := e.X.(*ast.CallExpr)
+	call, ok := callStmt(stmt, "End")
 	return ok && isEndOn(call, name)
 }
 
-// isEndOn matches the call name.End().
+// isEndOn matches the call h.End(&name).
 func isEndOn(call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == name
+	return ok && sel.Sel.Name == "End" && addrOf(call) == name
 }

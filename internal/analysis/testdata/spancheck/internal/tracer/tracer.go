@@ -1,106 +1,149 @@
-// Package tracer is a spancheck fixture: spans minted with StartSpan
-// must be ended on every return path.
+// Package tracer is a spancheck fixture: spans begun with a hook's
+// Begin must be ended on every return path.
 package tracer
 
-// Recorder mimics the telemetry recorder's span-minting surface.
-type Recorder struct{}
+// Hook mimics a probe hook's span surface.
+type Hook struct{}
 
-// Span mimics a telemetry span.
-type Span struct{}
+// Event mimics a probe event: the span's begin and end event.
+type Event struct{ Name string }
 
-// StartSpan mints a span.
-func (r *Recorder) StartSpan(subsystem, name string) *Span { return &Span{} }
+// Begin begins the span of ev.
+func (h *Hook) Begin(parent int, ev *Event) {}
 
-// End closes a span.
-func (s *Span) End() {}
+// End ends the span of ev.
+func (h *Hook) End(ev *Event) {}
+
+// Wants mimics the pid-window guard.
+func (h *Hook) Wants() bool { return true }
 
 func work() {}
 
-// Deferred is the repository convention: assignment immediately
-// followed by defer span.End().
-func Deferred(r *Recorder) {
-	span := r.StartSpan("fix", "deferred")
-	defer span.End()
+// Deferred is the repository convention: Begin immediately followed
+// by defer End.
+func Deferred(h *Hook) {
+	sp := Event{Name: "deferred"}
+	h.Begin(0, &sp)
+	defer h.End(&sp)
 	work()
 }
 
 // Sequential ends the span explicitly before falling off the end.
-func Sequential(r *Recorder) {
-	span := r.StartSpan("fix", "sequential")
+func Sequential(h *Hook) {
+	sp := Event{Name: "sequential"}
+	h.Begin(0, &sp)
 	work()
-	span.End()
+	h.End(&sp)
 }
 
 // EndBeforeEveryReturn ends on the early path and the fall-through.
-func EndBeforeEveryReturn(r *Recorder, cond bool) int {
-	span := r.StartSpan("fix", "branches")
+func EndBeforeEveryReturn(h *Hook, cond bool) int {
+	sp := Event{Name: "branches"}
+	h.Begin(0, &sp)
 	if cond {
-		span.End()
+		h.End(&sp)
 		return 1
 	}
-	span.End()
+	h.End(&sp)
 	return 0
 }
 
-// AssignForm mints through a plain assignment inside a branch, with
-// the defer in the same block — the kernel.Open shape.
-func AssignForm(r *Recorder, sensitive bool) {
-	var span *Span
+// BranchLocal begins and ends inside one branch.
+func BranchLocal(h *Hook, sensitive bool) {
+	var sp Event
 	if sensitive {
-		span = r.StartSpan("fix", "assign")
-		defer span.End()
+		h.Begin(0, &sp)
+		defer h.End(&sp)
 	}
-	_ = span
 	work()
 }
 
-// Dropped discards the span outright.
-func Dropped(r *Recorder) {
-	r.StartSpan("fix", "dropped") // want "result of StartSpan is dropped"
+// Guarded is the guarded form: the span begins inside the guard and
+// the defer after it covers both paths — the kernel.Open shape.
+func Guarded(h *Hook) {
+	var sp Event
+	if h.Wants() {
+		sp = Event{Name: "guarded"}
+		h.Begin(0, &sp)
+	}
+	defer h.End(&sp)
+	work()
 }
 
-// Blank assigns the span to blank, which can never be ended.
-func Blank(r *Recorder) {
-	_ = r.StartSpan("fix", "blank") // want "assigned to blank"
+// GuardedNeverEnded begins inside the guard and never ends.
+func GuardedNeverEnded(h *Hook) {
+	var sp Event
+	if h.Wants() {
+		h.Begin(0, &sp) // want "span sp is never ended"
+	}
+	work()
 }
 
-// NeverEnded starts a span and forgets it.
-func NeverEnded(r *Recorder) {
-	span := r.StartSpan("fix", "leak") // want "span span is never ended"
-	_ = span
+// GuardedEarlyReturn returns between the guard and the defer.
+func GuardedEarlyReturn(h *Hook, cond bool) int {
+	var sp Event
+	if h.Wants() {
+		h.Begin(0, &sp)
+	}
+	if cond {
+		return 1 // want "may not be ended on this return path"
+	}
+	defer h.End(&sp)
+	return 0
+}
+
+// Unnamed begins a span on an event nothing can end.
+func Unnamed(h *Hook) {
+	h.Begin(0, &Event{Name: "unnamed"}) // want "Begin on an unnamed event"
+}
+
+// WrongEvent ends a different event than it began.
+func WrongEvent(h *Hook) {
+	sp, other := Event{}, Event{}
+	h.Begin(0, &sp) // want "span sp is never ended"
+	defer h.End(&other)
+	work()
+}
+
+// NeverEnded begins a span and forgets it.
+func NeverEnded(h *Hook) {
+	sp := Event{Name: "leak"}
+	h.Begin(0, &sp) // want "span sp is never ended"
 	work()
 }
 
 // EarlyReturn leaks the span on the error path.
-func EarlyReturn(r *Recorder, cond bool) int {
-	span := r.StartSpan("fix", "early")
+func EarlyReturn(h *Hook, cond bool) int {
+	sp := Event{Name: "early"}
+	h.Begin(0, &sp)
 	if cond {
 		return 1 // want "may not be ended on this return path"
 	}
-	span.End()
+	h.End(&sp)
 	return 0
 }
 
 // DeferTooLate installs the defer after a return has already escaped.
-func DeferTooLate(r *Recorder, cond bool) int {
-	span := r.StartSpan("fix", "late")
+func DeferTooLate(h *Hook, cond bool) int {
+	sp := Event{Name: "late"}
+	h.Begin(0, &sp)
 	if cond {
 		return 1 // want "may not be ended on this return path"
 	}
-	defer span.End()
+	defer h.End(&sp)
 	return 0
 }
 
 // InsideLiteral checks that function literals are scanned too.
-func InsideLiteral(r *Recorder) func() {
+func InsideLiteral(h *Hook) func() {
 	return func() {
-		span := r.StartSpan("fix", "lit") // want "span span is never ended"
-		_ = span
+		sp := Event{Name: "lit"}
+		h.Begin(0, &sp) // want "span sp is never ended"
 	}
 }
 
 // Suppressed demonstrates the allow annotation.
-func Suppressed(r *Recorder) {
-	span := r.StartSpan("fix", "allowed") //overhaul:allow spancheck fixture demonstrates suppression
-	_ = span
+func Suppressed(h *Hook) {
+	sp := Event{Name: "allowed"}
+	h.Begin(0, &sp) //overhaul:allow spancheck fixture demonstrates suppression
 }

@@ -22,6 +22,16 @@ import (
 	"overhaul/internal/xserver"
 )
 
+// auditAppends reads the monitor.audit_appends counter.
+func auditAppends(tel *telemetry.Recorder) uint64 {
+	for _, p := range tel.MetricsSnapshot() {
+		if p.Subsystem == "monitor" && p.Name == "audit_appends" {
+			return uint64(p.Value)
+		}
+	}
+	return 0
+}
+
 func bootInstrumented(t *testing.T) (*core.System, *telemetry.Recorder, *Writer, string) {
 	t.Helper()
 	clk := clock.NewSimulated()
@@ -80,7 +90,7 @@ func TestAuditAppendsCounterMatchesLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	appends := tel.CounterValue("monitor", "audit_appends", "")
+	appends := auditAppends(tel)
 	if uint64(n) != appends || uint64(len(lines)) != appends {
 		t.Fatalf("audit views disagree: counter=%d flushed=%d lines=%d",
 			appends, n, len(lines))
@@ -146,7 +156,7 @@ func TestConcurrentAppendRaceClean(t *testing.T) {
 		t.Fatalf("LaunchHeadless: %v", err)
 	}
 	mon := sys.Kernel.Monitor()
-	before := tel.CounterValue("monitor", "audit_appends", "")
+	before := auditAppends(tel)
 
 	const perGoroutine = 200
 	opTime := sys.Clock.Now()
@@ -162,7 +172,7 @@ func TestConcurrentAppendRaceClean(t *testing.T) {
 	}
 	wg.Wait()
 
-	appends := tel.CounterValue("monitor", "audit_appends", "") - before
+	appends := auditAppends(tel) - before
 	if appends != 2*perGoroutine {
 		t.Fatalf("audit_appends grew by %d, want %d", appends, 2*perGoroutine)
 	}

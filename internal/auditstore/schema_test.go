@@ -12,6 +12,7 @@ import (
 	"overhaul/internal/auditstore"
 	"overhaul/internal/clock"
 	"overhaul/internal/monitor"
+	"overhaul/internal/probe"
 	"overhaul/internal/telemetry"
 )
 
@@ -111,10 +112,19 @@ func TestRecordSchemaShared(t *testing.T) {
 	// recorder's "decision" event for the same decision.
 	clk := clock.NewSimulatedAt(opTime)
 	tr := telemetry.New(clk)
-	tr.RecordDecision(telemetry.SpanContext{}, "monitor", d.PID, string(d.Op), d.Verdict.String(), d.Reason)
+	reg := probe.NewRegistry()
+	if err := tr.Attach(reg); err != nil {
+		t.Fatal(err)
+	}
+	// The kernel.decide event the monitor emits for d (an op outside
+	// the device vocabulary rides in Detail); the denial trips a dump.
+	reg.Hook(probe.HookKernelDecide).Emit(&probe.Event{
+		Kind: probe.KindDecide, PID: int64(d.PID), TimeNanos: d.OpTime.UnixNano(),
+		StampNanos: d.Stamp.UnixNano(), Verdict: probe.VerdictDeny, Reason: d.Reason, Detail: string(d.Op),
+	})
 	evs := tr.FlightEvents()
-	if len(evs) != 1 {
-		t.Fatalf("flight events = %d, want 1", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("flight events = %d, want the decision and its trip", len(evs))
 	}
 	if evs[0].Detail != rec.Detail() {
 		t.Fatalf("schema drift between store and flight recorder:\n store  %q\n flight %q", rec.Detail(), evs[0].Detail)
@@ -122,7 +132,6 @@ func TestRecordSchemaShared(t *testing.T) {
 
 	// And the flight dump's JSONL carries that same detail string, so
 	// grepping a dump and querying the store match on the same bytes.
-	tr.TripFlight(telemetry.SpanContext{}, "monitor", "schema test")
 	dump, ok := tr.LastFlightDump()
 	if !ok {
 		t.Fatalf("no flight dump after trip")

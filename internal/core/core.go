@@ -49,14 +49,14 @@ type (
 	interactionMsg struct {
 		PID  int
 		Time time.Time
-		Ctx  telemetry.SpanContext
+		Ctx  probe.SpanContext
 	}
 	// queryMsg is Q_{A,t}; Ctx as in interactionMsg.
 	queryMsg struct {
 		PID  int
 		Op   monitor.Op
 		Time time.Time
-		Ctx  telemetry.SpanContext
+		Ctx  probe.SpanContext
 	}
 	// queryReply is R_{A,t}.
 	queryReply struct {
@@ -127,9 +127,10 @@ type Options struct {
 	// selects the monitor default (1024). Chaos campaigns raise it so
 	// the invariant checker never loses records to ring eviction.
 	AuditCapacity int
-	// Telemetry, when non-nil, instruments every enforcement subsystem
-	// (metrics, decision-path spans, flight recorder). Nil disables
-	// instrumentation at zero cost.
+	// Telemetry, when non-nil, is attached to the system's probe
+	// registry (Probes, or a fresh one) and rebuilds metrics,
+	// decision-path spans and the flight recorder from its events. Nil
+	// leaves the hooks to Probes alone.
 	Telemetry *telemetry.Recorder
 	// Probes, when non-nil, arms the probe attach points across every
 	// subsystem (kernel, monitor, xserver, netlink). Nil (the default)
@@ -160,8 +161,8 @@ type System struct {
 // through the retrying channel wrapper, so transient faults are
 // absorbed and persistent ones degrade the whole system closed.
 type xPolicy struct {
-	ch  *channel
-	tel *telemetry.Recorder // nil-safe; shared with the whole system
+	ch   *channel
+	call *probe.Hook // netlink.call
 }
 
 var _ xserver.Policy = (*xPolicy)(nil)
@@ -170,24 +171,26 @@ var _ xserver.Policy = (*xPolicy)(nil)
 // its own span nested under the display server's notify span, and the
 // span context rides the wire inside the message so the kernel-side
 // monitor span links back here.
-func (p *xPolicy) NotifyInteraction(ctx telemetry.SpanContext, pid int, t time.Time) error {
-	span := p.tel.StartSpan(ctx, "netlink", "notify_call")
-	defer span.End()
-	_, err := p.ch.call(interactionMsg{PID: pid, Time: t, Ctx: span.Context()})
-	if err != nil && p.tel.Enabled() {
-		span.Annotate("error", err.Error())
+func (p *xPolicy) NotifyInteraction(ctx probe.SpanContext, pid int, t time.Time) error {
+	sp := probe.Event{PID: int64(pid), Kind: probe.KindCall, Detail: "notify_call"}
+	p.call.Begin(ctx, &sp)
+	defer p.call.End(&sp)
+	_, err := p.ch.call(interactionMsg{PID: pid, Time: t, Ctx: sp.Ctx})
+	if err != nil && sp.Ctx.Valid() {
+		sp.Reason = err.Error()
 	}
 	return err
 }
 
 // Query implements xserver.Policy.
-func (p *xPolicy) Query(ctx telemetry.SpanContext, pid int, op monitor.Op, t time.Time) (monitor.Verdict, error) {
-	span := p.tel.StartSpan(ctx, "netlink", "query_call")
-	defer span.End()
-	reply, err := p.ch.call(queryMsg{PID: pid, Op: op, Time: t, Ctx: span.Context()})
+func (p *xPolicy) Query(ctx probe.SpanContext, pid int, op monitor.Op, t time.Time) (monitor.Verdict, error) {
+	sp := probe.Event{PID: int64(pid), Kind: probe.KindCall, Detail: "query_call"}
+	p.call.Begin(ctx, &sp)
+	defer p.call.End(&sp)
+	reply, err := p.ch.call(queryMsg{PID: pid, Op: op, Time: t, Ctx: sp.Ctx})
 	if err != nil {
-		if p.tel.Enabled() {
-			span.Annotate("error", err.Error())
+		if sp.Ctx.Valid() {
+			sp.Reason = err.Error()
 		}
 		return monitor.VerdictDeny, err
 	}
@@ -203,6 +206,13 @@ func Boot(opts Options) (*System, error) {
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.NewSimulated()
+	}
+	reg := opts.Probes
+	if opts.Telemetry != nil && reg == nil {
+		reg = probe.NewRegistry()
+	}
+	if err := opts.Telemetry.Attach(reg); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	fsys := fs.New(clk)
 
@@ -226,8 +236,7 @@ func Boot(opts Options) (*System, error) {
 			Enforce:       opts.Enforce,
 			ForceGrant:    opts.ForceGrant,
 			AuditCapacity: opts.AuditCapacity,
-			Telemetry:     opts.Telemetry,
-			Probes:        opts.Probes,
+			Probes:        reg,
 		},
 		DisablePtraceGuard: opts.DisablePtraceGuard,
 		DeviceInitRounds:   opts.DeviceInitRounds,
@@ -258,8 +267,7 @@ func Boot(opts Options) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	hub.SetFaultHook(opts.FaultHook)
-	hub.SetTelemetry(opts.Telemetry)
-	hub.SetProbes(opts.Probes)
+	hub.SetProbes(reg)
 	hub.SetKernelHandler(func(msg any) (any, error) {
 		switch m := msg.(type) {
 		case interactionMsg:
@@ -321,7 +329,7 @@ func Boot(opts Options) (*System, error) {
 
 	var policy xserver.Policy
 	if opts.Enforce || opts.ForceGrant {
-		policy = &xPolicy{ch: sys.ch, tel: opts.Telemetry}
+		policy = &xPolicy{ch: sys.ch, call: reg.Hook(probe.HookNetlinkCall)}
 	}
 	x, err = xserver.NewServer(clk, policy, xserver.Config{
 		VisibilityThreshold: opts.VisibilityThreshold,
@@ -329,8 +337,7 @@ func Boot(opts Options) (*System, error) {
 		WireWork:            opts.WireWork,
 		DisableXTest:        opts.DisableXTest,
 		FaultHook:           opts.FaultHook,
-		Telemetry:           opts.Telemetry,
-		Probes:              opts.Probes,
+		Probes:              reg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -338,14 +345,15 @@ func Boot(opts Options) (*System, error) {
 	sys.X = x
 
 	// Kernel-side alerts route to the display server over the channel.
-	tel := opts.Telemetry
+	alertCall := reg.Hook(probe.HookNetlinkCall)
 	k.Monitor().SetAlertFunc(func(req monitor.AlertRequest) {
 		// Failures only suppress the alert, never the already-granted
 		// operation — but exhausting the channel's retries flips the
 		// system into degraded mode, so *future* decisions deny.
-		span := tel.StartSpan(req.Ctx, "netlink", "alert_call")
-		defer span.End()
-		req.Ctx = span.Context()
+		sp := probe.Event{PID: int64(req.PID), Kind: probe.KindCall, Detail: "alert_call"}
+		alertCall.Begin(req.Ctx, &sp)
+		defer alertCall.End(&sp)
+		req.Ctx = sp.Ctx
 		m := alertMsgPool.Get().(*alertMsg)
 		*m = alertMsg(req)
 		_, _ = sys.ch.callUser(m)
@@ -387,7 +395,7 @@ func BootDefault() (*System, string, string, error) {
 func (s *System) Enforcing() bool { return s.enforce }
 
 // Telemetry returns the system's telemetry recorder (nil when booted
-// without one; every recorder method is nil-safe).
+// without one; every recorder reader is nil-safe).
 func (s *System) Telemetry() *telemetry.Recorder { return s.tel }
 
 // DisconnectX tears down the netlink connection between the display

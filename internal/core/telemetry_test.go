@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/core"
 	"overhaul/internal/devfs"
+	"overhaul/internal/probe"
 	"overhaul/internal/telemetry"
 )
 
@@ -152,4 +154,115 @@ func TestUninstrumentedBootStillWorks(t *testing.T) {
 		t.Fatalf("OpenDevice without telemetry: %v", err)
 	}
 	_ = h.Close()
+}
+
+// fanOutRun boots one system whose registry feeds the recorder and,
+// when rings is set, a match-all ring probe and a pid-scoped one, then
+// replays two rounds of click → grant → stale deny. With detach the
+// ring probes are detached between the rounds. It returns the
+// recorder, the match-all ring's events and the scoped probe.
+func fanOutRun(t *testing.T, rings, detach bool) (*telemetry.Recorder, []probe.Event, *probe.Probe) {
+	t.Helper()
+	clk := clock.NewSimulated()
+	tel := telemetry.New(clk)
+	reg := probe.NewRegistry()
+	sys, err := core.Boot(core.Options{Clock: clk, Enforce: true, AlertSecret: "a", Telemetry: tel, Probes: reg})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	mic, err := sys.Helper.Attach(devfs.ClassMicrophone)
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	app, err := sys.Launch("recorder")
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	ring := probe.NewRing(4096)
+	var all, scoped *probe.Probe
+	if rings {
+		if all, err = reg.AttachSpec("", ring); err != nil {
+			t.Fatal(err)
+		}
+		spec := "pid=" + strconv.Itoa(app.Proc.PID())
+		if scoped, err = reg.AttachSpec(spec, probe.NewRing(4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Settle(1500 * time.Millisecond)
+	for round := 0; round < 2; round++ {
+		if round == 1 && detach {
+			for _, p := range []*probe.Probe{all, scoped} {
+				if err := reg.Detach(p.ID()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := app.Click(); err != nil {
+			t.Fatalf("Click: %v", err)
+		}
+		sys.Settle(50 * time.Millisecond)
+		for _, wantErr := range []bool{false, true} { // grant, then stale deny
+			h, err := app.OpenDevice(mic)
+			if (err != nil) != wantErr {
+				t.Fatalf("round %d open: err = %v, want error %v", round, err, wantErr)
+			}
+			if err == nil {
+				_ = h.Close()
+			}
+			sys.Settle(3 * time.Second)
+		}
+	}
+	buf := make([]probe.Event, ring.Capacity())
+	return tel, buf[:ring.ReadBatch(buf)], scoped
+}
+
+// TestConsumerFanOut runs the recorder and two ring probes off one
+// registry: the ring's kernel.decide events and the recorder's flight
+// decisions match one to one, and detaching the rings mid-run leaves
+// the recorder's snapshot byte-identical to a run that never had them.
+func TestConsumerFanOut(t *testing.T) {
+	tel, events, scoped := fanOutRun(t, true, false)
+	var decides []probe.Event
+	for _, ev := range events {
+		if ev.Kind == probe.KindDecide {
+			decides = append(decides, ev)
+		}
+	}
+	var decisions []telemetry.FlightEvent
+	for _, ev := range tel.FlightEvents() {
+		if ev.Kind == "decision" {
+			decisions = append(decisions, ev)
+		}
+	}
+	if len(decides) != 4 || len(decisions) != len(decides) {
+		t.Fatalf("ring saw %d kernel.decide events, recorder %d decisions; want 4 each", len(decides), len(decisions))
+	}
+	for i, ev := range decides {
+		want := "pid=" + strconv.FormatInt(ev.PID, 10) + " op=" + ev.Dev.String() + " " + ev.Verdict.String() + ": " + ev.Reason
+		got := decisions[i]
+		if got.Detail != want || got.Trace != ev.Ctx.Trace || got.Span != ev.Ctx.Span {
+			t.Errorf("decision %d: recorder %q [%d.%d], ring %q [%d.%d]",
+				i, got.Detail, got.Trace, got.Span, want, ev.Ctx.Trace, ev.Ctx.Span)
+		}
+	}
+	if scoped.Matched() == 0 || scoped.Matched() >= uint64(len(events)) {
+		t.Errorf("pid-scoped probe matched %d of %d events; want a nonempty strict subset", scoped.Matched(), len(events))
+	}
+
+	snapshot := func(tel *telemetry.Recorder) string {
+		raw, err := json.Marshal(tel.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	detached, _, _ := fanOutRun(t, true, true)
+	never, _, _ := fanOutRun(t, false, false)
+	if a, b := snapshot(detached), snapshot(never); a != b {
+		t.Errorf("detaching ring probes changed the recorder snapshot:\n%s\n---\n%s", a, b)
+	}
+	if a, b := snapshot(tel), snapshot(never); a != b {
+		t.Errorf("attached ring probes changed the recorder snapshot:\n%s\n---\n%s", a, b)
+	}
 }

@@ -172,6 +172,7 @@ type runner struct {
 	shmB      *ipc.Mapping
 	scanners  []string
 	tel       *telemetry.Recorder
+	violated  *probe.Hook // system.degrade: where violations trip the recorder
 	res       *Result
 	store     *auditstore.FileStore
 	tail      *auditstore.Tail
@@ -217,15 +218,28 @@ func (r *runner) violate(step int, invariant, format string, args ...any) {
 		Detail:    detail,
 	})
 	// An invariant breach is exactly what the flight recorder exists
-	// for: snapshot the recent-event ring at the moment of violation.
-	r.tel.TripFlight(telemetry.SpanContext{}, "chaos",
-		"invariant violation ["+invariant+"]: "+detail)
+	// for: it trips a dump of the recent-event ring at the moment of
+	// violation.
+	if r.violated.Wants(0) {
+		r.violated.Emit(&probe.Event{Kind: probe.KindDegrade, Detail: "chaos",
+			Reason: "invariant violation [" + invariant + "]: " + detail})
+	}
 }
 
 // Run executes the campaign and returns its deterministic result. The
 // returned error covers only harness failures (bad rules, boot
 // failure); invariant breaches are reported in Result.Violations.
 func Run(c Campaign) (*Result, error) {
+	r, err := run(c)
+	if err != nil {
+		return nil, err
+	}
+	return r.res, nil
+}
+
+// run executes the campaign and returns the finished runner, whose
+// system and recorder the package's tests inspect.
+func run(c Campaign) (*runner, error) {
 	if c.Steps <= 0 {
 		c.Steps = DefaultSteps
 	}
@@ -290,6 +304,7 @@ func Run(c Campaign) (*Result, error) {
 		return nil, fmt.Errorf("chaos: boot: %w", err)
 	}
 	r.sys = sys
+	r.violated = reg.Hook(probe.HookDegrade)
 
 	// The observer probe sees every decision record the audit log
 	// sees; the end-of-run check asserts the two streams never
@@ -373,7 +388,7 @@ func Run(c Campaign) (*Result, error) {
 			r.res.Flight = strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
 		}
 	}
-	return r.res, nil
+	return r, nil
 }
 
 func formatAlert(a xserver.Alert) string {

@@ -240,3 +240,61 @@ func TestCampaignEveryDenialTrips(t *testing.T) {
 		t.Errorf("flight_dumps = %d, want >= %d denials", res.FlightDumps, res.Monitor.Denials)
 	}
 }
+
+// TestTelemetryCountersMatchStats pins every telemetry counter that
+// has a StatsSnapshot twin to that twin, after a fault-free campaign
+// and after the default fault mix at seed 42. The benchmark reads the
+// Stats and overhaul-top reads the metrics, so the two must not drift.
+//
+// One pair can legitimately differ under faults: xserver.notifications
+// counts the notifications the display server sends, Stats only those
+// the channel delivered. A notification fails only once the channel's
+// retries are exhausted, which the kill-channel campaigns do and seed
+// 42's fault mix does not, so the pair is compared exactly here too.
+func TestTelemetryCountersMatchStats(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		rules []faultinject.Rule
+	}{
+		{"fault-free", nil},
+		{"faults-seed-42", faultinject.DefaultRules()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := run(Campaign{Seed: 42, Steps: 250, Rules: c.rules})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			// Counters summed over their labels, keyed by subsystem.name,
+			// and per label under subsystem.name{labels}.
+			tel := map[string]uint64{}
+			for _, p := range r.tel.MetricsSnapshot() {
+				if p.Kind == "counter" {
+					tel[p.Subsystem+"."+p.Name] += uint64(p.Value)
+					tel[p.Subsystem+"."+p.Name+"{"+p.Labels+"}"] += uint64(p.Value)
+				}
+			}
+			mon := r.sys.Kernel.Monitor().StatsSnapshot()
+			x := r.sys.X.StatsSnapshot()
+			nl := r.sys.Hub().StatsSnapshot()
+			twins := []struct {
+				counter string
+				stat    uint64
+			}{
+				{"monitor.notifications", mon.Notifications},
+				{"monitor.audit_appends", mon.Grants + mon.Denials},
+				{"monitor.decisions", mon.Grants + mon.Denials},
+				{"xserver.notifications", x.Notifications},
+				{"xserver.queries", x.Queries},
+				{"xserver.alerts", x.AlertsShown},
+				{"xserver.hardware_events", x.HardwareEvents},
+				{"netlink.messages{dir=user_to_kernel}", nl.UserToKernel},
+				{"netlink.messages{dir=kernel_to_user}", nl.KernelToUser},
+			}
+			for _, tw := range twins {
+				if got := tel[tw.counter]; got != tw.stat || got == 0 {
+					t.Errorf("%s = %d, Stats twin = %d (want equal and nonzero)", tw.counter, got, tw.stat)
+				}
+			}
+		})
+	}
+}

@@ -267,7 +267,7 @@ func (f *Fleet) Dispatch(req Request) (monitor.Verdict, error) {
 		case monitor.VerdictDeny:
 			ev.Verdict = probe.VerdictDeny
 		}
-		f.probeDispatch.Emit(ev)
+		f.probeDispatch.Emit(&ev)
 	}
 	return v, err
 }

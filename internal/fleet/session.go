@@ -8,7 +8,7 @@ import (
 
 	"overhaul/internal/kernel"
 	"overhaul/internal/monitor"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // Session is one tenant's Overhaul desktop reduced to its decision
@@ -50,17 +50,17 @@ func (t *procTable) slot(pid int) *kernel.StampSlot {
 // InteractionView implements monitor.TaskStore. Sessions carry no
 // ptrace state: the guard is a single-desktop debugging defence, and a
 // fleet tenant's debugger lives inside the tenant.
-func (t *procTable) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+func (t *procTable) InteractionView(pid int) (time.Time, probe.SpanContext, bool, bool) {
 	p := t.slot(pid)
 	if p == nil {
-		return time.Time{}, telemetry.SpanContext{}, false, false
+		return time.Time{}, probe.SpanContext{}, false, false
 	}
 	return p.Time(), p.Span(), false, true
 }
 
 // SetInteractionStampSpan implements monitor.TaskStore with the
 // kernel's lock-free newest-wins CAS-max.
-func (t *procTable) SetInteractionStampSpan(pid int, ts time.Time, ctx telemetry.SpanContext) error {
+func (t *procTable) SetInteractionStampSpan(pid int, ts time.Time, ctx probe.SpanContext) error {
 	p := t.slot(pid)
 	if p == nil {
 		return ErrNoSuchProcess

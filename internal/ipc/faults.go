@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"overhaul/internal/faultinject"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // faultyStamps decorates a Stamps store with injected write failures:
@@ -44,16 +44,16 @@ func (f *faultyStamps) Adopt(pid int, t time.Time) {
 
 // StampSpan implements SpanStamps when the wrapped store tracks spans;
 // otherwise it reports no span (reads are never faulted).
-func (f *faultyStamps) StampSpan(pid int) (telemetry.SpanContext, bool) {
+func (f *faultyStamps) StampSpan(pid int) (probe.SpanContext, bool) {
 	if ss, ok := f.st.(SpanStamps); ok {
 		return ss.StampSpan(pid)
 	}
-	return telemetry.SpanContext{}, false
+	return probe.SpanContext{}, false
 }
 
 // AdoptSpan implements SpanStamps; the same injected fault drops the
 // stamp and its span together (they travel as one unit).
-func (f *faultyStamps) AdoptSpan(pid int, t time.Time, ctx telemetry.SpanContext) {
+func (f *faultyStamps) AdoptSpan(pid int, t time.Time, ctx probe.SpanContext) {
 	if faultinject.Eval(f.hook, faultinject.PointStampWrite).Injected() {
 		return
 	}

@@ -18,7 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // Stamps is the kernel-side view of per-process interaction timestamps
@@ -43,25 +43,25 @@ type SpanStamps interface {
 	Stamps
 	// StampSpan returns the span context stored with pid's stamp; ok
 	// is false for unknown processes.
-	StampSpan(pid int) (ctx telemetry.SpanContext, ok bool)
+	StampSpan(pid int) (ctx probe.SpanContext, ok bool)
 	// AdoptSpan installs t and its minting span as pid's stamp if t is
 	// newer than the current one. Unknown processes are ignored.
-	AdoptSpan(pid int, t time.Time, ctx telemetry.SpanContext)
+	AdoptSpan(pid int, t time.Time, ctx probe.SpanContext)
 }
 
 // stampSpanOf fetches pid's stamp span when the store tracks spans.
-func stampSpanOf(st Stamps, pid int) telemetry.SpanContext {
+func stampSpanOf(st Stamps, pid int) probe.SpanContext {
 	if ss, ok := st.(SpanStamps); ok {
 		if ctx, found := ss.StampSpan(pid); found {
 			return ctx
 		}
 	}
-	return telemetry.SpanContext{}
+	return probe.SpanContext{}
 }
 
 // adoptWithSpan installs a stamp, carrying its span when the store
 // tracks spans.
-func adoptWithSpan(st Stamps, pid int, t time.Time, ctx telemetry.SpanContext) {
+func adoptWithSpan(st Stamps, pid int, t time.Time, ctx probe.SpanContext) {
 	if ss, ok := st.(SpanStamps); ok {
 		ss.AdoptSpan(pid, t, ctx)
 		return
@@ -82,7 +82,7 @@ type carrier struct {
 	// it, keeping stamp and span a unit on the uncontended path. Under
 	// a send race the span may briefly describe the other authentic
 	// write — trace-linkage skew only, never a verdict input.
-	span atomic.Pointer[telemetry.SpanContext]
+	span atomic.Pointer[probe.SpanContext]
 }
 
 // carrierNanos encodes a stamp time (zero time → 0 = expired).
@@ -123,7 +123,7 @@ func (c *carrier) onSend(st Stamps, pid int) {
 			return
 		}
 		if c.stamp.CompareAndSwap(cur, n) {
-			if span == (telemetry.SpanContext{}) {
+			if span == (probe.SpanContext{}) {
 				c.span.Store(nil)
 			} else {
 				s := span
@@ -144,7 +144,7 @@ func (c *carrier) onRecv(st Stamps, pid int) {
 	if n == 0 {
 		return
 	}
-	span := telemetry.SpanContext{}
+	span := probe.SpanContext{}
 	if p := c.span.Load(); p != nil {
 		span = *p
 	}

@@ -7,7 +7,7 @@ import (
 
 	"overhaul/internal/fs"
 	"overhaul/internal/ipc"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // ipcTables tracks named IPC resources: FIFOs by filesystem path, SysV
@@ -45,21 +45,21 @@ func (s *stampStore) Adopt(pid int, t time.Time) {
 	// between embedding and delivery. The stamp changes hands without
 	// trace context, so whatever span minted the previous stamp is
 	// cleared alongside it.
-	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, telemetry.SpanContext{})
+	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, probe.SpanContext{})
 }
 
 var _ ipc.SpanStamps = (*stampStore)(nil)
 
 // StampSpan implements ipc.SpanStamps over the task struct's stamp
 // span field.
-func (s *stampStore) StampSpan(pid int) (telemetry.SpanContext, bool) {
+func (s *stampStore) StampSpan(pid int) (probe.SpanContext, bool) {
 	_, ctx, _, ok := (*taskStore)(s).InteractionView(pid)
 	return ctx, ok
 }
 
 // AdoptSpan implements ipc.SpanStamps: the stamp and the span that
 // minted it install together, newest-wins (P2 carries both).
-func (s *stampStore) AdoptSpan(pid int, t time.Time, ctx telemetry.SpanContext) {
+func (s *stampStore) AdoptSpan(pid int, t time.Time, ctx probe.SpanContext) {
 	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, ctx)
 }
 

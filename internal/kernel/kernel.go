@@ -29,7 +29,6 @@ import (
 	"overhaul/internal/fs"
 	"overhaul/internal/monitor"
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // Sentinel errors.
@@ -120,12 +119,11 @@ type Kernel struct {
 	clk    clock.Clock
 	fsys   *fs.FS
 	mon    *monitor.Monitor
-	faults faultinject.Hook    // immutable after New
-	tel    *telemetry.Recorder // immutable after New; nil-safe
-	// probeOpen is the kernel.open attach point, resolved once at New;
-	// one atomic load per open while unattached (nil check when no
-	// registry was configured).
-	probeOpen *probe.Hook
+	faults faultinject.Hook // immutable after New
+	// probeOpen and probeFault are the kernel.open and system.fault
+	// attach points, resolved once at New; one atomic load per open
+	// while unattached (nil check when no registry was configured).
+	probeOpen, probeFault *probe.Hook
 
 	table   *procTable
 	nextPID atomic.Int64
@@ -158,7 +156,6 @@ func New(clk clock.Clock, fsys *fs.FS, cfg Config) (*Kernel, error) {
 		clk:        clk,
 		fsys:       fsys,
 		faults:     cfg.FaultHook,
-		tel:        cfg.Monitor.Telemetry,
 		table:      newProcTable(),
 		devmap:     make(map[string]devfs.Class),
 		devRounds:  cfg.DeviceInitRounds,
@@ -169,6 +166,7 @@ func New(clk clock.Clock, fsys *fs.FS, cfg Config) (*Kernel, error) {
 	}
 	k.ptraceGuard.Store(!cfg.DisablePtraceGuard)
 	k.probeOpen = cfg.Monitor.Probes.Hook(probe.HookKernelOpen)
+	k.probeFault = cfg.Monitor.Probes.Hook(probe.HookFault)
 	mon, err := monitor.New((*taskStore)(k), cfg.Monitor)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: %w", err)
@@ -243,7 +241,7 @@ var _ monitor.TaskStore = (*taskStore)(nil)
 // lock and reincarnation happens only after remove, so a stamp can
 // never be adopted onto a recycled struct — the write-side counterpart
 // of the read-side pid re-check.
-func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error {
+func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx probe.SpanContext) error {
 	k := (*Kernel)(ts)
 	sh := k.table.shard(pid)
 	sh.mu.RLock()
@@ -265,17 +263,17 @@ func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx telemetry
 // between the lookup and the loads, the new pid (stored first during
 // reincarnation, so seq-cst ordering guarantees any new-incarnation
 // data implies a visible new pid) turns the read into a miss.
-func (ts *taskStore) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+func (ts *taskStore) InteractionView(pid int) (time.Time, probe.SpanContext, bool, bool) {
 	k := (*Kernel)(ts)
 	p, ok := k.table.get(pid)
 	if !ok {
-		return time.Time{}, telemetry.SpanContext{}, false, false
+		return time.Time{}, probe.SpanContext{}, false, false
 	}
 	disabled := k.ptraceGuard.Load() && p.tracedBy.Load() != 0
 	stamp := p.slot.Time()
 	sc := p.StampSpan()
 	if p.pid.Load() != int64(pid) {
-		return time.Time{}, telemetry.SpanContext{}, false, false
+		return time.Time{}, probe.SpanContext{}, false, false
 	}
 	return stamp, sc, disabled, true
 }

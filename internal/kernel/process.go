@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"overhaul/internal/fs"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // Process is the task_struct analogue: one schedulable task. Linux does
@@ -90,13 +90,13 @@ func (p *Process) InteractionStamp() time.Time {
 
 // StampSpan returns the trace span that minted the current interaction
 // stamp (zero when unknown).
-func (p *Process) StampSpan() telemetry.SpanContext {
+func (p *Process) StampSpan() probe.SpanContext {
 	return p.slot.Span()
 }
 
 // adoptStamp installs t (and the span that delivered it) iff t is newer
 // than the current stamp; see StampSlot.Adopt.
-func (p *Process) adoptStamp(t time.Time, ctx telemetry.SpanContext) {
+func (p *Process) adoptStamp(t time.Time, ctx probe.SpanContext) {
 	p.slot.Adopt(t, ctx)
 }
 

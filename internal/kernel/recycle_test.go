@@ -7,7 +7,7 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/fs"
 	"overhaul/internal/monitor"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 func newRecycleKernel(t *testing.T) *Kernel {
@@ -37,7 +37,7 @@ func TestProcessRecycleIdentity(t *testing.T) {
 	}
 	oldPID := p1.PID()
 	stamp := k.Clock().Now()
-	if err := ts.SetInteractionStampSpan(oldPID, stamp, telemetry.SpanContext{}); err != nil {
+	if err := ts.SetInteractionStampSpan(oldPID, stamp, probe.SpanContext{}); err != nil {
 		t.Fatalf("SetInteractionStampSpan: %v", err)
 	}
 	if err := p1.Exit(); err != nil {
@@ -57,7 +57,7 @@ func TestProcessRecycleIdentity(t *testing.T) {
 	if _, _, _, ok := ts.InteractionView(oldPID); ok {
 		t.Errorf("InteractionView(%d) resolved a dead pid", oldPID)
 	}
-	if err := ts.SetInteractionStampSpan(oldPID, stamp.Add(time.Second), telemetry.SpanContext{}); err == nil {
+	if err := ts.SetInteractionStampSpan(oldPID, stamp.Add(time.Second), probe.SpanContext{}); err == nil {
 		t.Errorf("SetInteractionStampSpan(%d) succeeded for a dead pid", oldPID)
 	}
 	if got := p2.InteractionStamp(); !got.IsZero() {

@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // StampSlot is one interaction-stamp cell: the Overhaul task_struct
@@ -26,13 +26,13 @@ import (
 // on the two process tables sharing this one implementation.
 type StampSlot struct {
 	nanos atomic.Int64
-	span  atomic.Pointer[telemetry.SpanContext]
+	span  atomic.Pointer[probe.SpanContext]
 }
 
 // Adopt installs t (and the span that delivered it) iff t is newer than
 // the current stamp — the newest-wins rule as a lock-free CAS-max. A
 // zero t never installs.
-func (s *StampSlot) Adopt(t time.Time, ctx telemetry.SpanContext) {
+func (s *StampSlot) Adopt(t time.Time, ctx probe.SpanContext) {
 	n := stampNanos(t)
 	if n == 0 {
 		return
@@ -43,7 +43,7 @@ func (s *StampSlot) Adopt(t time.Time, ctx telemetry.SpanContext) {
 			return
 		}
 		if s.nanos.CompareAndSwap(cur, n) {
-			if ctx == (telemetry.SpanContext{}) {
+			if ctx == (probe.SpanContext{}) {
 				s.span.Store(nil)
 			} else {
 				c := ctx
@@ -61,11 +61,11 @@ func (s *StampSlot) Time() time.Time {
 
 // Span returns the trace span that minted the current stamp (zero when
 // unknown).
-func (s *StampSlot) Span() telemetry.SpanContext {
+func (s *StampSlot) Span() probe.SpanContext {
 	if c := s.span.Load(); c != nil {
 		return *c
 	}
-	return telemetry.SpanContext{}
+	return probe.SpanContext{}
 }
 
 // Reset clears the slot back to "no interaction". Only for slot reuse

@@ -2,14 +2,12 @@ package kernel
 
 import (
 	"fmt"
-	"strconv"
 
 	"overhaul/internal/devfs"
 	"overhaul/internal/faultinject"
 	"overhaul/internal/fs"
 	"overhaul/internal/monitor"
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // opForClass maps a sensitive device class to the monitor's operation
@@ -39,21 +37,15 @@ func devForClass(c devfs.Class) probe.Dev {
 	}
 }
 
-// emitOpen publishes a kernel.open probe event. Callers gate on
-// k.probeOpen.Armed() so the unattached open path pays one atomic load
-// and nothing else.
-func (k *Kernel) emitOpen(pid int, class devfs.Class, sensitive bool, v probe.Verdict, reason probe.Reason) {
-	ev := probe.Event{
-		TimeNanos: k.clk.Now().UnixNano(),
-		PID:       int64(pid),
-		Kind:      probe.KindOpen,
-		Reason:    reason,
+// openOutcome reports an open's outcome on the kernel.open hook: on
+// the open span's end event for a sensitive device, as a point event
+// for any other file. The unattached open path pays one atomic load.
+func (k *Kernel) openOutcome(sp *probe.Event, pid int, v probe.Verdict, reason string) {
+	if sp.Ctx.Valid() {
+		sp.Verdict, sp.Reason = v, reason
+	} else if k.probeOpen.Wants(int64(pid)) {
+		k.probeOpen.Emit(&probe.Event{TimeNanos: k.clk.Now().UnixNano(), PID: int64(pid), Kind: probe.KindOpen, Reason: reason})
 	}
-	if sensitive {
-		ev.Dev = devForClass(class)
-		ev.Verdict = v
-	}
-	k.probeOpen.Emit(ev)
 }
 
 // Open is the augmented open(2): normal UNIX access control first, then
@@ -78,24 +70,19 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 		k.stats.deviceOpens.Add(1)
 	}
 
-	var span *telemetry.Span
-	if sensitive {
+	var sp probe.Event
+	if sensitive && k.probeOpen.Wants(int64(p.PID())) {
 		// The open span parents on the span that minted the caller's
 		// interaction stamp, which is what connects this syscall to the
 		// input event that enables it (or leaves it a fresh root when
 		// no traced interaction preceded it).
-		var ctx telemetry.SpanContext
-		if k.tel.Enabled() {
-			ctx = p.StampSpan()
+		sp = probe.Event{
+			TimeNanos: k.clk.Now().UnixNano(), PID: int64(p.PID()), Kind: probe.KindOpen,
+			Dev: devForClass(class), Reason: string(class), Detail: path,
 		}
-		span = k.tel.StartSpan(ctx, "kernel", "open")
-		defer span.End()
-		if k.tel.Enabled() {
-			span.Annotate("path", path)
-			span.Annotate("pid", strconv.Itoa(p.PID()))
-			k.tel.Add("kernel", "device_opens", "class="+string(class), 1)
-		}
+		k.probeOpen.Begin(p.StampSpan(), &sp)
 	}
+	defer k.probeOpen.End(&sp)
 
 	if devRounds := k.devRounds; devRounds > 0 && h.Kind() == fs.KindDevice {
 		// Simulated driver initialisation, paid by every device open
@@ -112,34 +99,32 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 		if sensitive {
 			k.stats.denials.Add(1)
 		}
-		if k.tel.Enabled() {
-			k.tel.Add("kernel", "open_faults", "", 1)
-			k.tel.RecordEvent(span.Context(), "kernel", "fault",
-				"injected fault at "+string(faultinject.PointKernelOpen)+" during open "+path)
+		if k.probeFault.Wants(int64(p.PID())) {
+			k.probeFault.Emit(&probe.Event{
+				PID: int64(p.PID()), Kind: probe.KindFault, Ctx: sp.Ctx, Arg: int64(f.Kind),
+				Reason: string(faultinject.PointKernelOpen),
+				Detail: "injected fault at " + string(faultinject.PointKernelOpen) + " during open " + path,
+			})
 		}
+		const failClosed = "transient open failure: fail closed"
 		if sensitive {
-			k.mon.RecordDenialCtx(span.Context(), p.PID(), opForClass(class), k.clk.Now(),
-				"transient open failure: fail closed")
+			k.mon.RecordDenialCtx(sp.Ctx, p.PID(), opForClass(class), k.clk.Now(), failClosed)
 		}
-		if k.probeOpen.Wants(int64(p.PID())) {
-			k.emitOpen(p.PID(), class, sensitive, probe.VerdictDeny, probe.ReasonFailClosed)
-		}
+		k.openOutcome(&sp, p.PID(), probe.VerdictDeny, failClosed)
 		_ = h.Close()
 		return nil, fmt.Errorf("open %s by pid %d: %w: %v", path, p.PID(), ErrTransientIO, f.Err)
 	}
 
 	if sensitive {
-		verdict := k.mon.DecideCtx(span.Context(), p.PID(), opForClass(class), k.clk.Now())
+		verdict := k.mon.DecideCtx(sp.Ctx, p.PID(), opForClass(class), k.clk.Now())
 		if verdict != monitor.VerdictGrant {
 			k.stats.denials.Add(1)
-			if k.probeOpen.Wants(int64(p.PID())) {
-				k.emitOpen(p.PID(), class, sensitive, probe.VerdictDeny, probe.ReasonNone)
-			}
+			k.openOutcome(&sp, p.PID(), probe.VerdictDeny, "")
 			return nil, fmt.Errorf("open %s (%s) by pid %d: %w", path, class, p.PID(), ErrAccessDenied)
 		}
-	}
-	if k.probeOpen.Wants(int64(p.PID())) {
-		k.emitOpen(p.PID(), class, sensitive, probe.VerdictGrant, probe.ReasonNone)
+		k.openOutcome(&sp, p.PID(), probe.VerdictGrant, "")
+	} else {
+		k.openOutcome(&sp, p.PID(), probe.VerdictNone, "")
 	}
 	return h, nil
 }

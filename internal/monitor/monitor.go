@@ -18,8 +18,8 @@
 // its own Monitor over a session-local TaskStore.
 //
 // Mode flags (degraded, alert sink) and activity counters are atomics,
-// and all telemetry on the decision path flows through pre-resolved
-// handles. The one lock a decision takes is the audit ring's: a single
+// and the decision path is observed only through its probe hooks. The
+// one lock a decision takes is the audit ring's: a single
 // bounded ring of AuditCapacity records, filled in place. The monitor
 // reads no clock: every instant arrives with the notification or query.
 package monitor
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // DefaultThreshold is δ, the temporal proximity window. The paper found
@@ -53,11 +52,6 @@ const (
 	OpCam    Op = "cam"
 	OpOther  Op = "dev" // any other sensitive device class
 )
-
-// knownOps enumerates the operation classes above; the monitor
-// pre-resolves telemetry handles for each so the decision path never
-// builds a label string.
-var knownOps = []Op{OpCopy, OpPaste, OpScreen, OpMic, OpCam, OpOther}
 
 // Verdict is the outcome of a permission query.
 type Verdict int
@@ -88,12 +82,12 @@ type TaskStore interface {
 	// InteractionView returns pid's most recent authentic-interaction
 	// time, the span that minted it, and whether its permissions are
 	// force-disabled. ok is false if the process does not exist.
-	InteractionView(pid int) (stamp time.Time, ctx telemetry.SpanContext, disabled bool, ok bool)
+	InteractionView(pid int) (stamp time.Time, ctx probe.SpanContext, disabled bool, ok bool)
 	// SetInteractionStampSpan records an interaction time for pid
 	// together with the span that delivered it, only if newer than the
 	// currently stored stamp (the span travels with the stamp,
 	// newest-wins as one unit).
-	SetInteractionStampSpan(pid int, t time.Time, ctx telemetry.SpanContext) error
+	SetInteractionStampSpan(pid int, t time.Time, ctx probe.SpanContext) error
 }
 
 // AlertRequest asks the display manager to show a trusted-output visual
@@ -111,8 +105,8 @@ type AlertRequest struct {
 	Degraded bool
 	// Ctx is the decision span that raised the alert; the display
 	// manager parents the render span on it so one trace covers input →
-	// decision → alert. Zero when telemetry is disabled.
-	Ctx telemetry.SpanContext
+	// decision → alert. Zero when the decision was not traced.
+	Ctx probe.SpanContext
 }
 
 // AlertFunc delivers an AlertRequest to the display manager. It is
@@ -153,14 +147,11 @@ type Config struct {
 	// AuditCapacity bounds the audit ring (oldest records are dropped).
 	// Zero means DefaultAuditCapacity.
 	AuditCapacity int
-	// Telemetry, when non-nil, receives metrics, decision spans, and
-	// flight-recorder events. Nil disables instrumentation entirely
-	// (zero allocations on the Decide hot path).
-	Telemetry *telemetry.Recorder
 	// Probes, when non-nil, arms the monitor's probe attach points
-	// (monitor.evaluate, monitor.audit, kernel.decide). Nil leaves the
-	// hooks unresolved; each attach point then costs a single nil check
-	// on the decision path.
+	// (monitor.evaluate, monitor.audit, monitor.notify, kernel.decide,
+	// and the degrade and recover points). Nil leaves the hooks
+	// unresolved; each attach point then costs a single nil check on
+	// the decision path.
 	Probes *probe.Registry
 }
 
@@ -201,9 +192,9 @@ type monitorStats struct {
 	degradedDenials atomic.Uint64
 }
 
-// opIndex maps a known op to its dense index in knownOps order, -1
-// for unknown ops. The decision path indexes its pre-resolved handle
-// arrays with it: a string switch compiles to a length bucket plus a
+// opIndex maps a known op to its dense index in {copy, paste, scr,
+// mic, cam, dev} order, -1 for unknown ops. The decision path indexes
+// its lookup tables with it: a string switch compiles to a length bucket plus a
 // constant compare, which profiles measurably cheaper than hashing the
 // op into a map on every decision.
 func opIndex(op Op) int {
@@ -232,36 +223,21 @@ type Monitor struct {
 	force     bool
 	enforce   bool
 	auditCap  int
-	tel       *telemetry.Recorder // nil-safe; nil means disabled
 
 	// Probe attach points, resolved once at construction. Each costs
 	// one atomic load per decision while unattached (nil when the
 	// monitor was built without a probe registry: one nil check).
-	probeEval   *probe.Hook // monitor.evaluate
-	probeAudit  *probe.Hook // monitor.audit
-	probeDecide *probe.Hook // kernel.decide
+	probeEval    *probe.Hook // monitor.evaluate: the decide span
+	probeAudit   *probe.Hook // monitor.audit
+	probeNotify  *probe.Hook // monitor.notify
+	probeDecide  *probe.Hook // kernel.decide
+	probeDegrade *probe.Hook // system.degrade
+	probeRecover *probe.Hook // system.recover
 
 	alertFn  atomic.Value           // AlertFunc (typed nil disables)
 	degraded atomic.Pointer[string] // nil: healthy; else fail-closed reason
 	stats    monitorStats
 	audit    auditRing
-	metrics  *monitorMetrics // nil iff telemetry is disabled
-}
-
-// monitorMetrics are the telemetry handles the decision path can hit,
-// resolved once at Init and read-only afterwards. They sit behind one
-// pointer so an uninstrumented monitor, such as each fleet session's,
-// stays small.
-type monitorMetrics struct {
-	notifications   *telemetry.Counter
-	notifyErrors    *telemetry.Counter
-	auditAppends    *telemetry.Counter
-	degradations    *telemetry.Counter
-	denialsRecorded *telemetry.Counter
-	// Indexed [opIndex(op)][verdict]; verdicts start at 1, so row
-	// length is 3 with slot 0 unused.
-	decisions [6][3]*telemetry.Counter
-	stampAge  [6]*telemetry.Histogram // indexed by opIndex(op)
 }
 
 // Stats aggregates monitor activity.
@@ -307,36 +283,15 @@ func (m *Monitor) Init(tasks TaskStore, cfg Config) error {
 	m.tasks = tasks
 	m.force = cfg.ForceGrant
 	m.enforce = cfg.Enforce
-	m.tel = cfg.Telemetry
-	m.probeEval = cfg.Probes.Hook(probe.HookMonitorEvaluate)
-	m.probeAudit = cfg.Probes.Hook(probe.HookMonitorAudit)
-	m.probeDecide = cfg.Probes.Hook(probe.HookKernelDecide)
-	if tel := cfg.Telemetry; tel.Enabled() {
-		// Resolve every handle the decision path can hit once, here.
-		// Never-updated handles stay invisible in snapshots, so this
-		// does not surface zero-valued series.
-		mm := &monitorMetrics{
-			notifications:   tel.Counter("monitor", "notifications", ""),
-			notifyErrors:    tel.Counter("monitor", "notify_errors", ""),
-			auditAppends:    tel.Counter("monitor", "audit_appends", ""),
-			degradations:    tel.Counter("monitor", "degradations", ""),
-			denialsRecorded: tel.Counter("monitor", "denials_recorded", ""),
-		}
-		for _, op := range knownOps {
-			i := opIndex(op)
-			for _, v := range []Verdict{VerdictGrant, VerdictDeny} {
-				mm.decisions[i][v] =
-					tel.Counter("monitor", "decisions", "op="+string(op)+" verdict="+v.String())
-			}
-			mm.stampAge[i] = tel.Histogram("monitor", "stamp_age", "op="+string(op))
-		}
-		m.metrics = mm
-	}
+	reg := cfg.Probes
+	m.probeEval = reg.Hook(probe.HookMonitorEvaluate)
+	m.probeAudit = reg.Hook(probe.HookMonitorAudit)
+	m.probeNotify = reg.Hook(probe.HookMonitorNotify)
+	m.probeDecide = reg.Hook(probe.HookKernelDecide)
+	m.probeDegrade = reg.Hook(probe.HookDegrade)
+	m.probeRecover = reg.Hook(probe.HookRecover)
 	return nil
 }
-
-// Telemetry returns the monitor's recorder (nil when disabled).
-func (m *Monitor) Telemetry() *telemetry.Recorder { return m.tel }
 
 // Threshold returns δ.
 func (m *Monitor) Threshold() time.Duration { return m.threshold }
@@ -353,32 +308,11 @@ func (m *Monitor) alertSink() AlertFunc {
 	return fn
 }
 
-// countDecision bumps the per-(op, verdict) decision counter; unknown
-// op classes fall back to the string-keyed registry. Telemetry must be
-// enabled.
-func (m *Monitor) countDecision(op Op, v Verdict) {
-	if i := opIndex(op); i >= 0 && (v == VerdictGrant || v == VerdictDeny) {
-		m.metrics.decisions[i][v].Add(1)
-		return
-	}
-	m.tel.Add("monitor", "decisions", "op="+string(op)+" verdict="+v.String(), 1)
-}
-
-// observeStampAge records the stamp-age observation for op, like
-// countDecision.
-func (m *Monitor) observeStampAge(op Op, age time.Duration) {
-	if i := opIndex(op); i >= 0 {
-		m.metrics.stampAge[i].Observe(age)
-		return
-	}
-	m.tel.Observe("monitor", "stamp_age", "op="+string(op), age)
-}
-
 // Notify records an interaction notification N_{A,t}: authentic user
 // input was delivered to pid at time t. Only the display manager may
 // invoke this (enforced by channel authentication one layer up).
 func (m *Monitor) Notify(pid int, t time.Time) error {
-	return m.NotifyCtx(telemetry.SpanContext{}, pid, t)
+	return m.NotifyCtx(probe.SpanContext{}, pid, t)
 }
 
 // NotifyCtx is Notify carrying the trace context of the input event
@@ -388,21 +322,17 @@ func (m *Monitor) Notify(pid int, t time.Time) error {
 //
 // Against a sharded store the stamp write is a lock-free CAS-max; this
 // method itself takes no lock either.
-func (m *Monitor) NotifyCtx(ctx telemetry.SpanContext, pid int, t time.Time) error {
-	span := m.tel.StartSpan(ctx, "monitor", "notify")
-	defer span.End()
-	if err := m.tasks.SetInteractionStampSpan(pid, t, span.Context()); err != nil {
-		if m.tel.Enabled() {
-			span.Annotate("error", err.Error())
-			m.metrics.notifyErrors.Add(1)
+func (m *Monitor) NotifyCtx(ctx probe.SpanContext, pid int, t time.Time) error {
+	sp := probe.Event{Kind: probe.KindNotify, PID: int64(pid), StampNanos: t.UnixNano()}
+	m.probeNotify.Begin(ctx, &sp)
+	defer m.probeNotify.End(&sp)
+	if err := m.tasks.SetInteractionStampSpan(pid, t, sp.Ctx); err != nil {
+		if sp.Ctx.Valid() {
+			sp.Reason = err.Error()
 		}
 		return fmt.Errorf("monitor notify pid %d: %w", pid, err)
 	}
 	m.stats.notifications.Add(1)
-	if m.tel.Enabled() {
-		span.AnnotateInt("pid", int64(pid))
-		m.metrics.notifications.Add(1)
-	}
 	return nil
 }
 
@@ -417,12 +347,8 @@ func (m *Monitor) SetDegraded(reason string) {
 		reason = "trusted component failure"
 	}
 	m.degraded.Store(&reason)
-	if m.tel.Enabled() {
-		m.metrics.degradations.Add(1)
-		// A degradation is a flight-recorder trip: snapshot the ring so
-		// the events leading up to the trusted-component failure are
-		// preserved even if the ring keeps rolling afterwards.
-		m.tel.TripFlight(telemetry.SpanContext{}, "monitor", "protection degraded: "+reason)
+	if m.probeDegrade.Wants(0) {
+		m.probeDegrade.Emit(&probe.Event{Kind: probe.KindDegrade, Detail: "monitor", Reason: "protection degraded: " + reason})
 	}
 }
 
@@ -430,7 +356,9 @@ func (m *Monitor) SetDegraded(reason string) {
 // was re-established).
 func (m *Monitor) ClearDegraded() {
 	m.degraded.Store(nil)
-	m.tel.RecordEvent(telemetry.SpanContext{}, "monitor", "recovery", "degraded mode cleared")
+	if m.probeRecover.Wants(0) {
+		m.probeRecover.Emit(&probe.Event{Kind: probe.KindRecover, Detail: "monitor", Reason: "degraded mode cleared"})
+	}
 }
 
 // DegradedReason returns the degradation reason and whether the
@@ -448,22 +376,20 @@ var probeDevs = [6]probe.Dev{
 	probe.DevMic, probe.DevCam, probe.DevOther,
 }
 
-// probeEvent flattens a decision into a probe event. Reasons are
-// interned to codes; dynamic reason text (staleness, δ) is
-// reconstructable from TimeNanos/StampNanos and the threshold, so the
-// event stays fixed-size and the emission allocation-free.
-func probeEvent(kind probe.Kind, d *Decision) probe.Event {
-	ev := probe.Event{
-		TimeNanos: d.OpTime.UnixNano(),
-		PID:       int64(d.PID),
-		Kind:      kind,
-		Reason:    probe.ReasonOf(d.Reason),
-	}
+// probeEvent flattens a decision, emitted under ctx, into the zero
+// event ev, carrying the decision's own reason string. An op outside
+// the known vocabulary has no device class; its name rides in Detail.
+// Filled in place: events are wide enough that building one and
+// copying it out shows up on the decision path.
+func probeEvent(ev *probe.Event, kind probe.Kind, ctx probe.SpanContext, d *Decision) {
+	ev.TimeNanos, ev.PID, ev.Kind, ev.Ctx, ev.Reason = d.OpTime.UnixNano(), int64(d.PID), kind, ctx, d.Reason
 	if !d.Stamp.IsZero() {
 		ev.StampNanos = d.Stamp.UnixNano()
 	}
 	if i := opIndex(d.Op); i >= 0 {
 		ev.Dev = probeDevs[i]
+	} else {
+		ev.Detail = string(d.Op)
 	}
 	switch d.Verdict {
 	case VerdictGrant:
@@ -471,7 +397,6 @@ func probeEvent(kind probe.Kind, d *Decision) probe.Event {
 	case VerdictDeny:
 		ev.Verdict = probe.VerdictDeny
 	}
-	return ev
 }
 
 // SetAuditSink attaches a callback that receives every decision the
@@ -484,16 +409,13 @@ func (m *Monitor) SetAuditSink(fn func(Decision)) {
 	m.audit.mu.Unlock()
 }
 
-// appendAudit appends one decision to the audit ring, oldest-out, and
-// forwards it to the audit sink when one is attached.
-func (m *Monitor) appendAudit(d *Decision) {
+// appendAudit appends one decision, made under ctx, to the audit ring,
+// oldest-out, and forwards it to the audit sink when one is attached.
+func (m *Monitor) appendAudit(ctx probe.SpanContext, d *Decision) {
 	if m.probeAudit.Wants(int64(d.PID)) {
-		m.probeAudit.Emit(probeEvent(probe.KindAudit, d))
-	}
-	// Every audit append is mirrored to a telemetry counter so the
-	// audit log and overhaul-top can never silently disagree.
-	if m.metrics != nil {
-		m.metrics.auditAppends.Add(1)
+		var ev probe.Event
+		probeEvent(&ev, probe.KindAudit, ctx, d)
+		m.probeAudit.Emit(&ev)
 	}
 	a := &m.audit
 	a.mu.Lock()
@@ -528,27 +450,24 @@ func (m *Monitor) appendAudit(d *Decision) {
 // While the monitor is degraded, every query denies (fail closed) with
 // the distinct protection-degraded reason.
 func (m *Monitor) Decide(pid int, op Op, opTime time.Time) Verdict {
-	return m.DecideCtx(telemetry.SpanContext{}, pid, op, opTime)
+	return m.DecideCtx(probe.SpanContext{}, pid, op, opTime)
 }
 
 // DecideCtx is Decide carrying the trace context of the event that
 // triggered the query (typically the kernel open span, itself parented
-// on the interaction that minted the process's stamp). With telemetry
-// disabled it is exactly the Decide hot path: zero extra allocations,
-// verified by BenchmarkDecideTelemetryDisabled; with telemetry enabled
-// the only allocation is the retained decision span.
-func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time) Verdict {
+// on the interaction that minted the process's stamp). It allocates
+// nothing, whatever is attached to its hooks: verified by the
+// TelemetryDisabled, TelemetryEnabled and ProbeAttached benchmarks.
+func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.Time) Verdict {
 	// One read of the task store up front: against the kernel's sharded
 	// table that is a handful of atomic loads.
 	stamp, sc, disabled, exists := m.tasks.InteractionView(pid)
-	if m.tel.Enabled() && !ctx.Valid() {
+	if !ctx.Valid() {
 		// No explicit parent: join the trace of the interaction that
 		// minted the process's current stamp. This is what connects a
 		// bare Decide to its enabling input.
 		ctx = sc
 	}
-	span := m.tel.StartSpan(ctx, "monitor", "decide")
-	defer span.End()
 
 	degraded := ""
 	if p := m.degraded.Load(); p != nil {
@@ -566,9 +485,14 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 
 	isDegraded := pol.DegradedDenial(degraded)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: verdict, Reason: reason, Degraded: isDegraded}
+	// The decide span opens on the rule's verdict and closes once the
+	// alert round trip is done.
+	var sp probe.Event
 	if m.probeEval.Wants(int64(pid)) {
-		m.probeEval.Emit(probeEvent(probe.KindEvaluate, &d))
+		probeEvent(&sp, probe.KindEvaluate, probe.SpanContext{}, &d)
+		m.probeEval.Begin(ctx, &sp)
 	}
+	defer m.probeEval.End(&sp)
 
 	if verdict == VerdictGrant {
 		m.stats.grants.Add(1)
@@ -578,9 +502,11 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 			m.stats.degradedDenials.Add(1)
 		}
 	}
-	m.appendAudit(&d)
+	m.appendAudit(sp.Ctx, &d)
 	if m.probeDecide.Wants(int64(pid)) {
-		m.probeDecide.Emit(probeEvent(probe.KindDecide, &d))
+		var ev probe.Event
+		probeEvent(&ev, probe.KindDecide, sp.Ctx, &d)
+		m.probeDecide.Emit(&ev)
 	}
 	alertFn := m.alertSink()
 	oi := opIndex(op)
@@ -589,25 +515,8 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 		m.stats.alertsSent.Add(1)
 	}
 
-	if m.tel.Enabled() {
-		span.AnnotateDecision(int64(pid), string(op), verdict.String(), reason)
-		m.countDecision(op, verdict)
-		if !stamp.IsZero() {
-			// Distribution of stamp ages at decision time: the paper's δ
-			// sweep (§V-A) in histogram form.
-			m.observeStampAge(op, opTime.Sub(stamp))
-		}
-		m.tel.RecordDecision(span.Context(), "monitor", pid, string(op), verdict.String(), reason)
-		if verdict == VerdictDeny {
-			// Every denial trips the flight recorder: the dump's final
-			// events carry the deny reason plus whatever preceded it
-			// (injected faults, channel loss, stale stamps).
-			m.tel.TripDenial(span.Context(), "monitor", pid, string(op), reason)
-		}
-	}
-
 	if sendAlert {
-		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: isDegraded, Ctx: span.Context()})
+		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: isDegraded, Ctx: sp.Ctx})
 	}
 	return verdict
 }
@@ -618,23 +527,21 @@ func (m *Monitor) DecideCtx(ctx telemetry.SpanContext, pid int, op Op, opTime ti
 // denials, and this method keeps them from being silent: every denial
 // along the decision path leaves an audit record.
 func (m *Monitor) RecordDenial(pid int, op Op, opTime time.Time, reason string) {
-	m.RecordDenialCtx(telemetry.SpanContext{}, pid, op, opTime, reason)
+	m.RecordDenialCtx(probe.SpanContext{}, pid, op, opTime, reason)
 }
 
 // RecordDenialCtx is RecordDenial carrying the trace context of the
 // failed operation.
-func (m *Monitor) RecordDenialCtx(ctx telemetry.SpanContext, pid int, op Op, opTime time.Time, reason string) {
+func (m *Monitor) RecordDenialCtx(ctx probe.SpanContext, pid int, op Op, opTime time.Time, reason string) {
 	stamp, _, _, _ := m.tasks.InteractionView(pid)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: VerdictDeny, Reason: reason}
 	m.stats.denials.Add(1)
-	m.appendAudit(&d)
+	m.appendAudit(ctx, &d)
 	if m.probeDecide.Wants(int64(pid)) {
-		m.probeDecide.Emit(probeEvent(probe.KindDecide, &d))
-	}
-	if m.tel.Enabled() {
-		m.countDecision(op, VerdictDeny)
-		m.metrics.denialsRecorded.Add(1)
-		m.tel.TripDenial(ctx, "monitor", pid, string(op), reason)
+		var ev probe.Event
+		probeEvent(&ev, probe.KindDecide, ctx, &d)
+		ev.Flags = probe.FlagRecorded
+		m.probeDecide.Emit(&ev)
 	}
 }
 

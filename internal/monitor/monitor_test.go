@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // fakeTasks is a minimal TaskStore.
@@ -42,14 +42,14 @@ func (f *fakeTasks) SetInteractionStamp(pid int, t time.Time) error {
 	return nil
 }
 
-func (f *fakeTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+func (f *fakeTasks) InteractionView(pid int) (time.Time, probe.SpanContext, bool, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t, ok := f.stamps[pid]
-	return t, telemetry.SpanContext{}, ok && f.disabled[pid], ok
+	return t, probe.SpanContext{}, ok && f.disabled[pid], ok
 }
 
-func (f *fakeTasks) SetInteractionStampSpan(pid int, t time.Time, _ telemetry.SpanContext) error {
+func (f *fakeTasks) SetInteractionStampSpan(pid int, t time.Time, _ probe.SpanContext) error {
 	return f.SetInteractionStamp(pid, t)
 }
 

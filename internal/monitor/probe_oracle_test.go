@@ -2,16 +2,12 @@ package monitor
 
 // The probe ≡ audit oracle: a match-all probe on the kernel.decide
 // attach point must observe exactly the decision stream the audit log
-// records — same order, same fields, byte-identical rendered lines —
-// with the single documented exception that a degraded denial's cause
-// is elided from the fixed-size probe event. This pins the probe layer
-// as a faithful, lossless view of the decision path (satellite c of
-// the probe-layer issue) and pins the interned reason texts against
-// the policy's exported constants.
+// records — same order, same fields, byte-identical rendered lines,
+// full reasons included. This pins the probe layer as a faithful,
+// lossless view of the decision path.
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,19 +17,13 @@ import (
 
 // auditLine renders a Decision the way probe.Event.Format renders the
 // corresponding event, from the audit record alone.
-func auditLine(d Decision, threshold time.Duration) string {
+func auditLine(d Decision) string {
 	stamp := int64(0)
 	if !d.Stamp.IsZero() {
 		stamp = d.Stamp.UnixNano()
 	}
-	reason := d.Reason
-	if strings.HasPrefix(reason, "protection degraded: ") {
-		// The probe event interns the degraded reason without its
-		// dynamic cause.
-		reason = "protection degraded: (cause elided)"
-	}
 	return fmt.Sprintf("decide pid=%d session=0 dev=%s verdict=%s t=%d stamp=%d reason=%s",
-		d.PID, string(d.Op), d.Verdict.String(), d.OpTime.UnixNano(), stamp, reason)
+		d.PID, string(d.Op), d.Verdict.String(), d.OpTime.UnixNano(), stamp, d.Reason)
 }
 
 func TestProbeDecideStreamMatchesAuditOracle(t *testing.T) {
@@ -72,7 +62,7 @@ func TestProbeDecideStreamMatchesAuditOracle(t *testing.T) {
 	}
 	m.Decide(3, OpMic, later.Add(-time.Millisecond)) // grant: stamp after op
 	m.SetDegraded("channel dead")
-	m.Decide(1, OpOther, later) // deny: degraded (cause elided)
+	m.Decide(1, OpOther, later) // deny: degraded
 	m.ClearDegraded()
 	m.RecordDenial(2, OpOther, later, "transient open failure: fail closed")
 
@@ -86,46 +76,10 @@ func TestProbeDecideStreamMatchesAuditOracle(t *testing.T) {
 		t.Fatalf("script produced %d decisions, want 8", n)
 	}
 	for i := 0; i < n; i++ {
-		got := buf[i].Format(m.Threshold())
-		want := auditLine(decisions[i], m.Threshold())
+		got := buf[i].Format()
+		want := auditLine(decisions[i])
 		if got != want {
 			t.Errorf("record %d:\nprobe %q\naudit %q", i, got, want)
 		}
-	}
-}
-
-// TestProbeReasonTextsMatchPolicy pins the probe layer's interned
-// reason texts against the policy's exported constants: if a policy
-// reason is ever reworded, the probe must follow or this fails.
-func TestProbeReasonTextsMatchPolicy(t *testing.T) {
-	for _, s := range []string{
-		ReasonForceGrant, ReasonObserveOnly, ReasonNoSuchProcess,
-		ReasonPtraceGuard, ReasonNoInteraction, ReasonStampAfterOp,
-		ReasonWithinDelta,
-	} {
-		code := probe.ReasonOf(s)
-		if code == probe.ReasonOther || code == probe.ReasonNone {
-			t.Errorf("policy reason %q has no probe intern code", s)
-			continue
-		}
-		ev := probe.Event{Reason: code}
-		if got := ev.ReasonText(DefaultThreshold); got != s {
-			t.Errorf("probe renders %v as %q, policy says %q", code, got, s)
-		}
-	}
-	// The two dynamic reasons: prefix-interned.
-	if probe.ReasonOf("protection degraded: x") != probe.ReasonDegraded {
-		t.Error("degraded prefix not interned")
-	}
-	pol := Policy{Threshold: 2 * time.Second, Enforce: true}
-	stamp := time.Unix(100, 0)
-	op := stamp.Add(5*time.Second + 250*time.Millisecond)
-	_, reason := pol.Evaluate(Query{OpTime: op, Stamp: stamp, Exists: true})
-	if probe.ReasonOf(reason) != probe.ReasonStale {
-		t.Errorf("stale reason %q not interned", reason)
-	}
-	ev := probe.Event{Reason: probe.ReasonStale, TimeNanos: op.UnixNano(), StampNanos: stamp.UnixNano()}
-	if got := ev.ReasonText(pol.Threshold); got != reason {
-		t.Errorf("stale reconstruction %q != policy %q", got, reason)
 	}
 }

@@ -3,8 +3,6 @@ package monitor
 import (
 	"testing"
 	"time"
-
-	"overhaul/internal/probe"
 )
 
 func staleQuery(base time.Time, stale, threshold time.Duration) Query {
@@ -86,32 +84,5 @@ func TestStaleReasonInterned(t *testing.T) {
 	_, b := p.Evaluate(staleQuery(base.Add(time.Hour), 3299*time.Millisecond, p.Threshold))
 	if a != b {
 		t.Fatalf("same bucket, different reasons: %q vs %q", a, b)
-	}
-}
-
-// TestProbeStaleQuantizerMatchesPolicy pins the probe layer's
-// duplicated quantizer to the policy's: for a sweep of stalenesses the
-// event-reconstructed reason must equal the policy-formatted one
-// byte for byte.
-func TestProbeStaleQuantizerMatchesPolicy(t *testing.T) {
-	p := Policy{Threshold: 2 * time.Second, Enforce: true}
-	base := time.Unix(100, 0)
-	sweep := []time.Duration{
-		0, 1, 99, 100, 101, 999,
-		time.Microsecond, 987 * time.Microsecond,
-		time.Millisecond, 3250 * time.Millisecond, 3299 * time.Millisecond,
-		time.Second, 59 * time.Second, time.Hour, 12345 * time.Hour,
-	}
-	for _, stale := range sweep {
-		q := staleQuery(base, stale, p.Threshold)
-		_, want := p.Evaluate(q)
-		ev := probe.Event{
-			Reason:     probe.ReasonStale,
-			TimeNanos:  q.OpTime.UnixNano(),
-			StampNanos: q.Stamp.UnixNano(),
-		}
-		if got := ev.ReasonText(p.Threshold); got != want {
-			t.Errorf("stale %v: probe %q != policy %q", stale, got, want)
-		}
 	}
 }

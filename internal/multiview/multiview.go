@@ -103,10 +103,10 @@ type Options struct {
 	Ops int
 }
 
-// env is the per-run instrumentation a benchmark's setup receives.
+// env is the per-run instrumentation a benchmark's setup receives: in
+// ModeMatch its registry also feeds a telemetry recorder.
 type env struct {
-	reg *probe.Registry     // nil in ModeOff
-	tel *telemetry.Recorder // non-nil only in ModeMatch
+	reg *probe.Registry // nil in ModeOff
 }
 
 // newEnv builds the instrumentation for one (benchmark, mode) run and
@@ -127,7 +127,10 @@ func newEnv(m Mode) (env, *probe.Ring, error) {
 		if _, err := reg.AttachSpec("", ring); err != nil {
 			return env{}, nil, err
 		}
-		return env{reg: reg, tel: telemetry.New(clock.NewSimulated())}, ring, nil
+		if err := telemetry.New(clock.NewSimulated()).Attach(reg); err != nil {
+			return env{}, nil, err
+		}
+		return env{reg: reg}, ring, nil
 	}
 	return env{}, nil, fmt.Errorf("unknown mode %d", int(m))
 }
@@ -162,14 +165,14 @@ type stampTasks struct {
 	stamp time.Time
 }
 
-func (t *stampTasks) InteractionView(pid int) (time.Time, telemetry.SpanContext, bool, bool) {
+func (t *stampTasks) InteractionView(pid int) (time.Time, probe.SpanContext, bool, bool) {
 	if pid != t.pid {
-		return time.Time{}, telemetry.SpanContext{}, false, false
+		return time.Time{}, probe.SpanContext{}, false, false
 	}
-	return t.stamp, telemetry.SpanContext{}, false, true
+	return t.stamp, probe.SpanContext{}, false, true
 }
 
-func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ telemetry.SpanContext) error {
+func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ probe.SpanContext) error {
 	if pid == t.pid && ts.After(t.stamp) {
 		t.stamp = ts
 	}
@@ -181,7 +184,7 @@ func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ telemetry.
 func setupDecide(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: e.reg})
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +200,7 @@ func setupDecide(e env) (func(int) error, error) {
 func setupNotify(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Telemetry: e.tel, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: e.reg})
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +217,7 @@ func setupKernelOpen(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	fsys := fs.New(clk)
 	k, err := kernel.New(clk, fsys, kernel.Config{
-		Monitor: monitor.Config{Enforce: true, ForceGrant: true, Telemetry: e.tel, Probes: e.reg},
+		Monitor: monitor.Config{Enforce: true, ForceGrant: true, Probes: e.reg},
 	})
 	if err != nil {
 		return nil, err
@@ -291,7 +294,7 @@ func setupFleetDispatch(e env) (func(int) error, error) {
 // and its amortised append cost is identical across modes.
 func setupXServerInput(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
-	srv, err := xserver.NewServer(clk, nil, xserver.Config{Telemetry: e.tel, Probes: e.reg})
+	srv, err := xserver.NewServer(clk, nil, xserver.Config{Probes: e.reg})
 	if err != nil {
 		return nil, err
 	}

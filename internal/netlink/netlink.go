@@ -23,7 +23,6 @@ import (
 
 	"overhaul/internal/faultinject"
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // Sentinel errors.
@@ -93,16 +92,10 @@ type Hub struct {
 	kernelHandler Handler
 	conns         map[int]*Conn
 	faults        faultinject.Hook
-	tel           *telemetry.Recorder
-	// mUserToKernel and mKernelToUser are pre-resolved message counters,
-	// interned once in SetTelemetry so the per-message paths skip the
-	// metric-key lookup (nil and nil-safe when telemetry is off).
-	mUserToKernel *telemetry.Counter
-	mKernelToUser *telemetry.Counter
 	// probeSend/probeRecv are the netlink.send (kernel→user) and
-	// netlink.recv (user→kernel) attach points, resolved in SetProbes.
-	probeSend *probe.Hook
-	probeRecv *probe.Hook
+	// netlink.recv (user→kernel) attach points and probeFault the
+	// system.fault one, resolved in SetProbes.
+	probeSend, probeRecv, probeFault *probe.Hook
 }
 
 // NewHub creates a hub whose connections are vetted by auth.
@@ -129,21 +122,6 @@ func (h *Hub) SetFaultHook(hook faultinject.Hook) {
 	h.faults = hook
 }
 
-// SetTelemetry installs the telemetry recorder consulted for channel
-// message counters and fault flight-recorder events. A nil recorder
-// (the default) disables instrumentation.
-func (h *Hub) SetTelemetry(tel *telemetry.Recorder) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.tel = tel
-	if tel.Enabled() {
-		h.mUserToKernel = tel.Counter("netlink", "messages", "dir=user_to_kernel")
-		h.mKernelToUser = tel.Counter("netlink", "messages", "dir=kernel_to_user")
-	} else {
-		h.mUserToKernel, h.mKernelToUser = nil, nil
-	}
-}
-
 // SetProbes resolves the hub's probe attach points from reg. A nil
 // registry (the default) leaves the channel uninstrumented.
 func (h *Hub) SetProbes(reg *probe.Registry) {
@@ -151,17 +129,18 @@ func (h *Hub) SetProbes(reg *probe.Registry) {
 	defer h.mu.Unlock()
 	h.probeSend = reg.Hook(probe.HookNetlinkSend)
 	h.probeRecv = reg.Hook(probe.HookNetlinkRecv)
+	h.probeFault = reg.Hook(probe.HookFault)
 }
 
-// applyFault evaluates the channel fault point for one message and
-// updates the fault counters. The returned fault tells the caller
-// whether to drop (KindError) or double-deliver (KindDuplicate) the
-// message; delays have already been realised on the virtual clock by
-// the injector.
-func (h *Hub) applyFault(p faultinject.Point) faultinject.Fault {
+// applyFault evaluates the channel fault point for one message to or
+// from pid and updates the fault counters. The returned fault tells
+// the caller whether to drop (KindError) or double-deliver
+// (KindDuplicate) the message; delays have already been realised on
+// the virtual clock by the injector.
+func (h *Hub) applyFault(p faultinject.Point, pid int) faultinject.Fault {
 	h.mu.RLock()
 	hook := h.faults
-	tel := h.tel
+	pb := h.probeFault
 	h.mu.RUnlock()
 
 	f := faultinject.Eval(hook, p)
@@ -176,16 +155,15 @@ func (h *Hub) applyFault(p faultinject.Point) faultinject.Fault {
 	case faultinject.KindDuplicate:
 		h.stats.duplicated.Add(1)
 	}
-	if tel.Enabled() {
-		tel.Add("netlink", "faults", "point="+string(p)+" kind="+f.Kind.String(), 1)
+	if pb.Wants(int64(pid)) {
+		ev := probe.Event{PID: int64(pid), Kind: probe.KindFault, Arg: int64(f.Kind), Reason: string(p)}
 		if f.Kind == faultinject.KindError {
 			// A dropped channel message is exactly the failure the
-			// enforcement stack must survive closed; leave the fault
-			// point's name in the flight ring so a post-mortem dump
-			// shows what the channel lost.
-			tel.RecordEvent(telemetry.SpanContext{}, "netlink", "fault",
-				"injected fault at "+string(p)+": message dropped")
+			// enforcement stack must survive closed; name the fault
+			// point so a post-mortem dump shows what the channel lost.
+			ev.Detail = "injected fault at " + string(p) + ": message dropped"
 		}
+		pb.Emit(&ev)
 	}
 	return f
 }
@@ -218,13 +196,11 @@ func (h *Hub) CallUser(pid int, msg any) (any, error) {
 	if ok {
 		fn = c.userHandler
 	}
-	m := h.mKernelToUser
 	pb := h.probeSend
 	h.mu.RUnlock()
 	h.stats.kernelToUser.Add(1)
-	m.Add(1)
 	if pb.Wants(int64(pid)) {
-		pb.Emit(probe.Event{PID: int64(pid), Kind: probe.KindSend})
+		pb.Emit(&probe.Event{PID: int64(pid), Kind: probe.KindSend})
 	}
 
 	if !ok {
@@ -233,7 +209,7 @@ func (h *Hub) CallUser(pid int, msg any) (any, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("%w: pid %d has no user handler", ErrNoHandler, pid)
 	}
-	switch f := h.applyFault(faultinject.PointNetlinkKernelToUser); f.Kind {
+	switch f := h.applyFault(faultinject.PointNetlinkKernelToUser, pid); f.Kind {
 	case faultinject.KindError:
 		return nil, fmt.Errorf("%w: kernel→user pid %d: %w", ErrChannelFault, pid, f.Err)
 	case faultinject.KindDuplicate:
@@ -295,19 +271,17 @@ func (c *Conn) Call(msg any) (any, error) {
 
 	c.hub.mu.RLock()
 	fn := c.hub.kernelHandler
-	m := c.hub.mUserToKernel
 	pb := c.hub.probeRecv
 	c.hub.mu.RUnlock()
 	c.hub.stats.userToKernel.Add(1)
-	m.Add(1)
 	if pb.Wants(int64(c.pid)) {
-		pb.Emit(probe.Event{PID: int64(c.pid), Kind: probe.KindRecv})
+		pb.Emit(&probe.Event{PID: int64(c.pid), Kind: probe.KindRecv})
 	}
 
 	if fn == nil {
 		return nil, ErrNoHandler
 	}
-	switch f := c.hub.applyFault(faultinject.PointNetlinkUserToKernel); f.Kind {
+	switch f := c.hub.applyFault(faultinject.PointNetlinkUserToKernel, c.pid); f.Kind {
 	case faultinject.KindError:
 		return nil, fmt.Errorf("%w: user→kernel pid %d: %w", ErrChannelFault, c.pid, f.Err)
 	case faultinject.KindDuplicate:

@@ -8,7 +8,7 @@ import (
 var benchEvent = Event{
 	TimeNanos: 1_000_000, StampNanos: 500_000, Session: 1, PID: 42,
 	Kind: KindDecide, Dev: DevMic, Verdict: VerdictDeny,
-	Reason: ReasonNoInteraction,
+	Reason: "no recorded user interaction",
 }
 
 func BenchmarkProbeAttach(b *testing.B) {
@@ -32,7 +32,7 @@ func BenchmarkProbeAttach(b *testing.B) {
 }
 
 // BenchmarkProbeDispatch measures the canonical emission-site pattern
-// (if h.Wants(pid) { h.Emit(ev) }) at its three cost levels.
+// (if h.Wants(pid) { h.Emit(&ev) }) at its three cost levels.
 func BenchmarkProbeDispatch(b *testing.B) {
 	b.Run("unattached", func(b *testing.B) {
 		// The cost every instrumented hot path pays when nothing is
@@ -43,7 +43,7 @@ func BenchmarkProbeDispatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if h.Wants(benchEvent.PID) {
-				h.Emit(benchEvent)
+				h.Emit(&benchEvent)
 			}
 		}
 	})
@@ -60,7 +60,7 @@ func BenchmarkProbeDispatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if h.Wants(benchEvent.PID) {
-				h.Emit(benchEvent)
+				h.Emit(&benchEvent)
 			}
 		}
 	})
@@ -77,7 +77,7 @@ func BenchmarkProbeDispatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if h.Wants(benchEvent.PID) {
-				h.Emit(benchEvent)
+				h.Emit(&benchEvent)
 			}
 		}
 	})
@@ -95,7 +95,7 @@ func BenchmarkProbeDispatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if h.Wants(benchEvent.PID) {
-				h.Emit(benchEvent)
+				h.Emit(&benchEvent)
 			}
 			if i&511 == 511 {
 				ring.ReadBatch(buf)
@@ -110,7 +110,7 @@ func BenchmarkProbeRingPublish(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ring.Publish(benchEvent)
+		ring.Publish(&benchEvent)
 		if i&511 == 511 {
 			ring.ReadBatch(buf)
 		}
@@ -124,7 +124,7 @@ func TestProbeDispatchZeroAlloc(t *testing.T) {
 	unarmed := r.Hook(HookKernelOpen)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if unarmed.Wants(benchEvent.PID) {
-			unarmed.Emit(benchEvent)
+			unarmed.Emit(&benchEvent)
 		}
 	}); allocs != 0 {
 		t.Fatalf("unattached dispatch allocates %v per op, want 0", allocs)
@@ -137,7 +137,7 @@ func TestProbeDispatchZeroAlloc(t *testing.T) {
 	idle := r.Hook(HookKernelDecide)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if idle.Wants(benchEvent.PID) {
-			idle.Emit(benchEvent)
+			idle.Emit(&benchEvent)
 		}
 	}); allocs != 0 {
 		t.Fatalf("attached-idle dispatch allocates %v per op, want 0", allocs)
@@ -151,7 +151,7 @@ func TestProbeDispatchZeroAlloc(t *testing.T) {
 	buf := make([]Event, 64)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if match.Wants(0) {
-			match.Emit(Event{Kind: KindAudit})
+			match.Emit(&Event{Kind: KindAudit})
 		}
 		matchRing.ReadBatch(buf)
 	}); allocs != 0 {

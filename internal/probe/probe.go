@@ -1,16 +1,17 @@
-// Package probe is Overhaul's attachable instrumentation layer,
-// modeled on the tracepoint + ring-buffer design of eBPF tracers.
-//
-// The repository's performance story (ROADMAP item 3, the libMicro
-// multiview methodology of SNIPPETS.md Snippet 1) requires observing
-// the decision path without taxing it. The probe layer delivers that
-// with three pieces:
+// Package probe is Overhaul's one event source: every instrumented hot
+// path emits through a named Hook, and everything that observes the
+// system — live rings and the telemetry recorder alike — consumes the
+// events those hooks emit. It is modeled on the tracepoint +
+// ring-buffer design of eBPF tracers.
 //
 //   - Hook: a named attach point compiled into a hot path (kernel
-//     open/decide, monitor evaluate/audit, xserver input, netlink
-//     send/recv, fleet dispatch). An unattached hook costs its caller
-//     exactly one atomic pointer load; event construction happens only
-//     behind an Armed() check.
+//     open/decide, monitor evaluate/audit/notify, xserver
+//     input/notify/query/alert, netlink send/recv/call, fleet
+//     dispatch, and the fault, degradation and recovery points). An
+//     unattached hook costs its caller one atomic pointer load; event
+//     construction happens only behind a Wants(pid) check. A hook that
+//     opens a span (Begin) mints its trace and span IDs from the
+//     registry's counters, so IDs are sequential per system.
 //
 //   - Spec: a small, safe predicate program — match on op kind, pid
 //     range, device class, verdict, session ID — compiled from a
@@ -18,19 +19,22 @@
 //     allocation-free matcher. There are no loops and no user code:
 //     a probe cannot block, recurse into, or perturb the hot path.
 //
-//   - Ring: a perf-buffer-like bounded MPSC ring. Publishing is
+//   - Ring: a perf-buffer-like bounded MPSC ring, the sink for live
+//     readers (overhaul-top -probe, overhaul-multiview). Publishing is
 //     lock-free and never blocks; a full ring drops the event and
-//     counts the drop, exactly like a perf buffer under a slow
-//     reader. One batched consumer drains it.
+//     counts the drop, exactly like a perf buffer under a slow reader.
 //
-// A Registry owns the fixed set of hooks and the runtime
-// attach/detach/list surface (overhaul-top -probe, overhaul-multiview).
+//   - Consumer: an in-process observer fed inline by Emit (the
+//     telemetry recorder). It sees every event at the hooks it
+//     attached to, unfiltered and undropped.
+//
+// A Registry owns the fixed set of hooks, the span ID counters, and
+// the runtime attach/detach/list surface.
 package probe
 
 import (
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Kind names the attach point class an event was emitted from.
@@ -38,15 +42,23 @@ type Kind uint8
 
 // Event kinds, one per attach point.
 const (
-	KindNone     Kind = iota
-	KindOpen          // kernel.open: the augmented open(2) path
-	KindDecide        // kernel.decide: a permission decision record
-	KindEvaluate      // monitor.evaluate: the pure policy rule ran
-	KindAudit         // monitor.audit: an audit-ring append
-	KindInput         // xserver.input: authentic hardware input
-	KindSend          // netlink.send: a kernel→user channel message
-	KindRecv          // netlink.recv: a user→kernel channel message
-	KindDispatch      // fleet.dispatch: one ingress request routed
+	KindNone        Kind = iota
+	KindOpen             // kernel.open: the augmented open(2) path
+	KindDecide           // kernel.decide: a permission decision record
+	KindEvaluate         // monitor.evaluate: the policy rule ran (the decide span)
+	KindAudit            // monitor.audit: an audit-ring append
+	KindInput            // xserver.input: authentic hardware input
+	KindSend             // netlink.send: a kernel→user channel message
+	KindRecv             // netlink.recv: a user→kernel channel message
+	KindDispatch         // fleet.dispatch: one ingress request routed
+	KindNotify           // monitor.notify: an interaction stamp written
+	KindInteraction      // xserver.notify: an interaction notification sent
+	KindQuery            // xserver.query: a permission query sent
+	KindAlert            // xserver.alert: a trusted alert rendered
+	KindCall             // netlink.call: a display-server channel call
+	KindFault            // system.fault: an injected fault fired
+	KindDegrade          // system.degrade: protection degraded
+	KindRecover          // system.recover: protection restored
 
 	kindCount
 )
@@ -55,6 +67,9 @@ var kindNames = [kindCount]string{
 	KindNone: "none", KindOpen: "open", KindDecide: "decide",
 	KindEvaluate: "evaluate", KindAudit: "audit", KindInput: "input",
 	KindSend: "send", KindRecv: "recv", KindDispatch: "dispatch",
+	KindNotify: "notify", KindInteraction: "interaction", KindQuery: "query",
+	KindAlert: "alert", KindCall: "call", KindFault: "fault",
+	KindDegrade: "degrade", KindRecover: "recover",
 }
 
 // String names the kind ("open", "decide", ...).
@@ -155,164 +170,106 @@ func VerdictOf(s string) Verdict {
 	}
 }
 
-// Reason is an interned decision-reason code. Events are fixed-size and
-// pointer-free so a ring publish is one flat copy; the monitor's reason
-// strings are therefore interned to a code at emission time and
-// re-rendered by ReasonText. The fixed policy reasons and the stale
-// denial round-trip byte-exactly (the stale staleness is recomputed
-// from the event's timestamps and δ); only the degraded denial's
-// free-form cause is elided.
-type Reason uint8
+// Phase places an event on a span: a span's begin and end events
+// bracket it (Hook.Begin, Span.End), and a point event is an instant.
+type Phase uint8
 
-// Reason codes. The text constants below each code are the exact
-// monitor strings they intern; the probe ≡ audit oracle property test
-// in internal/monitor pins them against the policy's exported
-// constants so they cannot drift.
+// Phases.
 const (
-	ReasonNone          Reason = iota
-	ReasonForceGrant           // "force-grant (benchmark mode)"
-	ReasonObserveOnly          // "observe-only mode"
-	ReasonDegraded             // "protection degraded: <cause>" (cause elided)
-	ReasonNoSuchProcess        // "no such process"
-	ReasonPtraceGuard          // "permissions disabled (ptrace guard)"
-	ReasonNoInteraction        // "no recorded user interaction"
-	ReasonStampAfterOp         // "interaction at or after operation"
-	ReasonWithinDelta          // "within temporal proximity threshold"
-	ReasonStale                // "interaction stale by <s> (δ=<d>)"
-	ReasonFailClosed           // "transient open failure: fail closed"
-	ReasonOther                // any reason string not interned above
+	PhasePoint Phase = iota
+	PhaseBegin
+	PhaseEnd
 )
 
-// The monitor reason vocabulary, duplicated here because the monitor
-// imports this package (the oracle test asserts the strings match).
+// Flags qualify an event beyond its kind.
+type Flags uint8
+
+// Event flags.
 const (
-	textForceGrant     = "force-grant (benchmark mode)"
-	textObserveOnly    = "observe-only mode"
-	textDegradedPrefix = "protection degraded: "
-	textNoSuchProcess  = "no such process"
-	textPtraceGuard    = "permissions disabled (ptrace guard)"
-	textNoInteraction  = "no recorded user interaction"
-	textStampAfterOp   = "interaction at or after operation"
-	textWithinDelta    = "within temporal proximity threshold"
-	textStalePrefix    = "interaction stale by "
-	textFailClosed     = "transient open failure: fail closed"
+	// FlagRecorded marks a kernel.decide event for a denial decided
+	// outside the policy (a fail-closed fault) and only recorded.
+	FlagRecorded Flags = 1 << iota
+	// FlagFailed marks an xserver.alert end event whose render failed.
+	FlagFailed
 )
 
-// quantizeStale mirrors monitor.QuantizeStale — staleness rounded down
-// to two significant figures, the resolution the policy's interned
-// stale reasons report. Duplicated for the same reason as the text
-// vocabulary above; the oracle test pins the two implementations
-// together.
-func quantizeStale(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	q := time.Duration(1)
-	for d/q >= 100 {
-		q *= 10
-	}
-	return d - d%q
-}
+// TraceID identifies one causally connected decision path: one user
+// interaction and every enforcement step it enables. IDs are
+// sequential from 1 per registry, never random, so traces are stable
+// across runs.
+type TraceID uint64
 
-// ReasonOf interns a monitor reason string. Fixed reasons map to their
-// code; the dynamic degraded and stale reasons map by prefix; anything
-// else is ReasonOther. The switch is a handful of length-bucketed
-// string compares — cheap enough for an armed hot path, and never run
-// on an unarmed one.
-func ReasonOf(s string) Reason {
-	switch s {
-	case "":
-		return ReasonNone
-	case textForceGrant:
-		return ReasonForceGrant
-	case textObserveOnly:
-		return ReasonObserveOnly
-	case textNoSuchProcess:
-		return ReasonNoSuchProcess
-	case textPtraceGuard:
-		return ReasonPtraceGuard
-	case textNoInteraction:
-		return ReasonNoInteraction
-	case textStampAfterOp:
-		return ReasonStampAfterOp
-	case textWithinDelta:
-		return ReasonWithinDelta
-	case textFailClosed:
-		return ReasonFailClosed
-	}
-	if strings.HasPrefix(s, textDegradedPrefix) {
-		return ReasonDegraded
-	}
-	if strings.HasPrefix(s, textStalePrefix) {
-		return ReasonStale
-	}
-	return ReasonOther
-}
+// SpanID identifies one span. IDs are sequential from 1 per registry
+// in begin order across all traces.
+type SpanID uint64
 
-// Event is one probe record: fixed-size and pointer-free, so a ring
-// publish is a single flat copy and matching allocates nothing.
+// SpanContext is the propagation token: enough to link a child span to
+// its parent across a process, channel, or IPC boundary. The zero value
+// means "no context" and starts a fresh trace.
 //
-// TimeNanos and StampNanos are coarse unix-nanosecond timestamps; a
-// zero StampNanos means "no interaction stamp" (the zero time.Time is
-// normalised to 0 at emission, not to its out-of-range UnixNano).
-// Session is 0 outside fleet dispatch. Seq is assigned by the ring at
-// publish time (position order), 0 before publication.
+// Contexts ride the same paths interaction timestamps do: the netlink
+// message structs carry one alongside the stamp time, the kernel's
+// task struct stores the context that minted the current stamp
+// (inherited on fork, P1), and the IPC carriers embed it next to the
+// stamp they propagate (P2).
+type SpanContext struct {
+	Trace TraceID `json:"trace"`
+	Span  SpanID  `json:"span"`
+}
+
+// Valid reports whether the context names a real span.
+func (c SpanContext) Valid() bool { return c.Trace != 0 && c.Span != 0 }
+
+// Event is one probe record. It is flat — its strings are ones the
+// emitting site already holds (a monitor reason, a device path) — so a
+// ring publish is a single copy and emission allocates nothing.
+//
+// TimeNanos and StampNanos are unix nanoseconds; a zero StampNanos
+// means "no interaction stamp". Session is 0 outside fleet dispatch.
+// Seq is assigned by the ring at publish time (position order), 0
+// before publication. Ctx is the span the event begins, ends, or was
+// emitted under; Parent is a begin event's parent span.
 type Event struct {
 	Seq        uint64
 	TimeNanos  int64
 	StampNanos int64
 	Session    uint64
 	PID        int64
-	Kind       Kind
-	Dev        Dev
-	Verdict    Verdict
-	Reason     Reason
-}
-
-// ReasonText renders the event's interned reason back into the
-// monitor's string vocabulary. threshold is δ, needed to reconstruct
-// the stale denial's formatted staleness; events whose reason carries
-// no dynamic part ignore it.
-func (ev Event) ReasonText(threshold time.Duration) string {
-	switch ev.Reason {
-	case ReasonNone:
-		return ""
-	case ReasonForceGrant:
-		return textForceGrant
-	case ReasonObserveOnly:
-		return textObserveOnly
-	case ReasonDegraded:
-		return textDegradedPrefix + "(cause elided)"
-	case ReasonNoSuchProcess:
-		return textNoSuchProcess
-	case ReasonPtraceGuard:
-		return textPtraceGuard
-	case ReasonNoInteraction:
-		return textNoInteraction
-	case ReasonStampAfterOp:
-		return textStampAfterOp
-	case ReasonWithinDelta:
-		return textWithinDelta
-	case ReasonStale:
-		stale := quantizeStale(time.Duration(ev.TimeNanos-ev.StampNanos) - threshold)
-		return textStalePrefix + stale.String() + " (δ=" + threshold.String() + ")"
-	case ReasonFailClosed:
-		return textFailClosed
-	default:
-		return "(unknown reason)"
-	}
+	// Arg is a kind-specific number: the window an input span landed
+	// on, the faultinject.Kind of a fault.
+	Arg     int64
+	Ctx     SpanContext
+	Parent  SpanID
+	Kind    Kind
+	Phase   Phase
+	Dev     Dev
+	Verdict Verdict
+	Flags   Flags
+	// Reason is a decision's reason, a failed call's error, a fault's
+	// point, a degradation's cause, or an opened device's class.
+	Reason string
+	// Detail is the event's subject: a device path, an alert message,
+	// a netlink call name, a fault's description, or the subsystem
+	// that degraded or recovered.
+	Detail string
 }
 
 // Format renders the event as one canonical line:
 //
-//	<kind> pid=P session=S dev=D verdict=V t=NANOS stamp=NANOS reason=TEXT
+//	<kind>[.<phase>] pid=P session=S dev=D verdict=V t=NANOS stamp=NANOS reason=TEXT [span=T.S] [detail=TEXT]
 //
-// This is the byte-comparable form the probe ≡ audit oracle test
-// diffs against the audit ring.
-func (ev Event) Format(threshold time.Duration) string {
+// A decide event renders exactly like the audit record it mirrors:
+// the probe ≡ audit oracle test diffs the two.
+func (ev Event) Format() string {
 	var b strings.Builder
 	b.Grow(96)
 	b.WriteString(ev.Kind.String())
+	switch ev.Phase {
+	case PhaseBegin:
+		b.WriteString(".begin")
+	case PhaseEnd:
+		b.WriteString(".end")
+	}
 	b.WriteString(" pid=")
 	b.WriteString(strconv.FormatInt(ev.PID, 10))
 	b.WriteString(" session=")
@@ -326,6 +283,16 @@ func (ev Event) Format(threshold time.Duration) string {
 	b.WriteString(" stamp=")
 	b.WriteString(strconv.FormatInt(ev.StampNanos, 10))
 	b.WriteString(" reason=")
-	b.WriteString(ev.ReasonText(threshold))
+	b.WriteString(ev.Reason)
+	if ev.Ctx.Valid() {
+		b.WriteString(" span=")
+		b.WriteString(strconv.FormatUint(uint64(ev.Ctx.Trace), 10))
+		b.WriteString(".")
+		b.WriteString(strconv.FormatUint(uint64(ev.Ctx.Span), 10))
+	}
+	if ev.Detail != "" {
+		b.WriteString(" detail=")
+		b.WriteString(ev.Detail)
+	}
 	return b.String()
 }

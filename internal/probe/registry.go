@@ -20,8 +20,10 @@ const (
 	// with full decision metadata. Its event stream is byte-equivalent
 	// to the audit ring (the probe ≡ audit oracle property).
 	HookKernelDecide = "kernel.decide"
-	// HookMonitorEvaluate fires when the pure policy rule
-	// (monitor.Policy.Evaluate) produces a verdict inside Decide.
+	// HookMonitorEvaluate spans a monitor decision: it begins once the
+	// pure policy rule (monitor.Policy.Evaluate) has produced a verdict
+	// inside Decide, and ends when the decision (alert included) is
+	// done.
 	HookMonitorEvaluate = "monitor.evaluate"
 	// HookMonitorAudit fires on every audit-ring append.
 	HookMonitorAudit = "monitor.audit"
@@ -35,6 +37,28 @@ const (
 	// HookFleetDispatch fires per fleet ingress request routed to a
 	// session, with the session ID and (for decides) the verdict.
 	HookFleetDispatch = "fleet.dispatch"
+	// HookMonitorNotify spans the monitor's interaction-stamp write.
+	HookMonitorNotify = "monitor.notify"
+	// HookXServerNotify spans an interaction notification the display
+	// server sends for authentic input.
+	HookXServerNotify = "xserver.notify"
+	// HookXServerQuery spans a permission query the display server
+	// sends (clipboard, screen capture).
+	HookXServerQuery = "xserver.query"
+	// HookXServerAlert spans a kernel-requested trusted alert and fires
+	// for every alert the overlay draws.
+	HookXServerAlert = "xserver.alert"
+	// HookNetlinkCall spans each display-server channel call: the
+	// notify, query and alert round trips.
+	HookNetlinkCall = "netlink.call"
+	// HookFault fires for every injected fault a trust seam observes.
+	HookFault = "system.fault"
+	// HookDegrade fires when protection degrades: the monitor going
+	// fail-closed, the display server losing its channel, or a checker
+	// catching an invariant violation.
+	HookDegrade = "system.degrade"
+	// HookRecover fires when degraded protection is restored.
+	HookRecover = "system.recover"
 )
 
 // hookNames is the vocabulary in stable display order.
@@ -47,6 +71,14 @@ var hookNames = []string{
 	HookNetlinkSend,
 	HookNetlinkRecv,
 	HookFleetDispatch,
+	HookMonitorNotify,
+	HookXServerNotify,
+	HookXServerQuery,
+	HookXServerAlert,
+	HookNetlinkCall,
+	HookFault,
+	HookDegrade,
+	HookRecover,
 }
 
 // HookNames returns the attach-point vocabulary in stable order.
@@ -104,17 +136,29 @@ type Info struct {
 	Dropped uint64   `json:"dropped"`
 }
 
-// Registry owns the fixed hook set and the attach/detach surface. One
-// registry instruments one system; passing it through the subsystem
-// configs (monitor.Config.Probes, core.Options.Probes, ...) wires its
-// hooks into the hot paths. Safe for concurrent use; attach/detach are
-// copy-on-write swaps, so in-flight emissions always see a consistent
-// snapshot.
+// Registry owns the fixed hook set, the span ID counters, and the
+// attach/detach surface. One registry instruments one system; passing
+// it through the subsystem configs (monitor.Config.Probes,
+// core.Options.Probes, ...) wires its hooks into the hot paths. Safe
+// for concurrent use; attach/detach are copy-on-write swaps, so
+// in-flight emissions always see a consistent snapshot.
 type Registry struct {
 	mu     sync.Mutex
 	hooks  map[string]*Hook
 	probes map[uint64]*Probe
 	nextID uint64
+
+	// traces and spans are the last trace and span IDs minted.
+	traces, spans atomic.Uint64
+}
+
+// mint allocates the context of a span beginning under parent.
+func (r *Registry) mint(parent SpanContext) SpanContext {
+	ctx := SpanContext{Trace: parent.Trace, Span: SpanID(r.spans.Add(1))}
+	if ctx.Trace == 0 {
+		ctx.Trace = TraceID(r.traces.Add(1))
+	}
+	return ctx
 }
 
 // NewRegistry creates a registry with the full attach-point
@@ -125,7 +169,7 @@ func NewRegistry() *Registry {
 		probes: make(map[uint64]*Probe),
 	}
 	for _, name := range hookNames {
-		r.hooks[name] = &Hook{name: name}
+		r.hooks[name] = &Hook{name: name, reg: r}
 	}
 	return r
 }
@@ -165,15 +209,32 @@ func (r *Registry) Attach(spec Spec, ring *Ring) (*Probe, error) {
 	p.hooks = append(p.hooks, targets...)
 	for _, name := range targets {
 		h := r.hooks[name]
-		var probes []*Probe
-		if old := h.set.Load(); old != nil {
-			probes = append(probes, old.probes...)
-		}
-		probes = append(probes, p)
-		h.set.Store(newAttachSet(probes))
+		h.probes = append(h.probes, p)
+		h.rebuild()
 	}
 	r.probes[p.id] = p
 	return p, nil
+}
+
+// AttachConsumer feeds c every event at the named hooks, inline in
+// Emit, for the life of the registry.
+func (r *Registry) AttachConsumer(c Consumer, hooks ...string) error {
+	if r == nil {
+		return fmt.Errorf("probe: attach on nil registry")
+	}
+	for _, name := range hooks {
+		if !KnownHook(name) {
+			return fmt.Errorf("probe: unknown hook %q", name)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range hooks {
+		h := r.hooks[name]
+		h.consumers = append(h.consumers, c)
+		h.rebuild()
+	}
+	return nil
 }
 
 // AttachSpec parses a textual spec and attaches it.
@@ -201,21 +262,13 @@ func (r *Registry) Detach(id uint64) error {
 	delete(r.probes, id)
 	for _, name := range p.hooks {
 		h := r.hooks[name]
-		old := h.set.Load()
-		if old == nil {
-			continue
-		}
-		var kept []*Probe
-		for _, q := range old.probes {
-			if q != p {
-				kept = append(kept, q)
+		for i, q := range h.probes {
+			if q == p {
+				h.probes = append(h.probes[:i:i], h.probes[i+1:]...)
+				break
 			}
 		}
-		if len(kept) == 0 {
-			h.set.Store(nil)
-		} else {
-			h.set.Store(newAttachSet(kept))
-		}
+		h.rebuild()
 	}
 	return nil
 }

@@ -35,8 +35,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestRegistryHookVocabulary(t *testing.T) {
 	r := NewRegistry()
 	names := HookNames()
-	if len(names) != 8 {
-		t.Fatalf("vocabulary has %d hooks, want 8", len(names))
+	if len(names) != 16 {
+		t.Fatalf("vocabulary has %d hooks, want 16", len(names))
 	}
 	for _, name := range names {
 		h := r.Hook(name)
@@ -87,9 +87,9 @@ func TestAttachDetachLifecycle(t *testing.T) {
 
 	// Emission: deny decide matches p1; input matches p2 only.
 	deny := Event{Kind: KindDecide, Verdict: VerdictDeny}
-	r.Hook(HookKernelDecide).Emit(deny)
+	r.Hook(HookKernelDecide).Emit(&deny)
 	input := Event{Kind: KindInput}
-	r.Hook(HookXServerInput).Emit(input)
+	r.Hook(HookXServerInput).Emit(&input)
 	if p1.Matched() != 1 {
 		t.Fatalf("p1 matched %d, want 1", p1.Matched())
 	}
@@ -154,10 +154,10 @@ func TestEmitRespectsSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := r.Hook(HookKernelDecide)
-	h.Emit(Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictDeny, PID: 10})  // match
-	h.Emit(Event{Kind: KindDecide, Dev: DevCam, Verdict: VerdictDeny, PID: 10})  // dev mismatch
-	h.Emit(Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictGrant, PID: 10}) // verdict mismatch
-	h.Emit(Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictDeny, PID: 99})  // pid mismatch
+	h.Emit(&Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictDeny, PID: 10})  // match
+	h.Emit(&Event{Kind: KindDecide, Dev: DevCam, Verdict: VerdictDeny, PID: 10})  // dev mismatch
+	h.Emit(&Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictGrant, PID: 10}) // verdict mismatch
+	h.Emit(&Event{Kind: KindDecide, Dev: DevMic, Verdict: VerdictDeny, PID: 99})  // pid mismatch
 	buf := make([]Event, 8)
 	if n := ring.ReadBatch(buf); n != 1 {
 		t.Fatalf("ring received %d events, want 1", n)

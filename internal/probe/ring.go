@@ -70,7 +70,7 @@ func (r *Ring) Capacity() int { return len(r.slots) }
 // publication order). It reports false — counting a drop — when the
 // ring is full. Safe for any number of concurrent publishers; never
 // blocks, never allocates.
-func (r *Ring) Publish(ev Event) bool {
+func (r *Ring) Publish(ev *Event) bool {
 	for {
 		t := r.tail.Load()
 		h := r.head.Load()
@@ -80,8 +80,8 @@ func (r *Ring) Publish(ev Event) bool {
 		}
 		if r.tail.CompareAndSwap(t, t+1) {
 			s := &r.slots[t&r.mask]
-			ev.Seq = t + 1
-			s.ev = ev
+			s.ev = *ev
+			s.ev.Seq = t + 1
 			s.seq.Store(t + 1)
 			return true
 		}

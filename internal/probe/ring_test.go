@@ -10,7 +10,7 @@ import (
 func TestRingPublishReadOrder(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 5; i++ {
-		if !r.Publish(Event{PID: int64(i)}) {
+		if !r.Publish(&Event{PID: int64(i)}) {
 			t.Fatalf("publish %d refused on a non-full ring", i)
 		}
 	}
@@ -38,12 +38,12 @@ func TestRingDropOnOverflow(t *testing.T) {
 		t.Fatalf("capacity %d, want 8", r.Capacity())
 	}
 	for i := 0; i < 8; i++ {
-		if !r.Publish(Event{PID: int64(i)}) {
+		if !r.Publish(&Event{PID: int64(i)}) {
 			t.Fatalf("publish %d refused before full", i)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if r.Publish(Event{PID: 99}) {
+		if r.Publish(&Event{PID: 99}) {
 			t.Fatal("publish accepted on a full ring")
 		}
 	}
@@ -56,7 +56,7 @@ func TestRingDropOnOverflow(t *testing.T) {
 	if n := r.ReadBatch(buf); n != 8 {
 		t.Fatalf("ReadBatch = %d, want 8", n)
 	}
-	if !r.Publish(Event{PID: 100}) {
+	if !r.Publish(&Event{PID: 100}) {
 		t.Fatal("publish refused after drain")
 	}
 	if got := r.Stats(); got.Published != 9 || got.Read != 8 {
@@ -84,7 +84,7 @@ func TestRingReaderStallFault(t *testing.T) {
 	r := NewRing(8)
 	r.SetFaultHook(inj.Hook())
 	for i := 0; i < 4; i++ {
-		r.Publish(Event{PID: int64(i)})
+		r.Publish(&Event{PID: int64(i)})
 	}
 	buf := make([]Event, 8)
 	// Two stalled reads: nothing consumed, stall counted.
@@ -163,7 +163,7 @@ func TestRingConcurrentPublish(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPub; i++ {
-				r.Publish(Event{PID: int64(p), TimeNanos: int64(i)})
+				r.Publish(&Event{PID: int64(p), TimeNanos: int64(i)})
 			}
 		}(p)
 	}

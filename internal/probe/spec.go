@@ -17,7 +17,7 @@ type Spec struct {
 	Hook string
 	// Kinds is a bitset over Kind (bit i set ⇒ Kind(i) matches);
 	// 0 means any kind. Devs and Verdicts follow the same convention.
-	Kinds    uint16
+	Kinds    uint32
 	Devs     uint16
 	Verdicts uint8
 	// HasPID arms the inclusive [PIDLo, PIDHi] range filter.

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"sync"
 	"time"
+
+	"overhaul/internal/probe"
 )
 
 // FlightEvent is one entry in the flight-recorder ring: a terse record
@@ -13,15 +14,15 @@ import (
 // taxonomy tag ("denial", "degradation", "fault", "decision",
 // "violation", ...); Detail is human-readable.
 type FlightEvent struct {
-	Seq       uint64    `json:"seq"`
-	Time      time.Time `json:"time"`
-	Subsystem string    `json:"subsystem"`
-	Kind      string    `json:"kind"`
-	Detail    string    `json:"detail"`
-	Trace     TraceID   `json:"trace,omitempty"`
-	Span      SpanID    `json:"span,omitempty"`
+	Seq       uint64        `json:"seq"`
+	Time      time.Time     `json:"time"`
+	Subsystem string        `json:"subsystem"`
+	Kind      string        `json:"kind"`
+	Detail    string        `json:"detail"`
+	Trace     probe.TraceID `json:"trace,omitempty"`
+	Span      probe.SpanID  `json:"span,omitempty"`
 
-	// Structured payload of RecordDecision and TripDenial. Detail is
+	// Structured payload of recordDecision and tripDenial. Detail is
 	// rendered from it only when the event is copied out, so recording
 	// a decision or tripping on a denial allocates nothing.
 	decPID     int
@@ -53,9 +54,7 @@ type FlightDump struct {
 	Events []FlightEvent `json:"events"`
 }
 
-// flightStore is the flight-recorder ring plus its retained dumps,
-// behind their own lock so recording an event never contends with the
-// tracer or the metrics registry.
+// flightStore is the flight-recorder ring plus its retained dumps.
 //
 // A dump is a seq window, not a copy: the flightCap events ending at
 // its trip event, whose time and detail are the dump's time and
@@ -64,7 +63,6 @@ type FlightDump struct {
 // flightCap. Reads copy a window out, and a retained dump is copied
 // aside (once) just before its window starts to be overwritten.
 type flightStore struct {
-	mu   sync.Mutex
 	seq  uint64        // newest event; event q lives at ring[(q-1)%len(ring)]
 	ring []FlightEvent // 2×flightCap, allocated on first use
 	// dumps is a ring of retained dumps, the oldest at dumpHead. The
@@ -81,14 +79,10 @@ type retainedDump struct {
 	events []FlightEvent
 }
 
-// RecordEvent appends an event to the flight ring. ctx may be zero.
-func (r *Recorder) RecordEvent(ctx SpanContext, subsystem, kind, detail string) {
-	if r == nil {
-		return
-	}
+// recordEvent appends an event to the flight ring. ctx may be zero.
+// Like every recording method here, it requires r.mu held.
+func (r *Recorder) recordEvent(ctx probe.SpanContext, subsystem, kind, detail string) {
 	now := r.now()
-	f := &r.flight
-	f.mu.Lock()
 	s := r.slotLocked()
 	s.Time = now
 	s.Subsystem = subsystem
@@ -96,21 +90,15 @@ func (r *Recorder) RecordEvent(ctx SpanContext, subsystem, kind, detail string) 
 	s.Detail = detail
 	s.Trace = ctx.Trace
 	s.Span = ctx.Span
-	f.mu.Unlock()
 }
 
-// RecordDecision appends a Kind "decision" event carrying the verdict
-// fields in structured form. Unlike RecordEvent with a concatenated
-// detail string, this is allocation-free: the hot decision path hands
+// recordDecision appends a Kind "decision" event carrying the verdict
+// fields in structured form. Unlike recordEvent with a concatenated
+// detail string, this is allocation-free: the decision event hands
 // over the pieces and snapshot accessors render "pid=N op=X verdict:
 // reason" on demand.
-func (r *Recorder) RecordDecision(ctx SpanContext, subsystem string, pid int, op, verdict, reason string) {
-	if r == nil {
-		return
-	}
+func (r *Recorder) recordDecision(ctx probe.SpanContext, subsystem string, pid int, op, verdict, reason string) {
 	now := r.now()
-	f := &r.flight
-	f.mu.Lock()
 	// Filled in place: decisions are the hot path, and FlightEvent is
 	// large enough that a construct-then-copy shape shows up in
 	// profiles.
@@ -124,12 +112,11 @@ func (r *Recorder) RecordDecision(ctx SpanContext, subsystem string, pid int, op
 	s.decOp = op
 	s.decVerdict = verdict
 	s.decReason = reason
-	f.mu.Unlock()
 }
 
 // slotLocked claims the next ring slot — sequence-stamped and
 // otherwise zeroed — first copying aside every lazy dump whose window
-// holds the event it overwrites. Requires f.mu held; the caller
+// holds the event it overwrites. Requires r.mu held; the caller
 // fills the slot before unlocking.
 func (r *Recorder) slotLocked() *FlightEvent {
 	f := &r.flight
@@ -183,31 +170,26 @@ func renderDump(q uint64, events []FlightEvent) FlightDump {
 	return FlightDump{Seq: q, Time: trip.Time, Reason: trip.Detail, Events: events}
 }
 
-// TripFlight records a trip event and retains a flight dump ending at
-// it. Call it when a denial, a degradation, or an invariant violation
-// fires; the dump's final events then explain what led up to it. The
-// trip is O(1) and copies nothing.
-func (r *Recorder) TripFlight(ctx SpanContext, subsystem, reason string) {
+// tripFlight records a trip event and retains a flight dump ending at
+// it: a degradation or an invariant violation fired, and the dump's
+// final events explain what led up to it. The trip is O(1) and copies
+// nothing.
+func (r *Recorder) tripFlight(ctx probe.SpanContext, subsystem, reason string) {
 	r.trip(ctx, subsystem, reason, 0, "", "", "")
 }
 
-// TripDenial is TripFlight for a denial, with the reason in structured
-// form the way RecordDecision takes a verdict: "deny pid=N op=X:
+// tripDenial is tripFlight for a denial, with the reason in structured
+// form the way recordDecision takes a verdict: "deny pid=N op=X:
 // reason" is rendered only when the dump is read, so tripping
 // allocates nothing.
-func (r *Recorder) TripDenial(ctx SpanContext, subsystem string, pid int, op, reason string) {
+func (r *Recorder) tripDenial(ctx probe.SpanContext, subsystem string, pid int, op, reason string) {
 	r.trip(ctx, subsystem, "", pid, op, "deny", reason)
 }
 
 // trip records a Kind "trip" event with the given detail or structured
 // fields and retains a lazy dump ending at it.
-func (r *Recorder) trip(ctx SpanContext, subsystem, detail string, pid int, op, verdict, reason string) {
-	if r == nil {
-		return
-	}
+func (r *Recorder) trip(ctx probe.SpanContext, subsystem, detail string, pid int, op, verdict, reason string) {
 	now := r.now()
-	f := &r.flight
-	f.mu.Lock()
 	s := r.slotLocked()
 	s.Time = now
 	s.Subsystem = subsystem
@@ -219,6 +201,7 @@ func (r *Recorder) trip(ctx SpanContext, subsystem, detail string, pid int, op, 
 	s.decOp = op
 	s.decVerdict = verdict
 	s.decReason = reason
+	f := &r.flight
 	if f.dumps == nil {
 		f.dumps = make([]retainedDump, r.dumpCap)
 	}
@@ -230,7 +213,6 @@ func (r *Recorder) trip(ctx SpanContext, subsystem, detail string, pid int, op, 
 	}
 	f.dumps[(f.dumpHead+f.nDumps-1)%r.dumpCap].seq = s.Seq
 	f.lazy = min(f.lazy+1, f.nDumps)
-	f.mu.Unlock()
 }
 
 // FlightEvents returns the current ring contents, oldest first.
@@ -238,9 +220,9 @@ func (r *Recorder) FlightEvents() []FlightEvent {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := &r.flight
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.seq == 0 {
 		return []FlightEvent{}
 	}
@@ -252,9 +234,9 @@ func (r *Recorder) FlightDumps() []FlightDump {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := &r.flight
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]FlightDump, f.nDumps)
 	for i := range out {
 		out[i] = r.dumpLocked(i)
@@ -267,9 +249,9 @@ func (r *Recorder) LastFlightDump() (FlightDump, bool) {
 	if r == nil {
 		return FlightDump{}, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := &r.flight
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.nDumps == 0 {
 		return FlightDump{}, false
 	}
@@ -282,9 +264,9 @@ func (r *Recorder) FlightTrips() uint64 {
 	if r == nil {
 		return 0
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := &r.flight
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return uint64(f.nDumps) + f.dumpsDropped
 }
 

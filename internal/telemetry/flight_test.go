@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/probe"
 )
 
 // eagerFlight is the reference model for the flight recorder: the
@@ -39,7 +40,7 @@ func (m *eagerFlight) record(ev FlightEvent) {
 	}
 }
 
-// trip is the deleted eager TripFlight: record the trip event, then
+// trip is the deleted eager tripFlight: record the trip event, then
 // snapshot the ring.
 func (m *eagerFlight) trip(now time.Time, subsystem, reason string) {
 	m.record(FlightEvent{Time: now, Subsystem: subsystem, Kind: "trip", Detail: reason})
@@ -120,19 +121,19 @@ func TestFlightDumpsMatchEagerModel(t *testing.T) {
 					switch k := rng.Intn(20); {
 					case k < 6:
 						detail := "event " + strconv.Itoa(step)
-						r.RecordEvent(SpanContext{}, sub, "fault", detail)
+						r.recordEvent(probe.SpanContext{}, sub, "fault", detail)
 						m.record(FlightEvent{Time: now, Subsystem: sub, Kind: "fault", Detail: detail})
 					case k < 11:
 						verdict := []string{"grant", "deny"}[rng.Intn(2)]
-						r.RecordDecision(SpanContext{}, sub, pid, op, verdict, reason)
+						r.recordDecision(probe.SpanContext{}, sub, pid, op, verdict, reason)
 						m.record(FlightEvent{Time: now, Subsystem: sub, Kind: "decision",
 							decPID: pid, decOp: op, decVerdict: verdict, decReason: reason})
 					case k < 13:
-						r.TripFlight(SpanContext{}, sub, reason)
+						r.tripFlight(probe.SpanContext{}, sub, reason)
 						m.trip(now, sub, reason)
 					case k < 15:
-						r.TripDenial(SpanContext{}, sub, pid, op, reason)
-						// What the monitor passed to the eager TripFlight.
+						r.tripDenial(probe.SpanContext{}, sub, pid, op, reason)
+						// What the monitor passed to the eager tripFlight.
 						m.trip(now, sub, "deny pid="+strconv.Itoa(pid)+" op="+op+": "+reason)
 					case k < 16:
 						clk.Advance(time.Duration(1+rng.Intn(1000)) * time.Microsecond)
@@ -189,7 +190,7 @@ func compareFlightReads(t *testing.T, where string, kind int, r *Recorder, m *ea
 func TestFlightTripsCountsEvictedDumps(t *testing.T) {
 	r := NewWithOptions(clock.NewSimulated(), Options{DumpCapacity: 2})
 	for i := 0; i < 10; i++ {
-		r.TripFlight(SpanContext{}, "monitor", "trip "+strconv.Itoa(i))
+		r.tripFlight(probe.SpanContext{}, "monitor", "trip "+strconv.Itoa(i))
 	}
 	if got := r.FlightTrips(); got != 10 {
 		t.Fatalf("FlightTrips = %d, want 10", got)
@@ -228,9 +229,9 @@ func TestFlightTripsBounded(t *testing.T) {
 			r := NewWithOptions(clock.NewSimulated(), tc.opts)
 			step := func() {
 				for i := 0; i < tc.perTrip; i++ {
-					r.RecordDecision(SpanContext{}, "monitor", 7, "mic", "grant", "fresh stamp")
+					r.recordDecision(probe.SpanContext{}, "monitor", 7, "mic", "grant", "fresh stamp")
 				}
-				r.TripDenial(SpanContext{}, "monitor", 7, "mic", "stale stamp")
+				r.tripDenial(probe.SpanContext{}, "monitor", 7, "mic", "stale stamp")
 			}
 			// Warm up past both rings so every buffer exists.
 			for i := 0; i < 4*DefaultFlightCapacity; i++ {

@@ -3,7 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"strings"
-	"time"
+
+	"overhaul/internal/probe"
 )
 
 // Snapshot is the full export form of a recorder, consumed by
@@ -48,8 +49,6 @@ func FormatMetrics(points []MetricPoint) string {
 		case "histogram":
 			fmt.Fprintf(&b, "%-52s hist  count=%-6d sum=%-12s buckets=%v\n",
 				id, p.Count, p.Sum, p.Buckets)
-		case "gauge":
-			fmt.Fprintf(&b, "%-52s gauge %d\n", id, p.Value)
 		default:
 			fmt.Fprintf(&b, "%-52s count %d\n", id, p.Value)
 		}
@@ -64,8 +63,8 @@ func FormatTrace(spans []SpanRecord) string {
 	if len(spans) == 0 {
 		return "(no spans)\n"
 	}
-	children := make(map[SpanID][]SpanRecord)
-	byID := make(map[SpanID]bool, len(spans))
+	children := make(map[probe.SpanID][]SpanRecord)
+	byID := make(map[probe.SpanID]bool, len(spans))
 	for _, s := range spans {
 		byID[s.ID] = true
 	}
@@ -116,14 +115,4 @@ func FormatFlight(events []FlightEvent) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Elapsed is a small helper for histogram instrumentation: the
-// duration from start to the recorder's current instant (zero on a nil
-// recorder).
-func (r *Recorder) Elapsed(start time.Time) time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.now().Sub(start)
 }

@@ -2,79 +2,25 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"overhaul/internal/probe"
 )
 
 // metricKey addresses one metric. Labels is a single pre-formed string
-// (e.g. "op=mic verdict=grant") rather than a map so that lookups never
-// allocate and snapshots order deterministically.
+// (e.g. "op=mic verdict=grant") rather than a map so that snapshots
+// order deterministically.
 type metricKey struct {
 	Subsystem string
 	Name      string
 	Labels    string
 }
 
-// metricsStore is the registry. The mutex guards only the maps (handle
-// resolution); the values inside every handle are atomics, so updates
-// through an already-resolved handle never touch the lock.
-type metricsStore struct {
-	mu       sync.Mutex
-	counters map[metricKey]*Counter
-	gauges   map[metricKey]*gauge
-	hists    map[metricKey]*Histogram
-}
-
-func (m *metricsStore) init() {
-	m.counters = make(map[metricKey]*Counter)
-	m.gauges = make(map[metricKey]*gauge)
-	m.hists = make(map[metricKey]*Histogram)
-}
-
-// Counter is a pre-resolved handle to one monotonically increasing
-// count: the (subsystem, name, labels) map lookup is paid once at
-// resolution and every Add after that is two atomic stores. A nil
-// handle is a no-op, mirroring the nil-Recorder convention.
-type Counter struct {
-	rec     *Recorder
-	value   atomic.Uint64
-	updated atomic.Int64 // unix nanos of last Add; 0 = never
-}
-
-// Add increments the counter by delta. Lock-free.
-func (c *Counter) Add(delta uint64) {
-	if c == nil {
-		return
-	}
-	c.value.Add(delta)
-	// Store-if-changed: under a steady clock the freshness stamp is
-	// already right, and skipping the store keeps the cache line clean
-	// for concurrent updaters of the same counter.
-	if n := c.rec.coarseNanos(); c.updated.Load() != n {
-		c.updated.Store(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.value.Load()
-}
-
-// gauge is a set-to-latest value.
-type gauge struct {
-	value   atomic.Int64
-	updated atomic.Int64
-}
-
 // HistogramBuckets is the fixed latency ladder every histogram uses.
 // Fixed buckets keep snapshots comparable across runs and subsystems;
 // on the simulated clock most observations land in the first bucket
 // unless injected delays or retry backoff advanced virtual time.
-var HistogramBuckets = []time.Duration{
+var HistogramBuckets = [...]time.Duration{
 	10 * time.Microsecond,
 	100 * time.Microsecond,
 	time.Millisecond,
@@ -83,38 +29,79 @@ var HistogramBuckets = []time.Duration{
 	time.Second,
 }
 
-// histBuckets fixes the ladder length at compile time so handles can
-// embed their counts without a per-histogram slice allocation.
-const histBuckets = 6
+// metric is one counter or histogram. counts has one slot per
+// HistogramBuckets bound plus a final overflow bucket.
+type metric struct {
+	hist    bool
+	value   uint64
+	counts  [len(HistogramBuckets) + 1]uint64
+	sum     time.Duration
+	updated int64 // unix nanos of the last update; 0 = never
+}
+
+// hotMetrics are the metrics every decision updates, resolved once at
+// New so the decision path never hashes a metric key.
+type hotMetrics struct {
+	auditAppends, notifications *metric
+	messages                    [2]*metric // kernel→user, user→kernel
+	decisions                   [probe.DevOther + 1][probe.VerdictDeny + 1]*metric
+	stampAge                    [probe.DevOther + 1]*metric
+}
+
+// Label strings of the known device classes, built once so counting
+// them allocates nothing.
+var opLabels [probe.DevOther + 1]string
 
 func init() {
-	if len(HistogramBuckets) != histBuckets {
-		panic("telemetry: histBuckets out of sync with HistogramBuckets")
+	for d := range opLabels {
+		opLabels[d] = "op=" + probe.Dev(d).String()
 	}
 }
 
-// Histogram is a pre-resolved handle to one fixed-bucket latency
-// histogram; Observe is lock-free. counts has one slot per
-// HistogramBuckets bound plus a final overflow bucket.
-// The observation total is not stored: every Observe lands in exactly
-// one bucket, so snapshots derive it by summing the buckets and the
-// hot path saves an atomic increment.
-type Histogram struct {
-	rec     *Recorder
-	counts  [histBuckets + 1]atomic.Uint64
-	sum     atomic.Int64 // nanoseconds
-	updated atomic.Int64
+func (r *Recorder) resolveHot() {
+	h := &r.hot
+	h.auditAppends = r.metric("monitor", "audit_appends", "", false)
+	h.notifications = r.metric("monitor", "notifications", "", false)
+	h.messages[0] = r.metric("netlink", "messages", "dir=kernel_to_user", false)
+	h.messages[1] = r.metric("netlink", "messages", "dir=user_to_kernel", false)
+	for d := probe.DevCopy; d <= probe.DevOther; d++ {
+		for _, v := range []probe.Verdict{probe.VerdictGrant, probe.VerdictDeny} {
+			h.decisions[d][v] = r.metric("monitor", "decisions", opLabels[d]+" verdict="+v.String(), false)
+		}
+		h.stampAge[d] = r.metric("monitor", "stamp_age", opLabels[d], true)
+	}
 }
 
-// Observe records one latency observation. Negative durations clamp to
-// zero. Lock-free.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
+// metric resolves the (subsystem, name, labels) metric, creating it on
+// first use. Resolving does not surface it: a snapshot shows only
+// metrics that were updated. Like every metric update, it requires
+// r.mu held.
+func (r *Recorder) metric(subsystem, name, labels string, hist bool) *metric {
+	k := metricKey{Subsystem: subsystem, Name: name, Labels: labels}
+	m := r.metrics[k]
+	if m == nil {
+		m = &metric{hist: hist}
+		r.metrics[k] = m
 	}
-	if d < 0 {
-		d = 0
-	}
+	return m
+}
+
+// add increments a counter.
+func (r *Recorder) add(m *metric) {
+	m.value++
+	m.updated = r.coarseNanos()
+}
+
+// count increments the (subsystem, name, labels) counter: add for
+// metrics off the decision path.
+func (r *Recorder) count(subsystem, name, labels string) {
+	r.add(r.metric(subsystem, name, labels, false))
+}
+
+// observe records one latency observation into a histogram. Negative
+// durations clamp to zero.
+func (r *Recorder) observe(m *metric, d time.Duration) {
+	d = max(d, 0)
 	idx := len(HistogramBuckets) // overflow
 	for i, bound := range HistogramBuckets {
 		if d <= bound {
@@ -122,90 +109,9 @@ func (h *Histogram) Observe(d time.Duration) {
 			break
 		}
 	}
-	h.counts[idx].Add(1)
-	h.sum.Add(int64(d))
-	if n := h.rec.coarseNanos(); h.updated.Load() != n {
-		h.updated.Store(n)
-	}
-}
-
-// Counter resolves (and on first use creates) the handle for one
-// counter. Hot paths should resolve once and hold the handle; the
-// resolution itself takes the registry lock.
-func (r *Recorder) Counter(subsystem, name, labels string) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := metricKey{Subsystem: subsystem, Name: name, Labels: labels}
-	m := &r.metrics
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.counters[k]
-	if c == nil {
-		c = &Counter{rec: r}
-		m.counters[k] = c
-	}
-	return c
-}
-
-// Histogram resolves (and on first use creates) the handle for one
-// histogram, like Counter.
-func (r *Recorder) Histogram(subsystem, name, labels string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	k := metricKey{Subsystem: subsystem, Name: name, Labels: labels}
-	m := &r.metrics
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.hists[k]
-	if h == nil {
-		h = &Histogram{rec: r}
-		m.hists[k] = h
-	}
-	return h
-}
-
-// Add increments the (subsystem, name, labels) counter by delta. The
-// string-keyed form for cold paths; hot paths hold a Counter handle.
-func (r *Recorder) Add(subsystem, name, labels string, delta uint64) {
-	r.Counter(subsystem, name, labels).Add(delta)
-}
-
-// Gauge sets the (subsystem, name, labels) gauge to v.
-func (r *Recorder) Gauge(subsystem, name, labels string, v int64) {
-	if r == nil {
-		return
-	}
-	k := metricKey{Subsystem: subsystem, Name: name, Labels: labels}
-	m := &r.metrics
-	m.mu.Lock()
-	g := m.gauges[k]
-	if g == nil {
-		g = &gauge{}
-		m.gauges[k] = g
-	}
-	m.mu.Unlock()
-	g.value.Store(v)
-	g.updated.Store(r.nowNanos())
-}
-
-// Observe records one latency observation into the (subsystem, name,
-// labels) histogram. Negative durations clamp to zero.
-func (r *Recorder) Observe(subsystem, name, labels string, d time.Duration) {
-	r.Histogram(subsystem, name, labels).Observe(d)
-}
-
-// CounterValue returns the current value of a counter (0 when absent).
-func (r *Recorder) CounterValue(subsystem, name, labels string) uint64 {
-	if r == nil {
-		return 0
-	}
-	m := &r.metrics
-	m.mu.Lock()
-	c := m.counters[metricKey{Subsystem: subsystem, Name: name, Labels: labels}]
-	m.mu.Unlock()
-	return c.Value()
+	m.counts[idx]++
+	m.sum += d
+	m.updated = r.coarseNanos()
 }
 
 // MetricPoint is one metric in a snapshot.
@@ -213,9 +119,9 @@ type MetricPoint struct {
 	Subsystem string `json:"subsystem"`
 	Name      string `json:"name"`
 	Labels    string `json:"labels,omitempty"`
-	// Kind is "counter", "gauge", or "histogram".
+	// Kind is "counter" or "histogram".
 	Kind string `json:"kind"`
-	// Value carries the counter value or the gauge value.
+	// Value carries the counter value.
 	Value int64 `json:"value,omitempty"`
 	// Histogram fields (Kind "histogram" only). Buckets aligns with
 	// HistogramBuckets plus one trailing overflow bucket.
@@ -226,62 +132,32 @@ type MetricPoint struct {
 	Updated time.Time `json:"updated"`
 }
 
-// updatedTime converts a stored unix-nano timestamp back to an instant.
-func updatedTime(n int64) time.Time {
-	return time.Unix(0, n).UTC()
-}
-
-// MetricsSnapshot returns every metric, sorted by subsystem, name,
-// labels, kind — a deterministic order under the simulated clock.
-// Handles that were resolved but never updated are omitted: resolving a
-// handle up front (as the monitor does for every op×verdict pair) must
-// not surface zero-valued series.
+// MetricsSnapshot returns every updated metric, sorted by subsystem,
+// name, labels, kind — a deterministic order under the simulated
+// clock.
 func (r *Recorder) MetricsSnapshot() []MetricPoint {
 	if r == nil {
 		return nil
 	}
-	m := &r.metrics
-	m.mu.Lock()
-	out := make([]MetricPoint, 0, len(m.counters)+len(m.gauges)+len(m.hists))
-	for k, c := range m.counters {
-		up := c.updated.Load()
-		if up == 0 {
+	r.mu.Lock()
+	out := make([]MetricPoint, 0, len(r.metrics))
+	for k, m := range r.metrics {
+		if m.updated == 0 {
 			continue
 		}
-		out = append(out, MetricPoint{
+		p := MetricPoint{
 			Subsystem: k.Subsystem, Name: k.Name, Labels: k.Labels,
-			Kind: "counter", Value: int64(c.value.Load()), Updated: updatedTime(up),
-		})
-	}
-	for k, g := range m.gauges {
-		up := g.updated.Load()
-		if up == 0 {
-			continue
+			Kind: "counter", Value: int64(m.value), Updated: time.Unix(0, m.updated).UTC(),
 		}
-		out = append(out, MetricPoint{
-			Subsystem: k.Subsystem, Name: k.Name, Labels: k.Labels,
-			Kind: "gauge", Value: g.value.Load(), Updated: updatedTime(up),
-		})
-	}
-	for k, h := range m.hists {
-		up := h.updated.Load()
-		if up == 0 {
-			continue
+		if m.hist {
+			p.Kind, p.Sum, p.Buckets = "histogram", m.sum, append([]uint64(nil), m.counts[:]...)
+			for _, c := range m.counts {
+				p.Count += c
+			}
 		}
-		buckets := make([]uint64, len(h.counts))
-		var total uint64
-		for i := range h.counts {
-			buckets[i] = h.counts[i].Load()
-			total += buckets[i]
-		}
-		out = append(out, MetricPoint{
-			Subsystem: k.Subsystem, Name: k.Name, Labels: k.Labels,
-			Kind: "histogram", Buckets: buckets,
-			Sum: time.Duration(h.sum.Load()), Count: total,
-			Updated: updatedTime(up),
-		})
+		out = append(out, p)
 	}
-	m.mu.Unlock()
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Subsystem != b.Subsystem {

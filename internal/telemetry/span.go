@@ -1,37 +1,12 @@
 package telemetry
 
 import (
+	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"overhaul/internal/probe"
 )
-
-// TraceID identifies one causally connected decision path (e.g. one
-// user interaction and every enforcement step it enables). IDs are
-// sequential from 1, never random, so traces are stable across runs.
-type TraceID uint64
-
-// SpanID identifies one span. IDs are sequential from 1 in creation
-// order across all traces.
-type SpanID uint64
-
-// SpanContext is the propagation token: enough to link a child span to
-// its parent across a process, channel, or IPC boundary. The zero value
-// means "no context" and starts a fresh trace.
-//
-// Contexts ride the same paths interaction timestamps do: the netlink
-// message structs carry one alongside the stamp time, the kernel's
-// task struct stores the context that minted the current stamp
-// (inherited on fork, P1), and the IPC carriers embed it next to the
-// stamp they propagate (P2).
-type SpanContext struct {
-	Trace TraceID `json:"trace"`
-	Span  SpanID  `json:"span"`
-}
-
-// Valid reports whether the context names a real span.
-func (c SpanContext) Valid() bool { return c.Trace != 0 && c.Span != 0 }
 
 // Attr is one key/value annotation on a span.
 type Attr struct {
@@ -40,243 +15,105 @@ type Attr struct {
 }
 
 // maxSpanAttrs bounds per-span annotations. Fixed-size storage keeps
-// Annotate allocation-free; the decision path uses four and no caller
-// in the tree uses more than five, so six leaves headroom while
-// keeping the Span small enough that recycling it stays cache-friendly.
+// annotation allocation-free; the decision span uses four and no span
+// uses more.
 const maxSpanAttrs = 6
 
-// attrSlot is fixed-size annotation storage. Integer values are kept as
+// attr is fixed-size annotation storage. Integer values are kept as
 // numbers and rendered only when the span is snapshot, so annotating a
 // pid costs no strconv allocation on the hot path.
-type attrSlot struct {
+type attr struct {
 	key   string
 	str   string
 	num   int64
 	isNum bool
 }
 
-// tracerStore is the span ring. The mutex guards ID allocation and the
-// ring slots; span contents after creation are immutable or atomic, so
-// Annotate/End never take it.
-type tracerStore struct {
-	mu       sync.Mutex
-	traceSeq uint64
-	spanSeq  uint64
-	ring     []*Span // creation order: ring[(head+i)%cap], bounded by spanCap
-	head     int
-	n        int
-	dropped  uint64
-	free     []*Span // recycled span storage, see StartSpan
-}
+func strAttr(key, value string) attr       { return attr{key: key, str: value} }
+func numAttr(key string, value int64) attr { return attr{key: key, num: value, isNum: true} }
 
-// Span is one timed step on a decision path. Spans are created by
-// Recorder.StartSpan and must be closed with End on every return path
-// (the spancheck analyzer enforces this mechanically). All methods are
-// no-ops on a nil receiver, so instrumented code needs no nil checks
-// when telemetry is disabled.
-//
-// Identity, start time, and naming are fixed at creation; the end time
-// and the annotations are atomics, so a span in the ring can be
-// snapshot while its owner is still annotating it. Annotation slots are
-// published with a per-slot ready flag: a writer reserves a slot,
-// fills it, then flips the flag, and snapshots take the ready prefix.
-type Span struct {
-	rec       *Recorder
-	ctx       SpanContext
-	parent    SpanID
+// spanRec is one retained span.
+type spanRec struct {
+	ctx       probe.SpanContext
+	parent    probe.SpanID
 	subsystem string
 	name      string
 	start     time.Time
-
-	endNanos    atomic.Int64 // 0 = still open
-	attrReserve atomic.Int32
-	attrReady   [maxSpanAttrs]atomic.Bool
-	attrs       [maxSpanAttrs]attrSlot
+	end       int64 // unix nanos; 0 = still open
+	nattrs    int
+	attrs     [maxSpanAttrs]attr
 }
 
-// reset prepares recycled storage for a new span. Only the ready flags
-// are lowered — snapshots read the published prefix, so stale slot
-// contents behind a lowered flag are unobservable. The slots
-// themselves are left as-is: they hold interned keys and short static
-// values, so the retention until overwrite is bounded and tiny, and
-// skipping the zeroing keeps the hot path short.
-func (s *Span) reset(r *Recorder, parent SpanContext, subsystem, name string) {
-	n := int(s.attrReserve.Load())
-	if n > maxSpanAttrs {
-		n = maxSpanAttrs
-	}
-	for i := 0; i < n; i++ {
-		s.attrReady[i].Store(false)
-	}
-	s.attrReserve.Store(0)
-	s.endNanos.Store(0)
-	s.rec = r
-	s.parent = parent.Span
-	s.subsystem = subsystem
-	s.name = name
-	s.start = r.now()
+// annotate appends attrs, dropping any beyond maxSpanAttrs.
+func (s *spanRec) annotate(attrs []attr) {
+	s.nattrs += copy(s.attrs[s.nattrs:], attrs)
 }
 
-// StartSpan opens a span under parent. A zero parent starts a new
-// trace. Returns nil (a usable no-op span) on a nil recorder.
-//
-// Span storage is recycled through a free list owned by the tracer
-// mutex: a span becomes eligible for reuse only once it is both ended
-// and evicted from the ring, at which point it is unobservable
-// (snapshots copy, nothing retains the pointer). An unended span at
-// eviction is left for the garbage collector instead — its owner may
-// still be annotating it. Once the ring has cycled, every StartSpan is
-// served from the free list, so the steady-state decision path
-// allocates nothing (a sync.Pool would reach the same steady state
-// only between GC cycles; the explicit list survives them).
-func (r *Recorder) StartSpan(parent SpanContext, subsystem, name string) *Span {
-	if r == nil {
-		return nil
-	}
+// tracerStore is the span ring. Span IDs are dense per registry, so
+// span id lives at ring[(id-1)%len(ring)]: a begin evicts whatever
+// older span held its slot, and an end finds its span without a
+// search.
+type tracerStore struct {
+	ring    []spanRec // allocated on first use
+	newest  probe.SpanID
+	dropped uint64
+}
+
+func (t *tracerStore) slot(id probe.SpanID) *spanRec {
+	return &t.ring[uint64(id-1)%uint64(len(t.ring))]
+}
+
+// beginSpan opens the record of the span ev begins. Like endSpan, it
+// requires r.mu held.
+func (r *Recorder) beginSpan(ev *probe.Event, subsystem, name string, attrs ...attr) {
 	t := &r.tracer
-	t.mu.Lock()
-	var s *Span
-	if n := len(t.free); n > 0 {
-		s = t.free[n-1]
-		t.free[n-1] = nil
-		t.free = t.free[:n-1]
-	} else {
-		s = new(Span)
-	}
-	// Reset under the lock: the span is visible to snapshots the moment
-	// it enters the ring, so its fields must be settled first.
-	s.reset(r, parent, subsystem, name)
-	t.spanSeq++
-	trace := parent.Trace
-	if trace == 0 {
-		t.traceSeq++
-		trace = TraceID(t.traceSeq)
-	}
-	s.ctx = SpanContext{Trace: trace, Span: SpanID(t.spanSeq)}
 	if t.ring == nil {
-		t.ring = make([]*Span, r.spanCap)
+		t.ring = make([]spanRec, r.spanCap)
 	}
-	if t.n == r.spanCap {
+	s := t.slot(ev.Ctx.Span)
+	if s.ctx.Span != 0 {
 		// Drop-oldest keeps the recorder bounded; the drop is counted so
 		// a truncated trace is distinguishable from a complete one.
-		if old := t.ring[t.head]; old.endNanos.Load() != 0 {
-			t.free = append(t.free, old)
-		}
-		t.ring[t.head] = s
-		t.head = (t.head + 1) % r.spanCap
 		t.dropped++
-	} else {
-		t.ring[(t.head+t.n)%r.spanCap] = s
-		t.n++
 	}
-	t.mu.Unlock()
-	return s
+	// Field by field: the attrs past nattrs are dead, so zeroing them
+	// would be wasted work on every span.
+	s.ctx, s.parent, s.subsystem, s.name, s.start, s.end, s.nattrs = ev.Ctx, ev.Parent, subsystem, name, r.now(), 0, 0
+	s.annotate(attrs)
+	t.newest = max(t.newest, ev.Ctx.Span)
 }
 
-// Context returns the span's propagation token (zero on nil).
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
+// endSpan closes the span ev ends at the recorder's current instant,
+// appending attrs; ending twice keeps the first end time. A span
+// already evicted is gone.
+func (r *Recorder) endSpan(ev *probe.Event, attrs ...attr) {
+	n := r.now().UnixNano()
+	r.tick = n
+	if t := &r.tracer; t.ring != nil {
+		if s := t.slot(ev.Ctx.Span); s.ctx.Span == ev.Ctx.Span {
+			s.annotate(attrs)
+			if s.end == 0 {
+				s.end = n
+			}
+		}
 	}
-	return s.ctx
-}
-
-// annotateSlot reserves the next attribute slot and publishes it.
-// Annotations beyond maxSpanAttrs are dropped.
-func (s *Span) annotateSlot(a attrSlot) {
-	i := s.attrReserve.Add(1) - 1
-	if int(i) >= maxSpanAttrs {
-		return
-	}
-	s.attrs[i] = a
-	s.attrReady[i].Store(true)
-}
-
-// Annotate attaches a key/value attribute to the span. Lock-free.
-func (s *Span) Annotate(key, value string) {
-	if s == nil {
-		return
-	}
-	s.annotateSlot(attrSlot{key: key, str: value})
-}
-
-// AnnotateInt attaches an integer attribute. The value is rendered in
-// decimal only when the span is snapshot, keeping the caller
-// allocation-free.
-func (s *Span) AnnotateInt(key string, value int64) {
-	if s == nil {
-		return
-	}
-	s.annotateSlot(attrSlot{key: key, num: value, isNum: true})
-}
-
-// AnnotateDecision attaches the four canonical decision attributes —
-// pid, op, verdict, reason — with a single slot reservation. It is
-// the batched form of four Annotate calls for the decision hot path:
-// one atomic reservation instead of four, same published-prefix
-// visibility rules. Dropped whole if fewer than four slots remain.
-func (s *Span) AnnotateDecision(pid int64, op, verdict, reason string) {
-	if s == nil {
-		return
-	}
-	i := int(s.attrReserve.Add(4)) - 4
-	if i+4 > maxSpanAttrs {
-		return
-	}
-	s.attrs[i] = attrSlot{key: "pid", num: pid, isNum: true}
-	s.attrReady[i].Store(true)
-	s.attrs[i+1] = attrSlot{key: "op", str: op}
-	s.attrReady[i+1].Store(true)
-	s.attrs[i+2] = attrSlot{key: "verdict", str: verdict}
-	s.attrReady[i+2].Store(true)
-	s.attrs[i+3] = attrSlot{key: "reason", str: reason}
-	s.attrReady[i+3].Store(true)
-}
-
-// End closes the span at the recorder's current instant. Ending twice
-// keeps the first end time.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.endNanos.CompareAndSwap(0, s.rec.nowNanos())
 }
 
 // SpanRecord is the immutable snapshot form of a span.
 type SpanRecord struct {
-	Trace     TraceID   `json:"trace"`
-	ID        SpanID    `json:"id"`
-	Parent    SpanID    `json:"parent,omitempty"`
-	Subsystem string    `json:"subsystem"`
-	Name      string    `json:"name"`
-	Start     time.Time `json:"start"`
-	End       time.Time `json:"end,omitempty"`
-	Ended     bool      `json:"ended"`
-	Attrs     []Attr    `json:"attrs,omitempty"`
+	Trace     probe.TraceID `json:"trace"`
+	ID        probe.SpanID  `json:"id"`
+	Parent    probe.SpanID  `json:"parent,omitempty"`
+	Subsystem string        `json:"subsystem"`
+	Name      string        `json:"name"`
+	Start     time.Time     `json:"start"`
+	End       time.Time     `json:"end,omitempty"`
+	Ended     bool          `json:"ended"`
+	Attrs     []Attr        `json:"attrs,omitempty"`
 }
 
-// record snapshots one span. Safe to call concurrently with Annotate
-// and End: it reads the published prefix of the attribute slots.
-func (s *Span) record() SpanRecord {
-	n := int(s.attrReserve.Load())
-	if n > maxSpanAttrs {
-		n = maxSpanAttrs
-	}
-	var attrs []Attr
-	if n > 0 {
-		attrs = make([]Attr, 0, n)
-		for i := 0; i < n; i++ {
-			if !s.attrReady[i].Load() {
-				break
-			}
-			a := &s.attrs[i]
-			v := a.str
-			if a.isNum {
-				v = strconv.FormatInt(a.num, 10)
-			}
-			attrs = append(attrs, Attr{Key: a.key, Value: v})
-		}
-	}
+// record snapshots one span.
+func (s *spanRec) record() SpanRecord {
 	rec := SpanRecord{
 		Trace:     s.ctx.Trace,
 		ID:        s.ctx.Span,
@@ -284,37 +121,49 @@ func (s *Span) record() SpanRecord {
 		Subsystem: s.subsystem,
 		Name:      s.name,
 		Start:     s.start,
-		Attrs:     attrs,
 	}
-	if end := s.endNanos.Load(); end != 0 {
-		rec.End = time.Unix(0, end).UTC()
+	if s.nattrs > 0 {
+		rec.Attrs = make([]Attr, s.nattrs)
+		for i, a := range s.attrs[:s.nattrs] {
+			v := a.str
+			if a.isNum {
+				v = strconv.FormatInt(a.num, 10)
+			}
+			rec.Attrs[i] = Attr{Key: a.key, Value: v}
+		}
+	}
+	if s.end != 0 {
+		rec.End = time.Unix(0, s.end).UTC()
 		rec.Ended = true
 	}
 	return rec
 }
 
-// spansLocked appends a record for every retained span matching keep.
-// Requires t.mu held.
-func (t *tracerStore) spansLocked(ringCap int, keep func(*Span) bool) []SpanRecord {
-	out := make([]SpanRecord, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		s := t.ring[(t.head+i)%ringCap]
-		if keep == nil || keep(s) {
+// spans appends a record for every retained span matching keep, in
+// begin order.
+func (r *Recorder) spans(keep func(*spanRec) bool) []SpanRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := &r.tracer
+	out := []SpanRecord{}
+	lo := probe.SpanID(1)
+	if t.newest > probe.SpanID(r.spanCap) {
+		lo = t.newest - probe.SpanID(r.spanCap) + 1
+	}
+	for id := lo; id <= t.newest; id++ {
+		if s := t.slot(id); s.ctx.Span == id && (keep == nil || keep(s)) {
 			out = append(out, s.record())
 		}
 	}
 	return out
 }
 
-// Spans returns every retained span in creation order.
+// Spans returns every retained span in begin order.
 func (r *Recorder) Spans() []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	t := &r.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.spansLocked(r.spanCap, nil)
+	return r.spans(nil)
 }
 
 // SpansDropped reports how many spans were evicted by the bound.
@@ -322,39 +171,35 @@ func (r *Recorder) SpansDropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	t := &r.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tracer.dropped
 }
 
-// TraceOf resolves the trace a span belongs to.
-func (r *Recorder) TraceOf(id SpanID) (TraceID, bool) {
-	if r == nil {
+// TraceOf resolves the trace a retained span belongs to.
+func (r *Recorder) TraceOf(id probe.SpanID) (probe.TraceID, bool) {
+	if r == nil || id == 0 {
 		return 0, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	t := &r.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < t.n; i++ {
-		if s := t.ring[(t.head+i)%r.spanCap]; s.ctx.Span == id {
-			return s.ctx.Trace, true
-		}
+	if t.ring == nil {
+		return 0, false
+	}
+	if s := t.slot(id); s.ctx.Span == id {
+		return s.ctx.Trace, true
 	}
 	return 0, false
 }
 
-// TraceSpans returns the retained spans of one trace, in creation
-// order (which is also causal order: parents are created before their
-// children).
-func (r *Recorder) TraceSpans(tr TraceID) []SpanRecord {
+// TraceSpans returns the retained spans of one trace, in begin order
+// (which is also causal order: parents begin before their children).
+func (r *Recorder) TraceSpans(tr probe.TraceID) []SpanRecord {
 	if r == nil {
 		return nil
 	}
-	t := &r.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.spansLocked(r.spanCap, func(s *Span) bool { return s.ctx.Trace == tr })
+	out := r.spans(func(s *spanRec) bool { return s.ctx.Trace == tr })
 	if len(out) == 0 {
 		return nil
 	}
@@ -372,11 +217,6 @@ func Subsystems(spans []SpanRecord) []string {
 			out = append(out, s.Subsystem)
 		}
 	}
-	// Insertion order is creation order; sort for set semantics.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }

@@ -1,22 +1,24 @@
-// Package telemetry is the observability subsystem for the Overhaul
-// enforcement stack: metrics, decision-path tracing, and a flight
-// recorder.
+// Package telemetry is the observability consumer of the probe event
+// stream: it rebuilds metrics, decision-path traces, and a flight
+// recorder from the events the enforcement stack's hooks emit.
 //
 // The paper's evaluation (§V) rests on reading Overhaul's logs to see
 // which applications were granted access; a production deployment of
 // the same architecture additionally needs rates, latencies, and — for
 // any single decision — the causal chain that produced it (input →
-// notification → syscall → decision → alert). This package provides the
-// three instruments the enforcement seams thread through:
+// notification → syscall → decision → alert). The hot paths know
+// nothing of this package: they emit probe events, and a Recorder
+// attached to their registry (Attach) consumes them inline, inside
+// Emit. From those events it keeps
 //
-//   - a metrics registry: counters, gauges, and fixed-bucket latency
-//     histograms keyed by (subsystem, name, labels), timestamped on the
-//     injected clock so snapshots are deterministic under the
-//     simulated clock;
-//   - a decision-path tracer: spans with parent/child links whose IDs
-//     are sequential (never random), propagated across the kernel↔X
-//     netlink channel and the IPC stamp-carrying paths the same way
-//     interaction timestamps already propagate;
+//   - metrics: counters and fixed-bucket latency histograms keyed by
+//     (subsystem, name, labels), every one computed from events (a
+//     decision event counts a decision), timestamped on the injected
+//     clock so snapshots are deterministic under the simulated clock;
+//   - spans: the begin/end events of the hooks that open spans, with
+//     the sequential trace and span IDs the registry minted, so a
+//     trace crosses the kernel↔X netlink channel and the IPC
+//     stamp-carrying paths the way interaction timestamps do;
 //   - a flight recorder: a bounded ring of recent events that a
 //     denial, a degradation, or a chaos-invariant violation trips, so
 //     every fail-closed event is explainable after the fact. A trip
@@ -24,30 +26,30 @@
 //     ring, copied out only when read or before the ring overwrites
 //     it, and a denial's reason is rendered only then.
 //
-// A nil *Recorder is the disabled state: every method is a no-op and
-// the instrumented hot paths (monitor.Decide in particular) add zero
-// allocations, verified by BenchmarkDecideTelemetryDisabled.
+// The recorder consumes inline rather than draining a ring: it owns no
+// goroutine, so a recorder nobody closes costs nothing once dropped,
+// and each event's work lands on the operation that emitted it rather
+// than piling into a batch. Live readers that must never slow the hot
+// path attach drop-not-block probe rings to the same hooks instead.
 //
-// The recorder is built for multicore hot paths: the registry, the
-// tracer, and the flight recorder each sit behind their own lock, and
-// metric updates through pre-resolved handles (Counter/Histogram) are
-// plain atomic operations that take no lock at all.
+// A nil *Recorder records nothing and its readers return empty
+// results; a system booted without one leaves its hooks unattached.
 package telemetry
 
 import (
-	"sync/atomic"
+	"strings"
+	"sync"
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/faultinject"
+	"overhaul/internal/probe"
 )
 
 // Defaults for the bounded stores. They are deliberately generous for
 // interactive use and small enough that a runaway campaign cannot
-// exhaust memory. The span ring is additionally sized so that the
-// recycled-span working set (capacity × span size, ~0.25 MB) stays
-// cache-resident: the ring is a diagnostic window onto recent
-// decisions, not an archive, and measurements show a ring that
-// outgrows the cache taxes every StartSpan with memory stalls.
+// exhaust memory: the span ring is a diagnostic window onto recent
+// decisions, not an archive.
 const (
 	DefaultSpanCapacity   = 512
 	DefaultFlightCapacity = 256
@@ -65,12 +67,9 @@ type Options struct {
 	DumpCapacity int
 }
 
-// Recorder is the telemetry sink shared by every instrumented
-// subsystem. It is safe for concurrent use; all methods are no-ops on a
-// nil receiver, which is how telemetry is disabled.
-//
-// Each instrument guards its own state, so a decision span never
-// contends with an unrelated metric update.
+// Recorder is the telemetry consumer shared by every instrumented
+// subsystem of one system. It is safe for concurrent use: one lock
+// guards its stores, taken once per event.
 type Recorder struct {
 	clk clock.Clock
 
@@ -78,26 +77,27 @@ type Recorder struct {
 	flightCap int
 	dumpCap   int
 
-	metrics metricsStore
+	mu      sync.Mutex
+	metrics map[metricKey]*metric
+	hot     hotMetrics
 	tracer  tracerStore
 	flight  flightStore
 
-	// tick caches the most recent clock reading (unix nanos), refreshed
-	// at span boundaries. Metric freshness stamps read it instead of
-	// the clock: a counter bumped inside an operation is "updated" at
-	// that operation's instant, and skipping the per-Add clock
-	// conversion keeps handle updates to two atomic stores.
-	tick atomic.Int64
+	// tick caches the most recent span-end instant (unix nanos).
+	// Metric freshness stamps read it instead of the clock: a counter
+	// bumped inside an operation is "updated" at that operation's
+	// last span boundary.
+	tick int64
 }
 
-// New constructs an enabled recorder on the given clock with default
+// New constructs a recorder on the given clock with default
 // capacities.
 func New(clk clock.Clock) *Recorder {
 	return NewWithOptions(clk, Options{})
 }
 
-// NewWithOptions constructs an enabled recorder with explicit bounds.
-// A nil clock selects a fresh simulated clock (deterministic output).
+// NewWithOptions constructs a recorder with explicit bounds. A nil
+// clock selects a fresh simulated clock (deterministic output).
 func NewWithOptions(clk clock.Clock, opts Options) *Recorder {
 	if clk == nil {
 		clk = clock.NewSimulated()
@@ -116,37 +116,206 @@ func NewWithOptions(clk clock.Clock, opts Options) *Recorder {
 		spanCap:   opts.SpanCapacity,
 		flightCap: opts.FlightCapacity,
 		dumpCap:   opts.DumpCapacity,
+		metrics:   make(map[metricKey]*metric),
 	}
-	r.metrics.init()
+	r.resolveHot()
 	return r
 }
 
-// Enabled reports whether the recorder records anything. Instrumented
-// code may use it to skip label construction on hot paths; every method
-// is nil-safe regardless.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// now returns the recorder's current instant. Callers must hold no
-// assumption about monotonicity beyond what the injected clock gives.
-func (r *Recorder) now() time.Time { return r.clk.Now() }
-
-// nowNanos is the instant as unix nanos, the representation the atomic
-// handle paths store. The clocks in this tree never report the zero
-// instant (the simulated epoch is 2016), so 0 doubles as "never".
-func (r *Recorder) nowNanos() int64 {
-	n := r.clk.Now().UnixNano()
-	r.tick.Store(n)
-	return n
+// hooks are the attach points the recorder reads: every one but
+// fleet.dispatch and monitor.audit, whose events mirror kernel.decide's
+// one for one (the probe ≡ audit oracle).
+var hooks = []string{
+	probe.HookKernelOpen, probe.HookKernelDecide,
+	probe.HookMonitorEvaluate, probe.HookMonitorNotify,
+	probe.HookXServerInput, probe.HookXServerNotify, probe.HookXServerQuery, probe.HookXServerAlert,
+	probe.HookNetlinkSend, probe.HookNetlinkRecv, probe.HookNetlinkCall,
+	probe.HookFault, probe.HookDegrade, probe.HookRecover,
 }
 
-// coarseNanos returns a recently observed clock reading for freshness
-// stamps: exact when no span is in flight (first use reads the clock),
-// otherwise as fresh as the latest span boundary. Precise instants
-// belong to spans and flight events; metric Updated stamps only feed
-// staleness displays.
-func (r *Recorder) coarseNanos() int64 {
-	if n := r.tick.Load(); n != 0 {
-		return n
+// Attach subscribes the recorder to the hooks it reads in reg. A nil
+// recorder attaches nothing.
+func (r *Recorder) Attach(reg *probe.Registry) error {
+	if r == nil {
+		return nil
 	}
-	return r.nowNanos()
+	return reg.AttachConsumer(r, hooks...)
+}
+
+// now returns the recorder's current instant.
+func (r *Recorder) now() time.Time { return r.clk.Now() }
+
+// coarseNanos returns the freshness stamp for a metric update: the
+// latest span end, or — before any span has ended — the clock, which
+// then seeds the cache. The clocks in this tree never report the zero
+// instant (the simulated epoch is 2016), so 0 doubles as "never".
+func (r *Recorder) coarseNanos() int64 {
+	if r.tick == 0 {
+		r.tick = r.clk.Now().UnixNano()
+	}
+	return r.tick
+}
+
+// opName names a decision event's operation: its device class, or the
+// op the monitor passed in Detail when it names no known class.
+func opName(ev *probe.Event) string {
+	if ev.Dev == probe.DevNone {
+		return ev.Detail
+	}
+	return ev.Dev.String()
+}
+
+// Consume folds one event into the recorder: probe.Consumer, called
+// inline by the hooks the recorder is attached to.
+func (r *Recorder) Consume(ev probe.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch ev.Kind {
+	case probe.KindInput:
+		name, label := "hardware_click", "kind=click"
+		if ev.Detail == "key" {
+			name, label = "hardware_key", "kind=key"
+		}
+		switch {
+		case ev.Phase == probe.PhaseBegin:
+			r.beginSpan(&ev, "xserver", name)
+			r.count("xserver", "hardware_events", label)
+		case ev.Phase == probe.PhaseEnd && ev.Arg != 0:
+			r.endSpan(&ev, numAttr("window", ev.Arg))
+		case ev.Phase == probe.PhaseEnd:
+			r.endSpan(&ev)
+		}
+	case probe.KindInteraction:
+		if ev.Phase == probe.PhaseBegin {
+			r.beginSpan(&ev, "xserver", "notify_interaction", numAttr("pid", ev.PID))
+			r.count("xserver", "notifications", "")
+		} else {
+			r.endFailable(&ev, "xserver", "policy_errors")
+		}
+	case probe.KindQuery:
+		switch {
+		case ev.Phase == probe.PhaseBegin:
+			r.beginSpan(&ev, "xserver", "query", numAttr("pid", ev.PID), strAttr("op", ev.Dev.String()))
+			r.count("xserver", "queries", opLabels[ev.Dev])
+		case ev.Reason != "":
+			r.endFailable(&ev, "xserver", "policy_errors")
+		default:
+			r.endSpan(&ev, strAttr("verdict", ev.Verdict.String()))
+		}
+	case probe.KindCall:
+		if ev.Phase == probe.PhaseBegin {
+			r.beginSpan(&ev, "netlink", ev.Detail)
+		} else {
+			r.endFailable(&ev, "", "")
+		}
+	case probe.KindNotify:
+		switch {
+		case ev.Phase == probe.PhaseBegin:
+			r.beginSpan(&ev, "monitor", "notify")
+		case ev.Reason != "":
+			r.endFailable(&ev, "monitor", "notify_errors")
+		default:
+			r.add(r.hot.notifications)
+			r.endSpan(&ev, numAttr("pid", ev.PID))
+		}
+	case probe.KindOpen:
+		switch ev.Phase {
+		case probe.PhaseBegin:
+			r.beginSpan(&ev, "kernel", "open", strAttr("path", ev.Detail), numAttr("pid", ev.PID))
+			r.count("kernel", "device_opens", "class="+ev.Reason)
+		case probe.PhaseEnd:
+			r.endSpan(&ev)
+		}
+	case probe.KindEvaluate:
+		if ev.Phase == probe.PhaseBegin {
+			r.beginSpan(&ev, "monitor", "decide", numAttr("pid", ev.PID), strAttr("op", opName(&ev)),
+				strAttr("verdict", ev.Verdict.String()), strAttr("reason", ev.Reason))
+		} else {
+			r.endSpan(&ev)
+		}
+	case probe.KindDecide:
+		// Every decision is one audit append, so the audit log and
+		// overhaul-top can never silently disagree.
+		r.add(r.hot.auditAppends)
+		pid, op := int(ev.PID), opName(&ev)
+		decisions, stampAge := r.hot.decisions[ev.Dev][ev.Verdict], r.hot.stampAge[ev.Dev]
+		if ev.Dev == probe.DevNone {
+			decisions = r.metric("monitor", "decisions", "op="+op+" verdict="+ev.Verdict.String(), false)
+			stampAge = r.metric("monitor", "stamp_age", "op="+op, true)
+		}
+		r.add(decisions)
+		if ev.Flags&probe.FlagRecorded != 0 {
+			r.count("monitor", "denials_recorded", "")
+			r.tripDenial(ev.Ctx, "monitor", pid, op, ev.Reason)
+			return
+		}
+		if ev.StampNanos != 0 {
+			// Distribution of stamp ages at decision time: the paper's δ
+			// sweep (§V-A) in histogram form.
+			r.observe(stampAge, time.Duration(ev.TimeNanos-ev.StampNanos))
+		}
+		r.recordDecision(ev.Ctx, "monitor", pid, op, ev.Verdict.String(), ev.Reason)
+		if ev.Verdict == probe.VerdictDeny {
+			// Every denial trips the flight recorder: the dump's final
+			// events carry the deny reason plus whatever preceded it.
+			r.tripDenial(ev.Ctx, "monitor", pid, op, ev.Reason)
+		}
+	case probe.KindAlert:
+		switch ev.Phase {
+		case probe.PhaseBegin:
+			r.beginSpan(&ev, "xserver", "alert")
+		case probe.PhasePoint:
+			r.count("xserver", "alerts", opLabels[ev.Dev])
+		case probe.PhaseEnd:
+			if ev.Flags&probe.FlagFailed != 0 {
+				r.endSpan(&ev, strAttr("message", ev.Detail), strAttr("render_failed", "true"))
+			} else {
+				r.endSpan(&ev, strAttr("message", ev.Detail))
+			}
+		}
+	case probe.KindSend:
+		r.add(r.hot.messages[0])
+	case probe.KindRecv:
+		r.add(r.hot.messages[1])
+	case probe.KindFault:
+		switch point := faultinject.Point(ev.Reason); point {
+		case faultinject.PointKernelOpen:
+			r.count("kernel", "open_faults", "")
+			r.recordEvent(ev.Ctx, "kernel", "fault", ev.Detail)
+		case faultinject.PointAlertRender:
+			r.count("xserver", "alert_render_failures", "")
+			r.recordEvent(ev.Ctx, "xserver", "fault", ev.Detail)
+		default:
+			sub, _, _ := strings.Cut(ev.Reason, ".")
+			r.count(sub, "faults", "point="+ev.Reason+" kind="+faultinject.Kind(ev.Arg).String())
+			if ev.Detail != "" {
+				r.recordEvent(ev.Ctx, sub, "fault", ev.Detail)
+			}
+		}
+	case probe.KindDegrade:
+		switch ev.Detail {
+		case "xserver":
+			r.recordEvent(ev.Ctx, "xserver", "degradation", ev.Reason)
+		case "monitor":
+			r.count("monitor", "degradations", "")
+			fallthrough
+		default:
+			r.tripFlight(ev.Ctx, ev.Detail, ev.Reason)
+		}
+	case probe.KindRecover:
+		r.recordEvent(ev.Ctx, ev.Detail, "recovery", ev.Reason)
+	}
+}
+
+// endFailable ends a span whose end event carries an error in Reason:
+// the error is annotated and, when name is set, counted.
+func (r *Recorder) endFailable(ev *probe.Event, subsystem, name string) {
+	if ev.Reason == "" {
+		r.endSpan(ev)
+		return
+	}
+	if name != "" {
+		r.count(subsystem, name, "")
+	}
+	r.endSpan(ev, strAttr("error", ev.Reason))
 }

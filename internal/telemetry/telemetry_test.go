@@ -2,38 +2,40 @@ package telemetry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/probe"
 )
 
-// TestNilRecorderIsSafe exercises every public method on a nil
-// recorder and nil span: the disabled state must be a total no-op.
+// attached returns a recorder with opts consuming a fresh registry.
+func attached(t testing.TB, clk clock.Clock, opts Options) (*Recorder, *probe.Registry) {
+	t.Helper()
+	r := NewWithOptions(clk, opts)
+	reg := probe.NewRegistry()
+	if err := r.Attach(reg); err != nil {
+		t.Fatal(err)
+	}
+	return r, reg
+}
+
+// TestNilRecorderIsSafe exercises every reader on a nil recorder: the
+// disabled state records nothing and attaches to nothing.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
+	reg := probe.NewRegistry()
+	if err := r.Attach(reg); err != nil {
+		t.Fatal(err)
 	}
-	r.Add("m", "c", "", 1)
-	r.Gauge("m", "g", "", 7)
-	r.Observe("m", "h", "", time.Millisecond)
-	if got := r.CounterValue("m", "c", ""); got != 0 {
-		t.Fatalf("CounterValue on nil = %d", got)
+	for _, name := range probe.HookNames() {
+		if reg.Hook(name).Armed() {
+			t.Fatalf("nil recorder armed %s", name)
+		}
 	}
-	s := r.StartSpan(SpanContext{}, "m", "op")
-	if s != nil {
-		t.Fatal("StartSpan on nil recorder returned non-nil span")
-	}
-	s.Annotate("k", "v")
-	s.End()
-	if s.Context().Valid() {
-		t.Fatal("nil span has valid context")
-	}
-	r.RecordEvent(SpanContext{}, "m", "k", "d")
-	r.TripFlight(SpanContext{}, "m", "reason")
 	if r.Spans() != nil || r.FlightEvents() != nil || r.FlightDumps() != nil {
 		t.Fatal("nil recorder returned non-nil data")
 	}
@@ -43,59 +45,79 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.MetricsSnapshot() != nil {
 		t.Fatal("nil recorder returned metrics")
 	}
+	if _, ok := r.TraceOf(1); ok || r.TraceSpans(1) != nil || r.SpansDropped() != 0 {
+		t.Fatal("nil recorder resolved a trace")
+	}
 	if snap := r.Snapshot(); len(snap.Metrics) != 0 || len(snap.Spans) != 0 {
 		t.Fatal("nil recorder snapshot not empty")
 	}
-	if r.Elapsed(time.Time{}) != 0 {
-		t.Fatal("nil recorder Elapsed != 0")
-	}
 }
 
+// TestMetrics checks that counters and histograms are computed from
+// the events, stamped on the virtual clock.
 func TestMetrics(t *testing.T) {
 	clk := clock.NewSimulated()
-	r := New(clk)
-	r.Add("monitor", "decisions", "verdict=grant", 1)
-	r.Add("monitor", "decisions", "verdict=grant", 2)
-	r.Add("monitor", "decisions", "verdict=deny", 1)
-	if got := r.CounterValue("monitor", "decisions", "verdict=grant"); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
+	r, reg := attached(t, clk, Options{})
+	decide := reg.Hook(probe.HookKernelDecide)
+	now := clk.Now().UnixNano()
+	for _, ev := range []probe.Event{
+		{Verdict: probe.VerdictGrant, StampNanos: now - int64(5*time.Microsecond)},
+		{Verdict: probe.VerdictGrant, StampNanos: now - int64(2*time.Second)}, // overflow
+		{Verdict: probe.VerdictGrant, StampNanos: now + int64(time.Second)},   // clamps to 0
+		{Verdict: probe.VerdictDeny},                                          // no stamp: no age
+	} {
+		ev.Kind, ev.Dev, ev.TimeNanos, ev.PID = probe.KindDecide, probe.DevMic, now, 7
+		decide.Emit(&ev)
 	}
-	r.Gauge("netlink", "conns", "", 2)
-	r.Gauge("netlink", "conns", "", 1)
-	r.Observe("monitor", "decide_latency", "", 5*time.Microsecond)
-	r.Observe("monitor", "decide_latency", "", 2*time.Second) // overflow
-	r.Observe("monitor", "decide_latency", "", -time.Second)  // clamps to 0
+	reg.Hook(probe.HookNetlinkSend).Emit(&probe.Event{Kind: probe.KindSend})
 
 	points := r.MetricsSnapshot()
-	if len(points) != 4 {
-		t.Fatalf("snapshot has %d points, want 4", len(points))
+	want := []string{
+		"monitor.audit_appends{} counter 4",
+		"monitor.decisions{op=mic verdict=deny} counter 1",
+		"monitor.decisions{op=mic verdict=grant} counter 3",
+		"monitor.stamp_age{op=mic} histogram 0",
+		"netlink.messages{dir=kernel_to_user} counter 1",
 	}
-	// Sorted by subsystem/name/labels: monitor.decide_latency first.
-	h := points[0]
-	if h.Kind != "histogram" || h.Count != 3 {
-		t.Fatalf("histogram point = %+v", h)
+	if len(points) != len(want) {
+		t.Fatalf("snapshot has %d points, want %d: %+v", len(points), len(want), points)
 	}
-	if h.Buckets[0] != 2 || h.Buckets[len(h.Buckets)-1] != 1 {
-		t.Fatalf("bucket spread = %v", h.Buckets)
-	}
-	for _, p := range points {
+	for i, p := range points {
+		got := p.Subsystem + "." + p.Name + "{" + p.Labels + "} " + p.Kind + " " + strconv.FormatInt(p.Value, 10)
+		if got != want[i] {
+			t.Errorf("point %d = %q, want %q", i, got, want[i])
+		}
 		if !p.Updated.Equal(clock.Epoch) {
 			t.Fatalf("metric %s.%s not stamped on virtual clock: %v", p.Subsystem, p.Name, p.Updated)
 		}
 	}
-	g := points[3]
-	if g.Kind != "gauge" || g.Value != 1 {
-		t.Fatalf("gauge point = %+v", g)
+	h := points[3]
+	if h.Count != 3 || h.Buckets[0] != 2 || h.Buckets[len(h.Buckets)-1] != 1 {
+		t.Fatalf("histogram point = %+v", h)
 	}
 }
 
+// testSpan is a span begun on a hook; End ends it there.
+type testSpan struct {
+	h *probe.Hook
+	*probe.Event
+}
+
+// span begins a span on h under parent with ev as its begin event.
+func span(h *probe.Hook, parent probe.SpanContext, ev probe.Event) testSpan {
+	h.Begin(parent, &ev)
+	return testSpan{h, &ev}
+}
+
+func (s testSpan) End() { s.h.End(s.Event) }
+
 func TestSpansDeterministicIDs(t *testing.T) {
 	clk := clock.NewSimulated()
-	r := New(clk)
-	root := r.StartSpan(SpanContext{}, "xserver", "input")
+	r, reg := attached(t, clk, Options{})
+	root := span(reg.Hook(probe.HookXServerInput), probe.SpanContext{}, probe.Event{Kind: probe.KindInput, Detail: "click"})
 	clk.Advance(time.Millisecond)
-	child := r.StartSpan(root.Context(), "netlink", "notify")
-	child.Annotate("pid", "41")
+	child := span(reg.Hook(probe.HookNetlinkCall), root.Ctx, probe.Event{Kind: probe.KindCall, Detail: "notify_call"})
+	child.Reason = "channel down"
 	child.End()
 	root.End()
 	root.End() // idempotent
@@ -110,6 +132,9 @@ func TestSpansDeterministicIDs(t *testing.T) {
 	if spans[1].Trace != 1 || spans[1].ID != 2 || spans[1].Parent != 1 {
 		t.Fatalf("child record = %+v", spans[1])
 	}
+	if spans[1].Name != "notify_call" || len(spans[1].Attrs) != 1 || spans[1].Attrs[0] != (Attr{"error", "channel down"}) {
+		t.Fatalf("child naming/attrs = %+v", spans[1])
+	}
 	if !spans[1].Start.Equal(clock.Epoch.Add(time.Millisecond)) {
 		t.Fatalf("child start = %v", spans[1].Start)
 	}
@@ -123,10 +148,10 @@ func TestSpansDeterministicIDs(t *testing.T) {
 		t.Fatalf("TraceSpans = %d spans", len(got))
 	}
 	// A second interaction starts a new trace.
-	other := r.StartSpan(SpanContext{}, "xserver", "input")
+	other := span(reg.Hook(probe.HookXServerInput), probe.SpanContext{}, probe.Event{Kind: probe.KindInput})
 	defer other.End()
-	if other.Context().Trace != 2 {
-		t.Fatalf("second trace id = %d", other.Context().Trace)
+	if other.Ctx.Trace != 2 {
+		t.Fatalf("second trace id = %d", other.Ctx.Trace)
 	}
 	if subs := Subsystems(spans); len(subs) != 2 || subs[0] != "netlink" || subs[1] != "xserver" {
 		t.Fatalf("Subsystems = %v", subs)
@@ -134,9 +159,10 @@ func TestSpansDeterministicIDs(t *testing.T) {
 }
 
 func TestSpanEviction(t *testing.T) {
-	r := NewWithOptions(clock.NewSimulated(), Options{SpanCapacity: 3})
+	r, reg := attached(t, clock.NewSimulated(), Options{SpanCapacity: 3})
+	h := reg.Hook(probe.HookMonitorNotify)
 	for i := 0; i < 5; i++ {
-		s := r.StartSpan(SpanContext{}, "m", "op")
+		s := span(h, probe.SpanContext{}, probe.Event{Kind: probe.KindNotify})
 		s.End()
 	}
 	spans := r.Spans()
@@ -149,13 +175,16 @@ func TestSpanEviction(t *testing.T) {
 	if r.SpansDropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", r.SpansDropped())
 	}
+	if _, ok := r.TraceOf(1); ok {
+		t.Fatal("evicted span still resolves")
+	}
 }
 
 func TestFlightRingAndDumps(t *testing.T) {
 	clk := clock.NewSimulated()
 	r := NewWithOptions(clk, Options{FlightCapacity: 4, DumpCapacity: 2})
 	for i := 0; i < 6; i++ {
-		r.RecordEvent(SpanContext{}, "kernel", "decision", "grant mic")
+		r.recordEvent(probe.SpanContext{}, "kernel", "decision", "grant mic")
 		clk.Advance(time.Millisecond)
 	}
 	events := r.FlightEvents()
@@ -166,7 +195,7 @@ func TestFlightRingAndDumps(t *testing.T) {
 		t.Fatalf("ring seqs %d..%d, want 3..6", events[0].Seq, events[3].Seq)
 	}
 
-	r.TripFlight(SpanContext{Trace: 9, Span: 9}, "monitor", "protection degraded: channel down")
+	r.tripFlight(probe.SpanContext{Trace: 9, Span: 9}, "monitor", "protection degraded: channel down")
 	dump, ok := r.LastFlightDump()
 	if !ok {
 		t.Fatal("no dump after trip")
@@ -180,8 +209,8 @@ func TestFlightRingAndDumps(t *testing.T) {
 	}
 
 	// Dumps are bounded, oldest evicted.
-	r.TripFlight(SpanContext{}, "monitor", "two")
-	r.TripFlight(SpanContext{}, "monitor", "three")
+	r.tripFlight(probe.SpanContext{}, "monitor", "two")
+	r.tripFlight(probe.SpanContext{}, "monitor", "three")
 	dumps := r.FlightDumps()
 	if len(dumps) != 2 {
 		t.Fatalf("retained %d dumps, want 2", len(dumps))
@@ -209,16 +238,17 @@ func TestFlightRingAndDumps(t *testing.T) {
 func TestSnapshotReproducible(t *testing.T) {
 	run := func() (string, string) {
 		clk := clock.NewSimulated()
-		r := New(clk)
-		root := r.StartSpan(SpanContext{}, "xserver", "hardware_click")
+		r, reg := attached(t, clk, Options{})
+		root := span(reg.Hook(probe.HookXServerInput), probe.SpanContext{}, probe.Event{Kind: probe.KindInput, Detail: "click"})
 		clk.Advance(250 * time.Microsecond)
-		child := r.StartSpan(root.Context(), "monitor", "decide")
-		child.Annotate("verdict", "grant")
-		r.Add("monitor", "decisions", "verdict=grant", 1)
+		child := span(reg.Hook(probe.HookMonitorEvaluate), root.Ctx, probe.Event{
+			Kind: probe.KindEvaluate, PID: 7, Dev: probe.DevMic, Verdict: probe.VerdictGrant, Reason: "fresh",
+		})
+		reg.Hook(probe.HookKernelDecide).Emit(&probe.Event{Kind: probe.KindDecide, Ctx: child.Ctx, PID: 7, Dev: probe.DevMic, Verdict: probe.VerdictGrant})
 		clk.Advance(50 * time.Microsecond)
 		child.End()
 		root.End()
-		return FormatTrace(r.TraceSpans(root.Context().Trace)), FormatMetrics(r.MetricsSnapshot())
+		return FormatTrace(r.TraceSpans(root.Ctx.Trace)), FormatMetrics(r.MetricsSnapshot())
 	}
 	t1, m1 := run()
 	t2, m2 := run()
@@ -241,9 +271,10 @@ func TestSnapshotReproducible(t *testing.T) {
 }
 
 func TestFormatTraceOrphanSpans(t *testing.T) {
-	r := New(clock.NewSimulated())
-	parent := r.StartSpan(SpanContext{}, "a", "p")
-	child := r.StartSpan(parent.Context(), "b", "c")
+	r, reg := attached(t, clock.NewSimulated(), Options{})
+	h := reg.Hook(probe.HookNetlinkCall)
+	parent := span(h, probe.SpanContext{}, probe.Event{Kind: probe.KindCall, Detail: "p"})
+	child := span(h, parent.Ctx, probe.Event{Kind: probe.KindCall, Detail: "c"})
 	child.End()
 	parent.End()
 	// Render only the child: its parent is missing, so it roots.
@@ -262,32 +293,25 @@ func TestFormatTraceOrphanSpans(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse hammers one recorder from several goroutines while
-// another reads the flight dumps back; run with -race in CI.
+// TestConcurrentUse hammers one recorder through its hooks from several
+// goroutines while another reads the flight dumps back; run with -race
+// in CI.
 func TestConcurrentUse(t *testing.T) {
-	r := NewWithOptions(clock.NewSimulated(), Options{SpanCapacity: 64, FlightCapacity: 32, DumpCapacity: 2})
+	r, reg := attached(t, clock.NewSimulated(), Options{SpanCapacity: 64, FlightCapacity: 32, DumpCapacity: 2})
+	notify, decide := reg.Hook(probe.HookMonitorNotify), reg.Hook(probe.HookKernelDecide)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Add("m", "ops", "", 1)
-				r.Observe("m", "lat", "", time.Microsecond)
-				s := r.StartSpan(SpanContext{}, "m", "op")
-				s.Annotate("i", "x")
-				// An ended span goes back to the free list for another
-				// goroutine to reuse, so take its context first.
-				ctx := s.Context()
-				s.End()
-				r.RecordEvent(ctx, "m", "k", "d")
-				r.RecordDecision(ctx, "m", g, "mic", "deny", "stale")
-				switch i % 50 {
-				case 0:
-					r.TripFlight(ctx, "m", "trip")
-				case 25:
-					r.TripDenial(ctx, "m", g, "mic", "stale")
+				s := span(notify, probe.SpanContext{}, probe.Event{Kind: probe.KindNotify, PID: int64(g)})
+				ev := probe.Event{Kind: probe.KindDecide, Ctx: s.Ctx, PID: int64(g), Dev: probe.DevMic, Verdict: probe.VerdictGrant, Reason: "fresh"}
+				if i%25 == 0 {
+					ev.Verdict, ev.Reason = probe.VerdictDeny, "stale"
 				}
+				decide.Emit(&ev)
+				s.End()
 			}
 		}()
 	}
@@ -310,6 +334,7 @@ func TestConcurrentUse(t *testing.T) {
 			if d, ok := r.LastFlightDump(); ok && d.Events[len(d.Events)-1].Kind != "trip" {
 				t.Errorf("dump %d does not end at its trip", d.Seq)
 			}
+			_ = r.Snapshot()
 			reads++
 		}
 	}()
@@ -318,13 +343,22 @@ func TestConcurrentUse(t *testing.T) {
 	if <-read == 0 {
 		t.Error("reader never ran")
 	}
-	if got := r.CounterValue("m", "ops", ""); got != 800 {
-		t.Fatalf("counter = %d, want 800", got)
+	var decisions int64
+	for _, p := range r.MetricsSnapshot() {
+		if p.Name == "decisions" || p.Name == "notifications" {
+			decisions += p.Value
+		}
+	}
+	if decisions != 1600 {
+		t.Fatalf("decisions + notifications = %d, want 1600", decisions)
 	}
 	if len(r.FlightDumps()) != 2 {
 		t.Fatalf("dumps = %d, want 2", len(r.FlightDumps()))
 	}
 	if got := r.FlightTrips(); got != 32 {
 		t.Fatalf("trips = %d, want 32", got)
+	}
+	if got := len(r.Spans()); got != 64 {
+		t.Fatalf("spans = %d, want 64", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 	"overhaul/internal/xserver"
 )
 
@@ -104,8 +104,8 @@ type wireEnv struct {
 // wirePolicy grants everything (the protocol path is under test, not δ).
 type wirePolicy struct{}
 
-func (wirePolicy) NotifyInteraction(telemetry.SpanContext, int, time.Time) error { return nil }
-func (wirePolicy) Query(telemetry.SpanContext, int, xserver.Op, time.Time) (xserver.Verdict, error) {
+func (wirePolicy) NotifyInteraction(probe.SpanContext, int, time.Time) error { return nil }
+func (wirePolicy) Query(probe.SpanContext, int, xserver.Op, time.Time) (xserver.Verdict, error) {
 	return xserver.VerdictGrant, nil
 }
 

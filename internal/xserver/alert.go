@@ -7,7 +7,7 @@ import (
 
 	"overhaul/internal/faultinject"
 	"overhaul/internal/monitor"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // Alert is one trusted-output overlay notification. Alerts render on a
@@ -82,17 +82,17 @@ func (s *Server) ShowAlert(req monitor.AlertRequest) Alert {
 	// The alert render is the last span of the decision path: it nests
 	// under the decide span whose context rode the kernel→user channel
 	// inside the request.
-	span := s.tel.StartSpan(req.Ctx, "xserver", "alert")
-	defer span.End()
+	sp := probe.Event{
+		TimeNanos: req.Time.UnixNano(), PID: int64(req.PID), Kind: probe.KindAlert, Dev: probe.DevOf(string(req.Op)),
+	}
+	s.probeAlert.Begin(req.Ctx, &sp)
+	defer s.probeAlert.End(&sp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := s.showAlertLocked(req.PID, req.Op, req.Blocked, req.Degraded)
-	if s.tel.Enabled() {
-		span.Annotate("message", a.Message)
-		if a.RenderFailed {
-			span.Annotate("render_failed", "true")
-		}
-		s.tel.Add("xserver", "alerts", "op="+string(req.Op), 1)
+	sp.Detail = a.Message
+	if a.RenderFailed {
+		sp.Flags |= probe.FlagFailed
 	}
 	return a
 }
@@ -135,13 +135,21 @@ func (s *Server) renderAlertLocked(a Alert) Alert {
 	if f := faultinject.Eval(s.cfg.FaultHook, faultinject.PointAlertRender); f.Kind == faultinject.KindError {
 		a.RenderFailed = true
 		s.stats.AlertRenderFailures++
-		if s.tel.Enabled() {
-			s.tel.Add("xserver", "alert_render_failures", "", 1)
-			s.tel.RecordEvent(telemetry.SpanContext{}, "xserver", "fault",
-				"injected fault at "+string(faultinject.PointAlertRender)+": alert not drawn: "+a.Message)
+		if s.probeFault.Wants(int64(a.PID)) {
+			s.probeFault.Emit(&probe.Event{
+				PID: int64(a.PID), Kind: probe.KindFault, Arg: int64(f.Kind),
+				Reason: string(faultinject.PointAlertRender),
+				Detail: "injected fault at " + string(faultinject.PointAlertRender) + ": alert not drawn: " + a.Message,
+			})
 		}
 	} else {
 		s.stats.AlertsShown++
+		if s.probeAlert.Wants(int64(a.PID)) {
+			s.probeAlert.Emit(&probe.Event{
+				TimeNanos: a.ShownAt.UnixNano(), PID: int64(a.PID), Kind: probe.KindAlert,
+				Dev: probe.DevOf(string(a.Op)), Detail: a.Message,
+			})
+		}
 	}
 	if len(s.alerts) >= maxAlertHistory {
 		s.alerts = s.alerts[1:]

@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"overhaul/internal/monitor"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // EventType enumerates the X11 event vocabulary the simulation needs.
@@ -156,8 +156,8 @@ const (
 type Policy interface {
 	// NotifyInteraction reports an authentic hardware input event
 	// delivered to the client owned by pid at time t (N_{A,t}).
-	NotifyInteraction(ctx telemetry.SpanContext, pid int, t time.Time) error
+	NotifyInteraction(ctx probe.SpanContext, pid int, t time.Time) error
 	// Query asks whether pid may perform op at time t (Q_{A,t}),
 	// returning the monitor's verdict (R_{A,t}).
-	Query(ctx telemetry.SpanContext, pid int, op Op, t time.Time) (Verdict, error)
+	Query(ctx probe.SpanContext, pid int, op Op, t time.Time) (Verdict, error)
 }

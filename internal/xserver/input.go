@@ -2,11 +2,9 @@ package xserver
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // notifyInteraction sends N_{A,t} for hardware input delivered to w, if
@@ -18,7 +16,7 @@ import (
 //
 // ctx is the span of the input event being dispatched; the notify span
 // nests under it, and its ID crosses the channel with the timestamp.
-func (s *Server) notifyInteraction(ctx telemetry.SpanContext, w *window, now time.Time) {
+func (s *Server) notifyInteraction(ctx probe.SpanContext, w *window, now time.Time) {
 	if s.policy == nil {
 		return
 	}
@@ -30,18 +28,15 @@ func (s *Server) notifyInteraction(ctx telemetry.SpanContext, w *window, now tim
 		// sighted interaction.
 		return
 	}
-	span := s.tel.StartSpan(ctx, "xserver", "notify_interaction")
-	defer span.End()
-	if s.tel.Enabled() {
-		span.Annotate("pid", strconv.Itoa(w.owner.pid))
-		s.tel.Add("xserver", "notifications", "", 1)
-	}
-	if err := s.policy.NotifyInteraction(span.Context(), w.owner.pid, now); err != nil {
+	sp := probe.Event{TimeNanos: now.UnixNano(), PID: int64(w.owner.pid), Kind: probe.KindInteraction}
+	s.probeNotify.Begin(ctx, &sp)
+	defer s.probeNotify.End(&sp)
+	if err := s.policy.NotifyInteraction(sp.Ctx, w.owner.pid, now); err != nil {
 		// The kernel channel failing closed means no permission is
 		// granted later; the input event itself still flows, and the
 		// degraded banner tells the user why grants will stop.
-		if s.tel.Enabled() {
-			span.Annotate("error", err.Error())
+		if sp.Ctx.Valid() {
+			sp.Reason = err.Error()
 		}
 		s.degradeLocked("kernel channel unreachable")
 		return
@@ -50,6 +45,16 @@ func (s *Server) notifyInteraction(ctx telemetry.SpanContext, w *window, now tim
 		s.degraded = ""
 	}
 	s.stats.Notifications++
+}
+
+// dispatchInput notifies the kernel of authentic input landing on w
+// and emits the xserver.input event for it. Requires s.mu held.
+func (s *Server) dispatchInput(sp *probe.Event, w *window, now time.Time) {
+	sp.Arg = int64(w.id)
+	s.notifyInteraction(sp.Ctx, w, now)
+	if pid := int64(w.owner.pid); s.probeInput.Wants(pid) {
+		s.probeInput.Emit(&probe.Event{TimeNanos: now.UnixNano(), PID: pid, Kind: probe.KindInput, Ctx: sp.Ctx})
+	}
 }
 
 // HardwareClick injects a physical pointer button press at screen
@@ -61,27 +66,17 @@ func (s *Server) HardwareClick(x, y int) WindowID {
 	// The input span is the root of the decision-path trace: everything
 	// this click enables (notification, stamp, device open, alert)
 	// links back to it.
-	span := s.tel.StartSpan(telemetry.SpanContext{}, "xserver", "hardware_click")
-	defer span.End()
+	sp := probe.Event{TimeNanos: now.UnixNano(), Kind: probe.KindInput, Detail: "click"}
+	s.probeInput.Begin(probe.SpanContext{}, &sp)
+	defer s.probeInput.End(&sp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.HardwareEvents++
-	s.tel.Add("xserver", "hardware_events", "kind=click", 1)
 	w := s.topWindowAt(x, y)
 	if w == nil {
 		return Root
 	}
-	if s.tel.Enabled() {
-		span.Annotate("window", strconv.FormatUint(uint64(w.id), 10))
-	}
-	s.notifyInteraction(span.Context(), w, now)
-	if s.probeInput.Wants(int64(w.owner.pid)) {
-		s.probeInput.Emit(probe.Event{
-			TimeNanos: now.UnixNano(),
-			PID:       int64(w.owner.pid),
-			Kind:      probe.KindInput,
-		})
-	}
+	s.dispatchInput(&sp, w, now)
 	w.owner.deliver(Event{
 		Type:       ButtonPress,
 		Window:     w.id,
@@ -97,12 +92,12 @@ func (s *Server) HardwareClick(x, y int) WindowID {
 // window. It returns the receiving window (0 if none is focused).
 func (s *Server) HardwareKey(key string) WindowID {
 	now := s.clk.Now()
-	span := s.tel.StartSpan(telemetry.SpanContext{}, "xserver", "hardware_key")
-	defer span.End()
+	sp := probe.Event{TimeNanos: now.UnixNano(), Kind: probe.KindInput, Detail: "key"}
+	s.probeInput.Begin(probe.SpanContext{}, &sp)
+	defer s.probeInput.End(&sp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.HardwareEvents++
-	s.tel.Add("xserver", "hardware_events", "kind=key", 1)
 	if s.focus == Root {
 		return Root
 	}
@@ -110,17 +105,7 @@ func (s *Server) HardwareKey(key string) WindowID {
 	if err != nil || !w.mapped {
 		return Root
 	}
-	if s.tel.Enabled() {
-		span.Annotate("window", strconv.FormatUint(uint64(w.id), 10))
-	}
-	s.notifyInteraction(span.Context(), w, now)
-	if s.probeInput.Wants(int64(w.owner.pid)) {
-		s.probeInput.Emit(probe.Event{
-			TimeNanos: now.UnixNano(),
-			PID:       int64(w.owner.pid),
-			Kind:      probe.KindInput,
-		})
-	}
+	s.dispatchInput(&sp, w, now)
 	w.owner.deliver(Event{
 		Type:       KeyPress,
 		Window:     w.id,

@@ -2,10 +2,9 @@ package xserver
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // query runs a permission query against the kernel monitor. Requires
@@ -18,26 +17,22 @@ func (s *Server) query(pid int, op Op, now time.Time) bool {
 	// The query span roots its own trace: display-manager-mediated
 	// operations begin at the request, and the kernel-side decide span
 	// nests under this one via the context carried across the channel.
-	span := s.tel.StartSpan(telemetry.SpanContext{}, "xserver", "query")
-	defer span.End()
-	if s.tel.Enabled() {
-		span.Annotate("pid", strconv.Itoa(pid))
-		span.Annotate("op", string(op))
-		s.tel.Add("xserver", "queries", "op="+string(op), 1)
+	sp := probe.Event{
+		TimeNanos: now.UnixNano(), PID: int64(pid), Kind: probe.KindQuery, Dev: probe.DevOf(string(op)),
 	}
-	verdict, err := s.policy.Query(span.Context(), pid, op, now)
+	s.probeQuery.Begin(probe.SpanContext{}, &sp)
+	defer s.probeQuery.End(&sp)
+	verdict, err := s.policy.Query(sp.Ctx, pid, op, now)
 	if err != nil {
 		// Fail closed, and flag the degraded episode: a channel that
 		// cannot answer queries means nothing sensitive proceeds.
-		if s.tel.Enabled() {
-			span.Annotate("error", err.Error())
+		if sp.Ctx.Valid() {
+			sp.Reason = err.Error()
 		}
 		s.degradeLocked("kernel channel unreachable")
 		return false
 	}
-	if s.tel.Enabled() {
-		span.Annotate("verdict", verdict.String())
-	}
+	sp.Verdict = probe.VerdictOf(verdict.String())
 	if s.degraded != "" {
 		// The channel answered again: the episode is over.
 		s.degraded = ""

@@ -10,7 +10,6 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/faultinject"
 	"overhaul/internal/probe"
-	"overhaul/internal/telemetry"
 )
 
 // Sentinel errors (the X protocol's error vocabulary, abridged).
@@ -57,11 +56,9 @@ type Config struct {
 	// FaultHook, when non-nil, is consulted at PointAlertRender on
 	// every overlay render (chaos testing of the alert engine).
 	FaultHook faultinject.Hook
-	// Telemetry, when non-nil, receives input/notify/query/alert spans,
-	// counters, and flight events. Nil disables instrumentation.
-	Telemetry *telemetry.Recorder
-	// Probes, when non-nil, arms the xserver.input attach point, fired
-	// for every authentic hardware event dispatched to a window.
+	// Probes, when non-nil, arms the display server's attach points:
+	// xserver.input (authentic hardware input), xserver.notify,
+	// xserver.query, xserver.alert, and the fault and degrade points.
 	Probes *probe.Registry
 }
 
@@ -87,10 +84,10 @@ type Server struct {
 	clk    clock.Clock
 	policy Policy
 	cfg    Config
-	tel    *telemetry.Recorder // immutable after NewServer; nil-safe
-	// probeInput is the xserver.input attach point, resolved once;
-	// unattached cost is one atomic load per hardware event.
-	probeInput *probe.Hook
+	// Attach points, resolved once; unattached cost is one atomic load
+	// per hardware event, notification, query or alert.
+	probeInput, probeNotify, probeQuery, probeAlert *probe.Hook
+	probeFault, probeDegrade                        *probe.Hook
 
 	mu         sync.Mutex
 	clients    map[int]*Client // by connection id
@@ -149,17 +146,22 @@ func NewServer(clk clock.Clock, policy Policy, cfg Config) (*Server, error) {
 	case cfg.VisibilityThreshold < 0:
 		cfg.VisibilityThreshold = 0 // defence off
 	}
+	reg := cfg.Probes
 	return &Server{
-		clk:        clk,
-		policy:     policy,
-		cfg:        cfg,
-		tel:        cfg.Telemetry,
-		probeInput: cfg.Probes.Hook(probe.HookXServerInput),
-		clients:    make(map[int]*Client),
-		nextConn:   1,
-		windows:    make(map[WindowID]*window),
-		nextWindow: 1,
-		selections: make(map[string]*selection),
+		clk:          clk,
+		policy:       policy,
+		cfg:          cfg,
+		probeInput:   reg.Hook(probe.HookXServerInput),
+		probeNotify:  reg.Hook(probe.HookXServerNotify),
+		probeQuery:   reg.Hook(probe.HookXServerQuery),
+		probeAlert:   reg.Hook(probe.HookXServerAlert),
+		probeFault:   reg.Hook(probe.HookFault),
+		probeDegrade: reg.Hook(probe.HookDegrade),
+		clients:      make(map[int]*Client),
+		nextConn:     1,
+		windows:      make(map[WindowID]*window),
+		nextWindow:   1,
+		selections:   make(map[string]*selection),
 	}, nil
 }
 
@@ -190,13 +192,13 @@ func (s *Server) ClearDegraded() {
 // ShowAlert).
 func (s *Server) degradeLocked(reason string) {
 	s.stats.PolicyErrors++
-	s.tel.Add("xserver", "policy_errors", "", 1)
 	if s.degraded != "" {
 		return // episode already announced
 	}
 	s.degraded = reason
-	s.tel.RecordEvent(telemetry.SpanContext{}, "xserver", "degradation",
-		"protection degraded: "+reason)
+	if s.probeDegrade.Wants(0) {
+		s.probeDegrade.Emit(&probe.Event{Kind: probe.KindDegrade, Detail: "xserver", Reason: "protection degraded: " + reason})
+	}
 	now := s.clk.Now()
 	s.renderAlertLocked(Alert{
 		Message:  "OVERHAUL protection degraded: " + reason + " — sensitive access is blocked",

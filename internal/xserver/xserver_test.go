@@ -8,7 +8,7 @@ import (
 
 	"overhaul/internal/clock"
 	"overhaul/internal/monitor"
-	"overhaul/internal/telemetry"
+	"overhaul/internal/probe"
 )
 
 // fakePolicy is a miniature permission monitor: it records interaction
@@ -27,7 +27,7 @@ func newFakePolicy() *fakePolicy {
 	return &fakePolicy{stamps: make(map[int]time.Time), threshold: 2 * time.Second}
 }
 
-func (f *fakePolicy) NotifyInteraction(_ telemetry.SpanContext, pid int, t time.Time) error {
+func (f *fakePolicy) NotifyInteraction(_ probe.SpanContext, pid int, t time.Time) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failNotify {
@@ -40,7 +40,7 @@ func (f *fakePolicy) NotifyInteraction(_ telemetry.SpanContext, pid int, t time.
 	return nil
 }
 
-func (f *fakePolicy) Query(_ telemetry.SpanContext, pid int, op monitor.Op, t time.Time) (monitor.Verdict, error) {
+func (f *fakePolicy) Query(_ probe.SpanContext, pid int, op monitor.Op, t time.Time) (monitor.Verdict, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.queries = append(f.queries, op)
