@@ -327,9 +327,10 @@ func Boot(opts Options) (*System, error) {
 	sys.xConn = conn
 	sys.ch.reset(conn)
 
+	call := reg.Hook(probe.HookNetlinkCall)
 	var policy xserver.Policy
 	if opts.Enforce || opts.ForceGrant {
-		policy = &xPolicy{ch: sys.ch, call: reg.Hook(probe.HookNetlinkCall)}
+		policy = &xPolicy{ch: sys.ch, call: call}
 	}
 	x, err = xserver.NewServer(clk, policy, xserver.Config{
 		VisibilityThreshold: opts.VisibilityThreshold,
@@ -345,14 +346,13 @@ func Boot(opts Options) (*System, error) {
 	sys.X = x
 
 	// Kernel-side alerts route to the display server over the channel.
-	alertCall := reg.Hook(probe.HookNetlinkCall)
 	k.Monitor().SetAlertFunc(func(req monitor.AlertRequest) {
 		// Failures only suppress the alert, never the already-granted
 		// operation — but exhausting the channel's retries flips the
 		// system into degraded mode, so *future* decisions deny.
 		sp := probe.Event{PID: int64(req.PID), Kind: probe.KindCall, Detail: "alert_call"}
-		alertCall.Begin(req.Ctx, &sp)
-		defer alertCall.End(&sp)
+		call.Begin(req.Ctx, &sp)
+		defer call.End(&sp)
 		req.Ctx = sp.Ctx
 		m := alertMsgPool.Get().(*alertMsg)
 		*m = alertMsg(req)

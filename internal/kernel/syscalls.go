@@ -25,7 +25,7 @@ func opForClass(c devfs.Class) monitor.Op {
 }
 
 // devForClass maps a sensitive device class to the probe-layer device
-// vocabulary (same mapping as opForClass, interned).
+// vocabulary (same mapping as opForClass).
 func devForClass(c devfs.Class) probe.Dev {
 	switch c {
 	case devfs.ClassMicrophone:

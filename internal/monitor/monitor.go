@@ -194,9 +194,9 @@ type monitorStats struct {
 
 // opIndex maps a known op to its dense index in {copy, paste, scr,
 // mic, cam, dev} order, -1 for unknown ops. The decision path indexes
-// its lookup tables with it: a string switch compiles to a length bucket plus a
-// constant compare, which profiles measurably cheaper than hashing the
-// op into a map on every decision.
+// its lookup tables with it: a string switch compiles to a length
+// bucket plus a constant compare, which profiles measurably cheaper
+// than hashing the op into a map on every decision.
 func opIndex(op Op) int {
 	switch op {
 	case OpCopy:

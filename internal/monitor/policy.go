@@ -96,9 +96,7 @@ func (p Policy) Evaluate(q Query) (Verdict, string) {
 // (3.25s → 3.2s, 987ms → 980ms), the resolution the stale-denial
 // reason reports. Coarsening the dynamic part is what makes the reason
 // cacheable: a session denying continuously produces a handful of
-// distinct reasons instead of one per nanosecond. Exported so the
-// probe layer's ReasonText (which cannot import this package) is
-// pinned against it by test.
+// distinct reasons instead of one per nanosecond.
 func QuantizeStale(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0

@@ -89,7 +89,7 @@ func (r *Recorder) metric(subsystem, name, labels string, hist bool) *metric {
 // add increments a counter.
 func (r *Recorder) add(m *metric) {
 	m.value++
-	m.updated = r.coarseNanos()
+	m.updated = r.updateStamp()
 }
 
 // count increments the (subsystem, name, labels) counter: add for
@@ -111,7 +111,7 @@ func (r *Recorder) observe(m *metric, d time.Duration) {
 	}
 	m.counts[idx]++
 	m.sum += d
-	m.updated = r.coarseNanos()
+	m.updated = r.updateStamp()
 }
 
 // MetricPoint is one metric in a snapshot.

@@ -88,7 +88,7 @@ func (r *Recorder) beginSpan(ev *probe.Event, subsystem, name string, attrs ...a
 // already evicted is gone.
 func (r *Recorder) endSpan(ev *probe.Event, attrs ...attr) {
 	n := r.now().UnixNano()
-	r.tick = n
+	r.lastEnd = n
 	if t := &r.tracer; t.ring != nil {
 		if s := t.slot(ev.Ctx.Span); s.ctx.Span == ev.Ctx.Span {
 			s.annotate(attrs)

@@ -83,11 +83,10 @@ type Recorder struct {
 	tracer  tracerStore
 	flight  flightStore
 
-	// tick caches the most recent span-end instant (unix nanos).
-	// Metric freshness stamps read it instead of the clock: a counter
-	// bumped inside an operation is "updated" at that operation's
-	// last span boundary.
-	tick int64
+	// lastEnd is the instant (unix nanos) of the latest span end, and
+	// every metric update's freshness stamp: a counter bumped inside an
+	// operation is "updated" at that operation's last span boundary.
+	lastEnd int64
 }
 
 // New constructs a recorder on the given clock with default
@@ -145,15 +144,15 @@ func (r *Recorder) Attach(reg *probe.Registry) error {
 // now returns the recorder's current instant.
 func (r *Recorder) now() time.Time { return r.clk.Now() }
 
-// coarseNanos returns the freshness stamp for a metric update: the
-// latest span end, or — before any span has ended — the clock, which
-// then seeds the cache. The clocks in this tree never report the zero
-// instant (the simulated epoch is 2016), so 0 doubles as "never".
-func (r *Recorder) coarseNanos() int64 {
-	if r.tick == 0 {
-		r.tick = r.clk.Now().UnixNano()
+// updateStamp returns a metric update's freshness stamp: lastEnd, or
+// — before any span has ended — the clock, which then stands in for
+// it. The clocks in this tree never report the zero instant (the
+// simulated epoch is 2016), so 0 doubles as "never".
+func (r *Recorder) updateStamp() int64 {
+	if r.lastEnd == 0 {
+		r.lastEnd = r.clk.Now().UnixNano()
 	}
-	return r.tick
+	return r.lastEnd
 }
 
 // opName names a decision event's operation: its device class, or the
