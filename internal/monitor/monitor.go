@@ -487,12 +487,14 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: verdict, Reason: reason, Degraded: isDegraded}
 	// The decide span opens on the rule's verdict and closes once the
 	// alert round trip is done.
-	var sp probe.Event
+	var span probe.SpanContext
 	if m.probeEval.Wants(int64(pid)) {
+		var sp probe.Event
 		probeEvent(&sp, probe.KindEvaluate, probe.SpanContext{}, &d)
 		m.probeEval.Begin(ctx, &sp)
+		defer m.probeEval.End(&sp)
+		span = sp.Ctx
 	}
-	defer m.probeEval.End(&sp)
 
 	if verdict == VerdictGrant {
 		m.stats.grants.Add(1)
@@ -502,10 +504,10 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 			m.stats.degradedDenials.Add(1)
 		}
 	}
-	m.appendAudit(sp.Ctx, &d)
+	m.appendAudit(span, &d)
 	if m.probeDecide.Wants(int64(pid)) {
 		var ev probe.Event
-		probeEvent(&ev, probe.KindDecide, sp.Ctx, &d)
+		probeEvent(&ev, probe.KindDecide, span, &d)
 		m.probeDecide.Emit(&ev)
 	}
 	alertFn := m.alertSink()
@@ -516,7 +518,7 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 	}
 
 	if sendAlert {
-		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: isDegraded, Ctx: sp.Ctx})
+		alertFn(AlertRequest{PID: pid, Op: op, Time: opTime, Blocked: verdict == VerdictDeny, Degraded: isDegraded, Ctx: span})
 	}
 	return verdict
 }
