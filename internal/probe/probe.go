@@ -33,8 +33,8 @@
 package probe
 
 import (
+	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind names the attach point class an event was emitted from.
@@ -256,43 +256,25 @@ type Event struct {
 
 // Format renders the event as one canonical line:
 //
-//	<kind>[.<phase>] pid=P session=S dev=D verdict=V t=NANOS stamp=NANOS reason=TEXT [span=T.S] [detail=TEXT]
+//	<kind>[.begin|.end] pid=P session=S dev=D verdict=V t=NANOS stamp=NANOS reason=TEXT [span=T.S] [detail=TEXT]
 //
 // A decide event renders exactly like the audit record it mirrors:
 // the probe ≡ audit oracle test diffs the two.
 func (ev Event) Format() string {
-	var b strings.Builder
-	b.Grow(96)
-	b.WriteString(ev.Kind.String())
+	kind := ev.Kind.String()
 	switch ev.Phase {
 	case PhaseBegin:
-		b.WriteString(".begin")
+		kind += ".begin"
 	case PhaseEnd:
-		b.WriteString(".end")
+		kind += ".end"
 	}
-	b.WriteString(" pid=")
-	b.WriteString(strconv.FormatInt(ev.PID, 10))
-	b.WriteString(" session=")
-	b.WriteString(strconv.FormatUint(ev.Session, 10))
-	b.WriteString(" dev=")
-	b.WriteString(ev.Dev.String())
-	b.WriteString(" verdict=")
-	b.WriteString(ev.Verdict.String())
-	b.WriteString(" t=")
-	b.WriteString(strconv.FormatInt(ev.TimeNanos, 10))
-	b.WriteString(" stamp=")
-	b.WriteString(strconv.FormatInt(ev.StampNanos, 10))
-	b.WriteString(" reason=")
-	b.WriteString(ev.Reason)
+	s := fmt.Sprintf("%s pid=%d session=%d dev=%s verdict=%s t=%d stamp=%d reason=%s",
+		kind, ev.PID, ev.Session, ev.Dev, ev.Verdict, ev.TimeNanos, ev.StampNanos, ev.Reason)
 	if ev.Ctx.Valid() {
-		b.WriteString(" span=")
-		b.WriteString(strconv.FormatUint(uint64(ev.Ctx.Trace), 10))
-		b.WriteString(".")
-		b.WriteString(strconv.FormatUint(uint64(ev.Ctx.Span), 10))
+		s += fmt.Sprintf(" span=%d.%d", ev.Ctx.Trace, ev.Ctx.Span)
 	}
 	if ev.Detail != "" {
-		b.WriteString(" detail=")
-		b.WriteString(ev.Detail)
+		s += " detail=" + ev.Detail
 	}
-	return b.String()
+	return s
 }
