@@ -55,6 +55,8 @@ race:
 # the repeats, which is far more stable than any single run. The
 # parallel decision-path benchmarks additionally sweep -cpu 1,2,4 so
 # BENCH_overhaul.json records the scaling curve (as Name/cpus=N keys).
+# The conversion also appends the run's rows, keyed by commit, as one
+# line of BENCH_history.jsonl, so drift across commits shows.
 BENCHFLAGS = -benchtime=2000x -count=5 -benchmem -run='^$$'
 
 bench:

@@ -5,6 +5,9 @@
 //	go test -bench=. -benchmem -run='^$' ./... > bench.out
 //	overhaul-benchjson -in bench.out -out BENCH_overhaul.json
 //
+// Each -out run also appends its rows, keyed by `git rev-parse HEAD`,
+// as one line of BENCH_history.jsonl beside the JSON, so drift shows.
+//
 // The parse is strict: zero recognisable benchmark lines, or a line
 // that starts like a benchmark but fails to parse, is an error — CI
 // runs this to fail on malformed bench output rather than silently
@@ -27,10 +30,13 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -109,8 +115,31 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "overhaul-benchjson:", err)
 		return 1
 	}
+	commit := "unknown"
+	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(head))
+	}
+	if err := appendHistory(filepath.Join(filepath.Dir(*out), "BENCH_history.jsonl"), commit, entries); err != nil {
+		fmt.Fprintln(os.Stderr, "overhaul-benchjson:", err)
+		return 1
+	}
 	fmt.Printf("wrote %s: %d benchmarks\n", *out, len(entries))
 	return 0
+}
+
+// appendHistory appends entries to the drift log at path as one JSON
+// line keyed by commit.
+func appendHistory(path, commit string, entries map[string]Entry) error {
+	line, err := json.Marshal(map[string]any{"commit": commit, "benchmarks": entries})
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(line, '\n'))
+	return errors.Join(err, f.Close())
 }
 
 // parse extracts every benchmark line, keyed by the benchmark name as
@@ -226,7 +255,8 @@ const (
 	nsFloor    = 10.0 // ns/op: absolute delta below this is noise, not regression
 )
 
-var gatedPrefixes = []string{"BenchmarkMicro", "BenchmarkDecide", "BenchmarkParallel", "BenchmarkFleet", "BenchmarkStore", "BenchmarkProbe"}
+var gatedPrefixes = []string{"BenchmarkMicro", "BenchmarkDecide", "BenchmarkParallel", "BenchmarkFleet",
+	"BenchmarkStore", "BenchmarkProbe", "BenchmarkAlertRoundTrip"}
 
 func gated(name string) bool {
 	for _, p := range gatedPrefixes {
@@ -272,13 +302,15 @@ func allocsOnly(name string) bool {
 // appends; and an instrumented decision — grant or deny, consumed by
 // the telemetry recorder or published to a probe ring — runs once per
 // mediated access, so an allocation there (the flight dump once copied
-// the whole ring) is paid on every one. Gated in both validate (the
+// the whole ring) is paid on every one; so is the pipe hop and alert
+// round trip of every desk grant. Gated in both validate (the
 // committed JSON) and compare (fresh runs), so a regression cannot
 // slip in by first regressing the baseline.
 func zeroAllocRequired(name string) bool {
 	switch name {
 	case "BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
-		"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached":
+		"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached",
+		"BenchmarkMicroPipePropagation", "BenchmarkAlertRoundTrip":
 		return true
 	}
 	return strings.HasPrefix(name, "BenchmarkStoreEncodeV2/")

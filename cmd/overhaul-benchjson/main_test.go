@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -281,6 +283,7 @@ func TestValidateWrappedStoreReport(t *testing.T) {
 var zeroAllocContracts = []string{
 	"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
 	"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached",
+	"BenchmarkMicroPipePropagation", "BenchmarkAlertRoundTrip",
 }
 
 func TestValidateEncodeBenchZeroAlloc(t *testing.T) {
@@ -292,6 +295,40 @@ func TestValidateEncodeBenchZeroAlloc(t *testing.T) {
 		}
 		if err := validate(p); err == nil {
 			t.Errorf("committed JSON with allocating %s passed validation", name)
+		}
+	}
+}
+
+func TestAppendHistoryAddsOneLinePerRun(t *testing.T) {
+	type line struct {
+		Commit     string           `json:"commit"`
+		Benchmarks map[string]Entry `json:"benchmarks"`
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_history.jsonl")
+	runs := []line{
+		{Commit: "aaaa", Benchmarks: map[string]Entry{"BenchmarkA": {NsPerOp: 10, AllocsPerOp: 1}}},
+		{Commit: "bbbb", Benchmarks: map[string]Entry{"BenchmarkA": {NsPerOp: 9}, "BenchmarkB": {NsPerOp: 5}}},
+	}
+	for _, r := range runs {
+		if err := appendHistory(path, r.Commit, r.Benchmarks); err != nil {
+			t.Fatalf("appendHistory: %v", err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != len(runs) {
+		t.Fatalf("%d lines after %d appends:\n%s", len(lines), len(runs), data)
+	}
+	for i, text := range lines {
+		var got line
+		if err := json.Unmarshal([]byte(text), &got); err != nil {
+			t.Fatalf("line %d is not JSON: %v", i+1, err)
+		}
+		if !reflect.DeepEqual(got, runs[i]) {
+			t.Errorf("line %d = %+v, want %+v", i+1, got, runs[i])
 		}
 	}
 }

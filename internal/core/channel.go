@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"overhaul/internal/clock"
@@ -35,9 +35,9 @@ type channel struct {
 	pid    int // the X server's PID (the peer of every message)
 	onDown func(reason string)
 
-	mu   sync.Mutex
-	conn *netlink.Conn
-	down bool
+	// conn synchronizes itself with atomics. It is nil while the
+	// channel is down (and until Boot first resets it).
+	conn atomic.Pointer[netlink.Conn]
 }
 
 // permanent reports whether err can never be cured by retrying the
@@ -58,40 +58,26 @@ func (ch *channel) pause(attempt int) {
 	}
 }
 
-// state snapshots the guarded fields.
-func (ch *channel) state() (*netlink.Conn, bool) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.conn, ch.down
-}
-
 // markDown performs the one-way down transition, notifying onDown
-// exactly once per outage. The callback runs without ch.mu held; it
-// must not call back into the channel.
+// exactly once per outage: of racing callers, only the one whose swap
+// takes the connection notifies. The callback must not call back into
+// the channel.
 func (ch *channel) markDown() {
-	ch.mu.Lock()
-	already := ch.down
-	ch.down = true
-	onDown := ch.onDown
-	ch.mu.Unlock()
-	if !already && onDown != nil {
-		onDown("netlink channel down")
+	if ch.conn.Swap(nil) != nil && ch.onDown != nil {
+		ch.onDown("netlink channel down")
 	}
 }
 
 // reset installs a fresh connection and clears the down state
 // (ReconnectX).
 func (ch *channel) reset(conn *netlink.Conn) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	ch.conn = conn
-	ch.down = false
+	ch.conn.Store(conn)
 }
 
 // call sends one userspace→kernel message with the retry policy.
 func (ch *channel) call(msg any) (any, error) {
-	conn, down := ch.state()
-	if down || conn == nil {
+	conn := ch.conn.Load()
+	if conn == nil {
 		return nil, ErrChannelDown
 	}
 	var lastErr error
@@ -114,8 +100,7 @@ func (ch *channel) call(msg any) (any, error) {
 
 // callUser sends one kernel→userspace message with the retry policy.
 func (ch *channel) callUser(msg any) (any, error) {
-	_, down := ch.state()
-	if down {
+	if ch.conn.Load() == nil {
 		return nil, ErrChannelDown
 	}
 	var lastErr error

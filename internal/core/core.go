@@ -66,15 +66,17 @@ type (
 	alertMsg monitor.AlertRequest
 )
 
-// alertMsgPool recycles the *alertMsg boxes the alert path sends over
-// the netlink channel. Passing an alertMsg by value through the `any`
-// message parameter boxes it — one heap allocation per granted
-// alert-set operation, which was the last allocation on the
-// instrumented decision path. The hub is fully synchronous (Call and
-// CallUser invoke handlers inline, including the duplicate-delivery
-// fault), so the box is dead as soon as callUser returns and can go
-// straight back to the pool.
-var alertMsgPool = sync.Pool{New: func() any { return new(alertMsg) }}
+// The pools recycle the boxes the three messages are sent in. Passing
+// a message by value through the `any` message parameter boxes it: one
+// heap allocation per notification, query or alert. The hub is fully
+// synchronous (Call and CallUser invoke handlers inline, including the
+// duplicate-delivery fault), so a box is dead as soon as the call
+// returns and can go straight back to its pool.
+var (
+	interactionMsgPool = sync.Pool{New: func() any { return new(interactionMsg) }}
+	queryMsgPool       = sync.Pool{New: func() any { return new(queryMsg) }}
+	alertMsgPool       = sync.Pool{New: func() any { return new(alertMsg) }}
+)
 
 // ErrUnknownMessage is returned by netlink handlers for unexpected
 // payloads.
@@ -175,7 +177,10 @@ func (p *xPolicy) NotifyInteraction(ctx probe.SpanContext, pid int, t time.Time)
 	sp := probe.Event{PID: int64(pid), Kind: probe.KindCall, Detail: "notify_call"}
 	p.call.Begin(ctx, &sp)
 	defer p.call.End(&sp)
-	_, err := p.ch.call(interactionMsg{PID: pid, Time: t, Ctx: sp.Ctx})
+	m := interactionMsgPool.Get().(*interactionMsg)
+	*m = interactionMsg{PID: pid, Time: t, Ctx: sp.Ctx}
+	_, err := p.ch.call(m)
+	interactionMsgPool.Put(m)
 	if err != nil && sp.Ctx.Valid() {
 		sp.Reason = err.Error()
 	}
@@ -187,7 +192,10 @@ func (p *xPolicy) Query(ctx probe.SpanContext, pid int, op monitor.Op, t time.Ti
 	sp := probe.Event{PID: int64(pid), Kind: probe.KindCall, Detail: "query_call"}
 	p.call.Begin(ctx, &sp)
 	defer p.call.End(&sp)
-	reply, err := p.ch.call(queryMsg{PID: pid, Op: op, Time: t, Ctx: sp.Ctx})
+	m := queryMsgPool.Get().(*queryMsg)
+	*m = queryMsg{PID: pid, Op: op, Time: t, Ctx: sp.Ctx}
+	reply, err := p.ch.call(m)
+	queryMsgPool.Put(m)
 	if err != nil {
 		if sp.Ctx.Valid() {
 			sp.Reason = err.Error()
@@ -270,9 +278,9 @@ func Boot(opts Options) (*System, error) {
 	hub.SetProbes(reg)
 	hub.SetKernelHandler(func(msg any) (any, error) {
 		switch m := msg.(type) {
-		case interactionMsg:
+		case *interactionMsg:
 			return nil, k.Monitor().NotifyCtx(m.Ctx, m.PID, m.Time)
-		case queryMsg:
+		case *queryMsg:
 			return queryReply{Verdict: k.Monitor().DecideCtx(m.Ctx, m.PID, m.Op, m.Time)}, nil
 		default:
 			return nil, fmt.Errorf("%w: %T", ErrUnknownMessage, msg)
@@ -312,9 +320,6 @@ func Boot(opts Options) (*System, error) {
 			// ShowAlert copies the request; the box stays owned by the
 			// sender, which pools it after the synchronous call returns.
 			x.ShowAlert(monitor.AlertRequest(*m))
-			return nil, nil
-		case alertMsg:
-			x.ShowAlert(monitor.AlertRequest(m))
 			return nil, nil
 		default:
 			return nil, fmt.Errorf("%w: %T", ErrUnknownMessage, msg)
@@ -357,7 +362,6 @@ func Boot(opts Options) (*System, error) {
 		m := alertMsgPool.Get().(*alertMsg)
 		*m = alertMsg(req)
 		_, _ = sys.ch.callUser(m)
-		*m = alertMsg{}
 		alertMsgPool.Put(m)
 	})
 
@@ -431,8 +435,7 @@ func (s *System) ReconnectX() error {
 // ChannelDown reports whether the kernel↔X channel is currently
 // declared dead.
 func (s *System) ChannelDown() bool {
-	_, down := s.ch.state()
-	return down
+	return s.ch.conn.Load() == nil
 }
 
 // AttachDevice hotplugs a sensitive device through the trusted helper

@@ -172,6 +172,44 @@ func TestPipeCapacity(t *testing.T) {
 	}
 }
 
+// TestPipeReusesDrainedBuffer: a read that drains the pipe leaves its
+// buffer for the next write, so a steady-state hop (the grant path's
+// app → daemon pipe) allocates nothing; a partial read keeps the rest
+// in order.
+func TestPipeReusesDrainedBuffer(t *testing.T) {
+	st, _ := stampedPair()
+	p := NewPipe(st, 0)
+	buf := make([]byte, 16)
+	hop := func(msg string, readN int) string {
+		if _, err := p.Write(sender, []byte(msg)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		n, err := p.Read(receiver, buf[:readN])
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		return string(buf[:n])
+	}
+	if got := hop("abc", 1); got != "a" {
+		t.Fatalf("partial read = %q, want a", got)
+	}
+	if got := hop("de", len(buf)); got != "bcde" {
+		t.Fatalf("draining read = %q, want bcde", got)
+	}
+	msg := []byte("stamped")
+	steady := func() {
+		if _, err := p.Write(sender, msg); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if _, err := p.Read(receiver, buf); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, steady); got != 0 {
+		t.Fatalf("steady-state write/read: %v allocs, want 0", got)
+	}
+}
+
 // --- SocketPair --------------------------------------------------------------
 
 func TestSocketPairPropagation(t *testing.T) {

@@ -70,7 +70,12 @@ func (p *Pipe) Read(pid int, dst []byte) (int, error) {
 		return 0, fmt.Errorf("pipe read: %w", ErrEmpty)
 	}
 	n := copy(dst, p.buf)
-	p.buf = p.buf[n:]
+	if n == len(p.buf) {
+		// Drained: keep the buffer for the next write.
+		p.buf = p.buf[:0]
+	} else {
+		p.buf = p.buf[n:]
+	}
 	p.ts.onRecv(p.st, pid)
 	return n, nil
 }

@@ -105,10 +105,11 @@ func (k *Kernel) Mkfifo(p *Process, path string, mode fs.Mode) error {
 // OpenFIFO opens the FIFO at path, applying UNIX permission checks, and
 // returns the shared pipe object.
 func (k *Kernel) OpenFIFO(p *Process, path string, access fs.Access) (*ipc.Pipe, error) {
-	if p == nil || !p.alive() {
+	cred, ok := p.liveCred()
+	if !ok {
 		return nil, fmt.Errorf("open fifo %s: %w", path, ErrDeadProcess)
 	}
-	h, err := k.fsys.Open(path, access, p.Cred())
+	h, err := k.fsys.Open(path, access, cred)
 	if err != nil {
 		return nil, err
 	}

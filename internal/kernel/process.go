@@ -123,6 +123,17 @@ func (p *Process) alive() bool {
 	return p.state == StateRunning
 }
 
+// liveCred returns the credentials and whether p (which may be nil)
+// can issue syscalls, under one lock.
+func (p *Process) liveCred() (fs.Cred, bool) {
+	if p == nil {
+		return fs.Cred{}, false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cred, p.state == StateRunning
+}
+
 // procGet pops a recycled Process off the kernel's free list, or
 // allocates a fresh one. The k field is set exactly once, on the
 // allocating path: the pool is per-kernel, so a recycled struct's k is

@@ -55,11 +55,12 @@ func (k *Kernel) openOutcome(sp *probe.Event, pid int, v probe.Verdict, reason s
 // mediation"). Non-device files pay only a map lookup beyond stock
 // semantics, which is why the Bonnie++ row of Table I shows ~0.1 %.
 func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, error) {
-	if p == nil || !p.alive() {
+	cred, ok := p.liveCred()
+	if !ok {
 		return nil, fmt.Errorf("open %s: %w", path, ErrDeadProcess)
 	}
 
-	h, err := k.fsys.Open(path, access, p.Cred())
+	h, err := k.fsys.Open(path, access, cred)
 	if err != nil {
 		return nil, err
 	}
@@ -133,10 +134,11 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 // exists so the filesystem benchmark exercises the same syscall layer
 // as real programs.
 func (k *Kernel) Create(p *Process, path string, mode fs.Mode) (*fs.Handle, error) {
-	if p == nil || !p.alive() {
+	cred, ok := p.liveCred()
+	if !ok {
 		return nil, fmt.Errorf("create %s: %w", path, ErrDeadProcess)
 	}
-	h, err := k.fsys.Create(path, mode, p.Cred())
+	h, err := k.fsys.Create(path, mode, cred)
 	if err != nil {
 		return nil, err
 	}
@@ -170,8 +172,9 @@ func (k *Kernel) Stat(p *Process, path string) (fs.Stat, error) {
 
 // Unlink removes path on behalf of p. Not interposed by Overhaul.
 func (k *Kernel) Unlink(p *Process, path string) error {
-	if p == nil || !p.alive() {
+	cred, ok := p.liveCred()
+	if !ok {
 		return fmt.Errorf("unlink %s: %w", path, ErrDeadProcess)
 	}
-	return k.fsys.Unlink(path, p.Cred())
+	return k.fsys.Unlink(path, cred)
 }

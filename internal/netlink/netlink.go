@@ -13,11 +13,16 @@
 // them. Both directions are synchronous calls, mirroring the
 // request/response use in the paper (interaction notifications and
 // permission queries upward, alert requests downward).
+//
+// The per-message paths take no lock: what they read is one immutable
+// hubConfig behind an atomic pointer. The rare writers (the setters,
+// Connect and Close) copy it and swap the copy in under the hub mutex.
 package netlink
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -80,15 +85,9 @@ type hubStats struct {
 	duplicated   atomic.Uint64
 }
 
-// Hub is the kernel endpoint of a netlink family. It is safe for
-// concurrent use.
-type Hub struct {
-	auth Authenticator
-
-	// stats synchronizes itself with atomics; it is not guarded by mu.
-	stats hubStats
-
-	mu            sync.RWMutex
+// hubConfig is what the per-message paths read, immutable once
+// published.
+type hubConfig struct {
 	kernelHandler Handler
 	conns         map[int]*Conn
 	faults        faultinject.Hook
@@ -98,38 +97,59 @@ type Hub struct {
 	probeSend, probeRecv, probeFault *probe.Hook
 }
 
+// Hub is the kernel endpoint of a netlink family. It is safe for
+// concurrent use.
+type Hub struct {
+	auth Authenticator
+
+	// stats synchronizes itself with atomics; it is not guarded by mu.
+	stats hubStats
+	// cfg synchronizes itself with atomics; it is not guarded by mu.
+	// Writers copy and swap it under mu, so none loses another's change.
+	cfg atomic.Pointer[hubConfig]
+
+	mu sync.Mutex
+}
+
 // NewHub creates a hub whose connections are vetted by auth.
 func NewHub(auth Authenticator) (*Hub, error) {
 	if auth == nil {
 		return nil, errors.New("netlink: nil authenticator")
 	}
-	return &Hub{auth: auth, conns: make(map[int]*Conn)}, nil
+	h := &Hub{auth: auth}
+	h.cfg.Store(&hubConfig{conns: make(map[int]*Conn)})
+	return h, nil
+}
+
+// update publishes a copy of the configuration changed by fn.
+func (h *Hub) update(fn func(cfg *hubConfig)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	cfg := *h.cfg.Load()
+	fn(&cfg)
+	h.cfg.Store(&cfg)
 }
 
 // SetKernelHandler installs the handler for userspace→kernel messages.
 func (h *Hub) SetKernelHandler(fn Handler) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.kernelHandler = fn
+	h.update(func(cfg *hubConfig) { cfg.kernelHandler = fn })
 }
 
 // SetFaultHook installs the fault-injection hook consulted on every
 // message in both directions (PointNetlinkUserToKernel and
 // PointNetlinkKernelToUser). A nil hook disables injection.
 func (h *Hub) SetFaultHook(hook faultinject.Hook) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.faults = hook
+	h.update(func(cfg *hubConfig) { cfg.faults = hook })
 }
 
 // SetProbes resolves the hub's probe attach points from reg. A nil
 // registry (the default) leaves the channel uninstrumented.
 func (h *Hub) SetProbes(reg *probe.Registry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.probeSend = reg.Hook(probe.HookNetlinkSend)
-	h.probeRecv = reg.Hook(probe.HookNetlinkRecv)
-	h.probeFault = reg.Hook(probe.HookFault)
+	h.update(func(cfg *hubConfig) {
+		cfg.probeSend = reg.Hook(probe.HookNetlinkSend)
+		cfg.probeRecv = reg.Hook(probe.HookNetlinkRecv)
+		cfg.probeFault = reg.Hook(probe.HookFault)
+	})
 }
 
 // applyFault evaluates the channel fault point for one message to or
@@ -137,13 +157,8 @@ func (h *Hub) SetProbes(reg *probe.Registry) {
 // the caller whether to drop (KindError) or double-deliver
 // (KindDuplicate) the message; delays have already been realised on
 // the virtual clock by the injector.
-func (h *Hub) applyFault(p faultinject.Point, pid int) faultinject.Fault {
-	h.mu.RLock()
-	hook := h.faults
-	pb := h.probeFault
-	h.mu.RUnlock()
-
-	f := faultinject.Eval(hook, p)
+func (h *Hub) applyFault(cfg *hubConfig, p faultinject.Point, pid int) faultinject.Fault {
+	f := faultinject.Eval(cfg.faults, p)
 	if !f.Injected() {
 		return f
 	}
@@ -155,7 +170,7 @@ func (h *Hub) applyFault(p faultinject.Point, pid int) faultinject.Fault {
 	case faultinject.KindDuplicate:
 		h.stats.duplicated.Add(1)
 	}
-	if pb.Wants(int64(pid)) {
+	if pb := cfg.probeFault; pb.Wants(int64(pid)) {
 		ev := probe.Event{PID: int64(pid), Kind: probe.KindFault, Arg: int64(f.Kind), Reason: string(p)}
 		if f.Kind == faultinject.KindError {
 			// A dropped channel message is exactly the failure the
@@ -178,11 +193,14 @@ func (h *Hub) Connect(pid int, userHandler Handler) (*Conn, error) {
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.conns[pid]; ok {
+	cfg := *h.cfg.Load()
+	if _, ok := cfg.conns[pid]; ok {
 		return nil, fmt.Errorf("%w: pid %d", ErrDuplicate, pid)
 	}
 	c := &Conn{hub: h, pid: pid, userHandler: userHandler}
-	h.conns[pid] = c
+	cfg.conns = maps.Clone(cfg.conns)
+	cfg.conns[pid] = c
+	h.cfg.Store(&cfg)
 	h.stats.connects.Add(1)
 	return c, nil
 }
@@ -190,26 +208,21 @@ func (h *Hub) Connect(pid int, userHandler Handler) (*Conn, error) {
 // CallUser sends a kernel→userspace message to the connection held by
 // pid and returns its reply.
 func (h *Hub) CallUser(pid int, msg any) (any, error) {
-	h.mu.RLock()
-	c, ok := h.conns[pid]
-	var fn Handler
-	if ok {
-		fn = c.userHandler
-	}
-	pb := h.probeSend
-	h.mu.RUnlock()
+	cfg := h.cfg.Load()
+	c, ok := cfg.conns[pid]
 	h.stats.kernelToUser.Add(1)
-	if pb.Wants(int64(pid)) {
+	if pb := cfg.probeSend; pb.Wants(int64(pid)) {
 		pb.Emit(&probe.Event{PID: int64(pid), Kind: probe.KindSend})
 	}
 
 	if !ok {
 		return nil, fmt.Errorf("%w: pid %d", ErrNotConnected, pid)
 	}
+	fn := c.userHandler
 	if fn == nil {
 		return nil, fmt.Errorf("%w: pid %d has no user handler", ErrNoHandler, pid)
 	}
-	switch f := h.applyFault(faultinject.PointNetlinkKernelToUser, pid); f.Kind {
+	switch f := h.applyFault(cfg, faultinject.PointNetlinkKernelToUser, pid); f.Kind {
 	case faultinject.KindError:
 		return nil, fmt.Errorf("%w: kernel→user pid %d: %w", ErrChannelFault, pid, f.Err)
 	case faultinject.KindDuplicate:
@@ -222,9 +235,7 @@ func (h *Hub) CallUser(pid int, msg any) (any, error) {
 
 // Connected reports whether pid holds a live connection.
 func (h *Hub) Connected(pid int) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	_, ok := h.conns[pid]
+	_, ok := h.cfg.Load().conns[pid]
 	return ok
 }
 
@@ -242,19 +253,22 @@ func (h *Hub) StatsSnapshot() Stats {
 }
 
 func (h *Hub) drop(pid int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.conns, pid)
+	h.update(func(cfg *hubConfig) {
+		cfg.conns = maps.Clone(cfg.conns)
+		delete(cfg.conns, pid)
+	})
 }
 
 // Conn is a userspace endpoint.
 type Conn struct {
-	hub *Hub
-	pid int
-
-	mu          sync.Mutex
+	hub         *Hub
+	pid         int
 	userHandler Handler
-	closed      bool
+
+	// closed synchronizes itself with atomics; it is not guarded by mu.
+	closed atomic.Bool
+
+	mu sync.Mutex // serialises Close
 }
 
 // PID returns the peer PID this connection was authenticated as.
@@ -262,26 +276,21 @@ func (c *Conn) PID() int { return c.pid }
 
 // Call sends a userspace→kernel message and returns the kernel's reply.
 func (c *Conn) Call(msg any) (any, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 
-	c.hub.mu.RLock()
-	fn := c.hub.kernelHandler
-	pb := c.hub.probeRecv
-	c.hub.mu.RUnlock()
+	cfg := c.hub.cfg.Load()
 	c.hub.stats.userToKernel.Add(1)
-	if pb.Wants(int64(c.pid)) {
+	if pb := cfg.probeRecv; pb.Wants(int64(c.pid)) {
 		pb.Emit(&probe.Event{PID: int64(c.pid), Kind: probe.KindRecv})
 	}
 
+	fn := cfg.kernelHandler
 	if fn == nil {
 		return nil, ErrNoHandler
 	}
-	switch f := c.hub.applyFault(faultinject.PointNetlinkUserToKernel, c.pid); f.Kind {
+	switch f := c.hub.applyFault(cfg, faultinject.PointNetlinkUserToKernel, c.pid); f.Kind {
 	case faultinject.KindError:
 		return nil, fmt.Errorf("%w: user→kernel pid %d: %w", ErrChannelFault, c.pid, f.Err)
 	case faultinject.KindDuplicate:
@@ -298,10 +307,10 @@ func (c *Conn) Call(msg any) (any, error) {
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return ErrClosed
 	}
-	c.closed = true
+	c.closed.Store(true)
 	c.hub.drop(c.pid)
 	return nil
 }

@@ -42,7 +42,12 @@ func (c *Client) NextEvent() (ev Event, ok bool) {
 		return Event{}, false
 	}
 	ev = c.queue[0]
-	c.queue = c.queue[1:]
+	if len(c.queue) == 1 {
+		// Drained: keep the backing array for the next delivery.
+		c.queue = c.queue[:0]
+	} else {
+		c.queue = c.queue[1:]
+	}
 	return ev, true
 }
 

@@ -480,3 +480,28 @@ func TestDrainEvents(t *testing.T) {
 		t.Fatalf("drained %d, pending %d", len(evs), c.PendingEvents())
 	}
 }
+
+// TestClickDrainReusesQueue: draining a client's queue keeps its
+// backing array, so a click followed by the app reading its input
+// allocates nothing once the queue has been sized.
+func TestClickDrainReusesQueue(t *testing.T) {
+	e := newXEnv(t, true)
+	c := e.connect(t, 100, "app")
+	e.mapVisibleWindow(t, c, 10, 10, 200, 100)
+	clickDrain := func() {
+		e.srv.HardwareClick(50, 50)
+		n := 0
+		for {
+			if _, ok := c.NextEvent(); !ok {
+				break
+			}
+			n++
+		}
+		if n == 0 {
+			t.Fatal("click delivered no event")
+		}
+	}
+	if got := testing.AllocsPerRun(100, clickDrain); got != 0 {
+		t.Fatalf("click and drain: %v allocs, want 0", got)
+	}
+}
