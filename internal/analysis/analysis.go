@@ -15,7 +15,7 @@
 // dependency-free. Analyzers are therefore syntactic: they trade the
 // precision of full type information for zero-dependency portability,
 // and lean on the repository's strong conventions (mutex fields named
-// before the state they guard, carrier helpers with unique names).
+// before the state they guard, stamp-slot helpers with unique names).
 //
 // Findings can be suppressed with an in-source annotation:
 //

@@ -20,10 +20,11 @@ import (
 //     before the fields it guards. An exported method of a
 //     lock-bearing type that reads or writes a field declared after
 //     the mutex without ever acquiring it is flagged. Fields whose
-//     own (local) type carries a mutex — the ipc carrier, the
-//     kernel's ipcTables — are exempt: such fields are immutable
-//     pointers or values whose state is guarded by their own lock,
-//     which this rule checks at their methods instead.
+//     own (local) type carries a mutex — the kernel's ipcTables —
+//     are exempt: such fields are immutable pointers or values whose
+//     state is guarded by their own lock, which this rule checks at
+//     their methods instead. All-atomic fields (every ipc.StampSlot)
+//     are declared before the mutex, so no lock guards them.
 var Lockcheck = &Analyzer{
 	Name: "lockcheck",
 	Doc: "locks must be released in the same function, and exported methods " +

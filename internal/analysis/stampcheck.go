@@ -10,10 +10,10 @@ import (
 // protocol from internal/ipc/stamps.go.
 //
 // In internal/ipc, every exported send-side method (Send*/Write*) must
-// transitively reach carrier.onSend or carrier.onAccess, and every
-// receive-side method (Recv*/Read*) must reach carrier.onRecv or
-// carrier.onAccess — reachability computed over the package-local call
-// graph, so helpers in between are fine. A new IPC family added
+// transitively reach StampSlot.onSend or StampSlot.onAccess, and every
+// receive-side method (Recv*/Read*) must reach StampSlot.onRecv or
+// StampSlot.onAccess — reachability computed over the package-local
+// call graph, so helpers in between are fine. A new IPC family added
 // without wiring the protocol fails the build gate immediately.
 //
 // In internal/kernel, constructing an ipc resource with a literal nil

@@ -74,8 +74,16 @@ func (ch *channel) reset(conn *netlink.Conn) {
 	ch.conn.Store(conn)
 }
 
-// call sends one userspace→kernel message with the retry policy.
-func (ch *channel) call(msg any) (any, error) {
+// direction picks which way a channel message travels.
+type direction bool
+
+const (
+	toKernel direction = false // userspace→kernel (Conn.Call)
+	toUser   direction = true  // kernel→userspace (Hub.CallUser)
+)
+
+// call sends one message in direction dir with the retry policy.
+func (ch *channel) call(dir direction, msg any) (any, error) {
 	conn := ch.conn.Load()
 	if conn == nil {
 		return nil, ErrChannelDown
@@ -85,30 +93,13 @@ func (ch *channel) call(msg any) (any, error) {
 		if attempt > 0 {
 			ch.pause(attempt)
 		}
-		reply, err := conn.Call(msg)
-		if err == nil {
-			return reply, nil
+		var reply any
+		var err error
+		if dir == toUser {
+			reply, err = ch.hub.CallUser(ch.pid, msg)
+		} else {
+			reply, err = conn.Call(msg)
 		}
-		lastErr = err
-		if permanent(err) {
-			break
-		}
-	}
-	ch.markDown()
-	return nil, fmt.Errorf("%w: %v", ErrChannelDown, lastErr)
-}
-
-// callUser sends one kernel→userspace message with the retry policy.
-func (ch *channel) callUser(msg any) (any, error) {
-	if ch.conn.Load() == nil {
-		return nil, ErrChannelDown
-	}
-	var lastErr error
-	for attempt := 0; attempt <= DefaultChannelRetries; attempt++ {
-		if attempt > 0 {
-			ch.pause(attempt)
-		}
-		reply, err := ch.hub.CallUser(ch.pid, msg)
 		if err == nil {
 			return reply, nil
 		}

@@ -158,7 +158,7 @@ func BenchmarkAlertRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := alertMsgPool.Get().(*alertMsg)
 		*m = alertMsg(req)
-		_, err := sys.ch.callUser(m)
+		_, err := sys.ch.call(toUser, m)
 		alertMsgPool.Put(m)
 		if err != nil {
 			b.Fatal(err)

@@ -179,7 +179,7 @@ func (p *xPolicy) NotifyInteraction(ctx probe.SpanContext, pid int, t time.Time)
 	defer p.call.End(&sp)
 	m := interactionMsgPool.Get().(*interactionMsg)
 	*m = interactionMsg{PID: pid, Time: t, Ctx: sp.Ctx}
-	_, err := p.ch.call(m)
+	_, err := p.ch.call(toKernel, m)
 	interactionMsgPool.Put(m)
 	if err != nil && sp.Ctx.Valid() {
 		sp.Reason = err.Error()
@@ -194,7 +194,7 @@ func (p *xPolicy) Query(ctx probe.SpanContext, pid int, op monitor.Op, t time.Ti
 	defer p.call.End(&sp)
 	m := queryMsgPool.Get().(*queryMsg)
 	*m = queryMsg{PID: pid, Op: op, Time: t, Ctx: sp.Ctx}
-	reply, err := p.ch.call(m)
+	reply, err := p.ch.call(toKernel, m)
 	queryMsgPool.Put(m)
 	if err != nil {
 		if sp.Ctx.Valid() {
@@ -361,7 +361,7 @@ func Boot(opts Options) (*System, error) {
 		req.Ctx = sp.Ctx
 		m := alertMsgPool.Get().(*alertMsg)
 		*m = alertMsg(req)
-		_, _ = sys.ch.callUser(m)
+		_, _ = sys.ch.call(toUser, m)
 		alertMsgPool.Put(m)
 	})
 

@@ -10,6 +10,7 @@ import (
 	"overhaul/internal/clock"
 	"overhaul/internal/core"
 	"overhaul/internal/devfs"
+	"overhaul/internal/fs"
 	"overhaul/internal/probe"
 	"overhaul/internal/telemetry"
 )
@@ -101,6 +102,74 @@ func TestInteractionTraceConnected(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace is missing span %s; got %v", want, names)
 		}
+	}
+}
+
+// TestStampSpanCrossesPipe: the span that minted a stamp travels with
+// it through IPC. A click on one app is handed over a kernel pipe to a
+// headless daemon that has never seen input; the daemon's mic open is
+// granted on the adopted stamp, and its kernel.open span joins the
+// click's trace.
+func TestStampSpanCrossesPipe(t *testing.T) {
+	clk := clock.NewSimulated()
+	reg := probe.NewRegistry()
+	sys, err := core.Boot(core.Options{Clock: clk, Enforce: true, AlertSecret: "tabby-cat", Probes: reg})
+	if err != nil {
+		t.Fatalf("Boot: %v", err)
+	}
+	mic, err := sys.Helper.Attach(devfs.ClassMicrophone)
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	app, err := sys.Launch("recorder")
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	daemon, err := sys.LaunchHeadless("audiod")
+	if err != nil {
+		t.Fatalf("LaunchHeadless: %v", err)
+	}
+	// A match-all ring arms every hook, so every span on the path is
+	// minted.
+	ring := probe.NewRing(256)
+	if _, err := reg.AttachSpec("", ring); err != nil {
+		t.Fatal(err)
+	}
+
+	pipe := sys.Kernel.NewPipe()
+	sys.Settle(1500 * time.Millisecond)
+	if err := app.Click(); err != nil {
+		t.Fatalf("Click: %v", err)
+	}
+	sys.Settle(50 * time.Millisecond)
+	if _, err := pipe.Write(app.Proc.PID(), []byte("record")); err != nil {
+		t.Fatalf("pipe Write: %v", err)
+	}
+	if _, err := pipe.Read(daemon.PID(), make([]byte, 8)); err != nil {
+		t.Fatalf("pipe Read: %v", err)
+	}
+	h, err := sys.Kernel.Open(daemon, mic, fs.AccessRead)
+	if err != nil {
+		t.Fatalf("daemon mic open on the handed-off stamp: %v", err)
+	}
+	_ = h.Close()
+
+	buf := make([]probe.Event, 256)
+	var click probe.TraceID
+	opens := 0
+	for _, ev := range buf[:ring.ReadBatch(buf)] {
+		switch {
+		case ev.Kind == probe.KindInput && click == 0:
+			click = ev.Ctx.Trace
+		case ev.Kind == probe.KindOpen && ev.PID == int64(daemon.PID()):
+			opens++
+			if click == 0 || ev.Ctx.Trace != click {
+				t.Errorf("daemon kernel.open (phase %d) on trace %d, want the click's trace %d", ev.Phase, ev.Ctx.Trace, click)
+			}
+		}
+	}
+	if opens == 0 {
+		t.Fatal("daemon's mic open emitted no kernel.open event")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"overhaul/internal/kernel"
+	"overhaul/internal/ipc"
 	"overhaul/internal/monitor"
 	"overhaul/internal/probe"
 )
@@ -30,17 +30,18 @@ type Session struct {
 
 // procTable is a session's process table: one interaction-stamp cell
 // per pid. It is the task store the session's Monitor decides against.
-// The kernel and the fleet share the StampSlot implementation, so the
-// newest-wins CAS-max semantics cannot drift between the two paths.
+// The kernel's task structs, its IPC objects and the fleet all hold an
+// ipc.StampSlot, so the newest-wins CAS-max semantics cannot drift
+// between the paths.
 type procTable struct {
 	mu    sync.RWMutex
-	slots map[int]*kernel.StampSlot
+	slots map[int]*ipc.StampSlot
 }
 
 var _ monitor.TaskStore = (*procTable)(nil)
 
 // slot returns pid's stamp cell, or nil if pid does not exist.
-func (t *procTable) slot(pid int) *kernel.StampSlot {
+func (t *procTable) slot(pid int) *ipc.StampSlot {
 	t.mu.RLock()
 	p := t.slots[pid]
 	t.mu.RUnlock()
@@ -55,7 +56,8 @@ func (t *procTable) InteractionView(pid int) (time.Time, probe.SpanContext, bool
 	if p == nil {
 		return time.Time{}, probe.SpanContext{}, false, false
 	}
-	return p.Time(), p.Span(), false, true
+	stamp, ctx := p.Stamp()
+	return stamp, ctx, false, true
 }
 
 // SetInteractionStampSpan implements monitor.TaskStore with the
@@ -70,10 +72,10 @@ func (t *procTable) SetInteractionStampSpan(pid int, ts time.Time, ctx probe.Spa
 }
 
 // add installs a new pid with the given stamp cell.
-func (t *procTable) add(pid int, slot *kernel.StampSlot) {
+func (t *procTable) add(pid int, slot *ipc.StampSlot) {
 	t.mu.Lock()
 	if t.slots == nil {
-		t.slots = make(map[int]*kernel.StampSlot)
+		t.slots = make(map[int]*ipc.StampSlot)
 	}
 	t.slots[pid] = slot
 	t.mu.Unlock()
@@ -126,7 +128,7 @@ func (s *Session) Spawn() (int, error) {
 		return 0, ErrSessionClosed
 	}
 	pid := int(s.nextPID.Add(1))
-	s.procs.add(pid, &kernel.StampSlot{})
+	s.procs.add(pid, &ipc.StampSlot{})
 	s.spawns.Add(1)
 	return pid, nil
 }
@@ -143,8 +145,8 @@ func (s *Session) Fork(parent int) (int, error) {
 		return 0, fmt.Errorf("session %d fork from pid %d: %w", s.id, parent, ErrNoSuchProcess)
 	}
 	pid := int(s.nextPID.Add(1))
-	child := &kernel.StampSlot{}
-	child.Adopt(pp.Time(), pp.Span())
+	child := &ipc.StampSlot{}
+	child.Inherit(pp)
 	s.procs.add(pid, child)
 	s.spawns.Add(1)
 	return pid, nil

@@ -6,6 +6,7 @@ import (
 
 	"overhaul/internal/clock"
 	"overhaul/internal/faultinject"
+	"overhaul/internal/probe"
 )
 
 // hookFor returns a hook injecting kind at exactly one point.
@@ -29,24 +30,26 @@ func TestFaultyStampsDropsWriteFailClosed(t *testing.T) {
 	base.set(receiver, old)
 
 	faulty := FaultyStamps(base, hookFor(faultinject.PointStampWrite, faultinject.KindError))
-	faulty.Adopt(receiver, old.Add(time.Second))
+	faulty.Adopt(receiver, old.Add(time.Second), senderSpan)
 	if got := base.get(t, receiver); !got.Equal(old) {
 		t.Fatalf("stamp moved to %v under write fault, want unchanged %v", got, old)
 	}
 
 	// Reads pass through untouched.
-	if got, ok := faulty.Stamp(receiver); !ok || !got.Equal(old) {
+	if got, _, ok := faulty.Stamp(receiver); !ok || !got.Equal(old) {
 		t.Fatalf("Stamp = (%v,%v), want (%v,true)", got, ok, old)
 	}
+	base.wantSpan(t, receiver, probe.SpanContext{})
 
 	// Without the fault the same Adopt lands.
 	healthy := FaultyStamps(base, func(p faultinject.Point) faultinject.Fault {
 		return faultinject.Fault{Point: p}
 	})
-	healthy.Adopt(receiver, old.Add(time.Second))
+	healthy.Adopt(receiver, old.Add(time.Second), senderSpan)
 	if got := base.get(t, receiver); !got.Equal(old.Add(time.Second)) {
 		t.Fatalf("healthy Adopt did not land: %v", got)
 	}
+	base.wantSpan(t, receiver, senderSpan)
 }
 
 // TestFaultyStampsNilPassthrough: nil hook or store decorate to the

@@ -32,34 +32,15 @@ func FaultyStamps(st Stamps, hook faultinject.Hook) Stamps {
 // injects *write* failures (the store losing an update), and a faulted
 // read would be indistinguishable from "no interaction", which Adopt
 // faults already cover.
-func (f *faultyStamps) Stamp(pid int) (time.Time, bool) { return f.st.Stamp(pid) }
+func (f *faultyStamps) Stamp(pid int) (time.Time, probe.SpanContext, bool) {
+	return f.st.Stamp(pid)
+}
 
-// Adopt implements Stamps; an injected fault drops the write.
-func (f *faultyStamps) Adopt(pid int, t time.Time) {
+// Adopt implements Stamps; an injected fault drops the stamp and its
+// span together (they travel as one unit).
+func (f *faultyStamps) Adopt(pid int, t time.Time, ctx probe.SpanContext) {
 	if faultinject.Eval(f.hook, faultinject.PointStampWrite).Injected() {
 		return // update lost; receiver keeps its older (staler) stamp
 	}
-	f.st.Adopt(pid, t)
-}
-
-// StampSpan implements SpanStamps when the wrapped store tracks spans;
-// otherwise it reports no span (reads are never faulted).
-func (f *faultyStamps) StampSpan(pid int) (probe.SpanContext, bool) {
-	if ss, ok := f.st.(SpanStamps); ok {
-		return ss.StampSpan(pid)
-	}
-	return probe.SpanContext{}, false
-}
-
-// AdoptSpan implements SpanStamps; the same injected fault drops the
-// stamp and its span together (they travel as one unit).
-func (f *faultyStamps) AdoptSpan(pid int, t time.Time, ctx probe.SpanContext) {
-	if faultinject.Eval(f.hook, faultinject.PointStampWrite).Injected() {
-		return
-	}
-	if ss, ok := f.st.(SpanStamps); ok {
-		ss.AdoptSpan(pid, t, ctx)
-		return
-	}
-	f.st.Adopt(pid, t)
+	f.st.Adopt(pid, t, ctx)
 }

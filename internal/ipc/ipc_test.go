@@ -7,26 +7,29 @@ import (
 	"time"
 
 	"overhaul/internal/clock"
+	"overhaul/internal/probe"
 )
 
-// fakeStamps is an in-memory Stamps implementation.
+// fakeStamps is an in-memory Stamps implementation: a stamp and its
+// minting span per pid, newest wins.
 type fakeStamps struct {
 	mu     sync.Mutex
 	stamps map[int]time.Time
+	spans  map[int]probe.SpanContext
 }
 
 func newFakeStamps() *fakeStamps {
-	return &fakeStamps{stamps: make(map[int]time.Time)}
+	return &fakeStamps{stamps: make(map[int]time.Time), spans: make(map[int]probe.SpanContext)}
 }
 
-func (f *fakeStamps) Stamp(pid int) (time.Time, bool) {
+func (f *fakeStamps) Stamp(pid int) (time.Time, probe.SpanContext, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t, ok := f.stamps[pid]
-	return t, ok
+	return t, f.spans[pid], ok
 }
 
-func (f *fakeStamps) Adopt(pid int, t time.Time) {
+func (f *fakeStamps) Adopt(pid int, t time.Time, ctx probe.SpanContext) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur, ok := f.stamps[pid]
@@ -35,22 +38,36 @@ func (f *fakeStamps) Adopt(pid int, t time.Time) {
 	}
 	if t.After(cur) {
 		f.stamps[pid] = t
+		f.spans[pid] = ctx
 	}
 }
 
 func (f *fakeStamps) set(pid int, t time.Time) {
+	f.setSpan(pid, t, probe.SpanContext{})
+}
+
+func (f *fakeStamps) setSpan(pid int, t time.Time, ctx probe.SpanContext) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.stamps[pid] = t
+	f.spans[pid] = ctx
 }
 
 func (f *fakeStamps) get(t *testing.T, pid int) time.Time {
 	t.Helper()
-	st, ok := f.Stamp(pid)
+	st, _, ok := f.Stamp(pid)
 	if !ok {
 		t.Fatalf("pid %d unknown", pid)
 	}
 	return st
+}
+
+// wantSpan fails unless pid's stamp span is want.
+func (f *fakeStamps) wantSpan(t *testing.T, pid int, want probe.SpanContext) {
+	t.Helper()
+	if _, got, _ := f.Stamp(pid); got != want {
+		t.Fatalf("pid %d stamp span = %+v, want %+v", pid, got, want)
+	}
 }
 
 const (
@@ -58,12 +75,15 @@ const (
 	receiver = 2
 )
 
-// stampedPair returns stamps where the sender interacted at Epoch+1s and
-// the receiver has never interacted.
+// senderSpan is the trace span that minted the sender's stamp.
+var senderSpan = probe.SpanContext{Trace: 7, Span: 70}
+
+// stampedPair returns stamps where the sender interacted at Epoch+1s
+// (minted by senderSpan) and the receiver has never interacted.
 func stampedPair() (*fakeStamps, time.Time) {
 	st := newFakeStamps()
 	interaction := clock.Epoch.Add(time.Second)
-	st.set(sender, interaction)
+	st.setSpan(sender, interaction, senderSpan)
 	st.set(receiver, time.Time{})
 	return st, interaction
 }
@@ -459,6 +479,7 @@ func TestShmFirstAccessFaultsAndPropagates(t *testing.T) {
 	if s := st.get(t, receiver); !s.Equal(interaction) {
 		t.Fatalf("receiver stamp = %v, want %v", s, interaction)
 	}
+	st.wantSpan(t, receiver, senderSpan)
 	stats := shm.StatsSnapshot()
 	if stats.Faults != 2 || stats.FastAccesses != 0 {
 		t.Fatalf("stats = %+v, want 2 faults", stats)
@@ -613,6 +634,7 @@ func TestPtyTerminalToShellPropagation(t *testing.T) {
 	if s := st.get(t, receiver); !s.Equal(interaction) {
 		t.Fatalf("shell stamp = %v, want %v", s, interaction)
 	}
+	st.wantSpan(t, receiver, senderSpan)
 }
 
 func TestPtyEchoDirection(t *testing.T) {
@@ -661,7 +683,8 @@ func TestQueueFlavorAndPtyEndStrings(t *testing.T) {
 
 func TestStampChainsAcrossFamilies(t *testing.T) {
 	// sender -> pipe -> pidB -> socket -> pidC -> msgqueue -> pidD.
-	// Propagation must survive a chain of arbitrary length (paper §III-D).
+	// Propagation must survive a chain of arbitrary length (paper §III-D),
+	// and the span that minted the stamp must travel with it.
 	st, interaction := stampedPair()
 	const (
 		pidB = 10
@@ -699,4 +722,5 @@ func TestStampChainsAcrossFamilies(t *testing.T) {
 	if s := st.get(t, pidD); !s.Equal(interaction) {
 		t.Fatalf("end-of-chain stamp = %v, want %v", s, interaction)
 	}
+	st.wantSpan(t, pidD, senderSpan)
 }

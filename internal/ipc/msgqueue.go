@@ -46,7 +46,7 @@ type MsgQueue struct {
 	flavor QueueFlavor
 
 	// ts synchronizes itself with atomics; it is not guarded by mu.
-	ts carrier
+	ts StampSlot
 
 	mu      sync.Mutex
 	msgs    []queuedMsg

@@ -26,7 +26,7 @@ type Pipe struct {
 	st Stamps
 
 	// ts synchronizes itself with atomics; it is not guarded by mu.
-	ts carrier
+	ts StampSlot
 
 	mu     sync.Mutex
 	buf    []byte

@@ -20,7 +20,7 @@ type Pty struct {
 	st Stamps
 
 	// ts synchronizes itself with atomics; it is not guarded by mu.
-	ts carrier
+	ts StampSlot
 
 	mu         sync.Mutex
 	toSlave    []byte // written at master, read at slave

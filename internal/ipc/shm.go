@@ -49,7 +49,7 @@ type SharedMem struct {
 	wait time.Duration
 
 	// ts synchronizes itself with atomics; it is not guarded by mu.
-	ts carrier
+	ts StampSlot
 
 	mu       sync.Mutex
 	interval int // guard-check amortization (accesses per clock read)

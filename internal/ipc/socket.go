@@ -29,7 +29,7 @@ type SocketEndpoint struct {
 
 	// ts is shared with the peer (the socket is one kernel object) and
 	// synchronizes itself with atomics; it is not guarded by mu.
-	ts *carrier
+	ts *StampSlot
 
 	mu     sync.Mutex
 	inbox  [][]byte
@@ -41,7 +41,7 @@ type SocketEndpoint struct {
 // property of the socket (the kernel data structure), shared by both
 // directions, as in the paper's per-resource protocol.
 func NewSocketPair(st Stamps) *SocketPair {
-	ts := &carrier{}
+	ts := &StampSlot{}
 	a := &SocketEndpoint{st: st, ts: ts, name: "a"}
 	b := &SocketEndpoint{st: st, ts: ts, name: "b"}
 	a.peer, b.peer = b, a

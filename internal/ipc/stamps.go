@@ -23,143 +23,126 @@ import (
 
 // Stamps is the kernel-side view of per-process interaction timestamps
 // used by IPC propagation. The kernel implements it over its process
-// table.
+// table. Each stamp travels with the trace span that minted it, so a
+// permission grant enabled by a stamp that crossed a pipe or a
+// shared-memory segment still traces back to the original input event.
 type Stamps interface {
-	// Stamp returns pid's current interaction timestamp; ok is false
-	// for unknown processes.
-	Stamp(pid int) (t time.Time, ok bool)
-	// Adopt installs t as pid's stamp if t is newer than the current
-	// one. Unknown processes are ignored.
-	Adopt(pid int, t time.Time)
-}
-
-// SpanStamps is an optional extension of Stamps for stores that track
-// the trace span that minted each stamp. When the store supports it,
-// IPC propagation carries the span alongside the timestamp, so a
-// permission grant enabled by a stamp that travelled through a pipe or
-// a shared-memory segment still traces back to the original input
-// event. Plain Stamps stores propagate timestamps only.
-type SpanStamps interface {
-	Stamps
-	// StampSpan returns the span context stored with pid's stamp; ok
-	// is false for unknown processes.
-	StampSpan(pid int) (ctx probe.SpanContext, ok bool)
-	// AdoptSpan installs t and its minting span as pid's stamp if t is
+	// Stamp returns pid's current interaction timestamp and its
+	// minting span; ok is false for unknown processes.
+	Stamp(pid int) (t time.Time, ctx probe.SpanContext, ok bool)
+	// Adopt installs t and its minting span as pid's stamp if t is
 	// newer than the current one. Unknown processes are ignored.
-	AdoptSpan(pid int, t time.Time, ctx probe.SpanContext)
+	Adopt(pid int, t time.Time, ctx probe.SpanContext)
 }
 
-// stampSpanOf fetches pid's stamp span when the store tracks spans.
-func stampSpanOf(st Stamps, pid int) probe.SpanContext {
-	if ss, ok := st.(SpanStamps); ok {
-		if ctx, found := ss.StampSpan(pid); found {
-			return ctx
-		}
-	}
-	return probe.SpanContext{}
+// StampSlot is one interaction-stamp cell. The paper keeps the stamp in
+// two kinds of place under one newest-wins rule (§III-D, §IV-B): the
+// task struct and the kernel object of every IPC family. Both are a
+// StampSlot — the kernel's Process, a fleet session's process table and
+// every pipe, socket, queue, pty and shared-memory segment here.
+//
+// The stamp is unix nanoseconds in an atomic, written only through
+// Adopt's CAS-max loop so it is monotonically non-decreasing; 0 is the
+// "no interaction" sentinel (unambiguous because every clock in this
+// tree reports instants at or after clock.Epoch, 2016). Reads are
+// atomic loads, so a slot adds no lock to the paths it rides. The span
+// pointer travels with the stamp: the CAS winner stores it, so stamp and
+// minting span stay a unit on the uncontended path. Under a CAS race the
+// span may briefly describe a different write than the stamp; both are
+// then authentic near-simultaneous interactions, and the skew only
+// affects trace linkage, never the verdict.
+type StampSlot struct {
+	nanos atomic.Int64
+	span  atomic.Pointer[probe.SpanContext]
 }
 
-// adoptWithSpan installs a stamp, carrying its span when the store
-// tracks spans.
-func adoptWithSpan(st Stamps, pid int, t time.Time, ctx probe.SpanContext) {
-	if ss, ok := st.(SpanStamps); ok {
-		ss.AdoptSpan(pid, t, ctx)
-		return
-	}
-	st.Adopt(pid, t)
-}
-
-// carrier is the timestamp embedded in an IPC resource's kernel data
-// structure. The stamp is unix nanoseconds with 0 meaning "expired"
-// (the paper's step (1)); every clock in this tree reports instants at
-// or after clock.Epoch, so 0 is unambiguous. Writes go through a
-// CAS-max loop and reads are single atomic loads, so carriers add no
-// lock to the IPC data paths they ride.
-type carrier struct {
-	stamp atomic.Int64
-	// span is the trace span that minted stamp (nil when telemetry is
-	// off or the stamp arrived without context); the CAS winner stores
-	// it, keeping stamp and span a unit on the uncontended path. Under
-	// a send race the span may briefly describe the other authentic
-	// write — trace-linkage skew only, never a verdict input.
-	span atomic.Pointer[probe.SpanContext]
-}
-
-// carrierNanos encodes a stamp time (zero time → 0 = expired).
-func carrierNanos(t time.Time) int64 {
+// Adopt installs t (and the span that delivered it) iff t is newer than
+// the current stamp — the newest-wins rule as a lock-free CAS-max. A
+// zero t never installs.
+func (s *StampSlot) Adopt(t time.Time, ctx probe.SpanContext) {
 	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-// carrierTime decodes a stored stamp (0 → zero time).
-func carrierTime(n int64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
-}
-
-// onSend runs the sender half of the propagation protocol: embed the
-// sender's stamp unless the resource already holds a more recent one.
-func (c *carrier) onSend(st Stamps, pid int) {
-	if st == nil {
 		return
 	}
-	sender, ok := st.Stamp(pid)
-	if !ok {
-		return
-	}
-	n := carrierNanos(sender)
-	if n == 0 || n <= c.stamp.Load() {
-		// Fast path: nothing to embed, and no span lookup either.
-		return
-	}
-	span := stampSpanOf(st, pid)
+	n := t.UnixNano()
 	for {
-		cur := c.stamp.Load()
+		cur := s.nanos.Load()
 		if n <= cur {
 			return
 		}
-		if c.stamp.CompareAndSwap(cur, n) {
-			if span == (probe.SpanContext{}) {
-				c.span.Store(nil)
+		if s.nanos.CompareAndSwap(cur, n) {
+			if ctx == (probe.SpanContext{}) {
+				s.span.Store(nil)
 			} else {
-				s := span
-				c.span.Store(&s)
+				c := ctx
+				s.span.Store(&c)
 			}
 			return
 		}
 	}
 }
 
-// onRecv runs the receiver half: adopt the resource's stamp if it is
-// more recent than the receiver's own.
-func (c *carrier) onRecv(st Stamps, pid int) {
+// Stamp returns the stamp (zero time when no interaction is recorded)
+// and the trace span that minted it (zero when unknown).
+func (s *StampSlot) Stamp() (time.Time, probe.SpanContext) {
+	n := s.nanos.Load()
+	if n == 0 {
+		return time.Time{}, probe.SpanContext{}
+	}
+	var ctx probe.SpanContext
+	if c := s.span.Load(); c != nil {
+		ctx = *c
+	}
+	return time.Unix(0, n).UTC(), ctx
+}
+
+// Reset clears the slot back to "no interaction". Only for slot reuse
+// while no concurrent adopter can reach the slot (process-table
+// recycle); it is not a newest-wins write.
+func (s *StampSlot) Reset() {
+	s.nanos.Store(0)
+	s.span.Store(nil)
+}
+
+// Inherit copies src's stamp and span into s wholesale — fork-time P1
+// inheritance onto a fresh child slot. Not newest-wins: the child has
+// no prior stamp to defend.
+func (s *StampSlot) Inherit(src *StampSlot) {
+	s.nanos.Store(src.nanos.Load())
+	s.span.Store(src.span.Load())
+}
+
+// onSend runs the sender half of the propagation protocol: embed the
+// sender's stamp unless the resource already holds a more recent one.
+func (s *StampSlot) onSend(st Stamps, pid int) {
 	if st == nil {
 		return
 	}
-	n := c.stamp.Load()
-	if n == 0 {
+	if t, ctx, ok := st.Stamp(pid); ok {
+		s.Adopt(t, ctx)
+	}
+}
+
+// onRecv runs the receiver half: adopt the resource's stamp if it is
+// more recent than the receiver's own.
+func (s *StampSlot) onRecv(st Stamps, pid int) {
+	if st == nil {
 		return
 	}
-	span := probe.SpanContext{}
-	if p := c.span.Load(); p != nil {
-		span = *p
+	if t, ctx := s.Stamp(); !t.IsZero() {
+		st.Adopt(pid, t, ctx)
 	}
-	adoptWithSpan(st, pid, carrierTime(n), span)
 }
 
 // onAccess runs both halves. Shared-memory faults cannot distinguish a
 // read from a write above the hardware level, so the fault handler
 // propagates in both directions.
-func (c *carrier) onAccess(st Stamps, pid int) {
-	c.onSend(st, pid)
-	c.onRecv(st, pid)
+func (s *StampSlot) onAccess(st Stamps, pid int) {
+	s.onSend(st, pid)
+	s.onRecv(st, pid)
 }
 
 // stampValue returns the embedded stamp (for tests and tracing).
-func (c *carrier) stampValue() time.Time {
-	return carrierTime(c.stamp.Load())
+func (s *StampSlot) stampValue() time.Time {
+	t, _ := s.Stamp()
+	return t
 }

@@ -33,33 +33,18 @@ type stampStore Kernel
 
 var _ ipc.Stamps = (*stampStore)(nil)
 
-// Stamp implements ipc.Stamps.
-func (s *stampStore) Stamp(pid int) (time.Time, bool) {
-	stamp, _, _, ok := (*taskStore)(s).InteractionView(pid)
-	return stamp, ok
+// Stamp implements ipc.Stamps: the stamp and the span that minted it,
+// read with one InteractionView.
+func (s *stampStore) Stamp(pid int) (time.Time, probe.SpanContext, bool) {
+	stamp, ctx, _, ok := (*taskStore)(s).InteractionView(pid)
+	return stamp, ctx, ok
 }
 
-// Adopt implements ipc.Stamps.
-func (s *stampStore) Adopt(pid int, t time.Time) {
-	// Unknown processes are ignored: the sender may have exited
-	// between embedding and delivery. The stamp changes hands without
-	// trace context, so whatever span minted the previous stamp is
-	// cleared alongside it.
-	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, probe.SpanContext{})
-}
-
-var _ ipc.SpanStamps = (*stampStore)(nil)
-
-// StampSpan implements ipc.SpanStamps over the task struct's stamp
-// span field.
-func (s *stampStore) StampSpan(pid int) (probe.SpanContext, bool) {
-	_, ctx, _, ok := (*taskStore)(s).InteractionView(pid)
-	return ctx, ok
-}
-
-// AdoptSpan implements ipc.SpanStamps: the stamp and the span that
-// minted it install together, newest-wins (P2 carries both).
-func (s *stampStore) AdoptSpan(pid int, t time.Time, ctx probe.SpanContext) {
+// Adopt implements ipc.Stamps: the stamp and the span that minted it
+// install together, newest-wins (P2 carries both). Unknown processes
+// are ignored: the sender may have exited between embedding and
+// delivery.
+func (s *stampStore) Adopt(pid int, t time.Time, ctx probe.SpanContext) {
 	_ = (*taskStore)(s).SetInteractionStampSpan(pid, t, ctx)
 }
 

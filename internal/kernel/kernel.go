@@ -13,7 +13,7 @@
 // per-task interaction stamp is an atomically loadable value, so the
 // monitor's decision path — pid lookup, stamp read, ptrace-guard check
 // — takes no lock at all and scales across cores; stamp writes are a
-// lock-free newest-wins CAS (Process.adoptStamp).
+// lock-free newest-wins CAS (ipc.StampSlot.Adopt).
 package kernel
 
 import (
@@ -247,7 +247,7 @@ func (ts *taskStore) SetInteractionStampSpan(pid int, t time.Time, ctx probe.Spa
 	sh.mu.RLock()
 	p, ok := sh.procs[pid]
 	if ok {
-		p.adoptStamp(t, ctx)
+		p.slot.Adopt(t, ctx)
 	}
 	sh.mu.RUnlock()
 	if !ok {
@@ -270,8 +270,7 @@ func (ts *taskStore) InteractionView(pid int) (time.Time, probe.SpanContext, boo
 		return time.Time{}, probe.SpanContext{}, false, false
 	}
 	disabled := k.ptraceGuard.Load() && p.tracedBy.Load() != 0
-	stamp := p.slot.Time()
-	sc := p.StampSpan()
+	stamp, sc := p.slot.Stamp()
 	if p.pid.Load() != int64(pid) {
 		return time.Time{}, probe.SpanContext{}, false, false
 	}

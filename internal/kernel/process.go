@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"overhaul/internal/fs"
+	"overhaul/internal/ipc"
 	"overhaul/internal/probe"
 )
 
@@ -42,9 +43,9 @@ type Process struct {
 	ppid atomic.Int64
 
 	// slot is the interaction stamp + minting span (the Overhaul
-	// task_struct field), written only through StampSlot.Adopt's
+	// task_struct field), written only through ipc.StampSlot.Adopt's
 	// CAS-max loop on the live path.
-	slot StampSlot
+	slot ipc.StampSlot
 	// tracedBy is the tracer PID, 0 when not traced.
 	tracedBy atomic.Int32
 
@@ -85,19 +86,15 @@ func (p *Process) Cred() fs.Cred {
 
 // InteractionStamp returns the Overhaul interaction timestamp.
 func (p *Process) InteractionStamp() time.Time {
-	return p.slot.Time()
+	t, _ := p.slot.Stamp()
+	return t
 }
 
 // StampSpan returns the trace span that minted the current interaction
 // stamp (zero when unknown).
 func (p *Process) StampSpan() probe.SpanContext {
-	return p.slot.Span()
-}
-
-// adoptStamp installs t (and the span that delivered it) iff t is newer
-// than the current stamp; see StampSlot.Adopt.
-func (p *Process) adoptStamp(t time.Time, ctx probe.SpanContext) {
-	p.slot.Adopt(t, ctx)
+	_, ctx := p.slot.Stamp()
+	return ctx
 }
 
 // State returns the lifecycle state.
@@ -200,7 +197,7 @@ func (p *Process) Fork() (*Process, error) {
 	child := k.procGet()
 	child.reincarnate(int(k.nextPID.Add(1)), p.PID(), name, exe, cred)
 	if !k.disableP1 {
-		child.slot.inherit(&p.slot) // P1: stamp and minting span inherit together
+		child.slot.Inherit(&p.slot) // P1: stamp and minting span inherit together
 	}
 	k.table.put(child)
 	k.stats.forks.Add(1)

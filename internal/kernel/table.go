@@ -3,7 +3,6 @@ package kernel
 import (
 	"sort"
 	"sync"
-	"time"
 )
 
 // procShards stripes the process table. Power of two so the shard
@@ -74,29 +73,4 @@ func (t *procTable) pids() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// --- atomic stamp encoding ----------------------------------------------
-
-// Interaction stamps are stored as unix nanoseconds in an atomic.Int64
-// so the decision path reads them without a lock. 0 is the "no
-// interaction" sentinel; that is unambiguous because every clock in
-// this tree reports instants at or after clock.Epoch (2016) — simulated
-// time starts there and never runs backwards. Instants at or before
-// the unix epoch are not representable, which no caller produces.
-
-// stampNanos encodes a stamp time (zero time → 0).
-func stampNanos(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-// stampTime decodes a stored stamp (0 → zero time).
-func stampTime(n int64) time.Time {
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
 }

@@ -148,7 +148,7 @@ type Config struct {
 	// Zero means DefaultAuditCapacity.
 	AuditCapacity int
 	// Probes, when non-nil, arms the monitor's probe attach points
-	// (monitor.evaluate, monitor.audit, monitor.notify, kernel.decide,
+	// (monitor.evaluate, monitor.notify, kernel.decide,
 	// and the degrade and recover points). Nil leaves the hooks
 	// unresolved; each attach point then costs a single nil check on
 	// the decision path.
@@ -228,7 +228,6 @@ type Monitor struct {
 	// one atomic load per decision while unattached (nil when the
 	// monitor was built without a probe registry: one nil check).
 	probeEval    *probe.Hook // monitor.evaluate: the decide span
-	probeAudit   *probe.Hook // monitor.audit
 	probeNotify  *probe.Hook // monitor.notify
 	probeDecide  *probe.Hook // kernel.decide
 	probeDegrade *probe.Hook // system.degrade
@@ -285,7 +284,6 @@ func (m *Monitor) Init(tasks TaskStore, cfg Config) error {
 	m.enforce = cfg.Enforce
 	reg := cfg.Probes
 	m.probeEval = reg.Hook(probe.HookMonitorEvaluate)
-	m.probeAudit = reg.Hook(probe.HookMonitorAudit)
 	m.probeNotify = reg.Hook(probe.HookMonitorNotify)
 	m.probeDecide = reg.Hook(probe.HookKernelDecide)
 	m.probeDegrade = reg.Hook(probe.HookDegrade)
@@ -409,14 +407,9 @@ func (m *Monitor) SetAuditSink(fn func(Decision)) {
 	m.audit.mu.Unlock()
 }
 
-// appendAudit appends one decision, made under ctx, to the audit ring,
-// oldest-out, and forwards it to the audit sink when one is attached.
-func (m *Monitor) appendAudit(ctx probe.SpanContext, d *Decision) {
-	if m.probeAudit.Wants(int64(d.PID)) {
-		var ev probe.Event
-		probeEvent(&ev, probe.KindAudit, ctx, d)
-		m.probeAudit.Emit(&ev)
-	}
+// appendAudit appends one decision to the audit ring, oldest-out, and
+// forwards it to the audit sink when one is attached.
+func (m *Monitor) appendAudit(d *Decision) {
 	a := &m.audit
 	a.mu.Lock()
 	if a.ring == nil {
@@ -504,7 +497,7 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 			m.stats.degradedDenials.Add(1)
 		}
 	}
-	m.appendAudit(span, &d)
+	m.appendAudit(&d)
 	if m.probeDecide.Wants(int64(pid)) {
 		var ev probe.Event
 		probeEvent(&ev, probe.KindDecide, span, &d)
@@ -538,7 +531,7 @@ func (m *Monitor) RecordDenialCtx(ctx probe.SpanContext, pid int, op Op, opTime 
 	stamp, _, _, _ := m.tasks.InteractionView(pid)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: VerdictDeny, Reason: reason}
 	m.stats.denials.Add(1)
-	m.appendAudit(ctx, &d)
+	m.appendAudit(&d)
 	if m.probeDecide.Wants(int64(pid)) {
 		var ev probe.Event
 		probeEvent(&ev, probe.KindDecide, ctx, &d)

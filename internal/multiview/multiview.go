@@ -84,10 +84,10 @@ const (
 const neverMatch = "pid=1099511627776"
 
 // ringCap and drainEvery keep the match-mode ring ahead of the hottest
-// benchmark (a kernel device open emits four events: kernel.open plus
-// the monitor's evaluate, audit and decide hooks). Publishing into a
-// full ring takes the cheaper drop path, which would understate the
-// match-mode cost.
+// benchmark (a kernel device open emits five events: the kernel.open
+// and monitor.evaluate spans' begin and end, and kernel.decide).
+// Publishing into a full ring takes the cheaper drop path, which would
+// understate the match-mode cost.
 const (
 	ringCap    = 1 << 13
 	drainEvery = 256
@@ -180,7 +180,7 @@ func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ probe.Span
 }
 
 // setupDecide measures the monitor decision path: a within-δ grant,
-// crossing the evaluate, audit and decide attach points.
+// crossing the evaluate and decide attach points.
 func setupDecide(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
@@ -196,7 +196,7 @@ func setupDecide(e env) (func(int) error, error) {
 }
 
 // setupNotify measures the interaction-notification path (stamp
-// write), crossing the monitor's audit attach point when alerts fire.
+// write), crossing the monitor.notify attach point.
 func setupNotify(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
@@ -212,7 +212,8 @@ func setupNotify(e env) (func(int) error, error) {
 
 // setupKernelOpen measures a sensitive device open end to end: devmap
 // lookup, monitor decision (force-grant, as in Table I), fs open —
-// crossing the kernel.open attach point plus the monitor's three.
+// crossing the kernel.open attach point plus the monitor's evaluate
+// and decide.
 func setupKernelOpen(e env) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	fsys := fs.New(clk)

@@ -144,14 +144,14 @@ func TestProbeDispatchZeroAlloc(t *testing.T) {
 	}
 
 	matchRing := NewRing(64)
-	if _, err := r.AttachSpec("hook=monitor.audit", matchRing); err != nil {
+	if _, err := r.AttachSpec("hook=monitor.evaluate", matchRing); err != nil {
 		t.Fatal(err)
 	}
-	match := r.Hook(HookMonitorAudit)
+	match := r.Hook(HookMonitorEvaluate)
 	buf := make([]Event, 64)
 	if allocs := testing.AllocsPerRun(200, func() {
 		if match.Wants(0) {
-			match.Emit(&Event{Kind: KindAudit})
+			match.Emit(&Event{Kind: KindEvaluate})
 		}
 		matchRing.ReadBatch(buf)
 	}); allocs != 0 {

@@ -46,7 +46,6 @@ const (
 	KindOpen             // kernel.open: the augmented open(2) path
 	KindDecide           // kernel.decide: a permission decision record
 	KindEvaluate         // monitor.evaluate: the policy rule ran (the decide span)
-	KindAudit            // monitor.audit: an audit-ring append
 	KindInput            // xserver.input: authentic hardware input
 	KindSend             // netlink.send: a kernel→user channel message
 	KindRecv             // netlink.recv: a user→kernel channel message
@@ -65,7 +64,7 @@ const (
 
 var kindNames = [kindCount]string{
 	KindNone: "none", KindOpen: "open", KindDecide: "decide",
-	KindEvaluate: "evaluate", KindAudit: "audit", KindInput: "input",
+	KindEvaluate: "evaluate", KindInput: "input",
 	KindSend: "send", KindRecv: "recv", KindDispatch: "dispatch",
 	KindNotify: "notify", KindInteraction: "interaction", KindQuery: "query",
 	KindAlert: "alert", KindCall: "call", KindFault: "fault",

@@ -25,8 +25,6 @@ const (
 	// inside Decide, and ends when the decision (alert included) is
 	// done.
 	HookMonitorEvaluate = "monitor.evaluate"
-	// HookMonitorAudit fires on every audit-ring append.
-	HookMonitorAudit = "monitor.audit"
 	// HookXServerInput fires for authentic hardware input dispatched
 	// to a window (clicks and keys; synthetic input never fires it).
 	HookXServerInput = "xserver.input"
@@ -66,7 +64,6 @@ var hookNames = []string{
 	HookKernelOpen,
 	HookKernelDecide,
 	HookMonitorEvaluate,
-	HookMonitorAudit,
 	HookXServerInput,
 	HookNetlinkSend,
 	HookNetlinkRecv,

@@ -35,8 +35,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestRegistryHookVocabulary(t *testing.T) {
 	r := NewRegistry()
 	names := HookNames()
-	if len(names) != 16 {
-		t.Fatalf("vocabulary has %d hooks, want 16", len(names))
+	if len(names) != 15 {
+		t.Fatalf("vocabulary has %d hooks, want 15", len(names))
 	}
 	for _, name := range names {
 		h := r.Hook(name)

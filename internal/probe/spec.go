@@ -53,7 +53,7 @@ func (s *Spec) Match(ev *Event) bool {
 // whitespace-separated key=value tokens:
 //
 //	hook=NAME          attach point (see HookNames); omit for all
-//	op=K[,K...]        event kinds: open decide evaluate audit input
+//	op=K[,K...]        event kinds: open decide evaluate input
 //	                   send recv dispatch
 //	dev=D[,D...]       device classes: copy paste scr mic cam dev none
 //	verdict=V[,V...]   verdicts: grant deny none

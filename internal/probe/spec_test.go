@@ -23,7 +23,7 @@ func TestParseSpecMatchAll(t *testing.T) {
 }
 
 func TestParseSpecFields(t *testing.T) {
-	s, err := ParseSpec("hook=kernel.decide op=decide,audit dev=mic,cam verdict=deny pid=10-20 session=3")
+	s, err := ParseSpec("hook=kernel.decide op=decide,evaluate dev=mic,cam verdict=deny pid=10-20 session=3")
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}

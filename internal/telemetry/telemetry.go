@@ -122,8 +122,7 @@ func NewWithOptions(clk clock.Clock, opts Options) *Recorder {
 }
 
 // hooks are the attach points the recorder reads: every one but
-// fleet.dispatch and monitor.audit, whose events mirror kernel.decide's
-// one for one (the probe ≡ audit oracle).
+// fleet.dispatch, whose events mirror kernel.decide's one for one.
 var hooks = []string{
 	probe.HookKernelOpen, probe.HookKernelDecide,
 	probe.HookMonitorEvaluate, probe.HookMonitorNotify,
