@@ -19,10 +19,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Domain-invariant static analysis: the syntactic suite (atomiccheck,
-# clockcheck, errdrop, lockcheck, printcheck, spancheck, stampcheck)
-# plus the interprocedural analyzers (flowcheck, failclosedcheck,
-# lockordercheck). Gated against the committed baseline: known
+# Domain-invariant static analysis over the type-checked module: the
+# per-package analyzers (atomiccheck, clockcheck, errdrop, lockcheck,
+# printcheck, spancheck, stampcheck) plus the interprocedural ones
+# (flowcheck, failclosedcheck, lockordercheck). A tree that does not
+# type-check exits 2. Gated against the committed baseline: known
 # findings are tolerated, new ones fail. See DESIGN.md "Invariants &
 # static analysis" and "Interprocedural analysis".
 lint:
@@ -156,5 +157,8 @@ multiview:
 	$(GO) run ./cmd/overhaul-benchjson -check multiview.json
 	@rm -f multiview.json multiview.html
 
+# Every gate ci.yml runs except the labelled bench regression gate
+# (make bench-compare), ending with the telemetry smoke.
 ci: fmt build vet lint loc race benchmark-module bench fleet fuzz chaos store multiview
 	$(GO) run ./cmd/overhaul-benchjson -check BENCH_overhaul.json
+	$(GO) run ./cmd/overhaul-top -json > /dev/null

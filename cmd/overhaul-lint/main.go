@@ -8,22 +8,24 @@
 //
 // Each root is a directory scanned recursively (a trailing /... is
 // accepted and ignored, so ./... works); the default is the current
-// directory. Diagnostics print as file:line:col: analyzer: message,
-// or as a JSON array with -json.
+// directory. Every root is parsed and type-checked before any analyzer
+// runs; a syntax or type error in it is a driver error naming the file
+// and line. Diagnostics print as file:line:col: analyzer: message, or
+// as a JSON array with -json.
 //
 // Exit status is part of the contract:
 //
 //	0  clean — no findings, or every finding is covered by -baseline
 //	1  fresh findings (regressions relative to the baseline, if any)
-//	2  driver error: bad usage, unloadable tree, unreadable baseline
+//	2  driver error: bad usage, unloadable tree (syntax or type
+//	   error), unreadable baseline
 //
 // A committed baseline (-baseline lint-baseline.json) turns the gate
 // into a ratchet: known findings are tolerated, new ones fail.
 // Regenerate it with -write-baseline after triage. -fix applies each
 // diagnostic's suggested rewrite in place (-diff previews the same
 // rewrite as a unified diff without touching files). -sarif emits the
-// full finding set as SARIF 2.1.0 for CI artifact upload. -cachedir
-// reuses a previous run's results when no input file changed.
+// full finding set as SARIF 2.1.0 for CI artifact upload.
 //
 // Findings are suppressed in source with
 //
@@ -59,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarifPath := flags.String("sarif", "", "write findings as SARIF 2.1.0 to this file (- for stdout)")
 	baselinePath := flags.String("baseline", "", "baseline file of known findings; only fresh findings fail")
 	writeBaseline := flags.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit 0")
-	cacheDir := flags.String("cachedir", "", "cache directory; identical inputs reuse the previous run")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -120,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
 			return 2
 		}
-		diags = append(diags, runWithCache(mod, analyzers, *cacheDir, stderr)...)
+		diags = append(diags, analysis.Run(mod, analyzers)...)
 	}
 
 	if *writeBaseline {
@@ -199,29 +200,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runWithCache runs the analyzers, consulting the run cache when a
-// cache directory was given. Cache failures degrade to a live run (a
-// stale or unwritable cache must never change results), with store
-// errors surfaced as warnings.
-func runWithCache(mod *analysis.Module, analyzers []*analysis.Analyzer, cacheDir string, stderr io.Writer) []analysis.Diagnostic {
-	if cacheDir == "" {
-		return analysis.Run(mod, analyzers)
-	}
-	key, err := analysis.CacheKey(mod, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "overhaul-lint: warning: %v (running uncached)\n", err)
-		return analysis.Run(mod, analyzers)
-	}
-	if diags, ok := analysis.LoadCachedRun(cacheDir, key); ok {
-		return diags
-	}
-	diags := analysis.Run(mod, analyzers)
-	if err := analysis.StoreCachedRun(cacheDir, key, mod, diags); err != nil {
-		fmt.Fprintf(stderr, "overhaul-lint: warning: %v\n", err)
-	}
-	return diags
 }
 
 // selectAnalyzers applies the -enable / -disable flags to the suite.

@@ -7,15 +7,16 @@
 // against the single injectable clock so the δ=2 s window is
 // meaningful, and the simulated kernel's shared structures must never
 // be touched without their lock. The analyzers in this package check
-// those invariants mechanically over the module's syntax trees; the
-// driver in cmd/overhaul-lint wires them into CI.
+// those invariants mechanically over the module's syntax trees and
+// types; the driver in cmd/overhaul-lint wires them into CI.
 //
-// The framework is deliberately built on go/ast + go/parser + go/token
-// only — no golang.org/x/tools dependency — so go.mod stays
-// dependency-free. Analyzers are therefore syntactic: they trade the
-// precision of full type information for zero-dependency portability,
-// and lean on the repository's strong conventions (mutex fields named
-// before the state they guard, stamp-slot helpers with unique names).
+// The framework is built on the standard library's go/ast, go/parser
+// and go/types only — no golang.org/x/tools dependency — so go.mod
+// stays dependency-free. Load parses and type-checks the whole module
+// (a tree that does not type-check is not loaded), and the analyzers
+// read module-wide facts from one engine: the type-checked packages,
+// the call graph over their resolved objects, and the fact tables
+// computed over that graph (facts.go, taint.go, lockfacts.go).
 //
 // Findings can be suppressed with an in-source annotation:
 //
@@ -43,11 +44,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
-	// NeedsTypes marks analyzers that consume type information and
-	// interprocedural facts. The driver type-checks the module once
-	// when at least one such analyzer is selected; purely syntactic
-	// analyzers keep their zero-setup fast path.
-	NeedsTypes bool
 }
 
 // Diagnostic is one finding, addressed by file position.
@@ -132,14 +128,13 @@ func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args .
 	})
 }
 
-// TypeInfo returns the type-checked view of the pass's package, nil
-// when unavailable. Only meaningful for analyzers with NeedsTypes.
+// TypeInfo returns the type-checked view of the pass's package.
 func (p *Pass) TypeInfo() *TypeInfo {
 	return p.Module.TypeInfoFor(p.Pkg)
 }
 
-// Facts returns the module's interprocedural fact tables, nil when no
-// package type-checked.
+// Facts returns the module's interprocedural fact tables, computed on
+// first use.
 func (p *Pass) Facts() *ModuleFacts {
 	return p.Module.Facts()
 }

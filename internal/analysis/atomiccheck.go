@@ -19,10 +19,9 @@ import (
 // construction — a plain access to them does not compile — so the rule
 // only bites the pointer-style API, where the compiler cannot help.
 //
-// The analysis is receiver-keyed and syntactic, like the rest of the
-// suite: it looks at methods of the same local type across the
-// package's non-test files and matches accesses through the receiver
-// identifier.
+// The analysis is receiver-keyed and reads syntax only: it looks at
+// methods of the same local type across the package's non-test files
+// and matches accesses through the receiver identifier.
 var Atomiccheck = &Analyzer{
 	Name: "atomiccheck",
 	Doc: "a field accessed through sync/atomic in one method must be accessed " +

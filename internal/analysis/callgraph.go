@@ -19,43 +19,41 @@ type CallGraph struct {
 	// methodsByName indexes every module function/method key by bare
 	// name, for interface-dispatch resolution.
 	methodsByName map[string][]string
-	// bodies maps objectKey to the function declaration, so analyzers
-	// can walk a resolved callee.
-	bodies map[string]*ast.FuncDecl
-	// owner maps objectKey to the Package the declaration lives in.
-	owner map[string]*Package
 }
 
 func newCallGraph() *CallGraph {
 	return &CallGraph{
 		calls:         make(map[string]map[string]bool),
 		methodsByName: make(map[string][]string),
-		bodies:        make(map[string]*ast.FuncDecl),
-		owner:         make(map[string]*Package),
 	}
 }
 
-// Callees returns the resolved callee keys of the function with the
-// given key.
-func (g *CallGraph) Callees(key string) []string {
-	var out []string
-	for k := range g.calls[key] {
-		out = append(out, k)
+// Reaches reports whether some path of calls leads from the function
+// with key from to one whose key is in targets.
+func (g *CallGraph) Reaches(from string, targets map[string]bool) bool {
+	seen := map[string]bool{from: true}
+	queue := []string{from}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for callee := range g.calls[cur] {
+			if targets[callee] {
+				return true
+			}
+			if !seen[callee] {
+				seen[callee] = true
+				queue = append(queue, callee)
+			}
+		}
 	}
-	return out
+	return false
 }
-
-// Body returns the declaration of a module function by key, or nil
-// for functions outside the module.
-func (g *CallGraph) Body(key string) *ast.FuncDecl { return g.bodies[key] }
 
 // addDecl registers a declaration under its key.
-func (g *CallGraph) addDecl(key string, pkg *Package, fn *ast.FuncDecl) {
+func (g *CallGraph) addDecl(key string, fn *ast.FuncDecl) {
 	if key == "" {
 		return
 	}
-	g.bodies[key] = fn
-	g.owner[key] = pkg
 	name := fn.Name.Name
 	g.methodsByName[name] = append(g.methodsByName[name], key)
 }
@@ -130,9 +128,6 @@ func buildCallGraph(m *Module) *CallGraph {
 	// module before any call resolves.
 	for _, pkg := range m.PackagesInDependencyOrder() {
 		ti := m.TypeInfoFor(pkg)
-		if ti == nil || ti.Info == nil {
-			continue
-		}
 		for _, f := range pkg.Files {
 			if isTestFile(f.Name) {
 				continue
@@ -143,7 +138,7 @@ func buildCallGraph(m *Module) *CallGraph {
 					continue
 				}
 				if obj, found := ti.Info.Defs[fn.Name]; found {
-					g.addDecl(objectKey(obj), pkg, fn)
+					g.addDecl(objectKey(obj), fn)
 				}
 			}
 		}
@@ -151,9 +146,6 @@ func buildCallGraph(m *Module) *CallGraph {
 	// Pass 2: calls.
 	for _, pkg := range m.PackagesInDependencyOrder() {
 		ti := m.TypeInfoFor(pkg)
-		if ti == nil || ti.Info == nil {
-			continue
-		}
 		for _, f := range pkg.Files {
 			if isTestFile(f.Name) {
 				continue

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -12,13 +11,12 @@ import (
 
 // Facts are how analysis crosses package boundaries, modeled on
 // go/analysis: while a package is analyzed, findings about its
-// exported (and unexported) objects are recorded in a per-package
-// FactSet; packages later in dependency order consume the facts of
+// exported (and unexported) objects are recorded in the module-wide
+// tables; packages later in dependency order consume the facts of
 // the packages they import. Facts are keyed by a stable string path
 // for the object ("pkgpath.(Recv).Name" for methods,
-// "pkgpath.Type.Field" for fields), which makes them serializable —
-// the driver's cache persists them, and TestFactRoundTrip pins the
-// round-trip.
+// "pkgpath.field.Type.Field" for fields, "methodName#index" for
+// parameters).
 
 // Taint is the flowcheck lattice: ⊥ < clock < stamp.
 //
@@ -62,86 +60,42 @@ func (t Taint) join(u Taint) Taint {
 type FuncFact struct {
 	// Results holds the taint of each result value, in declaration
 	// order. Missing/short means untainted.
-	Results []Taint `json:"results,omitempty"`
+	Results []Taint
 	// FailsClosed marks a function that records fail-closed handling
 	// (RecordDenial / SetDegraded, directly or transitively) on some
 	// path — a call to such a function covers a nearby error return.
-	FailsClosed bool `json:"fails_closed,omitempty"`
+	FailsClosed bool
 	// Acquires lists the lock classes this function may acquire,
 	// directly or through calls, in sorted order.
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// LockEdges records held-while-acquiring pairs observed in the
 	// function body: Held is locked when Acquired is taken.
-	LockEdges []LockEdge `json:"lock_edges,omitempty"`
+	LockEdges []LockEdge
 }
 
 // LockEdge is one held→acquired pair in the lock-order graph.
 type LockEdge struct {
-	Held     string `json:"held"`
-	Acquired string `json:"acquired"`
+	Held     string
+	Acquired string
 }
 
 // FieldFact carries the taint of a struct field: the join of every
 // value the module was seen storing into it (plain assignment or an
 // atomic Store/CompareAndSwap/Swap on the field).
 type FieldFact struct {
-	Taint Taint `json:"taint"`
+	Taint Taint
 }
 
 // ParamFact records, per method name and parameter index, the highest
 // taint any call site passed. It is keyed by bare method name (not
 // receiver type): interface dispatch — the display server notifying
 // through xserver.Policy, IPC adopting through ipc.Stamps — is
-// resolved by name across the module, the same convention the
-// syntactic analyzers rely on. Over-approximating here only makes
-// taint spread wider, which for flowcheck's polarity (findings fire
-// on the *absence* of taint) can suppress findings, never fabricate
-// them.
+// resolved by name across the module, as the call graph resolves it.
+// Over-approximating here only makes taint spread wider, which for
+// flowcheck's polarity (findings fire on the *absence* of taint) can
+// suppress findings, never fabricate them.
 type ParamFact struct {
-	Taint Taint `json:"taint"`
-}
-
-// FactSet is the per-package fact table.
-type FactSet struct {
-	// Funcs is keyed by objectKey of the *types.Func.
-	Funcs map[string]*FuncFact `json:"funcs,omitempty"`
-	// Fields is keyed by objectKey of the field's *types.Var.
-	Fields map[string]*FieldFact `json:"fields,omitempty"`
-	// Params is keyed by "methodName#index".
-	Params map[string]*ParamFact `json:"params,omitempty"`
-}
-
-// NewFactSet returns an empty fact table.
-func NewFactSet() *FactSet {
-	return &FactSet{
-		Funcs:  make(map[string]*FuncFact),
-		Fields: make(map[string]*FieldFact),
-		Params: make(map[string]*ParamFact),
-	}
-}
-
-// EncodeFacts serializes a fact set deterministically (sorted keys via
-// encoding/json's map ordering) for the driver's on-disk cache.
-func EncodeFacts(fs *FactSet) ([]byte, error) {
-	return json.Marshal(fs)
-}
-
-// DecodeFacts is the inverse of EncodeFacts.
-func DecodeFacts(data []byte) (*FactSet, error) {
-	fs := NewFactSet()
-	if err := json.Unmarshal(data, fs); err != nil {
-		return nil, fmt.Errorf("decode facts: %w", err)
-	}
-	if fs.Funcs == nil {
-		fs.Funcs = make(map[string]*FuncFact)
-	}
-	if fs.Fields == nil {
-		fs.Fields = make(map[string]*FieldFact)
-	}
-	if fs.Params == nil {
-		fs.Params = make(map[string]*ParamFact)
-	}
-	return fs, nil
+	Taint Taint
 }
 
 // objectKey builds the stable string path facts are keyed by. Methods
@@ -201,10 +155,8 @@ func fieldOwner(v *types.Var) string {
 
 // fieldOwners is populated during fact computation (registerOwner). It
 // is package-global because objectKey has no Module handle; keys only
-// need to be stable within a process plus deterministic across
-// processes for named owners (the cache hashes content, not object
-// identity). The lock exists for callers loading several modules from
-// concurrent goroutines.
+// need to be stable within a process. The lock exists for callers
+// loading several modules from concurrent goroutines.
 var fieldOwners = struct {
 	sync.RWMutex
 	index map[*types.Var]string
@@ -220,57 +172,32 @@ func registerOwner(name string, st *types.Struct) {
 	fieldOwners.Unlock()
 }
 
-// moduleFacts aggregates the per-package fact sets plus the module
-// call graph, built once per module by ComputeFacts.
+// moduleFacts aggregates the fact tables plus the module call graph,
+// built once per module by computeFacts.
 type moduleFacts struct {
-	byDir map[string]*FactSet // Package.Dir -> facts
 	graph *CallGraph
 	state *taintState // retained propagation state (taint queries)
 
-	// merged lookup tables, union of all packages in dependency
-	// order. Analyzing package P only ever *writes* P's own set; the
-	// merged view is what analyzers read, which respects import
-	// ordering because facts are computed in dependency order.
+	// Lookup tables over every package, filled in dependency order,
+	// so a package's facts are complete before its importers read
+	// them.
 	funcs  map[string]*FuncFact
 	fields map[string]*FieldFact
 	params map[string]*ParamFact
 }
 
-// Facts computes (once) and returns the module's fact tables. Returns
-// nil when type information is entirely unavailable.
+// Facts computes (once) and returns the module's fact tables.
 func (m *Module) Facts() *ModuleFacts {
-	m.factsOnce.Do(func() {
-		m.TypeCheck()
-		m.facts = computeFacts(m)
-	})
-	if m.facts == nil {
-		return nil
-	}
+	m.factsOnce.Do(func() { m.facts = computeFacts(m) })
 	return &ModuleFacts{m: m}
 }
 
 // ModuleFacts is the read API handed to analyzers.
 type ModuleFacts struct{ m *Module }
 
-// ForPackage returns the facts recorded while analyzing pkg (its own
-// exports, not its imports').
-func (mf *ModuleFacts) ForPackage(pkg *Package) *FactSet {
-	return mf.m.facts.byDir[pkg.Dir]
-}
-
-// FuncFact resolves a function fact by object.
-func (mf *ModuleFacts) FuncFact(obj types.Object) *FuncFact {
-	return mf.m.facts.funcs[objectKey(obj)]
-}
-
 // FuncFactByKey resolves a function fact by its stable key.
 func (mf *ModuleFacts) FuncFactByKey(key string) *FuncFact {
 	return mf.m.facts.funcs[key]
-}
-
-// FieldFact resolves a field fact by object.
-func (mf *ModuleFacts) FieldFact(obj types.Object) *FieldFact {
-	return mf.m.facts.fields[objectKey(obj)]
 }
 
 // ParamTaint reports the strongest taint any call site passed for the
@@ -291,9 +218,6 @@ func (mf *ModuleFacts) CallGraph() *CallGraph {
 // fixpoint state. info must be the TypeInfo.Info of the package the
 // expression belongs to.
 func (mf *ModuleFacts) ExprTaint(info *types.Info, e ast.Expr) Taint {
-	if mf.m.facts.state == nil {
-		return TaintNone
-	}
 	return mf.m.facts.state.exprTaint(info, e)
 }
 
@@ -301,9 +225,6 @@ func (mf *ModuleFacts) ExprTaint(info *types.Info, e ast.Expr) Taint {
 // lockordercheck.
 func (mf *ModuleFacts) LockClasses() map[string]bool {
 	out := make(map[string]bool)
-	if mf.m.facts.state == nil {
-		return out
-	}
 	for k, c := range mf.m.facts.state.classes {
 		out[k] = c.sharded
 	}
@@ -313,9 +234,6 @@ func (mf *ModuleFacts) LockClasses() map[string]bool {
 // EdgeSite reports where a lock edge was observed (package + position),
 // for diagnostics. ok is false for edges the module never recorded.
 func (mf *ModuleFacts) EdgeSite(e LockEdge) (pkg *Package, pos token.Pos, ok bool) {
-	if mf.m.facts.state == nil {
-		return nil, token.NoPos, false
-	}
 	site, found := mf.m.facts.state.edgePos[e]
 	if !found {
 		return nil, token.NoPos, false
@@ -326,9 +244,6 @@ func (mf *ModuleFacts) EdgeSite(e LockEdge) (pkg *Package, pos token.Pos, ok boo
 // AllLockEdges returns every held→acquired edge recorded module-wide.
 func (mf *ModuleFacts) AllLockEdges() []LockEdge {
 	var out []LockEdge
-	if mf.m.facts.state == nil {
-		return out
-	}
 	for e := range mf.m.facts.state.edgePos {
 		out = append(out, e)
 	}
@@ -343,20 +258,4 @@ func (mf *ModuleFacts) AllLockEdges() []LockEdge {
 
 func paramKey(method string, index int) string {
 	return fmt.Sprintf("%s#%d", method, index)
-}
-
-// sortedKeys is a test/debug helper: the fact keys of a set, sorted.
-func (fs *FactSet) sortedKeys() []string {
-	var keys []string
-	for k := range fs.Funcs {
-		keys = append(keys, "func:"+k)
-	}
-	for k := range fs.Fields {
-		keys = append(keys, "field:"+k)
-	}
-	for k := range fs.Params {
-		keys = append(keys, "param:"+k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"reflect"
 	"testing"
 
 	"overhaul/internal/analysis"
@@ -22,42 +21,6 @@ func TestTaintLattice(t *testing.T) {
 		if got := tc.taint.String(); got != tc.want {
 			t.Errorf("Taint(%d).String() = %q, want %q", tc.taint, got, tc.want)
 		}
-	}
-}
-
-// TestFactRoundTrip checks that every fact table computed for the
-// flowcheck fixture survives EncodeFacts/DecodeFacts unchanged — the
-// property the driver's run cache depends on.
-func TestFactRoundTrip(t *testing.T) {
-	m, err := analysis.Load("testdata/flowcheck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.TypeCheck() {
-		t.Fatalf("fixture must type-check cleanly: %v", m.TypeErrors())
-	}
-	facts := m.Facts()
-	sets := 0
-	for _, pkg := range m.Packages {
-		fs := facts.ForPackage(pkg)
-		if fs == nil {
-			continue
-		}
-		sets++
-		data, err := analysis.EncodeFacts(fs)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", pkg.Dir, err)
-		}
-		back, err := analysis.DecodeFacts(data)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", pkg.Dir, err)
-		}
-		if !reflect.DeepEqual(fs, back) {
-			t.Errorf("%s: facts did not round-trip:\n got %+v\nwant %+v", pkg.Dir, back, fs)
-		}
-	}
-	if sets == 0 {
-		t.Fatal("no fact sets computed for the flowcheck fixture")
 	}
 }
 

@@ -27,8 +27,7 @@ import (
 // (false positive, suppressible with a reason) but never blesses a
 // path with no handler anywhere after mediation began.
 var Failclosedcheck = &Analyzer{
-	Name:       "failclosedcheck",
-	NeedsTypes: true,
+	Name: "failclosedcheck",
 	Doc: "error paths that abort a mediated decision in kernel/monitor/netlink " +
 		"must record a denial or degrade before returning",
 	Run: runFailclosedcheck,
@@ -60,12 +59,8 @@ func runFailclosedcheck(pass *Pass) {
 	if !failClosedScope[path.Base(pass.Pkg.Dir)] {
 		return
 	}
-	ti := pass.TypeInfo()
+	info := pass.TypeInfo().Info
 	facts := pass.Facts()
-	if ti == nil || ti.Info == nil || facts == nil {
-		return
-	}
-	info := ti.Info
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue

@@ -35,8 +35,7 @@ import (
 // only be minted from the hardware clock (B), and grants can only be
 // gated on values read back from the stamp store (A).
 var Flowcheck = &Analyzer{
-	Name:       "flowcheck",
-	NeedsTypes: true,
+	Name: "flowcheck",
 	Doc: "grant verdicts must be gated on stamp-derived freshness comparisons, " +
 		"and interaction stamps may only be minted from hardware-clock-derived time",
 	Run: runFlowcheck,
@@ -54,12 +53,8 @@ var timeCompareMethods = map[string]bool{
 }
 
 func runFlowcheck(pass *Pass) {
-	ti := pass.TypeInfo()
+	info := pass.TypeInfo().Info
 	facts := pass.Facts()
-	if ti == nil || ti.Info == nil || facts == nil {
-		return
-	}
-	info := ti.Info
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue

@@ -12,8 +12,8 @@ import (
 	"sync"
 )
 
-// Module is the parsed view of a scan root: every Go package found by
-// walking the tree, sharing one file set.
+// Module is the parsed and type-checked view of a scan root: every Go
+// package found by walking the tree, sharing one file set.
 type Module struct {
 	// Root is the absolute path the scan started from. Diagnostic file
 	// names are relative to it.
@@ -29,13 +29,11 @@ type Module struct {
 	errFuncs   map[string]bool // lazily built by ReturnsError
 	arityFuncs map[string]int  // name -> result count, -1 when ambiguous
 
-	// Lazily built type-checked view (typecheck.go) and the
-	// interprocedural fact tables derived from it (facts.go).
-	typeOnce   sync.Once
+	// Type-checked view built by Load (typecheck.go) and the lazily
+	// computed interprocedural fact tables derived from it (facts.go).
 	typeInfo   map[string]*TypeInfo // by Package.Dir
 	typeOrder  []string             // package dirs in dependency order
 	modulePath string               // from go.mod, "" when absent
-	typeClean  bool                 // no type errors anywhere
 
 	factsOnce sync.Once
 	facts     *moduleFacts
@@ -79,9 +77,11 @@ var skipDirs = map[string]bool{
 	"node_modules": true,
 }
 
-// Load parses every Go file under root into a Module. Files that fail
-// to parse abort the load: the linter runs after the compiler in CI,
-// so syntax errors are someone else's diagnostic.
+// Load parses every Go file under root into a Module and type-checks
+// its packages. A file that fails to parse or a package that fails to
+// type-check aborts the load with that error: the analyzers need the
+// whole module's types, and a tree the compiler rejects is not one
+// they can judge.
 func Load(root string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -148,14 +148,19 @@ func Load(root string) (*Module, error) {
 		sort.Slice(pkg.Files, func(i, j int) bool { return pkg.Files[i].Name < pkg.Files[j].Name })
 		m.Packages = append(m.Packages, pkg)
 	}
+	if err := m.typeCheck(); err != nil {
+		return nil, fmt.Errorf("analysis: type-check: %w", err)
+	}
 	return m, nil
 }
 
 // ReturnsError reports whether any function or method declared in the
 // module with the given name carries an error among its results. It is
-// the module-wide index behind the errdrop analyzer: without type
-// information, a dropped call is suspicious exactly when some
-// declaration of that name can return an error.
+// the module-wide index behind the errdrop analyzer, which keys on
+// names rather than types: a dropped call is suspicious exactly when
+// some module declaration of that name can return an error, so
+// stdlib calls whose errors are conventionally dropped (fmt.Fprintf,
+// strings.Builder writes) stay out of scope.
 func (m *Module) ReturnsError(name string) bool {
 	m.buildNameIndex()
 	return m.errFuncs[name]

@@ -20,8 +20,8 @@ import (
 //     before the fields it guards. An exported method of a
 //     lock-bearing type that reads or writes a field declared after
 //     the mutex without ever acquiring it is flagged. Fields whose
-//     own (local) type carries a mutex — the kernel's ipcTables —
-//     are exempt: such fields are immutable pointers or values whose
+//     own type carries a mutex — the kernel's ipcTables — are
+//     exempt: such fields are immutable pointers or values whose
 //     state is guarded by their own lock, which this rule checks at
 //     their methods instead. All-atomic fields (every ipc.StampSlot)
 //     are declared before the mutex, so no lock guards them.
@@ -30,22 +30,16 @@ var Lockcheck = &Analyzer{
 	Doc: "locks must be released in the same function, and exported methods " +
 		"of lock-bearing types must lock before touching guarded fields",
 	Run: runLockcheck,
-	// Typed since the interprocedural engine landed: guarded-field
-	// resolution uses real type info, falling back to the syntactic
-	// convention scan when the tree does not type-check.
-	NeedsTypes: true,
 }
 
 // lockInfo describes one lock-bearing struct type.
 type lockInfo struct {
 	mutexField string // field name; "Mutex"/"RWMutex" when embedded
 	embedded   bool
-	guarded    []string          // fields declared after the mutex, in order
-	fieldType  map[string]string // guarded field name -> local named type ("" if other)
+	guarded    []string // fields declared after the mutex, in order
 	// selfGuarded marks guarded fields whose own type carries a mutex
-	// (resolved through real type information, so cross-package
-	// lock-bearing types count too). Only populated on the typed path;
-	// the syntactic path approximates through fieldType + locked.
+	// (resolved through type information, so cross-package
+	// lock-bearing types count too).
 	selfGuarded map[string]bool
 }
 
@@ -59,15 +53,7 @@ func (li *lockInfo) isGuarded(name string) bool {
 }
 
 func runLockcheck(pass *Pass) {
-	// Guarded-field resolution prefers real type information: mutex
-	// fields are matched by type identity (alias-proof), and the
-	// field-guards-itself exemption sees through pointers and package
-	// boundaries. Trees that do not type-check (broken fixtures) fall
-	// back to the original syntactic convention scan.
 	locked := collectLockInfoTyped(pass)
-	if locked == nil {
-		locked = collectLockInfo(pass.Pkg)
-	}
 
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.AST.Decls {
@@ -88,14 +74,9 @@ func runLockcheck(pass *Pass) {
 // sync.RWMutex (by type identity, not spelling) starts the guarded
 // region, and a guarded field is exempt when its own type — resolved
 // through pointers and across packages — carries a mutex of its own.
-// Returns nil when the package has no usable type information.
 func collectLockInfoTyped(pass *Pass) map[string]*lockInfo {
-	ti := pass.TypeInfo()
-	if ti == nil || ti.Pkg == nil || len(ti.Errors) > 0 {
-		return nil
-	}
 	out := make(map[string]*lockInfo)
-	scope := ti.Pkg.Scope()
+	scope := pass.TypeInfo().Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok {
@@ -105,7 +86,7 @@ func collectLockInfoTyped(pass *Pass) map[string]*lockInfo {
 		if st == nil {
 			continue
 		}
-		info := &lockInfo{fieldType: make(map[string]string), selfGuarded: make(map[string]bool)}
+		info := &lockInfo{selfGuarded: make(map[string]bool)}
 		seenMutex := false
 		for i := 0; i < st.NumFields(); i++ {
 			field := st.Field(i)
@@ -118,8 +99,7 @@ func collectLockInfoTyped(pass *Pass) map[string]*lockInfo {
 				continue
 			}
 			info.guarded = append(info.guarded, field.Name())
-			if fn, fst := namedStructOf(field.Type()); fst != nil {
-				info.fieldType[field.Name()] = fn.Obj().Name()
+			if _, fst := namedStructOf(field.Type()); fst != nil {
 				info.selfGuarded[field.Name()] = structHasMutex(fst)
 			}
 		}
@@ -128,70 +108,6 @@ func collectLockInfoTyped(pass *Pass) map[string]*lockInfo {
 		}
 	}
 	return out
-}
-
-// collectLockInfo scans the package's struct declarations for
-// sync.Mutex / sync.RWMutex fields and records which sibling fields
-// they guard (everything declared after the mutex, by convention).
-func collectLockInfo(pkg *Package) map[string]*lockInfo {
-	out := make(map[string]*lockInfo)
-	for _, f := range pkg.Files {
-		syncName := importName(f.AST, "sync")
-		if syncName == "" {
-			continue
-		}
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			info := &lockInfo{fieldType: make(map[string]string)}
-			seenMutex := false
-			for _, field := range st.Fields.List {
-				if !seenMutex {
-					if name, embedded, ok := mutexFieldName(field, syncName); ok {
-						info.mutexField, info.embedded = name, embedded
-						seenMutex = true
-					}
-					continue
-				}
-				tname := localTypeName(field.Type)
-				for _, id := range field.Names {
-					info.guarded = append(info.guarded, id.Name)
-					info.fieldType[id.Name] = tname
-				}
-			}
-			if seenMutex {
-				out[ts.Name.Name] = info
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// mutexFieldName matches a struct field of type sync.Mutex or
-// sync.RWMutex, named or embedded.
-func mutexFieldName(field *ast.Field, syncName string) (name string, embedded, ok bool) {
-	sel, isSel := field.Type.(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false
-	}
-	qual, isIdent := sel.X.(*ast.Ident)
-	if !isIdent || qual.Name != syncName {
-		return "", false, false
-	}
-	if sel.Sel.Name != "Mutex" && sel.Sel.Name != "RWMutex" {
-		return "", false, false
-	}
-	if len(field.Names) == 0 {
-		return sel.Sel.Name, true, true
-	}
-	return field.Names[0].Name, false, true
 }
 
 // localTypeName extracts the bare local type identifier of a field
@@ -316,15 +232,8 @@ func checkGuardedFields(pass *Pass, fn *ast.FuncDecl, locked map[string]*lockInf
 			return true
 		}
 		// A field whose own type is lock-bearing guards itself; the
-		// pointer/value read here is construction-time immutable. On
-		// the typed path the exemption is resolved by type identity
-		// (selfGuarded); syntactically it falls back to same-package
-		// name lookup.
-		if info.selfGuarded != nil {
-			if info.selfGuarded[sel.Sel.Name] {
-				return true
-			}
-		} else if ftype := info.fieldType[sel.Sel.Name]; ftype != "" && locked[ftype] != nil {
+		// pointer/value read here is construction-time immutable.
+		if info.selfGuarded[sel.Sel.Name] {
 			return true
 		}
 		mutex := "the " + info.mutexField + " lock"

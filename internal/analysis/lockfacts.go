@@ -87,11 +87,7 @@ func namedKey(n *types.Named) string {
 // field).
 func (st *taintState) collectLockClasses() {
 	for _, pkg := range st.m.PackagesInDependencyOrder() {
-		ti := st.m.TypeInfoFor(pkg)
-		if ti == nil || ti.Pkg == nil {
-			continue
-		}
-		scope := ti.Pkg.Scope()
+		scope := st.m.TypeInfoFor(pkg).Pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
@@ -112,11 +108,7 @@ func (st *taintState) collectLockClasses() {
 	}
 	// Sharded detection: element types of array/slice fields.
 	for _, pkg := range st.m.PackagesInDependencyOrder() {
-		ti := st.m.TypeInfoFor(pkg)
-		if ti == nil || ti.Pkg == nil {
-			continue
-		}
-		scope := ti.Pkg.Scope()
+		scope := st.m.TypeInfoFor(pkg).Pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
@@ -236,7 +228,7 @@ func (st *taintState) addAcquire(fact *FuncFact, class string) {
 }
 
 // scanLocks performs the held-region walk of one function body.
-func (st *taintState) scanLocks(pkg *Package, info *types.Info, set *FactSet, fact *FuncFact, fn *ast.FuncDecl) {
+func (st *taintState) scanLocks(pkg *Package, info *types.Info, fact *FuncFact, fn *ast.FuncDecl) {
 	st.scanLockStmts(pkg, info, fact, fn.Body.List, nil)
 }
 

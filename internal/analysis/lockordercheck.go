@@ -28,8 +28,7 @@ import (
 // //overhaul:allow lockordercheck and a reason explaining why the
 // dispatch cannot happen.
 var Lockordercheck = &Analyzer{
-	Name:       "lockordercheck",
-	NeedsTypes: true,
+	Name: "lockordercheck",
 	Doc: "lock acquisitions must follow a consistent partial order: no " +
 		"cross-shard nesting on sharded classes, no cycles between classes",
 	Run: runLockordercheck,
@@ -37,9 +36,6 @@ var Lockordercheck = &Analyzer{
 
 func runLockordercheck(pass *Pass) {
 	facts := pass.Facts()
-	if facts == nil {
-		return
-	}
 	classes := facts.LockClasses()
 	edges := facts.AllLockEdges()
 

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -12,9 +14,11 @@ import (
 // In internal/ipc, every exported send-side method (Send*/Write*) must
 // transitively reach StampSlot.onSend or StampSlot.onAccess, and every
 // receive-side method (Recv*/Read*) must reach StampSlot.onRecv or
-// StampSlot.onAccess — reachability computed over the package-local
-// call graph, so helpers in between are fine. A new IPC family added
-// without wiring the protocol fails the build gate immediately.
+// StampSlot.onAccess — reachability computed over the module call
+// graph from each method's own object, so helpers in between are fine
+// and two IPC families sharing a method name are judged apart. A new
+// IPC family added without wiring the protocol fails the build gate
+// immediately.
 //
 // In internal/kernel, constructing an ipc resource with a literal nil
 // stamp store silently disables propagation for that object, so any
@@ -30,8 +34,8 @@ var Stampcheck = &Analyzer{
 // sendReach and recvReach are the stamps.go helpers that satisfy each
 // direction. onAccess (the shared-memory fault path) covers both.
 var (
-	sendReach = map[string]bool{"onSend": true, "onAccess": true}
-	recvReach = map[string]bool{"onRecv": true, "onAccess": true}
+	sendReach = []string{"onSend", "onAccess"}
+	recvReach = []string{"onRecv", "onAccess"}
 )
 
 func runStampcheck(pass *Pass) {
@@ -59,81 +63,57 @@ func transferDirection(name string) (send, recv bool) {
 }
 
 func checkIPCPropagation(pass *Pass) {
-	// Package-local call graph over bare callee names. onSend/onRecv/
-	// onAccess are unique within internal/ipc, so name-level
-	// reachability is exact enough.
-	calls := make(map[string]map[string]bool) // caller decl -> callee names
-	type endpoint struct {
-		decl string
-		fn   *ast.FuncDecl
-		send bool
-	}
-	var endpoints []endpoint
-
+	ti := pass.TypeInfo()
+	graph := pass.Facts().CallGraph()
+	sendTargets := protocolKeys(ti.Pkg, sendReach)
+	recvTargets := protocolKeys(ti.Pkg, recvReach)
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue
 		}
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			if !ok || fn.Body == nil || fn.Recv == nil || !fn.Name.IsExported() {
 				continue
 			}
-			name := fn.Name.Name
-			callees := make(map[string]bool)
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					callees[fun.Name] = true
-				case *ast.SelectorExpr:
-					callees[fun.Sel.Name] = true
-				}
-				return true
-			})
-			calls[name] = callees
-			if fn.Name.IsExported() && fn.Recv != nil {
-				if send, recv := transferDirection(name); send || recv {
-					endpoints = append(endpoints, endpoint{decl: name, fn: fn, send: send})
-				}
+			send, recv := transferDirection(fn.Name.Name)
+			if !send && !recv {
+				continue
+			}
+			targets, half := recvTargets, "receiver (onRecv/onAccess)"
+			if send {
+				targets, half = sendTargets, "sender (onSend/onAccess)"
+			}
+			if !graph.Reaches(objectKey(ti.Info.Defs[fn.Name]), targets) {
+				pass.Reportf(fn.Pos(),
+					"%s.%s transfers data but never reaches the %s half of the stamp-propagation protocol (paper §IV-B)",
+					localTypeName(fn.Recv.List[0].Type), fn.Name.Name, half)
 			}
 		}
 	}
+}
 
-	reaches := func(from string, targets map[string]bool) bool {
-		seen := map[string]bool{from: true}
-		queue := []string{from}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for callee := range calls[cur] {
-				if targets[callee] {
-					return true
-				}
-				if !seen[callee] {
-					seen[callee] = true
-					queue = append(queue, callee)
-				}
+// protocolKeys returns the call-graph keys of the package's methods
+// with the given names: the protocol helpers an endpoint must reach.
+func protocolKeys(pkg *types.Package, names []string) map[string]bool {
+	keys := make(map[string]bool)
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); slices.Contains(names, m.Name()) {
+				keys[objectKey(m)] = true
 			}
 		}
-		return false
 	}
-
-	for _, ep := range endpoints {
-		targets, half := recvReach, "receiver (onRecv/onAccess)"
-		if ep.send {
-			targets, half = sendReach, "sender (onSend/onAccess)"
-		}
-		if !reaches(ep.decl, targets) {
-			recv := localTypeName(ep.fn.Recv.List[0].Type)
-			pass.Reportf(ep.fn.Pos(),
-				"%s.%s transfers data but never reaches the %s half of the stamp-propagation protocol (paper §IV-B)",
-				recv, ep.fn.Name.Name, half)
-		}
-	}
+	return keys
 }
 
 func checkKernelStampStores(pass *Pass) {

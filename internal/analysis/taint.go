@@ -114,22 +114,9 @@ type reportSite struct {
 	pos token.Pos
 }
 
-// computeFacts builds the module's fact tables. Returns nil when no
-// package type-checked at all.
+// computeFacts builds the module's fact tables.
 func computeFacts(m *Module) *moduleFacts {
-	anyTyped := false
-	for _, pkg := range m.Packages {
-		if ti := m.TypeInfoFor(pkg); ti != nil && ti.Pkg != nil {
-			anyTyped = true
-			break
-		}
-	}
-	if !anyTyped {
-		return nil
-	}
-
 	mf := &moduleFacts{
-		byDir:  make(map[string]*FactSet),
 		funcs:  make(map[string]*FuncFact),
 		fields: make(map[string]*FieldFact),
 		params: make(map[string]*ParamFact),
@@ -148,20 +135,13 @@ func computeFacts(m *Module) *moduleFacts {
 	st.collectLockClasses()
 
 	for _, pkg := range m.PackagesInDependencyOrder() {
-		ti := m.TypeInfoFor(pkg)
-		if ti == nil || ti.Info == nil || ti.Pkg == nil {
-			mf.byDir[pkg.Dir] = NewFactSet()
-			continue
-		}
-		set := NewFactSet()
-		mf.byDir[pkg.Dir] = set
-		st.analyzePackage(pkg, ti, set)
+		st.analyzePackage(pkg, m.TypeInfoFor(pkg))
 	}
 	return mf
 }
 
 // analyzePackage iterates the package's functions to a fixpoint.
-func (st *taintState) analyzePackage(pkg *Package, ti *TypeInfo, set *FactSet) {
+func (st *taintState) analyzePackage(pkg *Package, ti *TypeInfo) {
 	var fns []*ast.FuncDecl
 	for _, f := range pkg.Files {
 		if isTestFile(f.Name) {
@@ -176,7 +156,7 @@ func (st *taintState) analyzePackage(pkg *Package, ti *TypeInfo, set *FactSet) {
 	for {
 		st.changed = false
 		for _, fn := range fns {
-			st.analyzeFunc(pkg, ti, set, fn)
+			st.analyzeFunc(pkg, ti, fn)
 		}
 		if !st.changed {
 			return
@@ -184,25 +164,18 @@ func (st *taintState) analyzePackage(pkg *Package, ti *TypeInfo, set *FactSet) {
 	}
 }
 
-// funcFactFor returns (creating on demand) the fact entry for key,
-// registering it in both the package set and the merged view.
-func (st *taintState) funcFactFor(set *FactSet, key string) *FuncFact {
+// funcFactFor returns (creating on demand) the fact entry for key.
+func (st *taintState) funcFactFor(key string) *FuncFact {
 	if f, ok := st.mf.funcs[key]; ok {
-		if set != nil {
-			set.Funcs[key] = f
-		}
 		return f
 	}
 	f := &FuncFact{}
 	st.mf.funcs[key] = f
-	if set != nil {
-		set.Funcs[key] = f
-	}
 	return f
 }
 
 // taintField joins t into the field's fact.
-func (st *taintState) taintField(set *FactSet, obj types.Object, t Taint) {
+func (st *taintState) taintField(obj types.Object, t Taint) {
 	if obj == nil || t == TaintNone {
 		return
 	}
@@ -212,9 +185,6 @@ func (st *taintState) taintField(set *FactSet, obj types.Object, t Taint) {
 		f = &FieldFact{}
 		st.mf.fields[key] = f
 	}
-	if set != nil {
-		set.Fields[key] = f
-	}
 	if joined := f.Taint.join(t); joined != f.Taint {
 		f.Taint = joined
 		st.changed = true
@@ -222,7 +192,7 @@ func (st *taintState) taintField(set *FactSet, obj types.Object, t Taint) {
 }
 
 // taintParamFact joins t into the name-keyed parameter fact.
-func (st *taintState) taintParamFact(set *FactSet, method string, index int, t Taint) {
+func (st *taintState) taintParamFact(method string, index int, t Taint) {
 	if t == TaintNone {
 		return
 	}
@@ -231,9 +201,6 @@ func (st *taintState) taintParamFact(set *FactSet, method string, index int, t T
 	if f == nil {
 		f = &ParamFact{}
 		st.mf.params[key] = f
-	}
-	if set != nil {
-		set.Params[key] = f
 	}
 	if joined := f.Taint.join(t); joined != f.Taint {
 		f.Taint = joined
@@ -420,7 +387,7 @@ func (st *taintState) exprTaint(info *types.Info, e ast.Expr) Taint {
 }
 
 // lvalueAssign records taint flowing into an assignable expression.
-func (st *taintState) lvalueAssign(set *FactSet, info *types.Info, lhs ast.Expr, t Taint) {
+func (st *taintState) lvalueAssign(info *types.Info, lhs ast.Expr, t Taint) {
 	if t == TaintNone {
 		return
 	}
@@ -442,16 +409,16 @@ func (st *taintState) lvalueAssign(set *FactSet, info *types.Info, lhs ast.Expr,
 			obj = info.Uses[lhs.Sel]
 		}
 		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			st.taintField(set, v, t)
+			st.taintField(v, t)
 		} else {
 			st.taintVar(obj, t)
 		}
 	case *ast.StarExpr:
-		st.lvalueAssign(set, info, lhs.X, t)
+		st.lvalueAssign(info, lhs.X, t)
 	case *ast.IndexExpr:
-		st.lvalueAssign(set, info, lhs.X, t)
+		st.lvalueAssign(info, lhs.X, t)
 	case *ast.ParenExpr:
-		st.lvalueAssign(set, info, lhs.X, t)
+		st.lvalueAssign(info, lhs.X, t)
 	}
 }
 
@@ -478,14 +445,14 @@ func fieldObjOf(info *types.Info, e ast.Expr) *types.Var {
 // the function's summary, parameter facts at its call sites, keyed
 // composite-literal field taints, atomic-store field taints, the
 // fail-closed fact, and the lock facts.
-func (st *taintState) analyzeFunc(pkg *Package, ti *TypeInfo, set *FactSet, fn *ast.FuncDecl) {
+func (st *taintState) analyzeFunc(pkg *Package, ti *TypeInfo, fn *ast.FuncDecl) {
 	info := ti.Info
 	obj := info.Defs[fn.Name]
 	if obj == nil {
 		return
 	}
 	key := objectKey(obj)
-	fact := st.funcFactFor(set, key)
+	fact := st.funcFactFor(key)
 
 	// Seed parameters from name-keyed call-site facts (interface
 	// dispatch: implementations adopt what any caller passed).
@@ -516,23 +483,23 @@ func (st *taintState) analyzeFunc(pkg *Package, ti *TypeInfo, set *FactSet, fn *
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			st.walkAssign(set, info, n)
+			st.walkAssign(info, n)
 		case *ast.RangeStmt:
 			t := st.exprTaint(info, n.X)
 			if t != TaintNone {
 				if n.Key != nil {
-					st.lvalueAssign(set, info, n.Key, t)
+					st.lvalueAssign(info, n.Key, t)
 				}
 				if n.Value != nil {
-					st.lvalueAssign(set, info, n.Value, t)
+					st.lvalueAssign(info, n.Value, t)
 				}
 			}
 		case *ast.ReturnStmt:
 			st.walkReturn(info, fact, n, nres)
 		case *ast.CallExpr:
-			st.walkCallSite(set, info, n)
+			st.walkCallSite(info, n)
 		case *ast.CompositeLit:
-			st.walkCompositeLit(set, info, n)
+			st.walkCompositeLit(info, n)
 		case *ast.GenDecl:
 			// var x = expr inside a body.
 			for _, spec := range n.Specs {
@@ -557,31 +524,31 @@ func (st *taintState) analyzeFunc(pkg *Package, ti *TypeInfo, set *FactSet, fn *
 		st.changed = true
 	}
 
-	st.scanLocks(pkg, info, set, fact, fn)
+	st.scanLocks(pkg, info, fact, fn)
 }
 
 // walkAssign propagates one assignment statement.
-func (st *taintState) walkAssign(set *FactSet, info *types.Info, n *ast.AssignStmt) {
+func (st *taintState) walkAssign(info *types.Info, n *ast.AssignStmt) {
 	if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
 		// Tuple assignment from a call (or type assertion / map read).
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 			res := st.callResultTaints(info, call)
 			for i, lhs := range n.Lhs {
 				if i < len(res) {
-					st.lvalueAssign(set, info, lhs, res[i])
+					st.lvalueAssign(info, lhs, res[i])
 				}
 			}
 			return
 		}
 		t := st.exprTaint(info, n.Rhs[0])
 		for _, lhs := range n.Lhs {
-			st.lvalueAssign(set, info, lhs, t)
+			st.lvalueAssign(info, lhs, t)
 		}
 		return
 	}
 	for i, lhs := range n.Lhs {
 		if i < len(n.Rhs) {
-			st.lvalueAssign(set, info, lhs, st.exprTaint(info, n.Rhs[i]))
+			st.lvalueAssign(info, lhs, st.exprTaint(info, n.Rhs[i]))
 		}
 	}
 }
@@ -614,7 +581,7 @@ func (st *taintState) walkReturn(info *types.Info, fact *FuncFact, n *ast.Return
 
 // walkCallSite records parameter facts for the callee(s) and handles
 // atomic write-through methods taining their receiver field.
-func (st *taintState) walkCallSite(set *FactSet, info *types.Info, call *ast.CallExpr) {
+func (st *taintState) walkCallSite(info *types.Info, call *ast.CallExpr) {
 	// Atomic store to a field: p.stamp.Store(v) taints Process.stamp.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && atomicStoreNames[sel.Sel.Name] {
 		if field := fieldObjOf(info, sel.X); field != nil {
@@ -622,7 +589,7 @@ func (st *taintState) walkCallSite(set *FactSet, info *types.Info, call *ast.Cal
 			for _, arg := range call.Args {
 				t = t.join(st.exprTaint(info, arg))
 			}
-			st.taintField(set, field, t)
+			st.taintField(field, t)
 		}
 	}
 
@@ -639,7 +606,7 @@ func (st *taintState) walkCallSite(set *FactSet, info *types.Info, call *ast.Cal
 		if t == TaintNone {
 			continue
 		}
-		st.taintParamFact(set, fn.Name(), i, t)
+		st.taintParamFact(fn.Name(), i, t)
 		if sig, isSig := fn.Type().(*types.Signature); isSig && i < sig.Params().Len() {
 			st.taintVar(sig.Params().At(i), t)
 		}
@@ -648,7 +615,7 @@ func (st *taintState) walkCallSite(set *FactSet, info *types.Info, call *ast.Cal
 
 // walkCompositeLit taints keyed struct-literal fields:
 // Msg{Time: t} taints Msg.Time.
-func (st *taintState) walkCompositeLit(set *FactSet, info *types.Info, lit *ast.CompositeLit) {
+func (st *taintState) walkCompositeLit(info *types.Info, lit *ast.CompositeLit) {
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
@@ -659,7 +626,7 @@ func (st *taintState) walkCompositeLit(set *FactSet, info *types.Info, lit *ast.
 			continue
 		}
 		if field, isVar := info.Uses[key].(*types.Var); isVar && field.IsField() {
-			st.taintField(set, field, st.exprTaint(info, kv.Value))
+			st.taintField(field, st.exprTaint(info, kv.Value))
 		}
 	}
 }

@@ -3,7 +3,7 @@ package ipc
 // Chan is an IPC family whose transfer methods must run the stamp
 // protocol.
 type Chan struct {
-	ts  carrier
+	ts  StampSlot
 	buf []byte
 }
 

@@ -3,9 +3,9 @@
 // analyzer's reachability search targets.
 package ipc
 
-// carrier mimics the real stamp carrier.
-type carrier struct{}
+// StampSlot mimics the real interaction-stamp cell.
+type StampSlot struct{}
 
-func (c *carrier) onSend(pid int)   {}
-func (c *carrier) onRecv(pid int)   {}
-func (c *carrier) onAccess(pid int) {}
+func (c *StampSlot) onSend(pid int)   {}
+func (c *StampSlot) onRecv(pid int)   {}
+func (c *StampSlot) onAccess(pid int) {}

@@ -13,32 +13,25 @@ import (
 	"sync"
 )
 
-// This file upgrades the framework from AST-only scanning to a
-// type-checked, cross-package engine. The module is type-checked in
-// dependency order with go/types; module-internal imports resolve to
-// the packages checked here, and everything else (the standard
-// library) resolves through the stdlib source importer, so go.mod
-// stays dependency-free. Type information is best-effort by design:
-// the linter runs after the compiler in CI, so a tree that fails to
-// type-check (a fixture with unresolvable imports, say) degrades to
-// the syntactic analyzers instead of aborting the run.
+// This file is the framework's type-checked, cross-package engine.
+// Load type-checks the module in dependency order with go/types;
+// module-internal imports resolve to the packages checked here, and
+// everything else (the standard library) resolves through the stdlib
+// source importer, so go.mod stays dependency-free. Types are not
+// optional: a tree that fails to type-check fails the load, the same
+// way a syntax error does, so every analyzer can rely on a complete
+// TypeInfo for every package and on the module-wide facts.
 
 // TypeInfo is the type-checked view of one package: the go/types
 // package object plus the expression-level annotation maps the typed
 // analyzers read.
 type TypeInfo struct {
-	// Pkg is the checked package; non-nil even when Errors is not
-	// empty (go/types returns a usable partial package).
+	// Pkg is the checked package. A directory holding only test files
+	// checks as an empty package.
 	Pkg *types.Package
 	// Info holds the annotation maps, populated for the package's
 	// non-test files.
 	Info *types.Info
-	// Files are the files that were presented to the checker (the
-	// package's non-test files, in Package.Files order).
-	Files []*ast.File
-	// Errors collects type-checker diagnostics. A package with errors
-	// still carries partial Pkg/Info.
-	Errors []error
 }
 
 // srcImporters caches stdlib source importers per GOROOT. The importer
@@ -74,41 +67,9 @@ func importStdlib(path, dir string) (*types.Package, error) {
 	return imp.ImportFrom(path, dir, 0)
 }
 
-// ModulePath reports the module path declared by a go.mod at the scan
-// root, or "" when there is none. Fixture trees under testdata declare
-// their own tiny module so cross-package imports inside the fixture
-// resolve; the real tree resolves through its own go.mod.
-func (m *Module) ModulePath() string {
-	m.typeOnce.Do(m.typeCheck)
-	return m.modulePath
-}
-
-// TypeCheck type-checks the module once and returns whether full type
-// information is available for every package. It is safe to call
-// repeatedly and from multiple analyzers; the work happens once.
-func (m *Module) TypeCheck() bool {
-	m.typeOnce.Do(m.typeCheck)
-	return m.typeClean
-}
-
-// TypeInfoFor returns the type-checked view of pkg, or nil when the
-// package could not be checked at all.
+// TypeInfoFor returns the type-checked view of pkg.
 func (m *Module) TypeInfoFor(pkg *Package) *TypeInfo {
-	m.typeOnce.Do(m.typeCheck)
 	return m.typeInfo[pkg.Dir]
-}
-
-// TypeErrors returns every type-checker diagnostic across the module,
-// for callers that want to surface (rather than tolerate) them.
-func (m *Module) TypeErrors() []error {
-	m.typeOnce.Do(m.typeCheck)
-	var out []error
-	for _, dir := range m.typeOrder {
-		if ti := m.typeInfo[dir]; ti != nil {
-			out = append(out, ti.Errors...)
-		}
-	}
-	return out
 }
 
 // PackagesInDependencyOrder returns the module's packages sorted so
@@ -116,7 +77,6 @@ func (m *Module) TypeErrors() []error {
 // imports. Packages outside any import cycle keep their sorted-dir
 // order as a tiebreak.
 func (m *Module) PackagesInDependencyOrder() []*Package {
-	m.typeOnce.Do(m.typeCheck)
 	out := make([]*Package, 0, len(m.typeOrder))
 	byDir := make(map[string]*Package, len(m.Packages))
 	for _, pkg := range m.Packages {
@@ -161,9 +121,8 @@ func importPathOf(modPath, dir string) string {
 // files are analyzed syntactically only — they would need the test
 // package variants, and no invariant the typed analyzers enforce lives
 // in test code.
-func typedFiles(pkg *Package) ([]*ast.File, []string) {
+func typedFiles(pkg *Package) []*ast.File {
 	var files []*ast.File
-	var names []string
 	pkgName := ""
 	for _, f := range pkg.Files {
 		if isTestFile(f.Name) {
@@ -179,9 +138,8 @@ func typedFiles(pkg *Package) ([]*ast.File, []string) {
 			continue
 		}
 		files = append(files, f.AST)
-		names = append(names, f.Name)
 	}
-	return files, names
+	return files
 }
 
 // moduleImporter resolves imports while checking one package:
@@ -210,9 +168,9 @@ func (mi moduleImporter) Import(path string) (*types.Package, error) {
 	return importStdlib(path, mi.dir)
 }
 
-// typeCheck runs once behind typeOnce: order packages by dependency,
-// check each, record per-package TypeInfo.
-func (m *Module) typeCheck() {
+// typeCheck orders packages by dependency, checks each, and records
+// per-package TypeInfo. It returns the first type error.
+func (m *Module) typeCheck() error {
 	m.typeInfo = make(map[string]*TypeInfo)
 	m.modulePath = readModulePath(m.Root)
 
@@ -263,14 +221,11 @@ func (m *Module) typeCheck() {
 	}
 	m.typeOrder = order
 
-	m.typeClean = true
 	byDir := make(map[string]*Package, len(m.Packages))
 	for _, pkg := range m.Packages {
 		byDir[pkg.Dir] = pkg
 	}
 	for _, dir := range order {
-		pkg := byDir[dir]
-		files, _ := typedFiles(pkg)
 		ti := &TypeInfo{
 			Info: &types.Info{
 				Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -279,12 +234,8 @@ func (m *Module) typeCheck() {
 				Selections: make(map[*ast.SelectorExpr]*types.Selection),
 				Implicits:  make(map[ast.Node]types.Object),
 			},
-			Files: files,
 		}
 		m.typeInfo[dir] = ti
-		if len(files) == 0 {
-			continue
-		}
 		path := importPathOf(m.modulePath, dir)
 		if m.modulePath == "" {
 			// No go.mod at the root: packages still check against the
@@ -293,17 +244,12 @@ func (m *Module) typeCheck() {
 		}
 		conf := types.Config{
 			Importer: moduleImporter{m: m, dir: filepath.Join(m.Root, filepath.FromSlash(dir))},
-			Error: func(err error) {
-				ti.Errors = append(ti.Errors, err)
-			},
 		}
-		pkgObj, err := conf.Check(path, m.Fset, files, ti.Info)
-		if err != nil && len(ti.Errors) == 0 {
-			ti.Errors = append(ti.Errors, err)
+		pkgObj, err := conf.Check(path, m.Fset, typedFiles(byDir[dir]), ti.Info)
+		if err != nil {
+			return err
 		}
 		ti.Pkg = pkgObj
-		if len(ti.Errors) > 0 {
-			m.typeClean = false
-		}
 	}
+	return nil
 }
