@@ -147,13 +147,14 @@ store:
 	@rm -f store-load.json
 	rm -rf $(STOREDIR)
 
-# Probe multiview overhead report: every probe-hooked hot path timed in
+# Probe multiview overhead report: every probe-hooked hot path built in
 # three modes (probes off, attached-idle, attached-matching + full
-# telemetry). -gate fails if any benchmark's off→idle overhead exceeds
-# the 10% budget (with a 10ns/op absolute floor for sub-noise deltas);
+# telemetry), idle and match each timed against off in 64 paired
+# chunks. -gate fails if any benchmark's median off→idle overhead
+# exceeds the 10% budget and its median delta the 10ns/op floor;
 # the JSON must satisfy the same checker that gates BENCH_overhaul.json.
 multiview:
-	$(GO) run ./cmd/overhaul-multiview -k 3 -ops 5000 -json multiview.json -html multiview.html -gate
+	$(GO) run ./cmd/overhaul-multiview -json multiview.json -html multiview.html -gate
 	$(GO) run ./cmd/overhaul-benchjson -check multiview.json
 	@rm -f multiview.json multiview.html
 

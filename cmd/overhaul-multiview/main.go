@@ -1,13 +1,13 @@
 // Command overhaul-multiview runs the probe layer's libMicro-style
-// multiview overhead report: every probe-hooked hot path measured K
-// times in three modes (probes off, attached-idle, attached-matching
-// with full telemetry), minima compared, and — with -gate — the
-// off→idle overhead held to the issue's 10% budget per benchmark.
+// multiview overhead report: every probe-hooked hot path built in three
+// modes (probes off, attached-idle, attached-matching with full
+// telemetry), idle and match each timed against off in paired chunks,
+// and — with -gate — the median off→idle overhead held to the 10%
+// budget per benchmark.
 //
 // Usage:
 //
-//	overhaul-multiview [-k 5] [-ops 20000] [-json FILE] [-html FILE]
-//	                   [-gate] [-budget 10] [-floor 10]
+//	overhaul-multiview [-json FILE] [-html FILE] [-gate]
 //
 // The -json document is compatible with overhaul-benchjson -check.
 package main
@@ -22,24 +22,20 @@ import (
 
 func main() {
 	var (
-		k      = flag.Int("k", multiview.DefaultK, "repetitions per (benchmark, mode); minimum wins")
-		ops    = flag.Int("ops", multiview.DefaultOps, "operations per repetition")
-		jsonP  = flag.String("json", "", "write benchjson-compatible results to this file")
-		htmlP  = flag.String("html", "", "write the HTML comparison report to this file")
-		gate   = flag.Bool("gate", false, "exit 1 if any benchmark's off→idle overhead exceeds the budget")
-		budget = flag.Float64("budget", multiview.DefaultBudgetPct, "off→idle overhead budget in percent")
-		floor  = flag.Float64("floor", multiview.DefaultFloorNs, "absolute ns/op floor below which the gate never fails")
+		jsonP = flag.String("json", "", "write benchjson-compatible results to this file")
+		htmlP = flag.String("html", "", "write the HTML comparison report to this file")
+		gate  = flag.Bool("gate", false, "exit 1 if any benchmark's off→idle overhead exceeds the budget")
 	)
 	flag.Parse()
 
-	if err := run(*k, *ops, *jsonP, *htmlP, *gate, *budget, *floor); err != nil {
+	if err := run(*jsonP, *htmlP, *gate); err != nil {
 		fmt.Fprintln(os.Stderr, "overhaul-multiview:", err)
 		os.Exit(1)
 	}
 }
 
-func run(k, ops int, jsonPath, htmlPath string, gate bool, budget, floor float64) error {
-	rep, err := multiview.Run(multiview.Options{K: k, Ops: ops})
+func run(jsonPath, htmlPath string, gate bool) error {
+	rep, err := multiview.Run()
 	if err != nil {
 		return err
 	}
@@ -56,7 +52,7 @@ func run(k, ops int, jsonPath, htmlPath string, gate bool, budget, floor float64
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
 	if htmlPath != "" {
-		out, err := rep.HTML(budget, floor)
+		out, err := rep.HTML()
 		if err != nil {
 			return err
 		}
@@ -66,13 +62,13 @@ func run(k, ops int, jsonPath, htmlPath string, gate bool, budget, floor float64
 		fmt.Printf("wrote %s\n", htmlPath)
 	}
 	if gate {
-		if fails := rep.Gate(budget, floor); len(fails) > 0 {
+		if fails := rep.Gate(); len(fails) > 0 {
 			for _, f := range fails {
 				fmt.Fprintln(os.Stderr, "GATE FAIL:", f)
 			}
-			return fmt.Errorf("%d of %d benchmarks over the %.0f%% off→idle budget", len(fails), len(rep.Rows), budget)
+			return fmt.Errorf("%d of %d benchmarks over the %.0f%% off→idle budget", len(fails), len(rep.Rows), multiview.BudgetPct)
 		}
-		fmt.Printf("gate ok: all %d benchmarks within the %.0f%% off→idle budget\n", len(rep.Rows), budget)
+		fmt.Printf("gate ok: all %d benchmarks within the %.0f%% off→idle budget\n", len(rep.Rows), multiview.BudgetPct)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -137,61 +138,117 @@ const storageRounds = 1
 // ErrBench wraps harness failures.
 var ErrBench = errors.New("bench: harness failure")
 
-// measurePair times two variants of the same operation over ops
-// iterations each, interleaved in chunks so environmental drift (CPU
-// frequency, background load, allocator state) hits both equally — the
-// difference is what Table I reports, and it is far smaller than the
-// drift on shared hardware. Both variants get a warmup pass and a GC
-// fence first.
-func measurePair(ops int, baseline, overhaul func(i int) error) (dBase, dOver time.Duration, median float64, err error) {
-	warmup := ops / 10
-	if warmup > 1000 {
-		warmup = 1000
-	}
-	for i := 0; i < warmup; i++ {
-		if err := baseline(i); err != nil {
-			return 0, 0, 0, err
+// Side is one half of a paired measurement. Op runs operation i and is
+// timed. Reset, when set, runs untimed after each chunk over the
+// chunk's operations [lo, hi): Bonnie++'s stat and unlink phase.
+type Side struct {
+	Op    func(i int) error
+	Reset func(lo, hi int) error
+}
+
+// Pair is one comparison's two sides, built side by side: Table I's
+// baseline and Overhaul, or the multiview report's probes off and
+// probes armed.
+type Pair struct {
+	Base, Over Side
+}
+
+// Timing is what Pair.Time measured: each side's total time, and the
+// medians over the chunks of the over/base time ratio and of the
+// per-operation delta in ns. A scheduler stall that lands in one side
+// of one chunk moves the totals, not the medians.
+type Timing struct {
+	Base, Over time.Duration
+	Ratio      float64
+	DeltaNs    float64
+}
+
+// Chunks is how many chunks Pair.Time interleaves the operations in.
+const Chunks = 64
+
+// heapBudget is how far the heap may grow while Pair.Time runs before
+// it collects, between chunks.
+const heapBudget = 64 << 20
+
+// Time is the tree's one timing loop. Both sides get a warm-up pass and
+// a GC fence; then ops operations run in Chunks chunks, both sides
+// taking each chunk in turn and the side that goes first alternating
+// from chunk to chunk, so drift in CPU frequency, background load or
+// allocator state hits both sides alike. The difference is what the
+// harnesses report, and on shared hardware it is far smaller than the
+// drift. Resets run after each chunk, off the clock. So does garbage
+// collection: the collector is paused while Time runs and collects
+// between chunks once the heap passes heapBudget, because a collection
+// landing in one side of a chunk is the largest noise source of the
+// allocating rows (a screen capture allocates 192 KiB).
+func (p Pair) Time(ops int) (Timing, error) {
+	sides := [2]Side{p.Base, p.Over}
+	for k := range sides {
+		if sides[k].Reset == nil {
+			sides[k].Reset = func(int, int) error { return nil }
 		}
-		if err := overhaul(i); err != nil {
-			return 0, 0, 0, err
+	}
+	warm := min(ops/10, 1000)
+	for _, s := range sides {
+		for i := 0; i < warm; i++ {
+			if err := s.Op(i); err != nil {
+				return Timing{}, err
+			}
+		}
+		if err := s.Reset(0, warm); err != nil {
+			return Timing{}, err
 		}
 	}
-	const chunks = 64
-	chunk := ops / chunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	var ratios []float64
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.GC()
-	for done := 0; done < ops; done += chunk {
-		n := chunk
-		if done+n > ops {
-			n = ops - done
+	var t Timing
+	var ratios, deltas []float64
+	for c := 0; c < Chunks; c++ {
+		lo, hi := c*ops/Chunks, (c+1)*ops/Chunks
+		if lo == hi {
+			continue
 		}
+		var d [2]time.Duration
 		watch := clock.StartStopwatch()
-		for i := done; i < done+n; i++ {
-			if err := baseline(i); err != nil {
-				return 0, 0, 0, err
+		for j := range sides {
+			k := (c + j) % 2 // even chunks run Base first, odd chunks Over
+			op := sides[k].Op
+			for i := lo; i < hi; i++ {
+				if err := op(i); err != nil {
+					return Timing{}, err
+				}
+			}
+			d[k] = watch.Lap()
+		}
+		for _, s := range sides {
+			if err := s.Reset(lo, hi); err != nil {
+				return Timing{}, err
 			}
 		}
-		tb := watch.Lap()
-		for i := done; i < done+n; i++ {
-			if err := overhaul(i); err != nil {
-				return 0, 0, 0, err
-			}
+		var mem runtime.MemStats
+		if runtime.ReadMemStats(&mem); mem.HeapAlloc > heapBudget {
+			runtime.GC()
 		}
-		to := watch.Lap()
-		dBase += tb
-		dOver += to
-		if tb > 0 {
-			ratios = append(ratios, float64(to)/float64(tb))
+		t.Base += d[0]
+		t.Over += d[1]
+		if d[0] > 0 {
+			ratios = append(ratios, float64(d[1])/float64(d[0]))
 		}
+		deltas = append(deltas, float64(d[1]-d[0])/float64(hi-lo))
 	}
-	sort.Float64s(ratios)
-	if len(ratios) > 0 {
-		median = ratios[len(ratios)/2]
+	t.Ratio, t.DeltaNs = median(ratios), median(deltas)
+	return t, nil
+}
+
+// median returns the median of xs, sorting xs in place; 0 when xs is
+// empty.
+func median(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
 	}
-	return dBase, dOver, median, nil
+	sort.Float64s(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // bootOverhaul builds the measured system: enforcing + force-grant over
@@ -208,12 +265,30 @@ func bootOverhaul() (*core.System, error) {
 	})
 }
 
-// DeviceAccess measures the microphone-open path (Table I row 1).
-func DeviceAccess(ops int) (Row, error) {
-	row := Row{Name: "Device Access", Ops: ops}
+// Boot builds the force-grant system with a headless process and a
+// registered microphone: the Overhaul side of the device-open and
+// shared-memory rows, and the system the root micro-benchmarks time
+// one primitive of.
+func Boot() (*core.System, *kernel.Process, string, error) {
+	sys, err := bootOverhaul()
+	if err != nil {
+		return nil, nil, "", err
+	}
+	mic, err := sys.Helper.Attach(devfs.ClassMicrophone)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	proc, err := sys.LaunchHeadless("bench")
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return sys, proc, mic, nil
+}
 
-	// Baseline: unmodified kernel; the device node exists but is not
-	// registered with any permission monitor.
+// DeviceAccess builds Table I row 1, the microphone open: an unmodified
+// kernel whose device node no permission monitor knows, against the
+// full system with the device registered.
+func DeviceAccess() (Pair, error) {
 	clk := clock.System{}
 	fsys := fs.New(clk)
 	k, err := kernel.New(clk, fsys, kernel.Config{
@@ -221,291 +296,207 @@ func DeviceAccess(ops int) (Row, error) {
 		DeviceInitRounds: kernel.DefaultDeviceInitRounds,
 	})
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	if err := fsys.MkdirAll("/dev/snd", 0o755, fs.Root); err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	const micPath = "/dev/snd/pcmC0D0c"
 	if err := fsys.Mknod(micPath, "microphone", 0o666, fs.Root); err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	proc, err := k.Spawn(kernel.SpawnSpec{Name: "bench", Exe: "/usr/bin/bench", Cred: fs.Cred{UID: 1000, GID: 1000}})
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	// Overhaul: full system, device registered, force-grant.
-	sys, err := bootOverhaul()
+	sys, oProc, mic, err := Boot()
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	mic, err := sys.Helper.Attach(devfs.ClassMicrophone)
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	oProc, err := sys.LaunchHeadless("bench")
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	row.Baseline, row.Overhaul, row.medianRatio, err = measurePair(ops,
-		func(int) error {
+	return Pair{
+		Base: Side{Op: func(int) error {
 			_, err := k.Open(proc, micPath, fs.AccessRead)
 			return err
-		},
-		func(int) error {
+		}},
+		Over: Side{Op: func(int) error {
 			_, err := sys.Kernel.Open(oProc, mic, fs.AccessRead)
 			return err
-		})
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: device open: %v", ErrBench, err)
-	}
-	return row, nil
+		}},
+	}, nil
 }
 
-// clipboardPair prepares a source and target client with a selection
-// already owned by the source.
-func clipboardPair(srv *xserver.Server) (src, tgt *xserver.Client, srcWin, tgtWin xserver.WindowID, err error) {
-	src, err = srv.Connect(9001, "src")
+// paster connects a source and a target client to srv, gives the
+// source the selection, and returns one complete paste protocol round
+// as a side.
+func paster(srv *xserver.Server) (Side, error) {
+	src, err := srv.Connect(9001, "src")
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
-	tgt, err = srv.Connect(9002, "tgt")
+	tgt, err := srv.Connect(9002, "tgt")
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
-	srcWin, err = src.CreateWindow(0, 0, 100, 100)
+	srcWin, err := src.CreateWindow(0, 0, 100, 100)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
-	tgtWin, err = tgt.CreateWindow(200, 0, 100, 100)
+	tgtWin, err := tgt.CreateWindow(200, 0, 100, 100)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
 	if err := src.MapWindow(srcWin); err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
 	if err := tgt.MapWindow(tgtWin); err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
 	if err := src.SetSelection("CLIPBOARD", srcWin); err != nil {
-		return nil, nil, 0, 0, err
+		return Side{}, err
 	}
-	return src, tgt, srcWin, tgtWin, nil
-}
-
-// pasteOnce runs one complete paste protocol round.
-func pasteOnce(src, tgt *xserver.Client, tgtWin xserver.WindowID, payload []byte) error {
-	if err := tgt.ConvertSelection("CLIPBOARD", "UTF8_STRING", "XSEL_DATA", tgtWin); err != nil {
-		return err
-	}
-	req, ok := src.NextEvent()
-	for ok && req.Type != xserver.SelectionRequest {
-		req, ok = src.NextEvent()
-	}
-	if !ok {
-		return errors.New("no SelectionRequest delivered")
-	}
-	if err := src.ChangeProperty(req.Requestor, req.Property, payload); err != nil {
-		return err
-	}
-	notify := xserver.Event{
-		Type:      xserver.SelectionNotify,
-		Selection: "CLIPBOARD",
-		Target:    req.Target,
-		Property:  req.Property,
-	}
-	if err := src.SendEvent(req.Requestor, notify); err != nil {
-		return err
-	}
-	ev, ok := tgt.NextEvent()
-	for ok && ev.Type != xserver.SelectionNotify {
-		ev, ok = tgt.NextEvent()
-	}
-	if !ok {
-		return errors.New("no SelectionNotify delivered")
-	}
-	if _, err := tgt.GetProperty(req.Requestor, req.Property); err != nil {
-		return err
-	}
-	return tgt.DeleteProperty(req.Requestor, req.Property)
-}
-
-// Clipboard measures paste operations, the costlier clipboard half
-// (Table I row 2).
-func Clipboard(ops int) (Row, error) {
-	row := Row{Name: "Clipboard", Ops: ops}
 	payload := []byte(strings.Repeat("x", 256))
+	return Side{Op: func(int) error {
+		if err := tgt.ConvertSelection("CLIPBOARD", "UTF8_STRING", "XSEL_DATA", tgtWin); err != nil {
+			return err
+		}
+		req, ok := src.NextEvent()
+		for ok && req.Type != xserver.SelectionRequest {
+			req, ok = src.NextEvent()
+		}
+		if !ok {
+			return errors.New("no SelectionRequest delivered")
+		}
+		if err := src.ChangeProperty(req.Requestor, req.Property, payload); err != nil {
+			return err
+		}
+		notify := xserver.Event{
+			Type:      xserver.SelectionNotify,
+			Selection: "CLIPBOARD",
+			Target:    req.Target,
+			Property:  req.Property,
+		}
+		if err := src.SendEvent(req.Requestor, notify); err != nil {
+			return err
+		}
+		ev, ok := tgt.NextEvent()
+		for ok && ev.Type != xserver.SelectionNotify {
+			ev, ok = tgt.NextEvent()
+		}
+		if !ok {
+			return errors.New("no SelectionNotify delivered")
+		}
+		if _, err := tgt.GetProperty(req.Requestor, req.Property); err != nil {
+			return err
+		}
+		return tgt.DeleteProperty(req.Requestor, req.Property)
+	}}, nil
+}
 
-	// Baseline: vanilla X server.
+// Clipboard builds Table I row 2, the paste, the costlier clipboard
+// half: a vanilla X server against the force-grant system, which runs
+// the full query path per paste.
+func Clipboard() (Pair, error) {
 	base, err := xserver.NewServer(clock.System{}, nil, xserver.Config{WireWork: wireWork})
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	src, tgt, _, tgtWin, err := clipboardPair(base)
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	// Overhaul: force-grant system, full query path per paste.
 	sys, err := bootOverhaul()
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	osrc, otgt, _, otgtWin, err := clipboardPair(sys.X)
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	row.Baseline, row.Overhaul, row.medianRatio, err = measurePair(ops,
-		func(int) error { return pasteOnce(src, tgt, tgtWin, payload) },
-		func(int) error { return pasteOnce(osrc, otgt, otgtWin, payload) })
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: paste: %v", ErrBench, err)
-	}
-	return row, nil
+	return sidesOn(paster, base, sys.X)
 }
 
-// desktopContent populates a server with windows so root captures copy
-// realistic amounts of pixel data.
-func desktopContent(srv *xserver.Server, shooterPID int) (*xserver.Client, error) {
+// shooter populates srv with windows, so root captures copy realistic
+// amounts of pixel data, and returns a full-screen GetImage as a side.
+func shooter(srv *xserver.Server) (Side, error) {
 	content := []byte(strings.Repeat("p", 64*1024))
 	for i := 0; i < 3; i++ {
 		c, err := srv.Connect(8000+i, fmt.Sprintf("app%d", i))
 		if err != nil {
-			return nil, err
+			return Side{}, err
 		}
 		win, err := c.CreateWindow(i*300, 0, 200, 200)
 		if err != nil {
-			return nil, err
+			return Side{}, err
 		}
 		if err := c.MapWindow(win); err != nil {
-			return nil, err
+			return Side{}, err
 		}
 		if err := c.Draw(win, content); err != nil {
-			return nil, err
+			return Side{}, err
 		}
 	}
-	return srv.Connect(shooterPID, "shooter")
+	c, err := srv.Connect(8100, "shooter")
+	if err != nil {
+		return Side{}, err
+	}
+	return Side{Op: func(int) error {
+		_, err := c.GetImage(xserver.Root)
+		return err
+	}}, nil
 }
 
-// ScreenCapture measures full-screen GetImage requests (Table I row 3).
-func ScreenCapture(ops int) (Row, error) {
-	row := Row{Name: "Screen Capture", Ops: ops}
-
+// ScreenCapture builds Table I row 3, the full-screen GetImage request.
+func ScreenCapture() (Pair, error) {
 	base, err := xserver.NewServer(clock.System{}, nil, xserver.Config{WireWork: wireWork})
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	shooter, err := desktopContent(base, 8100)
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	sys, err := bootOverhaul()
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	oShooter, err := desktopContent(sys.X, 8100)
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	row.Baseline, row.Overhaul, row.medianRatio, err = measurePair(ops,
-		func(int) error {
-			_, err := shooter.GetImage(xserver.Root)
-			return err
-		},
-		func(int) error {
-			_, err := oShooter.GetImage(xserver.Root)
-			return err
-		})
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: capture: %v", ErrBench, err)
-	}
-	return row, nil
+	return sidesOn(shooter, base, sys.X)
 }
 
-// SharedMemory measures writes through a mapped shared-memory segment
-// (Table I row 4): an unguarded segment versus the fault-interception
-// machinery with the paper's 500 ms wait list.
-func SharedMemory(writes, pages int) (Row, error) {
-	row := Row{Name: "Shared Memory", Ops: writes}
-	payload := []byte{0xAB, 0xCD, 0xEF, 0x01, 0x23, 0x45, 0x67, 0x89}
+// sidesOn builds the same side on the baseline and the Overhaul X
+// server.
+func sidesOn(side func(*xserver.Server) (Side, error), base, over *xserver.Server) (Pair, error) {
+	b, err := side(base)
+	if err != nil {
+		return Pair{}, err
+	}
+	o, err := side(over)
+	if err != nil {
+		return Pair{}, err
+	}
+	return Pair{Base: b, Over: o}, nil
+}
 
+// SharedMemory builds Table I row 4, writes through a mapped
+// shared-memory segment of the given pages: an unguarded segment
+// against the fault-interception machinery with the paper's 500 ms
+// wait list.
+func SharedMemory(pages int) (Pair, error) {
+	payload := []byte{0xAB, 0xCD, 0xEF, 0x01, 0x23, 0x45, 0x67, 0x89}
 	baseShm, err := ipc.NewSharedMem(nil, clock.System{}, pages, 0)
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	baseMap := baseShm.Map(1)
-	size := baseShm.Size()
-
-	sys, err := bootOverhaul()
+	sys, proc, _, err := Boot()
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	proc, err := sys.LaunchHeadless("shmbench")
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	shm, err := sys.Kernel.NewSharedMem(pages)
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
 	shm.SetCheckInterval(shmCheckInterval)
 	m := shm.Map(proc.PID())
-	row.Baseline, row.Overhaul, row.medianRatio, err = measurePair(writes,
-		func(i int) error { return baseMap.Write((i*64)%(size-len(payload)), payload) },
-		func(i int) error { return m.Write((i*64)%(size-len(payload)), payload) })
-	if err != nil {
-		return Row{}, fmt.Errorf("%w: shm write: %v", ErrBench, err)
-	}
-	return row, nil
+	span := baseShm.Size() - len(payload)
+	return Pair{
+		Base: Side{Op: func(i int) error { return baseMap.Write((i*64)%span, payload) }},
+		Over: Side{Op: func(i int) error { return m.Write((i*64)%span, payload) }},
+	}, nil
 }
 
-// Filesystem measures empty-file creation through the augmented open
-// path, Bonnie++-style (Table I row 5). Stat and unlink run untimed, as
-// the paper could not measure any overhead there (Overhaul does not
-// interpose on them). Creation chunks alternate between the two kernels
-// so environmental drift cancels.
-func Filesystem(files int) (Row, error) {
-	row := Row{Name: "Bonnie++ (create)", Ops: files}
-
-	type env struct {
-		k    *kernel.Kernel
-		fsys *fs.FS
-		proc *kernel.Process
-	}
-	setup := func(k *kernel.Kernel, fsys *fs.FS) (*env, error) {
-		proc, err := k.Spawn(kernel.SpawnSpec{Name: "bonnie", Exe: "/usr/bin/bonnie", Cred: fs.Root})
-		if err != nil {
-			return nil, err
-		}
-		if err := fsys.MkdirAll("/tmp/bonnie", 0o777, fs.Root); err != nil {
-			return nil, err
-		}
-		return &env{k: k, fsys: fsys, proc: proc}, nil
-	}
-	createRange := func(e *env, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			h, err := e.k.Create(e.proc, fmt.Sprintf("/tmp/bonnie/f%07d", i), 0o644)
-			if err != nil {
-				return err
-			}
-			if err := h.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	statUnlinkRange := func(e *env, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			path := fmt.Sprintf("/tmp/bonnie/f%07d", i)
-			if _, err := e.k.Stat(e.proc, path); err != nil {
-				return err
-			}
-			if err := e.k.Unlink(e.proc, path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+// Filesystem builds Table I row 5, Bonnie++-style empty-file creation
+// through the augmented open path: an unmodified kernel against the
+// force-grant system with its sensitive mapping populated, as on a real
+// machine.
+func Filesystem() (Pair, error) {
 	clk := clock.System{}
 	baseFS := fs.New(clk)
 	baseK, err := kernel.New(clk, baseFS, kernel.Config{
@@ -513,97 +504,88 @@ func Filesystem(files int) (Row, error) {
 		StorageRounds: storageRounds,
 	})
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	base, err := setup(baseK, baseFS)
+	base, err := bonnie(baseK, baseFS)
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-
 	sys, err := bootOverhaul()
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
-	// The sensitive mapping is populated, as on a real machine.
-	if _, err := sys.Helper.Attach(devfs.ClassMicrophone); err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+	for _, class := range []devfs.Class{devfs.ClassMicrophone, devfs.ClassCamera} {
+		if _, err := sys.Helper.Attach(class); err != nil {
+			return Pair{}, err
+		}
 	}
-	if _, err := sys.Helper.Attach(devfs.ClassCamera); err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
-	}
-	over, err := setup(sys.Kernel, sys.FS)
+	over, err := bonnie(sys.Kernel, sys.FS)
 	if err != nil {
-		return Row{}, fmt.Errorf("%w: %v", ErrBench, err)
+		return Pair{}, err
 	}
+	return Pair{Base: base, Over: over}, nil
+}
 
-	// Warmup both.
-	for _, e := range []*env{base, over} {
-		if err := createRange(e, 0, files/10); err != nil {
-			return Row{}, fmt.Errorf("%w: warmup: %v", ErrBench, err)
-		}
-		if err := statUnlinkRange(e, 0, files/10); err != nil {
-			return Row{}, fmt.Errorf("%w: warmup: %v", ErrBench, err)
-		}
+// bonnie spawns the Bonnie++ process on k and returns its side. Only
+// creation is timed: Reset stats and unlinks the chunk's files, where
+// the paper could not measure any overhead (Overhaul does not
+// interpose on them), and keeps the directory small.
+func bonnie(k *kernel.Kernel, fsys *fs.FS) (Side, error) {
+	proc, err := k.Spawn(kernel.SpawnSpec{Name: "bonnie", Exe: "/usr/bin/bonnie", Cred: fs.Root})
+	if err != nil {
+		return Side{}, err
 	}
-	runtime.GC()
-
-	const chunks = 64
-	chunk := files / chunks
-	if chunk == 0 {
-		chunk = 1
+	if err := fsys.MkdirAll("/tmp/bonnie", 0o777, fs.Root); err != nil {
+		return Side{}, err
 	}
-	var ratios []float64
-	for done := 0; done < files; done += chunk {
-		hi := done + chunk
-		if hi > files {
-			hi = files
-		}
-		watch := clock.StartStopwatch()
-		if err := createRange(base, done, hi); err != nil {
-			return Row{}, fmt.Errorf("%w: baseline bonnie: %v", ErrBench, err)
-		}
-		tb := watch.Lap()
-		if err := createRange(over, done, hi); err != nil {
-			return Row{}, fmt.Errorf("%w: overhaul bonnie: %v", ErrBench, err)
-		}
-		to := watch.Lap()
-		row.Baseline += tb
-		row.Overhaul += to
-		if tb > 0 {
-			ratios = append(ratios, float64(to)/float64(tb))
-		}
-		// Untimed stat + delete phase, keeping both trees small.
-		if err := statUnlinkRange(base, done, hi); err != nil {
-			return Row{}, fmt.Errorf("%w: baseline bonnie: %v", ErrBench, err)
-		}
-		if err := statUnlinkRange(over, done, hi); err != nil {
-			return Row{}, fmt.Errorf("%w: overhaul bonnie: %v", ErrBench, err)
-		}
-	}
-	sort.Float64s(ratios)
-	if len(ratios) > 0 {
-		row.medianRatio = ratios[len(ratios)/2]
-	}
-	return row, nil
+	path := func(i int) string { return fmt.Sprintf("/tmp/bonnie/f%07d", i) }
+	return Side{
+		Op: func(i int) error {
+			h, err := k.Create(proc, path(i), 0o644)
+			if err != nil {
+				return err
+			}
+			return h.Close()
+		},
+		Reset: func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if _, err := k.Stat(proc, path(i)); err != nil {
+					return err
+				}
+				if err := k.Unlink(proc, path(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}, nil
 }
 
 // TableI runs all five rows with the given counts. Rows are separated
 // by GC fences so one row's retired heap is not billed to the next.
 func TableI(c Counts) ([]Row, error) {
-	rows := make([]Row, 0, 5)
-	steps := []func() (Row, error){
-		func() (Row, error) { return DeviceAccess(c.DeviceOpens) },
-		func() (Row, error) { return Clipboard(c.Pastes) },
-		func() (Row, error) { return ScreenCapture(c.Captures) },
-		func() (Row, error) { return SharedMemory(c.ShmWrites, c.ShmPages) },
-		func() (Row, error) { return Filesystem(c.Files) },
+	steps := []struct {
+		name  string
+		ops   int
+		setup func() (Pair, error)
+	}{
+		{"Device Access", c.DeviceOpens, DeviceAccess},
+		{"Clipboard", c.Pastes, Clipboard},
+		{"Screen Capture", c.Captures, ScreenCapture},
+		{"Shared Memory", c.ShmWrites, func() (Pair, error) { return SharedMemory(c.ShmPages) }},
+		{"Bonnie++ (create)", c.Files, Filesystem},
 	}
+	rows := make([]Row, 0, len(steps))
 	for _, step := range steps {
-		row, err := step()
+		p, err := step.setup()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %s: %v", ErrBench, step.name, err)
 		}
-		rows = append(rows, row)
+		t, err := p.Time(step.ops)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrBench, step.name, err)
+		}
+		rows = append(rows, Row{Name: step.name, Ops: step.ops, Baseline: t.Base, Overhaul: t.Over, medianRatio: t.Ratio})
 		runtime.GC()
 	}
 	return rows, nil

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -85,5 +87,106 @@ func TestOverheadPct(t *testing.T) {
 	}
 	if (Row{}).OverheadPct() != 0 {
 		t.Fatal("zero row overhead should be 0")
+	}
+}
+
+// TestTimeReturnsSideErrors checks an error from either side's Op or
+// Reset ends the measurement and is returned.
+func TestTimeReturnsSideErrors(t *testing.T) {
+	boom := errors.New("boom")
+	ok := Side{Op: func(int) error { return nil }}
+	failAt := func(n int) func(int) error {
+		return func(i int) error {
+			if i == n {
+				return boom
+			}
+			return nil
+		}
+	}
+	for name, p := range map[string]Pair{
+		"base op":    {Base: Side{Op: failAt(500)}, Over: ok},
+		"over op":    {Base: ok, Over: Side{Op: failAt(500)}},
+		"warm-up op": {Base: ok, Over: Side{Op: failAt(3)}},
+		"base reset": {Base: Side{Op: ok.Op, Reset: func(lo, hi int) error { return boom }}, Over: ok},
+		"over reset": {Base: ok, Over: Side{Op: ok.Op, Reset: func(lo, hi int) error { return boom }}},
+	} {
+		if _, err := p.Time(640); !errors.Is(err, boom) {
+			t.Errorf("%s: err = %v, want %v", name, err, boom)
+		}
+	}
+}
+
+// TestTimeAlternatesChunkOrder records the call order: after the
+// warm-up, each chunk runs both sides over the same operations, the
+// side that goes first alternates from chunk to chunk, and both sides
+// reset over the chunk's range once it is timed.
+func TestTimeAlternatesChunkOrder(t *testing.T) {
+	const ops = 10 * Chunks
+	var calls []string
+	side := func(name string) Side {
+		return Side{
+			Op: func(i int) error {
+				calls = append(calls, fmt.Sprintf("%s%d", name, i))
+				return nil
+			},
+			Reset: func(lo, hi int) error {
+				calls = append(calls, fmt.Sprintf("%s-reset%d-%d", name, lo, hi))
+				return nil
+			},
+		}
+	}
+	if _, err := (Pair{Base: side("b"), Over: side("o")}).Time(ops); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	run := func(name string, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			want = append(want, fmt.Sprintf("%s%d", name, i))
+		}
+	}
+	warm := ops / 10
+	for _, name := range []string{"b", "o"} {
+		run(name, 0, warm)
+		want = append(want, fmt.Sprintf("%s-reset0-%d", name, warm))
+	}
+	for c := 0; c < Chunks; c++ {
+		lo, hi := c*10, c*10+10
+		first, second := "b", "o"
+		if c%2 == 1 {
+			first, second = "o", "b"
+		}
+		run(first, lo, hi)
+		run(second, lo, hi)
+		want = append(want, fmt.Sprintf("b-reset%d-%d", lo, hi), fmt.Sprintf("o-reset%d-%d", lo, hi))
+	}
+	if got, exp := strings.Join(calls, " "), strings.Join(want, " "); got != exp {
+		t.Fatalf("call order\n got %s\nwant %s", got, exp)
+	}
+}
+
+// spinSink keeps the spin loops below from being optimised away.
+var spinSink uint64
+
+func spin(n int) {
+	x := spinSink
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	spinSink = x
+}
+
+// TestTimeRatioTracksWork checks a side doing ten times the work of the
+// other measures as the slower one, in the ratio and the delta.
+func TestTimeRatioTracksWork(t *testing.T) {
+	p := Pair{
+		Base: Side{Op: func(int) error { spin(200); return nil }},
+		Over: Side{Op: func(int) error { spin(2000); return nil }},
+	}
+	tm, err := p.Time(6400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.Ratio <= 1 || tm.DeltaNs <= 0 || tm.Over <= tm.Base {
+		t.Fatalf("10x side not slower: %+v", tm)
 	}
 }

@@ -1,24 +1,28 @@
 // Package multiview runs the probe layer's libMicro-style multiview
 // overhead report. Each micro benchmark exercises one probe-hooked hot
 // path — monitor decide, monitor notify, kernel device open, netlink
-// round trip, fleet dispatch, xserver input — and is measured K times
-// in three instrumentation modes:
+// round trip, fleet dispatch, xserver input — and builds it three
+// times side by side, one instance per instrumentation mode:
 //
 //   - off: no probe registry is wired in at all. Every hook pointer is
 //     nil and Armed() is a nil check. This is the cost center a
 //     deployment that never ships probes pays.
-//   - idle: every attach point is armed with a probe whose predicate
-//     can never match, so the full predicate runs on every event and
-//     nothing publishes. This is the always-on observability tax.
+//   - idle: every attach point is armed with a probe scoped to a pid no
+//     process has. Hook.Wants rejects every event on the attach set's
+//     precomputed pid window, so no event is built, no predicate runs
+//     and nothing publishes: this prices the first stage every armed
+//     hook runs, the always-on tax of a pid-scoped live trace.
 //   - match: a match-all probe publishes every event into a
 //     batch-drained perf ring, with full telemetry recording enabled —
 //     the maximum-observation configuration.
 //
-// The per-mode minimum over the K repetitions is reported, libMicro
-// style: the minimum is the run least disturbed by the scheduler, and
-// comparing minima cancels fixed costs. The off→idle delta is gated
-// (issue budget: <10% per benchmark); match is reported so the price
-// of full tracing is visible but is deliberately not gated.
+// Idle and match are each timed against off with internal/bench's
+// paired chunk interleave: 64 chunks, the side that runs first
+// alternating, and the medians of the per-chunk ratio and per-op delta
+// reported, so host speed changes that last seconds hit both sides of
+// every chunk alike. The off→idle medians are gated (BudgetPct and
+// FloorNs); match is reported so the price of full tracing is visible
+// but is deliberately not gated.
 package multiview
 
 import (
@@ -26,6 +30,7 @@ import (
 	"runtime"
 	"time"
 
+	"overhaul/internal/bench"
 	"overhaul/internal/clock"
 	"overhaul/internal/devfs"
 	"overhaul/internal/fleet"
@@ -41,17 +46,12 @@ import (
 // Mode is one instrumentation level of the multiview comparison.
 type Mode int
 
-// The three instrumentation levels, in measurement order.
+// The three instrumentation levels.
 const (
 	ModeOff Mode = iota
 	ModeIdle
 	ModeMatch
 )
-
-// Modes lists the three levels in the order each repetition runs them;
-// interleaving keeps slow machine-wide drift (thermal throttling,
-// background load) from biasing any single mode.
-var Modes = [3]Mode{ModeOff, ModeIdle, ModeMatch}
 
 func (m Mode) String() string {
 	switch m {
@@ -65,22 +65,22 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Defaults for Options and the gate.
+// The measurement size and the gate.
 const (
-	DefaultK   = 5
-	DefaultOps = 20000
-	// DefaultBudgetPct is the issue's acceptance budget for the
-	// off→idle overhead on every benchmark.
-	DefaultBudgetPct = 10.0
-	// DefaultFloorNs absorbs scheduler noise on sub-100ns benchmarks:
-	// a regression must clear both the relative budget and this
-	// absolute per-op floor to fail the gate.
-	DefaultFloorNs = 10.0
+	// Ops is how many operations each side of a pairing runs: 64
+	// chunks of 250.
+	Ops = bench.Chunks * 250
+	// BudgetPct and FloorNs are the off→idle gate: a benchmark fails
+	// when its median per-chunk idle/off ratio is more than BudgetPct
+	// percent above 1 and its median per-op delta exceeds FloorNs. The
+	// floor absorbs scheduler noise on sub-100ns benchmarks.
+	BudgetPct = 10.0
+	FloorNs   = 10.0
 )
 
 // neverMatch is the attached-idle predicate: pid 2^40 is outside any
-// simulated pid space, so the spec is evaluated against every event
-// and never publishes.
+// simulated pid space, so every hook's pid window rejects every event
+// in Hook.Wants.
 const neverMatch = "pid=1099511627776"
 
 // ringCap and drainEvery keep the match-mode ring ahead of the hottest
@@ -93,46 +93,36 @@ const (
 	drainEvery = 256
 )
 
-// Options parameterises Run.
-type Options struct {
-	// K is the number of repetitions per (benchmark, mode); the
-	// minimum wins. Zero selects DefaultK.
-	K int
-	// Ops is the number of operations per repetition. Zero selects
-	// DefaultOps.
-	Ops int
-}
+// allocRuns is how many untimed operations each mode's allocs/op is
+// counted over.
+const allocRuns = 1000
 
-// env is the per-run instrumentation a benchmark's setup receives: in
-// ModeMatch its registry also feeds a telemetry recorder.
-type env struct {
-	reg *probe.Registry // nil in ModeOff
-}
-
-// newEnv builds the instrumentation for one (benchmark, mode) run and
-// returns the ring the harness must drain (nil unless ModeMatch).
-func newEnv(m Mode) (env, *probe.Ring, error) {
+// instrument builds the probe registry for one (benchmark, mode)
+// instance — nil in ModeOff, and in ModeMatch also feeding a telemetry
+// recorder — and returns the ring the harness must drain (nil unless
+// ModeMatch).
+func instrument(m Mode) (*probe.Registry, *probe.Ring, error) {
 	switch m {
 	case ModeOff:
-		return env{}, nil, nil
+		return nil, nil, nil
 	case ModeIdle:
 		reg := probe.NewRegistry()
 		if _, err := reg.AttachSpec(neverMatch, probe.NewRing(64)); err != nil {
-			return env{}, nil, err
+			return nil, nil, err
 		}
-		return env{reg: reg}, nil, nil
+		return reg, nil, nil
 	case ModeMatch:
 		reg := probe.NewRegistry()
 		ring := probe.NewRing(ringCap)
 		if _, err := reg.AttachSpec("", ring); err != nil {
-			return env{}, nil, err
+			return nil, nil, err
 		}
 		if err := telemetry.New(clock.NewSimulated()).Attach(reg); err != nil {
-			return env{}, nil, err
+			return nil, nil, err
 		}
-		return env{reg: reg}, ring, nil
+		return reg, ring, nil
 	}
-	return env{}, nil, fmt.Errorf("unknown mode %d", int(m))
+	return nil, nil, fmt.Errorf("unknown mode %d", int(m))
 }
 
 // A benchmark builds a fresh subsystem instance around the given
@@ -142,7 +132,7 @@ func newEnv(m Mode) (env, *probe.Ring, error) {
 // mode alike).
 type benchmark struct {
 	name  string
-	setup func(e env) (func(i int) error, error)
+	setup func(reg *probe.Registry) (func(i int) error, error)
 }
 
 // benchmarks returns the multiview suite: one micro benchmark per
@@ -181,10 +171,10 @@ func (t *stampTasks) SetInteractionStampSpan(pid int, ts time.Time, _ probe.Span
 
 // setupDecide measures the monitor decision path: a within-δ grant,
 // crossing the evaluate and decide attach points.
-func setupDecide(e env) (func(int) error, error) {
+func setupDecide(reg *probe.Registry) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -197,10 +187,10 @@ func setupDecide(e env) (func(int) error, error) {
 
 // setupNotify measures the interaction-notification path (stamp
 // write), crossing the monitor.notify attach point.
-func setupNotify(e env) (func(int) error, error) {
+func setupNotify(reg *probe.Registry) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	tasks := &stampTasks{pid: 7, stamp: clk.Now()}
-	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: e.reg})
+	m, err := monitor.New(tasks, monitor.Config{Enforce: true, Probes: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -214,11 +204,11 @@ func setupNotify(e env) (func(int) error, error) {
 // lookup, monitor decision (force-grant, as in Table I), fs open —
 // crossing the kernel.open attach point plus the monitor's evaluate
 // and decide.
-func setupKernelOpen(e env) (func(int) error, error) {
+func setupKernelOpen(reg *probe.Registry) (func(int) error, error) {
 	clk := clock.NewSimulated()
 	fsys := fs.New(clk)
 	k, err := kernel.New(clk, fsys, kernel.Config{
-		Monitor: monitor.Config{Enforce: true, ForceGrant: true, Probes: e.reg},
+		Monitor: monitor.Config{Enforce: true, ForceGrant: true, Probes: reg},
 	})
 	if err != nil {
 		return nil, err
@@ -246,14 +236,14 @@ func setupKernelOpen(e env) (func(int) error, error) {
 // setupNetlinkCall measures a userspace→kernel round trip on the
 // netlink hub with an echo handler, crossing the netlink.recv attach
 // point.
-func setupNetlinkCall(e env) (func(int) error, error) {
+func setupNetlinkCall(reg *probe.Registry) (func(int) error, error) {
 	hub, err := netlink.NewHub(netlink.AuthenticatorFunc(func(int) error { return nil }))
 	if err != nil {
 		return nil, err
 	}
 	hub.SetKernelHandler(func(msg any) (any, error) { return msg, nil })
-	if e.reg != nil {
-		hub.SetProbes(e.reg)
+	if reg != nil {
+		hub.SetProbes(reg)
 	}
 	conn, err := hub.Connect(1, nil)
 	if err != nil {
@@ -268,8 +258,8 @@ func setupNetlinkCall(e env) (func(int) error, error) {
 
 // setupFleetDispatch measures the fleet ingress: session-table lookup
 // plus a within-δ decide, crossing the fleet.dispatch attach point.
-func setupFleetDispatch(e env) (func(int) error, error) {
-	f, err := fleet.New(fleet.Config{Probes: e.reg})
+func setupFleetDispatch(reg *probe.Registry) (func(int) error, error) {
+	f, err := fleet.New(fleet.Config{Probes: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -293,9 +283,9 @@ func setupFleetDispatch(e env) (func(int) error, error) {
 // window, crossing the xserver.input attach point. The client queue is
 // drained every 64 clicks in every mode so queue growth stays bounded
 // and its amortised append cost is identical across modes.
-func setupXServerInput(e env) (func(int) error, error) {
+func setupXServerInput(reg *probe.Registry) (func(int) error, error) {
 	clk := clock.NewSimulated()
-	srv, err := xserver.NewServer(clk, nil, xserver.Config{Probes: e.reg})
+	srv, err := xserver.NewServer(clk, nil, xserver.Config{Probes: reg})
 	if err != nil {
 		return nil, err
 	}
@@ -319,91 +309,92 @@ func setupXServerInput(e env) (func(int) error, error) {
 	}, nil
 }
 
-// Run executes the full multiview matrix — every benchmark × every
-// mode × K interleaved repetitions — and returns the per-mode minima.
-func Run(opts Options) (*Report, error) {
-	k := opts.K
-	if k <= 0 {
-		k = DefaultK
-	}
-	ops := opts.Ops
-	if ops <= 0 {
-		ops = DefaultOps
-	}
-	benches := benchmarks()
-	rows := make([]Row, len(benches))
-	for i, b := range benches {
-		rows[i].Name = b.name
-	}
-	for rep := 0; rep < k; rep++ {
-		for i, b := range benches {
-			// Rotate the mode order per repetition so no mode
-			// systematically runs first (and absorbs cold-cache and
-			// first-GC effects for the other two).
-			for j := range Modes {
-				mode := Modes[(rep+j)%len(Modes)]
-				m, err := measure(b, mode, ops)
-				if err != nil {
-					return nil, fmt.Errorf("multiview: %s/mode=%s: %w", b.name, mode, err)
-				}
-				rows[i].mode(mode).merge(m)
-			}
+// Run builds every benchmark in the three modes and times idle and
+// match against off, Ops operations per side.
+func Run() (*Report, error) { return run(Ops) }
+
+// run is Run at a given operation count.
+func run(ops int) (*Report, error) {
+	rep := &Report{Ops: ops}
+	for _, b := range benchmarks() {
+		row, err := measure(b, ops)
+		if err != nil {
+			return nil, fmt.Errorf("multiview: %s: %w", b.name, err)
 		}
+		rep.Rows = append(rep.Rows, row)
 	}
-	return &Report{K: k, Ops: ops, Rows: rows}, nil
+	return rep, nil
 }
 
-// measure runs one (benchmark, mode) repetition on a fresh subsystem
-// instance: warmup, GC fence, then a single timed loop with the
-// match-mode ring drained every drainEvery ops.
-func measure(b benchmark, mode Mode, ops int) (Measurement, error) {
-	e, ring, err := newEnv(mode)
-	if err != nil {
-		return Measurement{}, err
+// measure builds b's off, idle and match instances and times idle and
+// match against the same off instance.
+func measure(b benchmark, ops int) (Row, error) {
+	var sides [3]bench.Side
+	var allocs [3]int64
+	for m := range sides {
+		op, err := instance(b, Mode(m))
+		if err != nil {
+			return Row{}, fmt.Errorf("mode=%s: %w", Mode(m), err)
+		}
+		sides[m] = bench.Side{Op: op}
 	}
-	op, err := b.setup(e)
+	idle, err := bench.Pair{Base: sides[ModeOff], Over: sides[ModeIdle]}.Time(ops)
 	if err != nil {
-		return Measurement{}, err
+		return Row{}, err
 	}
-	var drainBuf []probe.Event
-	drain := func() {}
-	if ring != nil {
-		drainBuf = make([]probe.Event, 1024)
-		drain = func() {
-			for ring.ReadBatch(drainBuf) > 0 {
+	match, err := bench.Pair{Base: sides[ModeOff], Over: sides[ModeMatch]}.Time(ops)
+	if err != nil {
+		return Row{}, err
+	}
+	for m, s := range sides {
+		if allocs[m], err = allocsPerOp(s.Op); err != nil {
+			return Row{}, err
+		}
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(ops) }
+	return Row{
+		Name:        b.name,
+		Off:         Measurement{NsPerOp: perOp(idle.Base), AllocsPerOp: allocs[ModeOff]},
+		Idle:        Measurement{NsPerOp: perOp(idle.Over), AllocsPerOp: allocs[ModeIdle]},
+		Match:       Measurement{NsPerOp: perOp(match.Over), AllocsPerOp: allocs[ModeMatch]},
+		IdleRatio:   idle.Ratio,
+		IdleDeltaNs: idle.DeltaNs,
+		MatchRatio:  match.Ratio,
+	}, nil
+}
+
+// instance builds b in mode m. In ModeMatch the returned op drains the
+// ring every drainEvery operations, inside the timed work.
+func instance(b benchmark, m Mode) (func(int) error, error) {
+	reg, ring, err := instrument(m)
+	if err != nil {
+		return nil, err
+	}
+	op, err := b.setup(reg)
+	if err != nil || ring == nil {
+		return op, err
+	}
+	buf := make([]probe.Event, 1024)
+	return func(i int) error {
+		err := op(i)
+		if i&(drainEvery-1) == drainEvery-1 {
+			for ring.ReadBatch(buf) > 0 {
 			}
 		}
-	}
-	warm := ops / 10
-	if warm > 1000 {
-		warm = 1000
-	}
-	for i := 0; i < warm; i++ {
-		if err := op(i); err != nil {
-			return Measurement{}, err
-		}
-		if i&(drainEvery-1) == drainEvery-1 {
-			drain()
-		}
-	}
-	drain()
-	runtime.GC()
+		return err
+	}, nil
+}
+
+// allocsPerOp counts op's heap allocations over allocRuns untimed
+// calls, rounded to the nearest whole allocation.
+func allocsPerOp(op func(int) error) (int64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sw := clock.StartStopwatch()
-	for i := 0; i < ops; i++ {
+	for i := 0; i < allocRuns; i++ {
 		if err := op(i); err != nil {
-			return Measurement{}, err
-		}
-		if i&(drainEvery-1) == drainEvery-1 {
-			drain()
+			return 0, err
 		}
 	}
-	elapsed := sw.Lap()
 	runtime.ReadMemStats(&after)
-	mallocs := after.Mallocs - before.Mallocs
-	return Measurement{
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		AllocsPerOp: int64((mallocs + uint64(ops)/2) / uint64(ops)),
-	}, nil
+	return int64((after.Mallocs - before.Mallocs + allocRuns/2) / allocRuns), nil
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // TestRunSmallMatrix runs the real matrix at a tiny op count and
-// checks every (benchmark, mode) slot was measured.
+// checks every (benchmark, mode) slot and every median was measured.
 func TestRunSmallMatrix(t *testing.T) {
-	rep, err := Run(Options{K: 1, Ops: 300})
+	rep, err := run(300)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if rep.K != 1 || rep.Ops != 300 {
-		t.Fatalf("options not recorded: K=%d Ops=%d", rep.K, rep.Ops)
+	if rep.Ops != 300 {
+		t.Fatalf("ops not recorded: Ops=%d", rep.Ops)
 	}
 	if len(rep.Rows) != len(benchmarks()) {
 		t.Fatalf("got %d rows, want %d", len(rep.Rows), len(benchmarks()))
@@ -30,6 +30,46 @@ func TestRunSmallMatrix(t *testing.T) {
 				t.Errorf("%s: unmeasured slot %+v", r.Name, m)
 			}
 		}
+		if r.IdleRatio <= 0 || r.MatchRatio <= 0 {
+			t.Errorf("%s: unmeasured median ratio %+v", r.Name, r)
+		}
+	}
+}
+
+// TestEveryBenchmarkCrossesAHook checks no row's off→idle is trivially
+// zero: every benchmark's op reaches at least one hook, so the match
+// probe sees at least one event per op, while the idle probe, rejected
+// by the pid window, sees none.
+func TestEveryBenchmarkCrossesAHook(t *testing.T) {
+	const ops = 100
+	for _, b := range benchmarks() {
+		matched := map[Mode]uint64{}
+		for _, m := range []Mode{ModeIdle, ModeMatch} {
+			reg, _, err := instrument(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := b.setup(reg)
+			if err != nil {
+				t.Fatalf("%s/mode=%s: %v", b.name, m, err)
+			}
+			for i := 0; i < ops; i++ {
+				if err := op(i); err != nil {
+					t.Fatalf("%s/mode=%s: op %d: %v", b.name, m, i, err)
+				}
+			}
+			probes := reg.List()
+			if len(probes) != 1 {
+				t.Fatalf("%s/mode=%s: %d probes attached, want 1", b.name, m, len(probes))
+			}
+			matched[m] = probes[0].Matched
+		}
+		if matched[ModeMatch] < ops {
+			t.Errorf("%s: match probe saw %d events over %d ops, want at least one per op", b.name, matched[ModeMatch], ops)
+		}
+		if matched[ModeIdle] != 0 {
+			t.Errorf("%s: idle probe saw %d events, want 0", b.name, matched[ModeIdle])
+		}
 	}
 }
 
@@ -37,7 +77,7 @@ func TestRunSmallMatrix(t *testing.T) {
 // overhaul-benchjson -check accepts: Benchmark-prefixed keys, positive
 // ns/op, non-negative allocs.
 func TestBenchJSONShape(t *testing.T) {
-	rep := &Report{K: 1, Ops: 10, Rows: []Row{
+	rep := &Report{Ops: 10, Rows: []Row{
 		{Name: "Decide",
 			Off:   Measurement{NsPerOp: 100, AllocsPerOp: 0},
 			Idle:  Measurement{NsPerOp: 105, AllocsPerOp: 0},
@@ -67,56 +107,51 @@ func TestBenchJSONShape(t *testing.T) {
 	}
 }
 
-// TestGateBudgetAndFloor pins the two-condition gate: a row fails only
-// when it exceeds the relative budget AND the absolute floor.
+// TestGateBudgetAndFloor pins the two-condition gate on the median
+// fields: a row fails only when its median ratio exceeds the relative
+// budget AND its median delta exceeds the absolute floor, whatever the
+// ns/op totals say.
 func TestGateBudgetAndFloor(t *testing.T) {
 	rep := &Report{Rows: []Row{
 		// 20% over but only +2 ns: under the floor, passes.
-		{Name: "Tiny", Off: Measurement{NsPerOp: 10}, Idle: Measurement{NsPerOp: 12}},
+		{Name: "Tiny", Off: Measurement{NsPerOp: 10}, Idle: Measurement{NsPerOp: 12}, IdleRatio: 1.2, IdleDeltaNs: 2},
 		// +50 ns but only 5%: under the budget, passes.
-		{Name: "Big", Off: Measurement{NsPerOp: 1000}, Idle: Measurement{NsPerOp: 1050}},
+		{Name: "Big", Off: Measurement{NsPerOp: 1000}, Idle: Measurement{NsPerOp: 1050}, IdleRatio: 1.05, IdleDeltaNs: 50},
 		// 15% and +30 ns: fails both conditions.
-		{Name: "Bad", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 230}},
+		{Name: "Bad", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 230}, IdleRatio: 1.15, IdleDeltaNs: 30},
+		// Totals 50% over, from a stall in a few idle chunks, but the
+		// medians are clean: passes.
+		{Name: "Stalled", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 300}, IdleRatio: 1.01, IdleDeltaNs: 2},
+		// Totals equal, but the medians are 20% and +40 ns over: fails.
+		{Name: "Masked", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 200}, IdleRatio: 1.2, IdleDeltaNs: 40},
 	}}
-	fails := rep.Gate(DefaultBudgetPct, DefaultFloorNs)
-	if len(fails) != 1 {
-		t.Fatalf("got %d failures %v, want 1", len(fails), fails)
+	fails := rep.Gate()
+	if len(fails) != 2 {
+		t.Fatalf("got %d failures %v, want 2", len(fails), fails)
 	}
-	if !strings.Contains(fails[0], "Bad") || !strings.Contains(fails[0], "+15.0%") {
+	if !strings.Contains(fails[0], "Bad") || !strings.Contains(fails[0], "+15.0%") || !strings.Contains(fails[0], "+30.0 ns/op") {
 		t.Errorf("failure line %q does not name the bad row", fails[0])
 	}
-	if rep.Rows[0].OverBudget(DefaultBudgetPct, DefaultFloorNs) {
-		t.Error("Tiny should pass: over budget but under the absolute floor")
+	if !strings.Contains(fails[1], "Masked") || !strings.Contains(fails[1], "+20.0%") {
+		t.Errorf("failure line %q does not name the masked row", fails[1])
 	}
-	if rep.Rows[1].OverBudget(DefaultBudgetPct, DefaultFloorNs) {
-		t.Error("Big should pass: over the floor but under the budget")
-	}
-}
-
-// TestMeasurementMerge pins min-of-K folding with the zero sentinel.
-func TestMeasurementMerge(t *testing.T) {
-	var m Measurement
-	m.merge(Measurement{NsPerOp: 120, AllocsPerOp: 3})
-	if m.NsPerOp != 120 || m.AllocsPerOp != 3 {
-		t.Fatalf("first merge should copy: %+v", m)
-	}
-	m.merge(Measurement{NsPerOp: 110, AllocsPerOp: 5})
-	if m.NsPerOp != 110 {
-		t.Errorf("ns not folded to min: %v", m.NsPerOp)
-	}
-	if m.AllocsPerOp != 3 {
-		t.Errorf("allocs not folded to min: %v", m.AllocsPerOp)
+	for _, i := range []int{0, 1, 3} {
+		if rep.Rows[i].OverBudget() {
+			t.Errorf("%s should pass", rep.Rows[i].Name)
+		}
 	}
 }
 
 // TestHTMLReport checks the page renders with rows and the gate
 // verdict.
 func TestHTMLReport(t *testing.T) {
-	rep := &Report{K: 3, Ops: 1000, Rows: []Row{
-		{Name: "Decide", Off: Measurement{NsPerOp: 100}, Idle: Measurement{NsPerOp: 103}, Match: Measurement{NsPerOp: 150}},
-		{Name: "Bad", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 260}, Match: Measurement{NsPerOp: 300}},
+	rep := &Report{Ops: 1000, Rows: []Row{
+		{Name: "Decide", Off: Measurement{NsPerOp: 100}, Idle: Measurement{NsPerOp: 103}, Match: Measurement{NsPerOp: 150},
+			IdleRatio: 1.03, IdleDeltaNs: 3, MatchRatio: 1.5},
+		{Name: "Bad", Off: Measurement{NsPerOp: 200}, Idle: Measurement{NsPerOp: 260}, Match: Measurement{NsPerOp: 300},
+			IdleRatio: 1.3, IdleDeltaNs: 60, MatchRatio: 1.5},
 	}}
-	out, err := rep.HTML(DefaultBudgetPct, DefaultFloorNs)
+	out, err := rep.HTML()
 	if err != nil {
 		t.Fatal(err)
 	}

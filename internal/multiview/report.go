@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"html/template"
 	"strings"
+
+	"overhaul/internal/bench"
 )
 
 // Measurement is one benchmark's cost in one mode, in the same shape
@@ -14,89 +16,52 @@ type Measurement struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// merge folds another repetition in, keeping the minimum of each
-// metric (libMicro convention: the minimum is the least-disturbed
-// run). A zero NsPerOp marks the slot as not yet measured.
-func (s *Measurement) merge(m Measurement) {
-	if s.NsPerOp == 0 {
-		*s = m
-		return
-	}
-	if m.NsPerOp < s.NsPerOp {
-		s.NsPerOp = m.NsPerOp
-	}
-	if m.AllocsPerOp < s.AllocsPerOp {
-		s.AllocsPerOp = m.AllocsPerOp
-	}
-}
-
-// Row is one benchmark's three-mode comparison.
+// Row is one benchmark's three-mode comparison. The ns/op columns are
+// each side's total over the operations; the ratios and the delta are
+// the medians over the chunks of idle and match timed against off.
 type Row struct {
-	Name  string      `json:"name"`
-	Off   Measurement `json:"off"`
-	Idle  Measurement `json:"idle"`
-	Match Measurement `json:"match"`
+	Name             string
+	Off, Idle, Match Measurement
+	// IdleRatio and IdleDeltaNs are the median per-chunk idle/off time
+	// ratio and per-op idle−off delta: the gated numbers.
+	IdleRatio, IdleDeltaNs float64
+	// MatchRatio is the median per-chunk match/off time ratio.
+	MatchRatio float64
 }
 
-// mode returns the slot for the given mode.
-func (r *Row) mode(m Mode) *Measurement {
-	switch m {
-	case ModeIdle:
-		return &r.Idle
-	case ModeMatch:
-		return &r.Match
-	}
-	return &r.Off
-}
-
-// IdleDeltaNs is the absolute off→idle cost per op: what arming
-// never-matching probes on every hook adds.
-func (r Row) IdleDeltaNs() float64 { return r.Idle.NsPerOp - r.Off.NsPerOp }
-
-// IdlePct is the off→idle overhead in percent. This is the gated
-// number.
-func (r Row) IdlePct() float64 {
-	if r.Off.NsPerOp == 0 {
-		return 0
-	}
-	return 100 * r.IdleDeltaNs() / r.Off.NsPerOp
-}
+// IdlePct is the off→idle overhead in percent, from the median ratio.
+// This is the gated number, with IdleDeltaNs.
+func (r Row) IdlePct() float64 { return 100 * (r.IdleRatio - 1) }
 
 // MatchPct is the off→match overhead in percent: predicate + ring
 // publish + batched drain + full telemetry. Reported, not gated.
-func (r Row) MatchPct() float64 {
-	if r.Off.NsPerOp == 0 {
-		return 0
-	}
-	return 100 * (r.Match.NsPerOp - r.Off.NsPerOp) / r.Off.NsPerOp
-}
+func (r Row) MatchPct() float64 { return 100 * (r.MatchRatio - 1) }
 
 // OverBudget reports whether this row fails the off→idle gate: the
-// relative overhead exceeds budgetPct AND the absolute delta exceeds
-// floorNs. The floor keeps sub-noise absolute regressions on very
+// median overhead exceeds BudgetPct AND the median delta exceeds
+// FloorNs. The floor keeps sub-noise absolute regressions on very
 // short benchmarks from tripping a purely relative budget.
-func (r Row) OverBudget(budgetPct, floorNs float64) bool {
-	return r.IdlePct() > budgetPct && r.IdleDeltaNs() > floorNs
+func (r Row) OverBudget() bool {
+	return r.IdlePct() > BudgetPct && r.IdleDeltaNs > FloorNs
 }
 
-// Report is the full multiview matrix: per-mode minima over K
-// repetitions of Ops operations each.
+// Report is the full multiview matrix: every benchmark's three modes,
+// Ops operations per side of each pairing.
 type Report struct {
-	K    int   `json:"k"`
-	Ops  int   `json:"ops"`
-	Rows []Row `json:"rows"`
+	Ops  int
+	Rows []Row
 }
 
 // Gate returns one failure line per benchmark whose off→idle overhead
 // exceeds both the percentage budget and the absolute floor; an empty
 // slice means the report passes.
-func (rep *Report) Gate(budgetPct, floorNs float64) []string {
+func (rep *Report) Gate() []string {
 	var fails []string
 	for _, r := range rep.Rows {
-		if r.OverBudget(budgetPct, floorNs) {
+		if r.OverBudget() {
 			fails = append(fails, fmt.Sprintf(
 				"%s: off→idle +%.1f%% (+%.1f ns/op) exceeds %.0f%% budget",
-				r.Name, r.IdlePct(), r.IdleDeltaNs(), budgetPct))
+				r.Name, r.IdlePct(), r.IdleDeltaNs, BudgetPct))
 		}
 	}
 	return fails
@@ -122,13 +87,13 @@ func (rep *Report) BenchJSON() ([]byte, error) {
 // Text renders the fixed-width comparison table printed to stdout.
 func (rep *Report) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "multiview: %d benchmarks × 3 modes, min of %d × %d ops\n",
-		len(rep.Rows), rep.K, rep.Ops)
-	fmt.Fprintf(&b, "%-14s %12s %12s %9s %12s %9s %12s\n",
-		"benchmark", "off ns/op", "idle ns/op", "idle", "match ns/op", "match", "allocs o/i/m")
+	fmt.Fprintf(&b, "multiview: %d benchmarks × 3 modes, %d paired chunks × %d ops, per-chunk medians\n",
+		len(rep.Rows), bench.Chunks, rep.Ops/bench.Chunks)
+	fmt.Fprintf(&b, "%-14s %12s %12s %9s %9s %12s %9s %12s\n",
+		"benchmark", "off ns/op", "idle ns/op", "idle", "idle Δns", "match ns/op", "match", "allocs o/i/m")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(&b, "%-14s %12.1f %12.1f %+8.1f%% %12.1f %+8.1f%% %6d/%d/%d\n",
-			r.Name, r.Off.NsPerOp, r.Idle.NsPerOp, r.IdlePct(),
+		fmt.Fprintf(&b, "%-14s %12.1f %12.1f %+8.1f%% %+9.1f %12.1f %+8.1f%% %6d/%d/%d\n",
+			r.Name, r.Off.NsPerOp, r.Idle.NsPerOp, r.IdlePct(), r.IdleDeltaNs,
 			r.Match.NsPerOp, r.MatchPct(),
 			r.Off.AllocsPerOp, r.Idle.AllocsPerOp, r.Match.AllocsPerOp)
 	}
@@ -142,11 +107,11 @@ type htmlRow struct {
 }
 
 type htmlData struct {
-	K, Ops    int
-	BudgetPct float64
-	FloorNs   float64
-	Rows      []htmlRow
-	Failures  []string
+	Chunks, ChunkOps int
+	BudgetPct        float64
+	FloorNs          float64
+	Rows             []htmlRow
+	Failures         []string
 }
 
 var htmlTmpl = template.Must(template.New("multiview").Parse(`<!DOCTYPE html>
@@ -168,13 +133,15 @@ tr.pass td.gated { background: #e8f5e9; }
 </head>
 <body>
 <h1>Probe multiview overhead report</h1>
-<p class="note">Each benchmark ran in three modes — <b>off</b> (no probe
-registry), <b>idle</b> (never-matching probe armed on every attach
-point), <b>match</b> (match-all probe, drained perf ring, full
-telemetry) — {{.K}}× at {{.Ops}} ops each; minima reported. The gated
-column is off→idle: budget {{printf "%.0f" .BudgetPct}}%, absolute
-floor {{printf "%.0f" .FloorNs}} ns/op. Match mode is reported, not
-gated.</p>
+<p class="note">Each benchmark was built in three modes — <b>off</b> (no
+probe registry), <b>idle</b> (a probe scoped to an absent pid armed on
+every attach point), <b>match</b> (match-all probe, drained perf ring,
+full telemetry) — and idle and match were each timed against off in
+{{.Chunks}} interleaved chunks of {{.ChunkOps}} ops, alternating which
+side ran first. The overhead columns are the median per-chunk ratios.
+The gated column is off→idle: budget {{printf "%.0f" .BudgetPct}}%,
+absolute floor {{printf "%.0f" .FloorNs}} ns/op on the median per-op
+delta. Match mode is reported, not gated.</p>
 <table>
 <tr><th>benchmark</th><th>off ns/op</th><th>idle ns/op</th><th>off→idle</th>
 <th>match ns/op</th><th>off→match</th><th>allocs off/idle/match</th></tr>
@@ -197,14 +164,14 @@ gated.</p>
 
 // HTML renders the standalone comparison page, coloring rows by the
 // off→idle gate verdict.
-func (rep *Report) HTML(budgetPct, floorNs float64) ([]byte, error) {
+func (rep *Report) HTML() ([]byte, error) {
 	data := htmlData{
-		K: rep.K, Ops: rep.Ops,
-		BudgetPct: budgetPct, FloorNs: floorNs,
-		Failures: rep.Gate(budgetPct, floorNs),
+		Chunks: bench.Chunks, ChunkOps: rep.Ops / bench.Chunks,
+		BudgetPct: BudgetPct, FloorNs: FloorNs,
+		Failures: rep.Gate(),
 	}
 	for _, r := range rep.Rows {
-		data.Rows = append(data.Rows, htmlRow{Row: r, Fail: r.OverBudget(budgetPct, floorNs)})
+		data.Rows = append(data.Rows, htmlRow{Row: r, Fail: r.OverBudget()})
 	}
 	var b strings.Builder
 	if err := htmlTmpl.Execute(&b, data); err != nil {

@@ -27,8 +27,9 @@ type Hook struct {
 	name string
 	reg  *Registry
 	// probes and consumers are the attached observers, guarded by the
-	// registry lock; set is their immutable snapshot (nil when none is
-	// attached), swapped whole so Emit iterates without a lock.
+	// registry lock and replaced, never written in place, on attach and
+	// detach; set shares them as an immutable snapshot (nil when none
+	// is attached), swapped whole so Emit iterates without a lock.
 	probes    []*Probe
 	consumers []Consumer
 	set       atomic.Pointer[attachSet]
@@ -60,8 +61,8 @@ func (h *Hook) rebuild() {
 		return
 	}
 	s := &attachSet{
-		probes:    append([]*Probe(nil), h.probes...),
-		consumers: append([]Consumer(nil), h.consumers...),
+		probes:    h.probes,
+		consumers: h.consumers,
 		pidLo:     math.MaxInt64, pidHi: math.MinInt64,
 	}
 	if len(s.consumers) > 0 {

@@ -206,7 +206,7 @@ func (r *Registry) Attach(spec Spec, ring *Ring) (*Probe, error) {
 	p.hooks = append(p.hooks, targets...)
 	for _, name := range targets {
 		h := r.hooks[name]
-		h.probes = append(h.probes, p)
+		h.probes = append(h.probes[:len(h.probes):len(h.probes)], p)
 		h.rebuild()
 	}
 	r.probes[p.id] = p
@@ -228,7 +228,7 @@ func (r *Registry) AttachConsumer(c Consumer, hooks ...string) error {
 	defer r.mu.Unlock()
 	for _, name := range hooks {
 		h := r.hooks[name]
-		h.consumers = append(h.consumers, c)
+		h.consumers = append(h.consumers[:len(h.consumers):len(h.consumers)], c)
 		h.rebuild()
 	}
 	return nil

@@ -1,6 +1,8 @@
 package probe
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -207,5 +209,78 @@ func TestWantsPidWindow(t *testing.T) {
 	}
 	if h.Wants(150) {
 		t.Fatal("fully detached hook must not want any pid")
+	}
+}
+
+// countConsumer counts the events it is fed.
+type countConsumer struct{ n atomic.Uint64 }
+
+func (c *countConsumer) Consume(Event) { c.n.Add(1) }
+
+// TestAttachDetachUnderEmit attaches and detaches probes and consumers
+// while another goroutine runs the emission-site pattern. Attach sets
+// share the hook's observer slices, so under -race any in-place write
+// to a slice a published set holds is reported; and the probe attached
+// throughout must see every emitted event exactly once.
+func TestAttachDetachUnderEmit(t *testing.T) {
+	r := NewRegistry()
+	h := r.Hook(HookKernelDecide)
+	anchor, err := r.AttachSpec("hook=kernel.decide", NewRing(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		stop    atomic.Bool
+		emitted uint64
+		wg      sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if !h.Wants(1) {
+				t.Error("hook with a probe attached throughout does not want pid 1")
+				return
+			}
+			h.Emit(&Event{Kind: KindDecide, PID: 1})
+			emitted++
+		}
+	}()
+	var consumers []*countConsumer
+	for i := 0; i < 2000; i++ {
+		scoped, err := r.AttachSpec("hook=kernel.decide pid=1", NewRing(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := r.AttachSpec("", NewRing(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%200 == 0 {
+			c := &countConsumer{}
+			if err := r.AttachConsumer(c, HookKernelDecide); err != nil {
+				t.Fatal(err)
+			}
+			consumers = append(consumers, c)
+		}
+		if err := r.Detach(scoped.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Detach(all.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := anchor.Matched(); got != emitted {
+		t.Fatalf("anchor probe matched %d of %d events", got, emitted)
+	}
+	for i, c := range consumers {
+		if got := c.n.Load(); got > emitted {
+			t.Fatalf("consumer %d fed %d events, more than the %d emitted", i, got, emitted)
+		}
+	}
+	if got := len(r.List()); got != 1 {
+		t.Fatalf("%d probes left attached, want 1", got)
 	}
 }

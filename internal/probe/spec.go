@@ -54,7 +54,8 @@ func (s *Spec) Match(ev *Event) bool {
 //
 //	hook=NAME          attach point (see HookNames); omit for all
 //	op=K[,K...]        event kinds: open decide evaluate input
-//	                   send recv dispatch
+//	                   send recv dispatch notify interaction
+//	                   query alert call fault degrade recover
 //	dev=D[,D...]       device classes: copy paste scr mic cam dev none
 //	verdict=V[,V...]   verdicts: grant deny none
 //	pid=N | pid=N-M    pid or inclusive pid range

@@ -47,6 +47,24 @@ func TestParseSpecFields(t *testing.T) {
 			t.Errorf("%s: spec must not match %+v", name, ev)
 		}
 	}
+	// Every emitted kind parses, the ones past the original seven too.
+	kinds := "open,decide,evaluate,input,send,recv,dispatch,notify,interaction,query,alert,call,fault,degrade,recover"
+	all, err := ParseSpec("op=" + kinds)
+	if err != nil {
+		t.Fatalf("ParseSpec(op=%s): %v", kinds, err)
+	}
+	for _, name := range strings.Split(kinds, ",") {
+		k := KindOf(name)
+		if k == KindNone {
+			t.Fatalf("KindOf(%q) = none", name)
+		}
+		if all.Kinds&(1<<k) == 0 {
+			t.Errorf("op=%s not in the compiled kind set %#x", name, all.Kinds)
+		}
+	}
+	if all.Kinds != 1<<kindCount-2 {
+		t.Errorf("kind set %#x, want every kind but none", all.Kinds)
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
