@@ -90,13 +90,11 @@ bench-compare:
 benchmark-module:
 	cd cmd/overhaul-benchmark && $(GO) test .
 
-# Fleet smoke: a short open-loop load run over 256 sessions whose
-# JSON report must satisfy the same checker that gates
-# BENCH_overhaul.json, plus one render of the fleet dashboard.
+# Fleet smoke: a short open-loop load run over 256 sessions, which
+# exits non-zero when its own report fails a check (no events), plus
+# one render of the fleet dashboard.
 fleet:
-	$(GO) run ./cmd/overhaul-load -sessions 256 -duration 2s -json > fleet-load.json
-	$(GO) run ./cmd/overhaul-benchjson -check fleet-load.json
-	@rm -f fleet-load.json
+	$(GO) run ./cmd/overhaul-load -sessions 256 -duration 2s -json > /dev/null
 	$(GO) run ./cmd/overhaul-top -fleet 64 -mix bot-storm > /dev/null
 
 # Short fuzz pass over the stamp-propagation invariants, the devfs
@@ -126,7 +124,9 @@ chaos:
 # normalizes it, and its record lines must match the warm query's: the
 # two read paths share one segment merge and must agree on the trail.
 # Deterministic: the seed fixes the fault schedule and the expected
-# record count.
+# record count. The closing overhaul-load -store run exits non-zero
+# unless its store section shows throughput, a batch histogram that
+# sums to its batch count, and zero dropped acks.
 STOREDIR = /tmp/overhaul-store-smoke
 store:
 	rm -rf $(STOREDIR) $(STOREDIR).*
@@ -142,9 +142,7 @@ store:
 	$(GO) run ./cmd/overhaul-top -store $(STOREDIR) -cold -verdict deny -limit 10
 	$(GO) run ./cmd/overhaul-top -store $(STOREDIR) -since 5m -json > /dev/null
 	rm -rf $(STOREDIR) $(STOREDIR).*
-	$(GO) run ./cmd/overhaul-load -sessions 128 -duration 2s -store $(STOREDIR) -json > store-load.json
-	$(GO) run ./cmd/overhaul-benchjson -check store-load.json
-	@rm -f store-load.json
+	$(GO) run ./cmd/overhaul-load -sessions 128 -duration 2s -store $(STOREDIR) -json > /dev/null
 	rm -rf $(STOREDIR)
 
 # Probe multiview overhead report: every probe-hooked hot path built in

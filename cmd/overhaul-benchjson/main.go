@@ -375,43 +375,12 @@ func readEntries(path string) (map[string]Entry, error) {
 	return entries, nil
 }
 
-// StoreSection is the durable-store throughput report overhaul-load
-// -store emits alongside its benchmarks (the wrapped JSON shape).
-type StoreSection struct {
-	RecordsPerSec float64           `json:"records_per_sec"`
-	Records       int               `json:"records"`
-	Batches       uint64            `json:"batches"`
-	MaxBatch      int               `json:"max_batch"`
-	BatchHist     map[string]uint64 `json:"batch_size_hist"`
-	DroppedAcks   uint64            `json:"dropped_acks"`
-}
-
-// validate checks an existing JSON file: either the legacy flat map of
-// benchmark entries, or the wrapped {"benchmarks": ..., "store": ...}
-// shape overhaul-load -store emits, whose throughput section carries
-// its own invariants — real throughput, a consistent batch histogram,
-// and zero dropped acknowledgements (a dropped ack means a decision
-// the fleet audited never became durable, which the group-commit ack
-// contract forbids outside injected faults).
+// validate checks an existing JSON file: a flat map of benchmark
+// entries, as -out writes and overhaul-multiview -json emits.
 func validate(path string) error {
-	data, err := os.ReadFile(path)
+	entries, err := readEntries(path)
 	if err != nil {
 		return err
-	}
-	var wrapped struct {
-		Benchmarks map[string]Entry `json:"benchmarks"`
-		Store      *StoreSection    `json:"store"`
-	}
-	entries := make(map[string]Entry)
-	if err := json.Unmarshal(data, &wrapped); err == nil && wrapped.Benchmarks != nil {
-		entries = wrapped.Benchmarks
-		if wrapped.Store != nil {
-			if err := validateStore(path, wrapped.Store); err != nil {
-				return err
-			}
-		}
-	} else if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
 	}
 	if len(entries) == 0 {
 		return fmt.Errorf("%s: no benchmarks recorded", path)
@@ -429,30 +398,6 @@ func validate(path string) error {
 		if zeroAllocRequired(name) && e.AllocsPerOp != 0 {
 			return fmt.Errorf("%s: %s records %d allocs/op, contract requires 0", path, name, e.AllocsPerOp)
 		}
-	}
-	return nil
-}
-
-// validateStore checks one throughput section's invariants.
-func validateStore(path string, s *StoreSection) error {
-	if s.Records <= 0 || s.RecordsPerSec <= 0 {
-		return fmt.Errorf("%s: store section has no throughput (%d records, %.1f records/sec)", path, s.Records, s.RecordsPerSec)
-	}
-	if s.Batches == 0 {
-		return fmt.Errorf("%s: store section has records but zero batches", path)
-	}
-	var histSum uint64
-	for label, n := range s.BatchHist {
-		if label == "" {
-			return fmt.Errorf("%s: store batch histogram has an unlabeled bucket", path)
-		}
-		histSum += n
-	}
-	if histSum != s.Batches {
-		return fmt.Errorf("%s: store batch histogram sums to %d, want %d batches", path, histSum, s.Batches)
-	}
-	if s.DroppedAcks != 0 {
-		return fmt.Errorf("%s: store reports %d dropped acks, want 0 (acknowledged records must be durable)", path, s.DroppedAcks)
 	}
 	return nil
 }

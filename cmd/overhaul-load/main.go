@@ -26,28 +26,31 @@
 // poll cycle at fleet scale). Per-worker latency histograms are merged
 // after the run, so recording never contends across workers.
 //
-// With -json the report is a map keyed like sub-benchmarks
-// (BenchmarkFleetLoad/mix=…/sessions=…/metric=…) with ns_per_op
-// values, the exact shape overhaul-benchjson -check validates — CI's
-// fleet smoke job pipes one through it.
+// With -json the report is one JSON document, the Report struct: the
+// run's shape and counts, the latency and lateness digests, and the
+// mean inter-arrival time.
 //
 // With -store DIR every session's decisions additionally sink into a
 // shared durable audit store through per-session batching sinks
 // (auditstore.BatchSink → FileStore group commit). The store's
 // group-commit bounds are exposed as -batch-records/-batch-bytes;
 // -sink-batch sets how many decisions a session buffers before handing
-// the store one batch. The report gains a throughput section
-// (records/sec, batch-size histogram, dropped-ack count) and the -json
-// output becomes the wrapped {"benchmarks": …, "store": …} shape,
-// which overhaul-benchjson -check also validates — including that
-// dropped_acks is zero.
+// the store one batch. The report gains a store section (records/sec,
+// batch-size histogram, dropped-ack count).
+//
+// The command checks its own report and exits non-zero when an
+// invariant fails: the run generated events, and with -store the
+// store committed records in batches its histogram accounts for, with
+// no dropped acknowledgement.
 package main
 
 import (
 	"container/heap"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -62,24 +65,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "overhaul-load:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	sessions := flag.Int("sessions", 1000, "number of concurrent sessions to boot")
-	duration := flag.Duration("duration", 10*time.Second, "measured load duration")
-	mixName := flag.String("mix", "poisson-desks", "traffic mix: poisson-desks, bot-storm, or spyware-heavy")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "generator workers (sessions are partitioned across them)")
-	seed := flag.Int64("seed", 1, "base seed for the per-session traffic streams")
-	asJSON := flag.Bool("json", false, "emit the report as benchjson-compatible JSON")
-	storeDir := flag.String("store", "", "sink every decision into a durable audit store at this directory and report its throughput")
-	batchRecords := flag.Int("batch-records", auditstore.DefaultBatchRecords, "store group-commit bound: records per durable batch")
-	batchBytes := flag.Int("batch-bytes", auditstore.DefaultBatchBytes, "store group-commit bound: encoded bytes per durable batch")
-	sinkBatch := flag.Int("sink-batch", 32, "decisions a session buffers before handing the store one batch")
-	flag.Parse()
+// run parses args, runs the load, writes the report to stdout and then
+// checks it: a report that fails its invariants is still written, so
+// the failure can be read next to the numbers.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("overhaul-load", flag.ExitOnError)
+	sessions := fs.Int("sessions", 1000, "number of concurrent sessions to boot")
+	duration := fs.Duration("duration", 10*time.Second, "measured load duration")
+	mixName := fs.String("mix", "poisson-desks", "traffic mix: poisson-desks, bot-storm, or spyware-heavy")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "generator workers (sessions are partitioned across them)")
+	seed := fs.Int64("seed", 1, "base seed for the per-session traffic streams")
+	asJSON := fs.Bool("json", false, "emit the report as JSON")
+	storeDir := fs.String("store", "", "sink every decision into a durable audit store at this directory and report its throughput")
+	batchRecords := fs.Int("batch-records", auditstore.DefaultBatchRecords, "store group-commit bound: records per durable batch")
+	batchBytes := fs.Int("batch-bytes", auditstore.DefaultBatchBytes, "store group-commit bound: encoded bytes per durable batch")
+	sinkBatch := fs.Int("sink-batch", 32, "decisions a session buffers before handing the store one batch")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *sessions <= 0 {
 		return fmt.Errorf("need at least one session")
@@ -111,21 +120,15 @@ func run() error {
 		return err
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		bench := rep.benchEntries(mix.Name, *sessions)
-		if rep.store != nil {
-			// The wrapped shape: benchmarks plus the store throughput
-			// section overhaul-benchjson -check validates.
-			return enc.Encode(map[string]any{
-				"benchmarks": bench,
-				"store":      rep.store.section(),
-			})
+		if err := enc.Encode(rep); err != nil {
+			return fmt.Errorf("write report: %w", err)
 		}
-		return enc.Encode(bench)
+	} else {
+		rep.print(stdout)
 	}
-	rep.print(os.Stdout, mix.Name, *sessions, *workers)
-	return nil
+	return rep.check()
 }
 
 // storeConfig is the optional durable-sink setup for a run.
@@ -135,57 +138,77 @@ type storeConfig struct {
 	sinkBatch int
 }
 
-// storeReport is what the durable sink did during the run.
-type storeReport struct {
-	records     int
-	elapsed     time.Duration
-	flushTime   time.Duration
-	stats       auditstore.BatchStats
-	droppedAcks uint64
+// Report is the outcome of one load run, and the -json document.
+type Report struct {
+	Mix      string `json:"mix"`
+	Sessions int    `json:"sessions"`
+	Workers  int    `json:"workers"`
+	// Boot is how long booting every session took; Elapsed is the
+	// measured load window.
+	Boot      time.Duration `json:"boot_ns"`
+	Elapsed   time.Duration `json:"elapsed_ns"`
+	Events    uint64        `json:"events"`
+	Decisions uint64        `json:"decisions"`
+	Notifies  uint64        `json:"notifications"`
+	// Grants, Denials and DroppedAudit sum the sessions' counters.
+	Grants       uint64 `json:"grants"`
+	Denials      uint64 `json:"denials"`
+	DroppedAudit uint64 `json:"dropped_audit"`
+	// InterarrivalNs is the mean time between completions, in
+	// nanoseconds: Elapsed / Events.
+	InterarrivalNs float64 `json:"interarrival_ns"`
+	// Latency runs from an event's scheduled arrival to its completion;
+	// Lateness from its scheduled arrival to its send, the generator's
+	// own delay.
+	Latency  telemetry.LatencySummary `json:"latency"`
+	Lateness telemetry.LatencySummary `json:"lateness"`
+	// Store is nil without -store.
+	Store *StoreReport `json:"store,omitempty"`
 }
 
-// StoreSection is the JSON throughput section, shared by name with
-// overhaul-benchjson's validator.
-type StoreSection struct {
-	RecordsPerSec float64           `json:"records_per_sec"`
-	Records       int               `json:"records"`
-	Batches       uint64            `json:"batches"`
-	MaxBatch      int               `json:"max_batch"`
-	BatchHist     map[string]uint64 `json:"batch_size_hist"`
-	DroppedAcks   uint64            `json:"dropped_acks"`
+// StoreReport is what the durable sink did during the run.
+type StoreReport struct {
+	Records       int     `json:"records"`
+	RecordsPerSec float64 `json:"records_per_sec"`
+	// Elapsed is the load window plus Flush, the sinks' final flush.
+	Elapsed   time.Duration     `json:"elapsed_ns"`
+	Flush     time.Duration     `json:"flush_ns"`
+	Batches   uint64            `json:"batches"`
+	MaxBatch  int               `json:"max_batch"`
+	BatchHist map[string]uint64 `json:"batch_size_hist"`
+	// DroppedAcks counts records a sink handed over that never became
+	// durable.
+	DroppedAcks uint64 `json:"dropped_acks"`
 }
 
-func (sr *storeReport) section() StoreSection {
-	hist := make(map[string]uint64)
-	for i, n := range sr.stats.SizeHist {
-		if n > 0 {
-			hist[auditstore.BatchBucketLabel(i)] = n
-		}
+// check verifies the report's invariants. With a store, a dropped ack
+// is a decision the fleet audited that never became durable, which the
+// group-commit ack contract forbids outside injected faults.
+func (r *Report) check() error {
+	if r.Events == 0 {
+		return errors.New("report: no events generated")
 	}
-	sec := StoreSection{
-		Records:     sr.records,
-		Batches:     sr.stats.Batches,
-		MaxBatch:    sr.stats.MaxBatch,
-		BatchHist:   hist,
-		DroppedAcks: sr.droppedAcks,
+	s := r.Store
+	if s == nil {
+		return nil
 	}
-	if sr.elapsed > 0 {
-		sec.RecordsPerSec = float64(sr.records) / sr.elapsed.Seconds()
+	if s.Records <= 0 || s.RecordsPerSec <= 0 {
+		return fmt.Errorf("report: store has no throughput (%d records, %.1f records/sec)", s.Records, s.RecordsPerSec)
 	}
-	return sec
-}
-
-// report is the outcome of one load run.
-type report struct {
-	bootTime  time.Duration
-	elapsed   time.Duration
-	events    uint64
-	decisions uint64
-	notifies  uint64
-	lat       *telemetry.LatencyHist
-	late      *telemetry.LatencyHist // generator lateness: send time minus due time
-	stats     fleet.FleetStats
-	store     *storeReport // nil without -store
+	if s.Batches == 0 {
+		return errors.New("report: store has records but zero batches")
+	}
+	var histSum uint64
+	for _, n := range s.BatchHist {
+		histSum += n
+	}
+	if histSum != s.Batches {
+		return fmt.Errorf("report: store batch histogram sums to %d, want %d batches", histSum, s.Batches)
+	}
+	if s.DroppedAcks != 0 {
+		return fmt.Errorf("report: store reports %d dropped acks, want 0 (acknowledged records must be durable)", s.DroppedAcks)
+	}
+	return nil
 }
 
 // loadSession is one session's generator-side state: its event stream
@@ -210,7 +233,7 @@ func (h *sessionHeap) Pop() any          { old := *h; n := len(old); x := old[n-
 
 // generate boots the fleet, partitions sessions across workers, and
 // runs the open-loop load for the configured duration.
-func generate(mix workload.FleetMix, sessions, workers int, duration time.Duration, seed int64, scfg *storeConfig) (*report, error) {
+func generate(mix workload.FleetMix, sessions, workers int, duration time.Duration, seed int64, scfg *storeConfig) (*Report, error) {
 	f, err := fleet.New(fleet.Config{Policy: monitor.Policy{Enforce: true}})
 	if err != nil {
 		return nil, err
@@ -314,15 +337,21 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 		elapsed = duration // idle tail after the last pre-deadline arrival
 	}
 
-	rep := &report{bootTime: bootTime, elapsed: elapsed, lat: &telemetry.LatencyHist{},
-		late: &telemetry.LatencyHist{}, stats: f.StatsSnapshot()}
+	lat, late := &telemetry.LatencyHist{}, &telemetry.LatencyHist{}
+	rep := &Report{Mix: mix.Name, Sessions: sessions, Workers: workers, Boot: bootTime, Elapsed: elapsed}
 	for w := 0; w < workers; w++ {
-		rep.lat.Merge(hists[w])
-		rep.late.Merge(lates[w])
-		rep.events += counts[w].events
-		rep.decisions += counts[w].decisions
-		rep.notifies += counts[w].notifies
+		lat.Merge(hists[w])
+		late.Merge(lates[w])
+		rep.Events += counts[w].events
+		rep.Decisions += counts[w].decisions
+		rep.Notifies += counts[w].notifies
 	}
+	rep.Latency, rep.Lateness = lat.Summary(), late.Summary()
+	if rep.Events > 0 {
+		rep.InterarrivalNs = float64(elapsed) / float64(rep.Events)
+	}
+	totals := f.StatsSnapshot()
+	rep.Grants, rep.Denials, rep.DroppedAudit = totals.Grants, totals.Denials, totals.DroppedAudit
 	if st != nil {
 		flushStart := clk.Now()
 		for _, bs := range sinks {
@@ -333,12 +362,24 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 		if err != nil {
 			return nil, err
 		}
-		rep.store = &storeReport{
-			records:     records,
-			elapsed:     elapsed + flushTime,
-			flushTime:   flushTime,
-			stats:       st.BatchStats(),
-			droppedAcks: sinkStats.Errors.Load(),
+		stats := st.BatchStats()
+		hist := make(map[string]uint64)
+		for i, n := range stats.SizeHist {
+			if n > 0 {
+				hist[auditstore.BatchBucketLabel(i)] = n
+			}
+		}
+		rep.Store = &StoreReport{
+			Records:     records,
+			Elapsed:     elapsed + flushTime,
+			Flush:       flushTime,
+			Batches:     stats.Batches,
+			MaxBatch:    stats.MaxBatch,
+			BatchHist:   hist,
+			DroppedAcks: sinkStats.Errors.Load(),
+		}
+		if rep.Store.Elapsed > 0 {
+			rep.Store.RecordsPerSec = float64(records) / rep.Store.Elapsed.Seconds()
 		}
 	}
 	return rep, nil
@@ -365,64 +406,27 @@ func waitUntil(clk clock.System, due int64) time.Duration {
 	}
 }
 
-// benchEntry mirrors overhaul-benchjson's Entry.
-type benchEntry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// benchEntries renders the report as a benchjson-compatible map:
-// latency quantiles, generator lateness quantiles and mean
-// inter-completion time (1e9 / throughput), all in nanoseconds.
-func (r *report) benchEntries(mix string, sessions int) map[string]benchEntry {
-	prefix := fmt.Sprintf("BenchmarkFleetLoad/mix=%s/sessions=%d", mix, sessions)
-	s, late := r.lat.Summary(), r.late.Summary()
-	out := map[string]benchEntry{
-		prefix + "/metric=p50":          {NsPerOp: nonZero(float64(s.P50))},
-		prefix + "/metric=p99":          {NsPerOp: nonZero(float64(s.P99))},
-		prefix + "/metric=p999":         {NsPerOp: nonZero(float64(s.P999))},
-		prefix + "/metric=max":          {NsPerOp: nonZero(float64(s.Max))},
-		prefix + "/metric=gen_late_p50": {NsPerOp: nonZero(float64(late.P50))},
-		prefix + "/metric=gen_late_p99": {NsPerOp: nonZero(float64(late.P99))},
-	}
-	if r.events > 0 && r.elapsed > 0 {
-		out[prefix+"/metric=interarrival"] = benchEntry{NsPerOp: float64(r.elapsed) / float64(r.events)}
-	}
-	return out
-}
-
-// nonZero clamps to 1ns: a sub-resolution quantile is still a valid
-// measurement, and benchjson -check rejects non-positive ns/op.
-func nonZero(v float64) float64 {
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
 // print renders the human report.
-func (r *report) print(w *os.File, mix string, sessions, workers int) {
-	s := r.lat.Summary()
-	fmt.Fprintf(w, "fleet load: mix=%s sessions=%d workers=%d\n", mix, sessions, workers)
+func (r *Report) print(w io.Writer) {
+	fmt.Fprintf(w, "fleet load: mix=%s sessions=%d workers=%d\n", r.Mix, r.Sessions, r.Workers)
 	fmt.Fprintf(w, "  boot: %d sessions in %v (%.0f sessions/sec)\n",
-		sessions, r.bootTime.Round(time.Microsecond), float64(sessions)/r.bootTime.Seconds())
+		r.Sessions, r.Boot.Round(time.Microsecond), float64(r.Sessions)/r.Boot.Seconds())
 	fmt.Fprintf(w, "  ran %v: %d events (%d decisions, %d notifications), %.0f events/sec\n",
-		r.elapsed.Round(time.Millisecond), r.events, r.decisions, r.notifies,
-		float64(r.events)/r.elapsed.Seconds())
+		r.Elapsed.Round(time.Millisecond), r.Events, r.Decisions, r.Notifies,
+		float64(r.Events)/r.Elapsed.Seconds())
 	fmt.Fprintf(w, "  decisions: %d grants, %d denials, %d audit drops\n",
-		r.stats.Grants, r.stats.Denials, r.stats.DroppedAudit)
+		r.Grants, r.Denials, r.DroppedAudit)
+	s := r.Latency
 	fmt.Fprintf(w, "  latency (scheduled→done): p50=%v p90=%v p99=%v p999=%v max=%v\n",
 		s.P50, s.P90, s.P99, s.P999, s.Max)
-	late := r.late.Summary()
-	fmt.Fprintf(w, "  generator lateness (scheduled→sent): p50=%v p99=%v\n", late.P50, late.P99)
-	if r.store != nil {
-		sec := r.store.section()
+	fmt.Fprintf(w, "  generator lateness (scheduled→sent): p50=%v p99=%v\n", r.Lateness.P50, r.Lateness.P99)
+	if sec := r.Store; sec != nil {
 		fmt.Fprintf(w, "  durable store: %d records in %v (%.0f records/sec), %d batches (max %d), final flush %v\n",
-			sec.Records, r.store.elapsed.Round(time.Millisecond), sec.RecordsPerSec,
-			sec.Batches, sec.MaxBatch, r.store.flushTime.Round(time.Microsecond))
+			sec.Records, sec.Elapsed.Round(time.Millisecond), sec.RecordsPerSec,
+			sec.Batches, sec.MaxBatch, sec.Flush.Round(time.Microsecond))
 		fmt.Fprintf(w, "  batch sizes:")
-		for i := 0; i < len(r.store.stats.SizeHist); i++ {
-			if n := r.store.stats.SizeHist[i]; n > 0 {
+		for i := range (auditstore.BatchStats{}).SizeHist {
+			if n := sec.BatchHist[auditstore.BatchBucketLabel(i)]; n > 0 {
 				fmt.Fprintf(w, " %s=%d", auditstore.BatchBucketLabel(i), n)
 			}
 		}

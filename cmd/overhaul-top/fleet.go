@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -85,13 +84,7 @@ func runFleet(n int, events int, mixName string, sessionFilter uint64, jsonOut b
 		return fleetSessionDetail(f, sessionFilter, store, jsonOut)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(fleetSnapshotJSON(f)); err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		return 0
+		return writeJSON(fleetSnapshotJSON(f))
 	}
 	fleetDashboard(f, mix.Name, events)
 	if store != nil {
@@ -185,9 +178,7 @@ func fleetSessionDetail(f *fleet.Fleet, id uint64, store *auditstore.FileStore, 
 		}
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+		return writeJSON(struct {
 			Session sessionRow          `json:"session"`
 			Audit   []monitor.Decision  `json:"audit"`
 			Durable []auditstore.Record `json:"durable,omitempty"`
@@ -195,11 +186,7 @@ func fleetSessionDetail(f *fleet.Fleet, id uint64, store *auditstore.FileStore, 
 			Session: sessionRow{ID: s.ID(), Stats: s.StatsSnapshot(), LiveProcs: s.PIDCount(), AuditRecords: len(audit)},
 			Audit:   audit,
 			Durable: durable,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		return 0
+		})
 	}
 	st := s.StatsSnapshot()
 	fmt.Printf("== session %d ==\n", id)
@@ -208,9 +195,7 @@ func fleetSessionDetail(f *fleet.Fleet, id uint64, store *auditstore.FileStore, 
 	if store != nil {
 		fmt.Printf("durable trail (%d records; ring kept %d, evicted %d):\n",
 			len(durable), len(audit), st.DroppedAudit)
-		for _, r := range durable {
-			printRecord(r)
-		}
+		printRecords(durable)
 		return 0
 	}
 	fmt.Printf("audit (%d records kept, %d evicted):\n", len(audit), st.DroppedAudit)

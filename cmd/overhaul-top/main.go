@@ -42,7 +42,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -144,11 +143,8 @@ func run() int {
 
 	switch {
 	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tel.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
+		if code := writeJSON(tel.Snapshot()); code != 0 {
+			return code
 		}
 	case *traceSpan != 0:
 		id, ok := tel.TraceOf(probe.SpanID(*traceSpan))

@@ -20,6 +20,39 @@ type storeQuery struct {
 	limit   int
 }
 
+// build turns the flags into an auditstore.Query. -since is either an
+// absolute RFC3339 instant or a duration counted back from the newest
+// record, which newest finds (the store's own timeline — there is no
+// wall clock in a replayed trail); only a relative bound calls it.
+func (q storeQuery) build(newest func() (time.Time, error)) (auditstore.Query, error) {
+	query := auditstore.Query{
+		PID:     q.pid,
+		Verdict: q.verdict,
+		Reason:  q.reason,
+		Session: q.session,
+		Limit:   q.limit,
+	}
+	if q.since == "" {
+		return query, nil
+	}
+	if t, err := time.Parse(time.RFC3339, q.since); err == nil {
+		query.Since = t
+		return query, nil
+	}
+	d, err := time.ParseDuration(q.since)
+	if err != nil {
+		return query, fmt.Errorf("-since %q: not an RFC3339 time or a duration", q.since)
+	}
+	last, err := newest()
+	if err != nil {
+		return query, err
+	}
+	if !last.IsZero() { // an empty store matches nothing either way
+		query.Since = last.Add(-d)
+	}
+	return query, nil
+}
+
 // runStoreQuery opens a durable audit store directory and prints the
 // records matching the query — the forensics path: no live system, no
 // clock, just whatever the store recovered, with the recovery report
@@ -32,22 +65,11 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 	}
 	defer st.Close() //overhaul:allow errdrop read-only query session; nothing to flush
 
-	query := auditstore.Query{
-		PID:     q.pid,
-		Verdict: q.verdict,
-		Reason:  q.reason,
-		Session: q.session,
-		Limit:   q.limit,
+	query, err := q.build(func() (time.Time, error) { return storeNewest(st) })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "overhaul-top:", err)
+		return 2
 	}
-	if q.since != "" {
-		since, err := parseSince(st, q.since)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		query.Since = since
-	}
-
 	recs, err := auditstore.ScanAll(st, query)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overhaul-top:", err)
@@ -55,17 +77,10 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 	}
 
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		out := struct {
+		return writeJSON(struct {
 			Recovery auditstore.Recovery `json:"recovery"`
 			Records  []auditstore.Record `json:"records"`
-		}{st.Recovery(), recs}
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		return 0
+		}{st.Recovery(), recs})
 	}
 
 	rec := st.Recovery()
@@ -83,9 +98,7 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 		fmt.Printf("recovery: truncated at %s:%d (%s); dropped %d records, %d bytes\n",
 			rec.TruncatedFile, rec.TruncatedOffset, rec.Reason, rec.DroppedRecords, rec.DroppedBytes)
 	}
-	for _, r := range recs {
-		printRecord(r)
-	}
+	printRecords(recs)
 	fmt.Printf("(%d matched)\n", len(recs))
 	return 0
 }
@@ -94,24 +107,15 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 // — no FileStore is opened and no in-memory index is built. Footers
 // prune whole segments behind a -since bound and seek within the
 // segment that straddles it, so a narrow time window over a long trail
-// reads a fraction of the frames the warm path would decode.
+// reads a fraction of the frames the warm path would decode. A
+// relative -since is anchored to the newest record time the segment
+// footers carry.
 func runColdQuery(dir string, q storeQuery, jsonOut bool) int {
-	query := auditstore.Query{
-		PID:     q.pid,
-		Verdict: q.verdict,
-		Reason:  q.reason,
-		Session: q.session,
-		Limit:   q.limit,
+	query, err := q.build(func() (time.Time, error) { return auditstore.SegmentsNewest(dir) })
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "overhaul-top:", err)
+		return 2
 	}
-	if q.since != "" {
-		since, err := parseColdSince(dir, q.since)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		query.Since = since
-	}
-
 	var recs []auditstore.Record
 	stats, err := auditstore.ScanSegments(dir, query, func(r auditstore.Record) bool {
 		recs = append(recs, r)
@@ -123,17 +127,10 @@ func runColdQuery(dir string, q storeQuery, jsonOut bool) int {
 	}
 
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		out := struct {
+		return writeJSON(struct {
 			Cold    auditstore.ColdStats `json:"cold"`
 			Records []auditstore.Record  `json:"records"`
-		}{stats, recs}
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
-			return 2
-		}
-		return 0
+		}{stats, recs})
 	}
 
 	fmt.Printf("== store %s (cold: %d segments, %d skipped, %d seeked) ==\n",
@@ -141,74 +138,51 @@ func runColdQuery(dir string, q storeQuery, jsonOut bool) int {
 	if stats.Truncated {
 		fmt.Printf("truncated: %s (%s)\n", stats.TruncatedFile, stats.Reason)
 	}
-	for _, r := range recs {
-		printRecord(r)
-	}
+	printRecords(recs)
 	fmt.Printf("(%d matched of %d decoded)\n", stats.Matched, stats.Records)
 	return 0
 }
 
-// parseColdSince is parseSince for the cold path: a relative bound is
-// anchored to the newest record time found via segment footers.
-func parseColdSince(dir, s string) (time.Time, error) {
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("-since %q: not an RFC3339 time or a duration", s)
-	}
-	newest, err := auditstore.SegmentsNewest(dir)
-	if err != nil {
-		return time.Time{}, err
-	}
-	if newest.IsZero() {
-		return time.Time{}, nil // empty store: match nothing either way
-	}
-	return newest.Add(-d), nil
-}
-
-// printRecord renders one record as a console line.
-func printRecord(r auditstore.Record) {
-	verdict := "DENY "
-	if r.Verdict == "grant" {
-		verdict = "GRANT"
-	}
-	sess := ""
-	if r.Session != 0 {
-		sess = fmt.Sprintf(" session=%d", r.Session)
-	}
-	degraded := ""
-	if r.Degraded {
-		degraded = " degraded=1"
-	}
-	fmt.Printf("  %6d %s %s pid=%d op=%s%s %s%s\n",
-		r.Seq, r.Time.Format("15:04:05.000"), verdict, r.PID, r.Op, sess, r.Reason, degraded)
-}
-
-// parseSince interprets -since as either an absolute RFC3339 instant
-// or a duration counted back from the newest record in the store (the
-// store's own timeline — there is no wall clock in a replayed trail).
-func parseSince(st auditstore.Store, s string) (time.Time, error) {
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return t, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("-since %q: not an RFC3339 time or a duration", s)
-	}
+// storeNewest is the newest record time in an open store, zero when
+// it is empty.
+func storeNewest(st auditstore.Store) (time.Time, error) {
 	var newest time.Time
-	err = st.Scan(auditstore.Query{}, func(r auditstore.Record) bool {
+	err := st.Scan(auditstore.Query{}, func(r auditstore.Record) bool {
 		if r.Time.After(newest) {
 			newest = r.Time
 		}
 		return true
 	})
-	if err != nil {
-		return time.Time{}, err
+	return newest, err
+}
+
+// printRecords renders records one console line each.
+func printRecords(recs []auditstore.Record) {
+	for _, r := range recs {
+		verdict := "DENY "
+		if r.Verdict == "grant" {
+			verdict = "GRANT"
+		}
+		sess := ""
+		if r.Session != 0 {
+			sess = fmt.Sprintf(" session=%d", r.Session)
+		}
+		degraded := ""
+		if r.Degraded {
+			degraded = " degraded=1"
+		}
+		fmt.Printf("  %6d %s %s pid=%d op=%s%s %s%s\n",
+			r.Seq, r.Time.Format("15:04:05.000"), verdict, r.PID, r.Op, sess, r.Reason, degraded)
 	}
-	if newest.IsZero() {
-		return time.Time{}, nil // empty store: match nothing either way
+}
+
+// writeJSON prints v as indented JSON and returns the exit code.
+func writeJSON(v any) int {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fmt.Fprintln(os.Stderr, "overhaul-top:", err)
+		return 2
 	}
-	return newest.Add(-d), nil
+	return 0
 }

@@ -44,16 +44,13 @@ type Row struct {
 	medianRatio float64
 }
 
-// OverheadPct returns the relative slowdown in percent, preferring the
-// outlier-robust per-chunk median when available.
+// OverheadPct returns the relative slowdown in percent from the
+// per-chunk median ratio; a row with no measurement reports 0.
 func (r Row) OverheadPct() float64 {
-	if r.medianRatio > 0 {
-		return (r.medianRatio - 1) * 100
-	}
-	if r.Baseline <= 0 {
+	if r.medianRatio == 0 {
 		return 0
 	}
-	return (float64(r.Overhaul) - float64(r.Baseline)) / float64(r.Baseline) * 100
+	return (r.medianRatio - 1) * 100
 }
 
 // PaperRow holds the published Table I numbers for side-by-side output.

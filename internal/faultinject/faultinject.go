@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -409,30 +408,6 @@ func (in *Injector) Schedule() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// CountByPoint aggregates injections per point (diagnostics).
-func (in *Injector) CountByPoint() map[Point]int {
-	events := in.Events()
-	out := make(map[Point]int)
-	for _, e := range events {
-		out[e.Point]++
-	}
-	return out
-}
-
-// FormatCounts renders CountByPoint in stable point order.
-func FormatCounts(counts map[Point]int) string {
-	keys := make([]string, 0, len(counts))
-	for p := range counts {
-		keys = append(keys, string(p))
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d ", k, counts[Point(k)])
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // ParseRules parses a comma-separated rule list, one rule per entry:

@@ -47,8 +47,8 @@ func FormatMetrics(points []MetricPoint) string {
 		}
 		switch p.Kind {
 		case "histogram":
-			fmt.Fprintf(&b, "%-52s hist  count=%-6d sum=%-12s buckets=%v\n",
-				id, p.Count, p.Sum, p.Buckets)
+			fmt.Fprintf(&b, "%-52s hist  count=%-6d p50=%-12s p99=%-12s max=%s\n",
+				id, p.Latency.Count, p.Latency.P50, p.Latency.P99, p.Latency.Max)
 		default:
 			fmt.Fprintf(&b, "%-52s count %d\n", id, p.Value)
 		}

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// LatencyHist is a lock-free log-bucketed latency histogram built for
-// high-volume open-loop load measurement (cmd/overhaul-load and the
-// fleet benchmarks), where the fixed six-bucket ladder of Histogram is
-// far too coarse to report p99/p999.
+// LatencyHist is the tree's one lock-free log-bucketed latency
+// histogram: the recorder's histogram metrics (monitor.stamp_age) and
+// cmd/overhaul-load's decision latency and generator lateness are all
+// kept in one, so every reader gets p50 through p999 from the same
+// buckets.
 //
 // Buckets are HdrHistogram-style: one octave (power of two of
 // nanoseconds) per block, split into 16 linear sub-buckets, giving a

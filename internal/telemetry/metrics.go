@@ -16,27 +16,13 @@ type metricKey struct {
 	Labels    string
 }
 
-// HistogramBuckets is the fixed latency ladder every histogram uses.
-// Fixed buckets keep snapshots comparable across runs and subsystems;
-// on the simulated clock most observations land in the first bucket
-// unless injected delays or retry backoff advanced virtual time.
-var HistogramBuckets = [...]time.Duration{
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
-// metric is one counter or histogram. counts has one slot per
-// HistogramBuckets bound plus a final overflow bucket.
+// metric is one counter or latency histogram. A histogram's buckets
+// are allocated on its first observation: a LatencyHist is ~7.7 KB, and
+// most of a recorder's metrics are counters that never need one.
 type metric struct {
-	hist    bool
 	value   uint64
-	counts  [len(HistogramBuckets) + 1]uint64
-	sum     time.Duration
-	updated int64 // unix nanos of the last update; 0 = never
+	hist    *LatencyHist // nil for a counter
+	updated int64        // unix nanos of the last update; 0 = never
 }
 
 // hotMetrics are the metrics every decision updates, resolved once at
@@ -60,27 +46,27 @@ func init() {
 
 func (r *Recorder) resolveHot() {
 	h := &r.hot
-	h.auditAppends = r.metric("monitor", "audit_appends", "", false)
-	h.notifications = r.metric("monitor", "notifications", "", false)
-	h.messages[0] = r.metric("netlink", "messages", "dir=kernel_to_user", false)
-	h.messages[1] = r.metric("netlink", "messages", "dir=user_to_kernel", false)
+	h.auditAppends = r.metric("monitor", "audit_appends", "")
+	h.notifications = r.metric("monitor", "notifications", "")
+	h.messages[0] = r.metric("netlink", "messages", "dir=kernel_to_user")
+	h.messages[1] = r.metric("netlink", "messages", "dir=user_to_kernel")
 	for d := probe.DevCopy; d <= probe.DevOther; d++ {
 		for _, v := range []probe.Verdict{probe.VerdictGrant, probe.VerdictDeny} {
-			h.decisions[d][v] = r.metric("monitor", "decisions", opLabels[d]+" verdict="+v.String(), false)
+			h.decisions[d][v] = r.metric("monitor", "decisions", opLabels[d]+" verdict="+v.String())
 		}
-		h.stampAge[d] = r.metric("monitor", "stamp_age", opLabels[d], true)
+		h.stampAge[d] = r.metric("monitor", "stamp_age", opLabels[d])
 	}
 }
 
 // metric resolves the (subsystem, name, labels) metric, creating it on
 // first use. Resolving does not surface it: a snapshot shows only
-// metrics that were updated. Like every metric update, it requires
-// r.mu held.
-func (r *Recorder) metric(subsystem, name, labels string, hist bool) *metric {
+// metrics that were updated, and a metric is a histogram once it was
+// observed. Like every metric update, it requires r.mu held.
+func (r *Recorder) metric(subsystem, name, labels string) *metric {
 	k := metricKey{Subsystem: subsystem, Name: name, Labels: labels}
 	m := r.metrics[k]
 	if m == nil {
-		m = &metric{hist: hist}
+		m = &metric{}
 		r.metrics[k] = m
 	}
 	return m
@@ -95,22 +81,16 @@ func (r *Recorder) add(m *metric) {
 // count increments the (subsystem, name, labels) counter: add for
 // metrics off the decision path.
 func (r *Recorder) count(subsystem, name, labels string) {
-	r.add(r.metric(subsystem, name, labels, false))
+	r.add(r.metric(subsystem, name, labels))
 }
 
-// observe records one latency observation into a histogram. Negative
-// durations clamp to zero.
+// observe records one latency observation into a histogram, giving
+// it buckets on its first one. Negative durations clamp to zero.
 func (r *Recorder) observe(m *metric, d time.Duration) {
-	d = max(d, 0)
-	idx := len(HistogramBuckets) // overflow
-	for i, bound := range HistogramBuckets {
-		if d <= bound {
-			idx = i
-			break
-		}
+	if m.hist == nil {
+		m.hist = new(LatencyHist)
 	}
-	m.counts[idx]++
-	m.sum += d
+	m.hist.Observe(d)
 	m.updated = r.updateStamp()
 }
 
@@ -123,11 +103,8 @@ type MetricPoint struct {
 	Kind string `json:"kind"`
 	// Value carries the counter value.
 	Value int64 `json:"value,omitempty"`
-	// Histogram fields (Kind "histogram" only). Buckets aligns with
-	// HistogramBuckets plus one trailing overflow bucket.
-	Buckets []uint64      `json:"buckets,omitempty"`
-	Sum     time.Duration `json:"sum_ns,omitempty"`
-	Count   uint64        `json:"count,omitempty"`
+	// Latency digests a histogram (Kind "histogram" only).
+	Latency *LatencySummary `json:"latency,omitempty"`
 	// Updated is the (virtual-clock) instant of the last update.
 	Updated time.Time `json:"updated"`
 }
@@ -149,11 +126,9 @@ func (r *Recorder) MetricsSnapshot() []MetricPoint {
 			Subsystem: k.Subsystem, Name: k.Name, Labels: k.Labels,
 			Kind: "counter", Value: int64(m.value), Updated: time.Unix(0, m.updated).UTC(),
 		}
-		if m.hist {
-			p.Kind, p.Sum, p.Buckets = "histogram", m.sum, append([]uint64(nil), m.counts[:]...)
-			for _, c := range m.counts {
-				p.Count += c
-			}
+		if m.hist != nil {
+			lat := m.hist.Summary()
+			p.Kind, p.Latency = "histogram", &lat
 		}
 		out = append(out, p)
 	}

@@ -11,7 +11,7 @@
 // attached to their registry (Attach) consumes them inline, inside
 // Emit. From those events it keeps
 //
-//   - metrics: counters and fixed-bucket latency histograms keyed by
+//   - metrics: counters and log-bucketed latency histograms keyed by
 //     (subsystem, name, labels), every one computed from events (a
 //     decision event counts a decision), timestamped on the injected
 //     clock so snapshots are deterministic under the simulated clock;
@@ -238,8 +238,8 @@ func (r *Recorder) Consume(ev probe.Event) {
 		pid, op := int(ev.PID), opName(&ev)
 		decisions, stampAge := r.hot.decisions[ev.Dev][ev.Verdict], r.hot.stampAge[ev.Dev]
 		if ev.Dev == probe.DevNone {
-			decisions = r.metric("monitor", "decisions", "op="+op+" verdict="+ev.Verdict.String(), false)
-			stampAge = r.metric("monitor", "stamp_age", "op="+op, true)
+			decisions = r.metric("monitor", "decisions", "op="+op+" verdict="+ev.Verdict.String())
+			stampAge = r.metric("monitor", "stamp_age", "op="+op)
 		}
 		r.add(decisions)
 		if ev.Flags&probe.FlagRecorded != 0 {

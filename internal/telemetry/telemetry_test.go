@@ -91,9 +91,28 @@ func TestMetrics(t *testing.T) {
 			t.Fatalf("metric %s.%s not stamped on virtual clock: %v", p.Subsystem, p.Name, p.Updated)
 		}
 	}
-	h := points[3]
-	if h.Count != 3 || h.Buckets[0] != 2 || h.Buckets[len(h.Buckets)-1] != 1 {
-		t.Fatalf("histogram point = %+v", h)
+	// Sorted ages are 0, 5µs and 2s. A quantile reports its bucket's
+	// lower bound, at most one sub-bucket (~6%) below the true value.
+	h := points[3].Latency
+	if h == nil || h.Count != 3 || h.Max != 2*time.Second {
+		t.Fatalf("histogram point = %+v", points[3])
+	}
+	if h.P50 > 5*time.Microsecond || h.P50 < 4700*time.Nanosecond {
+		t.Errorf("stamp_age p50 = %v, want ~5µs", h.P50)
+	}
+	if h.P99 > 2*time.Second || h.P99 < 1880*time.Millisecond {
+		t.Errorf("stamp_age p99 = %v, want ~2s", h.P99)
+	}
+	// Only the observed histogram holds buckets; counters carry none.
+	for k, m := range r.metrics {
+		if hist := k.Name == "stamp_age" && k.Labels == "op=mic"; (m.hist != nil) != hist {
+			t.Errorf("metric %+v has buckets %v, want %v", k, m.hist != nil, hist)
+		}
+	}
+	for _, p := range points {
+		if (p.Latency != nil) != (p.Kind == "histogram") {
+			t.Errorf("point %s.%s{%s} kind %s carries latency %+v", p.Subsystem, p.Name, p.Labels, p.Kind, p.Latency)
+		}
 	}
 }
 
