@@ -145,7 +145,7 @@ func runColdQuery(dir string, q storeQuery, jsonOut bool) int {
 
 // storeNewest is the newest record time in an open store, zero when
 // it is empty.
-func storeNewest(st auditstore.Store) (time.Time, error) {
+func storeNewest(st *auditstore.FileStore) (time.Time, error) {
 	var newest time.Time
 	err := st.Scan(auditstore.Query{}, func(r auditstore.Record) bool {
 		if r.Time.After(newest) {

@@ -168,7 +168,7 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 				Pkg:      pkg,
 				sink:     func(d Diagnostic) { diags = append(diags, d) },
 			}
-			a.Run(pass) //overhaul:allow errdrop Analyzer.Run is a void field call; the name collides with error-returning Runs elsewhere
+			a.Run(pass)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -11,12 +12,14 @@ import (
 // ignored return value is exactly how an access-control bypass hides;
 // every error must be handled, returned, or *visibly* discarded.
 //
-// Without type information the analyzer is driven by a module-wide
-// name index: a bare call statement is flagged when any function or
-// method declared in the module under that name returns an error,
-// plus a small set of conventional error-returning method names
-// (Close, Flush, Sync). Deliberate discards stay available in two
-// explicit forms: assigning to blank (_ = f()) or an
+// Each bare call statement is resolved through the type checker to
+// the function or method it calls, and flagged when that callee's
+// signature has an error result and the callee is declared in the
+// module, or is named Close, Flush or Sync (the release calls whose
+// errors the standard library reports too). Other standard-library
+// calls whose errors are conventionally dropped (fmt.Fprintf,
+// strings.Builder writes) stay out of scope. Deliberate discards stay
+// available in two explicit forms: assigning to blank (_ = f()) or an
 // //overhaul:allow errdrop annotation. defer/go statements are exempt
 // — release-on-exit cleanups have nowhere to put the error.
 var Errdrop = &Analyzer{
@@ -26,14 +29,15 @@ var Errdrop = &Analyzer{
 	Run: runErrdrop,
 }
 
-// conventionalErr are method names that return an error by stdlib
-// convention even when no module declaration says so.
+// conventionalErr are the callee names flagged outside the module too:
+// release calls whose error is the only report of a failed flush.
 var conventionalErr = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 
 func runErrdrop(pass *Pass) {
 	if !strings.Contains(pass.Pkg.Dir, "internal") {
 		return
 	}
+	info := pass.Module.TypeInfoFor(pass.Pkg).Info
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue
@@ -47,38 +51,37 @@ func runErrdrop(pass *Pass) {
 			if !ok {
 				return true
 			}
-			name := calleeName(call)
-			if name == "" {
+			fn, _, ok := calleeObject(info, call)
+			if !ok {
 				return true
 			}
-			if conventionalErr[name] || pass.Module.ReturnsError(name) {
-				pass.ReportFix(call.Pos(), discardFix(pass, name, call),
-					"result of %s is dropped but a declaration of %s returns an error: handle it or discard with _ =",
-					name, name)
+			results := fn.Type().(*types.Signature).Results()
+			if !returnsError(results) || !(pass.Module.declares(fn.Pkg()) || conventionalErr[fn.Name()]) {
+				return true
 			}
+			pass.ReportFix(call.Pos(), discardFix(pass, results.Len(), call),
+				"result of %s is dropped but it returns an error: handle it or discard with _ =",
+				fn.Name())
 			return true
 		})
 	}
 }
 
-// discardFix proposes rewriting `f()` into `_ = f()` (one blank per
-// result). No fix is offered when module declarations of the name
-// disagree on arity — a wrong blank count would not compile.
-func discardFix(pass *Pass, name string, call *ast.CallExpr) []SuggestedFix {
-	count, ok := pass.Module.ResultCount(name)
-	if !ok {
-		// Ambiguous module declarations: a wrong blank count would
-		// not compile, so offer nothing. The stdlib convention (one
-		// error result) applies only to names the module never
-		// declares itself.
-		if pass.Module.DeclaresFunc(name) || !conventionalErr[name] {
-			return nil
+// returnsError reports whether a result tuple carries an error.
+func returnsError(results *types.Tuple) bool {
+	for i := 0; i < results.Len(); i++ {
+		if types.Identical(results.At(i).Type(), errorType) {
+			return true
 		}
-		count = 1
 	}
-	if count < 1 {
-		return nil
-	}
+	return false
+}
+
+var errorType = types.Universe.Lookup("error").Type()
+
+// discardFix proposes rewriting `f()` into `_ = f()`, one blank per
+// result.
+func discardFix(pass *Pass, count int, call *ast.CallExpr) []SuggestedFix {
 	blanks := "_"
 	for i := 1; i < count; i++ {
 		blanks += ", _"
@@ -87,15 +90,4 @@ func discardFix(pass *Pass, name string, call *ast.CallExpr) []SuggestedFix {
 		Message: "discard the result explicitly",
 		Edits:   []TextEdit{pass.Edit(call.Pos(), call.Pos(), blanks+" = ")},
 	}}
-}
-
-// calleeName extracts the bare name of the called function or method.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }

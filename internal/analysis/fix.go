@@ -160,18 +160,18 @@ func atomicWrite(path string, data []byte) error {
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
-		os.Remove(tmpName) //overhaul:allow errdrop best-effort cleanup of a temp file after a failed write
+		os.Remove(tmpName) // best-effort cleanup of a temp file after a failed write
 		if werr != nil {
 			return werr
 		}
 		return cerr
 	}
 	if err := os.Chmod(tmpName, info.Mode()); err != nil {
-		os.Remove(tmpName) //overhaul:allow errdrop best-effort cleanup of a temp file after a failed chmod
+		os.Remove(tmpName) // best-effort cleanup of a temp file after a failed chmod
 		return err
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName) //overhaul:allow errdrop best-effort cleanup of a temp file after a failed rename
+		os.Remove(tmpName) // best-effort cleanup of a temp file after a failed rename
 		return err
 	}
 	return nil

@@ -26,9 +26,6 @@ type Module struct {
 	// by file name and directory, not by package identity.
 	Packages []*Package
 
-	errFuncs   map[string]bool // lazily built by ReturnsError
-	arityFuncs map[string]int  // name -> result count, -1 when ambiguous
-
 	// Type-checked view built by Load (typecheck.go) and the lazily
 	// computed interprocedural fact tables derived from it (facts.go).
 	typeInfo   map[string]*TypeInfo // by Package.Dir
@@ -152,68 +149,4 @@ func Load(root string) (*Module, error) {
 		return nil, fmt.Errorf("analysis: type-check: %w", err)
 	}
 	return m, nil
-}
-
-// ReturnsError reports whether any function or method declared in the
-// module with the given name carries an error among its results. It is
-// the module-wide index behind the errdrop analyzer, which keys on
-// names rather than types: a dropped call is suspicious exactly when
-// some module declaration of that name can return an error, so
-// stdlib calls whose errors are conventionally dropped (fmt.Fprintf,
-// strings.Builder writes) stay out of scope.
-func (m *Module) ReturnsError(name string) bool {
-	m.buildNameIndex()
-	return m.errFuncs[name]
-}
-
-// ResultCount reports how many results every module declaration named
-// name returns; ok is false when declarations disagree or none exist.
-// It backs errdrop's suggested fix, which must know how many blanks to
-// assign.
-func (m *Module) ResultCount(name string) (int, bool) {
-	m.buildNameIndex()
-	n, found := m.arityFuncs[name]
-	return n, found && n >= 0
-}
-
-// DeclaresFunc reports whether any module declaration carries the
-// name (with results).
-func (m *Module) DeclaresFunc(name string) bool {
-	m.buildNameIndex()
-	_, found := m.arityFuncs[name]
-	return found
-}
-
-func (m *Module) buildNameIndex() {
-	if m.errFuncs != nil {
-		return
-	}
-	m.errFuncs = make(map[string]bool)
-	m.arityFuncs = make(map[string]int)
-	for _, pkg := range m.Packages {
-		for _, f := range pkg.Files {
-			for _, decl := range f.AST.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Type.Results == nil {
-					continue
-				}
-				count := 0
-				for _, res := range fn.Type.Results.List {
-					if len(res.Names) == 0 {
-						count++
-					} else {
-						count += len(res.Names)
-					}
-					if id, ok := res.Type.(*ast.Ident); ok && id.Name == "error" {
-						m.errFuncs[fn.Name.Name] = true
-					}
-				}
-				if have, seen := m.arityFuncs[fn.Name.Name]; seen && have != count {
-					m.arityFuncs[fn.Name.Name] = -1
-				} else if !seen {
-					m.arityFuncs[fn.Name.Name] = count
-				}
-			}
-		}
-	}
 }

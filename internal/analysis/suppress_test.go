@@ -134,9 +134,16 @@ func f() time.Time {
 	}
 }
 
-func TestReturnsErrorIndex(t *testing.T) {
+// TestErrdropResolvesCallees pins errdrop to the callee the type
+// checker resolves, not to its bare name: a method that shares its
+// name with an error-returning function is not flagged, a standard
+// library call is flagged only under a conventional release name, and
+// the suggested fix assigns one blank per result of that callee.
+func TestErrdropResolvesCallees(t *testing.T) {
 	mod := writeModule(t, map[string]string{
-		"a/a.go": `package a
+		"internal/a/a.go": `package a
+
+import "os"
 
 func Fails() error { return nil }
 
@@ -145,11 +152,34 @@ func Clean() int { return 0 }
 type T struct{}
 
 func (T) Method() (int, error) { return 0, nil }
+
+func (T) Fails() {}
+
+func Flow(f *os.File) {
+	Fails()
+	T{}.Method()
+	Clean()
+	T{}.Fails()
+	os.Remove("x")
+	f.Close()
+}
 `,
 	})
-	for name, want := range map[string]bool{"Fails": true, "Method": true, "Clean": false, "Absent": false} {
-		if got := mod.ReturnsError(name); got != want {
-			t.Errorf("ReturnsError(%q) = %v, want %v", name, got, want)
+	got := map[string]string{} // callee name -> fix text
+	for _, d := range Run(mod, []*Analyzer{Errdrop}) {
+		name := strings.Fields(d.Message)[2]
+		if len(d.Fixes) != 1 || len(d.Fixes[0].Edits) != 1 {
+			t.Fatalf("%s: fixes %+v, want one single-edit fix", d, d.Fixes)
+		}
+		got[name] = d.Fixes[0].Edits[0].NewText
+	}
+	want := map[string]string{"Fails": "_ = ", "Method": "_, _ = ", "Close": "_ = "}
+	if len(got) != len(want) {
+		t.Fatalf("flagged %v, want %v", got, want)
+	}
+	for name, fix := range want {
+		if got[name] != fix {
+			t.Errorf("%s: fix %q, want %q (all flagged: %v)", name, got[name], fix, got)
 		}
 	}
 }

@@ -20,13 +20,20 @@ func (c *closer) Close() error { return nil }
 // note returns nothing; bare calls are fine.
 func note() {}
 
+type journal struct{}
+
+// save shares its name with the package-level save but returns
+// nothing: a bare call resolves to this method and is fine.
+func (journal) save(string) {}
+
 // Flow exercises every drop pattern.
-func Flow(c *closer) error {
+func Flow(c *closer, j journal) error {
 	save("dropped") // want "save"
 	c.Close()       // want "Close"
 	_ = save("explicit discard is visible")
 	defer c.Close() // defer cleanups have nowhere to put the error
 	note()
+	j.save("no error to drop")
 	if err := save("handled"); err != nil {
 		return err
 	}

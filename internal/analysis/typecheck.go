@@ -72,6 +72,28 @@ func (m *Module) TypeInfoFor(pkg *Package) *TypeInfo {
 	return m.typeInfo[pkg.Dir]
 }
 
+// declares reports whether p is one of the module's own checked
+// packages.
+func (m *Module) declares(p *types.Package) bool {
+	if p == nil {
+		return false
+	}
+	dir := p.Path()
+	if m.modulePath != "" {
+		rest, ok := strings.CutPrefix(dir, m.modulePath+"/")
+		switch {
+		case dir == m.modulePath:
+			dir = "."
+		case ok:
+			dir = rest
+		default:
+			return false
+		}
+	}
+	ti := m.typeInfo[dir]
+	return ti != nil && ti.Pkg == p
+}
+
 // PackagesInDependencyOrder returns the module's packages sorted so
 // that every package appears after the module-internal packages it
 // imports. Packages outside any import cycle keep their sorted-dir

@@ -21,9 +21,8 @@ import (
 
 // Bus errors.
 var (
-	ErrNameTaken   = errors.New("dbus: name already owned")
-	ErrNoSuchName  = errors.New("dbus: no such name")
-	ErrNotAttached = errors.New("dbus: client not attached")
+	ErrNameTaken  = errors.New("dbus: name already owned")
+	ErrNoSuchName = errors.New("dbus: no such name")
 )
 
 // Bus is the message-bus daemon.

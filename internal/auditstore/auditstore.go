@@ -6,18 +6,16 @@
 // turns an access-control monitor into something that can be
 // investigated after the fact.
 //
-// The package offers one Store interface over two backends:
-//
-//   - MemStore — an indexed in-memory store ordered by sequence number
-//     with secondary pid/verdict/time indexes. Cheap, volatile, and
-//     the query engine the durable backend reuses.
-//   - FileStore — append-only binary segments (varint-framed,
-//     CRC-checked records, a block index in each sealed segment's
-//     footer) with group-committed appends, segment rotation, and
-//     compaction of sealed segments. Recovery is fail-closed in the
-//     repository's established sense: Open always replays to a
-//     consistent, CRC-verified prefix of the pre-crash stream and
-//     reports the exact truncation point — never a silent gap.
+// FileStore is the one store: append-only binary segments
+// (varint-framed, CRC-checked records, a block index in each sealed
+// segment's footer) with group-committed appends, segment rotation,
+// and size-tiered compaction of sealed segments, fronted by an
+// in-memory index (sequence order plus pid/verdict posting lists and a
+// time-ordered Since seek) that answers every query over the durable
+// records. Recovery is fail-closed in the repository's established
+// sense: Open always replays to a consistent, CRC-verified prefix of
+// the pre-crash stream and reports the exact truncation point — never
+// a silent gap.
 //
 // Open and the cold ScanSegments read a directory through one segment
 // merge, so they return the same trail: each sequence is taken from
@@ -34,8 +32,7 @@
 // the durable trail, the black-box dump, and the log file cannot
 // drift; TestRecordSchemaShared pins the encoding.
 //
-// Every write seam of the durable backend consults a
-// faultinject.Hook: torn segment writes (PointStoreAppend), crashes
+// Every write seam of the store consults a faultinject.Hook: torn segment writes (PointStoreAppend), crashes
 // mid-rotation (PointStoreRotate) and mid-compaction
 // (PointStoreCompact) are injectable, and the crash-recovery property
 // test replays every window.
@@ -54,8 +51,9 @@ import (
 var (
 	// ErrClosed is returned by every operation after Close.
 	ErrClosed = errors.New("auditstore: store closed")
-	// ErrSeqMismatch is returned by Append when the record carries a
-	// non-zero sequence number that is not the next in the stream.
+	// ErrSeqMismatch is returned by Append and AppendBatch when a
+	// record carries a non-zero sequence number that is not its place
+	// in the stream.
 	ErrSeqMismatch = errors.New("auditstore: append out of sequence")
 	// ErrStoreFailed wraps the fault that broke a durable store. Every
 	// operation after a torn write or an injected crash fails with it —
@@ -168,29 +166,8 @@ func (q Query) Matches(r Record) bool {
 	return true
 }
 
-// Store is the backend-neutral audit-trail interface: the monitor, a
-// fleet session, and the chaos runner all sink into it, and the query
-// path reads from it, without knowing which backend is behind.
-type Store interface {
-	// Append adds one record to the stream and returns its assigned
-	// sequence number (sequences are contiguous from 1). A record
-	// carrying a non-zero Seq must carry exactly the next sequence
-	// number, or the append fails with ErrSeqMismatch.
-	Append(Record) (uint64, error)
-	// Get returns the record with the given sequence number; ok is
-	// false if it is not in the store.
-	Get(seq uint64) (Record, bool, error)
-	// Scan yields every record matching q in ascending sequence order
-	// until the query is exhausted or yield returns false.
-	Scan(q Query, yield func(Record) bool) error
-	// Count returns the number of records in the store.
-	Count() (int, error)
-	// Close releases the store. Further operations fail with ErrClosed.
-	Close() error
-}
-
 // ScanAll collects every record matching q into a slice.
-func ScanAll(st Store, q Query) ([]Record, error) {
+func ScanAll(st *FileStore, q Query) ([]Record, error) {
 	var out []Record
 	err := st.Scan(q, func(r Record) bool {
 		out = append(out, r)

@@ -45,7 +45,7 @@ func decisionStream(n int) []monitor.Decision {
 }
 
 // fillStore appends records 0..n-1 and fails the test on any error.
-func fillStore(t *testing.T, st auditstore.Store, n int) {
+func fillStore(t *testing.T, st *auditstore.FileStore, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		seq, err := st.Append(mkRecord(i))
@@ -60,7 +60,7 @@ func fillStore(t *testing.T, st auditstore.Store, n int) {
 
 // checkPrefix asserts the store holds exactly records 0..n-1 of the
 // mkRecord stream, field for field.
-func checkPrefix(t *testing.T, st auditstore.Store, n int) {
+func checkPrefix(t *testing.T, st *auditstore.FileStore, n int) {
 	t.Helper()
 	count, err := st.Count()
 	if err != nil {
@@ -82,6 +82,20 @@ func checkPrefix(t *testing.T, st auditstore.Store, n int) {
 	}
 }
 
+// tempStore opens a store in a fresh temporary directory, small
+// segments so a few dozen records already rotate, and fills it with
+// records 0..n-1. The store is closed when the test ends.
+func tempStore(t *testing.T, n int) *auditstore.FileStore {
+	t.Helper()
+	st, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: 32})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() }) //overhaul:allow errdrop test cleanup; a test may have closed it already
+	fillStore(t, st, n)
+	return st
+}
+
 // sameRecord reports whether two records agree field by field, with
 // instants compared by Equal.
 func sameRecord(a, b auditstore.Record) bool {
@@ -90,9 +104,8 @@ func sameRecord(a, b auditstore.Record) bool {
 		a.Reason == b.Reason && a.Stamp.Equal(b.Stamp) && a.Degraded == b.Degraded
 }
 
-func TestMemStoreCRUD(t *testing.T) {
-	m := auditstore.NewMemStore()
-	fillStore(t, m, 50)
+func TestFileStoreCRUD(t *testing.T) {
+	m := tempStore(t, 50)
 	checkPrefix(t, m, 50)
 
 	if _, ok, err := m.Get(0); ok || err != nil {
@@ -101,21 +114,25 @@ func TestMemStoreCRUD(t *testing.T) {
 	if _, ok, err := m.Get(51); ok || err != nil {
 		t.Fatalf("get past end: ok=%v err=%v, want miss", ok, err)
 	}
-	if m.LastSeq() != 50 {
-		t.Fatalf("LastSeq = %d, want 50", m.LastSeq())
-	}
 
-	// Explicit matching seq is accepted; a wrong one is rejected.
+	// Explicit matching seq is accepted; a wrong one is rejected, alone
+	// or anywhere in a batch, and burns no sequence number.
 	r := mkRecord(50)
 	r.Seq = 51
-	if _, err := m.Append(r); err != nil {
-		t.Fatalf("append explicit seq: %v", err)
+	if seq, err := m.Append(r); err != nil || seq != 51 {
+		t.Fatalf("append explicit seq: seq=%d err=%v", seq, err)
 	}
 	r = mkRecord(51)
 	r.Seq = 99
 	if _, err := m.Append(r); !errors.Is(err, auditstore.ErrSeqMismatch) {
 		t.Fatalf("append wrong seq: %v, want ErrSeqMismatch", err)
 	}
+	batch := []auditstore.Record{mkRecord(51), mkRecord(52)}
+	batch[1].Seq = 52
+	if _, err := m.AppendBatch(batch); !errors.Is(err, auditstore.ErrSeqMismatch) {
+		t.Fatalf("append batch wrong seq: %v, want ErrSeqMismatch", err)
+	}
+	checkPrefix(t, m, 51)
 
 	if err := m.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -129,14 +146,19 @@ func TestMemStoreCRUD(t *testing.T) {
 	if err := m.Scan(auditstore.Query{}, func(auditstore.Record) bool { return true }); !errors.Is(err, auditstore.ErrClosed) {
 		t.Fatalf("scan after close: %v, want ErrClosed", err)
 	}
+	if _, err := m.Iter(auditstore.Query{}); !errors.Is(err, auditstore.ErrClosed) {
+		t.Fatalf("iter after close: %v, want ErrClosed", err)
+	}
+	if _, err := m.Count(); !errors.Is(err, auditstore.ErrClosed) {
+		t.Fatalf("count after close: %v, want ErrClosed", err)
+	}
 	if err := m.Close(); !errors.Is(err, auditstore.ErrClosed) {
 		t.Fatalf("double close: %v, want ErrClosed", err)
 	}
 }
 
 func TestQueryFilters(t *testing.T) {
-	m := auditstore.NewMemStore()
-	fillStore(t, m, 60)
+	m := tempStore(t, 60)
 
 	scan := func(q auditstore.Query) []auditstore.Record {
 		t.Helper()

@@ -8,7 +8,7 @@ import (
 	"overhaul/internal/faultinject"
 )
 
-// Group commit. Concurrent Append callers enqueue their records under
+// Group commit. Concurrent appenders enqueue their records under
 // the store mutex; the first-comer becomes the commit leader, drains
 // the queue into batches bounded by Options.BatchRecords/BatchBytes,
 // and issues one framed segment write per batch. The leader never
@@ -102,44 +102,22 @@ func validateRecord(r *Record) error {
 	return nil
 }
 
-// Append implements Store: the record joins the commit queue and the
-// call returns once the batch carrying it is durable — either because
-// this caller became the commit leader and wrote it, or because a
-// concurrent leader did. A full active segment rotates *before* the
-// batch write, so a crash mid-rotation never loses an acknowledged
-// record.
+// Append adds one record to the stream and returns its assigned
+// sequence number (sequences are contiguous from 1). A record carrying
+// a non-zero Seq must carry exactly the next sequence number, or the
+// append fails with ErrSeqMismatch. It is a one-record AppendBatch.
 func (fs *FileStore) Append(r Record) (uint64, error) {
-	fs.mu.Lock()
-	if err := fs.checkLocked(); err != nil {
-		fs.mu.Unlock()
-		return 0, err
-	}
-	seq := fs.lastSeq + 1
-	if r.Seq != 0 && r.Seq != seq {
-		fs.mu.Unlock()
-		return 0, ErrSeqMismatch
-	}
-	if err := validateRecord(&r); err != nil {
-		fs.mu.Unlock()
-		return 0, err
-	}
-	r.Seq = seq
-	fs.lastSeq = seq
-	fs.queue = append(fs.queue, r)
-	//overhaul:allow lockordercheck group-commit leader handoff: awaitDurableLocked either waits on the condvar (which releases mu) or leads via runCommitsLocked, which explicitly unlocks before the segment write and relocks to acknowledge — mu is never acquired while held
-	if err := fs.awaitDurableLocked(seq); err != nil {
-		fs.mu.Unlock()
-		return 0, err
-	}
-	fs.mu.Unlock()
-	return seq, nil
+	return fs.AppendBatch([]Record{r})
 }
 
 // AppendBatch appends a slice of records as one atomic enqueue: the
 // records receive contiguous sequence numbers and the call returns the
-// last one once all are durable. Records carrying a non-zero Seq must
-// match their assigned position, like Append. An empty batch is a
-// no-op returning the current last durable sequence.
+// last one once all are durable — either because this caller became
+// the commit leader and wrote them, or because a concurrent leader
+// did. A full active segment rotates *before* the batch write, so a
+// crash mid-rotation never loses an acknowledged record. Records
+// carrying a non-zero Seq must match their assigned position. An empty
+// batch is a no-op returning the current last durable sequence.
 func (fs *FileStore) AppendBatch(recs []Record) (uint64, error) {
 	fs.mu.Lock()
 	if err := fs.checkLocked(); err != nil {
@@ -169,6 +147,7 @@ func (fs *FileStore) AppendBatch(recs []Record) (uint64, error) {
 		last = r.Seq
 		fs.queue = append(fs.queue, r)
 	}
+	//overhaul:allow lockordercheck group-commit leader handoff: awaitDurableLocked either waits on the condvar (which releases mu) or leads via runCommitsLocked, which explicitly unlocks before the segment write and relocks to acknowledge — mu is never acquired while held
 	if err := fs.awaitDurableLocked(last); err != nil {
 		fs.mu.Unlock()
 		return 0, err
@@ -329,11 +308,11 @@ func (fs *FileStore) commitBatch(batch []Record) error {
 		if tn, ok, err := timeNanos(batch[i].Time); ok && err == nil && tn > fs.curMax {
 			fs.curMax = tn
 		}
-		if _, err := fs.mem.Append(batch[i]); err != nil {
-			return fmt.Errorf("append index: %w", err)
-		}
 		fs.curRecs++
 	}
 	fs.curOff += uint64(len(fs.wbuf))
+	if err := fs.idx.add(batch...); err != nil {
+		return fmt.Errorf("append index: %w", err)
+	}
 	return nil
 }

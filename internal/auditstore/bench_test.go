@@ -9,25 +9,19 @@ import (
 )
 
 // Per-scale benchmark tables in the crumbs style (SNIPPETS.md Snippet
-// 2): every operation at 10/100/1k/10k records for both backends, so
-// BENCH_overhaul.json records how each scales and bench-compare blocks
-// regressions at any scale, not just the one a change happened to be
-// tuned on. File-backed rows run with Sync off: the tables measure the
-// store, not the filesystem.
+// 2): every operation at 10/100/1k/10k records, so BENCH_overhaul.json
+// records how each scales and bench-compare blocks regressions at any
+// scale, not just the one a change happened to be tuned on. Rows are
+// named file/N and run with Sync off: the tables measure the store,
+// not the filesystem.
 var benchScales = [...]int{10, 100, 1000, 10000}
 
-// benchStore builds a prefilled store of the given backend and size.
-func benchStore(b *testing.B, backend string, n int) auditstore.Store {
+// benchStore builds a prefilled store of the given size.
+func benchStore(b *testing.B, n int) *auditstore.FileStore {
 	b.Helper()
-	var st auditstore.Store
-	if backend == "mem" {
-		st = auditstore.NewMemStore()
-	} else {
-		fs, err := auditstore.Open(b.TempDir(), auditstore.Options{})
-		if err != nil {
-			b.Fatalf("open: %v", err)
-		}
-		st = fs
+	st, err := auditstore.Open(b.TempDir(), auditstore.Options{})
+	if err != nil {
+		b.Fatalf("open: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		if _, err := st.Append(mkRecord(i)); err != nil {
@@ -42,44 +36,40 @@ func benchStore(b *testing.B, backend string, n int) auditstore.Store {
 }
 
 func BenchmarkStoreAppend(b *testing.B) {
-	for _, backend := range []string{"mem", "file"} {
-		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				recs := make([]auditstore.Record, b.N)
-				for i := range recs {
-					recs[i] = mkRecord(n + i)
+	for _, n := range benchScales {
+		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
+			st := benchStore(b, n)
+			defer st.Close() //overhaul:allow errdrop bench cleanup
+			recs := make([]auditstore.Record, b.N)
+			for i := range recs {
+				recs[i] = mkRecord(n + i)
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Append(recs[i]); err != nil {
+					b.Fatalf("append: %v", err)
 				}
-				runtime.GC()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := st.Append(recs[i]); err != nil {
-						b.Fatalf("append: %v", err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func BenchmarkStoreGet(b *testing.B) {
-	for _, backend := range []string{"mem", "file"} {
-		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					seq := uint64(i%n) + 1
-					if _, ok, err := st.Get(seq); !ok || err != nil {
-						b.Fatalf("get %d: ok=%v err=%v", seq, ok, err)
-					}
+	for _, n := range benchScales {
+		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
+			st := benchStore(b, n)
+			defer st.Close() //overhaul:allow errdrop bench cleanup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq := uint64(i%n) + 1
+				if _, ok, err := st.Get(seq); !ok || err != nil {
+					b.Fatalf("get %d: ok=%v err=%v", seq, ok, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -112,29 +102,27 @@ func BenchmarkStoreEncodeV2(b *testing.B) {
 // into the stream, so a seek (binary search on the time-ordered index)
 // touches ~10% of the records a full pass would.
 func BenchmarkStoreScanSince(b *testing.B) {
-	for _, backend := range []string{"mem", "file"} {
-		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				q := auditstore.Query{
-					Since:   mkRecord(n * 9 / 10).Time,
-					Verdict: "deny",
+	for _, n := range benchScales {
+		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
+			st := benchStore(b, n)
+			defer st.Close() //overhaul:allow errdrop bench cleanup
+			q := auditstore.Query{
+				Since:   mkRecord(n * 9 / 10).Time,
+				Verdict: "deny",
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matched := 0
+				err := st.Scan(q, func(auditstore.Record) bool {
+					matched++
+					return true
+				})
+				if err != nil || matched == 0 {
+					b.Fatalf("scan since: matched=%d err=%v", matched, err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					matched := 0
-					err := st.Scan(q, func(auditstore.Record) bool {
-						matched++
-						return true
-					})
-					if err != nil || matched == 0 {
-						b.Fatalf("scan since: matched=%d err=%v", matched, err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -143,25 +131,23 @@ func BenchmarkStoreScan(b *testing.B) {
 	// of records) plus a reason substring check — the shape an
 	// overhaul-top triage query takes.
 	q := auditstore.Query{Verdict: "deny", Reason: "recent"}
-	for _, backend := range []string{"mem", "file"} {
-		for _, n := range benchScales {
-			b.Run(fmt.Sprintf("%s/%d", backend, n), func(b *testing.B) {
-				st := benchStore(b, backend, n)
-				defer st.Close() //overhaul:allow errdrop bench cleanup
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					matched := 0
-					err := st.Scan(q, func(auditstore.Record) bool {
-						matched++
-						return true
-					})
-					if err != nil || matched == 0 {
-						b.Fatalf("scan: matched=%d err=%v", matched, err)
-					}
+	for _, n := range benchScales {
+		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
+			st := benchStore(b, n)
+			defer st.Close() //overhaul:allow errdrop bench cleanup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matched := 0
+				err := st.Scan(q, func(auditstore.Record) bool {
+					matched++
+					return true
+				})
+				if err != nil || matched == 0 {
+					b.Fatalf("scan: matched=%d err=%v", matched, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

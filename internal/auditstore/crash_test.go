@@ -2,6 +2,7 @@ package auditstore_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"overhaul/internal/auditstore"
@@ -25,7 +26,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 	// After selects the exact window: appends evaluate PointStoreAppend
 	// once per call, rotations evaluate PointStoreRotate at 2 windows,
-	// compactions evaluate PointStoreCompact at 4.
+	// compactions evaluate PointStoreCompact at 4. A spec whose name ends
+	// in -sync runs every open with Options.Sync, so the fsync branches
+	// of rotation, compaction, the reopen's normalization and Close all
+	// execute.
 	specs := []faultSpec{
 		{"append-torn-early", faultinject.Rule{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, After: 3, Count: 1}},
 		{"append-torn-mid", faultinject.Rule{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, After: 57, Count: 1}},
@@ -39,6 +43,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{"compact-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 1, Count: 1}},
 		{"compact-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 2, Count: 1}},
 		{"compact-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
+		{"compact-crash-pre-cleanup-sync", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
 		{"tail-merge-crash-begin", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 4, Count: 1}},
 		{"tail-merge-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 5, Count: 1}},
 		{"tail-merge-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 6, Count: 1}},
@@ -56,9 +61,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("injector: %v", err)
 				}
-				st, err := auditstore.Open(dir, auditstore.Options{
-					SegmentRecords: segRecs, CompactSealed: 3, Hook: inj.Hook(),
-				})
+				sync := strings.HasSuffix(spec.name, "-sync")
+				opts := auditstore.Options{SegmentRecords: segRecs, CompactSealed: 3, Sync: sync}
+				armed := opts
+				armed.Hook = inj.Hook()
+				st, err := auditstore.Open(dir, armed)
 				if err != nil {
 					t.Fatalf("open: %v", err)
 				}
@@ -83,12 +90,17 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 				// Reopen: the recovered store must hold exactly the acked
 				// prefix, byte-identical (checkPrefix compares encodings).
-				st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: segRecs, CompactSealed: 3})
+				st2, err := auditstore.Open(dir, opts)
 				if err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
 				checkPrefix(t, st2, acked)
 				rec := st2.Recovery()
+				if sync && rec.Clean {
+					// A pre-cleanup crash leaves the merge output beside
+					// its sources, which the reopen must normalize away.
+					t.Fatalf("reopen after a pre-cleanup crash was clean: %+v", rec)
+				}
 				if rec.DroppedBytes > 0 && (rec.Reason == "" || rec.TruncatedFile == "") {
 					t.Fatalf("recovery dropped %d bytes silently: %+v", rec.DroppedBytes, rec)
 				}
@@ -110,7 +122,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 				// And a third open is clean: recovery normalized the
 				// damage away instead of re-reporting it forever.
-				st3, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: segRecs, CompactSealed: 3})
+				st3, err := auditstore.Open(dir, opts)
 				if err != nil {
 					t.Fatalf("third open: %v", err)
 				}

@@ -8,13 +8,37 @@ import (
 	"overhaul/internal/auditstore"
 )
 
-// TestBackendEquivalence pins the two backends to each other: the same
-// appended stream answers every query identically whether it sits in
-// the indexed in-memory store or in JSONL segments on disk — including
-// after the segments have been rotated, compacted, and reopened. This
-// mirrors the fleet ≡ standalone property-test style: one oracle, one
-// system under test, a seeded input space, and a filter grid.
+// TestBackendEquivalence pins the store's indexed query engine to a
+// sequential reference model: every query over the appended stream
+// must return exactly what a linear pass over the appended slice
+// returns (Query.Matches per record, then the first Limit matches),
+// through both Scan and Iter — live, and again after the segments have
+// been rotated, compacted, and reopened. The model shares no code with
+// the index (no posting lists, no time seek, no galloping merge), so
+// an index bug cannot cancel out. Two streams run the grid: one whose
+// times only ascend, so Since queries take the binary-search seek, and
+// one whose times occasionally step back, so they take the filtered
+// scan. This mirrors the fleet ≡ standalone property-test style: one
+// oracle, one system under test, a seeded input space, and a filter
+// grid.
 func TestBackendEquivalence(t *testing.T) {
+	// Record i's time is i·100 ms plus a step drawn from
+	// [minStep, minStep+span) ms: a span over 100 ms lets times overlap
+	// their neighbours' slots and so step back.
+	for _, stream := range []struct {
+		name          string
+		minStep, span int
+	}{
+		{"ascending", 0, 100},
+		{"jittered", -10, 200},
+	} {
+		t.Run(stream.name, func(t *testing.T) {
+			checkEquivalence(t, stream.minStep, stream.span)
+		})
+	}
+}
+
+func checkEquivalence(t *testing.T, minStep, span int) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 500
 	ops := []string{"open_device", "read_screen", "inject_input", "grab_keyboard"}
@@ -26,17 +50,16 @@ func TestBackendEquivalence(t *testing.T) {
 		"forced by policy",
 	}
 
-	mem := auditstore.NewMemStore()
+	var appended []auditstore.Record
 	dir := t.TempDir()
-	file, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16, CompactSealed: 3})
+	opts := auditstore.Options{SegmentRecords: 16, CompactSealed: 3}
+	file, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-
+	steppedBack := false
 	for i := 0; i < n; i++ {
-		// Times mostly ascend but occasionally step back, so the
-		// time-ordered fast path and the fallback scan both run.
-		step := time.Duration(rng.Intn(200)-10) * time.Millisecond
+		step := time.Duration(minStep+rng.Intn(span)) * time.Millisecond
 		r := auditstore.Record{
 			Time:    testBase.Add(time.Duration(i)*100*time.Millisecond + step),
 			Session: uint64(rng.Intn(4)),
@@ -45,15 +68,33 @@ func TestBackendEquivalence(t *testing.T) {
 			Verdict: verdicts[rng.Intn(len(verdicts))],
 			Reason:  reasons[rng.Intn(len(reasons))],
 		}
+		if i > 0 && r.Time.Before(appended[i-1].Time) {
+			steppedBack = true
+		}
 		if rng.Intn(3) == 0 {
 			r.Stamp = r.Time.Add(-time.Duration(rng.Intn(5)) * time.Second)
 		}
-		if _, err := mem.Append(r); err != nil {
-			t.Fatalf("mem append %d: %v", i, err)
+		seq, err := file.Append(r)
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
 		}
-		if _, err := file.Append(r); err != nil {
-			t.Fatalf("file append %d: %v", i, err)
+		r.Seq = seq
+		appended = append(appended, r)
+	}
+	if wantBack := span > 100; steppedBack != wantBack {
+		t.Fatalf("stream stepped back = %v, want %v", steppedBack, wantBack)
+	}
+	model := func(q auditstore.Query) []auditstore.Record {
+		var out []auditstore.Record
+		for _, r := range appended {
+			if q.Limit > 0 && len(out) == q.Limit {
+				break
+			}
+			if q.Matches(r) {
+				out = append(out, r)
+			}
 		}
+		return out
 	}
 
 	queries := []auditstore.Query{
@@ -71,39 +112,52 @@ func TestBackendEquivalence(t *testing.T) {
 		{Since: testBase.Add(10 * time.Second), Until: testBase.Add(40 * time.Second)},
 		{PID: 5, Verdict: "deny"},
 		{PID: 5, Verdict: "deny", Reason: "no recent", Session: 1},
+		{PID: 5, Verdict: "deny", Since: testBase.Add(25 * time.Second)},
+		{PID: 2, Reason: "expired", Since: testBase.Add(15 * time.Second)},
 		{Verdict: "grant", Since: testBase.Add(25 * time.Second), Limit: 17},
+		{Since: testBase.Add(60 * time.Second)},
 		{Limit: 1},
 		{Limit: 499},
 	}
 
-	compare := func(t *testing.T, label string, st auditstore.Store) {
+	compare := func(t *testing.T, label string, st *auditstore.FileStore) {
 		t.Helper()
 		for qi, q := range queries {
-			want, err := auditstore.ScanAll(mem, q)
-			if err != nil {
-				t.Fatalf("oracle scan %d: %v", qi, err)
-			}
-			got, err := auditstore.ScanAll(st, q)
+			want := model(q)
+			scanned, err := auditstore.ScanAll(st, q)
 			if err != nil {
 				t.Fatalf("%s scan %d: %v", label, qi, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s query %d (%+v): %d records, oracle %d", label, qi, q, len(got), len(want))
+			it, err := st.Iter(q)
+			if err != nil {
+				t.Fatalf("%s iter %d: %v", label, qi, err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s query %d record %d:\n got %+v\nwant %+v", label, qi, i, got[i], want[i])
+			var iterated []auditstore.Record
+			for r := (auditstore.Record{}); it.Next(&r); {
+				iterated = append(iterated, r)
+			}
+			for _, got := range []struct {
+				how  string
+				recs []auditstore.Record
+			}{{"scan", scanned}, {"iter", iterated}} {
+				if len(got.recs) != len(want) {
+					t.Fatalf("%s %s query %d (%+v): %d records, model %d", label, got.how, qi, q, len(got.recs), len(want))
+				}
+				for i := range want {
+					if !sameRecord(got.recs[i], want[i]) {
+						t.Fatalf("%s %s query %d record %d:\n got %+v\nwant %+v", label, got.how, qi, i, got.recs[i], want[i])
+					}
 				}
 			}
 		}
 	}
 
-	compare(t, "jsonl", file)
+	compare(t, "live", file)
 	if err := file.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	reopened, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16, CompactSealed: 3})
+	reopened, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -111,5 +165,5 @@ func TestBackendEquivalence(t *testing.T) {
 	if rec := reopened.Recovery(); !rec.Clean || rec.Records != n {
 		t.Fatalf("reopen recovery = %+v, want clean %d records", rec, n)
 	}
-	compare(t, "jsonl-reopened", reopened)
+	compare(t, "reopened", reopened)
 }

@@ -42,7 +42,11 @@ type Options struct {
 	// repair path, and a repair path that can be re-broken mid-repair
 	// would turn every injected crash into an unbounded crash loop.
 	Hook faultinject.Hook
-	// Sync fsyncs segment data at rotation, compaction, and Close.
+	// Sync fsyncs segment data when a segment is sealed at rotation,
+	// when compaction or recovery's normalization publishes one, and
+	// at Close. Without it an acknowledged append has reached the
+	// kernel, so it survives a crash of this process but not a power
+	// loss or a kernel crash.
 	Sync bool
 }
 
@@ -93,8 +97,8 @@ type segmentInfo struct {
 	recs int
 }
 
-// FileStore is the durable backend: an append-only binary segment log
-// with a MemStore in front of it as the query index. Concurrent
+// FileStore is the audit store: an append-only binary segment log with
+// an in-memory index in front of it that answers every query. Concurrent
 // appends are group-committed: callers enqueue under the store mutex,
 // the first-comer becomes the commit leader and drains the queue into
 // one framed segment write per batch, and an append is acknowledged
@@ -120,7 +124,7 @@ type FileStore struct {
 
 	dir      string
 	opts     Options
-	mem      *MemStore
+	idx      *index
 	recovery Recovery
 
 	// File state below is owned by whichever goroutine holds
@@ -171,12 +175,12 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("auditstore: open %s: %w", dir, err)
 	}
-	fs := &FileStore{dir: dir, opts: opts, mem: NewMemStore(), nextID: 1, curMax: math.MinInt64}
+	fs := &FileStore{dir: dir, opts: opts, idx: newIndex(), nextID: 1, curMax: math.MinInt64}
 	fs.commitDone.L = &fs.mu
 	if err := fs.recover(); err != nil {
 		return nil, err
 	}
-	fs.lastSeq = fs.mem.LastSeq()
+	fs.lastSeq = fs.idx.lastSeq()
 	fs.durableSeq = fs.lastSeq
 	return fs, nil
 }
@@ -225,13 +229,13 @@ func (fs *FileStore) recover() error {
 	}
 
 	var m merger
-	var adoptErr error
+	var addErr error
 	m.walk(segs, func(r *Record) bool {
-		adoptErr = fs.mem.adopt(*r)
-		return adoptErr == nil
+		addErr = fs.idx.add(*r)
+		return addErr == nil
 	})
-	if adoptErr != nil {
-		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, adoptErr)
+	if addErr != nil {
+		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, addErr)
 	}
 	rec.DroppedBytes = m.droppedBytes
 	for _, s := range segs[m.stop:] {
@@ -243,12 +247,8 @@ func (fs *FileStore) recover() error {
 	}
 	rec.Truncated = m.reason != ""
 	rec.TruncatedFile, rec.TruncatedOffset, rec.Reason = m.file, m.offset, m.reason
-	n, err := fs.mem.Count()
-	if err != nil {
-		return err
-	}
-	rec.Records = n
-	rec.LastSeq = fs.mem.LastSeq()
+	rec.Records = fs.idx.count()
+	rec.LastSeq = fs.idx.lastSeq()
 
 	anomaly := len(tmps) > 0 || m.overlap || rec.Truncated
 	for i, s := range segs {
@@ -288,11 +288,7 @@ func (fs *FileStore) recover() error {
 // removes every older file, so the directory decodes cleanly next
 // time. Runs fault-free (see Options.Hook).
 func (fs *FileStore) normalize(old []*segment) error {
-	n, err := fs.mem.Count()
-	if err != nil {
-		return err
-	}
-	if n > 0 {
+	if n := fs.idx.count(); n > 0 {
 		path := fs.segPath(fs.nextID)
 		fs.nextID++
 		buf, err := fs.encodeRange(0, n)
@@ -320,7 +316,7 @@ func (fs *FileStore) normalize(old []*segment) error {
 // buffer is sized once up front, so a merge allocates it once instead
 // of growing and copying as it fills.
 func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	recs, err := fs.mem.positions(from, to)
+	recs, err := fs.idx.positions(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("segment stage: %w", err)
 	}
@@ -446,7 +442,7 @@ func (fs *FileStore) openActive() error {
 // sentinel entry) and closes it, moving it to the sealed list.
 // Leader-owned.
 func (fs *FileStore) sealActive() error {
-	entries := append(fs.curIdx, blockEntry{seq: fs.mem.LastSeq() + 1, off: fs.curOff, maxBefore: fs.curMax})
+	entries := append(fs.curIdx, blockEntry{seq: fs.idx.lastSeq() + 1, off: fs.curOff, maxBefore: fs.curMax})
 	fs.wbuf = appendFooter(fs.wbuf[:0], entries)
 	if _, err := fs.cur.Write(fs.wbuf); err != nil {
 		return fmt.Errorf("seal footer: %w", err)
@@ -605,40 +601,46 @@ func (fs *FileStore) SegmentCount() (sealed int, active int) {
 	return sealed, active
 }
 
-// Get implements Store. Reads fail too once the store failed: a store
-// that cannot vouch for its tail must not answer as if it could.
+// Get returns the record with the given sequence number; ok is false
+// if it is not in the store. Reads fail too once the store failed: a
+// store that cannot vouch for its tail must not answer as if it could.
 func (fs *FileStore) Get(seq uint64) (Record, bool, error) {
 	if err := fs.check(); err != nil {
 		return Record{}, false, err
 	}
-	return fs.mem.Get(seq)
+	r, ok := fs.idx.get(seq)
+	return r, ok, nil
 }
 
-// Scan implements Store.
+// Scan yields every durable record matching q in ascending sequence
+// order until the query is exhausted or yield returns false.
 func (fs *FileStore) Scan(q Query, yield func(Record) bool) error {
 	if err := fs.check(); err != nil {
 		return err
 	}
-	return fs.mem.Scan(q, yield)
+	fs.idx.scan(q, yield)
+	return nil
 }
 
-// Iter implements Iterable: a streaming scan over the durable prefix.
+// Iter returns a streaming scan over the durable records: an Iterator
+// yields into a caller-owned Record, so steady-state iteration
+// performs no allocation.
 func (fs *FileStore) Iter(q Query) (*Iterator, error) {
 	if err := fs.check(); err != nil {
 		return nil, err
 	}
-	return fs.mem.Iter(q)
+	return fs.idx.iter(q), nil
 }
 
-// Count implements Store.
+// Count returns the number of durable records in the store.
 func (fs *FileStore) Count() (int, error) {
 	if err := fs.check(); err != nil {
 		return 0, err
 	}
-	return fs.mem.Count()
+	return fs.idx.count(), nil
 }
 
-// Close implements Store: in-flight commits are waited out, then the
+// Close releases the store: in-flight commits are waited out, then the
 // active segment is flushed and released. Queued appends that never
 // made it into a durable batch fail with ErrClosed — they were never
 // acknowledged. Closing a failed store releases resources without

@@ -5,13 +5,6 @@ import (
 	"strings"
 )
 
-// Iterable is the optional streaming-scan interface both backends
-// implement: an Iterator yields records into a caller-owned Record, so
-// steady-state iteration performs no allocation.
-type Iterable interface {
-	Iter(q Query) (*Iterator, error)
-}
-
 // Iterator streams records matching a query in ascending sequence
 // order over an immutable snapshot of the store: records appended
 // after Iter are not seen, records in the snapshot are never lost,
@@ -50,24 +43,21 @@ type Iterator struct {
 	done    bool
 }
 
-// Iter implements Iterable over the in-memory index. The snapshot is
-// taken under the read lock; iteration itself is lock-free (the record
-// slice and posting lists are append-only, so their captured prefixes
-// are immutable).
-func (m *MemStore) Iter(q Query) (*Iterator, error) {
+// iter plans q over a snapshot of the index. The snapshot is taken
+// under the read lock; iteration itself is lock-free (the record slice
+// and posting lists are append-only, so their captured prefixes are
+// immutable).
+func (m *index) iter(q Query) *Iterator {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
 	it := &Iterator{q: q}
 	m.planLocked(q, it)
-	return it, nil
+	return it
 }
 
 // planLocked fills in the iteration plan for q. Callers hold at least
 // the read lock.
-func (m *MemStore) planLocked(q Query, it *Iterator) {
+func (m *index) planLocked(q Query, it *Iterator) {
 	it.recs = m.recs
 	it.checkSince = !q.Since.IsZero()
 	it.checkUntil = !q.Until.IsZero()
@@ -160,11 +150,11 @@ func (it *Iterator) reasonOK(s string) bool {
 }
 
 // drain runs the iteration to completion through yield, the engine
-// behind both backends' Scan. The common audit-triage shapes — one
-// posting list or the plain sequence, with at most a reason-substring
-// residual — get a hand-inlined loop (match costs ~3× the inlining
-// budget, so the compiler cannot do this for us); everything else goes
-// through the general nextRef path.
+// behind Scan. The common audit-triage shapes — one posting list or
+// the plain sequence, with at most a reason-substring residual — get a
+// hand-inlined loop (match costs ~3× the inlining budget, so the
+// compiler cannot do this for us); everything else goes through the
+// general nextRef path.
 func (it *Iterator) drain(yield func(Record) bool) {
 	recs := it.recs
 	limit := it.q.Limit

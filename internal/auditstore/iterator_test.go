@@ -6,56 +6,37 @@ import (
 	"overhaul/internal/auditstore"
 )
 
-// iterStores builds the two Iterable backends preloaded with n records.
-func iterStores(t *testing.T, n int) map[string]auditstore.Store {
-	t.Helper()
-	mem := auditstore.NewMemStore()
-	fillStore(t, mem, n)
-	fs, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: 32})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	t.Cleanup(func() { fs.Close() }) //overhaul:allow errdrop test cleanup
-	fillStore(t, fs, n)
-	return map[string]auditstore.Store{"mem": mem, "file": fs}
-}
-
 // TestIterMatchesScan pins the pull iterator against the push scan:
-// for every backend and every planner shape in the query grid, Iter +
-// Next yields exactly the Scan result set, in order.
+// for every planner shape in the query grid, Iter + Next yields
+// exactly the Scan result set, in order.
 func TestIterMatchesScan(t *testing.T) {
-	for name, st := range iterStores(t, 60) {
-		it, ok := st.(auditstore.Iterable)
-		if !ok {
-			t.Fatalf("%s store is not Iterable", name)
+	st := tempStore(t, 60)
+	for qi, q := range coldQueries() {
+		want, err := auditstore.ScanAll(st, q)
+		if err != nil {
+			t.Fatalf("query %d scan: %v", qi, err)
 		}
-		for qi, q := range coldQueries() {
-			want, err := auditstore.ScanAll(st, q)
-			if err != nil {
-				t.Fatalf("%s query %d scan: %v", name, qi, err)
+		iter, err := st.Iter(q)
+		if err != nil {
+			t.Fatalf("query %d iter: %v", qi, err)
+		}
+		var got []auditstore.Record
+		var r auditstore.Record
+		for iter.Next(&r) {
+			got = append(got, r)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("query %d: iter %d records, scan %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query %d record %d diverged:\n iter %+v\n scan %+v",
+					qi, i, got[i], want[i])
 			}
-			iter, err := it.Iter(q)
-			if err != nil {
-				t.Fatalf("%s query %d iter: %v", name, qi, err)
-			}
-			var got []auditstore.Record
-			var r auditstore.Record
-			for iter.Next(&r) {
-				got = append(got, r)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s query %d: iter %d records, scan %d", name, qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s query %d record %d diverged:\n iter %+v\n scan %+v",
-						name, qi, i, got[i], want[i])
-				}
-			}
-			// An exhausted iterator stays exhausted.
-			if iter.Next(&r) {
-				t.Fatalf("%s query %d: Next true after exhaustion", name, qi)
-			}
+		}
+		// An exhausted iterator stays exhausted.
+		if iter.Next(&r) {
+			t.Fatalf("query %d: Next true after exhaustion", qi)
 		}
 	}
 }
@@ -63,15 +44,14 @@ func TestIterMatchesScan(t *testing.T) {
 // TestIterNextZeroAlloc pins the streaming claim: advancing a live
 // iterator into a caller-owned Record allocates nothing.
 func TestIterNextZeroAlloc(t *testing.T) {
-	mem := auditstore.NewMemStore()
-	fillStore(t, mem, 10000)
+	st := tempStore(t, 10000)
 	for _, q := range []auditstore.Query{
 		{},
 		{Verdict: "deny"},
 		{Verdict: "deny", Reason: "recent"},
 		{PID: 101, Verdict: "grant"},
 	} {
-		iter, err := mem.Iter(q)
+		iter, err := st.Iter(q)
 		if err != nil {
 			t.Fatalf("iter: %v", err)
 		}
@@ -93,13 +73,12 @@ func TestIterNextZeroAlloc(t *testing.T) {
 // the cursor holds across calls, which is what lets the CLI stream
 // records without materialising the result set.
 func TestIterResumable(t *testing.T) {
-	mem := auditstore.NewMemStore()
-	fillStore(t, mem, 30)
-	iter, err := mem.Iter(auditstore.Query{Verdict: "deny"})
+	st := tempStore(t, 30)
+	iter, err := st.Iter(auditstore.Query{Verdict: "deny"})
 	if err != nil {
 		t.Fatalf("iter: %v", err)
 	}
-	want, err := auditstore.ScanAll(mem, auditstore.Query{Verdict: "deny"})
+	want, err := auditstore.ScanAll(st, auditstore.Query{Verdict: "deny"})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}

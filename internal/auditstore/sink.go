@@ -13,7 +13,7 @@ import (
 // durable trail in step with the in-memory audit between steps.
 type Tail struct {
 	mu      sync.Mutex
-	st      Store
+	st      *FileStore
 	session uint64
 	cursor  int
 }
@@ -22,7 +22,7 @@ type Tail struct {
 // session id. The cursor starts at the store's current record count,
 // so a tail over a freshly reopened store resumes exactly where the
 // recovered prefix ends.
-func NewTail(st Store, session uint64) (*Tail, error) {
+func NewTail(st *FileStore, session uint64) (*Tail, error) {
 	n, err := st.Count()
 	if err != nil {
 		return nil, err
@@ -59,7 +59,7 @@ func (t *Tail) Sync(stream []monitor.Decision) (int, error) {
 // the cursor at its recovered record count: decisions the crash lost
 // are re-appended by the next Sync, decisions that survived are not
 // duplicated.
-func (t *Tail) Rebind(st Store) error {
+func (t *Tail) Rebind(st *FileStore) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n, err := st.Count()
@@ -80,11 +80,11 @@ type SinkStats struct {
 	Errors  atomic.Uint64
 }
 
-// BatchAppender is the optional store capability BatchSink exploits:
-// commit a contiguous run of records with one durable acknowledgement
-// (FileStore's group commit).
+// BatchAppender is what a BatchSink writes to: commit a contiguous run
+// of records with one durable acknowledgement. *FileStore implements
+// it with its group commit; a wrapper that times or counts the commits
+// may embed the store and override AppendBatch.
 type BatchAppender interface {
-	Store
 	AppendBatch([]Record) (uint64, error)
 }
 
@@ -96,13 +96,13 @@ type BatchAppender interface {
 // cuts whatever is pending (call it before reading the store or
 // exiting). A limit of 1 appends every decision durably as it happens.
 // Errors are counted in stats (nil for "don't care"), never returned
-// into the decision path — a failed flush counts every record that was
-// not durably acknowledged in stats.Errors as a dropped
-// acknowledgement, so the store's fail-closed state stays observable.
+// into the decision path — a failed flush counts every record of the
+// batch in stats.Errors as a dropped acknowledgement (the batch commits
+// atomically, so none was acknowledged), keeping the store's
+// fail-closed state observable.
 type BatchSink struct {
 	mu      sync.Mutex
-	st      Store
-	ba      BatchAppender // non-nil when st commits batches natively
+	st      BatchAppender
 	session uint64
 	limit   int
 	buf     []Record
@@ -111,16 +111,13 @@ type BatchSink struct {
 
 // NewBatchSink builds a batching sink over st for one session. limit
 // is the records-per-flush bound (values < 1 mean 1: degenerate to
-// per-decision appends). If st implements BatchAppender, flushes use
-// one AppendBatch; otherwise they fall back to per-record appends.
-func NewBatchSink(st Store, session uint64, limit int, stats *SinkStats) *BatchSink {
+// per-decision appends).
+func NewBatchSink(st BatchAppender, session uint64, limit int, stats *SinkStats) *BatchSink {
 	if limit < 1 {
 		limit = 1
 	}
-	b := &BatchSink{st: st, session: session, limit: limit, stats: stats,
+	return &BatchSink{st: st, session: session, limit: limit, stats: stats,
 		buf: make([]Record, 0, limit)}
-	b.ba, _ = st.(BatchAppender)
-	return b
 }
 
 // Sink returns the fleet.Session.SetAuditSink callback.
@@ -146,28 +143,12 @@ func (b *BatchSink) Flush() {
 
 func (b *BatchSink) flushLocked() {
 	n := uint64(len(b.buf))
-	attempted, dropped := n, uint64(0)
-	if b.ba != nil {
-		if _, err := b.ba.AppendBatch(b.buf); err != nil {
-			dropped = n // the batch commits atomically: nothing was acked
-		}
-	} else {
-		var acked uint64
-		attempted = 0
-		for _, r := range b.buf {
-			attempted++
-			if _, err := b.st.Append(r); err != nil {
-				// acked records are durable; the failed one and the
-				// never-attempted rest are dropped acknowledgements.
-				dropped = n - acked
-				break
-			}
-			acked++
-		}
-	}
+	_, err := b.st.AppendBatch(b.buf)
 	b.buf = b.buf[:0]
 	if b.stats != nil {
-		b.stats.Appends.Add(attempted)
-		b.stats.Errors.Add(dropped)
+		b.stats.Appends.Add(n)
+		if err != nil {
+			b.stats.Errors.Add(n)
+		}
 	}
 }

@@ -156,20 +156,6 @@ func (f *Fleet) CloseSession(id uint64) error {
 // Size returns the number of live sessions.
 func (f *Fleet) Size() int { return int(f.live.Load()) }
 
-// SessionIDs returns the live session IDs in unspecified order.
-func (f *Fleet) SessionIDs() []uint64 {
-	out := make([]uint64, 0, f.Size())
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // ForEachSession visits every live session. The visit runs without the
 // shard lock held, so visitors may call back into the fleet.
 func (f *Fleet) ForEachSession(visit func(*Session)) {

@@ -64,9 +64,6 @@ func NewMsgQueue(st Stamps, flavor QueueFlavor, capacity int) *MsgQueue {
 	return &MsgQueue{st: st, flavor: flavor, cap: capacity}
 }
 
-// Flavor returns the queue's semantics flavor.
-func (q *MsgQueue) Flavor() QueueFlavor { return q.flavor }
-
 // Send enqueues a message on behalf of pid. key is the POSIX priority
 // or the SysV mtype (must be positive for SysV, as for msgsnd).
 func (q *MsgQueue) Send(pid int, key int, data []byte) error {

@@ -289,15 +289,6 @@ func (k *Kernel) ExecutablePath(pid int) (string, error) {
 	return p.Executable(), nil
 }
 
-// CredOf returns pid's credentials.
-func (k *Kernel) CredOf(pid int) (fs.Cred, error) {
-	p, err := k.Process(pid)
-	if err != nil {
-		return fs.Cred{}, err
-	}
-	return p.Cred(), nil
-}
-
 // AuthenticateTrustedBinary reports nil iff pid's executable is exactly
 // wellKnownPath and that file exists and is owned by the superuser.
 // This is the paper's netlink peer-authentication procedure: the kernel

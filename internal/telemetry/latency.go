@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -117,8 +118,8 @@ func (h *LatencyHist) Merge(src *LatencyHist) {
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) as the lower bound of
-// the bucket holding the rank-th observation; q=1 reports the exact
-// observed maximum. Zero observations yield zero. Quantile walks the
+// the bucket holding the nearest-rank observation, the ⌈q·n⌉-th
+// smallest of n; q=1 reports the exact observed maximum. Zero observations yield zero. Quantile walks the
 // bucket array without stopping concurrent recorders, so under load it
 // is a consistent-enough estimate, exact once recording has stopped.
 func (h *LatencyHist) Quantile(q float64) time.Duration {
@@ -135,7 +136,13 @@ func (h *LatencyHist) Quantile(q float64) time.Duration {
 	if q < 0 {
 		q = 0
 	}
-	rank := uint64(q * float64(total))
+	// 0-based nearest rank ⌈q·n⌉−1. The epsilon keeps a product that
+	// should be whole but rounds just above it (0.07·100) from
+	// stepping one rank too far.
+	rank := uint64(math.Ceil(q*float64(total) - 1e-9))
+	if rank > 0 {
+		rank--
+	}
 	if rank >= total {
 		rank = total - 1
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -53,7 +54,7 @@ func TestLatencyHistQuantiles(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		exact := samples[int(q*float64(len(samples)))]
+		exact := samples[int(math.Ceil(q*float64(len(samples))))-1] // nearest rank
 		got := h.Quantile(q)
 		if got > exact || float64(exact-got)/float64(exact) > 1.0/8 {
 			t.Errorf("Quantile(%v) = %v, exact %v: outside resolution", q, got, exact)
@@ -64,6 +65,28 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	}
 	if h.Max() != samples[len(samples)-1] {
 		t.Errorf("Max = %v, want %v", h.Max(), samples[len(samples)-1])
+	}
+
+	// Where q·n is whole the nearest rank is exactly q·n: of six
+	// samples, three at 50 ms and three at 3.05 s, the median is the
+	// third smallest, 50 ms, not the fourth.
+	var even LatencyHist
+	for i := 0; i < 3; i++ {
+		even.Observe(50 * time.Millisecond)
+		even.Observe(3050 * time.Millisecond)
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{1.0 / 6, 50 * time.Millisecond},
+		{0.5, 50 * time.Millisecond},
+		{0.51, 3050 * time.Millisecond},
+		{0.99, 3050 * time.Millisecond},
+	} {
+		if got := even.Quantile(c.q); got > c.want || got < c.want*7/8 {
+			t.Errorf("even count: Quantile(%v) = %v, want the bucket holding %v", c.q, got, c.want)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ type Request struct {
 func writeString(b *bytes.Buffer, s string) {
 	var l [2]byte
 	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	b.Write(l[:]) //overhaul:allow errdrop bytes.Buffer.Write cannot fail
+	b.Write(l[:]) // bytes.Buffer.Write cannot fail
 	b.WriteString(s)
 }
 
@@ -123,7 +123,7 @@ func readString(b *bytes.Reader) (string, error) {
 func writeU32(b *bytes.Buffer, v uint32) {
 	var tmp [4]byte
 	binary.LittleEndian.PutUint32(tmp[:], v)
-	b.Write(tmp[:]) //overhaul:allow errdrop bytes.Buffer.Write cannot fail
+	b.Write(tmp[:]) // bytes.Buffer.Write cannot fail
 }
 
 func readU32(b *bytes.Reader) (uint32, error) {
@@ -148,7 +148,7 @@ func Encode(req Request) []byte {
 	writeString(&body, req.Property)
 	body.WriteByte(req.EventType)
 	writeU32(&body, uint32(len(req.Data)))
-	body.Write(req.Data) //overhaul:allow errdrop bytes.Buffer.Write cannot fail
+	body.Write(req.Data) // bytes.Buffer.Write cannot fail
 
 	out := make([]byte, 0, 5+body.Len())
 	out = append(out, byte(req.Op))

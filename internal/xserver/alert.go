@@ -1,7 +1,6 @@
 package xserver
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -34,10 +33,6 @@ type Alert struct {
 	ShownAt      time.Time
 	Expires      time.Time
 }
-
-// ErrUntrustedAlert is returned when something other than the kernel
-// channel attempts to raise an alert.
-var ErrUntrustedAlert = errors.New("xserver: alert source not the kernel channel")
 
 // alertMessage renders the alert text the user sees.
 func alertMessage(pid int, op Op, blocked, degraded bool) string {
