@@ -15,23 +15,19 @@
 //
 // Exit status is part of the contract:
 //
-//	0  clean — no findings, or every finding is covered by -baseline
-//	1  fresh findings (regressions relative to the baseline, if any)
-//	2  driver error: bad usage, unloadable tree (syntax or type
-//	   error), unreadable baseline
+//	0  clean — no findings
+//	1  findings
+//	2  driver error: bad usage, unloadable tree (syntax or type error)
 //
-// A committed baseline (-baseline lint-baseline.json) turns the gate
-// into a ratchet: known findings are tolerated, new ones fail.
-// Regenerate it with -write-baseline after triage. -fix applies each
-// diagnostic's suggested rewrite in place (-diff previews the same
-// rewrite as a unified diff without touching files). -sarif emits the
-// full finding set as SARIF 2.1.0 for CI artifact upload.
-//
-// Findings are suppressed in source with
+// -sarif also writes the finding set as SARIF 2.1.0 for CI artifact
+// upload. The driver only reports; it never rewrites sources. The one
+// way to accept a finding is an annotation in source,
 //
 //	//overhaul:allow <analyzer> <reason>
 //
-// on or directly above the offending line.
+// on or directly above the offending line. An annotation without a
+// reason, or one that suppresses no finding of an analyzer that ran,
+// is itself a finding under the pseudo-analyzer "allow".
 package main
 
 import (
@@ -56,11 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := flags.Bool("list", false, "list analyzers and exit")
 	enable := flags.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := flags.String("disable", "", "comma-separated analyzers to skip")
-	fix := flags.Bool("fix", false, "apply suggested fixes in place (single root only)")
-	diff := flags.Bool("diff", false, "print suggested fixes as a unified diff without writing")
 	sarifPath := flags.String("sarif", "", "write findings as SARIF 2.1.0 to this file (- for stdout)")
-	baselinePath := flags.String("baseline", "", "baseline file of known findings; only fresh findings fail")
-	writeBaseline := flags.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit 0")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -71,14 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *fix && *diff {
-		fmt.Fprintln(stderr, "overhaul-lint: -fix and -diff are mutually exclusive")
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "overhaul-lint: -write-baseline requires -baseline <file>")
-		return 2
-	}
 
 	analyzers, err := selectAnalyzers(*enable, *disable)
 	if err != nil {
@@ -86,36 +70,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The baseline is loaded before any analysis so a misconfigured
-	// gate (flag pointing at a missing or corrupt file) fails fast as a
-	// driver error, never as a silently-empty baseline.
-	var baseline *analysis.Baseline
-	if *baselinePath != "" && !*writeBaseline {
-		baseline, err = analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
-			return 2
-		}
-	}
-
 	roots := flags.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	if (*fix || *diff) && len(roots) > 1 {
-		fmt.Fprintln(stderr, "overhaul-lint: -fix/-diff accept a single root (fix paths are root-relative)")
-		return 2
-	}
 
 	var diags []analysis.Diagnostic
-	var fixRoot string
 	for _, root := range roots {
 		root = strings.TrimSuffix(root, "...")
 		root = strings.TrimSuffix(root, "/")
 		if root == "" {
 			root = "."
 		}
-		fixRoot = root
 		mod, err := analysis.Load(root)
 		if err != nil {
 			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
@@ -124,19 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = append(diags, analysis.Run(mod, analyzers)...)
 	}
 
-	if *writeBaseline {
-		b := analysis.NewBaseline(diags)
-		if err := b.WriteBaseline(*baselinePath); err != nil {
-			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "wrote %s: %d finding(s) in %d entr(ies)\n", *baselinePath, len(diags), len(b.Entries))
-		return 0
-	}
-
-	// SARIF carries the full finding set, baselined ones included: the
-	// artifact is a report of everything the analyzers believe, while
-	// the exit code gates only on regressions.
 	if *sarifPath != "" {
 		data, err := analysis.SARIF(diags, analyzers)
 		if err != nil {
@@ -151,52 +104,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	fresh, known := diags, 0
-	if baseline != nil {
-		fresh, known = baseline.Filter(diags)
-	}
-
-	if *fix || *diff {
-		res, err := analysis.ApplyFixes(fixRoot, fresh, *diff)
-		if err != nil {
-			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
-			return 2
-		}
-		if *diff {
-			fmt.Fprint(stdout, res.Diff)
-		}
-		if *fix {
-			for _, f := range res.Files {
-				fmt.Fprintf(stdout, "fixed %s\n", f)
-			}
-		}
-		if res.Skipped > 0 {
-			fmt.Fprintf(stderr, "overhaul-lint: %d fix(es) skipped due to overlapping edits; re-run after applying\n", res.Skipped)
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if fresh == nil {
-			fresh = []analysis.Diagnostic{}
+		if diags == nil {
+			diags = []analysis.Diagnostic{}
 		}
-		if err := enc.Encode(fresh); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintf(stderr, "overhaul-lint: %v\n", err)
 			return 2
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
-		if len(fresh) > 0 {
-			fmt.Fprintf(stdout, "%d finding(s)\n", len(fresh))
-		}
-		if known > 0 {
-			fmt.Fprintf(stdout, "%d known finding(s) suppressed by baseline\n", known)
+		if len(diags) > 0 {
+			fmt.Fprintf(stdout, "%d finding(s)\n", len(diags))
 		}
 	}
-	if len(fresh) > 0 {
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0

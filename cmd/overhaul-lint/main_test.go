@@ -112,7 +112,7 @@ func TestMissingRootIsLoadError(t *testing.T) {
 	}
 }
 
-// copyTree clones a fixture directory into dst so -fix can rewrite it.
+// copyTree clones a fixture directory into dst so a test can edit it.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -138,71 +138,87 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestExitCodeSemantics pins the documented contract: 0 when clean or
-// fully baselined, 1 on fresh findings, 2 on driver errors — including
-// a baseline flag that points at a missing or corrupt file.
+// allowAbove returns src with comment inserted on a line of its own
+// above each of the 1-based lines.
+func allowAbove(src []byte, lines []int, comment string) []byte {
+	above := make(map[int]bool)
+	for _, l := range lines {
+		above[l] = true
+	}
+	var out []string
+	for i, line := range strings.Split(string(src), "\n") {
+		if above[i+1] {
+			out = append(out, comment)
+		}
+		out = append(out, line)
+	}
+	return []byte(strings.Join(out, "\n"))
+}
+
+// TestExitCodeSemantics pins the documented contract on a copy of the
+// printcheck fixture: findings exit 1, an //overhaul:allow with a
+// reason is the only way to accept them, and a reason-less or stale
+// allow is itself a finding. Driver errors, such as an unloadable tree
+// or an unknown flag, exit 2.
 func TestExitCodeSemantics(t *testing.T) {
 	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	var out, errb bytes.Buffer
-
-	// Findings with no baseline: 1.
-	if code := run([]string{printcheckFixture}, &out, &errb); code != 1 {
-		t.Fatalf("findings should exit 1, got %d", code)
-	}
-
-	// -write-baseline records them and exits 0 regardless of findings.
-	out.Reset()
-	if code := run([]string{"-baseline", baseline, "-write-baseline", printcheckFixture}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline should exit 0, got %d; stderr: %s", code, errb.String())
-	}
-
-	// Fully baselined run: 0, with the suppression reported.
-	out.Reset()
-	if code := run([]string{"-baseline", baseline, printcheckFixture}, &out, &errb); code != 0 {
-		t.Fatalf("baselined findings should exit 0, got %d; stdout: %s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "known finding(s) suppressed by baseline") {
-		t.Errorf("baselined run should report suppression, got: %s", out.String())
-	}
-
-	// -json with a covering baseline emits an empty array and exits 0.
-	out.Reset()
-	if code := run([]string{"-json", "-baseline", baseline, printcheckFixture}, &out, &errb); code != 0 {
-		t.Fatalf("-json baselined run should exit 0, got %d", code)
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("-json baselined run = %q, want []", out.String())
-	}
-
-	// Missing or corrupt baseline is a driver error, never an empty
-	// baseline: a misconfigured gate must not silently pass everything.
-	errb.Reset()
-	if code := run([]string{"-baseline", filepath.Join(dir, "nope.json"), printcheckFixture}, &out, &errb); code != 2 {
-		t.Fatalf("missing baseline should exit 2, got %d", code)
-	}
-	if errb.Len() == 0 {
-		t.Error("missing baseline should be reported on stderr")
-	}
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{"), 0o644); err != nil {
+	copyTree(t, printcheckFixture, dir)
+	noisy := filepath.Join(dir, "internal", "noisy", "noisy.go")
+	src, err := os.ReadFile(noisy)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-baseline", corrupt, printcheckFixture}, &out, &errb); code != 2 {
-		t.Fatalf("corrupt baseline should exit 2, got %d", code)
+	lint := func(src []byte, wantCode int, wantOut string) []analysis.Diagnostic {
+		t.Helper()
+		if err := os.WriteFile(noisy, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"-json", dir}, &out, &errb); code != wantCode {
+			t.Fatalf("exit code = %d, want %d; stdout: %s stderr: %s", code, wantCode, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), wantOut) {
+			t.Errorf("output lacks %q:\n%s", wantOut, out.String())
+		}
+		var diags []analysis.Diagnostic
+		if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
+			t.Fatal(err)
+		}
+		return diags
 	}
 
+	// A finding: 1.
+	var lines []int
+	for _, d := range lint(src, 1, `"analyzer": "printcheck"`) {
+		lines = append(lines, d.Line)
+	}
+
+	// The same findings, each under an allow with a reason: 0.
+	annotated := allowAbove(src, lines, "//overhaul:allow printcheck the fixture prints on purpose")
+	if diags := lint(annotated, 0, "[]"); len(diags) != 0 {
+		t.Fatalf("annotated copy should be clean, got %v", diags)
+	}
+
+	// An allow without a reason is malformed and suppresses nothing: 1.
+	lint(allowAbove(src, lines, "//overhaul:allow printcheck"), 1, "malformed suppression")
+
+	// A stale allow, covering no finding, on the otherwise clean copy: 1.
+	stale := append([]byte("//overhaul:allow printcheck nothing to suppress here\n"), annotated...)
+	diags := lint(stale, 1, "stale suppression")
+	if len(diags) != 1 || diags[0].Analyzer != "allow" || diags[0].Line != 1 {
+		t.Errorf("want one allow finding at line 1, got %v", diags)
+	}
+
+	var out, errb bytes.Buffer
 	// A tree that does not type-check is unloadable: 2, with the
 	// type error's file and line on stderr.
-	broken := filepath.Join(dir, "broken")
+	broken := filepath.Join(t.TempDir(), "broken")
 	if err := os.MkdirAll(broken, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	src := "package broken\n\nvar x int = \"s\"\n"
-	if err := os.WriteFile(filepath.Join(broken, "broken.go"), []byte(src), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(broken, "broken.go"), []byte("package broken\n\nvar x int = \"s\"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	errb.Reset()
 	if code := run([]string{broken}, &out, &errb); code != 2 {
 		t.Fatalf("type error should exit 2, got %d", code)
 	}
@@ -210,46 +226,17 @@ func TestExitCodeSemantics(t *testing.T) {
 		t.Errorf("type error should name the file and line on stderr, got: %s", errb.String())
 	}
 
-	// Flag misuse: 2.
-	if code := run([]string{"-write-baseline", printcheckFixture}, &out, &errb); code != 2 {
-		t.Errorf("-write-baseline without -baseline should exit 2, got %d", code)
-	}
-	if code := run([]string{"-fix", "-diff", printcheckFixture}, &out, &errb); code != 2 {
-		t.Errorf("-fix with -diff should exit 2, got %d", code)
-	}
-}
-
-// TestFixRoundTrip applies errdrop's suggested fixes to a scratch copy
-// of its fixture and checks the rewritten tree lints clean — the
-// acceptance property for -fix.
-func TestFixRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, "../../internal/analysis/testdata/errdrop", dir)
-	var out, errb bytes.Buffer
-
-	// -diff previews without writing.
-	if code := run([]string{"-enable", "errdrop", "-diff", dir}, &out, &errb); code != 1 {
-		t.Fatalf("-diff run should still exit 1, got %d; stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "+++ ") || !strings.Contains(out.String(), "_ = ") {
-		t.Errorf("-diff should print a unified diff with the discard fix, got: %s", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-enable", "errdrop", dir}, &out, &errb); code != 1 {
-		t.Fatal("-diff must not modify the tree")
-	}
-
-	// -fix rewrites, and the rewritten tree is clean.
-	out.Reset()
-	if code := run([]string{"-enable", "errdrop", "-fix", dir}, &out, &errb); code != 1 {
-		t.Fatalf("-fix run reports the findings it fixed, got exit %d", code)
-	}
-	if !strings.Contains(out.String(), "fixed ") {
-		t.Errorf("-fix should report rewritten files, got: %s", out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-enable", "errdrop", dir}, &out, &errb); code != 0 {
-		t.Fatalf("tree should lint clean after -fix, got exit %d: %s", code, out.String())
+	// The driver has no baseline ledger and no rewrite mode: their
+	// flags are unknown, 2.
+	for _, args := range [][]string{
+		{"-baseline", "lint-baseline.json"},
+		{"-write-baseline"},
+		{"-fix"},
+		{"-diff"},
+	} {
+		if code := run(append(args, printcheckFixture), &out, &errb); code != 2 {
+			t.Errorf("%v should exit 2 as an unknown flag, got %d", args, code)
+		}
 	}
 }
 

@@ -247,7 +247,7 @@ func generate(mix workload.FleetMix, sessions, workers int, duration time.Durati
 		if err != nil {
 			return nil, err
 		}
-		defer st.Close() //overhaul:allow errdrop store close after the run's flush already counted failures
+		defer st.Close() // store close after the run's flush already counted failures
 	}
 
 	clk := clock.System{}

@@ -42,7 +42,7 @@ func runFleet(n int, events int, mixName string, sessionFilter uint64, jsonOut b
 			fmt.Fprintln(os.Stderr, "overhaul-top:", err)
 			return 2
 		}
-		defer store.Close() //overhaul:allow errdrop console exit; the replay already synced every record
+		defer store.Close() // console exit; the replay already synced every record
 	}
 	for i := 0; i < n; i++ {
 		s := f.CreateSession()

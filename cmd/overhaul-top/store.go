@@ -63,7 +63,7 @@ func runStoreQuery(dir string, q storeQuery, jsonOut bool) int {
 		fmt.Fprintln(os.Stderr, "overhaul-top:", err)
 		return 2
 	}
-	defer st.Close() //overhaul:allow errdrop read-only query session; nothing to flush
+	defer st.Close() // read-only query session; nothing to flush
 
 	query, err := q.build(func() (time.Time, error) { return storeNewest(st) })
 	if err != nil {

@@ -24,7 +24,10 @@
 //
 // which silences the named analyzer on its own line and the line
 // immediately following. The reason is mandatory; an allow comment
-// without one is itself reported.
+// without one is itself reported, and so is one that silences nothing.
+// The annotation is the only way to accept a finding: the driver
+// reports, it neither rewrites sources nor keeps a ledger of known
+// findings.
 package analysis
 
 import (
@@ -42,6 +45,10 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
+	// Scope, when set, restricts the analyzer to the packages whose
+	// slash directory (relative to the module root) it accepts. An
+	// allow annotation is judged stale only inside its analyzer's scope.
+	Scope func(dir string) bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -53,27 +60,6 @@ type Diagnostic struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	// Fixes holds machine-applicable rewrites that resolve the
-	// finding, if the analyzer can propose any. The driver's -fix
-	// mode applies the first fix of each diagnostic.
-	Fixes []SuggestedFix `json:"fixes,omitempty"`
-}
-
-// SuggestedFix is one self-contained rewrite. All edits must apply
-// atomically: a fix is either taken whole or not at all.
-type SuggestedFix struct {
-	// Message describes the rewrite ("discard the error explicitly").
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the byte range [Start, End) of File (a slash path
-// relative to the scan root) with NewText. Start == End inserts.
-type TextEdit struct {
-	File    string `json:"file"`
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
 }
 
 // String renders the conventional compiler-style form.
@@ -83,13 +69,15 @@ func (d Diagnostic) String() string {
 
 // Pass carries one analyzer's view of one package plus the reporting
 // sink. Reports landing on a line covered by a matching
-// //overhaul:allow annotation are dropped before they reach the sink.
+// //overhaul:allow annotation are dropped before they reach the sink,
+// and the annotation is marked as used.
 type Pass struct {
 	Analyzer *Analyzer
 	Module   *Module
 	Pkg      *Package
 
 	sink func(Diagnostic)
+	used map[allowSite]bool
 }
 
 // Position resolves a token position against the module's file set.
@@ -100,18 +88,9 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 // Reportf files a diagnostic at pos unless a suppression annotation
 // covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix files a diagnostic carrying suggested fixes.
-func (p *Pass) ReportFix(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
-	p.report(pos, fixes, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	position := p.Position(pos)
 	file := p.Pkg.fileByAbs(position.Filename)
-	if file != nil && file.suppressed(p.Analyzer.Name, position.Line) {
+	if file != nil && file.suppress(p.Analyzer.Name, position.Line, p.used) {
 		return
 	}
 	name := position.Filename
@@ -124,7 +103,6 @@ func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args .
 		Col:      position.Column,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
 }
 
@@ -139,38 +117,35 @@ func (p *Pass) Facts() *ModuleFacts {
 	return p.Module.Facts()
 }
 
-// Edit builds a TextEdit replacing the source range [start, end) with
-// newText, resolving positions to file-relative byte offsets.
-func (p *Pass) Edit(start, end token.Pos, newText string) TextEdit {
-	sp := p.Position(start)
-	ep := p.Position(end)
-	name := sp.Filename
-	if file := p.Pkg.fileByAbs(sp.Filename); file != nil {
-		name = file.Name
-	}
-	return TextEdit{File: name, Start: sp.Offset, End: ep.Offset, NewText: newText}
-}
-
 // Run applies each analyzer to every package of the module and returns
 // the surviving findings sorted by file, line, column, analyzer.
-// Malformed suppression annotations are reported alongside, under the
-// pseudo-analyzer name "allow".
+// Malformed suppression annotations, and annotations that name an
+// analyzer which ran over their package but suppressed none of its
+// findings, are reported alongside under the pseudo-analyzer "allow".
 func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	ran := make(map[scoped]bool)
+	used := make(map[allowSite]bool)
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
 			diags = append(diags, f.badAllows...)
 		}
 		for _, a := range analyzers {
+			if a.Scope != nil && !a.Scope(pkg.Dir) {
+				continue
+			}
+			ran[scoped{pkg, a.Name}] = true
 			pass := &Pass{
 				Analyzer: a,
 				Module:   m,
 				Pkg:      pkg,
 				sink:     func(d Diagnostic) { diags = append(diags, d) },
+				used:     used,
 			}
 			a.Run(pass)
 		}
 	}
+	diags = append(diags, staleAllows(m, ran, used)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -225,6 +200,12 @@ func selectorCall(call *ast.CallExpr) (qual, name string, ok bool) {
 		return "", "", false
 	}
 	return id.Name, sel.Sel.Name, true
+}
+
+// inInternal is the scope of the analyzers that police library code:
+// packages under an internal directory.
+func inInternal(dir string) bool {
+	return strings.Contains(dir, "internal")
 }
 
 // isTestFile reports whether the file name follows the _test.go

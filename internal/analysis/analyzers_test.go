@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"strings"
 	"testing"
 
 	"overhaul/internal/analysis"
@@ -9,7 +10,8 @@ import (
 
 // TestAnalyzersGolden runs every analyzer against its fixture tree
 // under testdata/. Expectations live in the fixtures as
-// // want "substring" comments.
+// // want "substring" comments. Besides the analyzer's own findings, a
+// fixture may only draw stale-suppression reports on allows naming it.
 func TestAnalyzersGolden(t *testing.T) {
 	for _, a := range analysis.All() {
 		t.Run(a.Name, func(t *testing.T) {
@@ -18,7 +20,8 @@ func TestAnalyzersGolden(t *testing.T) {
 				t.Fatalf("fixture for %s produced no diagnostics; the golden harness is not exercising it", a.Name)
 			}
 			for _, d := range diags {
-				if d.Analyzer != a.Name {
+				stale := d.Analyzer == "allow" && strings.HasSuffix(d.Message, "suppresses no "+a.Name+" finding")
+				if d.Analyzer != a.Name && !stale {
 					t.Errorf("diagnostic from unexpected analyzer: %s", d)
 				}
 				if d.File == "" || d.Line == 0 {

@@ -37,13 +37,11 @@ var Clockcheck = &Analyzer{
 	Name: "clockcheck",
 	Doc: "direct wall-clock reads outside internal/clock break simulation " +
 		"determinism; inject a clock.Clock instead",
-	Run: runClockcheck,
+	Scope: func(dir string) bool { return !clockExemptDirs[dir] },
+	Run:   runClockcheck,
 }
 
 func runClockcheck(pass *Pass) {
-	if clockExemptDirs[pass.Pkg.Dir] {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		timeName := importName(f.AST, "time")
 		if timeName == "" {

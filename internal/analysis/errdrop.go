@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Errdrop flags silently discarded error returns in internal packages.
@@ -26,7 +25,8 @@ var Errdrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "internal packages must not silently drop error returns; " +
 		"discard explicitly with _ = or an allow annotation",
-	Run: runErrdrop,
+	Scope: inInternal,
+	Run:   runErrdrop,
 }
 
 // conventionalErr are the callee names flagged outside the module too:
@@ -34,9 +34,6 @@ var Errdrop = &Analyzer{
 var conventionalErr = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 
 func runErrdrop(pass *Pass) {
-	if !strings.Contains(pass.Pkg.Dir, "internal") {
-		return
-	}
 	info := pass.Module.TypeInfoFor(pass.Pkg).Info
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
@@ -59,7 +56,7 @@ func runErrdrop(pass *Pass) {
 			if !returnsError(results) || !(pass.Module.declares(fn.Pkg()) || conventionalErr[fn.Name()]) {
 				return true
 			}
-			pass.ReportFix(call.Pos(), discardFix(pass, results.Len(), call),
+			pass.Reportf(call.Pos(),
 				"result of %s is dropped but it returns an error: handle it or discard with _ =",
 				fn.Name())
 			return true
@@ -78,16 +75,3 @@ func returnsError(results *types.Tuple) bool {
 }
 
 var errorType = types.Universe.Lookup("error").Type()
-
-// discardFix proposes rewriting `f()` into `_ = f()`, one blank per
-// result.
-func discardFix(pass *Pass, count int, call *ast.CallExpr) []SuggestedFix {
-	blanks := "_"
-	for i := 1; i < count; i++ {
-		blanks += ", _"
-	}
-	return []SuggestedFix{{
-		Message: "discard the result explicitly",
-		Edits:   []TextEdit{pass.Edit(call.Pos(), call.Pos(), blanks+" = ")},
-	}}
-}

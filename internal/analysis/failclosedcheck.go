@@ -30,7 +30,8 @@ var Failclosedcheck = &Analyzer{
 	Name: "failclosedcheck",
 	Doc: "error paths that abort a mediated decision in kernel/monitor/netlink " +
 		"must record a denial or degrade before returning",
-	Run: runFailclosedcheck,
+	Scope: func(dir string) bool { return failClosedScope[path.Base(dir)] },
+	Run:   runFailclosedcheck,
 }
 
 // mediationMarkers begin a mediated operation.
@@ -56,9 +57,6 @@ var failClosedScope = map[string]bool{
 }
 
 func runFailclosedcheck(pass *Pass) {
-	if !failClosedScope[path.Base(pass.Pkg.Dir)] {
-		return
-	}
 	info := pass.TypeInfo().Info
 	facts := pass.Facts()
 	for _, f := range pass.Pkg.Files {

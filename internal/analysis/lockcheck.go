@@ -156,25 +156,11 @@ func checkLockPairing(pass *Pass, fn *ast.FuncDecl) {
 	})
 	for _, a := range acquired {
 		if !released[a.recv+"\x00"+lockVerbs[a.verb]] {
-			pass.ReportFix(a.node.Pos(), pairingFix(pass, a.recv, lockVerbs[a.verb], a.node),
+			pass.Reportf(a.node.Pos(),
 				"%s.%s() is never released in this function: pair it with defer %s.%s()",
 				a.recv, a.verb, a.recv, lockVerbs[a.verb])
 		}
 	}
-}
-
-// pairingFix proposes inserting `defer recv.Unlock()` directly after
-// the unpaired acquisition, indented to the acquisition's column.
-func pairingFix(pass *Pass, recv, release string, call *ast.CallExpr) []SuggestedFix {
-	col := pass.Position(call.Pos()).Column
-	indent := "\n"
-	for i := 1; i < col; i++ {
-		indent += "\t"
-	}
-	return []SuggestedFix{{
-		Message: "release on exit with defer " + recv + "." + release + "()",
-		Edits:   []TextEdit{pass.Edit(call.End(), call.End(), indent+"defer "+recv+"."+release+"()")},
-	}}
 }
 
 // checkGuardedFields flags exported methods of lock-bearing types that

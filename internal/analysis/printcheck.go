@@ -16,16 +16,14 @@ var Printcheck = &Analyzer{
 	Name: "printcheck",
 	Doc: "internal packages must not print: route output through " +
 		"internal/auditlog or internal/trace",
-	Run: runPrintcheck,
+	Scope: inInternal,
+	Run:   runPrintcheck,
 }
 
 // printFuncs are the direct-to-stdout fmt entry points.
 var printFuncs = map[string]bool{"Print": true, "Printf": true, "Println": true}
 
 func runPrintcheck(pass *Pass) {
-	if !strings.Contains(pass.Pkg.Dir, "internal") {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // Spancheck enforces the tracing discipline: every span begun with a
@@ -28,13 +27,11 @@ var Spancheck = &Analyzer{
 	Name: "spancheck",
 	Doc: "every probe Hook.Begin(parent, &sp) must be ended on all return " +
 		"paths; follow it with defer h.End(&sp)",
-	Run: runSpancheck,
+	Scope: inInternal,
+	Run:   runSpancheck,
 }
 
 func runSpancheck(pass *Pass) {
-	if !strings.Contains(pass.Pkg.Dir, "internal") {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(f.Name) {
 			continue

@@ -28,6 +28,9 @@ var Stampcheck = &Analyzer{
 	Name: "stampcheck",
 	Doc: "every IPC send/recv path must run the stamp-propagation protocol; " +
 		"kernel constructors must not pass a nil stamp store",
+	Scope: func(dir string) bool {
+		return strings.HasSuffix(dir, "internal/ipc") || strings.HasSuffix(dir, "internal/kernel")
+	},
 	Run: runStampcheck,
 }
 
@@ -39,10 +42,9 @@ var (
 )
 
 func runStampcheck(pass *Pass) {
-	switch {
-	case strings.HasSuffix(pass.Pkg.Dir, "internal/ipc"):
+	if strings.HasSuffix(pass.Pkg.Dir, "internal/ipc") {
 		checkIPCPropagation(pass)
-	case strings.HasSuffix(pass.Pkg.Dir, "internal/kernel"):
+	} else {
 		checkKernelStampStores(pass)
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/token"
 	"strings"
 )
@@ -14,13 +15,28 @@ import (
 // form (code //overhaul:allow ...) and the standalone form (comment on
 // its own line above the code). The reason is mandatory and is what a
 // reviewer reads instead of the diagnostic, so an allow without one is
-// reported under the pseudo-analyzer "allow".
+// reported under the pseudo-analyzer "allow". So is an allow that
+// names an analyzer of the run but suppressed none of its findings: a
+// stale annotation would silence the next finding that lands there.
 const AllowPrefix = "//overhaul:allow"
 
 // allow is one parsed suppression annotation.
 type allow struct {
 	analyzer string
-	reason   string
+	col      int
+}
+
+// scoped names one analyzer's run over one package.
+type scoped struct {
+	pkg      *Package
+	analyzer string
+}
+
+// allowSite identifies one annotation by file, line and analyzer.
+type allowSite struct {
+	file     *File
+	line     int
+	analyzer string
 }
 
 // parseAllow splits a raw comment into its annotation parts. ok is
@@ -68,21 +84,51 @@ func parseAllows(fset *token.FileSet, f *File) (map[int][]allow, []Diagnostic) {
 			if allows == nil {
 				allows = make(map[int][]allow)
 			}
-			allows[pos.Line] = append(allows[pos.Line], allow{analyzer: analyzer, reason: reason})
+			allows[pos.Line] = append(allows[pos.Line], allow{analyzer: analyzer, col: pos.Column})
 		}
 	}
 	return allows, bad
 }
 
-// suppressed reports whether a diagnostic from analyzer at line is
-// covered by an annotation on the same line or the line above.
-func (f *File) suppressed(analyzer string, line int) bool {
+// suppress reports whether a diagnostic from analyzer at line is
+// covered by an annotation on the same line or the line above, and
+// marks every covering annotation as used.
+func (f *File) suppress(analyzer string, line int, used map[allowSite]bool) bool {
+	covered := false
 	for _, l := range []int{line, line - 1} {
 		for _, a := range f.allows[l] {
 			if a.analyzer == analyzer {
-				return true
+				used[allowSite{f, l, analyzer}] = true
+				covered = true
 			}
 		}
 	}
-	return false
+	return covered
+}
+
+// staleAllows reports each annotation that names an analyzer which
+// ran over its package but suppressed none of that analyzer's
+// findings. Annotations naming an analyzer left out of the run, or
+// sitting outside its scope, are not judged.
+func staleAllows(m *Module, ran map[scoped]bool, used map[allowSite]bool) []Diagnostic {
+	var stale []Diagnostic
+	for _, pkg := range m.Packages {
+		for _, f := range pkg.Files {
+			for line, allows := range f.allows {
+				for _, a := range allows {
+					if !ran[scoped{pkg, a.analyzer}] || used[allowSite{f, line, a.analyzer}] {
+						continue
+					}
+					stale = append(stale, Diagnostic{
+						File:     f.Name,
+						Line:     line,
+						Col:      a.col,
+						Analyzer: "allow",
+						Message:  fmt.Sprintf("stale suppression: suppresses no %s finding", a.analyzer),
+					})
+				}
+			}
+		}
+	}
+	return stale
 }

@@ -1,5 +1,7 @@
 // Package store is an errdrop fixture: silently dropped error returns
-// in internal packages are flagged; explicit discards are not.
+// in internal packages are flagged; explicit discards are not. An
+// allow on a line errdrop does not flag suppresses nothing and is
+// itself reported as stale.
 package store
 
 import "errors"
@@ -32,6 +34,7 @@ func Flow(c *closer, j journal) error {
 	c.Close()       // want "Close"
 	_ = save("explicit discard is visible")
 	defer c.Close() // defer cleanups have nowhere to put the error
+	defer c.Close() //overhaul:allow errdrop defers are exempt already // want "stale suppression: suppresses no errdrop finding"
 	note()
 	j.save("no error to drop")
 	if err := save("handled"); err != nil {

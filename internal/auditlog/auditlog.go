@@ -25,27 +25,17 @@ var ErrNilArgs = errors.New("auditlog: nil filesystem or monitor")
 type Writer struct {
 	fsys *fs.FS
 	mon  *monitor.Monitor
-	path string
 }
 
 // NewWriter builds a writer targeting the conventional path.
 func NewWriter(fsys *fs.FS, mon *monitor.Monitor) (*Writer, error) {
-	return NewWriterAt(fsys, mon, Path)
-}
-
-// NewWriterAt builds a writer targeting an explicit log path (chaos
-// campaigns log per-run files alongside the conventional one).
-func NewWriterAt(fsys *fs.FS, mon *monitor.Monitor, path string) (*Writer, error) {
 	if fsys == nil || mon == nil {
 		return nil, ErrNilArgs
-	}
-	if path == "" {
-		path = Path
 	}
 	if err := fsys.MkdirAll("/var/log", 0o755, fs.Root); err != nil {
 		return nil, fmt.Errorf("auditlog: %w", err)
 	}
-	return &Writer{fsys: fsys, mon: mon, path: path}, nil
+	return &Writer{fsys: fsys, mon: mon}, nil
 }
 
 // FormatDecision renders one audit record as a log line. Denials
@@ -73,7 +63,7 @@ func (w *Writer) Flush() (int, error) {
 		b.WriteString(FormatDecision(d))
 		b.WriteByte('\n')
 	}
-	if err := w.fsys.WriteFile(w.path, []byte(b.String()), 0o644, fs.Root); err != nil {
+	if err := w.fsys.WriteFile(Path, []byte(b.String()), 0o644, fs.Root); err != nil {
 		return 0, fmt.Errorf("auditlog: %w", err)
 	}
 	return len(decisions), nil
@@ -81,7 +71,7 @@ func (w *Writer) Flush() (int, error) {
 
 // Read returns the current log content (any user may read it).
 func (w *Writer) Read(cred fs.Cred) ([]string, error) {
-	data, err := w.fsys.ReadFile(w.path, cred)
+	data, err := w.fsys.ReadFile(Path, cred)
 	if err != nil {
 		return nil, fmt.Errorf("auditlog: %w", err)
 	}

@@ -2,7 +2,7 @@ package auditlog
 
 // Telemetry-parity and robustness tests: the audit log and the
 // monitor.audit_appends counter are two views of the same event stream
-// and must never disagree, NewWriterAt must reject broken wiring, and
+// and must never disagree, NewWriter must reject broken wiring, and
 // concurrent decision traffic must stay race-clean (the CI race step
 // runs this package under -race).
 
@@ -100,35 +100,33 @@ func TestAuditAppendsCounterMatchesLog(t *testing.T) {
 	}
 }
 
-// TestNewWriterAtErrorPaths covers every failure mode of the
+// TestNewWriterErrorPaths covers every failure mode of the
 // constructor: missing filesystem, missing monitor, and a filesystem
 // where /var/log cannot be created because a regular file squats on
-// the path. The empty-path case must fall back to the conventional
-// location rather than error.
-func TestNewWriterAtErrorPaths(t *testing.T) {
+// the path. A writer that was built flushes to the conventional path.
+func TestNewWriterErrorPaths(t *testing.T) {
 	sys, err := core.Boot(core.Options{Enforce: true, AlertSecret: "a"})
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
 	mon := sys.Kernel.Monitor()
 
-	if _, err := NewWriterAt(nil, mon, Path); !errors.Is(err, ErrNilArgs) {
-		t.Errorf("NewWriterAt(nil fs) = %v, want ErrNilArgs", err)
+	if _, err := NewWriter(nil, mon); !errors.Is(err, ErrNilArgs) {
+		t.Errorf("NewWriter(nil fs) = %v, want ErrNilArgs", err)
 	}
-	if _, err := NewWriterAt(sys.FS, nil, Path); !errors.Is(err, ErrNilArgs) {
-		t.Errorf("NewWriterAt(nil monitor) = %v, want ErrNilArgs", err)
+	if _, err := NewWriter(sys.FS, nil); !errors.Is(err, ErrNilArgs) {
+		t.Errorf("NewWriter(nil monitor) = %v, want ErrNilArgs", err)
 	}
 
-	// Empty path defaults to the conventional location.
-	w, err := NewWriterAt(sys.FS, mon, "")
+	w, err := NewWriter(sys.FS, mon)
 	if err != nil {
-		t.Fatalf("NewWriterAt(empty path): %v", err)
+		t.Fatalf("NewWriter: %v", err)
 	}
 	if _, err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if _, err := sys.FS.Stat(Path); err != nil {
-		t.Errorf("empty path did not fall back to %s: %v", Path, err)
+		t.Errorf("flush did not write %s: %v", Path, err)
 	}
 
 	// A bare filesystem where a regular file squats on /var: creating
@@ -138,8 +136,8 @@ func TestNewWriterAtErrorPaths(t *testing.T) {
 	if err := bare.WriteFile("/var", []byte("not a directory"), 0o644, fs.Root); err != nil {
 		t.Fatalf("WriteFile /var: %v", err)
 	}
-	if _, err := NewWriterAt(bare, mon, Path); err == nil {
-		t.Error("NewWriterAt over a file at /var should fail")
+	if _, err := NewWriter(bare, mon); err == nil {
+		t.Error("NewWriter over a file at /var should fail")
 	} else if !strings.Contains(err.Error(), "auditlog:") {
 		t.Errorf("constructor error not wrapped with package prefix: %v", err)
 	}

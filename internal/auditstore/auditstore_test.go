@@ -91,7 +91,7 @@ func tempStore(t *testing.T, n int) *auditstore.FileStore {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	t.Cleanup(func() { st.Close() }) //overhaul:allow errdrop test cleanup; a test may have closed it already
+	t.Cleanup(func() { st.Close() }) // a test may have closed it already
 	fillStore(t, st, n)
 	return st
 }
@@ -256,7 +256,7 @@ func TestFileStoreAppendGetReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close() //overhaul:allow errdrop test cleanup
+	defer st2.Close()
 	rec := st2.Recovery()
 	if !rec.Clean || rec.Truncated || rec.Records != 100 || rec.LastSeq != 100 {
 		t.Fatalf("reopen recovery = %+v, want clean 100 records", rec)
@@ -298,7 +298,7 @@ func TestFileStoreRotationAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close() //overhaul:allow errdrop test cleanup
+	defer st2.Close()
 	if rec := st2.Recovery(); !rec.Clean || rec.Records != 100 {
 		t.Fatalf("reopen recovery = %+v, want clean 100 records", rec)
 	}
@@ -311,7 +311,7 @@ func TestFileStoreManualCompact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
+	defer st.Close()
 	fillStore(t, st, 40)
 	sealed, _ := st.SegmentCount()
 	if sealed < 9 {
@@ -378,7 +378,7 @@ func TestFileStoreSyncOption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close() //overhaul:allow errdrop test cleanup
+	defer st2.Close()
 	if rec := st2.Recovery(); !rec.Clean || rec.Records != n {
 		t.Fatalf("reopen recovery = %+v, want clean %d records", rec, n)
 	}
@@ -436,7 +436,7 @@ func TestFileStoreFailClosed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close() //overhaul:allow errdrop test cleanup
+	defer st2.Close()
 	checkPrefix(t, st2, acked)
 }
 
@@ -494,7 +494,7 @@ func TestFileStoreTornTailReported(t *testing.T) {
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
-	defer st3.Close() //overhaul:allow errdrop test cleanup
+	defer st3.Close()
 	if rec := st3.Recovery(); !rec.Clean {
 		t.Fatalf("post-normalize recovery = %+v, want clean", rec)
 	}
@@ -539,7 +539,7 @@ func TestTailSyncAndRebind(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close() //overhaul:allow errdrop test cleanup
+	defer st2.Close()
 	if err := tail.Rebind(st2); err != nil {
 		t.Fatalf("reset: %v", err)
 	}

@@ -151,7 +151,7 @@ func TestBatchCrashConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer st2.Close() //overhaul:allow errdrop test cleanup
+			defer st2.Close()
 			recovered, err := st2.Count()
 			if err != nil {
 				t.Fatalf("count: %v", err)
@@ -183,7 +183,7 @@ func TestGroupCommitAppendBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
+	defer st.Close()
 
 	recs := make([]auditstore.Record, 100)
 	for i := range recs {
@@ -258,7 +258,7 @@ func TestUnencodablePIDFailsOnlyItsAppend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer re.Close() //overhaul:allow errdrop test cleanup
+	defer re.Close()
 	if !re.Recovery().Clean {
 		t.Fatalf("recovery after a refused pid: %+v", re.Recovery())
 	}
@@ -277,7 +277,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
+	defer st.Close()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -342,7 +342,7 @@ func TestAppendDuringCompactCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
+	defer st.Close()
 
 	// Seal two segments so Compact has work to do.
 	const seeded = 6

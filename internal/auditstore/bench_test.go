@@ -39,7 +39,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	for _, n := range benchScales {
 		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
 			st := benchStore(b, n)
-			defer st.Close() //overhaul:allow errdrop bench cleanup
+			defer st.Close()
 			recs := make([]auditstore.Record, b.N)
 			for i := range recs {
 				recs[i] = mkRecord(n + i)
@@ -60,7 +60,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	for _, n := range benchScales {
 		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
 			st := benchStore(b, n)
-			defer st.Close() //overhaul:allow errdrop bench cleanup
+			defer st.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkStoreScanSince(b *testing.B) {
 	for _, n := range benchScales {
 		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
 			st := benchStore(b, n)
-			defer st.Close() //overhaul:allow errdrop bench cleanup
+			defer st.Close()
 			q := auditstore.Query{
 				Since:   mkRecord(n * 9 / 10).Time,
 				Verdict: "deny",
@@ -134,7 +134,7 @@ func BenchmarkStoreScan(b *testing.B) {
 	for _, n := range benchScales {
 		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
 			st := benchStore(b, n)
-			defer st.Close() //overhaul:allow errdrop bench cleanup
+			defer st.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -167,7 +167,7 @@ func BenchmarkStoreAppendSustained(b *testing.B) {
 			if err != nil {
 				b.Fatalf("open: %v", err)
 			}
-			defer st.Close() //overhaul:allow errdrop bench cleanup
+			defer st.Close()
 			batch := make([]auditstore.Record, 0, auditstore.DefaultBatchRecords)
 			for i := 0; i < history; i++ {
 				if batch = append(batch, mkRecord(i)); len(batch) == cap(batch) || i == history-1 {

@@ -83,7 +83,7 @@ func TestMixedFormatRecovery(t *testing.T) {
 
 		if st, err := auditstore.Open(dir, auditstore.Options{}); err == nil || !strings.Contains(err.Error(), v1) {
 			if st != nil {
-				st.Close() //overhaul:allow errdrop the open should not have succeeded
+				st.Close() // the open should not have succeeded
 			}
 			t.Fatalf("%d v2 records: Open = %v, want an error naming %s", v2, err, v1)
 		}
@@ -164,7 +164,7 @@ func TestColdWarmAgreeOnBitRot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer re.Close() //overhaul:allow errdrop test cleanup
+			defer re.Close()
 			rec := re.Recovery()
 			if rec.Clean || rec.TruncatedFile != "seg-00000001.seg" || rec.Reason != stats.Reason {
 				t.Fatalf("recovery = %+v, want the rot in seg-00000001.seg reported as %q", rec, stats.Reason)

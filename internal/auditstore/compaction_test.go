@@ -20,7 +20,7 @@ func TestOpenRejectsBadOptions(t *testing.T) {
 		{CompactSealed: 1}, // a fan-in of 1 would merge one segment into itself forever
 	} {
 		if st, err := auditstore.Open(t.TempDir(), opts); err == nil {
-			st.Close() //overhaul:allow errdrop the open should have failed; release it best-effort
+			st.Close() // the open should have failed; release it best-effort
 			t.Errorf("Open(%+v) succeeded, want an error", opts)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCompactionTiers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer st2.Close() //overhaul:allow errdrop test cleanup
+			defer st2.Close()
 			if rec := st2.Recovery(); !rec.Clean || rec.Records != c.n {
 				t.Fatalf("reopen recovery = %+v, want clean %d records", rec, c.n)
 			}
@@ -183,7 +183,7 @@ func TestCompactionTiers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			defer st2.Close() //overhaul:allow errdrop test cleanup
+			defer st2.Close()
 			if rec := st2.Recovery(); !rec.Clean || rec.Records != c.n {
 				t.Fatalf("reopen recovery = %+v, want clean %d records", rec, c.n)
 			}
@@ -293,7 +293,7 @@ func TestCrashTailMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second reopen: %v", err)
 			}
-			defer st3.Close() //overhaul:allow errdrop test cleanup
+			defer st3.Close()
 			if rec := st3.Recovery(); !rec.Clean {
 				t.Fatalf("second reopen not clean: %+v", rec)
 			}

@@ -126,7 +126,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("third open: %v", err)
 				}
-				defer st3.Close() //overhaul:allow errdrop test cleanup
+				defer st3.Close()
 				if rec := st3.Recovery(); !rec.Clean {
 					t.Fatalf("third open not clean: %+v", rec)
 				}

@@ -161,7 +161,7 @@ func checkEquivalence(t *testing.T, minStep, span int) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer reopened.Close() //overhaul:allow errdrop test cleanup
+	defer reopened.Close()
 	if rec := reopened.Recovery(); !rec.Clean || rec.Records != n {
 		t.Fatalf("reopen recovery = %+v, want clean %d records", rec, n)
 	}

@@ -74,7 +74,7 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second open: %v", err)
 		}
-		defer again.Close() //overhaul:allow errdrop test cleanup
+		defer again.Close()
 		if rec := again.Recovery(); !rec.Clean {
 			t.Fatalf("second open not clean: %+v", rec)
 		}

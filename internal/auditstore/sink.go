@@ -40,7 +40,7 @@ func (t *Tail) Cursor() int {
 // Sync appends stream[cursor:] to the store and advances the cursor
 // per record appended. On a store failure it returns the number
 // appended before the failure and the error; the cursor stays
-// consistent, so a Reset to a reopened store resumes cleanly.
+// consistent, so a Rebind to a reopened store resumes cleanly.
 func (t *Tail) Sync(stream []monitor.Decision) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -19,7 +19,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		defer st.Close() //overhaul:allow errdrop test cleanup
+		defer st.Close()
 
 		const writers, perWriter = 4, 100
 		errs := make(chan error, writers+2)

@@ -64,7 +64,7 @@ func TestSessionBatchSink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	defer st.Close() //overhaul:allow errdrop test cleanup
+	defer st.Close()
 
 	const sessions = 3
 	const perSession = 10
