@@ -1,6 +1,7 @@
 // Command overhaul-benchjson converts `go test -bench -benchmem`
 // output into the machine-readable BENCH_overhaul.json the repository
-// keeps at its root: a map from benchmark name to ns/op and allocs/op.
+// keeps at its root: a map from benchmark name to ns/op, allocs/op and
+// any metric the benchmark reported through b.ReportMetric.
 //
 //	go test -bench=. -benchmem -run='^$' ./... > bench.out
 //	overhaul-benchjson -in bench.out -out BENCH_overhaul.json
@@ -44,20 +45,13 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's recorded cost.
+// Entry is one benchmark's recorded cost. Metrics holds whatever the
+// benchmark reported through b.ReportMetric, keyed by unit.
 type Entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
-
-// benchLine matches one `go test -bench -benchmem` result line, e.g.
-// BenchmarkDecideTelemetryDisabled-8  9416926  120.7 ns/op  0 B/op  0 allocs/op
-// The name is captured verbatim, -GOMAXPROCS suffix included:
-// sub-benchmark names like cap-256 are indistinguishable from the
-// suffix syntactically, so normalizeCPUFamilies decides which -N to
-// rewrite once it has seen every name.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	os.Exit(run())
@@ -142,6 +136,47 @@ func appendHistory(path, commit string, entries map[string]Entry) error {
 	return errors.Join(err, f.Close())
 }
 
+// parseLine parses one result line: the name, the iteration count,
+// then value-unit pairs — ns/op first, any b.ReportMetric units, and
+// B/op and allocs/op under -benchmem, e.g.
+// BenchmarkStoreReopen/file/1000-8  2000  714563 ns/op  44.41 heapB/rec  218032 B/op  876 allocs/op
+func parseLine(line string) (string, Entry, error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || f[3] != "ns/op" {
+		return "", Entry{}, fmt.Errorf("malformed benchmark line: %q", line)
+	}
+	if _, err := strconv.ParseUint(f[1], 10, 64); err != nil {
+		return "", Entry{}, fmt.Errorf("malformed iteration count in %q: %v", line, err)
+	}
+	var e Entry
+	for i := 2; i < len(f); i += 2 {
+		unit := f[i+1]
+		if unit == "allocs/op" {
+			n, err := strconv.ParseInt(f[i], 10, 64)
+			if err != nil {
+				return "", Entry{}, fmt.Errorf("malformed allocs/op in %q: %v", line, err)
+			}
+			e.AllocsPerOp = n
+			continue
+		}
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", Entry{}, fmt.Errorf("malformed %s in %q: %v", unit, line, err)
+		}
+		switch unit {
+		case "ns/op":
+			e.NsPerOp = v
+		case "B/op":
+		default:
+			if e.Metrics == nil {
+				e.Metrics = make(map[string]float64)
+			}
+			e.Metrics[unit] = v
+		}
+	}
+	return f[0], e, nil
+}
+
 // parse extracts every benchmark line, keyed by the benchmark name as
 // go test printed it less the GOMAXPROCS suffix (see normalizeCPUFamilies),
 // for a run at GOMAXPROCS procs. A name appearing more than once
@@ -149,7 +184,8 @@ func appendHistory(path, commit string, entries map[string]Entry) error {
 // allocs/op: the minimum is the standard low-noise wall-clock
 // statistic on a shared machine (noise only ever adds time), while
 // allocs must be pessimistic — a single run that allocated more is a
-// real behavior, not noise.
+// real behavior, not noise. A reported metric keeps its maximum too:
+// the ones recorded here count a cost, such as heap bytes per record.
 func parse(r io.Reader, procs int) (map[string]Entry, error) {
 	entries := make(map[string]Entry)
 	sc := bufio.NewScanner(r)
@@ -165,30 +201,23 @@ func parse(r io.Reader, procs int) (map[string]Entry, error) {
 		if !strings.Contains(line, "ns/op") {
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			return nil, fmt.Errorf("malformed benchmark line: %q", line)
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		name, e, err := parseLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("malformed ns/op in %q: %v", line, err)
+			return nil, err
 		}
-		var allocs int64
-		if m[3] != "" {
-			if allocs, err = strconv.ParseInt(m[3], 10, 64); err != nil {
-				return nil, fmt.Errorf("malformed allocs/op in %q: %v", line, err)
+		if prev, ok := entries[name]; ok {
+			e.NsPerOp = min(e.NsPerOp, prev.NsPerOp)
+			e.AllocsPerOp = max(e.AllocsPerOp, prev.AllocsPerOp)
+			for unit, v := range prev.Metrics {
+				if w, ok := e.Metrics[unit]; !ok || v > w {
+					if e.Metrics == nil {
+						e.Metrics = make(map[string]float64)
+					}
+					e.Metrics[unit] = v
+				}
 			}
 		}
-		e := Entry{NsPerOp: ns, AllocsPerOp: allocs}
-		if prev, ok := entries[m[1]]; ok {
-			if prev.NsPerOp < e.NsPerOp {
-				e.NsPerOp = prev.NsPerOp
-			}
-			if prev.AllocsPerOp > e.AllocsPerOp {
-				e.AllocsPerOp = prev.AllocsPerOp
-			}
-		}
-		entries[m[1]] = e
+		entries[name] = e
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

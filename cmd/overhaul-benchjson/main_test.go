@@ -73,6 +73,30 @@ PASS
 	}
 }
 
+func TestParseReportedMetrics(t *testing.T) {
+	// b.ReportMetric units sit between ns/op and B/op; they must not
+	// hide the allocs/op after them, and repeats keep their maximum.
+	entries, err := parse(strings.NewReader(`
+BenchmarkStoreReopen/file/1000  2000  714563 ns/op  44.41 heapB/rec  218032 B/op  876 allocs/op
+BenchmarkStoreReopen/file/1000  2000  702000 ns/op  46.00 heapB/rec  218032 B/op  870 allocs/op
+BenchmarkAblationShmWait/1ms    2000  1200 ns/op    3.000 faults    48 B/op  2 allocs/op
+PASS
+`), 1)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	want := map[string]Entry{
+		"BenchmarkStoreReopen/file/1000": {NsPerOp: 702000, AllocsPerOp: 876, Metrics: map[string]float64{"heapB/rec": 46}},
+		"BenchmarkAblationShmWait/1ms":   {NsPerOp: 1200, AllocsPerOp: 2, Metrics: map[string]float64{"faults": 3}},
+	}
+	if !reflect.DeepEqual(entries, want) {
+		t.Fatalf("parse = %+v, want %+v", entries, want)
+	}
+	if _, err := parse(strings.NewReader("BenchmarkX  100  5 ns/op  7 heapB/rec  8\n"), 1); err == nil {
+		t.Fatal("a value without a unit parsed")
+	}
+}
+
 func TestParseKeepsLoneSuffixVerbatim(t *testing.T) {
 	// Without the bare sibling, and on a host whose GOMAXPROCS is not
 	// 8, -8 is indistinguishable from a sub-benchmark name and must not

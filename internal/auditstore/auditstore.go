@@ -10,9 +10,13 @@
 // (varint-framed, CRC-checked records, a block index in each sealed
 // segment's footer) with group-committed appends, segment rotation,
 // and size-tiered compaction of sealed segments, fronted by an
-// in-memory index (sequence order plus pid/verdict posting lists and a
-// time-ordered Since seek) that answers every query over the durable
-// records. Recovery is fail-closed in the repository's established
+// in-memory index that answers every query over the durable records:
+// one pointer-free 32-byte entry per record (times, session, pid, and
+// the id of its {op, verdict, reason, degraded} tuple in a kind table
+// holding each distinct tuple once), pid/verdict posting lists of
+// uint32 positions, and a time-ordered Since seek. A Record is built
+// from its entry only when it is read. Recovery is fail-closed in the
+// repository's established
 // sense: Open always replays to a consistent, CRC-verified prefix of
 // the pre-crash stream and reports the exact truncation point — never
 // a silent gap.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"time"
 
 	"overhaul/internal/faultinject"
 )
@@ -87,19 +88,32 @@ func estimateSize(r *Record) int {
 // before a sequence number is burned on them, so an oversized or
 // out-of-range record fails its own Append without failing the store.
 func validateRecord(r *Record) error {
-	if _, _, err := timeNanos(r.Time); err != nil {
-		return err
+	_, _, err := checkFields(r.Time, r.Stamp, r.PID, len(r.Op)+len(r.Verdict)+len(r.Reason))
+	return err
+}
+
+// checkFields is validateRecord over a record's parts: its two times,
+// its pid and the total length of its strings. It returns the times as
+// entry nanoseconds (noTime for a zero time).
+func checkFields(t, stamp time.Time, pid, strs int) (tn, sn int64, err error) {
+	tn, sn = noTime, noTime
+	if n, ok, err := timeNanos(t); err != nil {
+		return 0, 0, err
+	} else if ok {
+		tn = n
 	}
-	if _, _, err := timeNanos(r.Stamp); err != nil {
-		return err
+	if n, ok, err := timeNanos(stamp); err != nil {
+		return 0, 0, err
+	} else if ok {
+		sn = n
 	}
-	if int64(r.PID) < math.MinInt32 || int64(r.PID) > math.MaxInt32 {
-		return fmt.Errorf("auditstore: pid %d outside int32", r.PID)
+	if int64(pid) < math.MinInt32 || int64(pid) > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("auditstore: pid %d outside int32", pid)
 	}
-	if sz := len(r.Op) + len(r.Verdict) + len(r.Reason); sz+64 > MaxPayload {
-		return fmt.Errorf("auditstore: record strings %d bytes exceed payload bound %d", sz, MaxPayload)
+	if strs+64 > MaxPayload {
+		return 0, 0, fmt.Errorf("auditstore: record strings %d bytes exceed payload bound %d", strs, MaxPayload)
 	}
-	return nil
+	return tn, sn, nil
 }
 
 // Append adds one record to the stream and returns its assigned

@@ -265,6 +265,45 @@ func TestUnencodablePIDFailsOnlyItsAppend(t *testing.T) {
 	checkPrefix(t, re, 4)
 }
 
+// TestBatchSinkUnencodableFailsAlone pins the sink's handling of a
+// decision the store could never hold: it is counted as one failed
+// append on arrival, and the decisions buffered around it still land,
+// in order and field for field.
+func TestBatchSinkUnencodableFailsAlone(t *testing.T) {
+	st := tempStore(t, 0)
+	var stats auditstore.SinkStats
+	bs := auditstore.NewBatchSink(st, 7, 4, &stats)
+	sink := bs.Sink()
+	var want []auditstore.Record
+	for i := 0; i < 6; i++ {
+		d := mkRecord(i).Decision()
+		if i == 2 {
+			d.OpTime = time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)
+		} else {
+			r := auditstore.FromDecision(d, 7)
+			r.Seq = uint64(len(want) + 1)
+			want = append(want, r)
+		}
+		sink(d)
+	}
+	bs.Flush()
+	if a, e := stats.Appends.Load(), stats.Errors.Load(); a != 6 || e != 1 {
+		t.Fatalf("sink counted %d appends, %d errors; want 6, 1", a, e)
+	}
+	got, err := auditstore.ScanAll(st, auditstore.Query{})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("store holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameRecord(got[i], want[i]) {
+			t.Fatalf("record %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestGroupCommitConcurrent floods the store from many goroutines and
 // checks the commit accounting: everything acked, everything counted,
 // the histogram consistent, and no batch beyond the configured bound.

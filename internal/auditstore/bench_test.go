@@ -192,3 +192,38 @@ func BenchmarkStoreAppendSustained(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreReopen measures Open on a closed store of n records:
+// listing and reading the segments, the merge, and rebuilding the
+// index, whose decode interns every string. heapB/rec is the live heap
+// the reopened store holds per record.
+func BenchmarkStoreReopen(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
+			st := benchStore(b, n)
+			dir := st.Dir()
+			if err := st.Close(); err != nil {
+				b.Fatalf("close: %v", err)
+			}
+			heap0 := liveHeap()
+			var heap int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := auditstore.Open(dir, auditstore.Options{})
+				if err != nil {
+					b.Fatalf("reopen: %v", err)
+				}
+				if i == b.N-1 {
+					b.StopTimer()
+					heap = liveHeap() - heap0
+					b.StartTimer()
+				}
+				if err := st.Close(); err != nil {
+					b.Fatalf("close: %v", err)
+				}
+			}
+			b.ReportMetric(float64(heap)/float64(n), "heapB/rec")
+		})
+	}
+}

@@ -80,18 +80,27 @@ type blockEntry struct {
 }
 
 // timeNanos converts a record time for the binary codec. The zero time
-// is carried as an absent field; times outside the int64-nanoseconds
-// range (roughly years 1678–2261) do not round-trip and are rejected,
-// like payloads above MaxPayload.
+// is carried as an absent field; instants outside [codecMin, codecMax)
+// — the whole UTC years inside the int64-nanoseconds range — do not
+// round-trip and are rejected, like payloads above MaxPayload. The
+// check compares instants, so it costs no calendar or zone arithmetic.
 func timeNanos(t time.Time) (int64, bool, error) {
 	if t.IsZero() {
 		return 0, false, nil
 	}
-	if y := t.Year(); y < 1678 || y > 2261 {
+	sec := t.Unix()
+	if sec < codecMin || sec >= codecMax {
 		return 0, false, fmt.Errorf("auditstore: time %v outside binary codec range", t)
 	}
-	return t.UnixNano(), true, nil
+	return sec*1e9 + int64(t.Nanosecond()), true, nil
 }
+
+// The binary codec's time range in Unix seconds: UTC years 1678
+// through 2261.
+var (
+	codecMin = time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	codecMax = time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+)
 
 // FrameEncoder frames records for v2 segments through reusable buffers:
 // after warm-up, AppendRecord performs no allocation beyond growth of
@@ -162,10 +171,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeRecordPayload parses one v2 record payload into r. It never
-// panics on arbitrary input and rejects trailing garbage, so a frame
-// whose CRC matches still cannot smuggle undecodable bytes.
-func decodeRecordPayload(p []byte, r *Record) error {
+// decodeRecordPayload parses one v2 record payload into r, taking its
+// strings from strs (nil allocates every one). It never panics on
+// arbitrary input and rejects trailing garbage, so a frame whose CRC
+// matches still cannot smuggle undecodable bytes.
+func decodeRecordPayload(p []byte, r *Record, strs strtab) error {
 	seq, n := binary.Uvarint(p)
 	if n <= 0 {
 		return fmt.Errorf("auditstore: payload: bad seq varint")
@@ -209,13 +219,13 @@ func decodeRecordPayload(p []byte, r *Record) error {
 	p = p[n:]
 	r.PID = int(pid)
 	var err error
-	if r.Op, p, err = decodeString(p); err != nil {
+	if r.Op, p, err = decodeString(p, strs); err != nil {
 		return fmt.Errorf("auditstore: payload: op: %w", err)
 	}
-	if r.Verdict, p, err = decodeString(p); err != nil {
+	if r.Verdict, p, err = decodeString(p, strs); err != nil {
 		return fmt.Errorf("auditstore: payload: verdict: %w", err)
 	}
-	if r.Reason, p, err = decodeString(p); err != nil {
+	if r.Reason, p, err = decodeString(p, strs); err != nil {
 		return fmt.Errorf("auditstore: payload: reason: %w", err)
 	}
 	if len(p) != 0 {
@@ -225,12 +235,33 @@ func decodeRecordPayload(p []byte, r *Record) error {
 }
 
 // decodeString parses a length-prefixed string and returns the rest.
-func decodeString(p []byte) (string, []byte, error) {
+func decodeString(p []byte, strs strtab) (string, []byte, error) {
 	l, n := binary.Uvarint(p)
 	if n <= 0 || l > uint64(len(p)-n) {
 		return "", nil, fmt.Errorf("bad string length")
 	}
-	return string(p[n : n+int(l)]), p[n+int(l):], nil
+	return strs.intern(p[n : n+int(l)]), p[n+int(l):], nil
+}
+
+// strtab interns decoded strings. A trail repeats a few hundred
+// distinct op, verdict and reason strings, so looking each up by its
+// frame bytes (a map index by string(b) does not allocate) costs one
+// string per distinct value instead of one per record. Past strtabCap
+// entries a new string is allocated but not kept, which bounds the
+// table on a trail of unique reasons. A nil strtab interns nothing.
+type strtab map[string]string
+
+const strtabCap = 4096
+
+func (t strtab) intern(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil && len(t) < strtabCap {
+		t[s] = s
+	}
+	return s
 }
 
 // footerSize bounds the encoded size of a footer of n block entries.
@@ -346,7 +377,7 @@ func DecodeBinarySegment(data []byte) ([]Record, int, *Truncation) {
 		return nil, 0, &Truncation{Offset: 0, Reason: "bad segment header"}
 	}
 	var recs []Record
-	end, trunc := streamFrames(data, len(segMagicV2), func(r *Record, _ int) bool {
+	end, trunc := streamFrames(data, len(segMagicV2), nil, func(r *Record, _ int) bool {
 		recs = append(recs, *r)
 		return true
 	})
@@ -360,11 +391,12 @@ func hasSegMagic(data []byte) bool {
 
 // streamFrames walks the frame stream of a v2 segment starting at byte
 // offset off (the caller has already checked the header), handing each
-// decoded record to emit by pointer into one reusable Record — the
-// zero-copy core under the batch decoder and the segment merge. It
-// returns the bytes cleanly consumed and the truncation point, if any;
-// emit returning false stops the walk early with no truncation.
-func streamFrames(data []byte, off int, emit func(r *Record, off int) bool) (int, *Truncation) {
+// decoded record, its strings interned through strs, to emit by
+// pointer into one reusable Record — the zero-copy core under the
+// batch decoder and the segment merge. It returns the bytes cleanly
+// consumed and the truncation point, if any; emit returning false
+// stops the walk early with no truncation.
+func streamFrames(data []byte, off int, strs strtab, emit func(r *Record, off int) bool) (int, *Truncation) {
 	var r Record
 	for off < len(data) {
 		if data[off] == idxMarker {
@@ -398,7 +430,7 @@ func streamFrames(data []byte, off int, emit func(r *Record, off int) bool) (int
 		if crc32.ChecksumIEEE(payload) != crc {
 			return off, &Truncation{Offset: off, Reason: "crc mismatch"}
 		}
-		if err := decodeRecordPayload(payload, &r); err != nil {
+		if err := decodeRecordPayload(payload, &r, strs); err != nil {
 			return off, &Truncation{Offset: off, Reason: "malformed record payload"}
 		}
 		if !emit(&r, off) {

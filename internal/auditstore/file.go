@@ -310,39 +310,40 @@ func (fs *FileStore) normalize(old []*segment) error {
 }
 
 // encodeRange renders index records [from, to) as one complete sealed
-// v2 segment (header, frames, footer with block index) in memory.
-// Only the recovery and compaction paths use it; the append hot path
-// streams through the reusable group-commit buffers instead. The
-// buffer is sized once up front, so a merge allocates it once instead
-// of growing and copying as it fills.
+// v2 segment (header, frames, footer with block index) in memory,
+// building each Record from its entry and kind-table tuple as it
+// encodes it. Only the recovery and compaction paths use it; the
+// append hot path streams through the reusable group-commit buffers
+// instead. The buffer is sized once up front, so a merge allocates it
+// once instead of growing and copying as it fills.
 func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	recs, err := fs.idx.positions(from, to)
+	v, err := fs.idx.positions(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("segment stage: %w", err)
 	}
-	size := len(segMagicV2) + footerSize(len(recs)/indexEvery+2)
-	for i := range recs {
-		size += estimateSize(&recs[i])
+	n := len(v.ents)
+	size := len(segMagicV2) + footerSize(n/indexEvery+2)
+	for i := range v.ents {
+		k := &v.kinds[v.ents[i].kind]
+		size += estimateSize(&Record{Op: k.op, Verdict: k.verdict, Reason: k.reason})
 	}
 	buf := append(make([]byte, 0, size), segMagicV2...)
 	var enc FrameEncoder
-	entries := make([]blockEntry, 0, len(recs)/indexEvery+2)
+	entries := make([]blockEntry, 0, n/indexEvery+2)
 	maxSoFar := int64(math.MinInt64)
-	lastSeq := uint64(0)
-	for i := range recs {
-		r := &recs[i]
+	var r Record
+	for i := range v.ents {
 		if i%indexEvery == 0 {
-			entries = append(entries, blockEntry{seq: r.Seq, off: uint64(len(buf)), maxBefore: maxSoFar})
+			entries = append(entries, blockEntry{seq: v.base + uint64(i), off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
-		if buf, err = enc.AppendRecord(buf, r); err != nil {
+		v.fill(i, &r)
+		if buf, err = enc.AppendRecord(buf, &r); err != nil {
 			return nil, err
 		}
-		if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > maxSoFar {
-			maxSoFar = tn
-		}
-		lastSeq = r.Seq
+		// A zero time is noTime, the maximum's floor, so it never raises it.
+		maxSoFar = max(maxSoFar, v.ents[i].time)
 	}
-	entries = append(entries, blockEntry{seq: lastSeq + 1, off: uint64(len(buf)), maxBefore: maxSoFar})
+	entries = append(entries, blockEntry{seq: v.base + uint64(n), off: uint64(len(buf)), maxBefore: maxSoFar})
 	return appendFooter(buf, entries), nil
 }
 

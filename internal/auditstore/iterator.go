@@ -1,6 +1,7 @@
 package auditstore
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,45 +13,47 @@ import (
 // applicable index drives iteration — a pid or verdict posting list
 // when the query pins one, their galloping-merge intersection when it
 // pins both — and a Since bound over a time-ordered stream seeks its
-// starting position instead of scanning to it.
+// starting position instead of scanning to it. Candidates are
+// filtered on their index entries; a Record is built only for a
+// match.
 //
 // An Iterator is not safe for concurrent use; create one per
 // goroutine.
 type Iterator struct {
-	recs []Record
-	q    Query
+	v view
+	q Query
+	// since and until are q's time bounds as entry nanoseconds.
+	since, until int64
 
 	// Iteration plan. postA drives posting iteration; postB, when
 	// non-nil, is galloping-merge intersected with it.
-	postA, postB []int
+	postA, postB []uint32
 	usePost      bool
-	i, j         int // cursors into postA/postB, or recs position in sequence mode
+	i, j         int // cursors into postA/postB, or entry position in sequence mode
 
 	// Precomputed filter flags: which Query fields still need checking
 	// per candidate (posting lists already pin pid/verdict).
 	checkPID, checkVerdict, checkSince, checkUntil, checkReason, checkSession bool
 
-	// Reason-substring memo: audit streams intern their reason strings
-	// (the policy evaluator hands out cached reasons), so consecutive
-	// candidates usually carry the *same* string header and Go's string
-	// equality short-circuits on the data pointer. One remembered
-	// verdict then answers most Contains checks in O(1).
-	lastReason   string
-	lastReasonOK bool
-	haveReason   bool
+	// Reason-substring memo keyed on the kind id, direct-mapped: a
+	// slot holds (id+1)<<1 | match, or 0 when empty. A stream repeats
+	// a few hundred kinds, so most candidates find their kind's answer
+	// here and only a kind's first sighting (or a slot collision) runs
+	// strings.Contains.
+	reasonMemo [256]uint32
 
 	matched int
 	done    bool
 }
 
-// iter plans q over a snapshot of the index. The snapshot is taken
-// under the read lock; iteration itself is lock-free (the record slice
-// and posting lists are append-only, so their captured prefixes are
-// immutable).
+// iter plans q over a snapshot of the index. The snapshot — the entry
+// and kind-table prefixes and the posting lists — is taken under the
+// read lock; iteration itself is lock-free (all of them are
+// append-only, so their captured prefixes are immutable).
 func (m *index) iter(q Query) *Iterator {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	it := &Iterator{q: q}
+	it := &Iterator{}
 	m.planLocked(q, it)
 	return it
 }
@@ -58,23 +61,29 @@ func (m *index) iter(q Query) *Iterator {
 // planLocked fills in the iteration plan for q. Callers hold at least
 // the read lock.
 func (m *index) planLocked(q Query, it *Iterator) {
-	it.recs = m.recs
+	it.q = q
+	it.v = m.viewLocked()
 	it.checkSince = !q.Since.IsZero()
 	it.checkUntil = !q.Until.IsZero()
 	it.checkReason = q.Reason != ""
 	it.checkSession = q.Session != 0
+	if it.checkSince {
+		it.since = boundNanos(q.Since)
+	}
+	if it.checkUntil {
+		it.until = boundNanos(q.Until)
+	}
 
 	// Since seek: on a time-ordered stream the first candidate
 	// position is found by binary search, not by scanning.
 	start := 0
 	if it.checkSince && m.timeOrdered {
-		start = sort.Search(len(m.recs), func(i int) bool {
-			return !m.recs[i].Time.Before(q.Since)
-		})
+		ents, since := it.v.ents, it.since
+		start = sort.Search(len(ents), func(i int) bool { return ents[i].time >= since })
 		it.checkSince = false // everything from start on passes
 	}
 
-	var pid, ver []int
+	var pid, ver []uint32
 	havePID, haveVer := false, false
 	if q.PID != 0 {
 		pid, havePID = m.byPID[q.PID], true
@@ -89,17 +98,16 @@ func (m *index) planLocked(q Query, it *Iterator) {
 		if len(ver) < len(pid) {
 			it.postA, it.postB = ver, pid
 		}
-		it.i = sort.SearchInts(it.postA, start)
-		it.j = sort.SearchInts(it.postB, start)
+		it.i, _ = slices.BinarySearch(it.postA, uint32(start))
+		it.j, _ = slices.BinarySearch(it.postB, uint32(start))
 	case havePID:
 		it.usePost = true
 		it.postA = pid
-		it.checkVerdict = false
-		it.i = sort.SearchInts(pid, start)
+		it.i, _ = slices.BinarySearch(pid, uint32(start))
 	case haveVer:
 		it.usePost = true
 		it.postA = ver
-		it.i = sort.SearchInts(ver, start)
+		it.i, _ = slices.BinarySearch(ver, uint32(start))
 	default:
 		it.i = start
 	}
@@ -109,131 +117,119 @@ func (m *index) planLocked(q Query, it *Iterator) {
 	it.checkVerdict = havePID && !haveVer && q.Verdict != ""
 }
 
-// match applies the residual filters to a candidate. It is written to
-// stay under the inlining budget: the only call in the hot path is the
-// outlined reason check, and that is a memoized pointer comparison in
-// the common interned-reason case.
-func (it *Iterator) match(r *Record) bool {
-	if it.checkSince && r.Time.Before(it.q.Since) {
+// match applies the residual filters to a candidate entry. It is
+// written to stay small: the only call in the hot path is the outlined
+// reason check, and that is a memo lookup by kind id in the common
+// case.
+func (it *Iterator) match(e *entry) bool {
+	if it.checkSince && e.time < it.since {
 		return false
 	}
-	if it.checkUntil && !r.Time.Before(it.q.Until) {
+	if it.checkUntil && e.time >= it.until {
 		return false
 	}
-	if it.checkPID && r.PID != it.q.PID {
+	if it.checkPID && int(e.pid) != it.q.PID {
 		return false
 	}
-	if it.checkVerdict && r.Verdict != it.q.Verdict {
+	if it.checkVerdict && it.v.kinds[e.kind].verdict != it.q.Verdict {
 		return false
 	}
-	if it.checkReason && !it.reasonOK(r.Reason) {
+	if it.checkReason && !it.reasonOK(e.kind) {
 		return false
 	}
-	if it.checkSession && r.Session != it.q.Session {
+	if it.checkSession && e.session != it.q.Session {
 		return false
 	}
 	return true
 }
 
-// reasonOK reports whether s contains the query's reason substring,
-// memoizing the last answer keyed on the string itself — Go's string
-// equality short-circuits on the data pointer, so interned reasons
-// (which the policy evaluator's reason cache hands out) answer in O(1).
-func (it *Iterator) reasonOK(s string) bool {
-	if it.haveReason && s == it.lastReason {
-		return it.lastReasonOK
+// reasonOK reports whether kind id's reason contains the query's
+// reason substring, through the memo.
+func (it *Iterator) reasonOK(id uint32) bool {
+	slot := &it.reasonMemo[id%uint32(len(it.reasonMemo))]
+	if *slot>>1 == id+1 {
+		return *slot&1 == 1
 	}
-	it.lastReason = s
-	it.haveReason = true
-	it.lastReasonOK = strings.Contains(s, it.q.Reason)
-	return it.lastReasonOK
+	ok := strings.Contains(it.v.kinds[id].reason, it.q.Reason)
+	*slot = (id + 1) << 1
+	if ok {
+		*slot |= 1
+	}
+	return ok
 }
 
 // drain runs the iteration to completion through yield, the engine
 // behind Scan. The common audit-triage shapes — one posting list or
 // the plain sequence, with at most a reason-substring residual — get a
-// hand-inlined loop (match costs ~3× the inlining budget, so the
+// hand-inlined loop (match is over the inlining budget, so the
 // compiler cannot do this for us); everything else goes through the
-// general nextRef path.
+// general nextPos path.
 func (it *Iterator) drain(yield func(Record) bool) {
-	recs := it.recs
+	v := &it.v
+	var r Record
 	limit := it.q.Limit
 	if !it.checkSince && !it.checkUntil && !it.checkPID &&
 		!it.checkVerdict && !it.checkSession && it.postB == nil && limit == 0 {
 		// Unlimited fast shapes keep the live state across the opaque
 		// yield call as small as possible: every extra local is a spill
-		// and reload per record, and at ~12 ns/record those dominate.
-		seq := recs[it.i:]
-		if it.usePost {
-			seq = nil
-		}
+		// and reload per record.
 		if !it.checkReason {
 			if it.usePost {
 				for _, a := range it.postA[it.i:] {
-					if !yield(recs[a]) {
+					if v.fill(int(a), &r); !yield(r) {
 						return
 					}
 				}
 				return
 			}
-			for i := range seq {
-				if !yield(seq[i]) {
+			for i := it.i; i < len(v.ents); i++ {
+				if v.fill(i, &r); !yield(r) {
 					return
 				}
 			}
 			return
 		}
-		// Reason-residual loops: the memo needs no "seen" flag — its
-		// zero state (lastReason == "", lastOK == false) is already the
-		// right answer for an empty-reason record, because a set query
-		// reason is never the empty string.
-		qReason := it.q.Reason
-		var lastReason string
-		lastOK := false
+		// Reason-residual loops.
 		if it.usePost {
 			for _, a := range it.postA[it.i:] {
-				r := &recs[a]
-				if r.Reason != lastReason {
-					lastReason = r.Reason
-					lastOK = strings.Contains(r.Reason, qReason)
+				if !it.reasonOK(v.ents[a].kind) {
+					continue
 				}
-				if lastOK && !yield(*r) {
+				if v.fill(int(a), &r); !yield(r) {
 					return
 				}
 			}
 			return
 		}
-		for i := range seq {
-			r := &seq[i]
-			if r.Reason != lastReason {
-				lastReason = r.Reason
-				lastOK = strings.Contains(r.Reason, qReason)
+		for i := it.i; i < len(v.ents); i++ {
+			if !it.reasonOK(v.ents[i].kind) {
+				continue
 			}
-			if lastOK && !yield(*r) {
+			if v.fill(i, &r); !yield(r) {
 				return
 			}
 		}
 		return
 	}
 	for {
-		r := it.nextRef()
-		if r == nil {
+		p := it.nextPos()
+		if p < 0 {
 			return
 		}
-		if !yield(*r) {
+		if v.fill(p, &r); !yield(r) {
 			return
 		}
 	}
 }
 
-// nextRef returns a pointer to the next matching record in the
-// snapshot, or nil when the iteration is exhausted. The pointee is
-// immutable; callers must copy it to retain it.
-func (it *Iterator) nextRef() *Record {
+// nextPos returns the snapshot position of the next matching entry, or
+// -1 when the iteration is exhausted.
+func (it *Iterator) nextPos() int {
 	if it.done || (it.q.Limit > 0 && it.matched >= it.q.Limit) {
 		it.done = true
-		return nil
+		return -1
 	}
+	ents := it.v.ents
 	if it.usePost {
 		if it.postB != nil {
 			for it.i < len(it.postA) && it.j < len(it.postB) {
@@ -242,9 +238,9 @@ func (it *Iterator) nextRef() *Record {
 				case a == b:
 					it.i++
 					it.j++
-					if r := &it.recs[a]; it.match(r) {
+					if it.match(&ents[a]) {
 						it.matched++
-						return r
+						return int(a)
 					}
 				case a < b:
 					it.i = gallopTo(it.postA, it.i+1, b)
@@ -253,39 +249,39 @@ func (it *Iterator) nextRef() *Record {
 				}
 			}
 			it.done = true
-			return nil
+			return -1
 		}
 		for it.i < len(it.postA) {
-			r := &it.recs[it.postA[it.i]]
+			a := it.postA[it.i]
 			it.i++
-			if it.match(r) {
+			if it.match(&ents[a]) {
 				it.matched++
-				return r
+				return int(a)
 			}
 		}
 		it.done = true
-		return nil
+		return -1
 	}
-	for it.i < len(it.recs) {
-		r := &it.recs[it.i]
+	for it.i < len(ents) {
+		p := it.i
 		it.i++
-		if it.match(r) {
+		if it.match(&ents[p]) {
 			it.matched++
-			return r
+			return p
 		}
 	}
 	it.done = true
-	return nil
+	return -1
 }
 
-// Next copies the next matching record into the caller-owned out and
+// Next builds the next matching record into the caller-owned out and
 // reports whether one was found. It allocates nothing.
 func (it *Iterator) Next(out *Record) bool {
-	r := it.nextRef()
-	if r == nil {
+	p := it.nextPos()
+	if p < 0 {
 		return false
 	}
-	*out = *r
+	it.v.fill(p, out)
 	return true
 }
 
@@ -293,7 +289,7 @@ func (it *Iterator) Next(out *Record) bool {
 // by exponential probing followed by binary search — O(log d) in the
 // distance d advanced, which is what makes intersecting a short
 // posting list with a long one cheap.
-func gallopTo(list []int, from, target int) int {
+func gallopTo(list []uint32, from int, target uint32) int {
 	if from >= len(list) || list[from] >= target {
 		return from
 	}

@@ -85,7 +85,7 @@ func loadSegment(dir, name string, id uint64) (*segment, error) {
 		s.count = int(sent.seq - s.first)
 		return s, nil
 	}
-	_, s.trunc = streamFrames(data, len(segMagicV2), func(r *Record, off int) bool {
+	_, s.trunc = streamFrames(data, len(segMagicV2), make(strtab), func(r *Record, off int) bool {
 		if s.count == 0 {
 			s.first = r.Seq
 		}
@@ -175,9 +175,11 @@ type merger struct {
 }
 
 // walk reads segs in order, handing every record of the merged stream
-// to emit; emit returning false ends the walk early.
+// to emit, its strings interned across the walk; emit returning false
+// ends the walk early.
 func (m *merger) walk(segs []*segment, emit func(r *Record) bool) {
 	m.stop = len(segs)
+	strs := make(strtab)
 	for i, s := range segs {
 		if s.count == 0 {
 			if s.trunc != nil {
@@ -209,7 +211,7 @@ func (m *merger) walk(segs []*segment, emit func(r *Record) bool) {
 		}
 		var hole *Truncation
 		done := false
-		_, trunc := streamFrames(s.data, start, func(r *Record, off int) bool {
+		_, trunc := streamFrames(s.data, start, strs, func(r *Record, off int) bool {
 			if r.Seq < m.next {
 				m.overlap = true
 				return true

@@ -1,6 +1,7 @@
 package auditstore
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,9 +82,10 @@ type SinkStats struct {
 }
 
 // BatchAppender is what a BatchSink writes to: commit a contiguous run
-// of records with one durable acknowledgement. *FileStore implements
-// it with its group commit; a wrapper that times or counts the commits
-// may embed the store and override AppendBatch.
+// of records with one durable acknowledgement. It must not retain the
+// slice, which the sink reuses. *FileStore implements it with its group
+// commit; a wrapper that times or counts the commits may embed the
+// store and override AppendBatch.
 type BatchAppender interface {
 	AppendBatch([]Record) (uint64, error)
 }
@@ -99,15 +101,33 @@ type BatchAppender interface {
 // into the decision path — a failed flush counts every record of the
 // batch in stats.Errors as a dropped acknowledgement (the batch commits
 // atomically, so none was acknowledged), keeping the store's
-// fail-closed state observable.
+// fail-closed state observable. A decision the store could never hold
+// (a time outside the codec's range, a pid outside int32) is counted
+// the same way on arrival and never buffered, so it fails alone
+// instead of failing its batch.
 type BatchSink struct {
 	mu      sync.Mutex
 	st      BatchAppender
 	session uint64
 	limit   int
-	buf     []Record
+	buf     []pending
 	stats   *SinkStats
 }
+
+// pending is a buffered decision: 64 bytes where its Record takes 128.
+// A fleet keeps one buffer of up to limit decisions per session, so
+// the buffers are a per-session cost that scales with the fleet.
+type pending struct {
+	time, stamp int64 // entry nanoseconds (noTime for a zero time)
+	op          monitor.Op
+	reason      string
+	verdict     monitor.Verdict
+	pid         int32
+	degraded    bool
+}
+
+// recordBufs recycles the []Record a flush builds its batch in.
+var recordBufs = sync.Pool{New: func() any { return new([]Record) }}
 
 // NewBatchSink builds a batching sink over st for one session. limit
 // is the records-per-flush bound (values < 1 mean 1: degenerate to
@@ -117,14 +137,27 @@ func NewBatchSink(st BatchAppender, session uint64, limit int, stats *SinkStats)
 		limit = 1
 	}
 	return &BatchSink{st: st, session: session, limit: limit, stats: stats,
-		buf: make([]Record, 0, limit)}
+		buf: make([]pending, 0, limit)}
 }
 
 // Sink returns the fleet.Session.SetAuditSink callback.
 func (b *BatchSink) Sink() func(monitor.Decision) {
 	return func(d monitor.Decision) {
+		tn, sn, err := checkFields(d.OpTime, d.Stamp, d.PID, len(d.Op)+len(d.Verdict.String())+len(d.Reason))
+		if err != nil {
+			b.count(1, true)
+			return
+		}
 		b.mu.Lock()
-		b.buf = append(b.buf, FromDecision(d, b.session))
+		b.buf = append(b.buf, pending{
+			time:     tn,
+			stamp:    sn,
+			op:       d.Op,
+			reason:   d.Reason,
+			verdict:  d.Verdict,
+			pid:      int32(d.PID),
+			degraded: d.Degraded,
+		})
 		if len(b.buf) >= b.limit {
 			b.flushLocked()
 		}
@@ -142,12 +175,34 @@ func (b *BatchSink) Flush() {
 }
 
 func (b *BatchSink) flushLocked() {
-	n := uint64(len(b.buf))
-	_, err := b.st.AppendBatch(b.buf)
+	bp := recordBufs.Get().(*[]Record)
+	recs := slices.Grow((*bp)[:0], len(b.buf))[:len(b.buf)]
+	for i := range b.buf {
+		p := &b.buf[i]
+		recs[i] = Record{
+			Time:     entryTime(p.time),
+			Session:  b.session,
+			PID:      int(p.pid),
+			Op:       string(p.op),
+			Verdict:  p.verdict.String(),
+			Reason:   p.reason,
+			Stamp:    entryTime(p.stamp),
+			Degraded: p.degraded,
+		}
+	}
+	_, err := b.st.AppendBatch(recs)
+	*bp = recs[:0]
+	recordBufs.Put(bp)
+	b.count(uint64(len(b.buf)), err != nil)
 	b.buf = b.buf[:0]
+}
+
+// count tallies n records handed to the store, all of them failed
+// when failed is set.
+func (b *BatchSink) count(n uint64, failed bool) {
 	if b.stats != nil {
 		b.stats.Appends.Add(n)
-		if err != nil {
+		if failed {
 			b.stats.Errors.Add(n)
 		}
 	}

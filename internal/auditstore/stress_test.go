@@ -2,6 +2,7 @@ package auditstore_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,9 +10,13 @@ import (
 )
 
 // TestConcurrentAppendScan hammers one store with concurrent writers
-// and readers — the shape `make race` exists for. Writers interleave
-// arbitrarily but the store must still assign a contiguous sequence,
-// keep every acked record, and answer scans consistently throughout.
+// and readers — the shape `make race` exists for. Writers append
+// batches of one to four records, each with a reason the kind table
+// has not seen, and small segments keep automatic compaction running;
+// readers alternate Scan with an Iter drained in steps. Writers
+// interleave arbitrarily but the store must still assign a contiguous
+// sequence, keep every acked record, and answer scans and iterators
+// consistently throughout.
 func TestConcurrentAppendScan(t *testing.T) {
 	// The subtest keeps the name it had when segments were JSONL.
 	t.Run("jsonl", func(t *testing.T) {
@@ -31,14 +36,20 @@ func TestConcurrentAppendScan(t *testing.T) {
 			writerWG.Add(1)
 			go func() {
 				defer writerWG.Done()
+				var batch []auditstore.Record
 				for i := 0; i < perWriter; i++ {
 					r := mkRecord(i)
 					r.PID = 1000 + w
 					r.Reason = fmt.Sprintf("writer %d record %d", w, i)
-					if _, err := st.Append(r); err != nil {
+					batch = append(batch, r)
+					if len(batch) <= i%4 && i < perWriter-1 {
+						continue
+					}
+					if _, err := st.AppendBatch(batch); err != nil {
 						errs <- fmt.Errorf("writer %d append %d: %w", w, i, err)
 						return
 					}
+					batch = batch[:0]
 				}
 			}()
 		}
@@ -52,8 +63,8 @@ func TestConcurrentAppendScan(t *testing.T) {
 						return
 					default:
 					}
-					// A scan mid-write must still see a gap-free
-					// sequence prefix.
+					// A scan or iterator mid-write must still see a
+					// gap-free sequence prefix.
 					prev := uint64(0)
 					err := st.Scan(auditstore.Query{}, func(r auditstore.Record) bool {
 						if r.Seq != prev+1 {
@@ -66,6 +77,22 @@ func TestConcurrentAppendScan(t *testing.T) {
 					if err != nil {
 						errs <- fmt.Errorf("concurrent scan: %w", err)
 						return
+					}
+					it, err := st.Iter(auditstore.Query{Reason: "record"})
+					if err != nil {
+						errs <- fmt.Errorf("concurrent iter: %w", err)
+						return
+					}
+					prev = 0
+					for r := (auditstore.Record{}); it.Next(&r); {
+						if r.Seq != prev+1 {
+							errs <- fmt.Errorf("iter gap: %d after %d", r.Seq, prev)
+							return
+						}
+						prev = r.Seq
+						if r.Seq%16 == 0 {
+							runtime.Gosched() // let appends land under the live snapshot
+						}
 					}
 				}
 			}()
