@@ -20,14 +20,13 @@
 // Mode flags (degraded, alert sink) and activity counters are atomics,
 // and the decision path is observed only through its probe hooks. The
 // one lock a decision takes is the audit ring's: a single
-// bounded ring of AuditCapacity records, filled in place. The monitor
+// bounded ring of AuditCapacity 24-byte entries, filled in place. The monitor
 // reads no clock: every instant arrives with the notification or query.
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,17 +167,6 @@ const DefaultAuditCapacity = 1024
 // logged (usability, §V-C).
 var alertOps = [6]bool{3: true, 4: true, 5: true} // OpMic, OpCam, OpOther
 
-// auditRing is the audit log: one bounded ring under one lock, filled
-// in place so the hot path never allocates once the ring exists.
-type auditRing struct {
-	mu      sync.Mutex
-	ring    []Decision // capacity Monitor.auditCap, allocated lazily
-	head    int        // index of the oldest record
-	n       int
-	dropped uint64
-	sink    func(Decision) // SetAuditSink; called under mu
-}
-
 // monitorStats are the activity counters, all atomics so the decision
 // path never locks to count. Queries are not counted separately:
 // every query resolves to exactly one of grant or deny, so the total
@@ -233,10 +221,17 @@ type Monitor struct {
 	probeDegrade *probe.Hook // system.degrade
 	probeRecover *probe.Hook // system.recover
 
-	alertFn  atomic.Value           // AlertFunc (typed nil disables)
-	degraded atomic.Pointer[string] // nil: healthy; else fail-closed reason
+	alertFn  atomic.Value                  // AlertFunc (typed nil disables)
+	degraded atomic.Pointer[degradedState] // nil: healthy
 	stats    monitorStats
 	audit    auditRing
+}
+
+// degradedState is a fail-closed reason with the denial reason built
+// from it once, so a degraded decision neither allocates nor reads a
+// table shared with other monitors.
+type degradedState struct {
+	reason, denial string
 }
 
 // Stats aggregates monitor activity.
@@ -344,9 +339,10 @@ func (m *Monitor) SetDegraded(reason string) {
 	if reason == "" {
 		reason = "trusted component failure"
 	}
-	m.degraded.Store(&reason)
+	st := &degradedState{reason: reason, denial: degradedReason(reason)}
+	m.degraded.Store(st)
 	if m.probeDegrade.Wants(0) {
-		m.probeDegrade.Emit(&probe.Event{Kind: probe.KindDegrade, Detail: "monitor", Reason: "protection degraded: " + reason})
+		m.probeDegrade.Emit(&probe.Event{Kind: probe.KindDegrade, Detail: "monitor", Reason: st.denial})
 	}
 }
 
@@ -362,8 +358,8 @@ func (m *Monitor) ClearDegraded() {
 // DegradedReason returns the degradation reason and whether the
 // monitor is currently degraded.
 func (m *Monitor) DegradedReason() (string, bool) {
-	if p := m.degraded.Load(); p != nil {
-		return *p, true
+	if st := m.degraded.Load(); st != nil {
+		return st.reason, true
 	}
 	return "", false
 }
@@ -397,44 +393,6 @@ func probeEvent(ev *probe.Event, kind probe.Kind, ctx probe.SpanContext, d *Deci
 	}
 }
 
-// SetAuditSink attaches a callback that receives every decision the
-// monitor audits, in ring order — the bridge from the bounded ring to a
-// durable store (auditstore.BatchSink). Nil detaches. The callback runs
-// under the ring lock and must not block or call back into the monitor.
-func (m *Monitor) SetAuditSink(fn func(Decision)) {
-	m.audit.mu.Lock()
-	m.audit.sink = fn
-	m.audit.mu.Unlock()
-}
-
-// appendAudit appends one decision to the audit ring, oldest-out, and
-// forwards it to the audit sink when one is attached.
-func (m *Monitor) appendAudit(d *Decision) {
-	a := &m.audit
-	a.mu.Lock()
-	if a.ring == nil {
-		// Grown lazily but allocated once: the ring must not churn the
-		// allocator on the hot decision path.
-		a.ring = make([]Decision, m.auditCap)
-	}
-	var e *Decision
-	if a.n == m.auditCap {
-		e = &a.ring[a.head]
-		a.head = (a.head + 1) % m.auditCap
-		a.dropped++
-	} else {
-		e = &a.ring[(a.head+a.n)%m.auditCap]
-		a.n++
-	}
-	// Filled in place under the lock: the Decision is wide enough that
-	// an extra construct-then-copy shows up in profiles.
-	*e = *d
-	if a.sink != nil {
-		a.sink(*d)
-	}
-	a.mu.Unlock()
-}
-
 // Decide answers a permission query Q_{A,t}: may pid perform op at
 // opTime? It consults the process's interaction stamp, applies the
 // temporal-proximity rule, appends an audit record, and — for
@@ -462,19 +420,19 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 		ctx = sc
 	}
 
-	degraded := ""
-	if p := m.degraded.Load(); p != nil {
-		degraded = *p
+	var degraded, degradedDenial string
+	if st := m.degraded.Load(); st != nil {
+		degraded, degradedDenial = st.reason, st.denial
 	}
 
 	pol := Policy{Threshold: m.threshold, Force: m.force, Enforce: m.enforce}
-	verdict, reason := pol.Evaluate(Query{
+	verdict, reason, rc := pol.evaluate(Query{
 		OpTime:   opTime,
 		Stamp:    stamp,
 		Degraded: degraded,
 		Exists:   exists,
 		Disabled: disabled,
-	})
+	}, degradedDenial)
 
 	isDegraded := pol.DegradedDenial(degraded)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: verdict, Reason: reason, Degraded: isDegraded}
@@ -497,14 +455,14 @@ func (m *Monitor) DecideCtx(ctx probe.SpanContext, pid int, op Op, opTime time.T
 			m.stats.degradedDenials.Add(1)
 		}
 	}
-	m.appendAudit(&d)
+	oi := opIndex(op)
+	m.appendAudit(&d, oi, rc)
 	if m.probeDecide.Wants(int64(pid)) {
 		var ev probe.Event
 		probeEvent(&ev, probe.KindDecide, span, &d)
 		m.probeDecide.Emit(&ev)
 	}
 	alertFn := m.alertSink()
-	oi := opIndex(op)
 	sendAlert := alertFn != nil && oi >= 0 && alertOps[oi]
 	if sendAlert {
 		m.stats.alertsSent.Add(1)
@@ -531,32 +489,13 @@ func (m *Monitor) RecordDenialCtx(ctx probe.SpanContext, pid int, op Op, opTime 
 	stamp, _, _, _ := m.tasks.InteractionView(pid)
 	d := Decision{PID: pid, Op: op, OpTime: opTime, Stamp: stamp, Verdict: VerdictDeny, Reason: reason}
 	m.stats.denials.Add(1)
-	m.appendAudit(&d)
+	m.appendAudit(&d, opIndex(op), rcSide)
 	if m.probeDecide.Wants(int64(pid)) {
 		var ev probe.Event
 		probeEvent(&ev, probe.KindDecide, ctx, &d)
 		ev.Flags = probe.FlagRecorded
 		m.probeDecide.Emit(&ev)
 	}
-}
-
-// Audit returns a copy of the audit log, oldest first.
-func (m *Monitor) Audit() []Decision {
-	a := &m.audit
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Decision, a.n)
-	for i := range out {
-		out[i] = a.ring[(a.head+i)%m.auditCap]
-	}
-	return out
-}
-
-// DroppedAudit reports how many audit records were evicted.
-func (m *Monitor) DroppedAudit() uint64 {
-	m.audit.mu.Lock()
-	defer m.audit.mu.Unlock()
-	return m.audit.dropped
 }
 
 // StatsSnapshot returns a copy of the activity counters.
@@ -571,12 +510,4 @@ func (m *Monitor) StatsSnapshot() Stats {
 		AlertsSent:      m.stats.alertsSent.Load(),
 		DegradedDenials: m.stats.degradedDenials.Load(),
 	}
-}
-
-// ResetAudit clears the audit log (used between experiment phases).
-func (m *Monitor) ResetAudit() {
-	a := &m.audit
-	a.mu.Lock()
-	a.head, a.n, a.dropped = 0, 0, 0
-	a.mu.Unlock()
 }

@@ -62,33 +62,47 @@ const (
 // significant figures and hands out an interned string, so a fleet
 // denying at rate does not allocate one reason per denial — and equal
 // (staleness, δ) pairs produce the identical string value across all
-// sessions.
+// sessions. A degraded denial's prefixed reason is interned the same
+// way, by its degraded reason.
 func (p Policy) Evaluate(q Query) (Verdict, string) {
+	v, reason, _ := p.evaluate(q, "")
+	return v, reason
+}
+
+// evaluate is Evaluate that also returns the reason's audit code
+// (rcSide for a degraded reason). degradedText, when not empty, is
+// the full reason for q.Degraded: the Monitor builds it once per
+// SetDegraded, so its decision path reads no table shared with other
+// monitors.
+func (p Policy) evaluate(q Query, degradedText string) (Verdict, string, uint32) {
 	switch {
 	case p.Force:
 		//overhaul:allow flowcheck force-grant deliberately bypasses freshness: benchmark mode measures mediation overhead with the verdict pinned
-		return VerdictGrant, ReasonForceGrant
+		return VerdictGrant, ReasonForceGrant, rcForceGrant
 	case !p.Enforce:
 		//overhaul:allow flowcheck observe-only mode grants by policy while still recording stamp age; enforcement is the ablation axis
-		return VerdictGrant, ReasonObserveOnly
+		return VerdictGrant, ReasonObserveOnly, rcObserveOnly
 	case q.Degraded != "":
 		// Fail closed: a decision path whose trusted substrate is
 		// broken must deny, whatever the stamps say.
-		return VerdictDeny, reasonDegradedPrefix + q.Degraded
+		if degradedText == "" {
+			degradedText, _, _ = degradedReasons.intern(q.Degraded, degradedReason)
+		}
+		return VerdictDeny, degradedText, rcSide
 	case !q.Exists:
-		return VerdictDeny, ReasonNoSuchProcess
+		return VerdictDeny, ReasonNoSuchProcess, rcNoSuchProcess
 	case q.Disabled:
-		return VerdictDeny, ReasonPtraceGuard
+		return VerdictDeny, ReasonPtraceGuard, rcPtraceGuard
 	case q.Stamp.IsZero():
-		return VerdictDeny, ReasonNoInteraction
+		return VerdictDeny, ReasonNoInteraction, rcNoInteraction
 	case q.OpTime.Before(q.Stamp):
 		// An operation "before" the interaction can only happen
 		// through clock misuse; treat as immediate proximity.
-		return VerdictGrant, ReasonStampAfterOp
+		return VerdictGrant, ReasonStampAfterOp, rcStampAfterOp
 	case q.OpTime.Sub(q.Stamp) < p.Threshold:
-		return VerdictGrant, ReasonWithinDelta
+		return VerdictGrant, ReasonWithinDelta, rcWithinDelta
 	default:
-		return VerdictDeny, staleReason(q.OpTime.Sub(q.Stamp)-p.Threshold, p.Threshold)
+		return staleDenial(q.OpTime.Sub(q.Stamp)-p.Threshold, p.Threshold)
 	}
 }
 
@@ -108,42 +122,91 @@ func QuantizeStale(d time.Duration) time.Duration {
 	return d - d%q
 }
 
+// internTable is a bounded string intern shared by every policy. Each
+// kept string gets the next id, its position in text; text is
+// append-only, so a reader may index a snapshot of it without the lock.
+// Bounded: the cap only guards against an adversarial spread of keys.
+type internTable[K comparable] struct {
+	mu   sync.RWMutex
+	ids  map[K]uint32
+	text []string
+}
+
+const internTableCap = 4096
+
+// intern returns the string kept under k and its id, building it with
+// build on first sight. ok is false once the table is full: the string
+// was built but not kept, and has no id.
+func (t *internTable[K]) intern(k K, build func(K) string) (s string, id uint32, ok bool) {
+	t.mu.RLock()
+	if id, ok = t.ids[k]; ok {
+		s = t.text[id]
+	}
+	t.mu.RUnlock()
+	if ok {
+		return s, id, true
+	}
+	s = build(k)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok = t.ids[k]; ok {
+		return t.text[id], id, true
+	}
+	if len(t.text) >= internTableCap {
+		return s, 0, false
+	}
+	if t.ids == nil {
+		t.ids = make(map[K]uint32, 64)
+	}
+	id = uint32(len(t.text))
+	t.ids[k] = id
+	t.text = append(t.text, s)
+	return s, id, true
+}
+
+// snapshot returns the kept strings, indexed by id.
+func (t *internTable[K]) snapshot() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.text
+}
+
 // staleKey identifies one interned stale reason.
 type staleKey struct {
 	stale, threshold time.Duration
 }
 
-// staleReasons caches formatted stale-denial reasons. Bounded: δ is
-// per-policy constant and quantized stalenesses cluster, so the cache
-// saturates at a few dozen entries in practice; the cap only guards
-// against an adversarial spread of thresholds.
-var staleReasons struct {
-	sync.RWMutex
-	m map[staleKey]string
+// staleReasons interns stale-denial reasons. δ is per-policy constant
+// and quantized stalenesses cluster, so the table saturates at a few
+// dozen entries in practice. Its ids are the audit ring's stale reason
+// codes.
+var staleReasons internTable[staleKey]
+
+// degradedReasons interns Evaluate's degraded-denial reasons by their
+// degraded reason. Only Evaluate reads it: the Monitor builds its own
+// once per SetDegraded, and its audit ring keeps degraded reasons in
+// the side slot, so these ids go unused.
+var degradedReasons internTable[string]
+
+// staleDenial is the stale-stamp denial: its interned reason and audit
+// code, formatted and cached on first sight of the quantized
+// (staleness, δ) pair.
+func staleDenial(stale, threshold time.Duration) (Verdict, string, uint32) {
+	s, id, ok := staleReasons.intern(staleKey{QuantizeStale(stale), threshold}, staleReasonText)
+	if !ok {
+		return VerdictDeny, s, rcSide
+	}
+	return VerdictDeny, s, rcStale + id
 }
 
-const staleReasonCacheCap = 4096
+func staleReasonText(k staleKey) string {
+	return fmt.Sprintf("interaction stale by %v (δ=%v)", k.stale, k.threshold)
+}
 
-// staleReason returns the interned reason string for a stale denial,
-// formatting and caching it on first sight of the (staleness, δ) pair.
-func staleReason(stale, threshold time.Duration) string {
-	k := staleKey{QuantizeStale(stale), threshold}
-	staleReasons.RLock()
-	s, ok := staleReasons.m[k]
-	staleReasons.RUnlock()
-	if ok {
-		return s
-	}
-	s = fmt.Sprintf("interaction stale by %v (δ=%v)", k.stale, threshold)
-	staleReasons.Lock()
-	if staleReasons.m == nil {
-		staleReasons.m = make(map[staleKey]string, 64)
-	}
-	if len(staleReasons.m) < staleReasonCacheCap {
-		staleReasons.m[k] = s
-	}
-	staleReasons.Unlock()
-	return s
+// degradedReason is the full reason of a denial issued while degraded
+// for reason.
+func degradedReason(reason string) string {
+	return reasonDegradedPrefix + reason
 }
 
 // DegradedDenial reports whether a decision under this policy counts as
