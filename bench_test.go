@@ -187,7 +187,9 @@ func BenchmarkAblationShmCheckInterval(b *testing.B) {
 }
 
 // BenchmarkAblationAuditCapacity sweeps the decision-log ring size:
-// larger rings raise GC scan cost in allocation-heavy workloads.
+// larger rings raise GC scan cost in allocation-heavy workloads. One
+// untimed Decide makes the ring first, so no row charges its
+// allocation and first touch to the timed decisions.
 func BenchmarkAblationAuditCapacity(b *testing.B) {
 	for _, capacity := range []int{256, 1024, 8192} {
 		b.Run(fmt.Sprintf("cap-%d", capacity), func(b *testing.B) {
@@ -204,6 +206,7 @@ func BenchmarkAblationAuditCapacity(b *testing.B) {
 				b.Fatal(err)
 			}
 			now := time.Now() //overhaul:allow clockcheck micro-benchmark decides against the live wall clock it booted with
+			k.Monitor().Decide(proc.PID(), monitor.OpMic, now)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k.Monitor().Decide(proc.PID(), monitor.OpMic, now)

@@ -152,7 +152,7 @@ func BenchmarkStoreScan(b *testing.B) {
 }
 
 // BenchmarkStoreAppendSustained appends one record at a time to a file
-// store that already holds history records, with default Options, so
+// store that already holds history records, in 256-record segments, so
 // the rotations and compactions a long-lived store pays run inside the
 // timed loop. Size-tiered merges touch the newest segments, not the
 // whole history, so ns/op no longer grows linearly with history; the
@@ -163,7 +163,7 @@ func BenchmarkStoreScan(b *testing.B) {
 func BenchmarkStoreAppendSustained(b *testing.B) {
 	for _, history := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
-			st, err := auditstore.Open(b.TempDir(), auditstore.Options{})
+			st, err := auditstore.Open(b.TempDir(), auditstore.Options{SegmentRecords: 256})
 			if err != nil {
 				b.Fatalf("open: %v", err)
 			}
@@ -187,6 +187,41 @@ func BenchmarkStoreAppendSustained(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := st.Append(recs[i]); err != nil {
 					b.Fatalf("append: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreAppendBatch32 makes 32-record AppendBatch calls into a
+// store that starts empty, the way a fleet session's batching sink
+// flushes, so rotation and compaction run inside the timed loop. The
+// seg=256 row keeps the segment size the store defaulted to before
+// DefaultSegmentRecords was measured; at the Makefile's -benchtime=2000x
+// (64,000 records) it pays 249 rotations and 34 merges rewriting
+// 112,640 records, against the default's 15 rotations and one merge of
+// 32,768.
+func BenchmarkStoreAppendBatch32(b *testing.B) {
+	for _, seg := range []struct {
+		name string
+		recs int
+	}{{"256", 256}, {"default", 0}} {
+		b.Run("seg="+seg.name, func(b *testing.B) {
+			st, err := auditstore.Open(b.TempDir(), auditstore.Options{SegmentRecords: seg.recs})
+			if err != nil {
+				b.Fatalf("open: %v", err)
+			}
+			defer st.Close()
+			recs := make([]auditstore.Record, 32*b.N)
+			for i := range recs {
+				recs[i] = mkRecord(i)
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.AppendBatch(recs[32*i : 32*i+32]); err != nil {
+					b.Fatalf("append batch: %v", err)
 				}
 			}
 		})

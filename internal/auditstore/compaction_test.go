@@ -301,3 +301,68 @@ func TestCrashTailMerge(t *testing.T) {
 		})
 	}
 }
+
+// TestDefaultSegmentRotation drives the default Options the way a
+// session sink does, in 32-record batches: the first seal comes at
+// DefaultSegmentRecords, the first merge at DefaultCompactSealed times
+// that, and the store reopens clean with every record.
+func TestDefaultSegmentRotation(t *testing.T) {
+	const batch = 32
+	s, k := auditstore.DefaultSegmentRecords, auditstore.DefaultCompactSealed
+	if s%batch != 0 {
+		t.Fatalf("DefaultSegmentRecords %d is not a multiple of the %d-record batch", s, batch)
+	}
+	dir := t.TempDir()
+	st, err := auditstore.Open(dir, auditstore.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	recs := make([]auditstore.Record, batch)
+	firstSeal, firstMerge := 0, 0
+	for n := 0; firstMerge == 0; {
+		for i := range recs {
+			recs[i] = mkRecord(n + i)
+		}
+		if _, err := st.AppendBatch(recs); err != nil {
+			t.Fatalf("append batch at %d: %v", n, err)
+		}
+		n += batch
+		_, sealed := st.SealedLayout()
+		compacted := st.BatchStats().CompactedRecords
+		switch {
+		case firstSeal == 0 && len(sealed) > 0:
+			firstSeal = n
+			// A full active segment is rotated by the next commit.
+			if n != s+batch || !slices.Equal(sealed, []int{s}) {
+				t.Fatalf("first seal after %d records: sealed %v, want [%d] after %d", n, sealed, s, s+batch)
+			}
+		case compacted > 0:
+			firstMerge = n
+			if n != k*s+batch || !slices.Equal(sealed, []int{k * s}) || compacted != uint64(k*s) {
+				t.Fatalf("first merge after %d records: sealed %v, %d compacted; want [%d] and %d compacted after %d",
+					n, sealed, compacted, k*s, k*s, k*s+batch)
+			}
+		}
+		if n > k*s+batch {
+			t.Fatalf("no merge after %d records: sealed %v", n, sealed)
+		}
+	}
+	want, err := st.Count()
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st, err = auditstore.Open(dir, auditstore.Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	if rec := st.Recovery(); !rec.Clean || rec.Records != want {
+		t.Fatalf("reopen recovery = %+v, want clean with %d records", rec, want)
+	}
+	if got, err := st.Count(); err != nil || got != want {
+		t.Fatalf("reopened count = %d (%v), want %d", got, err, want)
+	}
+}

@@ -13,7 +13,10 @@ import (
 // Options parameterises a FileStore.
 type Options struct {
 	// SegmentRecords rotates the active segment after this many
-	// records. Zero selects DefaultSegmentRecords.
+	// records. Every rotation creates, footers and closes a file, and
+	// every k rotations merge, all inside the serialized commit, so
+	// small segments tax every append; see DefaultSegmentRecords for
+	// the measured size. Zero selects DefaultSegmentRecords.
 	SegmentRecords int
 	// CompactSealed is the fan-in k of size-tiered compaction. A
 	// segment of SegmentRecords records is tier 0, and a segment of r
@@ -52,7 +55,16 @@ type Options struct {
 
 // Defaults for Options.
 const (
-	DefaultSegmentRecords = 256
+	// DefaultSegmentRecords is the knee of a fleet-storm sweep (2
+	// vCPUs, 100k-event trials from an empty store; EXPERIMENTS.md,
+	// "audit-store segment size"): throughput rose from 256 records
+	// (~16 KB segments, ~390 files and ~54 merges a trial) through
+	// 1,024 and 2,048 to 4,096 (+59% over 256), and no further at
+	// 8,192. A tier-0 merge is DefaultCompactSealed × 4,096 = 32,768
+	// records. Much past ~12,000 a trial seals too few segments to
+	// merge at all, and the sweep would measure the trial length, not
+	// the store.
+	DefaultSegmentRecords = 4096
 	DefaultCompactSealed  = 8
 	DefaultBatchRecords   = 256
 	DefaultBatchBytes     = 1 << 20
@@ -205,6 +217,10 @@ func (fs *FileStore) segPath(id uint64) string {
 	return filepath.Join(fs.dir, fmt.Sprintf("%s%08x%s", segPrefix, id, segSuffix))
 }
 
+// recoverRun is how many replayed records recovery buffers per index
+// add.
+const recoverRun = 256
+
 // recover reads the directory through the segment merge and rebuilds
 // a consistent store state.
 func (fs *FileStore) recover() error {
@@ -228,12 +244,21 @@ func (fs *FileStore) recover() error {
 		}
 	}
 
+	// Index the merge walk's records in runs: one lock and one call per
+	// run instead of per record. The walk reuses *r, so each is copied.
 	var m merger
 	var addErr error
+	run := make([]Record, 0, recoverRun)
 	m.walk(segs, func(r *Record) bool {
-		addErr = fs.idx.add(*r)
+		if run = append(run, *r); len(run) == recoverRun {
+			addErr = fs.idx.add(run...)
+			run = run[:0]
+		}
 		return addErr == nil
 	})
+	if addErr == nil {
+		addErr = fs.idx.add(run...)
+	}
 	if addErr != nil {
 		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, addErr)
 	}

@@ -119,7 +119,7 @@ func (m *index) internLocked(k kind) uint32 {
 }
 
 // add indexes already-sequenced records under one lock: a committed
-// batch, or one record of recovery replay. The first record added to
+// batch, or one run of recovery replay. The first record added to
 // an empty index fixes the base sequence; every later one must carry
 // the next sequence number.
 func (m *index) add(recs ...Record) error {

@@ -110,6 +110,27 @@ func BenchmarkDecideTelemetryEnabledDeny(b *testing.B) {
 // staleBy moves a benchMonitor op time far past any δ.
 const staleBy = time.Hour
 
+// BenchmarkStaleDenialParallel evaluates one warm stale denial from
+// every benchmark goroutine at once, the way fleet sessions on
+// different cores deny together. Every call finds its reason in the
+// process-wide stale-reason table; run it with -cpu 1,2 to see what
+// that shared lookup costs when cores contend for it.
+func BenchmarkStaleDenialParallel(b *testing.B) {
+	p := Policy{Threshold: 2 * time.Second, Enforce: true}
+	q := staleQuery(time.Unix(100, 0), 3250*time.Millisecond, p.Threshold)
+	p.Evaluate(q) // intern the reason
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if v, _ := p.Evaluate(q); v != VerdictDeny {
+				b.Error("stale query granted")
+				return
+			}
+		}
+	})
+}
+
 // TestDecideTelemetryEnabledZeroAlloc hard-asserts that the fully
 // instrumented Decide path allocates NOTHING per op in steady state:
 // the events, the counters and histograms they update, the span

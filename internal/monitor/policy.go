@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -123,11 +124,22 @@ func QuantizeStale(d time.Duration) time.Duration {
 }
 
 // internTable is a bounded string intern shared by every policy. Each
-// kept string gets the next id, its position in text; text is
-// append-only, so a reader may index a snapshot of it without the lock.
-// Bounded: the cap only guards against an adversarial spread of keys.
+// kept string gets the next id, its position in text. A hit reads an
+// immutable snapshot through one atomic load, so decisions in different
+// sessions share no lock and write no shared cache line; an insert
+// serializes on mu and publishes a new snapshot with a copied map.
+// Copying is cheap because the tables saturate at a few dozen entries;
+// the cap guards against an adversarial spread of keys, and bounds the
+// copying at ~8M map entries over the table's life.
 type internTable[K comparable] struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
+	snap atomic.Pointer[internSnap[K]]
+}
+
+// internSnap is one published state of an internTable, never written
+// after it is published. Later snapshots share text's backing array:
+// text is append-only, so a snapshot's prefix is never overwritten.
+type internSnap[K comparable] struct {
 	ids  map[K]uint32
 	text []string
 }
@@ -138,37 +150,40 @@ const internTableCap = 4096
 // build on first sight. ok is false once the table is full: the string
 // was built but not kept, and has no id.
 func (t *internTable[K]) intern(k K, build func(K) string) (s string, id uint32, ok bool) {
-	t.mu.RLock()
-	if id, ok = t.ids[k]; ok {
-		s = t.text[id]
-	}
-	t.mu.RUnlock()
-	if ok {
-		return s, id, true
+	if sn := t.snap.Load(); sn != nil {
+		if id, ok = sn.ids[k]; ok {
+			return sn.text[id], id, true
+		}
 	}
 	s = build(k)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok = t.ids[k]; ok {
-		return t.text[id], id, true
+	old := t.snap.Load()
+	if old == nil {
+		old = &internSnap[K]{}
 	}
-	if len(t.text) >= internTableCap {
+	if id, ok = old.ids[k]; ok {
+		return old.text[id], id, true
+	}
+	if len(old.text) >= internTableCap {
 		return s, 0, false
 	}
-	if t.ids == nil {
-		t.ids = make(map[K]uint32, 64)
+	ids := make(map[K]uint32, len(old.ids)+1)
+	for key, v := range old.ids {
+		ids[key] = v
 	}
-	id = uint32(len(t.text))
-	t.ids[k] = id
-	t.text = append(t.text, s)
+	id = uint32(len(old.text))
+	ids[k] = id
+	t.snap.Store(&internSnap[K]{ids: ids, text: append(old.text, s)})
 	return s, id, true
 }
 
 // snapshot returns the kept strings, indexed by id.
 func (t *internTable[K]) snapshot() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.text
+	if sn := t.snap.Load(); sn != nil {
+		return sn.text
+	}
+	return nil
 }
 
 // staleKey identifies one interned stale reason.
