@@ -107,13 +107,17 @@ fleet:
 
 # Short fuzz pass over the stamp-propagation invariants, the devfs
 # helper protocol codec, the audit-store segment codec (binary frames
-# and sealed footers), and the probe spec compiler (parse → String →
-# parse round trip).
+# and sealed footers, and the frame decoder's record round trip), the
+# audit-store recovery merge (recovery and the cold scan read a
+# directory holding arbitrary segment bytes as the same records), and
+# the probe spec compiler (parse → String → parse round trip).
 fuzz:
 	$(GO) test ./internal/ipc -run='^$$' -fuzz='^FuzzMsgQueueStampPropagation$$' -fuzztime=10s
 	$(GO) test ./internal/ipc -run='^$$' -fuzz='^FuzzShmStampPropagation$$' -fuzztime=10s
 	$(GO) test ./internal/devfs -run='^$$' -fuzz='^FuzzMappingCodec$$' -fuzztime=10s
 	$(GO) test ./internal/auditstore -run='^$$' -fuzz='^FuzzBinarySegmentDecode$$' -fuzztime=10s
+	$(GO) test ./internal/auditstore -run='^$$' -fuzz='^FuzzSegmentDecode$$' -fuzztime=10s
+	$(GO) test ./internal/auditstore -run='^$$' -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=10s
 	$(GO) test ./internal/probe -run='^$$' -fuzz='^FuzzProbeSpec$$' -fuzztime=10s
 
 # Seeded chaos campaigns: all fault kinds armed, plus the mid-session

@@ -325,7 +325,7 @@ func (fs *FileStore) commitBatch(batch []Record) error {
 		fs.curRecs++
 	}
 	fs.curOff += uint64(len(fs.wbuf))
-	if err := fs.idx.add(batch...); err != nil {
+	if err := fs.idx.addFrames(fs.wbuf); err != nil {
 		return fmt.Errorf("append index: %w", err)
 	}
 	return nil

@@ -229,9 +229,10 @@ func BenchmarkStoreAppendBatch32(b *testing.B) {
 }
 
 // BenchmarkStoreReopen measures Open on a closed store of n records:
-// listing and reading the segments, the merge, and rebuilding the
-// index, whose decode interns every string. heapB/rec is the live heap
-// the reopened store holds per record.
+// listing, reading and decoding the segments, the merge, and loading
+// the index. heapB/rec is the live heap the reopened store holds per
+// record, which moves with anything else on the heap; idxB/rec is the
+// index's own capacities per record (IndexBytes), which does not.
 func BenchmarkStoreReopen(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("file/%d", n), func(b *testing.B) {
@@ -242,6 +243,7 @@ func BenchmarkStoreReopen(b *testing.B) {
 			}
 			heap0 := liveHeap()
 			var heap int64
+			var idx int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -252,6 +254,7 @@ func BenchmarkStoreReopen(b *testing.B) {
 				if i == b.N-1 {
 					b.StopTimer()
 					heap = liveHeap() - heap0
+					idx = st.IndexBytes()
 					b.StartTimer()
 				}
 				if err := st.Close(); err != nil {
@@ -259,6 +262,7 @@ func BenchmarkStoreReopen(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(heap)/float64(n), "heapB/rec")
+			b.ReportMetric(float64(idx)/float64(n), "idxB/rec")
 		})
 	}
 }

@@ -100,6 +100,9 @@ func timeNanos(t time.Time) (int64, bool, error) {
 var (
 	codecMin = time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
 	codecMax = time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	// The same range in Unix nanoseconds, for the decoder.
+	codecMinNanos = codecMin * 1e9
+	codecMaxNanos = codecMax * 1e9
 )
 
 // FrameEncoder frames records for v2 segments through reusable buffers:
@@ -171,97 +174,135 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeRecordPayload parses one v2 record payload into r, taking its
-// strings from strs (nil allocates every one). It never panics on
-// arbitrary input and rejects trailing garbage, so a frame whose CRC
-// matches still cannot smuggle undecodable bytes.
-func decodeRecordPayload(p []byte, r *Record, strs strtab) error {
+// decodePayload parses the fixed fields of one v2 record payload into
+// an index entry (its kind left zero) and returns the payload's tail —
+// the length-prefixed op, verdict and reason — unparsed, for
+// kindTable.intern to check and intern by its bytes. It never panics
+// on arbitrary input. A time the encoder would refuse (outside
+// [codecMin, codecMax)) fails the payload, so every decoded record
+// re-encodes and no decoded time collides with noTime.
+func decodePayload(p []byte) (seq uint64, e entry, degraded bool, tail []byte, ok bool) {
 	seq, n := binary.Uvarint(p)
-	if n <= 0 {
-		return fmt.Errorf("auditstore: payload: bad seq varint")
+	if n <= 0 || len(p) == n {
+		return 0, e, false, nil, false
 	}
-	p = p[n:]
-	if len(p) < 1 {
-		return fmt.Errorf("auditstore: payload: missing flags")
-	}
-	flags := p[0]
-	p = p[1:]
+	flags := p[n]
+	p = p[n+1:]
 	if flags&^(flagDegraded|flagTime|flagStamp) != 0 {
-		return fmt.Errorf("auditstore: payload: unknown flags %#x", flags)
+		return 0, e, false, nil, false
 	}
-	*r = Record{Seq: seq, Degraded: flags&flagDegraded != 0}
+	e.time, e.stamp = noTime, noTime
 	if flags&flagTime != 0 {
-		tn, n := binary.Varint(p)
-		if n <= 0 {
-			return fmt.Errorf("auditstore: payload: bad time varint")
+		if e.time, p, ok = decodeNanos(p); !ok {
+			return 0, e, false, nil, false
 		}
-		p = p[n:]
-		r.Time = time.Unix(0, tn).UTC()
 	}
 	if flags&flagStamp != 0 {
-		sn, n := binary.Varint(p)
-		if n <= 0 {
-			return fmt.Errorf("auditstore: payload: bad stamp varint")
+		if e.stamp, p, ok = decodeNanos(p); !ok {
+			return 0, e, false, nil, false
 		}
-		p = p[n:]
-		r.Stamp = time.Unix(0, sn).UTC()
 	}
-	session, n := binary.Uvarint(p)
-	if n <= 0 {
-		return fmt.Errorf("auditstore: payload: bad session varint")
+	if e.session, n = binary.Uvarint(p); n <= 0 {
+		return 0, e, false, nil, false
 	}
 	p = p[n:]
-	r.Session = session
 	pid, n := binary.Varint(p)
 	if n <= 0 || pid < math.MinInt32 || pid > math.MaxInt32 {
-		return fmt.Errorf("auditstore: payload: bad pid varint")
+		return 0, e, false, nil, false
 	}
-	p = p[n:]
-	r.PID = int(pid)
-	var err error
-	if r.Op, p, err = decodeString(p, strs); err != nil {
-		return fmt.Errorf("auditstore: payload: op: %w", err)
-	}
-	if r.Verdict, p, err = decodeString(p, strs); err != nil {
-		return fmt.Errorf("auditstore: payload: verdict: %w", err)
-	}
-	if r.Reason, p, err = decodeString(p, strs); err != nil {
-		return fmt.Errorf("auditstore: payload: reason: %w", err)
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("auditstore: payload: %d trailing bytes", len(p))
-	}
-	return nil
+	e.pid = int32(pid)
+	return seq, e, flags&flagDegraded != 0, p[n:], true
 }
 
-// decodeString parses a length-prefixed string and returns the rest.
-func decodeString(p []byte, strs strtab) (string, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 || l > uint64(len(p)-n) {
-		return "", nil, fmt.Errorf("bad string length")
+// decodeNanos parses one varint record time and returns the rest.
+func decodeNanos(p []byte) (int64, []byte, bool) {
+	t, n := binary.Varint(p)
+	if n <= 0 || t < codecMinNanos || t >= codecMaxNanos {
+		return 0, nil, false
 	}
-	return strs.intern(p[n : n+int(l)]), p[n+int(l):], nil
+	return t, p[n:], true
 }
 
-// strtab interns decoded strings. A trail repeats a few hundred
-// distinct op, verdict and reason strings, so looking each up by its
-// frame bytes (a map index by string(b) does not allocate) costs one
-// string per distinct value instead of one per record. Past strtabCap
-// entries a new string is allocated but not kept, which bounds the
-// table on a trail of unique reasons. A nil strtab interns nothing.
-type strtab map[string]string
+// kindTable interns kinds by their encoded bytes: a payload's degraded
+// bit selects one of two maps, and its tail — the length-prefixed op,
+// verdict and reason, as encoded — is the key. A record costs one map
+// probe keyed by bytes it already holds, with no string decoded or
+// allocated; only a kind's first sighting parses the tail, checks it,
+// and keeps its strings, which are substrings of the key. A trail
+// repeats a few hundred kinds, so that happens a few hundred times.
+type kindTable struct {
+	kinds []kind
+	ids   [2]map[string]uint32 // by degraded bit: tail → position in kinds
+}
 
-const strtabCap = 4096
+// kind is one distinct {Op, Verdict, Reason, Degraded} tuple and the
+// encoded tail it was interned by.
+type kind struct {
+	op, verdict, reason string
+	degraded            bool
+	tail                string
+}
 
-func (t strtab) intern(b []byte) string {
-	if s, ok := t[string(b)]; ok {
-		return s
+// intern returns the id of the kind encoded by degraded and tail,
+// adding it on first sight; ok is false when the tail does not parse
+// as exactly three length-prefixed strings.
+func (t *kindTable) intern(degraded bool, tail []byte) (id uint32, ok bool) {
+	if id, ok := t.ids[b2i(degraded)][string(tail)]; ok {
+		return id, true
 	}
-	s := string(b)
-	if t != nil && len(t) < strtabCap {
-		t[s] = s
+	k, ok := parseKind(degraded, tail)
+	if !ok {
+		return 0, false
 	}
-	return s
+	return t.push(k), true
+}
+
+// internKind is intern for a kind another table already parsed.
+func (t *kindTable) internKind(k *kind) uint32 {
+	if id, ok := t.ids[b2i(k.degraded)][k.tail]; ok {
+		return id
+	}
+	return t.push(*k)
+}
+
+// push appends a kind the table does not hold.
+func (t *kindTable) push(k kind) uint32 {
+	m := &t.ids[b2i(k.degraded)]
+	if *m == nil {
+		*m = make(map[string]uint32)
+	}
+	id := uint32(len(t.kinds))
+	t.kinds = append(t.kinds, k)
+	(*m)[k.tail] = id
+	return id
+}
+
+// parseKind checks an encoded tail and builds its kind, the strings
+// sliced from one copy of the tail.
+func parseKind(degraded bool, tail []byte) (kind, bool) {
+	k := kind{degraded: degraded, tail: string(tail)}
+	var strs [3]string // op, verdict, reason
+	at := 0
+	for i := range strs {
+		l, n := binary.Uvarint(tail[at:])
+		if n <= 0 || l > uint64(len(tail)-at-n) {
+			return kind{}, false
+		}
+		strs[i] = k.tail[at+n : at+n+int(l)]
+		at += n + int(l)
+	}
+	if at != len(tail) {
+		return kind{}, false
+	}
+	k.op, k.verdict, k.reason = strs[0], strs[1], strs[2]
+	return k, true
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // footerSize bounds the encoded size of a footer of n block entries.
@@ -367,21 +408,28 @@ func seekBlock(entries []blockEntry, since time.Time) (blockEntry, bool) {
 }
 
 // DecodeBinarySegment decodes a v2 segment until the input is
-// exhausted, the footer marker is reached, or a frame fails a check.
-// It returns the decoded records, the bytes consumed by them (header
+// exhausted, the footer marker is reached, a frame fails a check, or a
+// frame's sequence number does not follow its predecessor's. It
+// returns the decoded records, the bytes consumed by them (header
 // included), and the truncation point when the input did not decode
-// cleanly. It never panics on arbitrary input
+// cleanly. It reads the segment through the decoder recovery and the
+// cold scan use, and never panics on arbitrary input
 // (FuzzBinarySegmentDecode pins this).
 func DecodeBinarySegment(data []byte) ([]Record, int, *Truncation) {
 	if !hasSegMagic(data) {
 		return nil, 0, &Truncation{Offset: 0, Reason: "bad segment header"}
 	}
+	var f frames
+	f.decode(data, len(segMagicV2), parseFooter(data), false)
 	var recs []Record
-	end, trunc := streamFrames(data, len(segMagicV2), nil, func(r *Record, _ int) bool {
-		recs = append(recs, *r)
-		return true
-	})
-	return recs, end, trunc
+	if len(f.ents) > 0 {
+		recs = make([]Record, len(f.ents))
+		v := f.view()
+		for i := range recs {
+			v.fill(i, &recs[i])
+		}
+	}
+	return recs, f.end, f.trunc
 }
 
 // hasSegMagic reports whether data starts with the v2 segment header.
@@ -389,28 +437,54 @@ func hasSegMagic(data []byte) bool {
 	return len(data) >= len(segMagicV2) && string(data[:len(segMagicV2)]) == segMagicV2
 }
 
-// streamFrames walks the frame stream of a v2 segment starting at byte
-// offset off (the caller has already checked the header), handing each
-// decoded record, its strings interned through strs, to emit by
-// pointer into one reusable Record — the zero-copy core under the
-// batch decoder and the segment merge. It returns the bytes cleanly
-// consumed and the truncation point, if any; emit returning false
-// stops the walk early with no truncation.
-func streamFrames(data []byte, off int, strs strtab, emit func(r *Record, off int) bool) (int, *Truncation) {
-	var r Record
+// frames is a segment's frame stream decoded into index entries: the
+// records of consecutive sequence numbers from first, each entry's
+// kind an id in the segment's own kind table. Decoding one segment
+// touches nothing shared, so segments decode concurrently; the merge
+// then moves the entries it keeps into the store's index, re-interning
+// the few kinds.
+type frames struct {
+	first uint64
+	ents  []entry
+	kinds kindTable
+	// blocks is the block index rebuilt from the frames, one entry per
+	// indexEvery records, when decode was asked for it.
+	blocks []blockEntry
+	// maxT is the newest record time, math.MinInt64 when none.
+	maxT int64
+	// end is the byte offset where the clean decode stopped; trunc says
+	// why it stopped early, nil when the input decoded cleanly.
+	end   int
+	trunc *Truncation
+}
+
+// decode walks the frame stream of a v2 segment from byte offset off
+// (the caller has checked the header). footer is the segment's intact
+// block index, or nil: the footer marker ends the stream only at the
+// offset it names. Every frame's length, CRC and payload are checked,
+// and the stream ends at the first frame that fails a check or whose
+// sequence number does not follow its predecessor's — the segment's
+// longest intact, contiguous prefix. blocks asks for the block index
+// to be rebuilt as well.
+func (f *frames) decode(data []byte, off int, footer []blockEntry, blocks bool) {
+	f.maxT = math.MinInt64
+	f.end, f.trunc = f.stream(data, off, footer, blocks)
+}
+
+// stream is decode's loop; it returns the clean end and the truncation.
+func (f *frames) stream(data []byte, off int, footer []blockEntry, blocks bool) (int, *Truncation) {
 	for off < len(data) {
 		if data[off] == idxMarker {
-			// Footer marker: the record stream ends here, and only at
-			// the offset an intact footer's sentinel names. A damaged
-			// footer is reported as truncation so recovery normalizes
-			// the segment, but the records before it are all good. A
-			// zero before an intact footer is a rotted frame length and
-			// fails the length check below.
-			idx := parseFooter(data)
-			if idx == nil {
+			// Footer marker: the record stream ends here, and only at the
+			// offset an intact footer's sentinel names. A damaged footer is
+			// reported as truncation so recovery normalizes the segment,
+			// but the records before it are all good. A zero before an
+			// intact footer is a rotted frame length and fails the length
+			// check below.
+			if footer == nil {
 				return off, &Truncation{Offset: off, Reason: "torn segment footer"}
 			}
-			if idx[len(idx)-1].off == uint64(off) {
+			if footer[len(footer)-1].off == uint64(off) {
 				return len(data), nil
 			}
 		}
@@ -426,17 +500,44 @@ func streamFrames(data []byte, off int, strs strtab, emit func(r *Record, off in
 			return off, &Truncation{Offset: off, Reason: "torn payload"}
 		}
 		payload := rest[n : n+int(plen)]
-		crc := binary.LittleEndian.Uint32(rest[n+int(plen):])
-		if crc32.ChecksumIEEE(payload) != crc {
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[n+int(plen):]) {
 			return off, &Truncation{Offset: off, Reason: "crc mismatch"}
 		}
-		if err := decodeRecordPayload(payload, &r, strs); err != nil {
+		seq, e, degraded, tail, ok := decodePayload(payload)
+		if ok {
+			e.kind, ok = f.kinds.intern(degraded, tail)
+		}
+		if !ok {
 			return off, &Truncation{Offset: off, Reason: "malformed record payload"}
 		}
-		if !emit(&r, off) {
-			return off, nil
+		if len(f.ents) == 0 {
+			f.first = seq
+		} else if want := f.first + uint64(len(f.ents)); seq != want {
+			return off, &Truncation{Offset: off, Reason: seqGap(want-1, seq)}
 		}
+		if blocks && len(f.ents)%indexEvery == 0 {
+			f.blocks = append(f.blocks, blockEntry{seq: seq, off: uint64(off), maxBefore: f.maxT})
+		}
+		// A zero time is noTime, the maximum's floor, so it never raises it.
+		f.maxT = max(f.maxT, e.time)
+		f.ents = append(f.ents, e)
 		off += n + int(plen) + crcLen
 	}
 	return off, nil
+}
+
+// seqGap renders the reason a stream holding sequences through have
+// cannot take next.
+func seqGap(have, next uint64) string {
+	return fmt.Sprintf("sequence gap: have %d, next record is %d", have, next)
+}
+
+// view presents the decoded records for reading, in index-sized
+// chunks over the one entry slice.
+func (f *frames) view() view {
+	v := view{base: f.first, n: len(f.ents), kinds: f.kinds.kinds}
+	for i := 0; i < len(f.ents); i += chunkLen {
+		v.chunks = append(v.chunks, f.ents[i:min(i+chunkLen, len(f.ents))])
+	}
+	return v
 }

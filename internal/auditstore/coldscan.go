@@ -47,31 +47,32 @@ type ColdStats struct {
 // the file.
 func ScanSegments(dir string, q Query, yield func(Record) bool) (ColdStats, error) {
 	var stats ColdStats
-	segs, _, err := listSegments(dir)
+	var seek seekFunc
+	if _, ok, err := timeNanos(q.Since); ok && err == nil {
+		seek = func(s *segment) (blockEntry, bool) { return seekBlock(s.footer, q.Since) }
+	}
+	segs, _, err := loadSegments(dir, seek)
 	if err != nil {
 		return stats, fmt.Errorf("auditstore: cold scan: %w", err)
 	}
 	stats.Segments = len(segs)
 	var m merger
-	if _, ok, err := timeNanos(q.Since); ok && err == nil {
-		m.seek = func(s *segment) (blockEntry, bool) {
-			b, ok := seekBlock(s.footer, q.Since)
-			if ok && b.seq > s.last {
-				stats.SkippedSegments++
-			} else if ok {
-				stats.SeekedSegments++
+	var r Record
+	m.walk(segs, func(f *frames, from, to int) bool {
+		v := f.view()
+		for i := from; i < to; i++ {
+			stats.Records++
+			if v.fill(i, &r); !q.Matches(r) {
+				continue
 			}
-			return b, ok
+			stats.Matched++
+			if !yield(r) || (q.Limit > 0 && stats.Matched >= q.Limit) {
+				return false
+			}
 		}
-	}
-	m.walk(segs, func(r *Record) bool {
-		stats.Records++
-		if !q.Matches(*r) {
-			return true
-		}
-		stats.Matched++
-		return yield(*r) && (q.Limit <= 0 || stats.Matched < q.Limit)
+		return true
 	})
+	stats.SkippedSegments, stats.SeekedSegments = m.skipped, m.seeked
 	stats.Truncated, stats.TruncatedFile, stats.Reason = m.reason != "", m.file, m.reason
 	return stats, nil
 }
@@ -80,7 +81,8 @@ func ScanSegments(dir string, q Query, yield func(Record) bool) (ColdStats, erro
 // reading only footers where possible — what a relative -since bound
 // (e.g. "5m") is anchored to on the cold path.
 func SegmentsNewest(dir string) (time.Time, error) {
-	segs, _, err := listSegments(dir)
+	// A seek to the sentinel skips every sealed segment's frames.
+	segs, _, err := loadSegments(dir, func(s *segment) (blockEntry, bool) { return s.footer[len(s.footer)-1], true })
 	if err != nil {
 		return time.Time{}, fmt.Errorf("auditstore: cold scan: %w", err)
 	}

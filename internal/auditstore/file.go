@@ -217,14 +217,10 @@ func (fs *FileStore) segPath(id uint64) string {
 	return filepath.Join(fs.dir, fmt.Sprintf("%s%08x%s", segPrefix, id, segSuffix))
 }
 
-// recoverRun is how many replayed records recovery buffers per index
-// add.
-const recoverRun = 256
-
 // recover reads the directory through the segment merge and rebuilds
 // a consistent store state.
 func (fs *FileStore) recover() error {
-	segs, tmps, err := listSegments(fs.dir)
+	segs, tmps, err := loadSegments(fs.dir, nil)
 	if err != nil {
 		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
 	}
@@ -244,30 +240,20 @@ func (fs *FileStore) recover() error {
 		}
 	}
 
-	// Index the merge walk's records in runs: one lock and one call per
-	// run instead of per record. The walk reuses *r, so each is copied.
+	// The walk only picks the runs; the index takes them in one pass.
 	var m merger
-	var addErr error
-	run := make([]Record, 0, recoverRun)
-	m.walk(segs, func(r *Record) bool {
-		if run = append(run, *r); len(run) == recoverRun {
-			addErr = fs.idx.add(run...)
-			run = run[:0]
-		}
-		return addErr == nil
+	var runs []run
+	m.walk(segs, func(f *frames, from, to int) bool {
+		runs = append(runs, run{f: f, from: from, to: to})
+		return true
 	})
-	if addErr == nil {
-		addErr = fs.idx.add(run...)
-	}
-	if addErr != nil {
-		return fmt.Errorf("auditstore: recover %s: %w", fs.dir, addErr)
-	}
+	fs.idx.load(runs)
 	rec.DroppedBytes = m.droppedBytes
 	for _, s := range segs[m.stop:] {
 		// Beyond the end of the stream: whatever these hold is lost.
-		rec.DroppedRecords += s.count
-		if s.trunc != nil {
-			rec.DroppedBytes += len(s.data) - s.trunc.Offset
+		rec.DroppedRecords += len(s.frames.ents)
+		if t := s.frames.trunc; t != nil {
+			rec.DroppedBytes += s.size - t.Offset
 		}
 	}
 	rec.Truncated = m.reason != ""
@@ -277,7 +263,7 @@ func (fs *FileStore) recover() error {
 
 	anomaly := len(tmps) > 0 || m.overlap || rec.Truncated
 	for i, s := range segs {
-		if s.count == 0 && s.trunc == nil && i < len(segs)-1 {
+		if s.count == 0 && s.frames.trunc == nil && i < len(segs)-1 {
 			// An empty segment that is not the newest: a crash window
 			// between creating the active file and first writing to it,
 			// later superseded. Harmless, but normalize it away.
@@ -300,8 +286,8 @@ func (fs *FileStore) recover() error {
 				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
 			}
 			fs.cur, fs.curID, fs.curRecs = f, s.id, s.count
-			fs.curOff = uint64(len(s.data))
-			fs.curIdx, fs.curMax = s.blocks, s.maxT
+			fs.curOff = uint64(s.size)
+			fs.curIdx, fs.curMax = s.frames.blocks, s.maxT
 			continue
 		}
 		fs.sealed = append(fs.sealed, segmentInfo{path: path, recs: s.count})
@@ -342,14 +328,14 @@ func (fs *FileStore) normalize(old []*segment) error {
 // instead. The buffer is sized once up front, so a merge allocates it
 // once instead of growing and copying as it fills.
 func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	v, err := fs.idx.positions(from, to)
+	v, err := fs.idx.prefix(from, to)
 	if err != nil {
 		return nil, fmt.Errorf("segment stage: %w", err)
 	}
-	n := len(v.ents)
+	n := to - from
 	size := len(segMagicV2) + footerSize(n/indexEvery+2)
-	for i := range v.ents {
-		k := &v.kinds[v.ents[i].kind]
+	for i := from; i < to; i++ {
+		k := &v.kinds[v.at(i).kind]
 		size += estimateSize(&Record{Op: k.op, Verdict: k.verdict, Reason: k.reason})
 	}
 	buf := append(make([]byte, 0, size), segMagicV2...)
@@ -357,8 +343,8 @@ func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
 	entries := make([]blockEntry, 0, n/indexEvery+2)
 	maxSoFar := int64(math.MinInt64)
 	var r Record
-	for i := range v.ents {
-		if i%indexEvery == 0 {
+	for i := from; i < to; i++ {
+		if (i-from)%indexEvery == 0 {
 			entries = append(entries, blockEntry{seq: v.base + uint64(i), off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
 		v.fill(i, &r)
@@ -366,9 +352,9 @@ func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
 			return nil, err
 		}
 		// A zero time is noTime, the maximum's floor, so it never raises it.
-		maxSoFar = max(maxSoFar, v.ents[i].time)
+		maxSoFar = max(maxSoFar, v.at(i).time)
 	}
-	entries = append(entries, blockEntry{seq: v.base + uint64(n), off: uint64(len(buf)), maxBefore: maxSoFar})
+	entries = append(entries, blockEntry{seq: v.base + uint64(to), off: uint64(len(buf)), maxBefore: maxSoFar})
 	return appendFooter(buf, entries), nil
 }
 

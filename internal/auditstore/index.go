@@ -1,58 +1,68 @@
 package auditstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
 
 // index is the FileStore's in-memory query index: the durable records
-// ordered by sequence number in one contiguous, pointer-free entry
-// slice, with secondary posting-list indexes by pid and verdict and a
-// monotone-time fast path for Since queries. An entry holds a record's
-// numeric fields; its strings and Degraded flag live once per distinct
-// combination in the kind table. It has its own read-write lock, so a
-// query never waits on the commit leader's segment write, only on the
-// indexing of a batch that is already durable.
+// ordered by sequence number in fixed-size chunks of pointer-free
+// entries, with secondary posting-list indexes by pid and verdict and
+// a monotone-time fast path for Since queries. An entry holds a
+// record's numeric fields; its strings and Degraded flag live once per
+// distinct combination in the kind table. Appending never copies an
+// entry already held: a full chunk stays where it is and the next
+// record starts a new one. The index has its own read-write lock, so
+// a query never waits on the commit leader's segment write, only on
+// the indexing of a batch that is already durable.
 type index struct {
 	mu   sync.RWMutex
-	base uint64  // sequence number of ents[0]; 1 for a fresh store
-	ents []entry // record at ents[i] has Seq == base + i
+	base uint64 // sequence number of position 0; 1 for a fresh store
+	n    int    // records held; the record at position i has Seq == base + i
+	// chunks holds position i at chunks[i>>chunkBits][i&chunkMask].
+	// Every chunk but the last has chunkLen entries; the last may be
+	// shorter (a small store, or the tail of a reopened one) and grows
+	// by copying until it reaches chunkLen. A chunk table slot is never
+	// rewritten in place once a view may hold the table: entries are
+	// written past every view's length, and a regrown chunk goes into
+	// a fresh table.
+	chunks [][]entry
 	// kinds is append-only: an entry's kind id stays valid for the
-	// life of the index. kindIDs maps each tuple back to its id.
-	kinds   []kind
-	kindIDs map[kind]uint32
-	// lastKind and lastKindID memoize the most recent intern: streams
-	// repeat their tuples, and the policy evaluator hands out cached
-	// reason strings, so the memo's string compares usually
-	// short-circuit on the data pointer.
-	lastKind   kind
-	lastKindID uint32
-	// byPID and byVerdict are posting lists of positions into ents,
-	// naturally ascending because records are only ever pushed back.
+	// life of the index.
+	kinds kindTable
+	// byPID and byVerdict are posting lists of positions, naturally
+	// ascending because records are only ever pushed back. A kind's
+	// verdict list is byVerdict[verdictOf[kind]], so indexing a record
+	// hashes no string; verdicts maps a verdict to its list.
 	byPID     map[int][]uint32
-	byVerdict map[string][]uint32
+	byVerdict [][]uint32
+	verdictOf []uint32
+	verdicts  map[string]uint32
 	// timeOrdered tracks whether record times are non-decreasing in
 	// sequence order; while true, Since queries binary-search their
 	// starting position instead of scanning.
 	timeOrdered bool
 }
 
+// Index chunks hold chunkLen entries: 4,096 × 32 bytes = 128 KB.
+const (
+	chunkBits = 12
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+)
+
 // entry is one indexed record without its strings: 32 bytes and no
-// pointers, so the GC never scans the entry slice. A zero Time or
+// pointers, so the GC never scans the entry chunks. A zero Time or
 // Stamp is stored as noTime.
 type entry struct {
 	time, stamp int64 // unix nanoseconds
 	session     uint64
 	pid         int32
-	kind        uint32 // position in index.kinds
-}
-
-// kind is one distinct {Op, Verdict, Reason, Degraded} tuple.
-type kind struct {
-	op, verdict, reason string
-	degraded            bool
+	kind        uint32 // position in the kind table
 }
 
 // noTime stands for the zero time.Time in an entry. validateRecord
@@ -60,15 +70,7 @@ type kind struct {
 // maps to it, and it sorts before all of them as the zero time does.
 const noTime = math.MinInt64
 
-// entryNanos converts a validated record time for an entry.
-func entryNanos(t time.Time) int64 {
-	if t.IsZero() {
-		return noTime
-	}
-	return t.UnixNano()
-}
-
-// entryTime is entryNanos's inverse, in UTC as a reopened store has
+// entryTime converts entry nanoseconds back to a record time, in UTC as a reopened store has
 // always returned its times.
 func entryTime(n int64) time.Time {
 	if n == noTime {
@@ -95,77 +97,170 @@ func boundNanos(t time.Time) int64 {
 func newIndex() *index {
 	return &index{
 		base:        1,
-		kindIDs:     make(map[kind]uint32),
 		byPID:       make(map[int][]uint32),
-		byVerdict:   make(map[string][]uint32),
+		verdicts:    make(map[string]uint32),
 		timeOrdered: true,
 	}
 }
 
-// internLocked returns the id of k in the kind table, appending it on
-// first sight. Callers hold the write lock.
-func (m *index) internLocked(k kind) uint32 {
-	if len(m.kinds) > 0 && k == m.lastKind {
-		return m.lastKindID
+// verdictsLocked gives every kind added to the kind table since the
+// last call its verdict's posting list. Callers hold the write lock.
+func (m *index) verdictsLocked() {
+	for len(m.verdictOf) < len(m.kinds.kinds) {
+		v := m.kinds.kinds[len(m.verdictOf)].verdict
+		slot, ok := m.verdicts[v]
+		if !ok {
+			slot = uint32(len(m.byVerdict))
+			m.byVerdict = append(m.byVerdict, nil)
+			m.verdicts[v] = slot
+		}
+		m.verdictOf = append(m.verdictOf, slot)
 	}
-	id, ok := m.kindIDs[k]
-	if !ok {
-		id = uint32(len(m.kinds))
-		m.kinds = append(m.kinds, k)
-		m.kindIDs[k] = id
-	}
-	m.lastKind, m.lastKindID = k, id
-	return id
 }
 
-// add indexes already-sequenced records under one lock: a committed
-// batch, or one run of recovery replay. The first record added to
-// an empty index fixes the base sequence; every later one must carry
-// the next sequence number.
-func (m *index) add(recs ...Record) error {
+// reserveLocked lays out chunks for the n records an empty index is
+// about to load: full chunks, then one sized to the rest. Callers hold
+// the write lock.
+func (m *index) reserveLocked(n int) {
+	for ; n > 0; n -= chunkLen {
+		m.chunks = append(m.chunks, make([]entry, min(n, chunkLen)))
+	}
+}
+
+// pushLocked appends entry e at the next position. Callers hold the
+// write lock and have checked e's sequence number.
+func (m *index) pushLocked(e entry) {
+	pos := m.n
+	c, j := pos>>chunkBits, pos&chunkMask
+	switch {
+	case c == len(m.chunks):
+		size := chunkLen
+		if c == 0 {
+			size = 64 // a small store stays small
+		}
+		m.chunks = append(m.chunks, make([]entry, size))
+	case j == len(m.chunks[c]):
+		// Only the last chunk may be short: regrow it into a fresh
+		// table, leaving the old table and chunk to the views holding
+		// them.
+		grown := make([]entry, min(2*j, chunkLen))
+		copy(grown, m.chunks[c])
+		m.chunks = append(m.chunks[:c:c], grown)
+	}
+	if pos > 0 && e.time < m.chunks[(pos-1)>>chunkBits][(pos-1)&chunkMask].time {
+		m.timeOrdered = false
+	}
+	m.chunks[c][j] = e
+	m.byPID[int(e.pid)] = append(m.byPID[int(e.pid)], uint32(pos))
+	v := m.verdictOf[e.kind]
+	m.byVerdict[v] = append(m.byVerdict[v], uint32(pos))
+	m.n++
+}
+
+// addFrames indexes a committed batch: the frames the commit leader
+// just wrote, read back through the recovery decoder's payload parse
+// and kind table, so a live record is indexed exactly as a reopen
+// would index it. The frames are the leader's own, so their CRCs are
+// not recomputed. The first record added to an empty index fixes the
+// base sequence; every later one must carry the next sequence number.
+func (m *index) addFrames(buf []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.ents) == 0 && len(recs) > 0 {
-		m.base = recs[0].Seq
-	}
-	for i := range recs {
-		r := &recs[i]
-		pos := len(m.ents)
-		if next := m.base + uint64(pos); r.Seq != next {
-			return fmt.Errorf("%w: index holds through %d, got %d", ErrSeqMismatch, next-1, r.Seq)
+	for len(buf) > 0 {
+		plen, n := binary.Uvarint(buf)
+		if n <= 0 || uint64(len(buf)-n) < plen+crcLen {
+			return fmt.Errorf("index: malformed frame")
 		}
-		e := entry{
-			time:    entryNanos(r.Time),
-			stamp:   entryNanos(r.Stamp),
-			session: r.Session,
-			pid:     int32(r.PID),
-			kind:    m.internLocked(kind{r.Op, r.Verdict, r.Reason, r.Degraded}),
+		seq, e, degraded, tail, ok := decodePayload(buf[n : n+int(plen)])
+		if ok {
+			e.kind, ok = m.kinds.intern(degraded, tail)
 		}
-		if pos > 0 && e.time < m.ents[pos-1].time {
-			m.timeOrdered = false
+		if !ok {
+			return fmt.Errorf("index: malformed record payload")
 		}
-		m.ents = append(m.ents, e)
-		m.byPID[r.PID] = append(m.byPID[r.PID], uint32(pos))
-		m.byVerdict[r.Verdict] = append(m.byVerdict[r.Verdict], uint32(pos))
+		if m.n == 0 {
+			m.base = seq
+		} else if next := m.base + uint64(m.n); seq != next {
+			return fmt.Errorf("%w: index holds through %d, got %d", ErrSeqMismatch, next-1, seq)
+		}
+		m.verdictsLocked()
+		m.pushLocked(e)
+		buf = buf[n+int(plen)+crcLen:]
 	}
 	return nil
 }
 
-// view is an immutable prefix of the index: entries and the kind table
-// as captured under one read lock. Both slices are append-only, so the
-// captured prefixes are never written and may be read lock-free, and
-// every kind id in ents is below len(kinds).
+// run is positions [from, to) of one segment's decoded entries: a
+// piece of the merged stream.
+type run struct {
+	f        *frames
+	from, to int
+}
+
+// load fills an empty index with the runs of a recovery merge, which
+// follow one another in sequence, under one lock. Each segment's kinds
+// are re-interned once into the index's table; the chunks and the
+// verdict posting lists are sized for the whole load before the first
+// entry is pushed.
+func (m *index) load(runs []run) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	total := 0
+	remaps := make([][]uint32, len(runs))
+	for i, r := range runs {
+		remap := make([]uint32, len(r.f.kinds.kinds))
+		for k := range remap {
+			remap[k] = m.kinds.internKind(&r.f.kinds.kinds[k])
+		}
+		remaps[i] = remap
+		total += r.to - r.from
+	}
+	m.verdictsLocked()
+	need := make([]int, len(m.byVerdict))
+	for i, r := range runs {
+		for _, e := range r.f.ents[r.from:r.to] {
+			need[m.verdictOf[remaps[i][e.kind]]]++
+		}
+	}
+	for v, n := range need {
+		m.byVerdict[v] = slices.Grow(m.byVerdict[v], n)
+	}
+	if len(runs) > 0 {
+		m.base = runs[0].f.first + uint64(runs[0].from)
+	}
+	m.reserveLocked(total)
+	for i, r := range runs {
+		remap := remaps[i]
+		for _, e := range r.f.ents[r.from:r.to] {
+			e.kind = remap[e.kind]
+			m.pushLocked(e)
+		}
+	}
+}
+
+// view is an immutable prefix of the index: the chunk table and the
+// kind table as captured under one read lock, and the record count.
+// Entries are only ever written past the captured count and tables
+// are append-only, so the captured prefix is never written and may be
+// read lock-free, and every kind id in it is below len(kinds).
 type view struct {
-	base  uint64 // sequence number of ents[0]
-	ents  []entry
-	kinds []kind
+	base   uint64 // sequence number of position 0
+	n      int    // positions [0, n) are readable
+	chunks [][]entry
+	kinds  []kind
+}
+
+// at returns the entry at position i < v.n.
+func (v *view) at(i int) *entry {
+	return &v.chunks[i>>chunkBits][i&chunkMask]
 }
 
 // fill builds the Record at position i of the view into r, field by
 // field: a Record is 128 bytes, and building it in place spares the
-// read paths a temporary and a copy per record.
+// read paths a temporary and a copy per record. It is the one place a
+// Record is built from stored data.
 func (v *view) fill(i int, r *Record) {
-	e := &v.ents[i]
+	e := v.at(i)
 	k := &v.kinds[e.kind]
 	r.Seq = v.base + uint64(i)
 	r.Time = entryTime(e.time)
@@ -179,14 +274,15 @@ func (v *view) fill(i int, r *Record) {
 // viewLocked captures the whole index. Callers hold at least the read
 // lock.
 func (m *index) viewLocked() view {
-	return view{base: m.base, ents: m.ents[:len(m.ents):len(m.ents)], kinds: m.kinds[:len(m.kinds):len(m.kinds)]}
+	ks := m.kinds.kinds
+	return view{base: m.base, n: m.n, chunks: m.chunks[:len(m.chunks):len(m.chunks)], kinds: ks[:len(ks):len(ks)]}
 }
 
 // get returns the record with sequence number seq, if indexed.
 func (m *index) get(seq uint64) (Record, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if seq < m.base || seq >= m.base+uint64(len(m.ents)) {
+	if seq < m.base || seq >= m.base+uint64(m.n) {
 		return Record{}, false
 	}
 	v := m.viewLocked()
@@ -195,17 +291,16 @@ func (m *index) get(seq uint64) (Record, bool) {
 	return r, true
 }
 
-// positions returns the records at index positions [from, to) as a
-// view.
-func (m *index) positions(from, to int) (view, error) {
+// prefix returns the index through position to as a view, for reading
+// positions [from, to).
+func (m *index) prefix(from, to int) (view, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if from < 0 || to > len(m.ents) || from > to {
-		return view{}, fmt.Errorf("index positions [%d, %d) outside [0, %d)", from, to, len(m.ents))
+	if from < 0 || to > m.n || from > to {
+		return view{}, fmt.Errorf("index positions [%d, %d) outside [0, %d)", from, to, m.n)
 	}
 	v := m.viewLocked()
-	v.base += uint64(from)
-	v.ents = v.ents[from:to]
+	v.n = to
 	return v, nil
 }
 
@@ -213,17 +308,17 @@ func (m *index) positions(from, to int) (view, error) {
 func (m *index) count() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.ents)
+	return m.n
 }
 
 // lastSeq returns the highest indexed sequence number (0 when empty).
 func (m *index) lastSeq() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if len(m.ents) == 0 {
+	if m.n == 0 {
 		return 0
 	}
-	return m.base + uint64(len(m.ents)) - 1
+	return m.base + uint64(m.n) - 1
 }
 
 // scan yields every indexed record matching q. The narrowest
@@ -232,11 +327,14 @@ func (m *index) lastSeq() uint64 {
 // intersection when it pins both, else the sequence-ordered entries
 // themselves, entered by binary search on time when the stream is
 // time-ordered and Since is set. Candidates are filtered on their
-// entries — no Record is built until it is actually yielded.
+// entries — no Record is built until it is actually yielded. The plan
+// is made under the read lock and drained after it is released, over
+// the immutable snapshot it captured, as Iter does: yield may append
+// to the store, and a slow yield holds up no commit.
 func (m *index) scan(q Query, yield func(Record) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var it Iterator
+	m.mu.RLock()
 	m.planLocked(q, &it)
+	m.mu.RUnlock()
 	it.drain(yield)
 }

@@ -23,13 +23,17 @@ func liveHeap() int64 {
 // its 32-byte entry plus two 4-byte posting positions and growth
 // slack, with its strings held once per distinct tuple in the kind
 // table — after appends, and after a reopen, whose recovery decode
-// interns the strings instead of allocating them per record.
+// interns each tuple once instead of allocating strings per record.
+// The live-heap delta bounds what the store really holds; IndexBytes,
+// the index's own capacities, bounds the index exactly, unmoved by
+// whatever else the heap holds.
 func TestIndexHeapPerRecord(t *testing.T) {
 	const (
 		n       = 50_000
 		reasons = 48
 		batch   = 256
-		maxPer  = 64 // bytes per record
+		maxPer  = 64 // live-heap bytes per record
+		maxIdx  = 48 // index bytes per record
 	)
 	why := make([]string, reasons)
 	for i := range why {
@@ -43,9 +47,13 @@ func TestIndexHeapPerRecord(t *testing.T) {
 		if c, err := st.Count(); err != nil || c != n {
 			t.Fatalf("%s: count = %d, err = %v; want %d", when, c, err, n)
 		}
-		t.Logf("%s: %.1f B/record", when, per)
+		idx := float64(st.IndexBytes()) / n
+		t.Logf("%s: %.1f B/record live heap, %.1f B/record index", when, per, idx)
 		if per > maxPer {
 			t.Errorf("%s: index heap %.1f B/record, want <= %d", when, per, maxPer)
+		}
+		if idx > maxIdx {
+			t.Errorf("%s: index holds %.1f B/record, want <= %d", when, idx, maxIdx)
 		}
 	}
 

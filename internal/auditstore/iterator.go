@@ -34,6 +34,9 @@ type Iterator struct {
 	// Precomputed filter flags: which Query fields still need checking
 	// per candidate (posting lists already pin pid/verdict).
 	checkPID, checkVerdict, checkSince, checkUntil, checkReason, checkSession bool
+	// filtered is set when any of them is: otherwise every candidate
+	// matches and match is not called.
+	filtered bool
 
 	// Reason-substring memo keyed on the kind id, direct-mapped: a
 	// slot holds (id+1)<<1 | match, or 0 when empty. A stream repeats
@@ -78,8 +81,8 @@ func (m *index) planLocked(q Query, it *Iterator) {
 	// position is found by binary search, not by scanning.
 	start := 0
 	if it.checkSince && m.timeOrdered {
-		ents, since := it.v.ents, it.since
-		start = sort.Search(len(ents), func(i int) bool { return ents[i].time >= since })
+		v, since := &it.v, it.since
+		start = sort.Search(v.n, func(i int) bool { return v.at(i).time >= since })
 		it.checkSince = false // everything from start on passes
 	}
 
@@ -89,7 +92,10 @@ func (m *index) planLocked(q Query, it *Iterator) {
 		pid, havePID = m.byPID[q.PID], true
 	}
 	if q.Verdict != "" {
-		ver, haveVer = m.byVerdict[q.Verdict], true
+		haveVer = true
+		if slot, ok := m.verdicts[q.Verdict]; ok {
+			ver = m.byVerdict[slot]
+		}
 	}
 	switch {
 	case havePID && haveVer:
@@ -115,6 +121,7 @@ func (m *index) planLocked(q Query, it *Iterator) {
 	// both (cheaply — they are zero in this branch anyway).
 	it.checkPID = !havePID && q.PID != 0
 	it.checkVerdict = havePID && !haveVer && q.Verdict != ""
+	it.filtered = it.checkPID || it.checkVerdict || it.checkSince || it.checkUntil || it.checkReason || it.checkSession
 }
 
 // match applies the residual filters to a candidate entry. It is
@@ -182,7 +189,7 @@ func (it *Iterator) drain(yield func(Record) bool) {
 				}
 				return
 			}
-			for i := it.i; i < len(v.ents); i++ {
+			for i := it.i; i < v.n; i++ {
 				if v.fill(i, &r); !yield(r) {
 					return
 				}
@@ -192,7 +199,7 @@ func (it *Iterator) drain(yield func(Record) bool) {
 		// Reason-residual loops.
 		if it.usePost {
 			for _, a := range it.postA[it.i:] {
-				if !it.reasonOK(v.ents[a].kind) {
+				if !it.reasonOK(v.at(int(a)).kind) {
 					continue
 				}
 				if v.fill(int(a), &r); !yield(r) {
@@ -201,8 +208,8 @@ func (it *Iterator) drain(yield func(Record) bool) {
 			}
 			return
 		}
-		for i := it.i; i < len(v.ents); i++ {
-			if !it.reasonOK(v.ents[i].kind) {
+		for i := it.i; i < v.n; i++ {
+			if !it.reasonOK(v.at(i).kind) {
 				continue
 			}
 			if v.fill(i, &r); !yield(r) {
@@ -229,7 +236,7 @@ func (it *Iterator) nextPos() int {
 		it.done = true
 		return -1
 	}
-	ents := it.v.ents
+	v := &it.v
 	if it.usePost {
 		if it.postB != nil {
 			for it.i < len(it.postA) && it.j < len(it.postB) {
@@ -238,7 +245,7 @@ func (it *Iterator) nextPos() int {
 				case a == b:
 					it.i++
 					it.j++
-					if it.match(&ents[a]) {
+					if it.match(v.at(int(a))) {
 						it.matched++
 						return int(a)
 					}
@@ -254,7 +261,7 @@ func (it *Iterator) nextPos() int {
 		for it.i < len(it.postA) {
 			a := it.postA[it.i]
 			it.i++
-			if it.match(&ents[a]) {
+			if !it.filtered || it.match(v.at(int(a))) {
 				it.matched++
 				return int(a)
 			}
@@ -262,13 +269,24 @@ func (it *Iterator) nextPos() int {
 		it.done = true
 		return -1
 	}
-	for it.i < len(ents) {
-		p := it.i
+	if !it.filtered && it.i < v.n {
 		it.i++
-		if it.match(&ents[p]) {
-			it.matched++
-			return p
+		it.matched++
+		return it.i - 1
+	}
+	for it.i < v.n {
+		// Walk the entries chunk by chunk: one chunk-table lookup per
+		// chunk, not per entry.
+		base := it.i &^ chunkMask
+		c := v.chunks[it.i>>chunkBits][:min(chunkLen, v.n-base)]
+		for j := it.i - base; j < len(c); j++ {
+			if it.match(&c[j]) {
+				it.i = base + j + 1
+				it.matched++
+				return base + j
+			}
 		}
+		it.i = base + len(c)
 	}
 	it.done = true
 	return -1

@@ -2,13 +2,17 @@ package auditstore
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Segment files are named seg-<8 hex file id>.seg. The id is a
@@ -41,72 +45,96 @@ func parseSegID(name string) (uint64, bool) {
 	return id, err == nil
 }
 
-// segment is one segment file as the merge reads it. A sealed segment
-// with an intact footer yields its sequence range and time bound from
-// the footer alone, and its frames are decoded only when the merge
-// enters it; any other segment is decoded once at load for the same
-// metadata.
+// segment is one segment file as the merge reads it: its footer, if
+// intact, and its frames decoded into index entries. The merge orders
+// segments, and judges overlaps and gaps, by the sequence range a
+// segment holds: its footer's when the footer is intact, else the
+// range its frames decoded to.
 type segment struct {
 	name   string
 	id     uint64
-	data   []byte
+	size   int          // file length in bytes
 	footer []blockEntry // intact block index; nil when unsealed or damaged
-	// blocks is the block index a load-time decode rebuilt (segments
-	// without an intact footer), so an adopted active segment can keep
-	// indexing where it left off.
-	blocks []blockEntry
 	// first and last bound the sequences held (meaningful when count >
 	// 0); maxT is the newest record time, math.MinInt64 when none.
 	first, last uint64
 	count       int
 	maxT        int64
-	// trunc is the damage a load-time decode met (segments without an
-	// intact footer only).
-	trunc *Truncation
+	// frames is the decode. A segment without an intact footer also
+	// gets its block index rebuilt, so an adopted active segment can
+	// keep indexing where it left off.
+	frames frames
+	// start is the byte offset the decode started at. seek, when
+	// seeked, is the first sequence a footer seek vouched for: the
+	// decode started at its block, and a seek past the last record
+	// skipped the decode entirely.
+	start  int
+	seek   uint64
+	seeked bool
 }
 
-// loadSegment reads one segment file and extracts its merge metadata.
-func loadSegment(dir, name string, id uint64) (*segment, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name))
+// seekFunc picks the block a sealed segment's decode may start at (see
+// merger); ok false decodes the segment whole.
+type seekFunc func(s *segment) (b blockEntry, ok bool)
+
+// load reads the segment file and decodes it, starting where seek
+// says.
+func (s *segment) load(dir string, seek seekFunc) error {
+	data, err := os.ReadFile(filepath.Join(dir, s.name))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &segment{name: name, id: id, data: data, maxT: math.MinInt64}
+	s.size, s.maxT = len(data), math.MinInt64
 	if !hasSegMagic(data) {
-		s.trunc = &Truncation{Offset: 0, Reason: "bad segment header"}
-		return s, nil
+		s.frames.trunc = &Truncation{Offset: 0, Reason: "bad segment header"}
+		return nil
 	}
+	s.start = len(segMagicV2)
 	if s.footer = parseFooter(data); s.footer != nil {
 		// Sentinel entry: seq is one past the last record, maxBefore is
 		// the whole-segment prefix maximum. Intra-segment sequences are
-		// contiguous, so the footer alone gives the range.
+		// contiguous, so the footer alone gives the range, and sizes the
+		// decode.
 		sent := s.footer[len(s.footer)-1]
 		s.first, s.last, s.maxT = s.footer[0].seq, sent.seq-1, sent.maxBefore
 		s.count = int(sent.seq - s.first)
-		return s, nil
+		if seek != nil {
+			if b, ok := seek(s); ok {
+				s.seek, s.seeked = b.seq, true
+				if b.seq > s.last {
+					return nil
+				}
+				s.start = int(min(b.off, uint64(len(data))))
+			}
+		}
+		// A footer's count is only a claim: the file bounds the room.
+		room := (len(data) - s.start) / minFrame
+		if held := sent.seq - s.first; held < uint64(room) {
+			room = int(held)
+		}
+		s.frames.ents = make([]entry, 0, room)
 	}
-	_, s.trunc = streamFrames(data, len(segMagicV2), make(strtab), func(r *Record, off int) bool {
-		if s.count == 0 {
-			s.first = r.Seq
-		}
-		if s.count%indexEvery == 0 {
-			s.blocks = append(s.blocks, blockEntry{seq: r.Seq, off: uint64(off), maxBefore: s.maxT})
-		}
-		s.last = r.Seq
-		s.count++
-		if tn, ok, err := timeNanos(r.Time); ok && err == nil && tn > s.maxT {
-			s.maxT = tn
-		}
-		return true
-	})
-	return s, nil
+	s.frames.decode(data, s.start, s.footer, s.footer == nil)
+	if s.footer == nil && len(s.frames.ents) > 0 {
+		s.first, s.count, s.maxT = s.frames.first, len(s.frames.ents), s.frames.maxT
+		s.last = s.first + uint64(s.count) - 1
+	}
+	return nil
 }
 
-// listSegments loads every segment file in dir, ordered for the merge
-// by (first sequence, file id): compaction output overlaps its sources
-// at the same sequences but carries a higher id, and a segment with no
-// intact frame sorts last. tmps names the staging leftovers found.
-func listSegments(dir string) (segs []*segment, tmps []string, err error) {
+// minFrame is the smallest encoded frame: a length byte, a payload of
+// a one-byte seq, flags, session, pid and three empty strings, and the
+// CRC. It caps a footer's record count at what the file can hold.
+const minFrame = 1 + 7 + crcLen
+
+// loadSegments lists and loads every segment file in dir, ordered for
+// the merge by (first sequence, file id): compaction output overlaps
+// its sources at the same sequences but carries a higher id, and a
+// segment with no intact frame sorts last. The files are read and
+// decoded concurrently, by min(GOMAXPROCS, files) workers: segments
+// share nothing until the merge. tmps names the staging leftovers
+// found.
+func loadSegments(dir string, seek seekFunc) (segs []*segment, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -125,11 +153,23 @@ func listSegments(dir string) (segs []*segment, tmps []string, err error) {
 		if !ok {
 			continue // not ours; leave foreign files alone
 		}
-		s, err := loadSegment(dir, name, id)
-		if err != nil {
-			return nil, nil, err
-		}
-		segs = append(segs, s)
+		segs = append(segs, &segment{name: name, id: id})
+	}
+	errs := make([]error, len(segs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(segs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
+				errs[i] = segs[i].load(dir, seek)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 	slices.SortFunc(segs, func(a, b *segment) int {
 		return cmp.Or(cmp.Compare(a.sortSeq(), b.sortSeq()), cmp.Compare(a.id, b.id))
@@ -145,7 +185,7 @@ func (s *segment) sortSeq() uint64 {
 	return s.first
 }
 
-// merger reads listed segments as one record stream. Every sequence
+// merger reads loaded segments as one record stream. Every sequence
 // is taken from the first intact copy in (first sequence, file id)
 // order, and the stream ends only at a sequence that no intact copy
 // holds: the longest contiguous, CRC-verified prefix. Damage in one
@@ -155,11 +195,6 @@ func (s *segment) sortSeq() uint64 {
 // disagree on what it holds — except that a seek, which trusts the
 // footer, does not decode the frames it skips.
 type merger struct {
-	// seek, when set, may start a sealed segment at a later block; the
-	// frames it skips are vouched for by the footer, not decoded. A
-	// block past the segment's last record skips the segment whole.
-	seek func(s *segment) (blockEntry, bool)
-
 	next    uint64 // next sequence the stream needs; 0 before the first
 	overlap bool   // a copy repeated sequences already merged
 	// stop indexes the first segment beyond the end of the stream
@@ -172,18 +207,21 @@ type merger struct {
 	reason string
 	// droppedBytes counts the undecodable bytes of damaged segments.
 	droppedBytes int
+	// seeked and skipped count the segments the walk reached whose
+	// decode a seek started mid-stream or skipped whole.
+	seeked, skipped int
 }
 
-// walk reads segs in order, handing every record of the merged stream
-// to emit, its strings interned across the walk; emit returning false
-// ends the walk early.
-func (m *merger) walk(segs []*segment, emit func(r *Record) bool) {
+// walk reads segs in order, handing emit each run of the merged
+// stream — positions [from, to) of one segment's decoded entries — in
+// sequence order; emit returning false ends the walk early.
+func (m *merger) walk(segs []*segment, emit func(f *frames, from, to int) bool) {
 	m.stop = len(segs)
-	strs := make(strtab)
 	for i, s := range segs {
+		f := &s.frames
 		if s.count == 0 {
-			if s.trunc != nil {
-				m.damage(s, s.trunc)
+			if f.trunc != nil {
+				m.damage(s, f.trunc)
 			}
 			continue
 		}
@@ -197,43 +235,31 @@ func (m *merger) walk(segs []*segment, emit func(r *Record) bool) {
 			m.stop = i
 			return
 		}
-		start := len(segMagicV2)
-		if m.seek != nil && s.footer != nil {
-			if b, ok := m.seek(s); ok {
-				if b.seq > m.next {
-					m.next = b.seq
-				}
-				if b.seq > s.last {
-					continue
-				}
-				start = int(b.off)
+		if s.seeked {
+			m.next = max(m.next, s.seek)
+			if s.seek > s.last {
+				m.skipped++
+				continue
 			}
+			m.seeked++
 		}
-		var hole *Truncation
-		done := false
-		_, trunc := streamFrames(s.data, start, strs, func(r *Record, off int) bool {
-			if r.Seq < m.next {
-				m.overlap = true
-				return true
-			}
-			if m.next != 0 && r.Seq > m.next {
-				// A hole inside one copy is damage: a later copy may
-				// still hold the missing sequences.
-				hole = &Truncation{Offset: off, Reason: m.gap(r.Seq)}
-				return false
-			}
-			m.next = r.Seq + 1
-			if !emit(r) {
-				done = true
-				return false
-			}
-			return true
-		})
-		if done {
-			return
+		// The decoded entries hold f.first, f.first+1, …: those below
+		// m.next repeat earlier copies, and a first entry past it is a
+		// hole in this copy — damage a later copy may still repair.
+		from, n, trunc := 0, len(f.ents), f.trunc
+		switch {
+		case n == 0 || m.next == 0:
+		case f.first <= m.next:
+			from = int(min(m.next-f.first, uint64(n)))
+			m.overlap = m.overlap || from > 0
+		default:
+			from, trunc = n, &Truncation{Offset: s.start, Reason: m.gap(f.first)}
 		}
-		if hole != nil {
-			trunc = hole
+		if from < n {
+			m.next = f.first + uint64(n)
+			if !emit(f, from, n) {
+				return
+			}
 		}
 		if trunc != nil {
 			m.damage(s, trunc)
@@ -243,12 +269,12 @@ func (m *merger) walk(segs []*segment, emit func(r *Record) bool) {
 
 // gap renders the reason a stream cannot continue at sequence seq.
 func (m *merger) gap(seq uint64) string {
-	return fmt.Sprintf("sequence gap: have %d, next record is %d", m.next-1, seq)
+	return seqGap(m.next-1, seq)
 }
 
 // damage accounts for a damaged segment.
 func (m *merger) damage(s *segment, t *Truncation) {
-	m.droppedBytes += len(s.data) - t.Offset
+	m.droppedBytes += s.size - t.Offset
 	m.note(s.name, t.Offset, t.Reason)
 }
 
