@@ -129,7 +129,7 @@ chaos:
 	$(GO) run ./cmd/overhaul-chaos -seed 7 -steps 160 -faults default -kill 40 -reconnect 90
 
 # Durable-store smoke: a chaos campaign appends its audit stream into a
-# store while store faults tear writes and crash rotations/compactions,
+# store while store faults tear writes and crash rotations,
 # then overhaul-top reopens the directory cold and queries it — the
 # full append-under-chaos → kill → reopen → query loop. The -cold query
 # reads the raw post-chaos directory first, before a warm open
@@ -143,7 +143,7 @@ STOREDIR = /tmp/overhaul-store-smoke
 store:
 	rm -rf $(STOREDIR) $(STOREDIR).*
 	$(GO) run ./cmd/overhaul-chaos -seed 11 -steps 200 -store $(STOREDIR) \
-		-faults 'default,auditstore.append:error:prob=0.05,auditstore.batch:error:prob=0.02,auditstore.batch:crash:prob=0.01,auditstore.rotate:crash:after=3:count=1,auditstore.compact:crash:after=1:count=1'
+		-faults 'default,auditstore.append:error:prob=0.05,auditstore.batch:error:prob=0.02,auditstore.batch:crash:prob=0.01,auditstore.rotate:crash:after=3:count=1'
 	$(GO) run ./cmd/overhaul-top -store $(STOREDIR) -cold > $(STOREDIR).cold
 	$(GO) run ./cmd/overhaul-top -store $(STOREDIR) > $(STOREDIR).warm
 	for f in $(STOREDIR).cold $(STOREDIR).warm; do sed -n '1p;$$p' $$f; done

@@ -8,12 +8,12 @@
 //
 // FileStore is the one store: append-only binary segments
 // (varint-framed, CRC-checked records, a block index in each sealed
-// segment's footer) with group-committed appends, segment rotation,
-// and size-tiered compaction of sealed segments, fronted by an
-// in-memory index that answers every query over the durable records:
-// one pointer-free 32-byte entry per record, in fixed-size chunks
-// (times, session, pid, and the id of its {op, verdict, reason,
-// degraded} tuple in a kind table holding each distinct tuple once),
+// segment's footer) with group-committed appends and segment rotation,
+// fronted by an in-memory index that answers every query over the
+// durable records: one pointer-free 32-byte entry per record, in
+// fixed-size chunks (times, session, pid, and the id of its {op,
+// verdict, reason, degraded} tuple in a kind table holding each
+// distinct tuple once),
 // pid/verdict posting lists of uint32 positions, and a time-ordered
 // Since seek. One frame decoder turns segment frames straight into
 // entries, and a Record is built from its entry only when it is read.
@@ -38,10 +38,15 @@
 // the durable trail, the black-box dump, and the log file cannot
 // drift; TestRecordSchemaShared pins the encoding.
 //
-// Every write seam of the store consults a faultinject.Hook: torn segment writes (PointStoreAppend), crashes
-// mid-rotation (PointStoreRotate) and mid-compaction
-// (PointStoreCompact) are injectable, and the crash-recovery property
-// test replays every window.
+// A sealed segment is written once and never rewritten: the store is
+// append-only, and only recovery's normalization writes a segment
+// anywhere but at the end of the active one.
+//
+// Every write seam of the store consults a faultinject.Hook: torn
+// segment writes (PointStoreAppend), group-commit windows
+// (PointStoreBatch) and crashes mid-rotation (PointStoreRotate) are
+// injectable, and the crash-recovery property test replays every
+// window.
 package auditstore
 
 import (

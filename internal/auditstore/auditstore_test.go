@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -270,16 +271,21 @@ func TestFileStoreAppendGetReopen(t *testing.T) {
 	}
 }
 
-func TestFileStoreRotationAndCompaction(t *testing.T) {
+// TestFileStoreRotation fills a store past a dozen rotations: every
+// sealed segment stays on disk as written, the directory holds exactly
+// the segments the store tracks, and a reopen adopts them clean.
+func TestFileStoreRotation(t *testing.T) {
 	dir := t.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: 3})
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	fillStore(t, st, 100)
+	// A full active segment rotates at the next append, so 100 records
+	// have sealed ⌊99/8⌋ segments.
 	sealed, active := st.SegmentCount()
-	if sealed >= 3 || active != 1 {
-		t.Fatalf("segments: sealed=%d active=%d, want compaction to keep sealed < 3", sealed, active)
+	if sealed != 12 || active != 1 {
+		t.Fatalf("segments: sealed=%d active=%d, want 12 and 1", sealed, active)
 	}
 	checkPrefix(t, st, 100)
 	if err := st.Close(); err != nil {
@@ -294,7 +300,7 @@ func TestFileStoreRotationAndCompaction(t *testing.T) {
 		t.Fatalf("directory has %d segments, store tracked %d", len(names), sealed+active)
 	}
 
-	st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: 3})
+	st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -302,37 +308,20 @@ func TestFileStoreRotationAndCompaction(t *testing.T) {
 	if rec := st2.Recovery(); !rec.Clean || rec.Records != 100 {
 		t.Fatalf("reopen recovery = %+v, want clean 100 records", rec)
 	}
+	if s, a := st2.SegmentCount(); s != sealed || a != active {
+		t.Fatalf("reopen adopted sealed=%d active=%d, want %d and %d", s, a, sealed, active)
+	}
 	checkPrefix(t, st2, 100)
 }
 
-func TestFileStoreManualCompact(t *testing.T) {
-	dir := t.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4, CompactSealed: -1})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer st.Close()
-	fillStore(t, st, 40)
-	sealed, _ := st.SegmentCount()
-	if sealed < 9 {
-		t.Fatalf("sealed = %d before manual compact, want >= 9 (auto compaction disabled)", sealed)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if sealed, _ = st.SegmentCount(); sealed != 1 {
-		t.Fatalf("sealed = %d after compact, want 1", sealed)
-	}
-	checkPrefix(t, st, 40)
-}
-
 // TestFileStoreSyncOption runs a store with Options.Sync through every
-// path that fsyncs — rotation, an automatic tier merge, Compact and
-// Close — with both Append and AppendBatch, then reopens it and checks
-// that the trail is intact and the recovery clean.
+// path that fsyncs — rotation, Close, and the normalization of a
+// reopen that finds a staging leftover — with both Append and
+// AppendBatch, then checks that the trail is intact and the last open
+// clean.
 func TestFileStoreSyncOption(t *testing.T) {
 	dir := t.TempDir()
-	opts := auditstore.Options{SegmentRecords: 4, CompactSealed: 3, Sync: true}
+	opts := auditstore.Options{SegmentRecords: 4, Sync: true}
 	st, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -356,33 +345,39 @@ func TestFileStoreSyncOption(t *testing.T) {
 			t.Fatalf("append %d: %v", n, err)
 		}
 	}
-	merged := st.BatchStats().CompactedRecords
-	if merged == 0 {
-		t.Fatal("no tier merge ran")
-	}
 	if sealed, _ := st.SegmentCount(); sealed < 2 {
-		t.Fatalf("sealed = %d, want >= 2 so Compact has work", sealed)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if st.BatchStats().CompactedRecords == merged {
-		t.Fatal("Compact rewrote nothing")
+		t.Fatalf("sealed = %d, want >= 2 rotations", sealed)
 	}
 	checkPrefix(t, st, n)
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
+	// A staging leftover makes the reopen normalize, which publishes
+	// its fresh segment through the fsync path.
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000ff.seg.tmp"), []byte("staged"), 0o600); err != nil {
+		t.Fatalf("write tmp: %v", err)
+	}
 	st2, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer st2.Close()
-	if rec := st2.Recovery(); !rec.Clean || rec.Records != n {
-		t.Fatalf("reopen recovery = %+v, want clean %d records", rec, n)
+	if rec := st2.Recovery(); rec.Clean || rec.Records != n {
+		t.Fatalf("reopen recovery = %+v, want a normalized %d records", rec, n)
 	}
 	checkPrefix(t, st2, n)
+	if err := st2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st3, err := auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("third open: %v", err)
+	}
+	defer st3.Close()
+	if rec := st3.Recovery(); !rec.Clean || rec.Records != n {
+		t.Fatalf("third open recovery = %+v, want clean %d records", rec, n)
+	}
+	checkPrefix(t, st3, n)
 }
 
 func TestFileStoreFailClosed(t *testing.T) {
@@ -499,6 +494,50 @@ func TestFileStoreTornTailReported(t *testing.T) {
 		t.Fatalf("post-normalize recovery = %+v, want clean", rec)
 	}
 	checkPrefix(t, st3, 10)
+}
+
+// TestSupersededEmptySegmentNormalized pins the empty-segment rule to
+// file ids: an empty seg-00000001.seg beside an unsealed
+// seg-00000002.seg holding records 1..5 is a superseded empty segment,
+// though the merge sorts it last. The open must normalize it away
+// rather than adopt it as the active segment, and the next append must
+// land after record 5 in a file that a reopen reads back.
+func TestSupersededEmptySegmentNormalized(t *testing.T) {
+	src := filledDir(t, 16, 5)
+	dir := t.TempDir()
+	copyFile(t, filepath.Join(src, "seg-00000001.seg"), filepath.Join(dir, "seg-00000002.seg"))
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.seg"), []byte(segMagic), 0o600); err != nil {
+		t.Fatalf("write empty segment: %v", err)
+	}
+
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	rec := st.Recovery()
+	if rec.Clean || rec.Truncated || rec.Records != 5 ||
+		!slices.Equal(rec.RemovedFiles, []string{"seg-00000002.seg", "seg-00000001.seg"}) {
+		t.Fatalf("recovery = %+v, want a normalized 5 records with both files removed", rec)
+	}
+	if seq, err := st.Append(mkRecord(5)); err != nil || seq != 6 {
+		t.Fatalf("append after recovery: seq=%d err=%v, want 6", seq, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if names := dirNames(t, dir); slices.Contains(names, "seg-00000001.seg") || slices.Contains(names, "seg-00000002.seg") {
+		t.Fatalf("directory still holds a superseded file: %v", names)
+	}
+
+	st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st2.Close()
+	if rec := st2.Recovery(); !rec.Clean || rec.Records != 6 {
+		t.Fatalf("reopen recovery = %+v, want clean 6 records", rec)
+	}
+	checkPrefix(t, st2, 6)
 }
 
 func TestTailSyncAndRebind(t *testing.T) {

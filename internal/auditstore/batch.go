@@ -35,9 +35,6 @@ type BatchStats struct {
 	MaxBatch int
 	// SizeHist buckets batch sizes as 1, 2, ≤4, ≤8, …, ≤128, >128.
 	SizeHist [9]uint64
-	// CompactedRecords counts the records compaction rewrote, automatic
-	// and manual: the write amplification beyond the first append.
-	CompactedRecords uint64
 }
 
 // BatchBucketLabel names SizeHist bucket i.
@@ -172,10 +169,9 @@ func (fs *FileStore) AppendBatch(recs []Record) (uint64, error) {
 
 // awaitDurableLocked blocks until sequence seq is durable, becoming
 // the commit leader whenever none is active. Leadership is re-checked
-// on every wake-up: an exclusive op (Compact, a finished leader) may
-// release the committing flag with this record still queued, and a
-// follower that only ever waited would then block forever — so a
-// woken follower that finds no leader promotes itself and commits the
+// on every wake-up, so a follower never waits on a leader that is
+// gone: were the committing flag ever released with this record still
+// queued, the woken follower would promote itself and commit the
 // queue. Called and returns with mu held.
 func (fs *FileStore) awaitDurableLocked(seq uint64) error {
 	for fs.durableSeq < seq && fs.failed == nil && !fs.closed {

@@ -44,7 +44,7 @@ func TestBatchFaultWindows(t *testing.T) {
 					t.Fatalf("injector: %v", err)
 				}
 				st, err := auditstore.Open(dir, auditstore.Options{
-					SegmentRecords: segRecs, CompactSealed: 3, Hook: inj.Hook(),
+					SegmentRecords: segRecs, Hook: inj.Hook(),
 				})
 				if err != nil {
 					t.Fatalf("open: %v", err)
@@ -72,7 +72,7 @@ func TestBatchFaultWindows(t *testing.T) {
 					t.Fatalf("close: %v", err)
 				}
 
-				st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: segRecs, CompactSealed: 3})
+				st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: segRecs})
 				if err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
@@ -115,7 +115,7 @@ func TestBatchCrashConcurrent(t *testing.T) {
 				t.Fatalf("injector: %v", err)
 			}
 			st, err := auditstore.Open(dir, auditstore.Options{
-				SegmentRecords: 16, CompactSealed: 3, Hook: inj.Hook(), BatchRecords: 8,
+				SegmentRecords: 16, Hook: inj.Hook(), BatchRecords: 8,
 			})
 			if err != nil {
 				t.Fatalf("open: %v", err)
@@ -147,7 +147,7 @@ func TestBatchCrashConcurrent(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 
-			st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16, CompactSealed: 3})
+			st2, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 16})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -353,75 +353,68 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestAppendDuringCompactCompletes pins the leadership hand-off: an
-// Append that enqueues while Compact owns the committing flag must be
-// promoted to commit leader when Compact releases it. A follower that
-// only ever waited on commitDone would block forever here — Compact
-// returns with a non-empty queue and no leader — so this test hangs
-// on its watchdog without the promotion loop in awaitDurableLocked.
-func TestAppendDuringCompactCompletes(t *testing.T) {
-	compacting := make(chan struct{})
+// TestAppendDuringRotationCompletes pins the leadership hand-off
+// across a rotation: an Append that enqueues while the commit leader
+// is rotating (it owns the committing flag and has released mu) must
+// be committed once the leader finishes, by that leader's next batch
+// or by promoting itself. A follower stranded behind a leader that
+// returned with a non-empty queue would block forever, so this test
+// hangs on its watchdog if the hand-off breaks.
+func TestAppendDuringRotationCompletes(t *testing.T) {
+	rotating := make(chan struct{})
 	appendRunning := make(chan struct{})
 	var once sync.Once
 	hook := func(p faultinject.Point) faultinject.Fault {
-		if p == faultinject.PointStoreCompact {
+		if p == faultinject.PointStoreRotate {
 			once.Do(func() {
-				close(compacting)
+				close(rotating)
 				<-appendRunning
 				// Let the appender enqueue and park on the condition
-				// variable while Compact still owns leadership.
-				time.Sleep(100 * time.Millisecond) //overhaul:allow clockcheck real-time pause widens the Compact window the racing Append must land in; no store clock is in play
+				// variable while the leader still owns the commit.
+				time.Sleep(100 * time.Millisecond) //overhaul:allow clockcheck real-time pause widens the rotation window the racing Append must land in; no store clock is in play
 			})
 		}
 		return faultinject.Fault{}
 	}
-	st, err := auditstore.Open(t.TempDir(), auditstore.Options{
-		SegmentRecords: 2, CompactSealed: -1, Hook: hook,
-	})
+	st, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: 2, Hook: hook})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer st.Close()
 
-	// Seal two segments so Compact has work to do.
-	const seeded = 6
+	// Fill the active segment, so the next commit rotates first.
+	const seeded = 2
 	for i := 0; i < seeded; i++ {
 		if _, err := st.Append(mkRecord(i)); err != nil {
 			t.Fatalf("seed append %d: %v", i, err)
 		}
 	}
-	if sealed, _ := st.SegmentCount(); sealed < 2 {
-		t.Fatalf("sealed %d segments, want >= 2", sealed)
-	}
 
-	compactDone := make(chan error, 1)
-	go func() { compactDone <- st.Compact() }()
-	<-compacting
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := st.Append(mkRecord(seeded))
+		leaderDone <- err
+	}()
+	<-rotating
 	appendDone := make(chan error, 1)
 	go func() {
 		close(appendRunning)
-		_, err := st.Append(mkRecord(seeded))
+		_, err := st.Append(mkRecord(seeded + 1))
 		appendDone <- err
 	}()
 
 	watchdog := time.After(10 * time.Second) //overhaul:allow clockcheck watchdog for a test that otherwise hangs; the store itself never reads this clock
-	select {
-	case err := <-appendDone:
-		if err != nil {
-			t.Fatalf("append racing compact: %v", err)
+	for name, done := range map[string]chan error{"leader": leaderDone, "follower": appendDone} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s append across the rotation: %v", name, err)
+			}
+		case <-watchdog:
+			t.Fatalf("%s append hung after the rotating leader released the commit", name)
 		}
-	case <-watchdog:
-		t.Fatal("append hung after Compact released leadership with a non-empty queue")
 	}
-	select {
-	case err := <-compactDone:
-		if err != nil {
-			t.Fatalf("compact: %v", err)
-		}
-	case <-watchdog:
-		t.Fatal("compact never returned")
-	}
-	checkPrefix(t, st, seeded+1)
+	checkPrefix(t, st, seeded+2)
 }
 
 // TestBatchBucketLabels pins the histogram bucket naming the load

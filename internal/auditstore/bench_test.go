@@ -153,13 +153,10 @@ func BenchmarkStoreScan(b *testing.B) {
 
 // BenchmarkStoreAppendSustained appends one record at a time to a file
 // store that already holds history records, in 256-record segments, so
-// the rotations and compactions a long-lived store pays run inside the
-// timed loop. Size-tiered merges touch the newest segments, not the
-// whole history, so ns/op no longer grows linearly with history; the
-// amortized rewrite work per record is O(log_k(N/s)). At the
-// Makefile's -benchtime=2000x the loop spans about eight rotations, so
-// each row samples tier-1 merges only: the rarer cascade into tier 2
-// or above, the worst-case stall, falls outside every row's window.
+// the rotations a long-lived store pays run inside the timed loop. A
+// record is written once and a rotation touches only the active
+// segment, so ns/op should not grow with history. At the Makefile's
+// -benchtime=2000x the loop spans about eight rotations.
 func BenchmarkStoreAppendSustained(b *testing.B) {
 	for _, history := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
@@ -195,12 +192,10 @@ func BenchmarkStoreAppendSustained(b *testing.B) {
 
 // BenchmarkStoreAppendBatch32 makes 32-record AppendBatch calls into a
 // store that starts empty, the way a fleet session's batching sink
-// flushes, so rotation and compaction run inside the timed loop. The
-// seg=256 row keeps the segment size the store defaulted to before
+// flushes, so rotation runs inside the timed loop. The seg=256 row
+// keeps the segment size the store defaulted to before
 // DefaultSegmentRecords was measured; at the Makefile's -benchtime=2000x
-// (64,000 records) it pays 249 rotations and 34 merges rewriting
-// 112,640 records, against the default's 15 rotations and one merge of
-// 32,768.
+// (64,000 records) it pays 249 rotations against the default's 15.
 func BenchmarkStoreAppendBatch32(b *testing.B) {
 	for _, seg := range []struct {
 		name string

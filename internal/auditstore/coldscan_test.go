@@ -2,7 +2,6 @@ package auditstore_test
 
 import (
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -66,7 +65,7 @@ func TestMixedFormatRecovery(t *testing.T) {
 	for _, v2 := range []int{0, 10} {
 		dir := t.TempDir()
 		if v2 > 0 {
-			st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4, CompactSealed: -1})
+			st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4})
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -99,14 +98,32 @@ func TestMixedFormatRecovery(t *testing.T) {
 	}
 }
 
+// filledDir writes records 0..n-1 into a fresh store of segRecs-record
+// segments, closes it, and returns its directory.
+func filledDir(t *testing.T, segRecs, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: segRecs})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	fillStore(t, st, n)
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	return dir
+}
+
 // TestColdWarmAgreeOnBitRot is the regression test for the two reads
-// of a directory disagreeing. A compaction crashed before cleanup
-// leaves its output (seqs 1–32) beside its four sources, then one byte
-// of the oldest source rots. Whether a bit flips in the first frame or
-// mid-segment, or the second frame's length byte rots to the footer
-// marker's value, the intact compaction copy holds every sequence: the
-// cold scan of the raw directory and the reopened store must both
-// return all 40 records, identically, and report the damage.
+// of a directory disagreeing. Five 8-record segments lie beside a
+// 32-record copy of the first four's sequences under a higher id (what
+// a crash between normalization's rename and its removals leaves, or
+// an older store's merge), then one byte of the oldest segment rots.
+// Whether a bit flips in the first frame or mid-segment, or the second
+// frame's length byte rots to the footer marker's value, the intact
+// copy holds every sequence: the cold scan of the raw directory and
+// the reopened store must both return all 40 records, identically,
+// and report the damage.
 func TestColdWarmAgreeOnBitRot(t *testing.T) {
 	flip := func(at int) func([]byte) {
 		return func(data []byte) { data[at] ^= 0x40 }
@@ -124,28 +141,10 @@ func TestColdWarmAgreeOnBitRot(t *testing.T) {
 		{"zeroed-frame-length", zeroSecondFrameLen},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			inj, err := faultinject.New(1, faultinject.Rule{
-				Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1,
-			})
-			if err != nil {
-				t.Fatalf("injector: %v", err)
-			}
-			opts := auditstore.Options{SegmentRecords: 8, CompactSealed: -1}
-			crashing := opts
-			crashing.Hook = inj.Hook()
-			st, err := auditstore.Open(dir, crashing)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			fillStore(t, st, 40)
-			if err := st.Compact(); !errors.Is(err, auditstore.ErrStoreFailed) {
-				t.Fatalf("compact = %v, want the injected pre-cleanup crash", err)
-			}
-			_ = st.Close() // the store is failed; Close only releases it
-			if _, err := os.Stat(filepath.Join(dir, "seg-00000006.seg")); err != nil {
-				t.Fatalf("compaction output missing: %v", err)
-			}
+			dir := filledDir(t, 8, 40)
+			copies := filledDir(t, 32, 40)
+			copyFile(t, filepath.Join(copies, "seg-00000001.seg"), filepath.Join(dir, "seg-00000006.seg"))
+			opts := auditstore.Options{SegmentRecords: 8}
 			oldest := filepath.Join(dir, "seg-00000001.seg")
 			data, err := os.ReadFile(oldest)
 			if err != nil {
@@ -215,25 +214,13 @@ func coldQueries() []auditstore.Query {
 }
 
 // TestColdScanMatchesStore pins ScanSegments against the warm path:
-// for a directory with a compacted segment, sealed segments (one of
-// them sealed after a reopen adopted it as the active segment) and a
-// partial active one, every query in the grid returns the same records
-// in both paths.
+// for a directory with sealed segments (one of them sealed after a
+// reopen adopted it as the active segment) and a partial active one,
+// every query in the grid returns the same records in both paths.
 func TestColdScanMatchesStore(t *testing.T) {
-	dir := t.TempDir()
-	opts := auditstore.Options{SegmentRecords: 8, CompactSealed: -1}
-	st, err := auditstore.Open(dir, opts)
+	dir := filledDir(t, 8, 30)
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8})
 	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	fillStore(t, st, 30)
-	if err := st.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if st, err = auditstore.Open(dir, opts); err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	for i := 30; i < 45; i++ { // more sealed segments plus a partial active one
@@ -262,7 +249,7 @@ func TestColdScanMatchesStore(t *testing.T) {
 // bound must skip whole sealed segments without decoding them.
 func TestColdScanSkipsSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: -1})
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -305,7 +292,7 @@ func TestColdScanReportsTruncation(t *testing.T) {
 		t.Fatalf("injector: %v", err)
 	}
 	st, err := auditstore.Open(dir, auditstore.Options{
-		SegmentRecords: 64, CompactSealed: -1, Hook: inj.Hook(),
+		SegmentRecords: 64, Hook: inj.Hook(),
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -343,7 +330,7 @@ func TestColdScanReportsTruncation(t *testing.T) {
 // available.
 func TestSegmentsNewest(t *testing.T) {
 	dir := t.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8, CompactSealed: -1})
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 8})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

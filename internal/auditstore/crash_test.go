@@ -2,7 +2,6 @@ package auditstore_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"overhaul/internal/auditstore"
@@ -10,26 +9,20 @@ import (
 )
 
 // TestCrashRecoveryProperty is the crash-recovery property test: for
-// every faultinject crash window — torn append, crash mid-rotation at
-// either protocol window, crash mid-compaction at any of its four
-// windows, both in the first merge and in the second, which at fan-in
-// 3 is a tail merge beside an older sealed segment — reopening the
-// directory yields a byte-identical prefix of
-// the pre-crash stream. Acked records are never lost, unacked records
-// never appear, and any discarded bytes are reported, never silent.
-// The table is seeded and spans segment sizes so every window lands in
-// differently-shaped directories.
+// every faultinject crash window — torn append, and a crash
+// mid-rotation at either protocol window, in the first rotation or a
+// later one — reopening the directory yields a byte-identical prefix
+// of the pre-crash stream. Acked records are never lost, unacked
+// records never appear, and any discarded bytes are reported, never
+// silent. The table is seeded and spans segment sizes so every window
+// lands in differently-shaped directories.
 func TestCrashRecoveryProperty(t *testing.T) {
 	type faultSpec struct {
 		name string
 		rule faultinject.Rule
 	}
 	// After selects the exact window: appends evaluate PointStoreAppend
-	// once per call, rotations evaluate PointStoreRotate at 2 windows,
-	// compactions evaluate PointStoreCompact at 4. A spec whose name ends
-	// in -sync runs every open with Options.Sync, so the fsync branches
-	// of rotation, compaction, the reopen's normalization and Close all
-	// execute.
+	// once per call, rotations evaluate PointStoreRotate at 2 windows.
 	specs := []faultSpec{
 		{"append-torn-early", faultinject.Rule{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, After: 3, Count: 1}},
 		{"append-torn-mid", faultinject.Rule{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, After: 57, Count: 1}},
@@ -39,15 +32,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		{"rotate-crash-pre-seal", faultinject.Rule{Point: faultinject.PointStoreRotate, Kind: faultinject.KindCrash, Count: 1}},
 		{"rotate-crash-post-seal", faultinject.Rule{Point: faultinject.PointStoreRotate, Kind: faultinject.KindCrash, After: 1, Count: 1}},
 		{"rotate-crash-later", faultinject.Rule{Point: faultinject.PointStoreRotate, Kind: faultinject.KindCrash, After: 4, Count: 1}},
-		{"compact-crash-begin", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, Count: 1}},
-		{"compact-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 1, Count: 1}},
-		{"compact-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 2, Count: 1}},
-		{"compact-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
-		{"compact-crash-pre-cleanup-sync", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 3, Count: 1}},
-		{"tail-merge-crash-begin", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 4, Count: 1}},
-		{"tail-merge-crash-torn-tmp", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 5, Count: 1}},
-		{"tail-merge-crash-pre-rename", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 6, Count: 1}},
-		{"tail-merge-crash-pre-cleanup", faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 7, Count: 1}},
 	}
 	segSizes := []int{1, 3, 8, 32}
 	const total = 200
@@ -61,8 +45,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("injector: %v", err)
 				}
-				sync := strings.HasSuffix(spec.name, "-sync")
-				opts := auditstore.Options{SegmentRecords: segRecs, CompactSealed: 3, Sync: sync}
+				opts := auditstore.Options{SegmentRecords: segRecs}
 				armed := opts
 				armed.Hook = inj.Hook()
 				st, err := auditstore.Open(dir, armed)
@@ -96,11 +79,6 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				}
 				checkPrefix(t, st2, acked)
 				rec := st2.Recovery()
-				if sync && rec.Clean {
-					// A pre-cleanup crash leaves the merge output beside
-					// its sources, which the reopen must normalize away.
-					t.Fatalf("reopen after a pre-cleanup crash was clean: %+v", rec)
-				}
 				if rec.DroppedBytes > 0 && (rec.Reason == "" || rec.TruncatedFile == "") {
 					t.Fatalf("recovery dropped %d bytes silently: %+v", rec.DroppedBytes, rec)
 				}
@@ -145,7 +123,6 @@ func TestCrashRecoveryRepeated(t *testing.T) {
 		{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, Prob: 0.03},
 		{Point: faultinject.PointStoreAppend, Kind: faultinject.KindCrash, Prob: 0.01},
 		{Point: faultinject.PointStoreRotate, Kind: faultinject.KindCrash, Prob: 0.05},
-		{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, Prob: 0.10},
 	}
 	inj, err := faultinject.New(42, rules...)
 	if err != nil {
@@ -153,7 +130,7 @@ func TestCrashRecoveryRepeated(t *testing.T) {
 	}
 	const total = 500
 	acked, reopens := 0, 0
-	opts := auditstore.Options{SegmentRecords: 4, CompactSealed: 3, Hook: inj.Hook()}
+	opts := auditstore.Options{SegmentRecords: 4, Hook: inj.Hook()}
 	st, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

@@ -13,7 +13,7 @@ import (
 // must return exactly what a linear pass over the appended slice
 // returns (Query.Matches per record, then the first Limit matches),
 // through both Scan and Iter — live, and again after the segments have
-// been rotated, compacted, and reopened. The model shares no code with
+// been rotated and reopened. The model shares no code with
 // the index (no posting lists, no time seek, no galloping merge), so
 // an index bug cannot cancel out. Two streams run the grid: one whose
 // times only ascend, so Since queries take the binary-search seek, and
@@ -52,7 +52,7 @@ func checkEquivalence(t *testing.T, minStep, span int) {
 
 	var appended []auditstore.Record
 	dir := t.TempDir()
-	opts := auditstore.Options{SegmentRecords: 16, CompactSealed: 3}
+	opts := auditstore.Options{SegmentRecords: 16}
 	file, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)

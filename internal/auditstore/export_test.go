@@ -1,20 +1,48 @@
 package auditstore
 
-import "unsafe"
+import (
+	"path/filepath"
+	"slices"
+	"unsafe"
+)
 
-// SealedLayout returns each sealed segment's path and record count,
-// oldest first. It waits out any in-flight commit, like SegmentCount.
-func (fs *FileStore) SealedLayout() (paths []string, recs []int) {
+// SealedPaths returns the sealed segment files' paths, oldest first:
+// every segment file in the directory but the active one. It waits out
+// any in-flight commit, like SegmentCount.
+func (fs *FileStore) SealedPaths() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for fs.committing {
 		fs.commitDone.Wait()
 	}
-	for _, s := range fs.sealed {
-		paths = append(paths, s.path)
-		recs = append(recs, s.recs)
+	paths, _ := filepath.Glob(filepath.Join(fs.dir, segPrefix+"*"+segSuffix))
+	if fs.cur != nil {
+		paths = slices.DeleteFunc(paths, func(p string) bool { return p == fs.segPath(fs.curID) })
 	}
-	return paths, recs
+	return paths
+}
+
+// LoadSharingBuffer loads the named segment files of dir in order
+// through one read buffer, as one loadSegments worker does, and only
+// then reads back each segment's decoded records.
+func LoadSharingBuffer(dir string, names ...string) ([][]Record, error) {
+	var buf []byte
+	segs := make([]*segment, len(names))
+	for i, name := range names {
+		segs[i] = &segment{name: name}
+		if err := segs[i].load(dir, nil, &buf); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]Record, len(segs))
+	for i, s := range segs {
+		v := s.frames.view()
+		out[i] = make([]Record, v.n)
+		for j := range out[i] {
+			v.fill(j, &out[i][j])
+		}
+	}
+	return out, nil
 }
 
 // IndexBytes sums the capacities the store's index holds: its entry

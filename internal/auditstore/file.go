@@ -13,25 +13,11 @@ import (
 // Options parameterises a FileStore.
 type Options struct {
 	// SegmentRecords rotates the active segment after this many
-	// records. Every rotation creates, footers and closes a file, and
-	// every k rotations merge, all inside the serialized commit, so
-	// small segments tax every append; see DefaultSegmentRecords for
-	// the measured size. Zero selects DefaultSegmentRecords.
+	// records. Every rotation footers and closes a file and creates the
+	// next, inside the serialized commit, so small segments tax every
+	// append; see DefaultSegmentRecords for the measured size. Zero
+	// selects DefaultSegmentRecords.
 	SegmentRecords int
-	// CompactSealed is the fan-in k of size-tiered compaction. A
-	// segment of SegmentRecords records is tier 0, and a segment of r
-	// records is tier ⌊log_k(r/SegmentRecords)⌋. After each rotation,
-	// while none of the newest k sealed segments is in a lower tier
-	// than the oldest of them, they are merged into one segment of
-	// the next tier, so each record is rewritten about
-	// log_k(N/SegmentRecords) times and at most k−1 sealed segments
-	// remain per tier. A group-commit batch of more than
-	// (k−1)·SegmentRecords records can seal a segment above tier 0;
-	// the rule then absorbs the smaller segments sealed before it, and
-	// at most (k−1)·(tiers present) sealed segments remain. Zero selects
-	// DefaultCompactSealed; negative disables automatic compaction; 1
-	// is rejected by Open.
-	CompactSealed int
 	// BatchRecords caps how many queued appends one group commit may
 	// drain into a single segment write. Zero selects
 	// DefaultBatchRecords.
@@ -40,16 +26,16 @@ type Options struct {
 	// Zero selects DefaultBatchBytes.
 	BatchBytes int
 	// Hook is the fault-injection hook consulted at every write seam
-	// (append, batch commit, rotation, compaction). Nil never injects.
+	// (append, batch commit, rotation). Nil never injects.
 	// Recovery (Open) runs fault-free by construction: reopening is the
 	// repair path, and a repair path that can be re-broken mid-repair
 	// would turn every injected crash into an unbounded crash loop.
 	Hook faultinject.Hook
 	// Sync fsyncs segment data when a segment is sealed at rotation,
-	// when compaction or recovery's normalization publishes one, and
-	// at Close. Without it an acknowledged append has reached the
-	// kernel, so it survives a crash of this process but not a power
-	// loss or a kernel crash.
+	// when recovery's normalization publishes one, and at Close.
+	// Without it an acknowledged append has reached the kernel, so it
+	// survives a crash of this process but not a power loss or a
+	// kernel crash.
 	Sync bool
 }
 
@@ -58,14 +44,9 @@ const (
 	// DefaultSegmentRecords is the knee of a fleet-storm sweep (2
 	// vCPUs, 100k-event trials from an empty store; EXPERIMENTS.md,
 	// "audit-store segment size"): throughput rose from 256 records
-	// (~16 KB segments, ~390 files and ~54 merges a trial) through
-	// 1,024 and 2,048 to 4,096 (+59% over 256), and no further at
-	// 8,192. A tier-0 merge is DefaultCompactSealed × 4,096 = 32,768
-	// records. Much past ~12,000 a trial seals too few segments to
-	// merge at all, and the sweep would measure the trial length, not
-	// the store.
+	// (~16 KB segments) through 1,024 and 2,048 to 4,096, and no
+	// further at 8,192.
 	DefaultSegmentRecords = 4096
-	DefaultCompactSealed  = 8
 	DefaultBatchRecords   = 256
 	DefaultBatchBytes     = 1 << 20
 )
@@ -103,12 +84,6 @@ type Recovery struct {
 	RemovedFiles []string
 }
 
-// segmentInfo is one on-disk segment's bookkeeping.
-type segmentInfo struct {
-	path string
-	recs int
-}
-
 // FileStore is the audit store: an append-only binary segment log with
 // an in-memory index in front of it that answers every query. Concurrent
 // appends are group-committed: callers enqueue under the store mutex,
@@ -140,15 +115,15 @@ type FileStore struct {
 	recovery Recovery
 
 	// File state below is owned by whichever goroutine holds
-	// committing (the group-commit leader, Compact, Close) and by Open
-	// before the store is published — never accessed under mu alone.
+	// committing (the group-commit leader, Close) and by Open before
+	// the store is published — never accessed under mu alone.
 	cur       *os.File
 	curID     uint64
 	curRecs   int
 	curOff    uint64       // bytes written to the active segment
 	curIdx    []blockEntry // sparse block index of the active segment
 	curMax    int64        // max record-time nanos seen in the active segment
-	sealed    []segmentInfo
+	sealed    int          // sealed segment files
 	nextID    uint64
 	enc       FrameEncoder
 	wbuf      []byte // reusable batch write buffer
@@ -171,12 +146,6 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	}
 	if opts.SegmentRecords < 0 {
 		return nil, fmt.Errorf("auditstore: negative segment size %d", opts.SegmentRecords)
-	}
-	if opts.CompactSealed == 0 {
-		opts.CompactSealed = DefaultCompactSealed
-	}
-	if opts.CompactSealed == 1 {
-		return nil, fmt.Errorf("auditstore: compaction fan-in 1; want at least 2, or negative to disable")
 	}
 	if opts.BatchRecords <= 0 {
 		opts.BatchRecords = DefaultBatchRecords
@@ -262,11 +231,13 @@ func (fs *FileStore) recover() error {
 	rec.LastSeq = fs.idx.lastSeq()
 
 	anomaly := len(tmps) > 0 || m.overlap || rec.Truncated
-	for i, s := range segs {
-		if s.count == 0 && s.frames.trunc == nil && i < len(segs)-1 {
-			// An empty segment that is not the newest: a crash window
-			// between creating the active file and first writing to it,
-			// later superseded. Harmless, but normalize it away.
+	for _, s := range segs {
+		if s.count == 0 && s.frames.trunc == nil && s.id < fs.nextID-1 {
+			// An empty segment that is not the newest file: a crash
+			// window between creating the active file and first writing
+			// to it, later superseded. Harmless, but normalize it away.
+			// It is judged by file id, not merge position: empty
+			// segments sort last in the merge whatever their id.
 			anomaly = true
 		}
 	}
@@ -277,39 +248,40 @@ func (fs *FileStore) recover() error {
 	// Clean open: adopt the layout as it stands. The newest segment
 	// stays active if it is unsealed (no footer); everything else is
 	// sealed. A full active segment is left for the next commit to
-	// rotate, so it is sealed and tiered like any other.
-	for i, s := range segs {
-		path := filepath.Join(fs.dir, s.name)
-		if i == len(segs)-1 && s.footer == nil {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
-			}
-			fs.cur, fs.curID, fs.curRecs = f, s.id, s.count
-			fs.curOff = uint64(s.size)
-			fs.curIdx, fs.curMax = s.frames.blocks, s.maxT
-			continue
+	// rotate.
+	fs.sealed = len(segs)
+	if len(segs) > 0 && segs[len(segs)-1].footer == nil {
+		s := segs[len(segs)-1]
+		f, err := os.OpenFile(filepath.Join(fs.dir, s.name), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("auditstore: recover %s: %w", fs.dir, err)
 		}
-		fs.sealed = append(fs.sealed, segmentInfo{path: path, recs: s.count})
+		fs.sealed--
+		fs.cur, fs.curID, fs.curRecs = f, s.id, s.count
+		fs.curOff = uint64(s.size)
+		fs.curIdx, fs.curMax = s.frames.blocks, s.maxT
 	}
 	return nil
 }
 
 // normalize rewrites the recovered prefix into one fresh segment and
 // removes every older file, so the directory decodes cleanly next
-// time. Runs fault-free (see Options.Hook).
+// time. It publishes the fresh segment before removing anything, so a
+// crash in between leaves it beside its sources, which the next open
+// reads past as duplicates and normalizes again. Runs fault-free (see
+// Options.Hook).
 func (fs *FileStore) normalize(old []*segment) error {
-	if n := fs.idx.count(); n > 0 {
+	if fs.idx.count() > 0 {
 		path := fs.segPath(fs.nextID)
 		fs.nextID++
-		buf, err := fs.encodeRange(0, n)
+		buf, err := fs.encodeAll()
 		if err == nil {
-			err = fs.writeSegment(path, buf, nil)
+			err = fs.writeSegment(path, buf)
 		}
 		if err != nil {
 			return fmt.Errorf("auditstore: normalize %s: %w", fs.dir, err)
 		}
-		fs.sealed = append(fs.sealed, segmentInfo{path: path, recs: n})
+		fs.sealed++
 	}
 	for _, s := range old {
 		if err := os.Remove(filepath.Join(fs.dir, s.name)); err != nil {
@@ -320,66 +292,51 @@ func (fs *FileStore) normalize(old []*segment) error {
 	return nil
 }
 
-// encodeRange renders index records [from, to) as one complete sealed
-// v2 segment (header, frames, footer with block index) in memory,
+// encodeAll renders every indexed record as one complete sealed v2
+// segment (header, frames, footer with block index) in memory,
 // building each Record from its entry and kind-table tuple as it
-// encodes it. Only the recovery and compaction paths use it; the
-// append hot path streams through the reusable group-commit buffers
-// instead. The buffer is sized once up front, so a merge allocates it
-// once instead of growing and copying as it fills.
-func (fs *FileStore) encodeRange(from, to int) ([]byte, error) {
-	v, err := fs.idx.prefix(from, to)
-	if err != nil {
-		return nil, fmt.Errorf("segment stage: %w", err)
-	}
-	n := to - from
-	size := len(segMagicV2) + footerSize(n/indexEvery+2)
-	for i := from; i < to; i++ {
+// encodes it. Only recovery's normalization uses it; the append hot
+// path streams through the reusable group-commit buffers instead. The
+// buffer is sized once up front, so it is allocated once instead of
+// growing and copying as it fills.
+func (fs *FileStore) encodeAll() ([]byte, error) {
+	v := fs.idx.snapshot()
+	size := len(segMagicV2) + footerSize(v.n/indexEvery+2)
+	for i := range v.n {
 		k := &v.kinds[v.at(i).kind]
 		size += estimateSize(&Record{Op: k.op, Verdict: k.verdict, Reason: k.reason})
 	}
 	buf := append(make([]byte, 0, size), segMagicV2...)
 	var enc FrameEncoder
-	entries := make([]blockEntry, 0, n/indexEvery+2)
+	entries := make([]blockEntry, 0, v.n/indexEvery+2)
 	maxSoFar := int64(math.MinInt64)
 	var r Record
-	for i := from; i < to; i++ {
-		if (i-from)%indexEvery == 0 {
+	var err error
+	for i := range v.n {
+		if i%indexEvery == 0 {
 			entries = append(entries, blockEntry{seq: v.base + uint64(i), off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
 		v.fill(i, &r)
 		if buf, err = enc.AppendRecord(buf, &r); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("segment stage: %w", err)
 		}
 		// A zero time is noTime, the maximum's floor, so it never raises it.
 		maxSoFar = max(maxSoFar, v.at(i).time)
 	}
-	entries = append(entries, blockEntry{seq: v.base + uint64(to), off: uint64(len(buf)), maxBefore: maxSoFar})
+	entries = append(entries, blockEntry{seq: v.base + uint64(v.n), off: uint64(len(buf)), maxBefore: maxSoFar})
 	return appendFooter(buf, entries), nil
 }
 
 // writeSegment publishes a complete segment at path: stage it into a
-// tmp file in two halves, fsync (with Options.Sync), and rename. hook
-// is evaluated at PointStoreCompact in the two staging windows, torn
-// tmp and pre-rename; a crash in either leaves a tmp leftover that
-// recovery discards. Compaction passes the store hook; normalization
-// passes nil and so never injects.
-func (fs *FileStore) writeSegment(path string, buf []byte, hook faultinject.Hook) error {
+// tmp file, fsync (with Options.Sync), and rename. A crash before the
+// rename leaves a tmp leftover that recovery discards.
+func (fs *FileStore) writeSegment(path string, buf []byte) error {
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("stage: %w", err)
 	}
-	half := len(buf) / 2
-	if _, err := f.Write(buf[:half]); err != nil {
-		f.Close() //overhaul:allow errdrop best-effort close before reporting the write failure
-		return fmt.Errorf("stage: %w", err)
-	}
-	if fl := faultinject.Eval(hook, faultinject.PointStoreCompact); fl.Injected() {
-		f.Close() //overhaul:allow errdrop the torn tmp is the injected state under test
-		return fmt.Errorf("(torn tmp): %w", fl.Err)
-	}
-	if _, err := f.Write(buf[half:]); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close() //overhaul:allow errdrop best-effort close before reporting the write failure
 		return fmt.Errorf("stage: %w", err)
 	}
@@ -391,9 +348,6 @@ func (fs *FileStore) writeSegment(path string, buf []byte, hook faultinject.Hook
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("stage: %w", err)
-	}
-	if fl := faultinject.Eval(hook, faultinject.PointStoreCompact); fl.Injected() {
-		return fmt.Errorf("(pre-rename): %w", fl.Err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("rename: %w", err)
@@ -451,8 +405,7 @@ func (fs *FileStore) openActive() error {
 }
 
 // sealActive writes the active segment's footer (block index plus
-// sentinel entry) and closes it, moving it to the sealed list.
-// Leader-owned.
+// sentinel entry) and closes it, counting it as sealed. Leader-owned.
 func (fs *FileStore) sealActive() error {
 	entries := append(fs.curIdx, blockEntry{seq: fs.idx.lastSeq() + 1, off: fs.curOff, maxBefore: fs.curMax})
 	fs.wbuf = appendFooter(fs.wbuf[:0], entries)
@@ -467,7 +420,7 @@ func (fs *FileStore) sealActive() error {
 	if err := fs.cur.Close(); err != nil {
 		return fmt.Errorf("seal close: %w", err)
 	}
-	fs.sealed = append(fs.sealed, segmentInfo{path: fs.segPath(fs.curID), recs: fs.curRecs})
+	fs.sealed++
 	fs.cur, fs.curRecs = nil, 0
 	fs.curIdx = fs.curIdx[:0]
 	return nil
@@ -475,8 +428,7 @@ func (fs *FileStore) sealActive() error {
 
 // rotateSeg seals the active segment and opens a fresh one, evaluating
 // the crash fault point at each protocol window (before and after the
-// seal), then runs the size-tiered merges the new sealed segment
-// completes (see Options.CompactSealed). Leader-owned.
+// seal). A sealed segment is never written again. Leader-owned.
 func (fs *FileStore) rotateSeg() error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreRotate); f.Injected() {
 		return fmt.Errorf("rotate (pre-seal): %w", f.Err)
@@ -487,114 +439,7 @@ func (fs *FileStore) rotateSeg() error {
 	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreRotate); f.Injected() {
 		return fmt.Errorf("rotate (post-seal): %w", f.Err)
 	}
-	if err := fs.openActive(); err != nil {
-		return err
-	}
-	// A base-k counter: merging k same-tier segments carries one
-	// segment into the next tier, which may complete k there too. A
-	// segment sealed above tier 0 (one oversized batch) must not
-	// strand the lower-tier run before it, so only a lower tier among
-	// the newer k−1 holds the merge back.
-	for k := fs.opts.CompactSealed; k > 0 && len(fs.sealed) >= k; {
-		from := len(fs.sealed) - k
-		t := fs.tier(fs.sealed[from].recs)
-		for _, s := range fs.sealed[from+1:] {
-			if fs.tier(s.recs) < t {
-				return nil
-			}
-		}
-		if err := fs.compactSeg(from); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tier is the compaction tier of a sealed segment holding recs
-// records: ⌊log_k(recs/SegmentRecords)⌋ for fan-in k, and 0 for a
-// segment smaller than SegmentRecords.
-func (fs *FileStore) tier(recs int) int {
-	t := 0
-	for n := recs / fs.opts.SegmentRecords; n >= fs.opts.CompactSealed; n /= fs.opts.CompactSealed {
-		t++
-	}
-	return t
-}
-
-// Compact merges every sealed segment into one. The active segment is
-// left alone. Compaction never drops records — the audit trail is the
-// product — it only reduces file count.
-func (fs *FileStore) Compact() error {
-	fs.mu.Lock()
-	for fs.committing {
-		fs.commitDone.Wait()
-	}
-	if err := fs.checkLocked(); err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	if len(fs.sealed) < 2 {
-		fs.mu.Unlock()
-		return nil
-	}
-	fs.committing = true
-	fs.mu.Unlock()
-
-	err := fs.compactSeg(0)
-
-	fs.mu.Lock()
-	if err != nil && fs.failed == nil {
-		err = fs.failLocked(err)
-	} else if err != nil {
-		err = fs.failed
-	}
-	fs.committing = false
-	fs.commitDone.Broadcast()
-	fs.mu.Unlock()
-	return err
-}
-
-// compactSeg merges the sealed segments from index from on into one
-// fresh, higher file id via stage → fsync → rename → cleanup, leaving
-// sealed[:from] untouched. It evaluates the crash fault point at each
-// window: begin, the two staging windows of writeSegment, and
-// pre-cleanup. Every window leaves a recoverable directory: a torn or
-// unrenamed tmp is discarded on open, and a rename without cleanup
-// leaves duplicates that the merge reads past. Leader-owned; mu is
-// taken only to count the rewritten records.
-func (fs *FileStore) compactSeg(from int) error {
-	if f := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); f.Injected() {
-		return fmt.Errorf("compact (begin): %w", f.Err)
-	}
-	skip, total := 0, 0
-	for _, s := range fs.sealed[:from] {
-		skip += s.recs
-	}
-	for _, s := range fs.sealed[from:] {
-		total += s.recs
-	}
-	path := fs.segPath(fs.nextID)
-	buf, err := fs.encodeRange(skip, skip+total)
-	if err != nil {
-		return fmt.Errorf("compact stage: %w", err)
-	}
-	if err := fs.writeSegment(path, buf, fs.opts.Hook); err != nil {
-		return fmt.Errorf("compact %w", err)
-	}
-	fs.nextID++
-	if fl := faultinject.Eval(fs.opts.Hook, faultinject.PointStoreCompact); fl.Injected() {
-		return fmt.Errorf("compact (pre-cleanup): %w", fl.Err)
-	}
-	for _, s := range fs.sealed[from:] {
-		if err := os.Remove(s.path); err != nil {
-			return fmt.Errorf("compact cleanup: %w", err)
-		}
-	}
-	fs.sealed = append(fs.sealed[:from], segmentInfo{path: path, recs: total})
-	fs.mu.Lock()
-	fs.stats.CompactedRecords += uint64(total)
-	fs.mu.Unlock()
-	return nil
+	return fs.openActive()
 }
 
 // SegmentCount returns (sealed, active) segment counts — observability
@@ -606,7 +451,7 @@ func (fs *FileStore) SegmentCount() (sealed int, active int) {
 	for fs.committing {
 		fs.commitDone.Wait()
 	}
-	sealed = len(fs.sealed)
+	sealed = fs.sealed
 	if fs.cur != nil {
 		active = 1
 	}

@@ -92,7 +92,7 @@ func FuzzSegmentDecode(f *testing.F) {
 func storeSegments(f *testing.F) (sealed, active []byte) {
 	f.Helper()
 	dir := f.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4, CompactSealed: -1})
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4})
 	if err != nil {
 		f.Fatalf("open: %v", err)
 	}

@@ -127,9 +127,17 @@ func (m *index) reserveLocked(n int) {
 	}
 }
 
-// pushLocked appends entry e at the next position. Callers hold the
-// write lock and have checked e's sequence number.
+// pushLocked appends entry e at the next position and posts it.
+// Callers hold the write lock and have checked e's sequence number.
 func (m *index) pushLocked(e entry) {
+	pos := m.placeLocked(e)
+	m.byPID[int(e.pid)] = append(m.byPID[int(e.pid)], pos)
+}
+
+// placeLocked is pushLocked but for the pid posting, which the caller
+// makes: it stores e at the next position, posts it under its verdict,
+// and returns the position. Callers hold the write lock.
+func (m *index) placeLocked(e entry) uint32 {
 	pos := m.n
 	c, j := pos>>chunkBits, pos&chunkMask
 	switch {
@@ -151,10 +159,10 @@ func (m *index) pushLocked(e entry) {
 		m.timeOrdered = false
 	}
 	m.chunks[c][j] = e
-	m.byPID[int(e.pid)] = append(m.byPID[int(e.pid)], uint32(pos))
 	v := m.verdictOf[e.kind]
 	m.byVerdict[v] = append(m.byVerdict[v], uint32(pos))
 	m.n++
+	return uint32(pos)
 }
 
 // addFrames indexes a committed batch: the frames the commit leader
@@ -199,9 +207,11 @@ type run struct {
 
 // load fills an empty index with the runs of a recovery merge, which
 // follow one another in sequence, under one lock. Each segment's kinds
-// are re-interned once into the index's table; the chunks and the
-// verdict posting lists are sized for the whole load before the first
-// entry is pushed.
+// are re-interned once into the index's table; the chunks and the pid
+// and verdict posting lists are sized for the whole load before the
+// first entry is placed, so no list grows by copying. A counting pass
+// gives each record's pid a dense slot, so placing a record probes no
+// map.
 func (m *index) load(runs []run) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -217,13 +227,28 @@ func (m *index) load(runs []run) {
 	}
 	m.verdictsLocked()
 	need := make([]int, len(m.byVerdict))
+	slots := make(map[int32]int32) // pid → slot
+	var perSlot []int
+	slotOf := make([]int32, 0, total) // each record's pid slot
 	for i, r := range runs {
 		for _, e := range r.f.ents[r.from:r.to] {
 			need[m.verdictOf[remaps[i][e.kind]]]++
+			s, ok := slots[e.pid]
+			if !ok {
+				s = int32(len(perSlot))
+				slots[e.pid] = s
+				perSlot = append(perSlot, 0)
+			}
+			perSlot[s]++
+			slotOf = append(slotOf, s)
 		}
 	}
 	for v, n := range need {
 		m.byVerdict[v] = slices.Grow(m.byVerdict[v], n)
+	}
+	byPID := make([][]uint32, len(perSlot))
+	for s, n := range perSlot {
+		byPID[s] = make([]uint32, 0, n)
 	}
 	if len(runs) > 0 {
 		m.base = runs[0].f.first + uint64(runs[0].from)
@@ -233,8 +258,13 @@ func (m *index) load(runs []run) {
 		remap := remaps[i]
 		for _, e := range r.f.ents[r.from:r.to] {
 			e.kind = remap[e.kind]
-			m.pushLocked(e)
+			s := slotOf[0]
+			slotOf = slotOf[1:]
+			byPID[s] = append(byPID[s], m.placeLocked(e))
 		}
+	}
+	for pid, s := range slots {
+		m.byPID[int(pid)] = byPID[s]
 	}
 }
 
@@ -291,17 +321,11 @@ func (m *index) get(seq uint64) (Record, bool) {
 	return r, true
 }
 
-// prefix returns the index through position to as a view, for reading
-// positions [from, to).
-func (m *index) prefix(from, to int) (view, error) {
+// snapshot captures the whole index as a view.
+func (m *index) snapshot() view {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if from < 0 || to > m.n || from > to {
-		return view{}, fmt.Errorf("index positions [%d, %d) outside [0, %d)", from, to, m.n)
-	}
-	v := m.viewLocked()
-	v.n = to
-	return v, nil
+	return m.viewLocked()
 }
 
 // count returns the number of indexed records.

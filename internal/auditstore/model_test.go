@@ -22,10 +22,13 @@ import (
 // every record and every Recovery field — and what the cold scan
 // reads against a sequential model of the merge: DecodeBinarySegment
 // per file, then the first-intact-copy rule applied record by record.
-// A second store over the same sequences, with different reasons and
-// no compaction, supplies the uncleaned compaction sources, so copies
-// of one sequence differ and taking any but the first intact one
-// shows. GOMAXPROCS is 2 so the segments decode concurrently.
+// Each directory interleaves, under fresh ids, the files of a store
+// with a random share of the files of a second store over the same
+// sequences, written with larger segments and different reasons: the
+// overlapping copies a crash during normalization, or an older store
+// that merged segments, leaves behind. Copies of one sequence differ,
+// so taking any but the first intact one shows. GOMAXPROCS is 2 so
+// the segments decode concurrently.
 func TestRecoveryMatchesModel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for seed := int64(1); seed <= 80; seed++ {
@@ -43,6 +46,13 @@ type modelDir struct {
 	pristine map[string][]auditstore.Record
 }
 
+// modelFile is one segment file a store wrote.
+type modelFile struct {
+	path   string
+	sealed bool
+	recs   []auditstore.Record // as written, when sealed
+}
+
 func checkRecoveryModel(t *testing.T, rng *rand.Rand) {
 	s := 3 + rng.Intn(6)
 	n := 6*s + rng.Intn(12*s)
@@ -53,23 +63,30 @@ func checkRecoveryModel(t *testing.T, rng *rand.Rand) {
 		left -= b
 	}
 	md := modelDir{dir: t.TempDir(), pristine: map[string][]auditstore.Record{}}
-	primary := auditstore.Options{SegmentRecords: s, CompactSealed: 2 + rng.Intn(3)}
-	writeModelStore(t, md, md.dir, primary, batches, "")
-	// Same batches, so the same rotations and file ids up to the first
-	// merge: the files the primary's compactions removed are here.
-	sources := t.TempDir()
-	writeModelStore(t, md, sources, auditstore.Options{SegmentRecords: s, CompactSealed: -1}, batches, "uncleaned ")
-	keep := rng.Intn(3) // in thirds: how many of the missing sources are left beside the merges
-	for _, name := range dirNames(t, sources) {
-		if _, err := os.Stat(filepath.Join(md.dir, name)); err == nil || rng.Intn(3) >= keep {
-			delete(md.pristine, name+"@"+sources)
-			continue
+	primary := auditstore.Options{SegmentRecords: s}
+	own := writeModelStore(t, primary, batches, "")
+	copies := writeModelStore(t, auditstore.Options{SegmentRecords: s * (2 + rng.Intn(3))}, batches, "copy ")
+	// In thirds, how many of the copies join the directory: none in
+	// half the directories, so the damage alone decides their opens.
+	keep := max(0, rng.Intn(4)-1)
+	copies = slices.DeleteFunc(copies, func(modelFile) bool { return rng.Intn(3) >= keep })
+	// Each store's files keep their own order; an id is skipped now and
+	// then, so an empty segment can later take it.
+	for id := uint64(1); len(own)+len(copies) > 0; id++ {
+		if rng.Intn(4) == 0 {
+			id++
 		}
-		copyFile(t, filepath.Join(sources, name), filepath.Join(md.dir, name))
-		if recs, ok := md.pristine[name+"@"+sources]; ok {
-			md.pristine[name] = recs
+		var f modelFile
+		if len(copies) == 0 || len(own) > 0 && rng.Intn(2) == 0 {
+			f, own = own[0], own[1:]
+		} else {
+			f, copies = copies[0], copies[1:]
 		}
-		delete(md.pristine, name+"@"+sources)
+		name := fmt.Sprintf("seg-%08x.seg", id)
+		copyFile(t, f.path, filepath.Join(md.dir, name))
+		if f.sealed {
+			md.pristine[name] = f.recs
+		}
 	}
 	damageModelDir(t, rng, md)
 
@@ -110,10 +127,11 @@ func checkRecoveryModel(t *testing.T, rng *rand.Rand) {
 }
 
 // writeModelStore appends the batches of mkRecord records, reasons
-// prefixed, into a store in dir and records each sealed file's
-// records in md.pristine, keyed name@dir outside md.dir.
-func writeModelStore(t *testing.T, md modelDir, dir string, opts auditstore.Options, batches []int, prefix string) {
+// prefixed, into a store in a fresh directory and returns its segment
+// files, oldest first, with each sealed file's records.
+func writeModelStore(t *testing.T, opts auditstore.Options, batches []int, prefix string) []modelFile {
 	t.Helper()
+	dir := t.TempDir()
 	st, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -130,23 +148,28 @@ func writeModelStore(t *testing.T, md modelDir, dir string, opts auditstore.Opti
 			t.Fatalf("append: %v", err)
 		}
 	}
-	paths, _ := st.SealedLayout()
+	sealed := st.SealedPaths()
 	if err := st.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	for _, p := range paths {
-		key := filepath.Base(p)
-		if dir != md.dir {
-			key += "@" + dir
+	var files []modelFile
+	for _, name := range dirNames(t, dir) {
+		f := modelFile{path: filepath.Join(dir, name)}
+		if f.sealed = slices.Contains(sealed, f.path); f.sealed {
+			f.recs = decodeFile(t, f.path).recs
 		}
-		md.pristine[key] = decodeFile(t, p).recs
+		files = append(files, f)
 	}
+	return files
 }
 
 // damageModelDir applies a random subset of the damage recovery must
 // survive: a torn newest segment, a flipped byte in a sealed
-// segment's frames, a damaged footer, a missing middle file, an empty
-// segment that is not the newest, and a staging leftover.
+// segment's frames, a damaged footer, a missing middle file, empty
+// segments, and a staging leftover. One directory in eight is left
+// undamaged, so clean opens are checked too, and one in eight gets
+// only empty segments, so the empty-segment rule decides alone whether
+// the open is clean.
 func damageModelDir(t *testing.T, rng *rand.Rand, md modelDir) {
 	t.Helper()
 	names := func() []string {
@@ -176,6 +199,32 @@ func damageModelDir(t *testing.T, rng *rand.Rand, md modelDir) {
 			}
 		}
 		return out
+	}
+	// An empty segment takes a free id up to one past the newest: below
+	// the newest file it was superseded, and normalization removes it;
+	// as the newest file, a clean open adopts it as the active segment.
+	addEmpties := func(n int) {
+		for ; n > 0; n-- {
+			all := names()
+			newest := segID(t, all[len(all)-1])
+			var free []uint64
+			for id := uint64(1); id <= newest+1; id++ {
+				if !slices.Contains(all, fmt.Sprintf("seg-%08x.seg", id)) {
+					free = append(free, id)
+				}
+			}
+			name := fmt.Sprintf("seg-%08x.seg", free[rng.Intn(len(free))])
+			if err := os.WriteFile(filepath.Join(md.dir, name), []byte(segMagic), 0o600); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+	}
+	switch rng.Intn(8) {
+	case 0:
+		return
+	case 1:
+		addEmpties(1 + rng.Intn(2))
+		return
 	}
 	if rng.Intn(2) == 0 {
 		all := names()
@@ -218,21 +267,7 @@ func damageModelDir(t *testing.T, rng *rand.Rand, md modelDir) {
 		}
 		delete(md.pristine, name)
 	}
-	// Empty segments sort after every segment holding records, so only
-	// the second of two is "not the newest" to the merge.
-	for empties := rng.Intn(3); empties > 0; empties-- {
-		all := names()
-		newest := segID(t, all[len(all)-1])
-		for id := uint64(1); id < newest; id++ {
-			name := fmt.Sprintf("seg-%08x.seg", id)
-			if !slices.Contains(all, name) {
-				if err := os.WriteFile(filepath.Join(md.dir, name), []byte(segMagic), 0o600); err != nil {
-					t.Fatalf("write: %v", err)
-				}
-				break
-			}
-		}
-	}
+	addEmpties(rng.Intn(3))
 	if rng.Intn(4) == 0 {
 		if err := os.WriteFile(filepath.Join(md.dir, "seg-000000ff.seg.tmp"), []byte("staged"), 0o600); err != nil {
 			t.Fatalf("write: %v", err)
@@ -281,7 +316,9 @@ func segID(t *testing.T, name string) uint64 {
 // recoveryModel reads md.dir sequentially: every file decoded, the
 // files ordered by (first sequence, id) with empty ones last, and the
 // stream taken record by record from the first intact copy of each
-// sequence, ending at the first sequence no copy holds.
+// sequence, ending at the first sequence no copy holds. An empty
+// segment is an anomaly when a file with a higher id exists, wherever
+// the merge order puts it.
 func recoveryModel(t *testing.T, md modelDir) ([]auditstore.Record, auditstore.Recovery) {
 	t.Helper()
 	var rec auditstore.Recovery
@@ -373,8 +410,12 @@ walk:
 	}
 	rec.Truncated = rec.Reason != ""
 	anomaly := tmps > 0 || overlap || rec.Truncated
-	for i, s := range segs {
-		anomaly = anomaly || (s.count == 0 && s.trunc == nil && i < len(segs)-1)
+	var newest uint64
+	for _, s := range segs {
+		newest = max(newest, s.id)
+	}
+	for _, s := range segs {
+		anomaly = anomaly || (s.count == 0 && s.trunc == nil && s.id < newest)
 	}
 	rec.Clean = !anomaly
 	if anomaly {

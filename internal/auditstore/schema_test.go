@@ -52,7 +52,7 @@ func TestRecordGoldenEncoding(t *testing.T) {
 			"26577cef" + "18000000" + "49445832"
 	)
 	dir := t.TempDir()
-	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 1, CompactSealed: -1})
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

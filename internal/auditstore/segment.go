@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,9 +18,9 @@ import (
 
 // Segment files are named seg-<8 hex file id>.seg. The id is a
 // monotonically increasing file counter, *not* a sequence number:
-// compaction writes merged records into a fresh, higher id so its
-// output can never collide with a source file. Compaction and
-// normalization stage through a ".tmp" suffix; a leftover tmp file is
+// recovery's normalization writes the surviving records into a fresh,
+// higher id so its output can never collide with a source file.
+// Normalization stages through a ".tmp" suffix; a leftover tmp file is
 // a crashed staging write and is discarded on open.
 //
 // The retired v1 JSONL format (seg-<id>.jsonl) is not read. A
@@ -77,10 +78,14 @@ type segment struct {
 // merger); ok false decodes the segment whole.
 type seekFunc func(s *segment) (b blockEntry, ok bool)
 
-// load reads the segment file and decodes it, starting where seek
-// says.
-func (s *segment) load(dir string, seek seekFunc) error {
-	data, err := os.ReadFile(filepath.Join(dir, s.name))
+// load reads the segment file into *buf and decodes it, starting
+// where seek says. *buf is the caller's to reuse for the next file:
+// nothing decoded keeps a slice of it (kinds copy their tails into
+// strings, parseFooter builds its own entries, truncations hold
+// offsets).
+func (s *segment) load(dir string, seek seekFunc, buf *[]byte) error {
+	data, err := readFile(filepath.Join(dir, s.name), *buf)
+	*buf = data
 	if err != nil {
 		return err
 	}
@@ -122,18 +127,48 @@ func (s *segment) load(dir string, seek seekFunc) error {
 	return nil
 }
 
+// readFile reads the whole file at path as os.ReadFile does, but into
+// buf's storage, which it grows only when the file is larger: a
+// loadSegments worker reuses one buffer for every file it reads,
+// instead of allocating and zeroing one per file.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer func() { _ = f.Close() }()
+	data := buf[:0]
+	if fi, err := f.Stat(); err == nil && int(fi.Size()) >= cap(data) {
+		data = make([]byte, 0, int(fi.Size())+512) // room to see EOF without growing
+	}
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+	}
+}
+
 // minFrame is the smallest encoded frame: a length byte, a payload of
 // a one-byte seq, flags, session, pid and three empty strings, and the
 // CRC. It caps a footer's record count at what the file can hold.
 const minFrame = 1 + 7 + crcLen
 
 // loadSegments lists and loads every segment file in dir, ordered for
-// the merge by (first sequence, file id): compaction output overlaps
-// its sources at the same sequences but carries a higher id, and a
-// segment with no intact frame sorts last. The files are read and
-// decoded concurrently, by min(GOMAXPROCS, files) workers: segments
-// share nothing until the merge. tmps names the staging leftovers
-// found.
+// the merge by (first sequence, file id): a copy of the same sequences
+// (a normalized segment beside the sources a crash left behind) sorts
+// by its id, and a segment with no intact frame sorts last. The files
+// are read and decoded concurrently, by min(GOMAXPROCS, files)
+// workers, each reading every file it takes into one reused buffer:
+// segments share nothing until the merge. tmps names the staging
+// leftovers found.
 func loadSegments(dir string, seek seekFunc) (segs []*segment, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -162,8 +197,9 @@ func loadSegments(dir string, seek seekFunc) (segs []*segment, tmps []string, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for i := int(next.Add(1)) - 1; i < len(segs); i = int(next.Add(1)) - 1 {
-				errs[i] = segs[i].load(dir, seek)
+				errs[i] = segs[i].load(dir, seek, &buf)
 			}
 		}()
 	}
@@ -189,11 +225,12 @@ func (s *segment) sortSeq() uint64 {
 // is taken from the first intact copy in (first sequence, file id)
 // order, and the stream ends only at a sequence that no intact copy
 // holds: the longest contiguous, CRC-verified prefix. Damage in one
-// copy costs nothing when a later copy (a compaction output beside
-// its uncleaned sources) holds the same sequences. Recovery and the
-// cold scan both read a directory through walk, so they cannot
-// disagree on what it holds — except that a seek, which trusts the
-// footer, does not decode the frames it skips.
+// copy costs nothing when a later copy holds the same sequences: a
+// normalized segment beside the sources a crash kept it from removing,
+// or the merged segments of a directory an older store compacted.
+// Recovery and the cold scan both read a directory through walk, so
+// they cannot disagree on what it holds — except that a seek, which
+// trusts the footer, does not decode the frames it skips.
 type merger struct {
 	next    uint64 // next sequence the stream needs; 0 before the first
 	overlap bool   // a copy repeated sequences already merged

@@ -12,7 +12,7 @@ import (
 // TestConcurrentAppendScan hammers one store with concurrent writers
 // and readers — the shape `make race` exists for. Writers append
 // batches of one to four records, each with a reason the kind table
-// has not seen, and small segments keep automatic compaction running;
+// has not seen, and small segments keep rotation running;
 // readers alternate Scan with an Iter drained in steps. Writers
 // interleave arbitrarily but the store must still assign a contiguous
 // sequence, keep every acked record, and answer scans and iterators
@@ -20,7 +20,7 @@ import (
 func TestConcurrentAppendScan(t *testing.T) {
 	// The subtest keeps the name it had when segments were JSONL.
 	t.Run("jsonl", func(t *testing.T) {
-		st, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: 64, CompactSealed: 3})
+		st, err := auditstore.Open(t.TempDir(), auditstore.Options{SegmentRecords: 64})
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}

@@ -72,8 +72,8 @@ type Campaign struct {
 	// invariant violation.
 	StoreDir string
 	// StoreSegment is the store's segment size in records. Zero
-	// selects a small campaign-friendly size (32) so rotation and
-	// compaction actually happen within a default-length run.
+	// selects a small campaign-friendly size (32) so rotation actually
+	// happens within a default-length run.
 	StoreSegment int
 	// ProbeRing is the capacity of the campaign's observer probe ring
 	// (a match-all probe attached to kernel.decide). Zero selects 1024;
@@ -331,7 +331,7 @@ func run(c Campaign) (*runner, error) {
 	if c.StoreDir != "" {
 		segment := c.StoreSegment
 		if segment == 0 {
-			segment = 32 // small enough that a default run rotates and compacts
+			segment = 32 // small enough that a default run rotates
 		}
 		// The store shares the campaign hook, so auditstore.* rules
 		// inject only during armed steps; Open itself never evaluates

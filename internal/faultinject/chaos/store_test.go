@@ -8,7 +8,7 @@ import (
 
 // storeRules arms every auditstore fault point hard enough that a
 // default-length campaign hits torn appends, group-commit window
-// faults, a rotation crash, and a compaction crash.
+// faults, and a rotation crash.
 func storeRules() []faultinject.Rule {
 	return append(faultinject.DefaultRules(),
 		faultinject.Rule{Point: faultinject.PointStoreAppend, Kind: faultinject.KindError, Prob: 0.02},
@@ -16,15 +16,14 @@ func storeRules() []faultinject.Rule {
 		faultinject.Rule{Point: faultinject.PointStoreBatch, Kind: faultinject.KindError, Prob: 0.01},
 		faultinject.Rule{Point: faultinject.PointStoreBatch, Kind: faultinject.KindCrash, Prob: 0.005},
 		faultinject.Rule{Point: faultinject.PointStoreRotate, Kind: faultinject.KindCrash, After: 2, Count: 1},
-		faultinject.Rule{Point: faultinject.PointStoreCompact, Kind: faultinject.KindCrash, After: 1, Count: 1},
 	)
 }
 
 // TestCampaignStorePrefix is the end-to-end durable-trail property: a
 // campaign that syncs its audit stream into a store while store faults
-// tear writes and crash rotations/compactions must still end with the
-// store holding exactly the full audit stream — every fault recovered
-// by reopen, never a silent gap. The fault mix also keeps the original
+// tear writes and crash rotations must still end with the store
+// holding exactly the full audit stream — every fault recovered by
+// reopen, never a silent gap. The fault mix also keeps the original
 // invariants under load, so the store cannot buy durability by
 // breaking enforcement.
 func TestCampaignStorePrefix(t *testing.T) {

@@ -79,11 +79,6 @@ const (
 	// protocol window (before sealing the active segment; after the
 	// seal, before the fresh segment exists). Injectable: crash.
 	PointStoreRotate Point = "auditstore.rotate"
-	// PointStoreCompact covers compaction of sealed segments, evaluated
-	// at each protocol window (before staging; mid-stage with a torn
-	// tmp; staged but not renamed; renamed but sources not yet
-	// removed). Injectable: crash.
-	PointStoreCompact Point = "auditstore.compact"
 	// PointStoreBatch covers the audit store's group commit, evaluated
 	// at each batch window (drained but not written; written but not
 	// acknowledged). Injectable: error (torn mid-batch write: half the
@@ -112,7 +107,6 @@ func Points() []Point {
 		PointKernelOpen,
 		PointStoreAppend,
 		PointStoreRotate,
-		PointStoreCompact,
 		PointStoreBatch,
 		PointProbeRing,
 	}

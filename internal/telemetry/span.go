@@ -52,7 +52,10 @@ func (s *spanRec) annotate(attrs []attr) {
 // tracerStore is the span ring. Span IDs are dense per registry, so
 // span id lives at ring[(id-1)%len(ring)]: a begin evicts whatever
 // older span held its slot, and an end finds its span without a
-// search.
+// search. The registry mints ids before the recorder's lock is taken,
+// so begins can arrive out of id order; a late begin whose slot
+// already holds a newer span is dropped instead, and the ring always
+// keeps, of the spans begun, those among the newest len(ring) ids.
 type tracerStore struct {
 	ring    []spanRec // allocated on first use
 	newest  probe.SpanID
@@ -75,6 +78,11 @@ func (r *Recorder) beginSpan(ev *probe.Event, subsystem, name string, attrs ...a
 		// Drop-oldest keeps the recorder bounded; the drop is counted so
 		// a truncated trace is distinguishable from a complete one.
 		t.dropped++
+	}
+	if s.ctx.Span > ev.Ctx.Span {
+		// A late begin: a span a whole ring newer already holds the
+		// slot. The older span is the one to drop, never the newer.
+		return
 	}
 	// Field by field: the attrs past nattrs are dead, so zeroing them
 	// would be wasted work on every span.

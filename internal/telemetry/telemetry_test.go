@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -315,6 +317,69 @@ func TestFormatTraceOrphanSpans(t *testing.T) {
 // TestConcurrentUse hammers one recorder through its hooks from several
 // goroutines while another reads the flight dumps back; run with -race
 // in CI.
+// TestSpanRingKeepsNewestIDs is the span ring's late-begin property.
+// Span ids are minted before the recorder's lock is taken, so begins
+// reach the ring out of id order. Whatever the order, and from however
+// many goroutines, the ring must hold exactly the begun ids among the
+// newest SpanCapacity ids, and count every other begin as dropped:
+// each slot keeps the newest span begun into it.
+func TestSpanRingKeepsNewestIDs(t *testing.T) {
+	const capacity = 64
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 31))
+		var ids []probe.SpanID
+		minted := probe.SpanID(1 + rng.IntN(4*capacity))
+		for id := probe.SpanID(1); id <= minted; id++ {
+			if rng.IntN(5) > 0 { // some minted ids never begin
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+
+		r := NewWithOptions(clock.NewSimulated(), Options{SpanCapacity: capacity})
+		workers := 1 + rng.IntN(4)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < len(ids); i += workers {
+					ev := probe.Event{Ctx: probe.SpanContext{Trace: 1, Span: ids[i]}}
+					r.mu.Lock()
+					r.beginSpan(&ev, "test", "span")
+					r.mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+
+		newest := slices.Max(ids)
+		var want []probe.SpanID
+		classes := map[probe.SpanID]bool{}
+		for _, id := range ids {
+			if id+capacity > newest {
+				want = append(want, id)
+			}
+			classes[(id-1)%capacity] = true
+		}
+		slices.Sort(want)
+		var got []probe.SpanID
+		for _, s := range r.Spans() {
+			got = append(got, s.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d (%d begins, %d goroutines): ring holds %v, want the begun ids among the newest %d: %v",
+				seed, len(ids), workers, got, capacity, want)
+		}
+		if d, want := r.SpansDropped(), uint64(len(ids)-len(classes)); d != want {
+			t.Fatalf("seed %d: dropped = %d, want %d (begins beyond the occupied slots)", seed, d, want)
+		}
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	r, reg := attached(t, clock.NewSimulated(), Options{SpanCapacity: 64, FlightCapacity: 32, DumpCapacity: 2})
 	notify, decide := reg.Hook(probe.HookMonitorNotify), reg.Hook(probe.HookKernelDecide)
@@ -337,14 +402,10 @@ func TestConcurrentUse(t *testing.T) {
 	done := make(chan struct{})
 	read := make(chan int)
 	go func() {
+		// One pass always runs before done is checked: the writers may
+		// all finish before this goroutine is first scheduled.
 		reads := 0
 		for {
-			select {
-			case <-done:
-				read <- reads
-				return
-			default:
-			}
 			for _, d := range r.FlightDumps() {
 				if len(d.Events) == 0 || d.Events[len(d.Events)-1].Detail != d.Reason {
 					t.Errorf("dump %d: last event does not carry the reason %q", d.Seq, d.Reason)
@@ -355,6 +416,12 @@ func TestConcurrentUse(t *testing.T) {
 			}
 			_ = r.Snapshot()
 			reads++
+			select {
+			case <-done:
+				read <- reads
+				return
+			default:
+			}
 		}
 	}()
 	wg.Wait()
