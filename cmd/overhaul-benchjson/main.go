@@ -285,7 +285,7 @@ const (
 )
 
 var gatedPrefixes = []string{"BenchmarkMicro", "BenchmarkDecide", "BenchmarkParallel", "BenchmarkFleet",
-	"BenchmarkStore", "BenchmarkProbe", "BenchmarkAlertRoundTrip"}
+	"BenchmarkStore", "BenchmarkProbe", "BenchmarkAlertRoundTrip", "BenchmarkClock", "BenchmarkKernel"}
 
 func gated(name string) bool {
 	for _, p := range gatedPrefixes {
@@ -332,14 +332,16 @@ func allocsOnly(name string) bool {
 // the telemetry recorder or published to a probe ring — runs once per
 // mediated access, so an allocation there (the flight dump once copied
 // the whole ring) is paid on every one; so is the pipe hop and alert
-// round trip of every desk grant. Gated in both validate (the
+// round trip of every desk grant, and the system clock read that
+// every mediated access on a desk makes. Gated in both validate (the
 // committed JSON) and compare (fresh runs), so a regression cannot
 // slip in by first regressing the baseline.
 func zeroAllocRequired(name string) bool {
 	switch name {
 	case "BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
 		"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached",
-		"BenchmarkMicroPipePropagation", "BenchmarkAlertRoundTrip":
+		"BenchmarkMicroPipePropagation", "BenchmarkAlertRoundTrip",
+		"BenchmarkClockSystemNow":
 		return true
 	}
 	return strings.HasPrefix(name, "BenchmarkStoreEncodeV2/")

@@ -272,6 +272,7 @@ var zeroAllocContracts = []string{
 	"BenchmarkStoreEncodeV2", "BenchmarkDecideTelemetryEnabled",
 	"BenchmarkDecideTelemetryEnabledDeny", "BenchmarkDecideProbeAttached",
 	"BenchmarkMicroPipePropagation", "BenchmarkAlertRoundTrip",
+	"BenchmarkClockSystemNow",
 }
 
 func TestValidateEncodeBenchZeroAlloc(t *testing.T) {

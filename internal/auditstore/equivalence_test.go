@@ -20,27 +20,32 @@ import (
 // one whose times occasionally step back, so they take the filtered
 // scan. This mirrors the fleet ≡ standalone property-test style: one
 // oracle, one system under test, a seeded input space, and a filter
-// grid.
+// grid. The two "sealed" streams run at the default segment size, so
+// the reopen adopts whole sealed segments as index chunks.
 func TestBackendEquivalence(t *testing.T) {
 	// Record i's time is i·100 ms plus a step drawn from
 	// [minStep, minStep+span) ms: a span over 100 ms lets times overlap
 	// their neighbours' slots and so step back.
+	sealed := 2*auditstore.DefaultSegmentRecords + 300
 	for _, stream := range []struct {
 		name          string
 		minStep, span int
+		n, segRecs    int // records; Options.SegmentRecords
+		batch         int // records per append
 	}{
-		{"ascending", 0, 100},
-		{"jittered", -10, 200},
+		{"ascending", 0, 100, 500, 16, 1},
+		{"jittered", -10, 200, 500, 16, 1},
+		{"ascending-sealed", 0, 100, sealed, 0, 64},
+		{"jittered-sealed", -10, 200, sealed, 0, 64},
 	} {
 		t.Run(stream.name, func(t *testing.T) {
-			checkEquivalence(t, stream.minStep, stream.span)
+			checkEquivalence(t, stream.minStep, stream.span, stream.n, stream.segRecs, stream.batch)
 		})
 	}
 }
 
-func checkEquivalence(t *testing.T, minStep, span int) {
+func checkEquivalence(t *testing.T, minStep, span, n, segRecs, batch int) {
 	rng := rand.New(rand.NewSource(7))
-	const n = 500
 	ops := []string{"open_device", "read_screen", "inject_input", "grab_keyboard"}
 	verdicts := []string{"grant", "deny"}
 	reasons := []string{
@@ -52,12 +57,13 @@ func checkEquivalence(t *testing.T, minStep, span int) {
 
 	var appended []auditstore.Record
 	dir := t.TempDir()
-	opts := auditstore.Options{SegmentRecords: 16}
+	opts := auditstore.Options{SegmentRecords: segRecs}
 	file, err := auditstore.Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	steppedBack := false
+	var pending []auditstore.Record
 	for i := 0; i < n; i++ {
 		step := time.Duration(minStep+rng.Intn(span)) * time.Millisecond
 		r := auditstore.Record{
@@ -74,12 +80,18 @@ func checkEquivalence(t *testing.T, minStep, span int) {
 		if rng.Intn(3) == 0 {
 			r.Stamp = r.Time.Add(-time.Duration(rng.Intn(5)) * time.Second)
 		}
-		seq, err := file.Append(r)
-		if err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-		r.Seq = seq
 		appended = append(appended, r)
+		if pending = append(pending, r); len(pending) < batch && i < n-1 {
+			continue
+		}
+		last, err := file.AppendBatch(pending)
+		if err != nil {
+			t.Fatalf("append through %d: %v", i, err)
+		}
+		for j := range pending {
+			appended[i+1-len(pending)+j].Seq = last + 1 + uint64(j-len(pending))
+		}
+		pending = pending[:0]
 	}
 	if wantBack := span > 100; steppedBack != wantBack {
 		t.Fatalf("stream stepped back = %v, want %v", steppedBack, wantBack)

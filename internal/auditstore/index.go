@@ -118,15 +118,6 @@ func (m *index) verdictsLocked() {
 	}
 }
 
-// reserveLocked lays out chunks for the n records an empty index is
-// about to load: full chunks, then one sized to the rest. Callers hold
-// the write lock.
-func (m *index) reserveLocked(n int) {
-	for ; n > 0; n -= chunkLen {
-		m.chunks = append(m.chunks, make([]entry, min(n, chunkLen)))
-	}
-}
-
 // pushLocked appends entry e at the next position and posts it.
 // Callers hold the write lock and have checked e's sequence number.
 func (m *index) pushLocked(e entry) {
@@ -138,8 +129,7 @@ func (m *index) pushLocked(e entry) {
 // makes: it stores e at the next position, posts it under its verdict,
 // and returns the position. Callers hold the write lock.
 func (m *index) placeLocked(e entry) uint32 {
-	pos := m.n
-	c, j := pos>>chunkBits, pos&chunkMask
+	c, j := m.n>>chunkBits, m.n&chunkMask
 	switch {
 	case c == len(m.chunks):
 		size := chunkLen
@@ -155,10 +145,18 @@ func (m *index) placeLocked(e entry) uint32 {
 		copy(grown, m.chunks[c])
 		m.chunks = append(m.chunks[:c:c], grown)
 	}
+	m.chunks[c][j] = e
+	return m.postLocked(&e)
+}
+
+// postLocked indexes e, already stored at the next position: it posts
+// e under its verdict and returns the position. Callers hold the write
+// lock.
+func (m *index) postLocked(e *entry) uint32 {
+	pos := m.n
 	if pos > 0 && e.time < m.chunks[(pos-1)>>chunkBits][(pos-1)&chunkMask].time {
 		m.timeOrdered = false
 	}
-	m.chunks[c][j] = e
 	v := m.verdictOf[e.kind]
 	m.byVerdict[v] = append(m.byVerdict[v], uint32(pos))
 	m.n++
@@ -205,13 +203,22 @@ type run struct {
 	from, to int
 }
 
+// adoptable reports whether r, placed at position pos, is a whole
+// chunk: a full segment's decoded entries, starting at a chunk
+// boundary, in an array that holds nothing else.
+func (r run) adoptable(pos int) bool {
+	return pos&chunkMask == 0 && r.from == 0 && r.to == chunkLen && cap(r.f.ents) == chunkLen
+}
+
 // load fills an empty index with the runs of a recovery merge, which
 // follow one another in sequence, under one lock. Each segment's kinds
 // are re-interned once into the index's table; the chunks and the pid
 // and verdict posting lists are sized for the whole load before the
 // first entry is placed, so no list grows by copying. A counting pass
 // gives each record's pid a dense slot, so placing a record probes no
-// map.
+// map. A run that is a whole, full sealed segment starting at a chunk
+// boundary becomes that chunk: its decoded entries are adopted with
+// their kinds remapped in place, and none is copied.
 func (m *index) load(runs []run) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -253,13 +260,34 @@ func (m *index) load(runs []run) {
 	if len(runs) > 0 {
 		m.base = runs[0].f.first + uint64(runs[0].from)
 	}
-	m.reserveLocked(total)
+	m.chunks = make([][]entry, (total+chunkMask)>>chunkBits)
+	pos := 0
+	for _, r := range runs {
+		if r.adoptable(pos) {
+			m.chunks[pos>>chunkBits] = r.f.ents
+		}
+		pos += r.to - r.from
+	}
+	for c := range m.chunks {
+		if m.chunks[c] == nil {
+			m.chunks[c] = make([]entry, min(total-c<<chunkBits, chunkLen))
+		}
+	}
 	for i, r := range runs {
 		remap := remaps[i]
-		for _, e := range r.f.ents[r.from:r.to] {
-			e.kind = remap[e.kind]
+		adopted := r.adoptable(m.n)
+		ents := r.f.ents[r.from:r.to]
+		for j := range ents {
 			s := slotOf[0]
 			slotOf = slotOf[1:]
+			if adopted {
+				e := &ents[j]
+				e.kind = remap[e.kind]
+				byPID[s] = append(byPID[s], m.postLocked(e))
+				continue
+			}
+			e := ents[j]
+			e.kind = remap[e.kind]
 			byPID[s] = append(byPID[s], m.placeLocked(e))
 		}
 	}

@@ -24,14 +24,22 @@ type Clock interface {
 	Now() time.Time
 }
 
-// System is a Clock backed by the operating system's wall clock.
-// Its zero value is ready to use.
+// System is a Clock backed by the operating system's clocks: the wall
+// instant read once, when the process starts, advanced by the monotonic
+// time elapsed since. A read is one monotonic clock read instead of
+// time.Now's two (wall and monotonic), and wall-clock steps after start
+// never move it, so δ comparisons of its instants are monotonic. Its
+// instants carry a monotonic reading. Its zero value is ready to use.
 type System struct{}
 
 var _ Clock = System{}
 
+// boot is the process's one wall-clock read; every System instant and
+// every Stopwatch reading is measured from it.
+var boot = time.Now()
+
 // Now implements Clock.
-func (System) Now() time.Time { return time.Now() }
+func (System) Now() time.Time { return boot.Add(time.Since(boot)) }
 
 // Epoch is the instant at which every Simulated clock starts. A fixed,
 // recognisable epoch keeps traces and golden test outputs stable.
@@ -101,23 +109,24 @@ func (c *Simulated) Set(t time.Time) time.Time {
 	return now
 }
 
-// Stopwatch measures real elapsed wall time for the harnesses that
-// time actual hardware (Table I, the multiview overhead report) and so
+// Stopwatch measures real elapsed time for the harnesses that time
+// actual hardware (Table I, the multiview overhead report) and so
 // cannot run on an injected Clock. It lives here so every wall-clock
-// read stays inside the one package clockcheck exempts.
+// read stays inside the one package clockcheck exempts. Each reading
+// is the single monotonic read System.Now takes.
 type Stopwatch struct {
-	start time.Time
+	start time.Duration // monotonic offset from boot
 }
 
-// StartStopwatch begins a wall-clock measurement.
+// StartStopwatch begins a measurement.
 func StartStopwatch() Stopwatch {
-	return Stopwatch{start: time.Now()}
+	return Stopwatch{start: time.Since(boot)}
 }
 
-// Lap returns the elapsed wall time and restarts the stopwatch.
+// Lap returns the elapsed time and restarts the stopwatch.
 func (s *Stopwatch) Lap() time.Duration {
-	now := time.Now()
-	d := now.Sub(s.start)
+	now := time.Since(boot)
+	d := now - s.start
 	s.start = now
 	return d
 }

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,12 +74,79 @@ func TestNewSimulatedAt(t *testing.T) {
 	}
 }
 
-func TestSystemClockMovesForward(t *testing.T) {
+// TestSystemClock checks System's contract: its first read is the wall
+// clock's instant, every instant carries a monotonic reading, and reads
+// ordered by a channel hand-off between two goroutines never go
+// backwards.
+func TestSystemClock(t *testing.T) {
 	var c System
-	a := c.Now()
-	b := c.Now()
-	if b.Before(a) {
-		t.Fatalf("system clock went backwards: %v then %v", a, b)
+	first, wall := c.Now(), time.Now()
+	if d := wall.Sub(first); d < -time.Second || d > time.Second {
+		t.Fatalf("first read %v is %v from time.Now %v, want within 1s", first, d, wall)
+	}
+	// Only a time.Time with a monotonic reading prints its "m=" offset.
+	if s := first.String(); !strings.Contains(s, " m=") {
+		t.Fatalf("System.Now() = %s carries no monotonic reading", s)
+	}
+
+	const reads = 10000
+	handoff := make(chan time.Time)
+	done := make(chan error)
+	go func() {
+		for prev := range handoff {
+			if now := c.Now(); now.Before(prev) {
+				done <- fmt.Errorf("went backwards across goroutines: %v then %v", prev, now)
+				for range handoff {
+				}
+				return
+			}
+		}
+		done <- nil
+	}()
+	prev := c.Now()
+	for range reads {
+		now := c.Now()
+		if now.Before(prev) {
+			t.Fatalf("went backwards: %v then %v", prev, now)
+		}
+		handoff <- now
+		prev = now
+	}
+	close(handoff)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Laps partition the elapsed time: none is negative, and together they
+// are no longer than an enclosing stopwatch's one lap.
+func TestStopwatchLaps(t *testing.T) {
+	outer := StartStopwatch()
+	w := StartStopwatch()
+	var total time.Duration
+	for range 100 {
+		d := w.Lap()
+		if d < 0 {
+			t.Fatalf("lap %v is negative", d)
+		}
+		total += d
+	}
+	if whole := outer.Lap(); total > whole {
+		t.Fatalf("laps total %v, longer than the enclosing %v", total, whole)
+	}
+}
+
+// BenchmarkClockSystemNow is the cost of one System.Now: every
+// mediated access on a desk reads it, so it must not allocate.
+func BenchmarkClockSystemNow(b *testing.B) {
+	b.ReportAllocs()
+	var c Clock = System{}
+	var last time.Time
+	for range b.N {
+		last = c.Now()
+	}
+	if last.IsZero() {
+		b.Fatal("zero instant")
 	}
 }
 

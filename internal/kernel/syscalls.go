@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"strconv"
+	"time"
 
 	"overhaul/internal/devfs"
 	"overhaul/internal/faultinject"
@@ -48,6 +50,30 @@ func (k *Kernel) openOutcome(sp *probe.Event, pid int, v probe.Verdict, reason s
 	}
 }
 
+// instant returns now, or the clock's instant when now is unset.
+func (k *Kernel) instant(now time.Time) time.Time {
+	if now.IsZero() {
+		return k.clk.Now()
+	}
+	return now
+}
+
+// openDeniedError is a sensitive open the permission monitor denied.
+// It keeps the message's parts and formats them only when read, so a
+// stream of denials pays no formatting no caller reads. It wraps
+// ErrAccessDenied.
+type openDeniedError struct {
+	path  string
+	class devfs.Class
+	pid   int
+}
+
+func (e *openDeniedError) Error() string {
+	return "open " + e.path + " (" + string(e.class) + ") by pid " + strconv.Itoa(e.pid) + ": " + ErrAccessDenied.Error()
+}
+
+func (e *openDeniedError) Unwrap() error { return ErrAccessDenied }
+
 // Open is the augmented open(2): normal UNIX access control first, then
 // — iff the target is a mapped sensitive device — the Overhaul
 // permission-monitor check correlating the open with the calling
@@ -71,14 +97,19 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 		k.stats.deviceOpens.Add(1)
 	}
 
+	// now is the open's instant. A traced open reads the clock once, at
+	// its span's begin, and decides at that instant; an untraced one
+	// reads it only when it decides.
+	var now time.Time
 	var sp probe.Event
 	if sensitive && k.probeOpen.Wants(int64(p.PID())) {
 		// The open span parents on the span that minted the caller's
 		// interaction stamp, which is what connects this syscall to the
 		// input event that enables it (or leaves it a fresh root when
 		// no traced interaction preceded it).
+		now = k.clk.Now()
 		sp = probe.Event{
-			TimeNanos: k.clk.Now().UnixNano(), PID: int64(p.PID()), Kind: probe.KindOpen,
+			TimeNanos: now.UnixNano(), PID: int64(p.PID()), Kind: probe.KindOpen,
 			Dev: devForClass(class), Reason: string(class), Detail: path,
 		}
 		k.probeOpen.Begin(p.StampSpan(), &sp)
@@ -109,7 +140,7 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 		}
 		const failClosed = "transient open failure: fail closed"
 		if sensitive {
-			k.mon.RecordDenialCtx(sp.Ctx, p.PID(), opForClass(class), k.clk.Now(), failClosed)
+			k.mon.RecordDenialCtx(sp.Ctx, p.PID(), opForClass(class), k.instant(now), failClosed)
 		}
 		k.openOutcome(&sp, p.PID(), probe.VerdictDeny, failClosed)
 		_ = h.Close()
@@ -117,11 +148,11 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 	}
 
 	if sensitive {
-		verdict := k.mon.DecideCtx(sp.Ctx, p.PID(), opForClass(class), k.clk.Now())
+		verdict := k.mon.DecideCtx(sp.Ctx, p.PID(), opForClass(class), k.instant(now))
 		if verdict != monitor.VerdictGrant {
 			k.stats.denials.Add(1)
 			k.openOutcome(&sp, p.PID(), probe.VerdictDeny, "")
-			return nil, fmt.Errorf("open %s (%s) by pid %d: %w", path, class, p.PID(), ErrAccessDenied)
+			return nil, &openDeniedError{path: path, class: class, pid: p.PID()}
 		}
 		k.openOutcome(&sp, p.PID(), probe.VerdictGrant, "")
 	} else {

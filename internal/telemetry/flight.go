@@ -98,7 +98,12 @@ func (r *Recorder) recordEvent(ctx probe.SpanContext, subsystem, kind, detail st
 // over the pieces and snapshot accessors render "pid=N op=X verdict:
 // reason" on demand.
 func (r *Recorder) recordDecision(ctx probe.SpanContext, subsystem string, pid int, op, verdict, reason string) {
-	now := r.now()
+	r.recordDecisionAt(r.now(), ctx, subsystem, pid, op, verdict, reason)
+}
+
+// recordDecisionAt is recordDecision at instant now, read by the
+// caller.
+func (r *Recorder) recordDecisionAt(now time.Time, ctx probe.SpanContext, subsystem string, pid int, op, verdict, reason string) {
 	// Filled in place: decisions are the hot path, and FlightEvent is
 	// large enough that a construct-then-copy shape shows up in
 	// profiles.
@@ -175,7 +180,7 @@ func renderDump(q uint64, events []FlightEvent) FlightDump {
 // final events explain what led up to it. The trip is O(1) and copies
 // nothing.
 func (r *Recorder) tripFlight(ctx probe.SpanContext, subsystem, reason string) {
-	r.trip(ctx, subsystem, reason, 0, "", "", "")
+	r.trip(r.now(), ctx, subsystem, reason, 0, "", "", "")
 }
 
 // tripDenial is tripFlight for a denial, with the reason in structured
@@ -183,13 +188,17 @@ func (r *Recorder) tripFlight(ctx probe.SpanContext, subsystem, reason string) {
 // reason" is rendered only when the dump is read, so tripping
 // allocates nothing.
 func (r *Recorder) tripDenial(ctx probe.SpanContext, subsystem string, pid int, op, reason string) {
-	r.trip(ctx, subsystem, "", pid, op, "deny", reason)
+	r.tripDenialAt(r.now(), ctx, subsystem, pid, op, reason)
 }
 
-// trip records a Kind "trip" event with the given detail or structured
-// fields and retains a lazy dump ending at it.
-func (r *Recorder) trip(ctx probe.SpanContext, subsystem, detail string, pid int, op, verdict, reason string) {
-	now := r.now()
+// tripDenialAt is tripDenial at instant now, read by the caller.
+func (r *Recorder) tripDenialAt(now time.Time, ctx probe.SpanContext, subsystem string, pid int, op, reason string) {
+	r.trip(now, ctx, subsystem, "", pid, op, "deny", reason)
+}
+
+// trip records a Kind "trip" event at instant now with the given
+// detail or structured fields and retains a lazy dump ending at it.
+func (r *Recorder) trip(now time.Time, ctx probe.SpanContext, subsystem, detail string, pid int, op, verdict, reason string) {
 	s := r.slotLocked()
 	s.Time = now
 	s.Subsystem = subsystem

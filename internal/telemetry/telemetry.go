@@ -242,9 +242,12 @@ func (r *Recorder) Consume(ev probe.Event) {
 			stampAge = r.metric("monitor", "stamp_age", "op="+op)
 		}
 		r.add(decisions)
+		// One clock read for the decision: its record and its
+		// denial's trip share the instant.
+		now := r.now()
 		if ev.Flags&probe.FlagRecorded != 0 {
 			r.count("monitor", "denials_recorded", "")
-			r.tripDenial(ev.Ctx, "monitor", pid, op, ev.Reason)
+			r.tripDenialAt(now, ev.Ctx, "monitor", pid, op, ev.Reason)
 			return
 		}
 		if ev.StampNanos != 0 {
@@ -252,11 +255,11 @@ func (r *Recorder) Consume(ev probe.Event) {
 			// sweep (§V-A) in histogram form.
 			r.observe(stampAge, time.Duration(ev.TimeNanos-ev.StampNanos))
 		}
-		r.recordDecision(ev.Ctx, "monitor", pid, op, ev.Verdict.String(), ev.Reason)
+		r.recordDecisionAt(now, ev.Ctx, "monitor", pid, op, ev.Verdict.String(), ev.Reason)
 		if ev.Verdict == probe.VerdictDeny {
 			// Every denial trips the flight recorder: the dump's final
 			// events carry the deny reason plus whatever preceded it.
-			r.tripDenial(ev.Ctx, "monitor", pid, op, ev.Reason)
+			r.tripDenialAt(now, ev.Ctx, "monitor", pid, op, ev.Reason)
 		}
 	case probe.KindAlert:
 		switch ev.Phase {

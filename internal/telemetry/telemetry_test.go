@@ -118,6 +118,74 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// tickClock is a clock double that advances 1ns on every read and
+// counts its reads, so a test sees both how often and when a consumer
+// read it.
+type tickClock struct {
+	mu    sync.Mutex
+	t     time.Time
+	reads int
+}
+
+func (c *tickClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reads++
+	c.t = c.t.Add(time.Nanosecond)
+	return c.t
+}
+
+func (c *tickClock) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads
+}
+
+// TestConsumeReadsClockOnce pins the recorder's one clock read per
+// consumed denial: its decision record and its flight trip share one
+// instant.
+func TestConsumeReadsClockOnce(t *testing.T) {
+	clk := &tickClock{t: clock.Epoch}
+	r, reg := attached(t, clk, Options{})
+	// A recorder's first metric update, before any span has ended,
+	// reads the clock once for the freshness stamp that then stands.
+	reg.Hook(probe.HookNetlinkSend).Emit(&probe.Event{Kind: probe.KindSend})
+	if reads := clk.count(); reads != 1 {
+		t.Fatalf("first metric update read the clock %d times, want 1", reads)
+	}
+	decide := reg.Hook(probe.HookKernelDecide)
+	for i, recorded := range []bool{false, false, true} {
+		ev := probe.Event{Kind: probe.KindDecide, Dev: probe.DevMic, Verdict: probe.VerdictDeny,
+			PID: 7, Reason: "stale stamp", Ctx: probe.SpanContext{Trace: 1, Span: probe.SpanID(i + 1)}}
+		if recorded {
+			ev.Flags = probe.FlagRecorded
+		}
+		before := clk.count()
+		decide.Emit(&ev)
+		if reads := clk.count() - before; reads != 1 {
+			t.Fatalf("denial %d (recorded %v) read the clock %d times, want 1", i, recorded, reads)
+		}
+	}
+	events := r.FlightEvents()
+	if len(events) != 5 {
+		t.Fatalf("flight ring holds %d events, want 5: %+v", len(events), events)
+	}
+	for i, kind := range []string{"decision", "trip", "decision", "trip", "trip"} {
+		if events[i].Kind != kind {
+			t.Fatalf("event %d kind %q, want %q", i, events[i].Kind, kind)
+		}
+	}
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		d, trip := events[pair[0]], events[pair[1]]
+		if !d.Time.Equal(trip.Time) {
+			t.Errorf("decision at %v, its trip at %v: want one instant", d.Time, trip.Time)
+		}
+	}
+	if !events[1].Time.Before(events[2].Time) || !events[3].Time.Before(events[4].Time) {
+		t.Errorf("events of successive denials share an instant: %v", events)
+	}
+}
+
 // testSpan is a span begun on a hook; End ends it there.
 type testSpan struct {
 	h *probe.Hook

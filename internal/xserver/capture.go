@@ -1,6 +1,26 @@
 package xserver
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
+
+// captureDeniedError is a screen capture the permission monitor
+// denied: req names the request ("GetImage", "CopyArea from"). It
+// keeps the message's parts and formats them only when read, so a
+// stream of denials pays no formatting no caller reads. It wraps
+// ErrBadAccess.
+type captureDeniedError struct {
+	req    string
+	target WindowID
+	pid    int
+}
+
+func (e *captureDeniedError) Error() string {
+	return e.req + " window " + strconv.FormatUint(uint64(e.target), 10) + " by pid " + strconv.Itoa(e.pid) + ": " + ErrBadAccess.Error()
+}
+
+func (e *captureDeniedError) Unwrap() error { return ErrBadAccess }
 
 // captureWindow returns a copy of the target window's content; target
 // Root composes every mapped window bottom-to-top, which is what a full
@@ -58,7 +78,7 @@ func (c *Client) getImage(req string, target WindowID) ([]byte, error) {
 	if !ownWindow {
 		if !s.query(c.pid, OpScreen, now) {
 			s.stats.CaptureDenied++
-			return nil, fmt.Errorf("%s window %d by pid %d: %w", req, target, c.pid, ErrBadAccess)
+			return nil, &captureDeniedError{req: req, target: target, pid: c.pid}
 		}
 		if s.policy != nil {
 			s.showAlertLocked(c.pid, OpScreen, false, false)
@@ -116,7 +136,7 @@ func (c *Client) CopyArea(src, dst WindowID) error {
 		s.stats.CaptureRequests++
 		if !s.query(c.pid, OpScreen, now) {
 			s.stats.CaptureDenied++
-			return fmt.Errorf("CopyArea from window %d by pid %d: %w", src, c.pid, ErrBadAccess)
+			return &captureDeniedError{req: "CopyArea from", target: src, pid: c.pid}
 		}
 		if s.policy != nil {
 			s.showAlertLocked(c.pid, OpScreen, false, false)

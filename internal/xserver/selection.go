@@ -104,6 +104,19 @@ func (c *Client) GetSelectionOwner(name string) (WindowID, error) {
 	return sel.ownerWindow, nil
 }
 
+// pasteDeniedError is a selection conversion (a paste) the permission
+// monitor denied. Like captureDeniedError it formats its message only
+// when read, and it wraps ErrBadAccess.
+type pasteDeniedError struct {
+	selection string
+}
+
+func (e *pasteDeniedError) Error() string {
+	return "convert selection " + e.selection + ": " + ErrBadAccess.Error()
+}
+
+func (e *pasteDeniedError) Unwrap() error { return ErrBadAccess }
+
 // ConvertSelection asks for the selection's contents to be delivered to
 // property on the requestor window (step 6). Under Overhaul the server
 // queries the monitor for paste permission first; on grant it relays a
@@ -129,7 +142,7 @@ func (c *Client) ConvertSelection(name, target, property string, requestor Windo
 		return fmt.Errorf("convert selection %s: requestor %d: %w", name, requestor, ErrBadAccess)
 	}
 	if !s.query(c.pid, OpPaste, now) {
-		return fmt.Errorf("convert selection %s: %w", name, ErrBadAccess)
+		return &pasteDeniedError{selection: name}
 	}
 
 	sel, ok := s.selections[name]

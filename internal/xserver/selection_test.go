@@ -2,6 +2,7 @@ package xserver
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -620,5 +621,43 @@ func TestSelfPasteWithinOneApplication(t *testing.T) {
 	}
 	if err := ed.DeleteProperty(win, req.Property); err != nil {
 		t.Fatalf("DeleteProperty: %v", err)
+	}
+}
+
+// TestDenyErrors pins the monitor-denial errors of capture and paste:
+// each message is the one the fmt.Errorf format these requests used to
+// return renders, and errors.Is still finds ErrBadAccess.
+func TestDenyErrors(t *testing.T) {
+	e := newXEnv(t, true)
+	victim := e.connect(t, 100, "victim")
+	victimWin := e.mapVisibleWindow(t, victim, 0, 0, 50, 50)
+	spy := e.connect(t, 666, "spy")
+	spyWin := e.mapVisibleWindow(t, spy, 100, 100, 10, 10)
+
+	const capture = "%s window %d by pid %d: %w"
+	tests := []struct {
+		name string
+		call func() error
+		want error
+	}{
+		{"GetImage", func() error { _, err := spy.GetImage(Root); return err },
+			fmt.Errorf(capture, "GetImage", Root, 666, ErrBadAccess)},
+		{"XShmGetImage", func() error { _, err := spy.XShmGetImage(victimWin); return err },
+			fmt.Errorf(capture, "XShmGetImage", victimWin, 666, ErrBadAccess)},
+		{"CopyArea", func() error { return spy.CopyArea(victimWin, spyWin) },
+			fmt.Errorf("CopyArea from window %d by pid %d: %w", victimWin, 666, ErrBadAccess)},
+		{"ConvertSelection", func() error { return spy.ConvertSelection(clipboard, "UTF8_STRING", "XSEL", spyWin) },
+			fmt.Errorf("convert selection %s: %w", clipboard, ErrBadAccess)},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.call()
+			if err == nil || err.Error() != tt.want.Error() {
+				t.Fatalf("error = %v, want %q", err, tt.want.Error())
+			}
+			if !errors.Is(err, ErrBadAccess) {
+				t.Fatalf("errors.Is(%v, ErrBadAccess) = false", err)
+			}
+		})
 	}
 }
