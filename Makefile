@@ -39,8 +39,12 @@ loc:
 test:
 	$(GO) test ./...
 
+# The group commit's waiting differs with GOMAXPROCS (followers park at
+# once on one P and spin first on more), so its tests also run under
+# the race detector at 1, 2 and 4 Ps.
 race:
 	$(GO) test -race -count=1 ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'GroupCommit|Append|Rotation' ./internal/auditstore
 
 # Benchmarks, recorded machine-readably: the run and the conversion
 # are separate steps so a bench failure is not masked by a pipe.
@@ -50,8 +54,9 @@ race:
 # because a shared machine's wall clock is one-sided noisy: the
 # converter keeps the minimum ns/op (and the maximum allocs/op) across
 # the repeats, which is far more stable than any single run. The
-# parallel decision-path benchmarks additionally sweep -cpu 1,2,4 so
-# the JSON records the scaling curve (as Name/cpus=N keys). Every
+# parallel decision-path benchmarks additionally sweep -cpu 1,2,4, and
+# the parallel store appenders -cpu 1,2, so the JSON records the
+# scaling curve (as Name/cpus=N keys). Every
 # conversion also appends the run's rows, keyed by commit, as one line
 # of BENCH_history.jsonl beside its output (untracked), so drift shows.
 BENCHFLAGS = -benchtime=2000x -count=5 -benchmem -run='^$$'
@@ -60,6 +65,7 @@ BENCHFLAGS = -benchtime=2000x -count=5 -benchmem -run='^$$'
 bench-out:
 	$(GO) test -bench=. $(BENCHFLAGS) ./... > bench.out
 	$(GO) test -bench='^BenchmarkParallel' -cpu=1,2,4 $(BENCHFLAGS) ./internal/kernel >> bench.out
+	$(GO) test -bench='^BenchmarkStoreAppendParallel' -cpu=1,2 $(BENCHFLAGS) ./internal/auditstore >> bench.out
 
 # Refresh the committed contract, BENCH_overhaul.json. The only target
 # that writes it: CI and `make ci` record into the untracked bench.json

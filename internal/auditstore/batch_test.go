@@ -2,6 +2,7 @@ package auditstore_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -426,4 +427,183 @@ func TestBatchBucketLabels(t *testing.T) {
 			t.Errorf("bucket %d label = %q, want %q", i, got, w)
 		}
 	}
+}
+
+// TestGroupCommitLiveness drives 2 and 8 appenders of 32-record
+// batches into a store that stays healthy, hits a PointStoreBatch
+// fault, or is closed mid-stream, at the GOMAXPROCS of the run (CI
+// sweeps -cpu 1,2,4: followers park at 1 and spin first above). Every
+// AppendBatch must return, nil or with the store's failure; once all
+// have, no record may sit queued without a leader; and a reopen must
+// recover every acknowledged record field for field. A leader that
+// released the leadership with records queued and woke no one would
+// strand their appenders, and the watchdog would fire.
+func TestGroupCommitLiveness(t *testing.T) {
+	const batch, perAppender = 32, 40
+	for _, appenders := range []int{2, 8} {
+		for _, mode := range []string{"clean", "batch-fault", "close"} {
+			for seed := int64(1); seed <= 8; seed++ {
+				t.Run(mode+"/appenders="+itoa(appenders)+"/seed="+itoa(int(seed)), func(t *testing.T) {
+					liveness(t, mode, seed, appenders, batch, perAppender)
+				})
+			}
+		}
+	}
+}
+
+func liveness(t *testing.T, mode string, seed int64, appenders, batch, perAppender int) {
+	dir := t.TempDir()
+	opts := auditstore.Options{SegmentRecords: 256, BatchRecords: 64}
+	inj, err := faultinject.New(seed, faultinject.Rule{
+		Point: faultinject.PointStoreBatch, Kind: faultinject.KindCrash, After: 5 * int(seed), Count: 1,
+	})
+	if err != nil {
+		t.Fatalf("injector: %v", err)
+	}
+	if mode == "batch-fault" {
+		opts.Hook = inj.Hook()
+	}
+	st, err := auditstore.Open(dir, opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+
+	recs := make([][]auditstore.Record, appenders)
+	for a := range recs {
+		recs[a] = make([]auditstore.Record, batch)
+		for i := range recs[a] {
+			recs[a][i] = mkRecord(a*batch + i)
+		}
+	}
+	type ack struct {
+		appender int
+		last     uint64
+	}
+	var mu sync.Mutex
+	var acks []ack
+	closeAt := appenders * perAppender / 3 // acknowledged batches before the racing Close
+	closed := make(chan error, 1)
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < perAppender; i++ {
+				last, err := st.AppendBatch(recs[a])
+				if err != nil {
+					if !errors.Is(err, auditstore.ErrStoreFailed) && !errors.Is(err, auditstore.ErrClosed) {
+						t.Errorf("appender %d: %v, want nil, ErrStoreFailed or ErrClosed", a, err)
+					}
+					return
+				}
+				mu.Lock()
+				acks = append(acks, ack{a, last})
+				if mode == "close" && len(acks) == closeAt {
+					go func() { closed <- st.Close() }()
+				}
+				mu.Unlock()
+			}
+		}(a)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	watchdog := time.After(10 * time.Second) //overhaul:allow clockcheck watchdog for a test that otherwise hangs; the store itself never reads this clock
+	select {
+	case <-done:
+	case <-watchdog:
+		queued, leading := st.Queued()
+		t.Fatalf("appenders hung: %d records queued, leader active %v", queued, leading)
+	}
+
+	queued, leading := st.Queued()
+	if leading {
+		t.Fatalf("a leader is still active after every appender returned")
+	}
+	if mode == "clean" && queued != 0 {
+		t.Fatalf("%d records queued with no appender left to lead them", queued)
+	}
+	if mode != "close" {
+		go func() { closed <- st.Close() }()
+	}
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-watchdog:
+		t.Fatal("close hung waiting out a leader")
+	}
+	if mode == "clean" && len(acks) != appenders*perAppender {
+		t.Fatalf("%d batches acknowledged, want %d", len(acks), appenders*perAppender)
+	}
+	if mode == "batch-fault" && len(inj.Events()) == 0 {
+		t.Fatal("batch fault never fired")
+	}
+
+	re, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 256})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	n, err := re.Count()
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	if n < len(acks)*batch {
+		t.Fatalf("recovered %d records, fewer than the %d acknowledged", n, len(acks)*batch)
+	}
+	for _, a := range acks {
+		for i, want := range recs[a.appender] {
+			want.Seq = a.last - uint64(batch-1-i)
+			got, ok, err := re.Get(want.Seq)
+			if err != nil || !ok || !sameRecord(got, want) {
+				t.Fatalf("acked seq %d after reopen: ok=%v err=%v\n got %+v\nwant %+v", want.Seq, ok, err, got, want)
+			}
+		}
+	}
+}
+
+// TestLongPayloadFramesRoundTrip appends frames whose length prefix
+// takes one, two and three bytes between short ones in one batch, and
+// reads every record back live and after a reopen.
+func TestLongPayloadFramesRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	st, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	recs := make([]auditstore.Record, 9)
+	for i := range recs {
+		recs[i] = mkRecord(i)
+		switch i % 3 {
+		case 1:
+			recs[i].Reason = strings.Repeat("r", 200)
+		case 2:
+			recs[i].Reason = strings.Repeat("s", 20000)
+		}
+	}
+	if _, err := st.AppendBatch(recs); err != nil {
+		t.Fatalf("append batch: %v", err)
+	}
+	check := func(st *auditstore.FileStore, when string) {
+		for i, want := range recs {
+			want.Seq = uint64(i + 1)
+			if got, ok, err := st.Get(want.Seq); err != nil || !ok || !sameRecord(got, want) {
+				t.Fatalf("%s: seq %d: ok=%v err=%v, reason %d bytes, want %d", when, want.Seq, ok, err, len(got.Reason), len(want.Reason))
+			}
+		}
+	}
+	check(st, "live")
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re, err := auditstore.Open(dir, auditstore.Options{SegmentRecords: 4})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if !re.Recovery().Clean {
+		t.Fatalf("reopen not clean: %+v", re.Recovery())
+	}
+	check(re, "reopened")
 }

@@ -3,6 +3,7 @@ package auditstore_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"overhaul/internal/auditstore"
@@ -84,13 +85,12 @@ func BenchmarkStoreEncodeV2(b *testing.B) {
 		recs[i] = mkRecord(i)
 		recs[i].Seq = uint64(i + 1)
 	}
-	var enc auditstore.FrameEncoder
 	buf := make([]byte, 0, 1<<12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = enc.AppendRecord(buf[:0], &recs[i%len(recs)])
+		buf, err = auditstore.AppendFrame(buf[:0], &recs[i%len(recs)])
 		if err != nil {
 			b.Fatalf("encode: %v", err)
 		}
@@ -219,6 +219,49 @@ func BenchmarkStoreAppendBatch32(b *testing.B) {
 					b.Fatalf("append batch: %v", err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkStoreAppendParallel runs 2 or 8 appenders, each making
+// 32-record AppendBatch calls into one store that starts empty, so the
+// group commit's leader hand-off and its waiting followers run inside
+// the timed loop; an op is one batch, spread over the appenders, and
+// recs/s is the store's throughput. make bench-out sweeps it at -cpu
+// 1,2: followers park at once on one P and spin first on more.
+func BenchmarkStoreAppendParallel(b *testing.B) {
+	for _, appenders := range []int{2, 8} {
+		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
+			st, err := auditstore.Open(b.TempDir(), auditstore.Options{})
+			if err != nil {
+				b.Fatalf("open: %v", err)
+			}
+			defer st.Close()
+			recs := make([][]auditstore.Record, appenders)
+			for a := range recs {
+				recs[a] = make([]auditstore.Record, 32)
+				for i := range recs[a] {
+					recs[a][i] = mkRecord(32*a + i)
+				}
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for a := range appenders {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := a; i < b.N; i += appenders {
+						if _, err := st.AppendBatch(recs[a]); err != nil {
+							b.Errorf("append batch: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(32*b.N)/b.Elapsed().Seconds(), "recs/s")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -105,74 +106,91 @@ var (
 	codecMaxNanos = codecMax * 1e9
 )
 
-// FrameEncoder frames records for v2 segments through reusable buffers:
-// after warm-up, AppendRecord performs no allocation beyond growth of
-// the caller's destination slice.
-type FrameEncoder struct {
-	payload []byte
-}
-
-// AppendRecord appends one framed v2 record to dst and returns the
-// extended slice.
-func (e *FrameEncoder) AppendRecord(dst []byte, r *Record) ([]byte, error) {
-	p, err := appendRecordPayload(e.payload[:0], r)
-	if err != nil {
-		return dst, err
-	}
-	e.payload = p
-	if len(p) > MaxPayload {
-		return dst, fmt.Errorf("auditstore: encode seq %d: payload %d bytes exceeds %d", r.Seq, len(p), MaxPayload)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(p)))
-	dst = append(dst, p...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(p)), nil
-}
-
-// appendRecordPayload renders the record's fields into dst.
-func appendRecordPayload(dst []byte, r *Record) ([]byte, error) {
-	tn, hasTime, err := timeNanos(r.Time)
+// AppendFrame appends r framed as a v2 segment holds it to dst and
+// returns the extended slice. It refuses a record checkFields
+// refuses; past that check it performs no allocation beyond growth of
+// dst.
+func AppendFrame(dst []byte, r *Record) ([]byte, error) {
+	tn, sn, err := checkFields(r.Time, r.Stamp, r.PID, len(r.Op)+len(r.Verdict)+len(r.Reason))
 	if err != nil {
 		return dst, fmt.Errorf("auditstore: encode seq %d: %w", r.Seq, err)
 	}
-	sn, hasStamp, err := timeNanos(r.Stamp)
-	if err != nil {
-		return dst, fmt.Errorf("auditstore: encode seq %d: %w", r.Seq, err)
-	}
-	if int64(r.PID) < math.MinInt32 || int64(r.PID) > math.MaxInt32 {
-		// The decoder rejects such a pid. validateRecord refuses it
-		// before a sequence is assigned; this is the codec's backstop.
-		return dst, fmt.Errorf("auditstore: encode seq %d: pid %d outside int32", r.Seq, r.PID)
-	}
-	dst = binary.AppendUvarint(dst, r.Seq)
+	dst, _ = appendFrame(dst, r.Seq, &entry{time: tn, stamp: sn, session: r.Session, pid: int32(r.PID)}, r)
+	return dst, nil
+}
+
+// appendFrame appends the frame of a record under sequence number seq
+// to dst: length prefix, payload, CRC. e holds the record's numeric
+// fields as an index entry does (its kind unused), r its strings and
+// Degraded flag. Every entry field fits the codec — checkFields
+// produced it, or the decoder did — so appendFrame cannot fail. It
+// returns the extended slice and the length of the record's kind
+// bytes, the length-prefixed op, verdict and reason that end just
+// before the CRC and that kindTable.intern keys on.
+func appendFrame(dst []byte, seq uint64, e *entry, r *Record) ([]byte, int) {
+	start := len(dst)
+	dst = append(dst, 0) // length prefix, widened below for a payload of 128 bytes or more
+	dst = binary.AppendUvarint(dst, seq)
 	var flags byte
 	if r.Degraded {
 		flags |= flagDegraded
 	}
-	if hasTime {
+	if e.time != noTime {
 		flags |= flagTime
 	}
-	if hasStamp {
+	if e.stamp != noTime {
 		flags |= flagStamp
 	}
 	dst = append(dst, flags)
-	if hasTime {
-		dst = binary.AppendVarint(dst, tn)
+	if e.time != noTime {
+		dst = binary.AppendVarint(dst, e.time)
 	}
-	if hasStamp {
-		dst = binary.AppendVarint(dst, sn)
+	if e.stamp != noTime {
+		dst = binary.AppendVarint(dst, e.stamp)
 	}
-	dst = binary.AppendUvarint(dst, r.Session)
-	dst = binary.AppendVarint(dst, int64(r.PID))
+	dst = binary.AppendUvarint(dst, e.session)
+	dst = binary.AppendVarint(dst, int64(e.pid))
+	kinds := len(dst)
 	dst = appendString(dst, r.Op)
 	dst = appendString(dst, r.Verdict)
-	return appendString(dst, r.Reason), nil
+	dst = appendString(dst, r.Reason)
+	kindLen, plen := len(dst)-kinds, len(dst)-start-1
+	if n := uvarintLen(uint64(plen)); n > 1 {
+		dst = append(dst, make([]byte, n-1)...)
+		copy(dst[start+n:], dst[start+1:start+1+plen])
+	}
+	binary.PutUvarint(dst[start:], uint64(plen))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[len(dst)-plen:])), kindLen
 }
+
+// payloadLen is the encoded payload size of the record with sequence
+// number seq, numeric fields e and kindLen bytes of kind, for sizing a
+// buffer before encoding into it.
+func payloadLen(seq uint64, e *entry, kindLen int) int {
+	n := uvarintLen(seq) + 1 + uvarintLen(e.session) + varintLen(int64(e.pid)) + kindLen
+	if e.time != noTime {
+		n += varintLen(e.time)
+	}
+	if e.stamp != noTime {
+		n += varintLen(e.stamp)
+	}
+	return n
+}
+
+// frameLen is the encoded size of a frame of a plen-byte payload.
+func frameLen(plen int) int { return uvarintLen(uint64(plen)) + plen + crcLen }
 
 // appendString appends a uvarint length prefix and the string bytes.
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
+
+// uvarintLen and varintLen size what binary.AppendUvarint and
+// binary.AppendVarint write.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // decodePayload parses the fixed fields of one v2 record payload into
 // an index entry (its kind left zero) and returns the payload's tail —

@@ -76,3 +76,11 @@ func (fs *FileStore) IndexBytes() int {
 	}
 	return n
 }
+
+// Queued reports how many records wait in the commit queue and whether
+// a commit leader holds the file state.
+func (fs *FileStore) Queued() (records int, leading bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.queue), fs.committing
+}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"overhaul/internal/faultinject"
 )
@@ -86,22 +88,34 @@ type Recovery struct {
 
 // FileStore is the audit store: an append-only binary segment log with
 // an in-memory index in front of it that answers every query. Concurrent
-// appends are group-committed: callers enqueue under the store mutex,
-// the first-comer becomes the commit leader and drains the queue into
-// one framed segment write per batch, and an append is acknowledged
-// only when its batch is durable. Writes go to the segment first and
+// appends are group-committed: callers encode their records onto the
+// queue under the store mutex, the first-comer becomes the commit
+// leader and writes the queue in one segment write per batch until its
+// own records are durable, and an append is acknowledged only when its
+// batch is durable (batch.go). Writes go to the segment first and
 // the index second, so the index only ever reflects durable records.
 // After a torn write or an injected crash every operation fails with
 // ErrStoreFailed until the directory is reopened: Open replays the
 // segments to a consistent, CRC-verified prefix and reports the exact
 // truncation point. It is safe for concurrent use.
 type FileStore struct {
+	// commitGen counts commitDone broadcasts, so a follower can wait for
+	// the next one by spinning instead of parking (waitLocked). It is
+	// bumped under mu.
+	commitGen atomic.Uint64
+
 	// mu guards the queue/acknowledgement state below and the Recovery
 	// report; commitDone is signalled on batch durability, failure,
-	// and leadership release.
+	// leadership release and Close, always through broadcastLocked.
 	mu         sync.Mutex
 	commitDone sync.Cond
-	queue      []Record
+	// queue holds the records awaiting commit, oldest first, and qbuf
+	// their encoded frames back to back; the leader swaps each batch
+	// out against the spare pair and hands it back once written.
+	queue      []queued
+	qbuf       []byte
+	spareQueue []queued
+	spareBuf   []byte
 	lastSeq    uint64 // last assigned sequence number
 	durableSeq uint64 // last durably committed sequence number
 	committing bool   // a commit leader (or exclusive op) owns the file state
@@ -113,22 +127,21 @@ type FileStore struct {
 	opts     Options
 	idx      *index
 	recovery Recovery
+	// spin lets followers spin before parking: GOMAXPROCS > 1 at Open.
+	spin bool
 
 	// File state below is owned by whichever goroutine holds
 	// committing (the group-commit leader, Close) and by Open before
 	// the store is published — never accessed under mu alone.
-	cur       *os.File
-	curID     uint64
-	curRecs   int
-	curOff    uint64       // bytes written to the active segment
-	curIdx    []blockEntry // sparse block index of the active segment
-	curMax    int64        // max record-time nanos seen in the active segment
-	sealed    int          // sealed segment files
-	nextID    uint64
-	enc       FrameEncoder
-	wbuf      []byte // reusable batch write buffer
-	frameOffs []int  // reusable per-batch frame offsets into wbuf
-	batch     []Record
+	cur     *os.File
+	curID   uint64
+	curRecs int
+	curOff  uint64       // bytes written to the active segment
+	curIdx  []blockEntry // sparse block index of the active segment
+	curMax  int64        // max record-time nanos seen in the active segment
+	sealed  int          // sealed segment files
+	nextID  uint64
+	footBuf []byte // reusable footer buffer
 }
 
 // Open opens (creating if needed) a store directory, recovering it to
@@ -156,7 +169,8 @@ func Open(dir string, opts Options) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("auditstore: open %s: %w", dir, err)
 	}
-	fs := &FileStore{dir: dir, opts: opts, idx: newIndex(), nextID: 1, curMax: math.MinInt64}
+	fs := &FileStore{dir: dir, opts: opts, idx: newIndex(), nextID: 1, curMax: math.MinInt64,
+		spin: runtime.GOMAXPROCS(0) > 1}
 	fs.commitDone.L = &fs.mu
 	if err := fs.recover(); err != nil {
 		return nil, err
@@ -274,11 +288,7 @@ func (fs *FileStore) normalize(old []*segment) error {
 	if fs.idx.count() > 0 {
 		path := fs.segPath(fs.nextID)
 		fs.nextID++
-		buf, err := fs.encodeAll()
-		if err == nil {
-			err = fs.writeSegment(path, buf)
-		}
-		if err != nil {
+		if err := fs.writeSegment(path, fs.encodeAll()); err != nil {
 			return fmt.Errorf("auditstore: normalize %s: %w", fs.dir, err)
 		}
 		fs.sealed++
@@ -295,36 +305,31 @@ func (fs *FileStore) normalize(old []*segment) error {
 // encodeAll renders every indexed record as one complete sealed v2
 // segment (header, frames, footer with block index) in memory,
 // building each Record from its entry and kind-table tuple as it
-// encodes it. Only recovery's normalization uses it; the append hot
-// path streams through the reusable group-commit buffers instead. The
-// buffer is sized once up front, so it is allocated once instead of
-// growing and copying as it fills.
-func (fs *FileStore) encodeAll() ([]byte, error) {
+// encodes it. Only recovery's normalization uses it; appends encode
+// their own frames at enqueue. The buffer is sized exactly up front,
+// so it is allocated once instead of growing and copying as it fills.
+func (fs *FileStore) encodeAll() []byte {
 	v := fs.idx.snapshot()
 	size := len(segMagicV2) + footerSize(v.n/indexEvery+2)
 	for i := range v.n {
-		k := &v.kinds[v.at(i).kind]
-		size += estimateSize(&Record{Op: k.op, Verdict: k.verdict, Reason: k.reason})
+		e := v.at(i)
+		size += frameLen(payloadLen(v.base+uint64(i), e, len(v.kinds[e.kind].tail)))
 	}
 	buf := append(make([]byte, 0, size), segMagicV2...)
-	var enc FrameEncoder
 	entries := make([]blockEntry, 0, v.n/indexEvery+2)
 	maxSoFar := int64(math.MinInt64)
 	var r Record
-	var err error
 	for i := range v.n {
 		if i%indexEvery == 0 {
 			entries = append(entries, blockEntry{seq: v.base + uint64(i), off: uint64(len(buf)), maxBefore: maxSoFar})
 		}
 		v.fill(i, &r)
-		if buf, err = enc.AppendRecord(buf, &r); err != nil {
-			return nil, fmt.Errorf("segment stage: %w", err)
-		}
+		buf, _ = appendFrame(buf, r.Seq, v.at(i), &r)
 		// A zero time is noTime, the maximum's floor, so it never raises it.
 		maxSoFar = max(maxSoFar, v.at(i).time)
 	}
 	entries = append(entries, blockEntry{seq: v.base + uint64(v.n), off: uint64(len(buf)), maxBefore: maxSoFar})
-	return appendFooter(buf, entries), nil
+	return appendFooter(buf, entries)
 }
 
 // writeSegment publishes a complete segment at path: stage it into a
@@ -408,8 +413,8 @@ func (fs *FileStore) openActive() error {
 // sentinel entry) and closes it, counting it as sealed. Leader-owned.
 func (fs *FileStore) sealActive() error {
 	entries := append(fs.curIdx, blockEntry{seq: fs.idx.lastSeq() + 1, off: fs.curOff, maxBefore: fs.curMax})
-	fs.wbuf = appendFooter(fs.wbuf[:0], entries)
-	if _, err := fs.cur.Write(fs.wbuf); err != nil {
+	fs.footBuf = appendFooter(fs.footBuf[:0], entries)
+	if _, err := fs.cur.Write(fs.footBuf); err != nil {
 		return fmt.Errorf("seal footer: %w", err)
 	}
 	if fs.opts.Sync {
@@ -509,7 +514,7 @@ func (fs *FileStore) Close() error {
 		return ErrClosed
 	}
 	fs.closed = true
-	fs.commitDone.Broadcast()
+	fs.broadcastLocked()
 	for fs.committing {
 		fs.commitDone.Wait()
 	}

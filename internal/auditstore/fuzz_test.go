@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +16,7 @@ const segMagic = "OVHSEG2\n"
 
 // encodeFrame frames one record exactly as a segment holds it.
 func encodeFrame(r auditstore.Record) ([]byte, error) {
-	var e auditstore.FrameEncoder
-	return e.AppendRecord(nil, &r)
+	return auditstore.AppendFrame(nil, &r)
 }
 
 // FuzzSegmentDecode feeds arbitrary bytes to the store's one segment
@@ -191,6 +191,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint64(1), int64(0), uint64(0), 100, "open_device", "grant", "interaction 1s ago", int64(0), false)
 	f.Add(uint64(1<<40), int64(1456822800), uint64(7), -5, "", "deny", "reason with \"quotes\" and \n newline", int64(-12345), true)
 	f.Add(uint64(0), int64(1), uint64(1), 0, "читать", "?", "", int64(1), false)
+	f.Add(uint64(1<<62), int64(-1<<32), uint64(1<<63), -1<<31, "open_device", "deny", strings.Repeat("a payload past 127 bytes takes a two-byte length prefix ", 3), int64(1<<32), true)
 
 	f.Fuzz(func(t *testing.T, seq uint64, tsec int64, session uint64, pid int, op, verdict, reason string, stampSec int64, degraded bool) {
 		r := auditstore.Record{

@@ -1,7 +1,6 @@
 package auditstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -65,7 +64,7 @@ type entry struct {
 	kind        uint32 // position in the kind table
 }
 
-// noTime stands for the zero time.Time in an entry. validateRecord
+// noTime stands for the zero time.Time in an entry. checkFields
 // keeps real record times inside UTC years 1678–2261, so no real time
 // maps to it, and it sorts before all of them as the zero time does.
 const noTime = math.MinInt64
@@ -163,35 +162,30 @@ func (m *index) postLocked(e *entry) uint32 {
 	return uint32(pos)
 }
 
-// addFrames indexes a committed batch: the frames the commit leader
-// just wrote, read back through the recovery decoder's payload parse
-// and kind table, so a live record is indexed exactly as a reopen
-// would index it. The frames are the leader's own, so their CRCs are
-// not recomputed. The first record added to an empty index fixes the
-// base sequence; every later one must carry the next sequence number.
-func (m *index) addFrames(buf []byte) error {
+// addBatch indexes a committed batch from the entries its appenders
+// built at enqueue: buf holds the batch's frames, and each record's
+// kind is interned by its encoded kind bytes, read in place — one map
+// probe, no payload parsed. The first record added to an empty index
+// fixes the base sequence; every later batch must start at the next
+// sequence number.
+func (m *index) addBatch(first uint64, buf []byte, batch []queued) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(buf) > 0 {
-		plen, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < plen+crcLen {
-			return fmt.Errorf("index: malformed frame")
-		}
-		seq, e, degraded, tail, ok := decodePayload(buf[n : n+int(plen)])
-		if ok {
-			e.kind, ok = m.kinds.intern(degraded, tail)
-		}
-		if !ok {
-			return fmt.Errorf("index: malformed record payload")
-		}
-		if m.n == 0 {
-			m.base = seq
-		} else if next := m.base + uint64(m.n); seq != next {
-			return fmt.Errorf("%w: index holds through %d, got %d", ErrSeqMismatch, next-1, seq)
+	if m.n == 0 {
+		m.base = first
+	} else if next := m.base + uint64(m.n); first != next {
+		return fmt.Errorf("%w: index holds through %d, got %d", ErrSeqMismatch, next-1, first)
+	}
+	for i := range batch {
+		q := &batch[i]
+		e := q.e
+		kinds := q.end - crcLen - int(q.kindLen)
+		var ok bool
+		if e.kind, ok = m.kinds.intern(q.degraded, buf[kinds:q.end-crcLen]); !ok {
+			return fmt.Errorf("index: malformed kind bytes at seq %d", first+uint64(i))
 		}
 		m.verdictsLocked()
 		m.pushLocked(e)
-		buf = buf[n+int(plen)+crcLen:]
 	}
 	return nil
 }

@@ -393,20 +393,49 @@ func (f *FS) Create(path string, mode Mode, cred Cred) (*Handle, error) {
 // Open opens the node at path with the requested access mode, applying
 // UNIX permission checks for cred. Directories cannot be opened.
 func (f *FS) Open(path string, access Access, cred Cred) (*Handle, error) {
+	t, err := f.Resolve(path, access, cred)
+	if err != nil {
+		return nil, err
+	}
+	return t.Open(), nil
+}
+
+// Target is a path resolved and permission-checked for one access mode
+// but not yet opened. Kernel.Open resolves first, so a missing path or
+// a refused permission still wins over a policy deny, and builds the
+// handle only for an open that goes ahead.
+type Target struct {
+	fs     *FS
+	node   *node
+	path   string
+	access Access
+}
+
+// Resolve performs Open's lookup and permission check, with its
+// errors, and returns the target without opening it.
+func (f *FS) Resolve(path string, access Access, cred Cred) (Target, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 
 	n, err := f.lookup(path)
 	if err != nil {
-		return nil, err
+		return Target{}, err
 	}
 	if n.kind == KindDirectory {
-		return nil, fmt.Errorf("open %s: %w", path, ErrIsDirectory)
+		return Target{}, fmt.Errorf("open %s: %w", path, ErrIsDirectory)
 	}
 	if !checkPerm(n, cred, access) {
-		return nil, fmt.Errorf("open %s: %w", path, ErrPermission)
+		return Target{}, fmt.Errorf("open %s: %w", path, ErrPermission)
 	}
-	return &Handle{fs: f, node: n, path: path, access: access}, nil
+	return Target{fs: f, node: n, path: path, access: access}, nil
+}
+
+// Kind returns the kind of the resolved node.
+func (t Target) Kind() NodeKind { return t.node.kind }
+
+// Open opens a handle on the resolved node.
+func (t Target) Open() *Handle {
+	return &Handle{fs: t.fs, node: t.node, path: t.path, access: t.access}
 }
 
 // Stat returns metadata for the node at path. Stat performs no

@@ -163,3 +163,29 @@ func BenchmarkKernelOpenDenied(b *testing.B) {
 		}
 	}
 }
+
+// TestOpenErrnoPrecedence pins that the filesystem's refusal of a
+// sensitive open wins over the policy: a device node the caller may
+// not read fails with the permission error, byte for byte as before,
+// and the monitor is never asked, so no denial is counted or audited.
+func TestOpenErrnoPrecedence(t *testing.T) {
+	e := newEnv(t, enforcing())
+	mic, err := e.helper.Attach(devfs.ClassMicrophone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fsys.Chmod(mic, 0o600, fs.Root); err != nil {
+		t.Fatal(err)
+	}
+	spy := e.spawnUser(t, "spy")
+	_, err = e.k.Open(spy, mic, fs.AccessRead)
+	if want := fmt.Errorf("open %s: %w", mic, fs.ErrPermission); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Open = %v, want %q", err, want.Error())
+	}
+	if !errors.Is(err, fs.ErrPermission) {
+		t.Fatalf("errors.Is(%v, fs.ErrPermission) = false", err)
+	}
+	if audit := e.k.Monitor().Audit(); len(audit) != 0 {
+		t.Fatalf("refused open reached the monitor: %+v", audit)
+	}
+}

@@ -86,7 +86,9 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 		return nil, fmt.Errorf("open %s: %w", path, ErrDeadProcess)
 	}
 
-	h, err := k.fsys.Open(path, access, cred)
+	// Resolve, not open: the lookup and permission errors come first,
+	// but the handle is built only once the open goes ahead.
+	target, err := k.fsys.Resolve(path, access, cred)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +118,7 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 	}
 	defer k.probeOpen.End(&sp)
 
-	if devRounds := k.devRounds; devRounds > 0 && h.Kind() == fs.KindDevice {
+	if devRounds := k.devRounds; devRounds > 0 && target.Kind() == fs.KindDevice {
 		// Simulated driver initialisation, paid by every device open
 		// on both the baseline and the Overhaul kernel.
 		deviceInitWork(devRounds)
@@ -143,7 +145,6 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 			k.mon.RecordDenialCtx(sp.Ctx, p.PID(), opForClass(class), k.instant(now), failClosed)
 		}
 		k.openOutcome(&sp, p.PID(), probe.VerdictDeny, failClosed)
-		_ = h.Close()
 		return nil, fmt.Errorf("open %s by pid %d: %w: %v", path, p.PID(), ErrTransientIO, f.Err)
 	}
 
@@ -158,7 +159,7 @@ func (k *Kernel) Open(p *Process, path string, access fs.Access) (*fs.Handle, er
 	} else {
 		k.openOutcome(&sp, p.PID(), probe.VerdictNone, "")
 	}
-	return h, nil
+	return target.Open(), nil
 }
 
 // Create creates a regular file through the kernel on behalf of p. It

@@ -1,7 +1,7 @@
 package xserver
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"overhaul/internal/faultinject"
@@ -34,9 +34,14 @@ type Alert struct {
 	Expires      time.Time
 }
 
-// alertMessage renders the alert text the user sees.
+// alertMessage renders the alert text the user sees. It runs on every
+// rendered grant, so it concatenates instead of formatting: one
+// allocation, the string itself.
 func alertMessage(pid int, op Op, blocked, degraded bool) string {
+	// what is the verb phrase; with dev set it ends in "(", and the op
+	// and ")" follow.
 	var what string
+	var dev bool
 	switch op {
 	case monitor.OpMic:
 		what = "is recording from the microphone"
@@ -49,9 +54,10 @@ func alertMessage(pid int, op Op, blocked, degraded bool) string {
 	case monitor.OpPaste:
 		what = "read the clipboard"
 	default:
-		what = fmt.Sprintf("accessed a protected device (%s)", op)
+		what, dev = "accessed a protected device (", true
 	}
 	if blocked {
+		dev = false
 		switch op {
 		case monitor.OpMic:
 			what = "was blocked from recording the microphone"
@@ -60,13 +66,22 @@ func alertMessage(pid int, op Op, blocked, degraded bool) string {
 		case monitor.OpScreen:
 			what = "was blocked from capturing the screen"
 		default:
-			what = fmt.Sprintf("was blocked from a protected device (%s)", op)
+			what, dev = "was blocked from a protected device (", true
 		}
 	}
-	if degraded {
-		what += " (OVERHAUL protection degraded)"
+	b := make([]byte, 0, 128)
+	b = append(b, "Application [pid "...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, "] "...)
+	b = append(b, what...)
+	if dev {
+		b = append(b, op...)
+		b = append(b, ')')
 	}
-	return fmt.Sprintf("Application [pid %d] %s", pid, what)
+	if degraded {
+		b = append(b, " (OVERHAUL protection degraded)"...)
+	}
+	return string(b)
 }
 
 // ShowAlert renders a trusted alert for a granted sensitive access

@@ -2,6 +2,7 @@ package xserver
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -424,6 +425,65 @@ func TestAlertMessageWording(t *testing.T) {
 	blocked := alertMessage(7, monitor.OpCam, true, false)
 	if blocked != "Application [pid 7] was blocked from using the camera" {
 		t.Errorf("blocked alertMessage = %q", blocked)
+	}
+}
+
+// fmtAlertMessage is alertMessage as it was written with fmt, kept as
+// the reference the concatenating version must match byte for byte.
+func fmtAlertMessage(pid int, op Op, blocked, degraded bool) string {
+	var what string
+	switch op {
+	case monitor.OpMic:
+		what = "is recording from the microphone"
+	case monitor.OpCam:
+		what = "is using the camera"
+	case monitor.OpScreen:
+		what = "captured the screen"
+	case monitor.OpCopy:
+		what = "copied to the clipboard"
+	case monitor.OpPaste:
+		what = "read the clipboard"
+	default:
+		what = fmt.Sprintf("accessed a protected device (%s)", op)
+	}
+	if blocked {
+		switch op {
+		case monitor.OpMic:
+			what = "was blocked from recording the microphone"
+		case monitor.OpCam:
+			what = "was blocked from using the camera"
+		case monitor.OpScreen:
+			what = "was blocked from capturing the screen"
+		default:
+			what = fmt.Sprintf("was blocked from a protected device (%s)", op)
+		}
+	}
+	if degraded {
+		what += " (OVERHAUL protection degraded)"
+	}
+	return fmt.Sprintf("Application [pid %d] %s", pid, what)
+}
+
+// TestAlertMessageMatchesFmt pins every op × blocked × degraded alert,
+// the unknown-op fallback included, against the fmt rendering, and
+// holds the text to one allocation.
+func TestAlertMessageMatchesFmt(t *testing.T) {
+	ops := []monitor.Op{monitor.OpMic, monitor.OpCam, monitor.OpScreen, monitor.OpCopy,
+		monitor.OpPaste, monitor.OpOther, "usb-storage", ""}
+	for _, pid := range []int{7, 4242, -1} {
+		for _, op := range ops {
+			for _, blocked := range []bool{false, true} {
+				for _, degraded := range []bool{false, true} {
+					got := alertMessage(pid, op, blocked, degraded)
+					if want := fmtAlertMessage(pid, op, blocked, degraded); got != want {
+						t.Errorf("alertMessage(%d, %q, %v, %v) = %q, want %q", pid, op, blocked, degraded, got, want)
+					}
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { alertMessage(4242, monitor.OpOther, true, true) }); n > 1 {
+		t.Errorf("alertMessage allocates %v times, want 1", n)
 	}
 }
 
